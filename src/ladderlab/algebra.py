@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .operators import OperatorMatrix, max_entry, restricted
 
@@ -77,6 +78,19 @@ class LadderRep:
     Lminus: OperatorMatrix
 
 
+def _ladder_rep(kind: AlgebraKind, diagonal: np.ndarray, raising: np.ndarray) -> LadderRep:
+    """L3 = diag(diagonal), L+ = `raising` on the first subdiagonal, L- = (L+)^T."""
+    dim = len(diagonal)
+    lp = sparse.diags_array(raising, offsets=-1, shape=(dim, dim), dtype=float)
+    return LadderRep(
+        kind=kind,
+        dim=dim,
+        L3=OperatorMatrix("L3", sparse.diags_array(diagonal, dtype=float)),
+        Lplus=OperatorMatrix("L+", lp),
+        Lminus=OperatorMatrix("L-", lp.T),
+    )
+
+
 def build_su2_rep(l: float) -> LadderRep:
     """Spin-l ladder matrices.
 
@@ -87,15 +101,8 @@ def build_su2_rep(l: float) -> LadderRep:
     kind = Su2(l)
     dim = int(round(2 * kind.l)) + 1
     n = np.arange(dim - 1, dtype=float)
-    lp = np.diag(np.sqrt((2.0 * kind.l - n) * (n + 1.0)), -1)
-    l3 = np.diag(np.arange(dim, dtype=float) - kind.l)
-    return LadderRep(
-        kind=kind,
-        dim=dim,
-        L3=OperatorMatrix("L3", l3),
-        Lplus=OperatorMatrix("L+", lp),
-        Lminus=OperatorMatrix("L-", lp.T),
-    )
+    return _ladder_rep(kind, np.arange(dim, dtype=float) - kind.l,
+                       np.sqrt((2.0 * kind.l - n) * (n + 1.0)))
 
 
 def build_su11_rep(k: float, dim: int) -> LadderRep:
@@ -111,15 +118,8 @@ def build_su11_rep(k: float, dim: int) -> LadderRep:
     if dim < 2:
         raise ValueError("dim must be at least 2")
     n = np.arange(dim - 1, dtype=float)
-    lp = np.diag(np.sqrt((n + 2.0 * kind.k) * (n + 1.0)), -1)
-    l3 = np.diag(np.arange(dim, dtype=float) + kind.k)
-    return LadderRep(
-        kind=kind,
-        dim=dim,
-        L3=OperatorMatrix("L3", l3),
-        Lplus=OperatorMatrix("L+", lp),
-        Lminus=OperatorMatrix("L-", lp.T),
-    )
+    return _ladder_rep(kind, np.arange(dim, dtype=float) + kind.k,
+                       np.sqrt((n + 2.0 * kind.k) * (n + 1.0)))
 
 
 def build_h1_rep(dim: int) -> LadderRep:
@@ -133,24 +133,19 @@ def build_h1_rep(dim: int) -> LadderRep:
     if dim < 2:
         raise ValueError("dim must be at least 2")
     n = np.arange(dim - 1, dtype=float)
-    lp = np.diag(np.sqrt(n + 1.0), -1)
-    l3 = np.diag(np.arange(dim, dtype=float) + 0.5)
-    return LadderRep(
-        kind=Heisenberg(),
-        dim=dim,
-        L3=OperatorMatrix("L3", l3),
-        Lplus=OperatorMatrix("L+", lp),
-        Lminus=OperatorMatrix("L-", lp.T),
-    )
+    return _ladder_rep(Heisenberg(), np.arange(dim, dtype=float) + 0.5, np.sqrt(n + 1.0))
 
 
-def cartesian_generators(rep: LadderRep) -> tuple[OperatorMatrix, OperatorMatrix]:
-    """Hermitian combinations L1 = (L+ + L-)/2 and L2 = (L+ - L-)/(2i)."""
-    if isinstance(rep.kind, Heisenberg):
+def cartesian_generators(rep) -> tuple[OperatorMatrix, OperatorMatrix]:
+    """Hermitian combinations L1 = (L+ + L-)/2 and L2 = (L+ - L-)/(2i).
+
+    Takes any ladder pair carrying `Lplus` and `Lminus`: a su(2)/su(1,1)
+    `LadderRep` or the two-mode space.
+    """
+    if isinstance(getattr(rep, "kind", None), Heisenberg):
         raise ValueError("cartesian generators are defined for the su(2)/su(1,1) ladders")
-    l1 = (rep.Lplus.entries + rep.Lminus.entries) / 2.0
-    l2 = (rep.Lplus.entries - rep.Lminus.entries) / 2.0j
-    return OperatorMatrix("L1", l1), OperatorMatrix("L2", l2)
+    lp, lm = rep.Lplus.csr, rep.Lminus.csr
+    return OperatorMatrix("L1", (lp + lm) / 2.0), OperatorMatrix("L2", (lp - lm) / 2.0j)
 
 
 def check_algebra_relations(rep: LadderRep, interior: int) -> float:
@@ -165,13 +160,13 @@ def check_algebra_relations(rep: LadderRep, interior: int) -> float:
     if not 1 <= int(interior) <= rep.dim:
         raise ValueError(f"interior must be in 1..{rep.dim}")
     keep = range(int(interior))
-    l3, lp, lm = rep.L3.entries, rep.Lplus.entries, rep.Lminus.entries
+    l3, lp, lm = rep.L3.csr, rep.Lplus.csr, rep.Lminus.csr
     residuals = [
         l3 @ lp - lp @ l3 - lp,
         l3 @ lm - lm @ l3 + lm,
     ]
     if isinstance(rep.kind, Heisenberg):
-        residuals.append(lm @ lp - lp @ lm - np.eye(rep.dim))
+        residuals.append(lm @ lp - lp @ lm - sparse.eye_array(rep.dim))
     else:
         sign = 2.0 if isinstance(rep.kind, Su2) else -2.0
         residuals.append(lp @ lm - lm @ lp - sign * l3)

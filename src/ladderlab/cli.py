@@ -61,6 +61,25 @@ class CommandResult:
     breaches: list[str] = field(default_factory=list)
 
 
+def _finite(text: str) -> float:
+    """argparse type: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _positive(text: str) -> float:
+    """argparse type: a finite float above zero."""
+    value = _finite(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=TOOL, description="ladder-algebra representations, contraction studies, "
@@ -69,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="output path (default: <command>.<format>)")
     common.add_argument("--format", choices=("csv", "json"), default="csv")
-    common.add_argument("--tolerance", type=float, default=1e-12,
+    common.add_argument("--tolerance", type=_positive, default=1e-12,
                         help="breach threshold for requested checks (default 1e-12)")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -91,11 +110,11 @@ def build_parser() -> argparse.ArgumentParser:
                           help="deformed commutator and Hamiltonian identities")
     contract.add_argument("--dim", type=int, help="cutoff for --hp (default 64)")
     contract.add_argument("--l", type=float, help="spin label for --identities")
-    contract.add_argument("--tau", type=float, default=1.0, help="time step for --identities")
+    contract.add_argument("--tau", type=_finite, default=1.0, help="time step for --identities")
 
     evolve = sub.add_parser("evolve", parents=[common], help="cyclic evolution spectrum and phase")
     evolve.add_argument("--N", type=int, required=True, help="number of states")
-    evolve.add_argument("--tau", type=float, default=1.0, help="time step")
+    evolve.add_argument("--tau", type=_finite, default=1.0, help="time step")
     evolve.add_argument("--units", choices=("energy", "omega"), default="energy")
 
     orbit = sub.add_parser("orbit", parents=[common], help="circle and torus orbit traces")
@@ -103,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="N-site single-cover circle system")
     orbit.add_argument("--two-circle", dest="two_circle", action="store_true")
     orbit.add_argument("--torus", action="store_true")
-    orbit.add_argument("--alpha", type=float, default=1.0, help="envelope frequency")
+    orbit.add_argument("--alpha", type=_finite, default=1.0, help="envelope frequency")
     orbit.add_argument("--curve-samples", dest="curve_samples", type=int, default=0,
                        help="samples of the underlying continuous curve")
     orbit.add_argument("--steps", type=int, default=1000)
@@ -112,8 +131,10 @@ def build_parser() -> argparse.ArgumentParser:
     orbit.add_argument("--q-irr-add", dest="q_irr_add", default="0",
                        help="irrational ratio offset, e.g. 'pi/40' or a float")
     orbit.add_argument("--ratio", choices=("golden",), help="torus rotation preset")
-    orbit.add_argument("--rot1", type=float, help="torus rotation per step, coordinate 1 (rad)")
-    orbit.add_argument("--rot2", type=float, help="torus rotation per step, coordinate 2 (rad)")
+    orbit.add_argument("--rot1", type=_finite,
+                       help="torus rotation per step, coordinate 1 (rad)")
+    orbit.add_argument("--rot2", type=_finite,
+                       help="torus rotation per step, coordinate 2 (rad)")
     orbit.add_argument("--phi0", default="0,0", help="torus start angles 'phi1,phi2'")
 
     schwinger = sub.add_parser("schwinger", parents=[common],
@@ -123,8 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
                            default="all")
     schwinger.add_argument("--sector", type=float, help="sector label j for --dump")
     schwinger.add_argument("--dump", action="store_true", help="dump one sector's ladder table")
-    schwinger.add_argument("--Omega", type=float, default=1.0)
-    schwinger.add_argument("--Gamma", type=float, default=0.5)
+    schwinger.add_argument("--Omega", type=_finite, default=1.0)
+    schwinger.add_argument("--Gamma", type=_finite, default=0.5)
     return parser
 
 
@@ -137,11 +158,17 @@ def _fmt(value) -> str:
 
 
 def _element_rows(ops) -> list[tuple]:
+    """(label, row, col, re, im) per stored entry.
+
+    `OperatorMatrix` keeps no stored zeros and sorted column indices, so the
+    CSR entries are the nonzero entries in the row-major order of `np.nonzero`.
+    """
     rows = []
     for op in ops:
-        for r, c in zip(*np.nonzero(op.entries)):
-            v = op.entries[r, c]
-            rows.append((op.label, int(r), int(c), float(v.real), float(v.imag)))
+        m = op.csr
+        r = np.repeat(np.arange(op.dim), np.diff(m.indptr))
+        rows.extend(zip([op.label] * m.nnz, r.tolist(), m.indices.tolist(),
+                        m.data.real.tolist(), m.data.imag.tolist()))
     return rows
 
 
@@ -184,8 +211,8 @@ def cmd_contract(args) -> CommandResult:
         a, adag = holstein_primakoff(rep)
         osc = build_h1_rep(dim)
         deviation = max(
-            max_entry(a.entries - osc.Lminus.entries),
-            max_entry(adag.entries - osc.Lplus.entries),
+            max_entry(a.csr - osc.Lminus.csr),
+            max_entry(adag.csr - osc.Lplus.csr),
         )
         result = CommandResult(
             columns=("operator", "row", "col", "re", "im"),

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .algebra import (
     LadderRep,
@@ -42,8 +43,8 @@ class ScalingPair:
     l: float
 
     def __post_init__(self) -> None:
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ValueError("tau must be positive and finite")
         if not (self.alpha > 0 and self.beta < 0):
             raise ValueError("alpha must be positive and beta negative")
         product = self.alpha * self.beta * (2.0 * self.l + 1.0) / (-2.0)
@@ -52,8 +53,8 @@ class ScalingPair:
 
     @classmethod
     def for_parameters(cls, tau: float, l: float) -> "ScalingPair":
-        if tau <= 0:
-            raise ValueError("tau must be positive")
+        if not (math.isfinite(tau) and tau > 0):
+            raise ValueError("tau must be positive and finite")
         alpha = math.sqrt(tau / math.pi)
         beta = -2.0 / (2.0 * l + 1.0) * math.sqrt(math.pi / tau)
         return cls(alpha=alpha, beta=beta, tau=float(tau), l=float(l))
@@ -87,8 +88,8 @@ def scaled_ladders(rep: LadderRep) -> tuple[OperatorMatrix, OperatorMatrix]:
     else:
         raise ValueError("oscillator ladders are already canonical; nothing to scale")
     return (
-        OperatorMatrix("a", rep.Lminus.entries / scale),
-        OperatorMatrix("adag", rep.Lplus.entries / scale),
+        OperatorMatrix("a", rep.Lminus.csr / scale),
+        OperatorMatrix("adag", rep.Lplus.csr / scale),
     )
 
 
@@ -110,8 +111,8 @@ def contraction_deviation(rep: LadderRep, n: int) -> float:
     if not 0 <= n <= bound:
         raise ValueError(f"n must be in 0..{bound} for this representation")
     a, adag = scaled_ladders(rep)
-    comm = a.entries @ adag.entries - adag.entries @ a.entries
-    vec = comm[:, n].copy()
+    comm = a.csr @ adag.csr - adag.csr @ a.csr
+    vec = comm[:, [n]].toarray().ravel()
     vec[n] -= 1.0
     return float(np.linalg.norm(vec))
 
@@ -180,12 +181,12 @@ def holstein_primakoff(rep: LadderRep) -> tuple[OperatorMatrix, OperatorMatrix]:
         raise ValueError("mapping requires the k = 1/2 discrete series")
     if rep.dim < 2:
         raise ValueError("dim must be at least 2")
-    shifted = np.diag(rep.L3.entries).real + 0.5
+    shifted = rep.L3.csr.diagonal().real + 0.5
     if np.any(shifted <= 0):
         raise ValueError("L3 + 1/2 must be positive definite")
-    f = 1.0 / np.sqrt(shifted)
-    a = OperatorMatrix("a", f[:, None] * rep.Lminus.entries)
-    adag = OperatorMatrix("adag", rep.Lplus.entries * f[None, :])
+    f = sparse.diags_array(1.0 / np.sqrt(shifted), dtype=float)
+    a = OperatorMatrix("a", f @ rep.Lminus.csr)
+    adag = OperatorMatrix("adag", rep.Lplus.csr @ f)
     return a, adag
 
 
@@ -197,8 +198,8 @@ def position_momentum(
         raise ValueError("position/momentum analogues live on the su(2) representation")
     pair = ScalingPair.for_parameters(tau, rep.kind.l)
     l1, l2 = cartesian_generators(rep)
-    xhat = OperatorMatrix("x", pair.alpha * l1.entries)
-    phat = OperatorMatrix("p", pair.beta * l2.entries)
+    xhat = OperatorMatrix("x", pair.alpha * l1.csr)
+    phat = OperatorMatrix("p", pair.beta * l2.csr)
     return xhat, phat, pair
 
 
@@ -210,10 +211,10 @@ def su2_hamiltonian(rep: LadderRep, tau: float) -> OperatorMatrix:
     """
     if not isinstance(rep.kind, Su2):
         raise ValueError("the oscillator-ladder Hamiltonian is defined on su(2)")
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError("tau must be positive and finite")
     omega = 2.0 * math.pi / (rep.dim * tau)
-    h = omega * (rep.L3.entries + (rep.kind.l + 0.5) * np.eye(rep.dim))
+    h = omega * (rep.L3.csr + (rep.kind.l + 0.5) * sparse.eye_array(rep.dim))
     return OperatorMatrix("H", h)
 
 
@@ -221,8 +222,9 @@ def deformed_commutator_check(rep: LadderRep, tau: float) -> float:
     """Residual of [x, p] = i (1 - (tau/pi) H), an exact identity on the irrep."""
     xhat, phat, _ = position_momentum(rep, tau)
     h = su2_hamiltonian(rep, tau)
-    lhs = xhat.entries @ phat.entries - phat.entries @ xhat.entries
-    rhs = 1j * (np.eye(rep.dim) - (tau / math.pi) * h.entries)
+    x, p = xhat.csr, phat.csr
+    lhs = x @ p - p @ x
+    rhs = 1j * (sparse.eye_array(rep.dim) - (tau / math.pi) * h.csr)
     return max_entry(lhs - rhs)
 
 
@@ -236,10 +238,10 @@ def hamiltonian_identity_check(rep: LadderRep, tau: float) -> float:
     xhat, phat, _ = position_momentum(rep, tau)
     h = su2_hamiltonian(rep, tau)
     omega = 2.0 * math.pi / (rep.dim * tau)
+    x, p, h = xhat.csr, phat.csr, h.csr
     reconstructed = (
-        0.5 * omega**2 * (xhat.entries @ xhat.entries)
-        + 0.5 * (phat.entries @ phat.entries)
-        + (tau / (2.0 * math.pi))
-        * (omega**2 / 4.0 * np.eye(rep.dim) + h.entries @ h.entries)
+        0.5 * omega**2 * (x @ x)
+        + 0.5 * (p @ p)
+        + (tau / (2.0 * math.pi)) * (omega**2 / 4.0 * sparse.eye_array(rep.dim) + h @ h)
     )
-    return max_entry(h.entries - reconstructed)
+    return max_entry(h - reconstructed)

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .operators import OperatorMatrix, Spectrum, max_entry
 
@@ -30,8 +31,8 @@ class EvolutionParams:
     def __post_init__(self) -> None:
         if int(self.n_states) != self.n_states or self.n_states < 2:
             raise ValueError("n_states must be an integer >= 2")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ValueError("tau must be positive and finite")
         object.__setattr__(self, "n_states", int(self.n_states))
         object.__setattr__(self, "tau", float(self.tau))
 
@@ -40,22 +41,16 @@ class EvolutionParams:
         return 2.0 * math.pi / (self.n_states * self.tau)
 
 
-def _cyclic_permutation(n: int) -> np.ndarray:
-    perm = np.zeros((n, n))
-    cols = np.arange(n)
-    perm[(cols + 1) % n, cols] = 1.0
-    return perm
-
-
 def build_evolution_operator(p: EvolutionParams) -> OperatorMatrix:
     """U = e^{-i pi/N} P with P the one-step cyclic shift; unitary.
 
-    Entry convention: U[(v+1) mod N, v] carries the phase, i.e. ones below the
-    diagonal plus the top-right corner.
+    Entry convention: U[(v+1) mod N, v] carries the phase, i.e. phases below the
+    diagonal plus the top-right corner.  Stored as the N phased entries only.
     """
     n = p.n_states
-    u = np.exp(-1j * math.pi / n) * _cyclic_permutation(n)
-    return OperatorMatrix("U", u)
+    cols = np.arange(n)
+    phases = np.full(n, np.exp(-1j * math.pi / n))
+    return OperatorMatrix("U", sparse.csr_array((phases, ((cols + 1) % n, cols)), shape=(n, n)))
 
 
 def spectrum_via_dft(p: EvolutionParams) -> Spectrum:
@@ -65,16 +60,22 @@ def spectrum_via_dft(p: EvolutionParams) -> Spectrum:
     shift with eigenvalues e^{-i 2 pi m / N}.  Eigenphases are unwrapped with
     arg taken in (-2 pi, 0] via n = round((-arg * N/pi - 1)/2); any collision
     signals a construction bug.  Returned energies are sorted ascending.
+
+    F^dagger (U F) is formed as fft(U F)/sqrt(N), an O(N^2 log N) transform in
+    place of the dense triple product.
     """
     n = p.n_states
     u = build_evolution_operator(p)
-    grid = np.outer(np.arange(n), np.arange(n))
-    fourier = np.exp(2j * math.pi * grid / n) / math.sqrt(n)
-    diagonalized = fourier.conj().T @ u.entries @ fourier
-    off = diagonalized - np.diag(np.diag(diagonalized))
-    if max_entry(off) > 1e-10:
+    # exponents m v reduced mod N index a table of the N roots of unity
+    roots = np.exp(2j * math.pi * np.arange(n) / n) / math.sqrt(n)
+    fourier = roots[np.outer(np.arange(n), np.arange(n)) % n]
+    diagonalized = np.fft.fft(u.csr @ fourier, axis=0)
+    diagonalized /= math.sqrt(n)
+    eigenvalues = diagonalized.diagonal().copy()
+    np.fill_diagonal(diagonalized, 0.0)
+    if max_entry(diagonalized) > 1e-10:
         raise ValueError("the DFT failed to diagonalize the evolution operator")
-    args = np.angle(np.diag(diagonalized))
+    args = np.angle(eigenvalues)
     args = np.where(args > 0, args - 2.0 * math.pi, args)
     levels = np.rint((-args * n / math.pi - 1.0) / 2.0).astype(int)
     if sorted(levels) != list(range(n)):
@@ -86,11 +87,21 @@ def spectrum_via_dft(p: EvolutionParams) -> Spectrum:
 def geometric_phase_check(p: EvolutionParams) -> complex:
     """Scalar phi with U^N = phi * 1; the phase factor makes phi = -1.
 
+    U^N comes from binary squaring of the sparse U, in the multiplication
+    order of `numpy.linalg.matrix_power`; every product of two phased
+    permutations is again one, so each step costs O(N).
     Raises if U^N is not proportional to the identity (construction bug).
     """
-    u = build_evolution_operator(p)
-    power = np.linalg.matrix_power(u.entries, p.n_states)
+    n = p.n_states
+    u = build_evolution_operator(p).csr
+    square = power = None
+    remaining = n
+    while remaining > 0:
+        square = u if square is None else square @ square
+        remaining, bit = divmod(remaining, 2)
+        if bit:
+            power = square if power is None else power @ square
     phi = complex(power[0, 0])
-    if max_entry(power - phi * np.eye(p.n_states)) > 1e-12:
+    if max_entry(power - phi * sparse.eye_array(n)) > 1e-12:
         raise ValueError("U^N is not proportional to the identity")
     return phi

@@ -36,6 +36,8 @@ class CircleDynamics:
     q: Fraction | None
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise ValueError("alpha and beta must be finite")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
         if self.beta <= 0:
@@ -152,8 +154,10 @@ def simulate_torus(
     steps = int(steps)
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError("tau must be positive and finite")
+    if not all(math.isfinite(v) for v in (alpha1, alpha2, *phi0)):
+        raise ValueError("rotation rates and start angles must be finite")
     d1, d2 = alpha1 * tau, alpha2 * tau
     p1, p2 = phi0[0] % TWO_PI, phi0[1] % TWO_PI
     angles = np.empty((steps, 2))

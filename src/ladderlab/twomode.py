@@ -18,11 +18,12 @@ integrate to it, are the checked form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import pi
+from math import isfinite, pi
 
 import numpy as np
+from scipy import sparse
 
-from .algebra import LadderRep, Su11, build_su11_rep
+from .algebra import LadderRep, Su11, build_su11_rep, cartesian_generators
 from .operators import OperatorMatrix, matrix_exponential, max_entry, restricted
 
 
@@ -74,6 +75,8 @@ class DissipativeParams:
     Gamma: float
 
     def __post_init__(self) -> None:
+        if not (isfinite(self.Omega) and isfinite(self.Gamma)):
+            raise ValueError("Omega and Gamma must be finite")
         if self.Gamma <= 0:
             raise ValueError("Gamma must be positive")
 
@@ -83,19 +86,20 @@ class DissipativeParams:
 
 
 def build_two_mode(n_max: int) -> TwoModeSpace:
-    """Tensor two single-mode ladders and form L+, L-, L3."""
+    """Tensor two single-mode ladders and form L+, L-, L3, all as sparse Kronecker products."""
     n_max = int(n_max)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     cutoff = n_max + 1
-    lower = np.diag(np.sqrt(np.arange(1, cutoff, dtype=float)), 1)
-    eye = np.eye(cutoff)
-    a = np.kron(lower, eye)
-    b = np.kron(eye, lower)
-    adag, bdag = a.T, b.T
+    lower = sparse.diags_array(np.sqrt(np.arange(1, cutoff, dtype=float)), offsets=1,
+                               shape=(cutoff, cutoff), dtype=float)
+    eye = sparse.eye_array(cutoff)
+    a = sparse.csr_array(sparse.kron(lower, eye))
+    b = sparse.csr_array(sparse.kron(eye, lower))
+    adag, bdag = sparse.csr_array(a.T), sparse.csr_array(b.T)
     lplus = adag @ bdag
     lminus = a @ b
-    l3 = 0.5 * (adag @ a + bdag @ b + np.eye(cutoff * cutoff))
+    l3 = 0.5 * (adag @ a + bdag @ b + sparse.eye_array(cutoff * cutoff))
     return TwoModeSpace(
         n_max=n_max,
         dim=cutoff * cutoff,
@@ -113,9 +117,8 @@ def interior_indices(space: TwoModeSpace, bound: int | None = None) -> list[int]
     """Flat indices with both occupations below `bound` (default n_max)."""
     bound = space.n_max if bound is None else int(bound)
     side = space.n_max + 1
-    return [
-        n_a * side + n_b for n_a in range(min(bound, side)) for n_b in range(min(bound, side))
-    ]
+    occupations = np.arange(min(bound, side))
+    return (occupations[:, None] * side + occupations[None, :]).ravel().tolist()
 
 
 def _mode_numbers(space: TwoModeSpace) -> tuple[np.ndarray, np.ndarray]:
@@ -125,18 +128,20 @@ def _mode_numbers(space: TwoModeSpace) -> tuple[np.ndarray, np.ndarray]:
     return n_a, n_b
 
 
+def _casimir_ladder_form(space: TwoModeSpace) -> sparse.csr_array:
+    l3, lp, lm = space.L3.csr, space.Lplus.csr, space.Lminus.csr
+    return 0.25 * sparse.eye_array(space.dim) + l3 @ l3 - 0.5 * (lp @ lm + lm @ lp)
+
+
+def _casimir_residual(space: TwoModeSpace, c2: sparse.csr_array) -> float:
+    n_a, n_b = _mode_numbers(space)
+    mode_form = sparse.diags_array(0.25 * (n_a - n_b) ** 2, dtype=float)
+    return max_entry(restricted(c2 - mode_form, interior_indices(space)))
+
+
 def casimir_interior_residual(space: TwoModeSpace) -> float:
     """Max-entry gap between the ladder-form Casimir and (A†A - B†B)^2/4 on the interior."""
-    c2 = _casimir_ladder_form(space)
-    n_a, n_b = _mode_numbers(space)
-    mode_form = np.diag(0.25 * (n_a - n_b) ** 2)
-    keep = interior_indices(space)
-    return max_entry(restricted(c2 - mode_form, keep))
-
-
-def _casimir_ladder_form(space: TwoModeSpace) -> np.ndarray:
-    l3, lp, lm = space.L3.entries, space.Lplus.entries, space.Lminus.entries
-    return 0.25 * np.eye(space.dim) + l3 @ l3 - 0.5 * (lp @ lm + lm @ lp)
+    return _casimir_residual(space, _casimir_ladder_form(space))
 
 
 def casimir(space: TwoModeSpace, tol: float = 1e-12) -> OperatorMatrix:
@@ -145,29 +150,35 @@ def casimir(space: TwoModeSpace, tol: float = 1e-12) -> OperatorMatrix:
     Verified against the diagonal mode form (A†A - B†B)^2/4 on the interior;
     a mismatch beyond `tol` means the construction is broken.
     """
-    residual = casimir_interior_residual(space)
+    c2 = _casimir_ladder_form(space)
+    residual = _casimir_residual(space, c2)
     if residual > tol:
         raise ValueError(f"Casimir forms disagree on the interior: {residual:.3e}")
-    return OperatorMatrix("C2", _casimir_ladder_form(space))
+    return OperatorMatrix("C2", c2)
 
 
 def casimir_root(space: TwoModeSpace) -> OperatorMatrix:
     """C = nonnegative square root of the exact diagonal C^2, i.e. diag(|j|)."""
     n_a, n_b = _mode_numbers(space)
-    return OperatorMatrix("C", np.diag(np.abs(n_a - n_b) / 2.0))
+    return OperatorMatrix("C", sparse.diags_array(np.abs(n_a - n_b) / 2.0, dtype=float))
+
+
+def _sector_indices(space: TwoModeSpace, j: float) -> list[int]:
+    """Flat indices with n_A - n_B = 2j, by ascending n_A (empty if no such state)."""
+    shift = 2.0 * j
+    if shift != round(shift):
+        return []
+    shift = int(round(shift))
+    side = space.n_max + 1
+    n_a = np.arange(max(0, shift), min(side, side + shift))
+    return (n_a * side + (n_a - shift)).tolist()
 
 
 def sector_decompose(space: TwoModeSpace) -> SectorDecomposition:
     """Group the basis by j = (n_A - n_B)/2, each sector ordered by ascending m."""
-    sectors: dict[float, list[int]] = {}
-    for flat in range(space.dim):
-        n_a, n_b = space.occupations(flat)
-        j = (n_a - n_b) / 2.0
-        sectors.setdefault(j, []).append(flat)
-    ordered = {}
-    for j in sorted(sectors):
-        # fixed j: ascending n_A is ascending m = (n_A + n_B)/2
-        ordered[j] = sorted(sectors[j], key=lambda flat: space.occupations(flat)[0])
+    # fixed j: ascending n_A is ascending m = (n_A + n_B)/2
+    ordered = {shift / 2.0: _sector_indices(space, shift / 2.0)
+               for shift in range(-space.n_max, space.n_max + 1)}
     induced = {j: abs(j) + 0.5 for j in ordered}
     return SectorDecomposition(sectors=ordered, induced_k=induced)
 
@@ -177,9 +188,9 @@ def sector_operators(
 ) -> tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix]:
     """Restrictions of (L3, L+, L-) to the given sector index list."""
     return (
-        OperatorMatrix("L3", restricted(space.L3.entries, indices)),
-        OperatorMatrix("L+", restricted(space.Lplus.entries, indices)),
-        OperatorMatrix("L-", restricted(space.Lminus.entries, indices)),
+        OperatorMatrix("L3", restricted(space.L3.csr, indices)),
+        OperatorMatrix("L+", restricted(space.Lplus.csr, indices)),
+        OperatorMatrix("L-", restricted(space.Lminus.csr, indices)),
     )
 
 
@@ -190,23 +201,16 @@ def sector_match_residual(space: TwoModeSpace, j: float) -> float:
     restriction and direct construction truncate identically, so the gap is
     zero to rounding on every entry.
     """
-    decomp = sector_decompose(space)
-    if j not in decomp.sectors:
+    indices = _sector_indices(space, j)
+    if not indices:
         raise ValueError(f"no sector with j = {j}")
-    indices = decomp.sectors[j]
     if len(indices) < 2:
         raise ValueError(f"sector j = {j} is too small to compare")
-    l3, lp, lm = sector_operators(space, indices)
-    reference = build_su11_rep(decomp.induced_k[j], len(indices))
+    reference = build_su11_rep(abs(j) + 0.5, len(indices))
     return max(
-        max_entry(l3.entries - reference.L3.entries),
-        max_entry(lp.entries - reference.Lplus.entries),
-        max_entry(lm.entries - reference.Lminus.entries),
+        max_entry(restricted(getattr(space, name).csr, indices) - getattr(reference, name).csr)
+        for name in ("L3", "Lplus", "Lminus")
     )
-
-
-def _cartesian(lp: np.ndarray, lm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return (lp + lm) / 2.0, (lp - lm) / 2.0j
 
 
 def dissipative_residuals(space: TwoModeSpace, p: DissipativeParams) -> dict[str, float]:
@@ -217,23 +221,25 @@ def dissipative_residuals(space: TwoModeSpace, p: DissipativeParams) -> dict[str
     can match it only where j >= 0.
     """
     h0, hi = _dissipative_pieces(space, p)
-    _, l2 = _cartesian(space.Lplus.entries, space.Lminus.entries)
+    _, l2 = cartesian_generators(space)
     keep = interior_indices(space)
     n_a, n_b = _mode_numbers(space)
-    nonneg = [flat for flat in range(space.dim) if n_a[flat] >= n_b[flat]]
-    c = casimir_root(space).entries
+    nonneg = np.flatnonzero(n_a >= n_b)
+    c = casimir_root(space).csr
     return {
         "h0_vs_casimir": max_entry(restricted(h0 - 2.0 * p.Omega * c, nonneg)),
-        "hi_vs_l2": max_entry(restricted(hi - (-2.0 * p.Gamma) * l2, keep)),
+        "hi_vs_l2": max_entry(restricted(hi - (-2.0 * p.Gamma) * l2.csr, keep)),
         "h0_hermiticity": max_entry(h0 - h0.conj().T),
         "hi_hermiticity": max_entry(hi - hi.conj().T),
         "h0_hi_commutator": max_entry(restricted(h0 @ hi - hi @ h0, keep)),
     }
 
 
-def _dissipative_pieces(space: TwoModeSpace, p: DissipativeParams) -> tuple[np.ndarray, np.ndarray]:
-    a, adag = space.A.entries, space.Adag.entries
-    b, bdag = space.B.entries, space.Bdag.entries
+def _dissipative_pieces(
+    space: TwoModeSpace, p: DissipativeParams
+) -> tuple[sparse.csr_array, sparse.csr_array]:
+    a, adag = space.A.csr, space.Adag.csr
+    b, bdag = space.B.csr, space.Bdag.csr
     h0 = p.Omega * (adag @ a - bdag @ b)
     hi = 1j * p.Gamma * (adag @ bdag - a @ b)
     return h0, hi
@@ -260,18 +266,16 @@ def _l1_l2_l3_keep(target, interior: int):
         if not 2 <= int(interior) <= target.n_max + 1:
             raise ValueError(f"interior must be in 2..{target.n_max + 1}")
         keep = interior_indices(target, int(interior))
-        lp, lm, l3 = target.Lplus.entries, target.Lminus.entries, target.L3.entries
     elif isinstance(target, LadderRep):
         if not isinstance(target.kind, Su11):
             raise ValueError("the rotation relation needs the su(1,1) sign; pass a D+_k rep")
         if not 2 <= int(interior) <= target.dim:
             raise ValueError(f"interior must be in 2..{target.dim}")
         keep = list(range(int(interior)))
-        lp, lm, l3 = target.Lplus.entries, target.Lminus.entries, target.L3.entries
     else:
         raise ValueError("expected a TwoModeSpace or an su(1,1) LadderRep")
-    l1, l2 = _cartesian(lp, lm)
-    return l1, l2, l3, keep
+    l1, l2 = cartesian_generators(target)
+    return l1.csr, l2.csr, target.L3.csr, keep
 
 
 def l2_relation_check(target, interior: int) -> tuple[float, float]:
@@ -309,11 +313,12 @@ def l2_finite_residual(target, interior: int) -> float:
     """
     l1, l2, l3, keep = _l1_l2_l3_keep(target, interior)
     grow = matrix_exponential(OperatorMatrix("piL1/2", (pi / 2.0) * l1)).entries
+    weights = l3.diagonal()
     keep_arr = np.asarray(keep, dtype=int)
     worst = 0.0
     for state in keep:
         phi = grow[:, state]
-        mismatch = l2 @ phi - 1j * l3[state, state] * phi
+        mismatch = l2 @ phi - 1j * weights[state] * phi
         scale = float(np.linalg.norm(phi[keep_arr]))
         worst = max(worst, float(np.linalg.norm(mismatch[keep_arr])) / scale)
     return worst

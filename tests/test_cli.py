@@ -2,6 +2,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from ladderlab.cli import main
 
@@ -305,3 +306,60 @@ class TestOutputContract:
         assert code == 0
         assert captured.out.strip() == "evolve.csv"
         assert (tmp_path / "evolve.csv").exists()
+
+
+class TestInputValidation:
+    """Non-finite values and non-positive tolerances exit 2 before any work."""
+
+    def _rejected(self, args, tmp_path, capsys):
+        code, out, captured = run_cli(args, tmp_path, capsys)
+        assert code == 2
+        assert not out.exists()
+        return captured.err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "0"])
+    def test_tolerance(self, value, tmp_path, capsys):
+        err = self._rejected(
+            ["rep", "--algebra", "h1", "--dim", "8", "--tolerance", value], tmp_path, capsys
+        )
+        assert "--tolerance" in err
+
+    def test_positive_tolerance_still_gates(self, tmp_path, capsys):
+        code, _, _ = run_cli(
+            ["rep", "--algebra", "su11", "--k", "0.5", "--dim", "10", "--interior", "10",
+             "--tolerance", "1e-3"],
+            tmp_path, capsys,
+        )
+        assert code == 3
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_tau(self, value, tmp_path, capsys):
+        self._rejected(["evolve", "--N", "8", "--tau", value], tmp_path, capsys)
+        self._rejected(["contract", "--identities", "--l", "3", "--tau", value], tmp_path, capsys)
+
+    @pytest.mark.parametrize("value", ["nan", "-inf"])
+    def test_omega(self, value, tmp_path, capsys):
+        self._rejected(["schwinger", "--nmax", "4", "--Omega", value], tmp_path, capsys)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_gamma(self, value, tmp_path, capsys):
+        self._rejected(["schwinger", "--nmax", "4", "--Gamma", value], tmp_path, capsys)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_rot1(self, value, tmp_path, capsys):
+        self._rejected(["orbit", "--torus", "--rot1", value, "--rot2", "1"], tmp_path, capsys)
+
+    @pytest.mark.parametrize("value", ["nan", "-inf"])
+    def test_rot2(self, value, tmp_path, capsys):
+        self._rejected(["orbit", "--torus", "--rot1", "1", "--rot2", value], tmp_path, capsys)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_alpha(self, value, tmp_path, capsys):
+        self._rejected(["orbit", "--thooft-N", "7", "--alpha", value], tmp_path, capsys)
+
+    @pytest.mark.parametrize("value", ["nan,0", "0,inf", "1,-inf"])
+    def test_phi0(self, value, tmp_path, capsys):
+        err = self._rejected(
+            ["orbit", "--torus", "--ratio", "golden", "--phi0", value], tmp_path, capsys
+        )
+        assert "finite" in err

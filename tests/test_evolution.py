@@ -10,7 +10,14 @@ from ladderlab import (
     max_entry,
     spectrum_via_dft,
 )
-from ladderlab.evolution import _cyclic_permutation
+
+
+def _cyclic_permutation(n: int) -> np.ndarray:
+    """Dense oracle of the one-step cyclic shift: ones at ((v+1) mod N, v)."""
+    perm = np.zeros((n, n))
+    cols = np.arange(n)
+    perm[(cols + 1) % n, cols] = 1.0
+    return perm
 
 
 def dense_eigensolver_energies(params: EvolutionParams) -> np.ndarray:

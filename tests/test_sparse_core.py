@@ -1,0 +1,502 @@
+"""The sparse operator core against dense oracles kept here.
+
+The oracles rebuild every operator and residual from dense numpy matrices
+(`np.diag`, `np.kron`, dense products, `np.linalg.matrix_power`, the dense
+DFT triple product) at sizes where that is cheap.  Products whose every
+entry is a single term (a diagonal or single-band factor) round identically
+in both forms and are compared bitwise; sums of two or more products may
+round in a different order and are held to a few ulps of their scale.  Past
+the dense ceiling the two-mode residuals are checked against the rounding
+bound C * eps * scale with C = 16, where scale is the largest product of
+entries the identity sums (Higham, "Accuracy and Stability of Numerical
+Algorithms", ch. 3).
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from scipy import sparse
+
+from ladderlab import (
+    DissipativeParams,
+    EvolutionParams,
+    build_evolution_operator,
+    build_h1_rep,
+    build_su2_rep,
+    build_su11_rep,
+    build_two_mode,
+    casimir,
+    casimir_interior_residual,
+    casimir_root,
+    check_algebra_relations,
+    contraction_deviation,
+    deformed_commutator_check,
+    dissipative_residuals,
+    geometric_phase_check,
+    hamiltonian_identity_check,
+    holstein_primakoff,
+    interior_indices,
+    l2_relation_check,
+    sector_decompose,
+    sector_match_residual,
+    sector_operators,
+    spectrum_via_dft,
+)
+from ladderlab import twomode
+from ladderlab.cli import _element_rows
+from ladderlab.operators import OperatorMatrix, max_entry, restricted
+
+EPS = float(np.finfo(float).eps)
+C = 16
+
+
+# ---------------------------------------------------------------- dense oracles
+
+
+def dense_ladder(diagonal, raising):
+    """Complex dense (L3, L+, L-), as the dense implementation stored them."""
+    lp = np.diag(np.asarray(raising, dtype=complex), -1)
+    return np.diag(np.asarray(diagonal, dtype=complex)), lp, lp.T
+
+
+def dense_su2(l):
+    dim = int(round(2 * l)) + 1
+    n = np.arange(dim - 1, dtype=float)
+    return dense_ladder(np.arange(dim) - l, np.sqrt((2.0 * l - n) * (n + 1.0)))
+
+
+def dense_su11(k, dim):
+    n = np.arange(dim - 1, dtype=float)
+    return dense_ladder(np.arange(dim) + k, np.sqrt((n + 2.0 * k) * (n + 1.0)))
+
+
+def dense_h1(dim):
+    return dense_ladder(np.arange(dim) + 0.5, np.sqrt(np.arange(1, dim, dtype=float)))
+
+
+def dense_two_mode(n_max):
+    cutoff = n_max + 1
+    lower = np.diag(np.sqrt(np.arange(1, cutoff, dtype=float)), 1)
+    eye = np.eye(cutoff)
+    a, b = np.kron(lower, eye), np.kron(eye, lower)
+    adag, bdag = a.T, b.T
+    return {
+        "A": a, "Adag": adag, "B": b, "Bdag": bdag,
+        "Lplus": adag @ bdag, "Lminus": a @ b,
+        "L3": 0.5 * (adag @ a + bdag @ b + np.eye(cutoff * cutoff)),
+    }
+
+
+def dense_mode_numbers(n_max):
+    side = n_max + 1
+    return np.repeat(np.arange(side), side).astype(float), np.tile(np.arange(side), side).astype(float)
+
+
+def dense_relations(l3, lp, lm, kind, interior):
+    keep = range(interior)
+    residuals = [l3 @ lp - lp @ l3 - lp, l3 @ lm - lm @ l3 + lm]
+    if kind == "h1":
+        residuals.append(lm @ lp - lp @ lm - np.eye(len(l3)))
+    else:
+        sign = 2.0 if kind == "su2" else -2.0
+        residuals.append(lp @ lm - lm @ lp - sign * l3)
+    return max(max_entry(restricted(r, keep)) for r in residuals)
+
+
+def dense_casimir(ops):
+    l3, lp, lm = ops["L3"], ops["Lplus"], ops["Lminus"]
+    return 0.25 * np.eye(len(l3)) + l3 @ l3 - 0.5 * (lp @ lm + lm @ lp)
+
+
+def dense_dissipative(ops, n_max, omega, gamma):
+    a, adag, b, bdag = ops["A"], ops["Adag"], ops["B"], ops["Bdag"]
+    h0 = omega * (adag @ a - bdag @ b)
+    hi = 1j * gamma * (adag @ bdag - a @ b)
+    l2 = (ops["Lplus"] - ops["Lminus"]) / 2.0j
+    n_a, n_b = dense_mode_numbers(n_max)
+    keep = [i for i in range(len(n_a)) if n_a[i] < n_max and n_b[i] < n_max]
+    nonneg = [i for i in range(len(n_a)) if n_a[i] >= n_b[i]]
+    c = np.diag(np.abs(n_a - n_b) / 2.0)
+    return {
+        "h0_vs_casimir": max_entry(restricted(h0 - 2.0 * omega * c, nonneg)),
+        "hi_vs_l2": max_entry(restricted(hi - (-2.0 * gamma) * l2, keep)),
+        "h0_hermiticity": max_entry(h0 - h0.conj().T),
+        "hi_hermiticity": max_entry(hi - hi.conj().T),
+        "h0_hi_commutator": max_entry(restricted(h0 @ hi - hi @ h0, keep)),
+    }
+
+
+def dense_l2_relations(lp, lm, l3, keep):
+    l1, l2 = (lp + lm) / 2.0, (lp - lm) / 2.0j
+    first = l1 @ l3 - l3 @ l1
+    second = l1 @ first - first @ l1
+    return (max_entry(restricted(first + 1j * l2, keep)),
+            max_entry(restricted(second + l3, keep)))
+
+
+def dense_cyclic(n):
+    perm = np.zeros((n, n))
+    cols = np.arange(n)
+    perm[(cols + 1) % n, cols] = 1.0
+    return np.exp(-1j * math.pi / n) * perm
+
+
+def assert_bitwise(op, dense):
+    assert op.csr.dtype == complex
+    assert np.array_equal(op.entries, np.asarray(dense, dtype=complex))
+
+
+SU2_LABELS = [0.5, 1.0, 1.5, 3.0, 4.5, 9.5]
+SMALL_NMAX = [1, 2, 5, 8]
+
+
+# ---------------------------------------------------------------- storage
+
+
+class TestStorage:
+    def test_canonical_csr_without_stored_zeros(self):
+        rep = build_su2_rep(3.0)  # L3 = diag(-3 .. 3) has an exact zero at n = 3
+        csr = rep.L3.csr
+        assert csr.format == "csr" and csr.has_canonical_format
+        assert csr.nnz == 6 and np.all(csr.data != 0)
+
+    def test_sparse_input_is_canonicalized(self):
+        # raw CSR with a stored zero, a duplicate pair summing to 3, unsorted columns
+        raw = sparse.csr_array(([0.0, 1.0, 2.0, 5.0], [1, 2, 2, 0], [0, 1, 4, 4]),
+                               shape=(3, 3))
+        op = OperatorMatrix("M", raw)
+        assert op.csr.has_canonical_format
+        assert op.csr.nnz == 2
+        assert _element_rows([op]) == [("M", 1, 0, 5.0, 0.0), ("M", 1, 2, 3.0, 0.0)]
+
+    def test_entries_is_a_cached_read_only_view(self):
+        op = build_h1_rep(5).Lplus
+        assert op.entries is op.entries
+        with pytest.raises(ValueError):
+            op.entries[1, 0] = 2.0
+
+    def test_accepts_sparse_input_without_aliasing(self):
+        source = build_h1_rep(4).Lplus.csr
+        op = OperatorMatrix("copy", source)
+        op.csr.data[:] = 0.0
+        assert np.all(source.data != 0)
+
+    def test_rejects_non_finite_sparse_entries(self):
+        bad = sparse.csr_array(([np.inf], ([0], [1])), shape=(3, 3))
+        with pytest.raises(ValueError):
+            OperatorMatrix("bad", bad)
+
+    def test_max_entry_and_restricted_agree_dense_and_sparse(self):
+        rng = np.random.default_rng(5)
+        dense = rng.standard_normal((7, 7)) * (rng.random((7, 7)) < 0.3)
+        op = OperatorMatrix("M", dense)
+        keep = [0, 2, 3, 6]
+        assert max_entry(op.csr) == max_entry(dense)
+        assert np.array_equal(restricted(op.csr, keep).toarray(), restricted(dense, keep))
+        assert max_entry(OperatorMatrix("0", np.zeros((3, 3))).csr) == 0.0
+
+
+# ---------------------------------------------------------------- builders
+
+
+class TestBuildersMatchDense:
+    @pytest.mark.parametrize("l", SU2_LABELS)
+    def test_su2(self, l):
+        rep = build_su2_rep(l)
+        for op, dense in zip((rep.L3, rep.Lplus, rep.Lminus), dense_su2(l)):
+            assert_bitwise(op, dense)
+
+    @pytest.mark.parametrize("k,dim", [(0.5, 2), (0.5, 20), (1.5, 11), (4.0, 17)])
+    def test_su11(self, k, dim):
+        rep = build_su11_rep(k, dim)
+        for op, dense in zip((rep.L3, rep.Lplus, rep.Lminus), dense_su11(k, dim)):
+            assert_bitwise(op, dense)
+
+    @pytest.mark.parametrize("dim", [2, 9, 20])
+    def test_h1(self, dim):
+        rep = build_h1_rep(dim)
+        for op, dense in zip((rep.L3, rep.Lplus, rep.Lminus), dense_h1(dim)):
+            assert_bitwise(op, dense)
+
+    @pytest.mark.parametrize("n_max", SMALL_NMAX)
+    def test_two_mode(self, n_max):
+        space = build_two_mode(n_max)
+        for name, dense in dense_two_mode(n_max).items():
+            assert_bitwise(getattr(space, name), dense)
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 16])
+    def test_evolution_operator(self, n):
+        u = build_evolution_operator(EvolutionParams(n, 0.8))
+        assert u.csr.nnz == n
+        assert_bitwise(u, dense_cyclic(n))
+
+    def test_casimir_root_and_ladder_form(self):
+        space, ops = build_two_mode(6), dense_two_mode(6)
+        n_a, n_b = dense_mode_numbers(6)
+        assert_bitwise(casimir_root(space), np.diag(np.abs(n_a - n_b) / 2.0))
+        assert_bitwise(casimir(space), dense_casimir(ops))
+
+    def test_holstein_primakoff(self):
+        rep = build_su11_rep(0.5, 12)
+        a, adag = holstein_primakoff(rep)
+        l3, lp, lm = dense_su11(0.5, 12)
+        f = 1.0 / np.sqrt(np.diag(l3).real + 0.5)
+        assert_bitwise(a, f[:, None] * lm)
+        assert_bitwise(adag, lp * f[None, :])
+
+
+class TestSingleBandProductsBitwise:
+    @pytest.mark.parametrize("l", SU2_LABELS)
+    def test_ladder_products(self, l):
+        rep = build_su2_rep(l)
+        ops = (rep.L3, rep.Lplus, rep.Lminus)
+        for x in ops:
+            for y in ops:
+                assert np.array_equal((x.csr @ y.csr).toarray(), x.entries @ y.entries)
+
+    @pytest.mark.parametrize("n_max", [2, 8])
+    def test_two_mode_products(self, n_max):
+        space = build_two_mode(n_max)
+        ops = (space.A, space.Adag, space.B, space.Bdag, space.Lplus, space.Lminus, space.L3)
+        for x in ops:
+            for y in ops:
+                assert np.array_equal((x.csr @ y.csr).toarray(), x.entries @ y.entries)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 7, 12, 16])
+    def test_cyclic_power_is_the_scalar_phase_power(self, n):
+        # Every entry of U^N is the phase multiplied up in the same binary
+        # squaring order, so it equals the scalar power bit for bit.
+        square = power = None
+        remaining = n
+        while remaining > 0:
+            square = np.exp(-1j * math.pi / n) if square is None else square * square
+            remaining, bit = divmod(remaining, 2)
+            if bit:
+                power = square if power is None else power * square
+        assert geometric_phase_check(EvolutionParams(n, 1.0)) == complex(power)
+
+
+# ---------------------------------------------------------------- residuals
+
+
+class TestResidualsMatchDense:
+    @pytest.mark.parametrize("kind,label,dim", [
+        ("su2", 0.5, None), ("su2", 3.0, None), ("su2", 9.5, None),
+        ("su11", 1.5, 20), ("su11", 0.5, 12), ("h1", None, 20),
+    ])
+    def test_algebra_relations(self, kind, label, dim):
+        if kind == "su2":
+            rep, dense = build_su2_rep(label), dense_su2(label)
+        elif kind == "su11":
+            rep, dense = build_su11_rep(label, dim), dense_su11(label, dim)
+        else:
+            rep, dense = build_h1_rep(dim), dense_h1(dim)
+        for interior in {1, rep.dim - 1, rep.dim}:
+            assert check_algebra_relations(rep, interior) == dense_relations(
+                *dense, kind, interior)
+
+    @pytest.mark.parametrize("l", [1.0, 4.5, 9.5])
+    def test_contraction_deviation(self, l):
+        rep = build_su2_rep(l)
+        _, lp, lm = dense_su2(l)
+        a, adag = lm / math.sqrt(2.0 * l), lp / math.sqrt(2.0 * l)
+        comm = a @ adag - adag @ a
+        for n in range(rep.dim):
+            vec = comm[:, n].copy()
+            vec[n] -= 1.0
+            assert contraction_deviation(rep, n) == float(np.linalg.norm(vec))
+
+    @pytest.mark.parametrize("l,tau", [(0.5, 1.0), (3.0, 0.4), (9.5, 2.5)])
+    def test_identities(self, l, tau):
+        # The x-p products sum two terms per entry, so rounding order may differ.
+        rep = build_su2_rep(l)
+        l3, lp, lm = dense_su2(l)
+        alpha = math.sqrt(tau / math.pi)
+        beta = -2.0 / (2.0 * l + 1.0) * math.sqrt(math.pi / tau)
+        x, p = alpha * ((lp + lm) / 2.0), beta * ((lp - lm) / 2.0j)
+        dim = rep.dim
+        omega = 2.0 * math.pi / (dim * tau)
+        h = omega * (l3 + (l + 0.5) * np.eye(dim))
+        commutator = max_entry(x @ p - p @ x - 1j * (np.eye(dim) - (tau / math.pi) * h))
+        decomposition = max_entry(h - (
+            0.5 * omega**2 * (x @ x) + 0.5 * (p @ p)
+            + (tau / (2.0 * math.pi)) * (omega**2 / 4.0 * np.eye(dim) + h @ h)))
+        assert abs(deformed_commutator_check(rep, tau) - commutator) <= 4 * EPS * (l + 4.0)
+        assert abs(hamiltonian_identity_check(rep, tau) - decomposition) <= (
+            4 * EPS * 8 * math.pi / tau)
+
+    @pytest.mark.parametrize("n_max", SMALL_NMAX)
+    def test_casimir_residual(self, n_max):
+        space, ops = build_two_mode(n_max), dense_two_mode(n_max)
+        n_a, n_b = dense_mode_numbers(n_max)
+        want = max_entry(restricted(dense_casimir(ops) - np.diag(0.25 * (n_a - n_b) ** 2),
+                                    interior_indices(space)))
+        assert casimir_interior_residual(space) == want
+
+    @pytest.mark.parametrize("n_max", SMALL_NMAX)
+    def test_dissipative_residuals(self, n_max):
+        space, ops = build_two_mode(n_max), dense_two_mode(n_max)
+        got = dissipative_residuals(space, DissipativeParams(Omega=1.3, Gamma=0.7))
+        assert got == dense_dissipative(ops, n_max, 1.3, 0.7)
+
+    @pytest.mark.parametrize("n_max", [2, 5, 8])
+    def test_l2_relations(self, n_max):
+        # [L1, L3] has one term per entry; the double commutator sums two.
+        space, ops = build_two_mode(n_max), dense_two_mode(n_max)
+        keep = interior_indices(space)
+        first, second = dense_l2_relations(ops["Lplus"], ops["Lminus"], ops["L3"], keep)
+        got_first, got_second = l2_relation_check(space, n_max)
+        assert got_first == first
+        assert abs(got_second - second) <= 4 * EPS * 4 * (n_max + 1) ** 3
+
+    def test_l2_relations_on_a_ladder_rep(self):
+        rep = build_su11_rep(0.5, 16)
+        l3, lp, lm = dense_su11(0.5, 16)
+        first, second = dense_l2_relations(lp, lm, l3, list(range(12)))
+        got_first, got_second = l2_relation_check(rep, 12)
+        assert got_first == first
+        assert abs(got_second - second) <= 4 * EPS * 4 * 16**3
+
+    @pytest.mark.parametrize("n_max", SMALL_NMAX)
+    def test_sector_match(self, n_max):
+        space, ops = build_two_mode(n_max), dense_two_mode(n_max)
+        for j, indices in sector_decompose(space).sectors.items():
+            if len(indices) < 2:
+                continue
+            reference = dense_su11(abs(j) + 0.5, len(indices))
+            want = max(max_entry(restricted(ops[name], indices) - ref)
+                       for name, ref in zip(("L3", "Lplus", "Lminus"), reference))
+            assert sector_match_residual(space, j) == want
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 16])
+    def test_spectrum_and_phase(self, n):
+        p = EvolutionParams(n, 0.9)
+        u = dense_cyclic(n)
+        grid = np.outer(np.arange(n), np.arange(n))
+        fourier = np.exp(2j * math.pi * grid / n) / math.sqrt(n)
+        eigen = np.diag(fourier.conj().T @ u @ fourier)
+        args = np.angle(eigen)
+        args = np.where(args > 0, args - 2.0 * math.pi, args)
+        levels = np.rint((-args * n / math.pi - 1.0) / 2.0)
+        assert np.array_equal(spectrum_via_dft(p).values, np.sort((levels + 0.5) * p.omega))
+        dense_phase = np.linalg.matrix_power(u, n)[0, 0]
+        assert abs(geometric_phase_check(p) - dense_phase) <= C * n * EPS
+
+
+# ---------------------------------------------------------------- sectors
+
+
+class TestSectorLookup:
+    @pytest.mark.parametrize("n_max", [1, 4, 7])
+    def test_sector_indices_match_a_basis_scan(self, n_max):
+        space = build_two_mode(n_max)
+        scanned = {}
+        for flat in range(space.dim):
+            n_a, n_b = space.occupations(flat)
+            scanned.setdefault((n_a - n_b) / 2.0, []).append((n_a, flat))
+        decomp = sector_decompose(space)
+        assert list(decomp.sectors) == sorted(scanned)
+        for j, members in scanned.items():
+            assert decomp.sectors[j] == [flat for _, flat in sorted(members)]
+
+    def test_match_residual_does_not_scan_the_basis(self, monkeypatch):
+        def forbidden(space):
+            raise AssertionError("sector_decompose called")
+
+        monkeypatch.setattr(twomode, "sector_decompose", forbidden)
+        space = build_two_mode(6)
+        assert sector_match_residual(space, 1.5) < 1e-12
+        with pytest.raises(ValueError):
+            sector_match_residual(space, 3.5)
+        with pytest.raises(ValueError):
+            sector_match_residual(space, 0.25)
+        with pytest.raises(ValueError):
+            sector_match_residual(space, 3.0)  # a single state
+
+
+# ---------------------------------------------------------------- element rows
+
+
+class TestElementRows:
+    @pytest.mark.parametrize("ops", [
+        lambda: build_su2_rep(3.0),
+        lambda: build_su2_rep(2.5),
+        lambda: build_su11_rep(0.5, 9),
+        lambda: build_h1_rep(6),
+    ])
+    def test_rows_follow_np_nonzero(self, ops):
+        rep = ops()
+        triple = [rep.L3, rep.Lplus, rep.Lminus]
+        want = [
+            (op.label, int(r), int(c), float(op.entries[r, c].real), float(op.entries[r, c].imag))
+            for op in triple
+            for r, c in zip(*np.nonzero(op.entries))
+        ]
+        assert _element_rows(triple) == want
+
+    def test_integer_spin_skips_the_zero_weight(self):
+        rep = build_su2_rep(3.0)
+        rows = [row for row in _element_rows([rep.L3]) if row[0] == "L3"]
+        assert len(rows) == 6
+        assert (3, 3) not in [(r, c) for _, r, c, _, _ in rows]
+
+    def test_sector_dump_rows(self):
+        space = build_two_mode(8)
+        ops = sector_operators(space, sector_decompose(space).sectors[-1.0])
+        want = [
+            (op.label, int(r), int(c), float(op.entries[r, c].real), float(op.entries[r, c].imag))
+            for op in ops
+            for r, c in zip(*np.nonzero(op.entries))
+        ]
+        assert _element_rows(ops) == want
+
+
+# ---------------------------------------------------------------- past the dense ceiling
+
+
+class TestPastTheDenseCeiling:
+    """nmax = 200 gives dim 40 401: 26 GB per dense complex matrix."""
+
+    N_MAX = 200
+
+    def _traced(self, residual):
+        """Build the space and run `residual` on it under tracemalloc."""
+        tracemalloc.start()
+        try:
+            result = residual(build_two_mode(self.N_MAX))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
+        return result
+
+    def _bound(self, scale):
+        return C * EPS * scale
+
+    def test_casimir(self):
+        m = self.N_MAX + 1
+        residual = self._traced(casimir_interior_residual)
+        assert 0.0 <= residual <= self._bound(2 * m**2)
+
+    def test_dissipative(self):
+        m, omega, gamma = self.N_MAX + 1, 1.3, 0.7
+        got = self._traced(lambda space: dissipative_residuals(
+            space, DissipativeParams(omega, gamma)))
+        scales = {
+            "h0_vs_casimir": omega * m,
+            "hi_vs_l2": gamma * m,
+            "h0_hermiticity": omega * m,
+            "hi_hermiticity": gamma * m,
+            "h0_hi_commutator": 2 * omega * gamma * m**2,
+        }
+        assert got.keys() == scales.keys()
+        for name, scale in scales.items():
+            assert got[name] <= self._bound(scale), name
+
+    def test_l2(self):
+        m = self.N_MAX + 1
+        first, second = self._traced(lambda space: l2_relation_check(space, self.N_MAX))
+        assert first <= self._bound(2 * m**2)
+        assert second <= self._bound(4 * m**3)
