@@ -105,6 +105,11 @@ def build_su2_rep(l: float) -> LadderRep:
                        np.sqrt((2.0 * kind.l - n) * (n + 1.0)))
 
 
+def discrete_series_elements(k, n) -> tuple[np.ndarray, np.ndarray]:
+    """(<n|L3|n>, <n+1|L+|n>) of the weight-k discrete series; broadcasts over k and n."""
+    return n + k, np.sqrt((n + 2.0 * k) * (n + 1.0))
+
+
 def build_su11_rep(k: float, dim: int) -> LadderRep:
     """Discrete-series ladder matrices at weight k, truncated at `dim` states.
 
@@ -117,9 +122,8 @@ def build_su11_rep(k: float, dim: int) -> LadderRep:
     dim = int(dim)
     if dim < 2:
         raise ValueError("dim must be at least 2")
-    n = np.arange(dim - 1, dtype=float)
-    return _ladder_rep(kind, np.arange(dim, dtype=float) + kind.k,
-                       np.sqrt((n + 2.0 * kind.k) * (n + 1.0)))
+    diagonal, raising = discrete_series_elements(kind.k, np.arange(dim, dtype=float))
+    return _ladder_rep(kind, diagonal, raising[:-1])
 
 
 def build_h1_rep(dim: int) -> LadderRep:

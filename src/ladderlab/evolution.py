@@ -56,25 +56,24 @@ def build_evolution_operator(p: EvolutionParams) -> OperatorMatrix:
 def spectrum_via_dft(p: EvolutionParams) -> Spectrum:
     """Energies (n + 1/2) omega extracted by Fourier-diagonalizing the step operator.
 
-    The DFT columns f_m[v] = e^{i 2 pi m v / N}/sqrt(N) are eigenvectors of the
-    shift with eigenvalues e^{-i 2 pi m / N}.  Eigenphases are unwrapped with
-    arg taken in (-2 pi, 0] via n = round((-arg * N/pi - 1)/2); any collision
-    signals a construction bug.  Returned energies are sorted ascending.
-
-    F^dagger (U F) is formed as fft(U F)/sqrt(N), an O(N^2 log N) transform in
-    place of the dense triple product.
+    The DFT diagonalizes exactly the circulant matrices, with the FFT of the
+    first column as eigenvalues (Gray, "Toeplitz and Circulant Matrices: A
+    Review", sec. 3).  So U is checked to be circulant, exactly: each stored
+    entry equals the first-column entry on its cyclic diagonal, and there are
+    N stored entries per nonzero of that column.  Eigenphases are unwrapped
+    with arg taken in (-2 pi, 0] via n = round((-arg * N/pi - 1)/2); any
+    collision signals a construction bug.  Returned energies are sorted
+    ascending.
     """
     n = p.n_states
-    u = build_evolution_operator(p)
-    # exponents m v reduced mod N index a table of the N roots of unity
-    roots = np.exp(2j * math.pi * np.arange(n) / n) / math.sqrt(n)
-    fourier = roots[np.outer(np.arange(n), np.arange(n)) % n]
-    diagonalized = np.fft.fft(u.csr @ fourier, axis=0)
-    diagonalized /= math.sqrt(n)
-    eigenvalues = diagonalized.diagonal().copy()
-    np.fill_diagonal(diagonalized, 0.0)
-    if max_entry(diagonalized) > 1e-10:
+    u = build_evolution_operator(p).csr.tocoo()
+    diagonal = (u.row - u.col) % n
+    column = np.zeros(n, dtype=complex)
+    first = u.col == 0
+    column[diagonal[first]] = u.data[first]
+    if u.nnz != n * np.count_nonzero(column) or np.any(u.data != column[diagonal]):
         raise ValueError("the DFT failed to diagonalize the evolution operator")
+    eigenvalues = np.fft.fft(column)
     args = np.angle(eigenvalues)
     args = np.where(args > 0, args - 2.0 * math.pi, args)
     levels = np.rint((-args * n / math.pi - 1.0) / 2.0).astype(int)

@@ -176,12 +176,12 @@ def simulate_torus(
     )
 
 
-def _max_circular_gap(angles: np.ndarray) -> float:
+def circular_gaps(angles: np.ndarray) -> np.ndarray:
+    """Gaps between circularly adjacent angles, wrap-around last; [2 pi] exactly for one angle."""
     ordered = np.sort(angles)
-    if ordered.size == 1:
-        return TWO_PI
-    wrap = ordered[0] + TWO_PI - ordered[-1]
-    return float(max(np.max(np.diff(ordered)), wrap))
+    if ordered.size < 2:
+        return np.array([TWO_PI])
+    return np.append(np.diff(ordered), ordered[0] + TWO_PI - ordered[-1])
 
 
 def density_metrics(o: TorusOrbit) -> tuple[float, float]:
@@ -191,4 +191,4 @@ def density_metrics(o: TorusOrbit) -> tuple[float, float]:
     (three-distance theorem); for a rational rotation it stalls at the orbit
     spacing.  A single visited point reports the full circle, 2 pi.
     """
-    return _max_circular_gap(o.angles[:, 0]), _max_circular_gap(o.angles[:, 1])
+    return tuple(float(np.max(circular_gaps(column))) for column in o.angles.T)

@@ -4,8 +4,10 @@ Two independent truncated oscillator modes A, B carry L+ = A†B†, L- = AB,
 L3 = (A†A + B†B + 1)/2.  The Casimir is diagonal with eigenvalue
 j = (n_A - n_B)/2, and each fixed-j sector reproduces the discrete series of
 weight k = |j| + 1/2 entrywise (the j = 0 sector is the square-root-free
-weight-1/2 ladder).  On top of this sits the dissipative Hamiltonian
-H0 = Omega (A†A - B†B), HI = i Gamma (A†B† - AB) = -2 Gamma L2.
+weight-1/2 ladder).  L+, L- and L3 keep j, so in sector order they are block
+diagonal, and one block-diagonal comparison checks every sector.  On top of
+this sits the dissipative Hamiltonian H0 = Omega (A†A - B†B),
+HI = i Gamma (A†B† - AB) = -2 Gamma L2.
 
 Truncation lives at the per-mode cutoff n_max: an "interior" of size b means
 the states with both occupations below b, which is where every identity holds
@@ -23,7 +25,7 @@ from math import isfinite, pi
 import numpy as np
 from scipy import sparse
 
-from .algebra import LadderRep, Su11, build_su11_rep, cartesian_generators
+from .algebra import LadderRep, Su11, cartesian_generators, discrete_series_elements
 from .operators import OperatorMatrix, matrix_exponential, max_entry, restricted
 
 
@@ -163,22 +165,14 @@ def casimir_root(space: TwoModeSpace) -> OperatorMatrix:
     return OperatorMatrix("C", sparse.diags_array(np.abs(n_a - n_b) / 2.0, dtype=float))
 
 
-def _sector_indices(space: TwoModeSpace, j: float) -> list[int]:
-    """Flat indices with n_A - n_B = 2j, by ascending n_A (empty if no such state)."""
-    shift = 2.0 * j
-    if shift != round(shift):
-        return []
-    shift = int(round(shift))
-    side = space.n_max + 1
-    n_a = np.arange(max(0, shift), min(side, side + shift))
-    return (n_a * side + (n_a - shift)).tolist()
-
-
 def sector_decompose(space: TwoModeSpace) -> SectorDecomposition:
     """Group the basis by j = (n_A - n_B)/2, each sector ordered by ascending m."""
-    # fixed j: ascending n_A is ascending m = (n_A + n_B)/2
-    ordered = {shift / 2.0: _sector_indices(space, shift / 2.0)
-               for shift in range(-space.n_max, space.n_max + 1)}
+    side = space.n_max + 1
+    ordered = {}
+    for shift in range(-space.n_max, side):
+        # fixed j: ascending n_A is ascending m = (n_A + n_B)/2
+        n_a = np.arange(max(0, shift), min(side, side + shift))
+        ordered[shift / 2.0] = (n_a * side + (n_a - shift)).tolist()
     induced = {j: abs(j) + 0.5 for j in ordered}
     return SectorDecomposition(sectors=ordered, induced_k=induced)
 
@@ -194,23 +188,24 @@ def sector_operators(
     )
 
 
-def sector_match_residual(space: TwoModeSpace, j: float) -> float:
-    """Entrywise gap between the j-sector restriction and the directly built series.
+def sector_match_residual(space: TwoModeSpace) -> float:
+    """Entrywise gap between the two-mode ladders and the discrete series, every sector at once.
 
-    The sector has size n_max + 1 - 2|j| and induced weight k = |j| + 1/2;
-    restriction and direct construction truncate identically, so the gap is
-    zero to rounding on every entry.
+    L3, L+ and L- are permuted once into `sector_decompose` order and compared
+    with one block-diagonal reference: the weight-(|j| + 1/2) series in the
+    block of sector j, truncated at its size n_max + 1 - 2|j| as the
+    restriction is, and zeros off the blocks, so a leak between sectors counts.
     """
-    indices = _sector_indices(space, j)
-    if not indices:
-        raise ValueError(f"no sector with j = {j}")
-    if len(indices) < 2:
-        raise ValueError(f"sector j = {j} is too small to compare")
-    reference = build_su11_rep(abs(j) + 0.5, len(indices))
-    return max(
-        max_entry(restricted(getattr(space, name).csr, indices) - getattr(reference, name).csr)
-        for name in ("L3", "Lplus", "Lminus")
-    )
+    order = np.concatenate(list(sector_decompose(space).sectors.values()))
+    n_a, n_b = _mode_numbers(space)
+    j = (n_a - n_b)[order] / 2.0
+    # level n = m - |j| = min(n_A, n_B); a block's last state has no raising element
+    diagonal, raising = discrete_series_elements(np.abs(j) + 0.5, np.minimum(n_a, n_b)[order])
+    lplus = sparse.diags_array(np.where(j[1:] == j[:-1], raising[:-1], 0.0), offsets=-1,
+                               shape=(space.dim, space.dim))
+    reference = {"L3": sparse.diags_array(diagonal), "Lplus": lplus, "Lminus": lplus.T}
+    return max(max_entry(restricted(getattr(space, name).csr, order) - block)
+               for name, block in reference.items())
 
 
 def dissipative_residuals(space: TwoModeSpace, p: DissipativeParams) -> dict[str, float]:

@@ -243,6 +243,16 @@ class TestSchwinger:
         code, _, _ = run_cli(["schwinger", "--nmax", "4", "--dump"], tmp_path, capsys)
         assert code == 2
 
+    def test_dump_rejects_unknown_sector(self, tmp_path, capsys):
+        # 7.5 lies past the largest |j| = 2 at nmax 4; 0.25 is no half-integer
+        for sector in ("7.5", "0.25"):
+            code, out, captured = run_cli(
+                ["schwinger", "--nmax", "4", "--sector", sector, "--dump"], tmp_path, capsys
+            )
+            assert code == 2
+            assert "no sector with j" in captured.err
+            assert not out.exists()
+
 
 class TestOutputContract:
     def test_json_mirror(self, tmp_path, capsys):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from ladderlab import (
     EvolutionParams,
@@ -10,6 +11,8 @@ from ladderlab import (
     max_entry,
     spectrum_via_dft,
 )
+from ladderlab import evolution
+from ladderlab.operators import OperatorMatrix
 
 
 def _cyclic_permutation(n: int) -> np.ndarray:
@@ -99,6 +102,47 @@ class TestSpectrum:
         p = EvolutionParams(9, 1.0)
         values = spectrum_via_dft(p).values
         assert abs(values[-1] - (9 - 0.5) * p.omega) < 1e-12
+
+
+class TestSpectrumRejectsDefects:
+    """A step operator that is not circulant, or whose levels collide, is refused."""
+
+    @staticmethod
+    def use_operator(monkeypatch, make):
+        build = evolution.build_evolution_operator
+        monkeypatch.setattr(evolution, "build_evolution_operator",
+                            lambda p: OperatorMatrix("U", make(build(p).csr)))
+
+    @pytest.mark.parametrize("entry", [0, 1, 5])
+    def test_perturbed_entry(self, monkeypatch, entry):
+        # entry 1 sits in the first column, the others off it
+        def perturb(u):
+            u = u.copy()
+            u.data[entry] += 1e-3
+            return u
+
+        self.use_operator(monkeypatch, perturb)
+        with pytest.raises(ValueError, match="the DFT failed to diagonalize"):
+            spectrum_via_dft(EvolutionParams(6, 1.0))
+
+    @pytest.mark.parametrize("entry", [0, 1, 5])
+    def test_missing_entry(self, monkeypatch, entry):
+        def drop(u):
+            coo = u.tocoo()
+            keep = np.arange(coo.nnz) != entry
+            return sparse.csr_array((coo.data[keep], (coo.row[keep], coo.col[keep])),
+                                    shape=u.shape)
+
+        self.use_operator(monkeypatch, drop)
+        with pytest.raises(ValueError, match="the DFT failed to diagonalize"):
+            spectrum_via_dft(EvolutionParams(6, 1.0))
+
+    @pytest.mark.parametrize("n", [2, 6, 16])
+    def test_two_step_shift_collides(self, monkeypatch, n):
+        # U^2 is circulant, but m and m + N/2 share an eigenvalue at even N
+        self.use_operator(monkeypatch, lambda u: u @ u)
+        with pytest.raises(ValueError, match="colliding levels"):
+            spectrum_via_dft(EvolutionParams(n, 1.0))
 
 
 class TestGeometricPhase:

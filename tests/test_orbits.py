@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ladderlab import orbits
 from ladderlab import (
     CircleDynamics,
     continuous_position,
@@ -199,6 +200,14 @@ class TestDensityMetrics:
         small = density_metrics(simulate_torus(GOLDEN, GOLDEN, 1.0, steps))[0]
         large = density_metrics(simulate_torus(GOLDEN, GOLDEN, 1.0, 2 * steps))[0]
         assert large < small
+
+    def test_library_gaps_match_the_oracle(self):
+        angles = simulate_torus(GOLDEN, 1.0, 1.0, 777, (0.1, 0.2)).angles[:, 0]
+        assert np.array_equal(orbits.circular_gaps(angles), circular_gaps(angles))
+
+    @pytest.mark.parametrize("angle", [0.0, 0.1, 3.0, TWO_PI - 1e-9])
+    def test_single_angle_gap_is_exactly_the_circle(self, angle):
+        assert orbits.circular_gaps(np.array([angle])).tolist() == [TWO_PI]
 
     def test_matches_brute_force_sort(self):
         orbit = simulate_torus(GOLDEN, 1.0, 1.0, 777, (0.1, 0.2))

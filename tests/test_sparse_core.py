@@ -362,13 +362,14 @@ class TestResidualsMatchDense:
     @pytest.mark.parametrize("n_max", SMALL_NMAX)
     def test_sector_match(self, n_max):
         space, ops = build_two_mode(n_max), dense_two_mode(n_max)
+        want = 0.0
         for j, indices in sector_decompose(space).sectors.items():
             if len(indices) < 2:
                 continue
             reference = dense_su11(abs(j) + 0.5, len(indices))
-            want = max(max_entry(restricted(ops[name], indices) - ref)
-                       for name, ref in zip(("L3", "Lplus", "Lminus"), reference))
-            assert sector_match_residual(space, j) == want
+            want = max(want, *(max_entry(restricted(ops[name], indices) - ref)
+                               for name, ref in zip(("L3", "Lplus", "Lminus"), reference)))
+        assert sector_match_residual(space) == want
 
     @pytest.mark.parametrize("n", [2, 3, 7, 16])
     def test_spectrum_and_phase(self, n):
@@ -402,18 +403,17 @@ class TestSectorLookup:
             assert decomp.sectors[j] == [flat for _, flat in sorted(members)]
 
     def test_match_residual_does_not_scan_the_basis(self, monkeypatch):
-        def forbidden(space):
-            raise AssertionError("sector_decompose called")
+        calls = []
+        decompose = twomode.sector_decompose
 
-        monkeypatch.setattr(twomode, "sector_decompose", forbidden)
+        def counted(space):
+            calls.append(space)
+            return decompose(space)
+
+        monkeypatch.setattr(twomode, "sector_decompose", counted)
         space = build_two_mode(6)
-        assert sector_match_residual(space, 1.5) < 1e-12
-        with pytest.raises(ValueError):
-            sector_match_residual(space, 3.5)
-        with pytest.raises(ValueError):
-            sector_match_residual(space, 0.25)
-        with pytest.raises(ValueError):
-            sector_match_residual(space, 3.0)  # a single state
+        assert sector_match_residual(space) < 1e-12
+        assert len(calls) <= 1
 
 
 # ---------------------------------------------------------------- element rows

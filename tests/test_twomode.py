@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from ladderlab import (
     sector_match_residual,
     sector_operators,
 )
+from ladderlab.operators import OperatorMatrix
 
 
 def basis_vector(dim, n):
@@ -131,7 +133,9 @@ class TestSectors:
 
     @pytest.mark.parametrize("j", [0.0, 0.5, -0.5, 1.0, 2.5, -3.0])
     def test_sector_restriction_matches_direct_build(self, j):
-        assert sector_match_residual(build_two_mode(10), j) < 1e-12
+        space = build_two_mode(10)
+        assert j in sector_decompose(space).sectors
+        assert sector_match_residual(space) < 1e-12
 
     def test_zero_sector_ladder_is_square_root_free(self):
         space = build_two_mode(8)
@@ -140,6 +144,25 @@ class TestSectors:
         # L-|n> = n|n-1> on the balanced sector: integer elements
         assert np.allclose(np.diag(lminus.entries, 1).real, np.arange(1, 9), atol=1e-12)
 
+    def test_in_block_defect_is_caught(self):
+        space = build_two_mode(6)
+        defect = 2.0**-10
+        lplus = space.Lplus.csr.tolil()
+        # <1,1|L+|0,0> = 1 exactly in the j = 0 block
+        lplus[space.index(1, 1), space.index(0, 0)] += defect
+        broken = replace(space, Lplus=OperatorMatrix("L+", lplus))
+        assert sector_match_residual(space) < 1e-12
+        assert sector_match_residual(broken) >= defect
+
+    def test_leak_between_sectors_is_caught(self):
+        space = build_two_mode(6)
+        defect = 1e-3
+        l3 = space.L3.csr.tolil()
+        # |1,0> has j = 1/2 and |0,0> has j = 0
+        l3[space.index(1, 0), space.index(0, 0)] = defect
+        broken = replace(space, L3=OperatorMatrix("L3", l3))
+        assert sector_match_residual(broken) >= defect
+
     def test_half_sector_matches_weight_one_elements(self):
         space = build_two_mode(8)
         decomp = sector_decompose(space)
@@ -147,10 +170,6 @@ class TestSectors:
         n = np.arange(7, dtype=float)
         expected = np.sqrt((n + 2.0) * (n + 1.0))
         assert np.allclose(np.diag(lplus.entries, -1).real, expected, atol=1e-12)
-
-    def test_unknown_sector_rejected(self):
-        with pytest.raises(ValueError):
-            sector_match_residual(build_two_mode(4), 7.5)
 
 
 class TestDissipativeHamiltonian:
