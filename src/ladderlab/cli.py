@@ -16,7 +16,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -52,6 +51,9 @@ from .twomode import (
 
 TOOL = "ladderlab"
 GOLDEN_ROTATION = math.pi * (math.sqrt(5.0) - 1.0)  # 2*pi*(sqrt(5)-1)/2
+# Rows per block in `write_output`: the writer holds one block of formatted
+# text beyond the rows, so its memory does not grow with the row count.
+WRITE_BLOCK_ROWS = 64
 
 
 @dataclass
@@ -293,18 +295,15 @@ def _parse_offset(text: str) -> float:
 
 
 def _trace_rows(dynamics, trace, curve_samples: int) -> list[tuple]:
-    rows = [
-        ("touch", j + 1, float(trace.times[j]), float(trace.points[j, 0]),
-         float(trace.points[j, 1]), float(trace.angles[j]))
-        for j in range(len(trace.angles))
-    ]
+    count = len(trace.angles)
+    rows = list(zip(["touch"] * count, range(1, count + 1), trace.times.tolist(),
+                    trace.points[:, 0].tolist(), trace.points[:, 1].tolist(),
+                    trace.angles.tolist()))
     if curve_samples > 0:
         times = np.linspace(0.0, float(trace.times[-1]), curve_samples)
         xs, ys = continuous_position(dynamics, times)
-        rows.extend(
-            ("curve", i, float(times[i]), float(xs[i]), float(ys[i]), None)
-            for i in range(curve_samples)
-        )
+        rows.extend(zip(["curve"] * curve_samples, range(curve_samples), times.tolist(),
+                        xs.tolist(), ys.tolist(), [None] * curve_samples))
     return rows
 
 
@@ -328,13 +327,10 @@ def cmd_orbit(args) -> CommandResult:
             raise ValueError("--phi0 needs two comma-separated angles")
         orbit = simulate_torus(rot1, rot2, 1.0, args.steps, phi0)
         gap1, gap2 = density_metrics(orbit)
-        rows = [
-            (j + 1, float(orbit.angles[j, 0]), float(orbit.angles[j, 1]))
-            for j in range(orbit.steps)
-        ]
         return CommandResult(
             columns=("step", "phi1", "phi2"),
-            rows=rows,
+            rows=list(zip(range(1, orbit.steps + 1), orbit.angles[:, 0].tolist(),
+                          orbit.angles[:, 1].tolist())),
             checks={"max_gap_1": gap1, "max_gap_2": gap2},
         )
 
@@ -389,6 +385,8 @@ def cmd_schwinger(args) -> CommandResult:
         )
 
     selected = args.check
+    if selected in ("all", "l2") and args.nmax < 2:
+        raise ValueError("--check all/l2 need --nmax >= 2")
     checks: dict[str, object] = {}
     if selected in ("all", "casimir"):
         checks["casimir_interior"] = casimir_interior_residual(space)
@@ -427,16 +425,58 @@ def _json_safe(value):
     return value
 
 
+def _csv_column(values: tuple) -> list[str]:
+    """`_fmt` of each value; a column of one exact type is formatted in one pass."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        return list(map(float.__repr__, values))
+    if kinds == {int}:
+        return list(map(int.__repr__, values))
+    if kinds == {str}:
+        return list(values)
+    return list(map(_fmt, values))
+
+
+def _json_column(values: tuple) -> list[str]:
+    """Each value as `json.dumps` writes it after `_json_safe` (NaN as null)."""
+    kinds = set(map(type, values))
+    if kinds == {float} and all(map(math.isfinite, values)):
+        return list(map(float.__repr__, values))
+    if kinds == {int}:
+        return list(map(int.__repr__, values))
+    if kinds == {str}:
+        return list(map(json.encoder.encode_basestring_ascii, values))
+    return [json.dumps(_json_safe(v)) for v in values]
+
+
+def _json_row_template(columns: tuple[str, ...]) -> str:
+    """One row object as `json.dumps(..., indent=2)` lays it out inside "rows"."""
+    fields = ",".join(
+        f"\n      {json.encoder.encode_basestring_ascii(col).replace('%', '%%')}: %s"
+        for col in columns
+    )
+    return f"\n    {{{fields}\n    }}"
+
+
 def write_output(path: str, fmt: str, command: str, parameters: dict,
                  tolerance: float, result: CommandResult) -> None:
+    """Write the manifest, the checks and the rows of `result` to `path`.
+
+    The rows are written WRITE_BLOCK_ROWS at a time: each block is moved to
+    column order, each column is formatted in one pass, and the block's text
+    is written before the next block is formatted.  The bytes are those of
+    formatting every cell with `_fmt` (CSV) or of `json.dumps(payload,
+    indent=2)` over row objects (JSON).
+    """
     if fmt == "csv":
         lines = [f"# {TOOL} {__version__}", f"# command={command}"]
         lines.extend(f"# param {key}={_fmt(val)}" for key, val in parameters.items())
         lines.append(f"# tolerance={_fmt(tolerance)}")
         lines.extend(f"# check {key}={_fmt(val)}" for key, val in result.checks.items())
         lines.append(",".join(result.columns))
-        lines.extend(",".join(_fmt(v) for v in row) for row in result.rows)
-        text = "\n".join(lines) + "\n"
+        head, tail = "\n".join(lines) + "\n", ""
+        template = ",".join(["%s"] * len(result.columns)) + "\n"
+        separator, column = "", _csv_column
     else:
         payload = {
             "manifest": {
@@ -447,13 +487,22 @@ def write_output(path: str, fmt: str, command: str, parameters: dict,
                 "tolerance": tolerance,
             },
             "checks": {k: _json_safe(v) for k, v in result.checks.items()},
-            "rows": [
-                {col: _json_safe(v) for col, v in zip(result.columns, row)}
-                for row in result.rows
-            ],
+            "rows": [],
         }
-        text = json.dumps(payload, indent=2) + "\n"
-    Path(path).write_text(text, encoding="utf-8")
+        text = json.dumps(payload, indent=2)
+        # text ends with '"rows": []\n}'; the rows go between the brackets
+        head, tail = (text[:-3], "\n  ]\n}\n") if result.rows else (text + "\n", "")
+        template = _json_row_template(result.columns)
+        separator, column = ",", _json_column
+    rows = result.rows
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(head)
+        for start in range(0, len(rows), WRITE_BLOCK_ROWS):
+            block = zip(*map(column, zip(*rows[start:start + WRITE_BLOCK_ROWS], strict=True)))
+            if start:
+                handle.write(separator)
+            handle.write(separator.join(map(template.__mod__, block)))
+        handle.write(tail)
 
 
 def main(argv=None) -> int:

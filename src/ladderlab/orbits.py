@@ -96,9 +96,10 @@ def touch_points(d: CircleDynamics, count: int) -> OrbitTrace:
     """The first `count` touches of the unit circle, j = 1 .. count.
 
     theta_j = j (1 - beta/alpha) pi reduced into [0, 2 pi).  Rational dynamics
-    use exact integer arithmetic for the angle (so closure is exact to
-    rounding); irrational dynamics accumulate the angle step in double
-    precision with per-step reduction to bound drift.  The emitted points are
+    q = num/den use exact int64 arithmetic for the angle (so closure is exact
+    to rounding), which needs count * (den - num) and 2 den below 2**63;
+    irrational dynamics accumulate the angle step in double precision with
+    per-step reduction to bound drift.  The emitted points are
     (cos theta_j, sin theta_j), which is what the continuous curve evaluates
     to at t_j = j pi / alpha.
     """
@@ -108,9 +109,14 @@ def touch_points(d: CircleDynamics, count: int) -> OrbitTrace:
     times = np.arange(1, count + 1) * (math.pi / d.alpha)
     if d.q is not None:
         num, den = d.q.numerator, d.q.denominator
+        if max(count * (den - num), 2 * den) >= 2**63:
+            raise ValueError(
+                f"int64 touch angles need count * (den - num) and 2 * den below 2**63; "
+                f"got count {count}, q = {num}/{den}"
+            )
         # theta_j / pi = j (den - num) / den, reduced mod 2
-        residues = (np.arange(1, count + 1, dtype=object) * (den - num)) % (2 * den)
-        angles = np.array([math.pi * int(r) / den for r in residues])
+        residues = (np.arange(1, count + 1, dtype=np.int64) * (den - num)) % (2 * den)
+        angles = math.pi * residues.astype(float) / den
         period = 2 * den // math.gcd(den - num, 2 * den)
     else:
         delta = (1.0 - d.beta / d.alpha) * math.pi

@@ -200,6 +200,15 @@ class TestOrbit:
         assert float(checks["max_gap_1"]) < 1e-2
         assert float(checks["max_gap_2"]) < 1e-2
 
+    def test_rational_int64_overflow_exits_2(self, tmp_path, capsys):
+        code, out, captured = run_cli(
+            ["orbit", "--two-circle", "--q-num", "1", "--q-den", str(2**62), "--steps", "3"],
+            tmp_path, capsys,
+        )
+        assert code == 2
+        assert "below 2**63" in captured.err
+        assert not out.exists()
+
     def test_torus_needs_rotations(self, tmp_path, capsys):
         code, _, _ = run_cli(["orbit", "--torus"], tmp_path, capsys)
         assert code == 2
@@ -238,6 +247,24 @@ class TestSchwinger:
     def test_zero_cutoff_exits_2(self, tmp_path, capsys):
         code, _, _ = run_cli(["schwinger", "--nmax", "0"], tmp_path, capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("check", ["all", "l2"])
+    def test_l2_checks_need_nmax_2(self, check, tmp_path, capsys):
+        code, out, captured = run_cli(
+            ["schwinger", "--nmax", "1", "--check", check], tmp_path, capsys
+        )
+        assert code == 2
+        assert "--check all/l2 need --nmax >= 2" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("check", ["casimir", "sectors", "hamiltonian"])
+    def test_other_checks_run_at_nmax_1(self, check, tmp_path, capsys):
+        code, out, _ = run_cli(
+            ["schwinger", "--nmax", "1", "--check", check], tmp_path, capsys
+        )
+        assert code == 0
+        _, checks, _, _ = read_csv(out)
+        assert checks
 
     def test_dump_needs_sector(self, tmp_path, capsys):
         code, _, _ = run_cli(["schwinger", "--nmax", "4", "--dump"], tmp_path, capsys)

@@ -107,6 +107,32 @@ class TestTouchPoints:
         with pytest.raises(ValueError):
             touch_points(thooft_system(5), 0)
 
+    @pytest.mark.parametrize("num, den, count", [
+        (59998, 60000, 60_000),
+        (5, 13, 60_000),
+        (1, 2**30 + 3, 60_000),
+        (1, 2**61, 4),  # count * (den - num) = 2**63 - 4, the largest product that fits
+    ])
+    def test_int64_residues_match_object_oracle(self, num, den, count):
+        angles = rational_touch_angles(num, den, count)
+        trace = touch_points(CircleDynamics.rational(1.0, num, den), count)
+        assert np.array_equal(trace.angles, angles)
+        assert np.array_equal(trace.points, np.column_stack([np.cos(angles), np.sin(angles)]))
+
+    @pytest.mark.parametrize("num, den, count", [
+        (1, 2**61 + 1, 4),  # count * (den - num) = 2**63
+        (1, 2**62, 1),      # 2 * den = 2**63
+    ])
+    def test_int64_overflow_rejected(self, num, den, count):
+        with pytest.raises(ValueError, match=r"below 2\*\*63"):
+            touch_points(CircleDynamics.rational(1.0, num, den), count)
+
+
+def rational_touch_angles(num: int, den: int, count: int) -> np.ndarray:
+    """Oracle: the touch angles in Python integers (object dtype), never overflowing."""
+    residues = (np.arange(1, count + 1, dtype=object) * (den - num)) % (2 * den)
+    return np.array([math.pi * int(r) / den for r in residues])
+
 
 class TestThooftSystem:
     @pytest.mark.parametrize("n", [7, 8])
