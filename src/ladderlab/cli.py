@@ -12,9 +12,11 @@ byte-identical files.  Exit codes: 0 success, 2 invalid configuration,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,16 +54,82 @@ from .twomode import (
 TOOL = "ladderlab"
 GOLDEN_ROTATION = math.pi * (math.sqrt(5.0) - 1.0)  # 2*pi*(sqrt(5)-1)/2
 # Rows per block in `write_output`: the writer holds one block of formatted
-# text beyond the rows, so its memory does not grow with the row count.
-WRITE_BLOCK_ROWS = 64
+# text beyond the result's columns, so its memory does not grow with the row count.
+WRITE_BLOCK_ROWS = 256
+# Largest --steps, --thooft-N and --curve-samples: each is a count of output
+# rows, checked before any array is allocated.
+MAX_ROWS = 10**7
+ELEMENT_COLUMNS = ("operator", "row", "col", "re", "im")
+
+
+@dataclass(frozen=True, eq=False)
+class Periodic:
+    """A column of `length` cells repeating `values`: cell i is values[i % len(values)].
+
+    One value repeated over a row group is `Periodic((value,), n)`.  The writer
+    formats `values` once and repeats the strings.
+    """
+
+    values: Sequence
+    length: int
+
+    def __post_init__(self) -> None:
+        if self.length < 0 or (self.length and not len(self.values)):
+            raise ValueError("a periodic column needs a length >= 0 and, if not empty, values")
+
+    def __len__(self) -> int:
+        return self.length
+
+
+def _python_values(column) -> Iterable:
+    """The cells of a column as Python values (numpy scalars become float/int)."""
+    if isinstance(column, Periodic):
+        return itertools.islice(itertools.cycle(_python_values(column.values)), column.length)
+    if isinstance(column, np.ndarray):
+        return column.tolist()
+    return column
+
+
+def _group_length(group: tuple, width: int) -> int:
+    """Rows in a row group; ValueError unless it has `width` columns of one length."""
+    lengths = [len(column) for column in group]
+    if len(group) != width or len(set(lengths)) > 1:
+        raise ValueError(f"a row group needs {width} columns of one length, got lengths {lengths}")
+    return lengths[0] if lengths else 0
 
 
 @dataclass
 class CommandResult:
+    """Named columns, stored as row groups written one after the other.
+
+    Each group holds one column per name, all of one length; a column is a
+    numpy array, a sequence of Python values, or a `Periodic`.
+    """
+
     columns: tuple[str, ...]
-    rows: list[tuple]
+    groups: list[tuple]
     checks: dict[str, object] = field(default_factory=dict)
     breaches: list[str] = field(default_factory=list)
+
+    @property
+    def rows(self) -> "Rows":
+        return Rows(self)
+
+
+class Rows:
+    """Sized view of a result's rows: each row a tuple of Python values, in order."""
+
+    def __init__(self, result: CommandResult) -> None:
+        self._result = result
+
+    def __len__(self) -> int:
+        width = len(self._result.columns)
+        return sum(_group_length(group, width) for group in self._result.groups)
+
+    def __iter__(self):
+        len(self)  # rejects ragged groups before any row is yielded
+        for group in self._result.groups:
+            yield from zip(*map(_python_values, group))
 
 
 def _finite(text: str) -> float:
@@ -80,6 +148,17 @@ def _positive(text: str) -> float:
     value = _finite(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
+def _row_count(text: str) -> int:
+    """argparse type: an integer no larger than MAX_ROWS (lower bounds are the command's)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value > MAX_ROWS:
+        raise argparse.ArgumentTypeError(f"at most {MAX_ROWS} rows, got {text}")
     return value
 
 
@@ -121,14 +200,14 @@ def build_parser() -> argparse.ArgumentParser:
     evolve.add_argument("--units", choices=("energy", "omega"), default="energy")
 
     orbit = sub.add_parser("orbit", parents=[common], help="circle and torus orbit traces")
-    orbit.add_argument("--thooft-N", dest="thooft_n", type=int,
+    orbit.add_argument("--thooft-N", dest="thooft_n", type=_row_count,
                        help="N-site single-cover circle system")
     orbit.add_argument("--two-circle", dest="two_circle", action="store_true")
     orbit.add_argument("--torus", action="store_true")
     orbit.add_argument("--alpha", type=_finite, default=1.0, help="envelope frequency")
-    orbit.add_argument("--curve-samples", dest="curve_samples", type=int, default=0,
+    orbit.add_argument("--curve-samples", dest="curve_samples", type=_row_count, default=0,
                        help="samples of the underlying continuous curve")
-    orbit.add_argument("--steps", type=int, default=1000)
+    orbit.add_argument("--steps", type=_row_count, default=1000)
     orbit.add_argument("--q-num", dest="q_num", type=int, help="rational ratio numerator")
     orbit.add_argument("--q-den", dest="q_den", type=int, help="rational ratio denominator")
     orbit.add_argument("--q-irr-add", dest="q_irr_add", default="0",
@@ -160,19 +239,18 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _element_rows(ops) -> list[tuple]:
-    """(label, row, col, re, im) per stored entry.
+def _element_groups(ops) -> list[tuple]:
+    """One row group of ELEMENT_COLUMNS per operator, over its stored entries.
 
     `OperatorMatrix` keeps no stored zeros and sorted column indices, so the
     CSR entries are the nonzero entries in the row-major order of `np.nonzero`.
     """
-    rows = []
+    groups = []
     for op in ops:
         m = op.csr
-        r = np.repeat(np.arange(op.dim), np.diff(m.indptr))
-        rows.extend(zip([op.label] * m.nnz, r.tolist(), m.indices.tolist(),
-                        m.data.real.tolist(), m.data.imag.tolist()))
-    return rows
+        rows = np.repeat(np.arange(op.dim), np.diff(m.indptr))
+        groups.append((Periodic((op.label,), m.nnz), rows, m.indices, m.data.real, m.data.imag))
+    return groups
 
 
 def cmd_rep(args) -> CommandResult:
@@ -194,8 +272,8 @@ def cmd_rep(args) -> CommandResult:
     interior = default_interior if args.interior is None else args.interior
     residual = check_algebra_relations(rep, interior)
     result = CommandResult(
-        columns=("operator", "row", "col", "re", "im"),
-        rows=_element_rows([rep.L3, rep.Lplus, rep.Lminus]),
+        columns=ELEMENT_COLUMNS,
+        groups=_element_groups([rep.L3, rep.Lplus, rep.Lminus]),
         checks={"dim": rep.dim, "interior": interior, "relations_residual": residual},
     )
     if residual > args.tolerance:
@@ -218,8 +296,8 @@ def cmd_contract(args) -> CommandResult:
             max_entry(adag.csr - osc.Lplus.csr),
         )
         result = CommandResult(
-            columns=("operator", "row", "col", "re", "im"),
-            rows=_element_rows([a, adag]),
+            columns=ELEMENT_COLUMNS,
+            groups=_element_groups([a, adag]),
             checks={"hp_max_deviation": deviation},
         )
         if deviation > args.tolerance:
@@ -234,9 +312,11 @@ def cmd_contract(args) -> CommandResult:
             "deformed_commutator": deformed_commutator_check(rep, args.tau),
             "hamiltonian_decomposition": hamiltonian_identity_check(rep, args.tau),
         }
+        count = len(residuals)
         result = CommandResult(
             columns=("l", "tau", "identity", "residual"),
-            rows=[(args.l, args.tau, name, value) for name, value in residuals.items()],
+            groups=[(Periodic((args.l,), count), Periodic((args.tau,), count),
+                     list(residuals), list(residuals.values()))],
         )
         result.breaches = [name for name, value in residuals.items() if value > args.tolerance]
         return result
@@ -245,14 +325,11 @@ def cmd_contract(args) -> CommandResult:
         raise ValueError("--family requires --params")
     params = [float(tok) for tok in args.params.split(",") if tok.strip()]
     report = run_contraction_study(args.family, params, args.n + 1)
-    rows = [
-        (p, n, float(report.deviations[i, n]))
-        for i, p in enumerate(report.params)
-        for n in range(report.interior)
-    ]
+    sweep, levels = len(report.params), report.interior
     return CommandResult(
         columns=("param", "n", "deviation"),
-        rows=rows,
+        groups=[(np.repeat(report.params, levels), np.tile(np.arange(levels), sweep),
+                 report.deviations.ravel())],
         checks={
             "fit_n": report.fit_n,
             "fitted_slope": report.fitted_slope,
@@ -266,10 +343,9 @@ def cmd_evolve(args) -> CommandResult:
     spectrum = spectrum_via_dft(params)
     phase = geometric_phase_check(params)
     scale = params.omega if args.units == "omega" else 1.0
-    rows = [(n, float(e) / scale) for n, e in enumerate(spectrum.values)]
     result = CommandResult(
         columns=("n", "energy"),
-        rows=rows,
+        groups=[(np.arange(len(spectrum)), spectrum.values / scale)],
         checks={
             "omega": params.omega,
             "phase_re": phase.real,
@@ -294,17 +370,24 @@ def _parse_offset(text: str) -> float:
     return float(t)
 
 
-def _trace_rows(dynamics, trace, curve_samples: int) -> list[tuple]:
-    count = len(trace.angles)
-    rows = list(zip(["touch"] * count, range(1, count + 1), trace.times.tolist(),
-                    trace.points[:, 0].tolist(), trace.points[:, 1].tolist(),
-                    trace.angles.tolist()))
+def _trace_groups(dynamics, trace, curve_samples: int) -> list[tuple]:
+    """The touch rows, then the curve rows if any.
+
+    A closed orbit's x, y and theta repeat bit for bit every `period_steps`
+    touches (they are fixed functions of periodic int64 residues), so they
+    are passed as one period.
+    """
+    count, period = len(trace.angles), trace.period_steps
+    x, y, theta = trace.points[:, 0], trace.points[:, 1], trace.angles
+    if period is not None and period < count:
+        x, y, theta = (Periodic(column[:period], count) for column in (x, y, theta))
+    groups = [(Periodic(("touch",), count), np.arange(1, count + 1), trace.times, x, y, theta)]
     if curve_samples > 0:
         times = np.linspace(0.0, float(trace.times[-1]), curve_samples)
         xs, ys = continuous_position(dynamics, times)
-        rows.extend(zip(["curve"] * curve_samples, range(curve_samples), times.tolist(),
-                        xs.tolist(), ys.tolist(), [None] * curve_samples))
-    return rows
+        groups.append((Periodic(("curve",), curve_samples), np.arange(curve_samples), times,
+                       xs, ys, Periodic((None,), curve_samples)))
+    return groups
 
 
 def cmd_orbit(args) -> CommandResult:
@@ -329,8 +412,7 @@ def cmd_orbit(args) -> CommandResult:
         gap1, gap2 = density_metrics(orbit)
         return CommandResult(
             columns=("step", "phi1", "phi2"),
-            rows=list(zip(range(1, orbit.steps + 1), orbit.angles[:, 0].tolist(),
-                          orbit.angles[:, 1].tolist())),
+            groups=[(np.arange(1, orbit.steps + 1), orbit.angles[:, 0], orbit.angles[:, 1])],
             checks={"max_gap_1": gap1, "max_gap_2": gap2},
         )
 
@@ -351,7 +433,7 @@ def cmd_orbit(args) -> CommandResult:
     radius_error = float(np.max(np.abs(trace.points[:, 0] ** 2 + trace.points[:, 1] ** 2 - 1.0)))
     result = CommandResult(
         columns=("record", "index", "t", "x", "y", "theta"),
-        rows=_trace_rows(dynamics, trace, args.curve_samples),
+        groups=_trace_groups(dynamics, trace, args.curve_samples),
         checks={
             "period_steps": trace.period_steps,
             "radius_error": radius_error,
@@ -375,8 +457,8 @@ def cmd_schwinger(args) -> CommandResult:
         indices = decomp.sectors[args.sector]
         ops = sector_operators(space, indices)
         return CommandResult(
-            columns=("operator", "row", "col", "re", "im"),
-            rows=_element_rows(ops),
+            columns=ELEMENT_COLUMNS,
+            groups=_element_groups(ops),
             checks={
                 "sector_j": args.sector,
                 "sector_size": len(indices),
@@ -401,7 +483,7 @@ def cmd_schwinger(args) -> CommandResult:
         checks["l2_double_commutator"] = res2
     result = CommandResult(
         columns=("check", "residual"),
-        rows=[(name, value) for name, value in checks.items()],
+        groups=[(list(checks), list(checks.values()))],
         checks=checks,
     )
     result.breaches = [name for name, value in checks.items() if value > args.tolerance]
@@ -449,25 +531,74 @@ def _json_column(values: tuple) -> list[str]:
     return [json.dumps(_json_safe(v)) for v in values]
 
 
-def _json_row_template(columns: tuple[str, ...]) -> str:
-    """One row object as `json.dumps(..., indent=2)` lays it out inside "rows"."""
-    fields = ",".join(
-        f"\n      {json.encoder.encode_basestring_ascii(col).replace('%', '%%')}: %s"
-        for col in columns
-    )
-    return f"\n    {{{fields}\n    }}"
+def _cells(values, fmt: str) -> list[str]:
+    """The formatted cells of a column slice, a numpy array or a sequence.
+
+    A float or integer array skips the per-cell type test: `.tolist()` gives
+    exact Python floats or ints, formatted by the same rules.
+    """
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind == "f" and (fmt == "csv" or np.isfinite(values).all()):
+            return list(map(float.__repr__, values.tolist()))
+        if values.dtype.kind in "iu":
+            return list(map(int.__repr__, values.tolist()))
+        values = values.tolist()
+    return _csv_column(values) if fmt == "csv" else _json_column(values)
+
+
+def _block_cells(column, fmt: str):
+    """A function (start, stop) -> the formatted cells start .. stop - 1 of `column`.
+
+    A `Periodic` column's values are formatted once, and each block repeats
+    those strings from the right offset.
+    """
+    if not isinstance(column, Periodic):
+        return lambda start, stop: _cells(column[start:stop], fmt)
+    period = _cells(column.values, fmt)
+    size = len(period)
+
+    def cells(start: int, stop: int) -> list[str]:
+        first = start % size
+        head = period[first:first + stop - start]
+        missing = stop - start - len(head)
+        return head + period * (missing // size) + period[:missing % size]
+
+    return cells
+
+
+def _json_row_pieces(columns: tuple[str, ...]) -> list[str]:
+    """The text around the cells of one row object inside "rows".
+
+    The layout is that of `json.dumps(..., indent=2)`; the first piece starts
+    with the "," that separates a row from the one before.
+    """
+    names = [json.encoder.encode_basestring_ascii(col) for col in columns]
+    return [f",\n    {{\n      {names[0]}: ", *(f",\n      {name}: " for name in names[1:]),
+            "\n    }"]
+
+
+def _join_rows(pieces: list[str], cells: list[list[str]]) -> str:
+    """The rows of a block: pieces[0], the first cell, pieces[1], ..., pieces[-1] per row."""
+    parts = [itertools.repeat(pieces[0])]
+    for column, piece in zip(cells, pieces[1:]):
+        parts += [column, itertools.repeat(piece)]
+    return "".join(itertools.chain.from_iterable(zip(*parts)))
 
 
 def write_output(path: str, fmt: str, command: str, parameters: dict,
                  tolerance: float, result: CommandResult) -> None:
     """Write the manifest, the checks and the rows of `result` to `path`.
 
-    The rows are written WRITE_BLOCK_ROWS at a time: each block is moved to
-    column order, each column is formatted in one pass, and the block's text
+    Each row group is written WRITE_BLOCK_ROWS rows at a time: every column's
+    slice is formatted in one pass, the block's rows are joined from the
+    formatted columns and the fixed text between cells, and the block's text
     is written before the next block is formatted.  The bytes are those of
     formatting every cell with `_fmt` (CSV) or of `json.dumps(payload,
-    indent=2)` over row objects (JSON).
+    indent=2)` over row objects (JSON).  Groups whose columns differ in
+    number or length raise ValueError before the file is opened.
     """
+    width = len(result.columns)
+    lengths = [_group_length(group, width) for group in result.groups]
     if fmt == "csv":
         lines = [f"# {TOOL} {__version__}", f"# command={command}"]
         lines.extend(f"# param {key}={_fmt(val)}" for key, val in parameters.items())
@@ -475,8 +606,7 @@ def write_output(path: str, fmt: str, command: str, parameters: dict,
         lines.extend(f"# check {key}={_fmt(val)}" for key, val in result.checks.items())
         lines.append(",".join(result.columns))
         head, tail = "\n".join(lines) + "\n", ""
-        template = ",".join(["%s"] * len(result.columns)) + "\n"
-        separator, column = "", _csv_column
+        pieces, separator = ["", *[","] * (width - 1), "\n"], ""
     else:
         payload = {
             "manifest": {
@@ -491,17 +621,18 @@ def write_output(path: str, fmt: str, command: str, parameters: dict,
         }
         text = json.dumps(payload, indent=2)
         # text ends with '"rows": []\n}'; the rows go between the brackets
-        head, tail = (text[:-3], "\n  ]\n}\n") if result.rows else (text + "\n", "")
-        template = _json_row_template(result.columns)
-        separator, column = ",", _json_column
-    rows = result.rows
+        head, tail = (text[:-3], "\n  ]\n}\n") if sum(lengths) else (text + "\n", "")
+        pieces, separator = _json_row_pieces(result.columns), ","
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(head)
-        for start in range(0, len(rows), WRITE_BLOCK_ROWS):
-            block = zip(*map(column, zip(*rows[start:start + WRITE_BLOCK_ROWS], strict=True)))
-            if start:
-                handle.write(separator)
-            handle.write(separator.join(map(template.__mod__, block)))
+        started = False
+        for group, length in zip(result.groups, lengths):
+            formatters = [_block_cells(column, fmt) for column in group]
+            for start in range(0, length, WRITE_BLOCK_ROWS):
+                stop = min(start + WRITE_BLOCK_ROWS, length)
+                text = _join_rows(pieces, [cells(start, stop) for cells in formatters])
+                handle.write(text if started else text[len(separator):])
+                started = True
         handle.write(tail)
 
 

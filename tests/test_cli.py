@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from ladderlab import cli
 from ladderlab.cli import main
 
 
@@ -216,6 +217,39 @@ class TestOrbit:
     def test_mode_exclusivity(self, tmp_path, capsys):
         code, _, _ = run_cli(["orbit", "--thooft-N", "7", "--torus"], tmp_path, capsys)
         assert code == 2
+
+
+class TestRowLimit:
+    """Row counts above MAX_ROWS exit 2 naming the flag, before anything is allocated."""
+
+    HUGE = str(2**62)
+
+    @pytest.fixture(autouse=True)
+    def no_orbit_arrays(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an orbit was computed for a rejected row count")
+
+        monkeypatch.setattr(cli, "touch_points", refuse)
+        monkeypatch.setattr(cli, "simulate_torus", refuse)
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["orbit", "--two-circle", "--q-num", "1", "--q-den", "3", "--steps", HUGE], "--steps"),
+        (["orbit", "--torus", "--ratio", "golden", "--steps", HUGE], "--steps"),
+        (["orbit", "--thooft-N", HUGE], "--thooft-N"),
+        (["orbit", "--thooft-N", "7", "--curve-samples", HUGE], "--curve-samples"),
+        (["orbit", "--torus", "--ratio", "golden", "--steps", str(cli.MAX_ROWS + 1)], "--steps"),
+    ])
+    def test_rejected(self, argv, flag, tmp_path, capsys):
+        code, out, captured = run_cli(argv, tmp_path, capsys)
+        assert code == 2
+        assert f"argument {flag}: at most {cli.MAX_ROWS} rows" in captured.err
+        assert not out.exists()
+
+    def test_limit_itself_parses(self):
+        args = cli.build_parser().parse_args(
+            ["orbit", "--thooft-N", str(cli.MAX_ROWS), "--curve-samples", str(cli.MAX_ROWS),
+             "--steps", str(cli.MAX_ROWS)])
+        assert args.thooft_n == args.curve_samples == args.steps == cli.MAX_ROWS
 
 
 class TestSchwinger:

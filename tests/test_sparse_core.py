@@ -45,11 +45,16 @@ from ladderlab import (
     spectrum_via_dft,
 )
 from ladderlab import twomode
-from ladderlab.cli import _element_rows
+from ladderlab.cli import ELEMENT_COLUMNS, CommandResult, _element_groups
 from ladderlab.operators import OperatorMatrix, max_entry, restricted
 
 EPS = float(np.finfo(float).eps)
 C = 16
+
+
+def _element_rows(ops) -> list[tuple]:
+    """The rows the CLI writes for `ops`, as tuples."""
+    return list(CommandResult(ELEMENT_COLUMNS, _element_groups(ops)).rows)
 
 
 # ---------------------------------------------------------------- dense oracles

@@ -1,8 +1,8 @@
-"""The block writer `cli.write_output` against the row-at-a-time writer it replaced.
+"""The column writer `cli.write_output` against the row-at-a-time writer it replaced.
 
 `rowwise_write_output` is that writer, kept unchanged (with its two helpers)
-as the byte oracle: every file the block writer produces must equal its
-output byte for byte.
+as the byte oracle: it formats `result.rows` one tuple at a time, and every
+file the column writer produces must equal its output byte for byte.
 """
 
 import json
@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from ladderlab import __version__, cli
-from ladderlab.cli import CommandResult, TOOL, WRITE_BLOCK_ROWS, write_output
+from ladderlab.cli import CommandResult, Periodic, TOOL, WRITE_BLOCK_ROWS, write_output
+from ladderlab.orbits import CircleDynamics, thooft_system, touch_points
 
 
 def _fmt(value) -> str:
@@ -76,19 +77,18 @@ CHECKS = {"period_steps": None, "slope": float("nan"), "gap": -0.0, "count": 3,
 
 def special_result(n_rows: int) -> CommandResult:
     """Rows cycling through special cells; some columns keep one type, some mix."""
-    rows = [
-        (
-            i - n_rows // 2,
-            FLOATS[i % len(FLOATS)],
-            FLOATS[(3 * i) % (len(FLOATS) - 3)],  # never NaN or +-inf
-            STRINGS[i % len(STRINGS)],
-            MIXED[i % len(MIXED)],
-            None if i % 97 == 0 else i / 7,
-        )
-        for i in range(n_rows)
-    ]
+    index = range(n_rows)
+    columns = (
+        [i - n_rows // 2 for i in index],
+        [FLOATS[i % len(FLOATS)] for i in index],
+        [FLOATS[(3 * i) % (len(FLOATS) - 3)] for i in index],  # never NaN or +-inf
+        [STRINGS[i % len(STRINGS)] for i in index],
+        [MIXED[i % len(MIXED)] for i in index],
+        [None if i % 97 == 0 else i / 7 for i in index],
+    )
     return CommandResult(
-        columns=("i", "x", "finite", "label", "any", "sparse"), rows=rows, checks=dict(CHECKS)
+        columns=("i", "x", "finite", "label", "any", "sparse"), groups=[columns],
+        checks=dict(CHECKS),
     )
 
 
@@ -102,7 +102,9 @@ def assert_same_bytes(tmp_path, fmt, result, parameters=PARAMETERS, tolerance=1e
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("n_rows", [0, 1, WRITE_BLOCK_ROWS - 1, WRITE_BLOCK_ROWS,
-                                    WRITE_BLOCK_ROWS + 1, 3 * WRITE_BLOCK_ROWS + 5, 60_000])
+                                    WRITE_BLOCK_ROWS + 1, 3 * WRITE_BLOCK_ROWS + 5, 60_000,
+                                    # the same sizes around the earlier 64-row block
+                                    63, 64, 65, 197])
 def test_block_writer_matches_rowwise_writer(n_rows, fmt, tmp_path):
     out = assert_same_bytes(tmp_path, fmt, special_result(n_rows))
     if fmt == "json":
@@ -115,18 +117,18 @@ def test_single_type_blocks_with_specials(fmt, tmp_path):
     n = 2 * WRITE_BLOCK_ROWS + 3
     floats = [j / 3 for j in range(n)]
     floats[-1], floats[-2] = float("nan"), float("-inf")
-    rows = list(zip(range(n), floats, ["s%"] * n, [None] * n))
-    assert_same_bytes(tmp_path, fmt, CommandResult(("n", "v", "s", "none"), rows))
+    columns = (range(n), floats, ["s%"] * n, [None] * n)
+    assert_same_bytes(tmp_path, fmt, CommandResult(("n", "v", "s", "none"), [columns]))
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_column_names_are_escaped(fmt, tmp_path):
-    result = CommandResult(('q"uote', "pct%s", "ψ"), [(1, 2.0, "x")] * 70)
+    result = CommandResult(('q"uote', "pct%s", "ψ"), [([1] * 70, [2.0] * 70, ["x"] * 70)])
     assert_same_bytes(tmp_path, fmt, result)
 
 
 def test_ragged_rows_are_rejected(tmp_path):
-    result = CommandResult(("a", "b"), [(1, 2), (3, 4, 5)])
+    result = CommandResult(("a", "b"), [([1, 3], [2, 4, 5])])
     with pytest.raises(ValueError):
         write_output(str(tmp_path / "out.csv"), "csv", "orbit", {}, 1e-12, result)
 
@@ -186,8 +188,116 @@ def test_writer_memory_is_one_block(tmp_path):
     new = _write_peak(write_output, tmp_path / "new.csv", result)
     old = _write_peak(rowwise_write_output, tmp_path / "old.csv", result)
     # The row-at-a-time writer holds every line and the whole text at once
-    # (about 11 MB here). The block writer holds one block of formatted cells:
-    # 40-100 kB with 64-row blocks (the first calls in a process also fill
-    # the interpreter's tuple free list); 512-row blocks exceed the bound.
+    # (about 11 MB here). The column writer holds one block of formatted
+    # cells: about 110 kB with 256-row blocks (64 kB with 128 rows); 512-row
+    # blocks exceed the bound.
     assert new < 200_000
     assert 30 * new < old
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n_rows", [0, 1, WRITE_BLOCK_ROWS + 1, 3 * WRITE_BLOCK_ROWS + 5])
+def test_array_and_periodic_columns(n_rows, fmt, tmp_path):
+    # numpy columns with NaN and inf, periodic columns of every cell kind, and
+    # an empty group between two others
+    groups = [
+        (np.arange(n_rows, dtype=np.int32), np.resize(np.array(FLOATS), n_rows),
+         Periodic(np.array(FLOATS), n_rows), Periodic(MIXED, n_rows), np.arange(n_rows) / 7),
+        (np.arange(0), np.zeros(0), Periodic((), 0), Periodic(("x",), 0), []),
+        (range(5), [None] * 5, Periodic((None,), 5), Periodic(STRINGS, 5), np.full(5, np.nan)),
+    ]
+    result = CommandResult(("i", "x", "p", "q", "f"), groups, checks=dict(CHECKS))
+    assert len(result.rows) == n_rows + 5
+    assert_same_bytes(tmp_path, fmt, result)
+
+
+def test_periodic_needs_values_and_a_length():
+    with pytest.raises(ValueError):
+        Periodic((), 3)
+    with pytest.raises(ValueError):
+        Periodic((1.0,), -1)
+
+
+def test_groups_need_every_column(tmp_path):
+    result = CommandResult(("a", "b"), [([1, 2], [3, 4]), ([5],)])
+    with pytest.raises(ValueError):
+        len(result.rows)
+    with pytest.raises(ValueError):
+        write_output(str(tmp_path / "out.json"), "json", "orbit", {}, 1e-12, result)
+    assert not (tmp_path / "out.json").exists()
+
+
+def _recorded(argv, fmt, tmp_path, monkeypatch, capsys):
+    """Run the CLI; return its output file and the arguments `write_output` got."""
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        write_output(*args)
+
+    monkeypatch.setattr(cli, "write_output", recording)
+    out = tmp_path / f"new.{fmt}"
+    assert cli.main(argv + ["--format", fmt, "--out", str(out)]) == 0
+    capsys.readouterr()
+    (call,) = calls
+    return out, call
+
+
+CLOSED_ORBITS = [
+    # (argv, dynamics, touches); the period is 2 den / gcd(den - num, 2 den)
+    pytest.param(["orbit", "--two-circle", "--q-num", "5", "--q-den", "13", "--steps", "7"],
+                 CircleDynamics.rational(1.0, 5, 13), 7, id="below-period-13"),
+    pytest.param(["orbit", "--thooft-N", "1000"], thooft_system(1000), 1000,
+                 id="one-period-1000"),
+    # 60 000 = 4615 periods of 13 + 5, and 13 does not divide a block, so
+    # block boundaries fall inside periods
+    pytest.param(["orbit", "--two-circle", "--q-num", "5", "--q-den", "13", "--steps", "60000"],
+                 CircleDynamics.rational(1.0, 5, 13), 60_000, id="period-13-partial"),
+    # a period longer than a block: 1500 = 2 periods of 602 + 296
+    pytest.param(["orbit", "--two-circle", "--q-num", "2", "--q-den", "301", "--steps", "1500"],
+                 CircleDynamics.rational(1.0, 2, 301), 1500, id="period-602-partial"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv,dynamics,count", CLOSED_ORBITS)
+def test_closed_orbit_matches_full_arrays(argv, dynamics, count, fmt, tmp_path, monkeypatch,
+                                         capsys):
+    out, (_, _, command, parameters, tolerance, result) = _recorded(
+        argv, fmt, tmp_path, monkeypatch, capsys)
+    trace = touch_points(dynamics, count)
+    repeats = trace.period_steps < count
+    assert [isinstance(column, Periodic) for column in result.groups[0]] == \
+        [True, False, False, repeats, repeats, repeats]
+    # the oracle formats the full touch arrays row by row, with no period in sight
+    full = CommandResult(result.columns, [(
+        ["touch"] * count, list(range(1, count + 1)), trace.times.tolist(),
+        trace.points[:, 0].tolist(), trace.points[:, 1].tolist(), trace.angles.tolist(),
+    )], checks=result.checks)
+    old = tmp_path / f"old.{fmt}"
+    rowwise_write_output(str(old), fmt, command, parameters, tolerance, full)
+    assert out.read_bytes() == old.read_bytes()
+    assert list(result.rows) == list(full.rows)
+    text = out.read_text(encoding="utf-8")
+    if fmt == "json":
+        written = len(json.loads(text)["rows"])
+    else:
+        written = sum(not line.startswith("#") for line in text.splitlines()) - 1
+    assert len(result.rows) == written == count
+
+
+def test_orbit_peak_memory(tmp_path, capsys):
+    # The benchmark's largest orbits op. Its full tracemalloc peak was 17.8 MB
+    # when the command built one tuple per row; with columns it is 3.9 MB,
+    # most of it the touch_points arrays.
+    argv = ["orbit", "--two-circle", "--q-num", "5", "--q-den", "13", "--steps", "60000",
+            "--format", "json", "--out", str(tmp_path / "out.json")]
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert peak < 6_000_000
