@@ -18,9 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
-from .operators import OperatorMatrix, max_entry, restricted
+from .operators import Bands, OperatorMatrix, max_entry
 
 
 def _validate_half_integer(value: float, minimum: float, name: str) -> float:
@@ -81,13 +80,14 @@ class LadderRep:
 def _ladder_rep(kind: AlgebraKind, diagonal: np.ndarray, raising: np.ndarray) -> LadderRep:
     """L3 = diag(diagonal), L+ = `raising` on the first subdiagonal, L- = (L+)^T."""
     dim = len(diagonal)
-    lp = sparse.diags_array(raising, offsets=-1, shape=(dim, dim), dtype=float)
+    # <n+1|L+|n> is row n + 1 of the diagonal at offset -1
+    lp = Bands(dim, {-1: np.concatenate(([0.0], raising))})
     return LadderRep(
         kind=kind,
         dim=dim,
-        L3=OperatorMatrix("L3", sparse.diags_array(diagonal, dtype=float)),
+        L3=OperatorMatrix("L3", Bands.diag(diagonal)),
         Lplus=OperatorMatrix("L+", lp),
-        Lminus=OperatorMatrix("L-", lp.T),
+        Lminus=OperatorMatrix("L-", lp.adjoint()),
     )
 
 
@@ -148,7 +148,7 @@ def cartesian_generators(rep) -> tuple[OperatorMatrix, OperatorMatrix]:
     """
     if isinstance(getattr(rep, "kind", None), Heisenberg):
         raise ValueError("cartesian generators are defined for the su(2)/su(1,1) ladders")
-    lp, lm = rep.Lplus.csr, rep.Lminus.csr
+    lp, lm = rep.Lplus.bands, rep.Lminus.bands
     return OperatorMatrix("L1", (lp + lm) / 2.0), OperatorMatrix("L2", (lp - lm) / 2.0j)
 
 
@@ -163,15 +163,15 @@ def check_algebra_relations(rep: LadderRep, interior: int) -> float:
     """
     if not 1 <= int(interior) <= rep.dim:
         raise ValueError(f"interior must be in 1..{rep.dim}")
-    keep = range(int(interior))
-    l3, lp, lm = rep.L3.csr, rep.Lplus.csr, rep.Lminus.csr
+    keep = np.arange(rep.dim) < int(interior)
+    l3, lp, lm = rep.L3.bands, rep.Lplus.bands, rep.Lminus.bands
     residuals = [
         l3 @ lp - lp @ l3 - lp,
         l3 @ lm - lm @ l3 + lm,
     ]
     if isinstance(rep.kind, Heisenberg):
-        residuals.append(lm @ lp - lp @ lm - sparse.eye_array(rep.dim))
+        residuals.append(lm @ lp - lp @ lm - Bands.identity(rep.dim))
     else:
         sign = 2.0 if isinstance(rep.kind, Su2) else -2.0
         residuals.append(lp @ lm - lm @ lp - sign * l3)
-    return max(max_entry(restricted(r, keep)) for r in residuals)
+    return max(max_entry(r, keep) for r in residuals)

@@ -15,6 +15,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import sys
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
@@ -56,8 +57,8 @@ GOLDEN_ROTATION = math.pi * (math.sqrt(5.0) - 1.0)  # 2*pi*(sqrt(5)-1)/2
 # Rows per block in `write_output`: the writer holds one block of formatted
 # text beyond the result's columns, so its memory does not grow with the row count.
 WRITE_BLOCK_ROWS = 256
-# Largest --steps, --thooft-N and --curve-samples: each is a count of output
-# rows, checked before any array is allocated.
+# Largest --steps, --thooft-N, --curve-samples and evolve --N: each is a count
+# of output rows, checked before any array is allocated.
 MAX_ROWS = 10**7
 ELEMENT_COLUMNS = ("operator", "row", "col", "re", "im")
 
@@ -195,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     contract.add_argument("--tau", type=_finite, default=1.0, help="time step for --identities")
 
     evolve = sub.add_parser("evolve", parents=[common], help="cyclic evolution spectrum and phase")
-    evolve.add_argument("--N", type=int, required=True, help="number of states")
+    evolve.add_argument("--N", type=_row_count, required=True, help="number of states")
     evolve.add_argument("--tau", type=_finite, default=1.0, help="time step")
     evolve.add_argument("--units", choices=("energy", "omega"), default="energy")
 
@@ -240,16 +241,15 @@ def _fmt(value) -> str:
 
 
 def _element_groups(ops) -> list[tuple]:
-    """One row group of ELEMENT_COLUMNS per operator, over its stored entries.
+    """One row group of ELEMENT_COLUMNS per operator, over its nonzero entries.
 
-    `OperatorMatrix` keeps no stored zeros and sorted column indices, so the
-    CSR entries are the nonzero entries in the row-major order of `np.nonzero`.
+    The entries come from the operator's diagonals in the row-major order of
+    `np.nonzero` on the dense matrix.
     """
     groups = []
     for op in ops:
-        m = op.csr
-        rows = np.repeat(np.arange(op.dim), np.diff(m.indptr))
-        groups.append((Periodic((op.label,), m.nnz), rows, m.indices, m.data.real, m.data.imag))
+        rows, cols, values = op.bands.nonzero()
+        groups.append((Periodic((op.label,), len(values)), rows, cols, values.real, values.imag))
     return groups
 
 
@@ -292,8 +292,8 @@ def cmd_contract(args) -> CommandResult:
         a, adag = holstein_primakoff(rep)
         osc = build_h1_rep(dim)
         deviation = max(
-            max_entry(a.csr - osc.Lminus.csr),
-            max_entry(adag.csr - osc.Lplus.csr),
+            max_entry(a.bands - osc.Lminus.bands),
+            max_entry(adag.bands - osc.Lplus.bands),
         )
         result = CommandResult(
             columns=ELEMENT_COLUMNS,
@@ -643,13 +643,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
 
+    out = args.out or f"{args.command}.{args.format}"
+    if os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or "."):
+        print(f"{TOOL}: --out {out!r} is not a file path in an existing directory",
+              file=sys.stderr)
+        return 2
+
     try:
         result = COMMANDS[args.command](args)
     except ValueError as exc:
         print(f"{TOOL}: {exc}", file=sys.stderr)
         return 2
 
-    out = args.out or f"{args.command}.{args.format}"
     parameters = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
     parameters["out"] = out
     write_output(out, args.format, args.command, parameters, args.tolerance, result)

@@ -16,9 +16,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
-from .operators import OperatorMatrix, Spectrum, max_entry
+from .operators import Bands, OperatorMatrix, Spectrum, max_entry
 
 
 @dataclass(frozen=True)
@@ -45,12 +44,15 @@ def build_evolution_operator(p: EvolutionParams) -> OperatorMatrix:
     """U = e^{-i pi/N} P with P the one-step cyclic shift; unitary.
 
     Entry convention: U[(v+1) mod N, v] carries the phase, i.e. phases below the
-    diagonal plus the top-right corner.  Stored as the N phased entries only.
+    diagonal plus the top-right corner: two diagonals, at offsets -1 and N - 1.
     """
     n = p.n_states
-    cols = np.arange(n)
-    phases = np.full(n, np.exp(-1j * math.pi / n))
-    return OperatorMatrix("U", sparse.csr_array((phases, ((cols + 1) % n, cols)), shape=(n, n)))
+    phase = np.exp(-1j * math.pi / n)
+    below = np.full(n, phase)
+    below[0] = 0.0
+    corner = np.zeros(n, dtype=complex)
+    corner[0] = phase
+    return OperatorMatrix("U", Bands(n, {-1: below, n - 1: corner}))
 
 
 def spectrum_via_dft(p: EvolutionParams) -> Spectrum:
@@ -66,12 +68,12 @@ def spectrum_via_dft(p: EvolutionParams) -> Spectrum:
     ascending.
     """
     n = p.n_states
-    u = build_evolution_operator(p).csr.tocoo()
-    diagonal = (u.row - u.col) % n
+    rows, cols, values = build_evolution_operator(p).bands.nonzero()
+    diagonal = (rows - cols) % n
     column = np.zeros(n, dtype=complex)
-    first = u.col == 0
-    column[diagonal[first]] = u.data[first]
-    if u.nnz != n * np.count_nonzero(column) or np.any(u.data != column[diagonal]):
+    first = cols == 0
+    column[diagonal[first]] = values[first]
+    if len(values) != n * np.count_nonzero(column) or np.any(values != column[diagonal]):
         raise ValueError("the DFT failed to diagonalize the evolution operator")
     eigenvalues = np.fft.fft(column)
     args = np.angle(eigenvalues)
@@ -86,13 +88,13 @@ def spectrum_via_dft(p: EvolutionParams) -> Spectrum:
 def geometric_phase_check(p: EvolutionParams) -> complex:
     """Scalar phi with U^N = phi * 1; the phase factor makes phi = -1.
 
-    U^N comes from binary squaring of the sparse U, in the multiplication
-    order of `numpy.linalg.matrix_power`; every product of two phased
-    permutations is again one, so each step costs O(N).
+    U^N comes from binary squaring of U, in the multiplication order of
+    `numpy.linalg.matrix_power`; every power of U is a phased shift on two
+    diagonals, so each product costs O(N).
     Raises if U^N is not proportional to the identity (construction bug).
     """
     n = p.n_states
-    u = build_evolution_operator(p).csr
+    u = build_evolution_operator(p).bands
     square = power = None
     remaining = n
     while remaining > 0:
@@ -100,7 +102,7 @@ def geometric_phase_check(p: EvolutionParams) -> complex:
         remaining, bit = divmod(remaining, 2)
         if bit:
             power = square if power is None else power @ square
-    phi = complex(power[0, 0])
-    if max_entry(power - phi * sparse.eye_array(n)) > 1e-12:
+    phi = complex(power.diagonal()[0])
+    if max_entry(power - phi * Bands.identity(n)) > 1e-12:
         raise ValueError("U^N is not proportional to the identity")
     return phi

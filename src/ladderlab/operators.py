@@ -1,56 +1,260 @@
-"""Labeled sparse complex matrices and the small operator calculus built on them.
+"""Labeled complex matrices stored as their diagonals, and the band calculus on them.
 
-Every operator the lab builds is diagonal, a single off-diagonal band, a
-Kronecker product of those, or a phased cyclic permutation, so each one is
-stored in compressed sparse row (CSR) form and every product and residual
-touches only the stored entries.  A dense copy is built on request, for small
-sizes and for the dense oracles of the tests.
+Every operator the lab builds is a few constant-offset diagonals of the flat
+basis index: the su(2), su(1,1) and h(1) ladders sit on offsets 0 and +-1,
+the two-mode A, B on n_max + 1 and 1 (with zeros at the block edges) and
+L+-, their products, on -+(n_max + 2), and the cyclic step operator U on -1
+and N - 1.  A `Bands` holds exactly those diagonals as {offset: values} with
+values[i] = M[i, i + offset].  On it a product is one shifted elementwise
+multiply per pair of offsets, a sum merges the diagonals by offset, and an
+interior restriction is a boolean mask, so a residual costs O(dim) per pair
+of diagonals.
+
+Each entry of a product is the sum of its terms in ascending order of the
+inner index, as in a row-major sparse product, and scalar division multiplies
+by the reciprocal, as scipy's sparse arrays do; so the values match
+compressed sparse row (CSR) arithmetic entry for entry.  `OperatorMatrix.csr`
+and `OperatorMatrix.entries` are CSR and dense views built on first access.
+scipy is imported only by the CSR view and by `matrix_exponential`, never when
+the package loads; a scipy array passed in is read through its own methods.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
+
+
+def _rows(dim: int, *offsets: int) -> slice:
+    """The rows i with 0 <= i + o < dim for every o in `offsets`.
+
+    For one offset these are the rows where a diagonal at that offset has entries.
+    """
+    start = max(0, *(-o for o in offsets))
+    return slice(start, max(start, min(dim, *(dim - o for o in offsets))))
+
+
+def _at(values: np.ndarray, rows: slice, offset: int) -> np.ndarray:
+    """values[i + offset] for the rows i of `rows`."""
+    return values[rows.start + offset:rows.stop + offset]
+
+
+def _shift(values: np.ndarray, offset: int) -> np.ndarray:
+    """w[i] = values[i + offset], zero where i + offset falls outside the vector."""
+    rows = _rows(len(values), offset)
+    shifted = np.zeros_like(values)
+    shifted[rows] = _at(values, rows, offset)
+    return shifted
+
+
+def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b elementwise; complex by complex with each real product rounded on its own.
+
+    numpy's vector loops may fuse a complex product into multiply-adds, which
+    round once; the textbook formula matches scalar and sparse complex products.
+    """
+    if a.dtype.kind != "c" or b.dtype.kind != "c":
+        return a * b
+    product = np.empty(len(a), dtype=complex)
+    product.real = a.real * b.real - a.imag * b.imag
+    product.imag = a.real * b.imag + a.imag * b.real
+    return product
+
+
+def _is_scipy_sparse(matrix) -> bool:
+    """True for a scipy sparse array or matrix; never imports scipy itself."""
+    module = sys.modules.get("scipy.sparse")
+    return module is not None and module.issparse(matrix)
+
+
+class Bands:
+    """A square matrix as its diagonals: {offset: values}, values[i] = M[i, i + offset].
+
+    Each `values` is a float or complex vector of length `dim`, zero where
+    i + offset falls outside 0 .. dim-1; an absent offset is an all-zero
+    diagonal.  Arithmetic (`@` with a Bands or a vector, `+`, `-`, and `*`
+    or `/` by a scalar) returns a new Bands and may share vectors with its
+    inputs, so treat every Bands as read-only.
+    """
+
+    __slots__ = ("dim", "diagonals")
+
+    def __init__(self, dim: int, diagonals: dict[int, np.ndarray]) -> None:
+        self.dim = dim
+        self.diagonals = diagonals
+
+    @classmethod
+    def diag(cls, values) -> "Bands":
+        values = np.asarray(values)
+        return cls(len(values), {0: values.astype(np.result_type(values, float))})
+
+    @classmethod
+    def identity(cls, dim: int) -> "Bands":
+        return cls(dim, {0: np.ones(dim)})
+
+    @classmethod
+    def from_entries(cls, dim: int, rows, cols, values) -> "Bands":
+        """The matrix with values[t] added at (rows[t], cols[t]); repeated positions sum."""
+        rows = np.asarray(rows, dtype=np.int64)
+        values = np.asarray(values)
+        values = values.astype(np.result_type(values, float))
+        offsets = np.asarray(cols, dtype=np.int64) - rows
+        order = np.argsort(offsets, kind="stable")
+        offsets, rows, values = offsets[order], rows[order], values[order]
+        distinct, starts = np.unique(offsets, return_index=True)
+        diagonals = {}
+        for offset, start, stop in zip(distinct.tolist(), starts, [*starts[1:], len(offsets)]):
+            diagonal = np.zeros(dim, dtype=values.dtype)
+            np.add.at(diagonal, rows[start:stop], values[start:stop])
+            diagonals[offset] = diagonal
+        return cls(dim, diagonals)
+
+    def diagonal(self) -> np.ndarray:
+        """The main diagonal, M[i, i]."""
+        return self.diagonals.get(0, np.zeros(self.dim))
+
+    def _require_dim(self, other: "Bands") -> None:
+        if other.dim != self.dim:
+            raise ValueError(f"dimension mismatch: {self.dim} and {other.dim}")
+
+    def __matmul__(self, other):
+        """Matrix product; a 1-D array on the right gives the matrix-vector product.
+
+        (AB)[i, i + p + q] collects A[i, i + p] B[i + p, i + p + q] over the
+        pairs of offsets (p, q), on the rows where both factors exist; each
+        entry starts at zero and adds its terms in ascending p, the order of
+        the inner index.
+        """
+        if isinstance(other, np.ndarray):
+            out = np.zeros(self.dim, dtype=np.result_type(other, *self.diagonals.values()))
+            for offset, values in sorted(self.diagonals.items()):
+                rows = _rows(self.dim, offset)
+                out[rows] += _times(values[rows], _at(other, rows, offset))
+            return out
+        self._require_dim(other)
+        dtype = np.result_type(float, *self.diagonals.values(), *other.diagonals.values())
+        product = {}
+        for p, a in sorted(self.diagonals.items()):
+            for q, b in other.diagonals.items():
+                rows = _rows(self.dim, p, p + q)
+                if rows.start == rows.stop:
+                    continue
+                if p + q not in product:
+                    product[p + q] = np.zeros(self.dim, dtype=dtype)
+                product[p + q][rows] += _times(a[rows], _at(b, rows, p))
+        return Bands(self.dim, product)
+
+    def _merge(self, other: "Bands", op) -> "Bands":
+        self._require_dim(other)
+        merged = dict(self.diagonals)
+        for offset, values in other.diagonals.items():
+            merged[offset] = op(merged[offset] if offset in merged else 0.0, values)
+        return Bands(self.dim, merged)
+
+    def __add__(self, other: "Bands") -> "Bands":
+        return self._merge(other, np.add)
+
+    def __sub__(self, other: "Bands") -> "Bands":
+        return self._merge(other, np.subtract)
+
+    def __mul__(self, scalar) -> "Bands":
+        return Bands(self.dim, {offset: values * scalar
+                                for offset, values in self.diagonals.items()})
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, scalar) -> "Bands":
+        # by the reciprocal, as sparse scalar division does, so digits match CSR
+        return self * (1 / scalar)
+
+    def adjoint(self) -> "Bands":
+        """Conjugate transpose: M†[i, i - o] = conj(M[i - o, i])."""
+        return Bands(self.dim, {-offset: np.conj(_shift(values, -offset))
+                                for offset, values in self.diagonals.items()})
+
+    def nonzero(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, values) of the nonzero entries, in the row-major order of `np.nonzero`."""
+        offsets = sorted(self.diagonals)
+        rows = [np.flatnonzero(self.diagonals[offset]) for offset in offsets]
+        cols = [r + offset for r, offset in zip(rows, offsets)]
+        values = [self.diagonals[offset][r] for r, offset in zip(rows, offsets)]
+        empty = [np.zeros(0, dtype=np.int64)]
+        rows, cols, values = (np.concatenate(part or empty) for part in (rows, cols, values))
+        # within a row the columns ascend with the offsets, which are already sorted
+        order = np.argsort(rows, kind="stable")
+        return rows[order], cols[order], values[order]
 
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """A labeled complex square matrix held in canonical CSR form.
+    """A labeled complex square matrix held as its nonzero diagonals.
 
-    `csr` accepts a dense array or any scipy sparse array; it is stored as a
-    complex `csr_array` copy with sorted column indices, no duplicate entries
-    and no stored zeros, so its entries run in the row-major order of
-    `np.nonzero` on the dense matrix.  Treat it as read-only: `entries`, the
-    dense view, is built from it once.
+    `bands` accepts a `Bands`, a dense array or any scipy sparse array; it is
+    stored as a `Bands` without all-zero diagonals, whose values keep a float
+    dtype when the input is real.  Entries must be finite.  `csr` and
+    `entries` are complex views built from it on first access.
     """
 
     label: str
-    csr: sparse.csr_array
+    bands: Bands
 
     def __post_init__(self) -> None:
-        source = self.csr if sparse.issparse(self.csr) else np.asarray(self.csr, dtype=complex)
-        if len(source.shape) != 2 or source.shape[0] != source.shape[1]:
-            raise ValueError(f"{self.label!r}: entries must form a square matrix")
-        if source.shape[0] < 1:
+        source = self.bands
+        if isinstance(source, Bands):
+            dim, diagonals = source.dim, source.diagonals
+            if any(values.shape != (dim,) for values in diagonals.values()):
+                raise ValueError(f"{self.label!r}: every diagonal needs {dim} values")
+        else:
+            sparse_input = _is_scipy_sparse(source)
+            matrix = source.tocoo() if sparse_input else np.asarray(source)
+            if len(matrix.shape) != 2 or matrix.shape[0] != matrix.shape[1]:
+                raise ValueError(f"{self.label!r}: entries must form a square matrix")
+            if sparse_input:
+                rows, cols, values = matrix.row, matrix.col, matrix.data
+            else:
+                rows, cols = np.nonzero(matrix)
+                values = matrix[rows, cols]
+            dim = matrix.shape[0]
+            diagonals = Bands.from_entries(dim, rows, cols, values).diagonals
+        if dim < 1:
             raise ValueError(f"{self.label!r}: dimension must be at least 1")
-        csr = sparse.csr_array(source, dtype=complex, copy=True)
-        csr.sum_duplicates()
-        csr.eliminate_zeros()
-        if not np.all(np.isfinite(csr.data)):
-            raise ValueError(f"{self.label!r}: entries must be finite")
-        object.__setattr__(self, "csr", csr)
+        kept = {}
+        for offset, values in diagonals.items():
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"{self.label!r}: entries must be finite")
+            if values.any():
+                kept[offset] = values
+        object.__setattr__(self, "bands", Bands(dim, kept))
 
     @property
     def dim(self) -> int:
-        return self.csr.shape[0]
+        return self.bands.dim
+
+    @cached_property
+    def csr(self):
+        """Complex `scipy.sparse.csr_array` view in canonical form, built on first access.
+
+        Sorted column indices, no duplicates and no stored zeros: its entries
+        run in the row-major order of `np.nonzero` on the dense matrix.
+        """
+        from scipy import sparse
+
+        rows, cols, values = self.bands.nonzero()
+        indptr = np.zeros(self.dim + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=self.dim), out=indptr[1:])
+        return sparse.csr_array((values.astype(complex), cols, indptr),
+                                shape=(self.dim, self.dim))
 
     @cached_property
     def entries(self) -> np.ndarray:
-        """Read-only dense copy, built on first access; meant for small sizes."""
-        dense = self.csr.toarray()
+        """Read-only dense complex copy, built on first access; meant for small sizes."""
+        dense = np.zeros((self.dim, self.dim), dtype=complex)
+        for offset, values in self.bands.diagonals.items():
+            rows = np.arange(self.dim)[_rows(self.dim, offset)]
+            dense[rows, rows + offset] = values[rows]
         dense.setflags(write=False)
         return dense
 
@@ -65,18 +269,18 @@ def _require_same_dim(a: OperatorMatrix, b: OperatorMatrix) -> None:
 def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     """[a, b] = ab - ba."""
     _require_same_dim(a, b)
-    return OperatorMatrix(f"[{a.label},{b.label}]", a.csr @ b.csr - b.csr @ a.csr)
+    return OperatorMatrix(f"[{a.label},{b.label}]", a.bands @ b.bands - b.bands @ a.bands)
 
 
 def anticommutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     """{a, b} = ab + ba."""
     _require_same_dim(a, b)
-    return OperatorMatrix(f"{{{a.label},{b.label}}}", a.csr @ b.csr + b.csr @ a.csr)
+    return OperatorMatrix(f"{{{a.label},{b.label}}}", a.bands @ b.bands + b.bands @ a.bands)
 
 
 def adjoint(a: OperatorMatrix) -> OperatorMatrix:
     """Conjugate transpose."""
-    return OperatorMatrix(f"{a.label}†", a.csr.conj().T)
+    return OperatorMatrix(f"{a.label}†", a.bands.adjoint())
 
 
 def matrix_exponential(a: OperatorMatrix) -> OperatorMatrix:
@@ -89,10 +293,27 @@ def matrix_exponential(a: OperatorMatrix) -> OperatorMatrix:
     return OperatorMatrix(f"exp({a.label})", expm(np.asarray(a.entries)))
 
 
-def max_entry(matrix) -> float:
-    """Largest absolute entry of a dense or sparse array; the identity-residual norm."""
-    if sparse.issparse(matrix):
-        matrix = sparse.csr_array(matrix)
+def max_entry(matrix, keep=None) -> float:
+    """Largest absolute entry of a `Bands`, a dense array or a scipy sparse array.
+
+    The identity-residual norm.  With `keep`, a boolean vector over the
+    basis, only the entries whose row and column are both kept count: the
+    residual restricted to that interior.
+    """
+    if isinstance(matrix, Bands):
+        peak = 0.0
+        for offset, values in matrix.diagonals.items():
+            rows = _rows(matrix.dim, offset)
+            values = values[rows]
+            if keep is not None:
+                values = values[keep[rows] & _at(keep, rows, offset)]
+            if values.size:
+                peak = max(peak, np.max(np.abs(values)))
+        return float(peak)
+    if keep is not None:
+        matrix = restricted(matrix, np.flatnonzero(keep))
+    if _is_scipy_sparse(matrix):
+        matrix = matrix.tocsr()
         matrix.sum_duplicates()
         values = matrix.data
     else:
@@ -103,19 +324,27 @@ def max_entry(matrix) -> float:
 
 
 def restricted(matrix, indices):
-    """Sub-matrix on the given basis indices (same set for rows and columns).
+    """Sub-matrix on the given distinct basis indices, in their order, for rows and columns.
 
-    Dense input gives a dense block, sparse input a CSR block.
+    A `Bands` gives a `Bands` block, dense input a dense block and scipy
+    sparse input a CSR block.
     """
     idx = np.asarray(list(indices), dtype=int)
-    if sparse.issparse(matrix):
-        return sparse.csr_array(matrix)[idx][:, idx]
+    if isinstance(matrix, Bands):
+        position = np.full(matrix.dim, -1)
+        position[idx] = np.arange(len(idx))
+        rows, cols, values = matrix.nonzero()
+        rows, cols = position[rows], position[cols]
+        inside = (rows >= 0) & (cols >= 0)
+        return Bands.from_entries(len(idx), rows[inside], cols[inside], values[inside])
+    if _is_scipy_sparse(matrix):
+        return matrix.tocsr()[idx][:, idx]
     return matrix[np.ix_(idx, idx)]
 
 
 def hermiticity_residual(a: OperatorMatrix) -> float:
     """max |A - A†|, zero for an exactly hermitian matrix."""
-    return max_entry(a.csr - a.csr.conj().T)
+    return max_entry(a.bands - a.bands.adjoint())
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,8 +4,8 @@ Two independent truncated oscillator modes A, B carry L+ = A†B†, L- = AB,
 L3 = (A†A + B†B + 1)/2.  The Casimir is diagonal with eigenvalue
 j = (n_A - n_B)/2, and each fixed-j sector reproduces the discrete series of
 weight k = |j| + 1/2 entrywise (the j = 0 sector is the square-root-free
-weight-1/2 ladder).  L+, L- and L3 keep j, so in sector order they are block
-diagonal, and one block-diagonal comparison checks every sector.  On top of
+weight-1/2 ladder).  L+, L- and L3 keep j: each is one diagonal of the flat
+index, so one comparison per diagonal checks every sector.  On top of
 this sits the dissipative Hamiltonian H0 = Omega (A†A - B†B),
 HI = i Gamma (A†B† - AB) = -2 Gamma L2.
 
@@ -23,10 +23,9 @@ from dataclasses import dataclass
 from math import isfinite, pi
 
 import numpy as np
-from scipy import sparse
 
 from .algebra import LadderRep, Su11, cartesian_generators, discrete_series_elements
-from .operators import OperatorMatrix, matrix_exponential, max_entry, restricted
+from .operators import Bands, OperatorMatrix, matrix_exponential, max_entry, restricted
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,23 +87,27 @@ class DissipativeParams:
 
 
 def build_two_mode(n_max: int) -> TwoModeSpace:
-    """Tensor two single-mode ladders and form L+, L-, L3, all as sparse Kronecker products."""
+    """Two single-mode ladders on the flat index, and L+ = A†B†, L- = AB, L3 as their products.
+
+    A lowers n_A, one step of n_max + 1 in the flat index, and B lowers n_B,
+    one step of 1; both diagonals are zero at the block edge n = n_max.
+    """
     n_max = int(n_max)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    cutoff = n_max + 1
-    lower = sparse.diags_array(np.sqrt(np.arange(1, cutoff, dtype=float)), offsets=1,
-                               shape=(cutoff, cutoff), dtype=float)
-    eye = sparse.eye_array(cutoff)
-    a = sparse.csr_array(sparse.kron(lower, eye))
-    b = sparse.csr_array(sparse.kron(eye, lower))
-    adag, bdag = sparse.csr_array(a.T), sparse.csr_array(b.T)
+    side = n_max + 1
+    dim = side * side
+    # <n - 1|a|n> = sqrt(n), stored in the row of n - 1; the top row has none
+    lowering = np.append(np.sqrt(np.arange(1, side, dtype=float)), 0.0)
+    a = Bands(dim, {side: np.repeat(lowering, side)})
+    b = Bands(dim, {1: np.tile(lowering, side)})
+    adag, bdag = a.adjoint(), b.adjoint()
     lplus = adag @ bdag
     lminus = a @ b
-    l3 = 0.5 * (adag @ a + bdag @ b + sparse.eye_array(cutoff * cutoff))
+    l3 = 0.5 * (adag @ a + bdag @ b + Bands.identity(dim))
     return TwoModeSpace(
         n_max=n_max,
-        dim=cutoff * cutoff,
+        dim=dim,
         A=OperatorMatrix("A", a),
         Adag=OperatorMatrix("Adag", adag),
         B=OperatorMatrix("B", b),
@@ -130,15 +133,22 @@ def _mode_numbers(space: TwoModeSpace) -> tuple[np.ndarray, np.ndarray]:
     return n_a, n_b
 
 
-def _casimir_ladder_form(space: TwoModeSpace) -> sparse.csr_array:
-    l3, lp, lm = space.L3.csr, space.Lplus.csr, space.Lminus.csr
-    return 0.25 * sparse.eye_array(space.dim) + l3 @ l3 - 0.5 * (lp @ lm + lm @ lp)
-
-
-def _casimir_residual(space: TwoModeSpace, c2: sparse.csr_array) -> float:
+def _interior_mask(space: TwoModeSpace, bound: int | None = None) -> np.ndarray:
+    """Boolean form of `interior_indices`: both occupations below `bound` (default n_max)."""
+    bound = space.n_max if bound is None else int(bound)
     n_a, n_b = _mode_numbers(space)
-    mode_form = sparse.diags_array(0.25 * (n_a - n_b) ** 2, dtype=float)
-    return max_entry(restricted(c2 - mode_form, interior_indices(space)))
+    return (n_a < bound) & (n_b < bound)
+
+
+def _casimir_ladder_form(space: TwoModeSpace) -> Bands:
+    l3, lp, lm = space.L3.bands, space.Lplus.bands, space.Lminus.bands
+    return 0.25 * Bands.identity(space.dim) + l3 @ l3 - 0.5 * (lp @ lm + lm @ lp)
+
+
+def _casimir_residual(space: TwoModeSpace, c2: Bands) -> float:
+    n_a, n_b = _mode_numbers(space)
+    mode_form = Bands.diag(0.25 * (n_a - n_b) ** 2)
+    return max_entry(c2 - mode_form, _interior_mask(space))
 
 
 def casimir_interior_residual(space: TwoModeSpace) -> float:
@@ -162,7 +172,7 @@ def casimir(space: TwoModeSpace, tol: float = 1e-12) -> OperatorMatrix:
 def casimir_root(space: TwoModeSpace) -> OperatorMatrix:
     """C = nonnegative square root of the exact diagonal C^2, i.e. diag(|j|)."""
     n_a, n_b = _mode_numbers(space)
-    return OperatorMatrix("C", sparse.diags_array(np.abs(n_a - n_b) / 2.0, dtype=float))
+    return OperatorMatrix("C", Bands.diag(np.abs(n_a - n_b) / 2.0))
 
 
 def sector_decompose(space: TwoModeSpace) -> SectorDecomposition:
@@ -182,29 +192,35 @@ def sector_operators(
 ) -> tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix]:
     """Restrictions of (L3, L+, L-) to the given sector index list."""
     return (
-        OperatorMatrix("L3", restricted(space.L3.csr, indices)),
-        OperatorMatrix("L+", restricted(space.Lplus.csr, indices)),
-        OperatorMatrix("L-", restricted(space.Lminus.csr, indices)),
+        OperatorMatrix("L3", restricted(space.L3.bands, indices)),
+        OperatorMatrix("L+", restricted(space.Lplus.bands, indices)),
+        OperatorMatrix("L-", restricted(space.Lminus.bands, indices)),
     )
 
 
 def sector_match_residual(space: TwoModeSpace) -> float:
     """Entrywise gap between the two-mode ladders and the discrete series, every sector at once.
 
-    L3, L+ and L- are permuted once into `sector_decompose` order and compared
-    with one block-diagonal reference: the weight-(|j| + 1/2) series in the
-    block of sector j, truncated at its size n_max + 1 - 2|j| as the
-    restriction is, and zeros off the blocks, so a leak between sectors counts.
+    |n_A, n_B> is level n = min(n_A, n_B) of sector j = (n_A - n_B)/2, whose
+    series has weight |j| + 1/2.  Each diagonal of L3, L+ and L- is compared
+    with that series at its flat index: L3 on offset 0, L+ on -(n_max + 2)
+    (into |n_A, n_B> from level n - 1, nothing into level 0) and L- on
+    n_max + 2 (from level n + 1, nothing out of a sector's top state at
+    n_A or n_B = n_max, where the sector is truncated).  Any other diagonal
+    is a leak between sectors and counts in full.
     """
-    order = np.concatenate(list(sector_decompose(space).sectors.values()))
     n_a, n_b = _mode_numbers(space)
-    j = (n_a - n_b)[order] / 2.0
-    # level n = m - |j| = min(n_A, n_B); a block's last state has no raising element
-    diagonal, raising = discrete_series_elements(np.abs(j) + 0.5, np.minimum(n_a, n_b)[order])
-    lplus = sparse.diags_array(np.where(j[1:] == j[:-1], raising[:-1], 0.0), offsets=-1,
-                               shape=(space.dim, space.dim))
-    reference = {"L3": sparse.diags_array(diagonal), "Lplus": lplus, "Lminus": lplus.T}
-    return max(max_entry(restricted(getattr(space, name).csr, order) - block)
+    weight = np.abs((n_a - n_b) / 2.0) + 0.5
+    level = np.minimum(n_a, n_b)
+    diagonal, raising = discrete_series_elements(weight, level)
+    _, raising_into = discrete_series_elements(weight, level - 1.0)
+    step = space.n_max + 2
+    reference = {
+        "L3": {0: diagonal},
+        "Lplus": {-step: raising_into},
+        "Lminus": {step: np.where(_interior_mask(space), raising, 0.0)},
+    }
+    return max(max_entry(getattr(space, name).bands - Bands(space.dim, block))
                for name, block in reference.items())
 
 
@@ -217,24 +233,21 @@ def dissipative_residuals(space: TwoModeSpace, p: DissipativeParams) -> dict[str
     """
     h0, hi = _dissipative_pieces(space, p)
     _, l2 = cartesian_generators(space)
-    keep = interior_indices(space)
+    keep = _interior_mask(space)
     n_a, n_b = _mode_numbers(space)
-    nonneg = np.flatnonzero(n_a >= n_b)
-    c = casimir_root(space).csr
+    c = casimir_root(space).bands
     return {
-        "h0_vs_casimir": max_entry(restricted(h0 - 2.0 * p.Omega * c, nonneg)),
-        "hi_vs_l2": max_entry(restricted(hi - (-2.0 * p.Gamma) * l2.csr, keep)),
-        "h0_hermiticity": max_entry(h0 - h0.conj().T),
-        "hi_hermiticity": max_entry(hi - hi.conj().T),
-        "h0_hi_commutator": max_entry(restricted(h0 @ hi - hi @ h0, keep)),
+        "h0_vs_casimir": max_entry(h0 - 2.0 * p.Omega * c, n_a >= n_b),
+        "hi_vs_l2": max_entry(hi - (-2.0 * p.Gamma) * l2.bands, keep),
+        "h0_hermiticity": max_entry(h0 - h0.adjoint()),
+        "hi_hermiticity": max_entry(hi - hi.adjoint()),
+        "h0_hi_commutator": max_entry(h0 @ hi - hi @ h0, keep),
     }
 
 
-def _dissipative_pieces(
-    space: TwoModeSpace, p: DissipativeParams
-) -> tuple[sparse.csr_array, sparse.csr_array]:
-    a, adag = space.A.csr, space.Adag.csr
-    b, bdag = space.B.csr, space.Bdag.csr
+def _dissipative_pieces(space: TwoModeSpace, p: DissipativeParams) -> tuple[Bands, Bands]:
+    a, adag = space.A.bands, space.Adag.bands
+    b, bdag = space.B.bands, space.Bdag.bands
     h0 = p.Omega * (adag @ a - bdag @ b)
     hi = 1j * p.Gamma * (adag @ bdag - a @ b)
     return h0, hi
@@ -260,17 +273,17 @@ def _l1_l2_l3_keep(target, interior: int):
     if isinstance(target, TwoModeSpace):
         if not 2 <= int(interior) <= target.n_max + 1:
             raise ValueError(f"interior must be in 2..{target.n_max + 1}")
-        keep = interior_indices(target, int(interior))
+        keep = _interior_mask(target, int(interior))
     elif isinstance(target, LadderRep):
         if not isinstance(target.kind, Su11):
             raise ValueError("the rotation relation needs the su(1,1) sign; pass a D+_k rep")
         if not 2 <= int(interior) <= target.dim:
             raise ValueError(f"interior must be in 2..{target.dim}")
-        keep = list(range(int(interior)))
+        keep = np.arange(target.dim) < int(interior)
     else:
         raise ValueError("expected a TwoModeSpace or an su(1,1) LadderRep")
     l1, l2 = cartesian_generators(target)
-    return l1.csr, l2.csr, target.L3.csr, keep
+    return l1.bands, l2.bands, target.L3.bands, keep
 
 
 def l2_relation_check(target, interior: int) -> tuple[float, float]:
@@ -285,9 +298,7 @@ def l2_relation_check(target, interior: int) -> tuple[float, float]:
     l1, l2, l3, keep = _l1_l2_l3_keep(target, interior)
     first = l1 @ l3 - l3 @ l1
     second = l1 @ first - first @ l1
-    res1 = max_entry(restricted(first + 1j * l2, keep))
-    res2 = max_entry(restricted(second + l3, keep))
-    return res1, res2
+    return max_entry(first + 1j * l2, keep), max_entry(second + l3, keep)
 
 
 def l2_finite_residual(target, interior: int) -> float:
@@ -309,11 +320,10 @@ def l2_finite_residual(target, interior: int) -> float:
     l1, l2, l3, keep = _l1_l2_l3_keep(target, interior)
     grow = matrix_exponential(OperatorMatrix("piL1/2", (pi / 2.0) * l1)).entries
     weights = l3.diagonal()
-    keep_arr = np.asarray(keep, dtype=int)
     worst = 0.0
-    for state in keep:
+    for state in np.flatnonzero(keep):
         phi = grow[:, state]
         mismatch = l2 @ phi - 1j * weights[state] * phi
-        scale = float(np.linalg.norm(phi[keep_arr]))
-        worst = max(worst, float(np.linalg.norm(mismatch[keep_arr])) / scale)
+        scale = float(np.linalg.norm(phi[keep]))
+        worst = max(worst, float(np.linalg.norm(mismatch[keep])) / scale)
     return worst

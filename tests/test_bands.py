@@ -1,0 +1,178 @@
+"""The band calculus of `ladderlab.operators` against a dense oracle.
+
+Random band operators have dimension 1 to 12, offsets up to +-(dim - 1), and
+may hold empty (absent) or all-zero diagonals.  The dense oracle forms a
+complex product from four real matrix products, so each real product is
+rounded on its own, as `Bands` does; an entry of a product with at most one
+nonzero term is then compared bit for bit, and an entry that sums two or
+more terms is held to a few ulps of sum |a||b| (Higham, "Accuracy and
+Stability of Numerical Algorithms", 2nd ed., sec. 3.5).  Sums, scalar
+multiples, masked maxima, restrictions and the CSR and dense views involve
+no reordered rounding and are compared bit for bit.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
+
+from ladderlab.operators import Bands, OperatorMatrix, max_entry, restricted
+
+EPS = float(np.finfo(float).eps)
+
+values_ = st.floats(-8.0, 8.0, allow_nan=False, allow_infinity=False, width=64)
+
+
+@st.composite
+def band_operators(draw, dim=None):
+    """A `Bands` with random offsets; each diagonal is random or all zero."""
+    dim = draw(st.integers(1, 12)) if dim is None else dim
+    is_complex = draw(st.booleans())
+    offsets = draw(st.lists(st.integers(-(dim - 1), dim - 1), unique=True, max_size=5))
+    diagonals = {}
+    for offset in offsets:
+        values = np.array(draw(st.lists(values_, min_size=dim, max_size=dim)))
+        if is_complex:
+            values = values + 1j * np.array(draw(st.lists(values_, min_size=dim, max_size=dim)))
+        if draw(st.booleans()):
+            values = np.zeros_like(values)
+        inside = np.arange(dim) + offset
+        values[(inside < 0) | (inside >= dim)] = 0.0
+        diagonals[offset] = values
+    return Bands(dim, diagonals)
+
+
+@st.composite
+def operator_pairs(draw):
+    dim = draw(st.integers(1, 12))
+    return draw(band_operators(dim)), draw(band_operators(dim))
+
+
+def dense(bands: Bands) -> np.ndarray:
+    """The oracle's dense complex copy, entry by entry from the definition."""
+    m = np.zeros((bands.dim, bands.dim), dtype=complex)
+    for offset, values in bands.diagonals.items():
+        for i in range(bands.dim):
+            if 0 <= i + offset < bands.dim:
+                m[i, i + offset] = values[i]
+    return m
+
+
+def dense_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b from four real products: each real product of entries rounded on its own."""
+    return (a.real @ b.real - a.imag @ b.imag) + 1j * (a.real @ b.imag + a.imag @ b.real)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=operator_pairs())
+def test_product(pair):
+    a, b = pair
+    da, db = dense(a), dense(b)
+    got, want = dense(a @ b), dense_product(da, db)
+    terms = (da != 0).astype(int) @ (db != 0).astype(int)
+    single = terms <= 1
+    assert np.array_equal(got[single], want[single])
+    scale = np.abs(da) @ np.abs(db)
+    assert np.all(np.abs(got - want) <= 4 * EPS * scale)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=operator_pairs(), scalar=values_)
+def test_sum_difference_and_scalar_multiple(pair, scalar):
+    a, b = pair
+    assert np.array_equal(dense(a + b), dense(a) + dense(b))
+    assert np.array_equal(dense(a - b), dense(a) - dense(b))
+    assert np.array_equal(dense(scalar * a), scalar * dense(a))
+    assert np.array_equal(dense(a * scalar), dense(a) * scalar)
+    assert np.array_equal(dense(a.adjoint()), dense(a).conj().T)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=band_operators(), data=st.data())
+def test_matrix_vector_product(a, data):
+    x = np.array(data.draw(st.lists(values_, min_size=a.dim, max_size=a.dim)))
+    got, m = a @ x, dense(a)
+    want = m.real @ x + 1j * (m.imag @ x)
+    assert np.all(np.abs(got - want) <= 4 * EPS * (np.abs(m) @ np.abs(x)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=band_operators(), data=st.data())
+def test_masked_max_entry_and_restriction(a, data):
+    keep = np.array(data.draw(st.lists(st.booleans(), min_size=a.dim, max_size=a.dim)))
+    m = dense(a)
+    indices = np.flatnonzero(keep)
+    block = m[np.ix_(indices, indices)]
+    assert max_entry(a) == max_entry(m)
+    assert max_entry(a, keep) == max_entry(block) == max_entry(m, keep)
+    if len(indices):
+        assert np.array_equal(dense(restricted(a, indices)), block)
+        order = data.draw(st.permutations(indices.tolist()))
+        assert np.array_equal(dense(restricted(a, order)), m[np.ix_(order, order)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=band_operators())
+def test_views(a):
+    op = OperatorMatrix("M", a)
+    m = dense(a)
+    assert np.array_equal(op.entries, m)
+    csr = op.csr
+    assert csr.format == "csr" and csr.has_canonical_format
+    assert np.all(csr.data != 0)
+    assert np.array_equal(csr.toarray(), m)
+    rows, cols, values = op.bands.nonzero()
+    want_rows, want_cols = np.nonzero(m)
+    assert np.array_equal(rows, want_rows)
+    assert np.array_equal(cols, want_cols)
+    assert np.array_equal(values.astype(complex), m[want_rows, want_cols])
+    # all-zero diagonals are dropped on construction
+    assert all(values.any() for values in op.bands.diagonals.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=band_operators())
+def test_dense_and_sparse_input_round_trip(a):
+    m = dense(a)
+    from_dense = OperatorMatrix("D", m)
+    from_sparse = OperatorMatrix("S", sparse.csr_array(m))
+    from_coo = OperatorMatrix("C", sparse.coo_matrix(m))
+    for op in (from_dense, from_sparse, from_coo):
+        assert op.dim == a.dim
+        assert np.array_equal(op.entries, m)
+    assert np.array_equal(OperatorMatrix("R", from_dense.csr).entries, m)
+
+
+def test_real_input_keeps_real_diagonals():
+    op = OperatorMatrix("A", np.diag([1.0, 2.0], 1) + np.eye(3))
+    assert sorted(op.bands.diagonals) == [0, 1]
+    assert all(values.dtype == float for values in op.bands.diagonals.values())
+    assert op.entries.dtype == complex and op.csr.dtype == complex
+
+
+def test_zero_operator_has_no_diagonals():
+    op = OperatorMatrix("0", np.zeros((3, 3)))
+    assert op.bands.diagonals == {} and op.dim == 3
+    assert max_entry(op.bands) == 0.0
+    assert op.csr.nnz == 0
+
+
+def test_rejects_ragged_or_non_finite_diagonals():
+    with pytest.raises(ValueError, match="3 values"):
+        OperatorMatrix("bad", Bands(3, {0: np.ones(2)}))
+    with pytest.raises(ValueError, match="finite"):
+        OperatorMatrix("bad", Bands(2, {0: np.array([1.0, np.nan])}))
+
+
+def test_dimension_mismatch():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        Bands.identity(2) @ Bands.identity(3)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        Bands.identity(2) + Bands.identity(3)
+
+
+def test_constructor_and_dim_stay_for_tracing():
+    # perfbench's tracer wraps OperatorMatrix.__post_init__ and reads .dim
+    assert "__post_init__" in vars(OperatorMatrix)
+    assert OperatorMatrix("I", Bands.identity(4)).dim == 4

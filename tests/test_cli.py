@@ -1,9 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ladderlab
 from ladderlab import cli
 from ladderlab.cli import main
 
@@ -13,6 +19,15 @@ def run_cli(args, tmp_path, capsys, name="out.csv"):
     code = main(args + ["--out", str(out)])
     captured = capsys.readouterr()
     return code, out, captured
+
+
+def run_module(argv, code=None):
+    """Run `python -m ladderlab.cli argv` (or `python -c code`) on this source tree."""
+    src = str(Path(ladderlab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    command = ["-c", code] if code is not None else ["-m", "ladderlab.cli", *argv]
+    return subprocess.run([sys.executable, *command], capture_output=True, text=True, env=env)
 
 
 def read_csv(path):
@@ -225,12 +240,13 @@ class TestRowLimit:
     HUGE = str(2**62)
 
     @pytest.fixture(autouse=True)
-    def no_orbit_arrays(self, monkeypatch):
+    def no_row_arrays(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("an orbit was computed for a rejected row count")
+            raise AssertionError("rows were computed for a rejected row count")
 
-        monkeypatch.setattr(cli, "touch_points", refuse)
-        monkeypatch.setattr(cli, "simulate_torus", refuse)
+        for name in ("touch_points", "simulate_torus", "spectrum_via_dft",
+                     "geometric_phase_check"):
+            monkeypatch.setattr(cli, name, refuse)
 
     @pytest.mark.parametrize("argv,flag", [
         (["orbit", "--two-circle", "--q-num", "1", "--q-den", "3", "--steps", HUGE], "--steps"),
@@ -238,6 +254,8 @@ class TestRowLimit:
         (["orbit", "--thooft-N", HUGE], "--thooft-N"),
         (["orbit", "--thooft-N", "7", "--curve-samples", HUGE], "--curve-samples"),
         (["orbit", "--torus", "--ratio", "golden", "--steps", str(cli.MAX_ROWS + 1)], "--steps"),
+        (["evolve", "--N", HUGE], "--N"),
+        (["evolve", "--N", str(cli.MAX_ROWS + 1)], "--N"),
     ])
     def test_rejected(self, argv, flag, tmp_path, capsys):
         code, out, captured = run_cli(argv, tmp_path, capsys)
@@ -250,6 +268,8 @@ class TestRowLimit:
             ["orbit", "--thooft-N", str(cli.MAX_ROWS), "--curve-samples", str(cli.MAX_ROWS),
              "--steps", str(cli.MAX_ROWS)])
         assert args.thooft_n == args.curve_samples == args.steps == cli.MAX_ROWS
+        args = cli.build_parser().parse_args(["evolve", "--N", str(cli.MAX_ROWS)])
+        assert args.N == cli.MAX_ROWS
 
 
 class TestSchwinger:
@@ -370,6 +390,26 @@ class TestOutputContract:
         assert code == 0
         assert captured.out == f"{out}\n"
 
+    @pytest.mark.parametrize("name", ["missing/x.csv", "."])
+    def test_out_not_a_file_in_a_directory_exits_2_before_running(self, name, tmp_path,
+                                                                   capsys, monkeypatch):
+        ran = []
+        monkeypatch.setitem(cli.COMMANDS, "evolve", ran.append)
+        out = tmp_path / name
+        code = main(["evolve", "--N", "4", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"--out {str(out)!r}" in captured.err
+        assert ran == [] and captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_in_missing_directory_prints_no_traceback(self, tmp_path):
+        out = tmp_path / "missing" / "x.csv"
+        proc = run_module(["evolve", "--N", "4", "--out", str(out)])
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr and "--out" in proc.stderr
+        assert not out.parent.exists()
+
     def test_default_output_name(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         code = main(["evolve", "--N", "3"])
@@ -434,3 +474,37 @@ class TestInputValidation:
             ["orbit", "--torus", "--ratio", "golden", "--phi0", value], tmp_path, capsys
         )
         assert "finite" in err
+
+
+class TestStartup:
+    def test_cli_import_leaves_scipy_unloaded(self):
+        # scipy is imported only by the CSR/dense views, matrix_exponential and
+        # scipy input; a CLI start that builds its parser needs none of them.
+        proc = run_module(None, code=(
+            "import sys, ladderlab.cli as cli; cli.build_parser(); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+
+class TestReach:
+    """`schwinger --check all` at nmax 800: dim 641 601, 6.6 TB per dense complex matrix."""
+
+    # tracemalloc peak measured at 170 MB (x86-64, numpy 2.4); the bound leaves headroom
+    PEAK_BOUND = 250e6
+
+    def test_schwinger_nmax_800(self, tmp_path, capsys):
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(["schwinger", "--nmax", "800", "--check", "all"],
+                                   tmp_path, capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Exit 3 is the fixed 1e-12 gate sitting below the rounding error of exact
+        # identities at this size, a false breach (ROADMAP open item 1).
+        assert code in (0, 3)
+        _, checks, header, rows = read_csv(out)
+        assert header == ["check", "residual"] and len(rows) == 9
+        assert float(checks["sector_match"]) < 1e-12
+        assert peak < self.PEAK_BOUND, f"tracemalloc peak {peak / 1e6:.1f} MB"
