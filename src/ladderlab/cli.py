@@ -12,6 +12,8 @@ byte-identical files.  Exit codes: 0 success, 2 invalid configuration,
 from __future__ import annotations
 
 import argparse
+import copy
+import functools
 import itertools
 import json
 import math
@@ -164,6 +166,17 @@ def _row_count(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser: its own shallow copy of one tree built on first use.
+
+    Each call returns a new object, so an attribute set on it (a wrapped
+    `parse_args`, say) stays on it.  The arguments, subparsers and defaults
+    are shared with every other copy: parse with it, but add nothing to it.
+    """
+    return copy.copy(_parser_tree())
+
+
+@functools.cache
+def _parser_tree() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=TOOL, description="ladder-algebra representations, contraction studies, "
         "cyclic evolution spectra, deterministic orbits, and two-mode checks"
@@ -364,7 +377,10 @@ def _parse_offset(text: str) -> float:
     if t == "pi":
         return math.pi
     if t.startswith("pi/"):
-        return math.pi / float(t[3:])
+        divisor = float(t[3:])
+        if divisor == 0:
+            raise ValueError(f"--q-irr-add {text!r} divides by zero")
+        return math.pi / divisor
     if t.startswith("pi*"):
         return math.pi * float(t[3:])
     return float(t)
@@ -422,6 +438,8 @@ def cmd_orbit(args) -> CommandResult:
     else:
         if args.q_num is None or args.q_den is None:
             raise ValueError("--two-circle requires --q-num and --q-den")
+        if args.q_den == 0:
+            raise ValueError("--q-den must be nonzero")
         offset = _parse_offset(args.q_irr_add)
         if offset == 0.0:
             dynamics = CircleDynamics.rational(args.alpha, args.q_num, args.q_den)

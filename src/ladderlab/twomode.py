@@ -232,16 +232,20 @@ def dissipative_residuals(space: TwoModeSpace, p: DissipativeParams) -> dict[str
     can match it only where j >= 0.
     """
     h0, hi = _dissipative_pieces(space, p)
-    _, l2 = cartesian_generators(space)
     keep = _interior_mask(space)
+    # The commutator's products are the largest operators formed here, so it
+    # comes first, while H0 and HI are the only others alive; C and L2 follow
+    # one at a time, each dropped as soon as its residual is taken.
+    commutator = max_entry(h0 @ hi - hi @ h0, keep)
     n_a, n_b = _mode_numbers(space)
-    c = casimir_root(space).bands
+    h0_vs_casimir = max_entry(h0 - 2.0 * p.Omega * casimir_root(space).bands, n_a >= n_b)
+    hi_vs_l2 = max_entry(hi - (-2.0 * p.Gamma) * cartesian_generators(space)[1].bands, keep)
     return {
-        "h0_vs_casimir": max_entry(h0 - 2.0 * p.Omega * c, n_a >= n_b),
-        "hi_vs_l2": max_entry(hi - (-2.0 * p.Gamma) * l2.bands, keep),
+        "h0_vs_casimir": h0_vs_casimir,
+        "hi_vs_l2": hi_vs_l2,
         "h0_hermiticity": max_entry(h0 - h0.adjoint()),
         "hi_hermiticity": max_entry(hi - hi.adjoint()),
-        "h0_hi_commutator": max_entry(h0 @ hi - hi @ h0, keep),
+        "h0_hi_commutator": commutator,
     }
 
 
@@ -297,8 +301,11 @@ def l2_relation_check(target, interior: int) -> tuple[float, float]:
     """
     l1, l2, l3, keep = _l1_l2_l3_keep(target, interior)
     first = l1 @ l3 - l3 @ l1
+    first_residual = max_entry(first + 1j * l2, keep)
+    del l2  # each operator is dropped once its last product is formed
     second = l1 @ first - first @ l1
-    return max_entry(first + 1j * l2, keep), max_entry(second + l3, keep)
+    del first
+    return first_residual, max_entry(second + l3, keep)
 
 
 def l2_finite_residual(target, interior: int) -> float:

@@ -475,6 +475,20 @@ class TestInputValidation:
         )
         assert "finite" in err
 
+    @pytest.mark.parametrize("extra,flag", [
+        (["--q-num", "1", "--q-den", "0"], "--q-den"),
+        (["--q-num", "1", "--q-den", "0", "--q-irr-add", "pi/40"], "--q-den"),
+        (["--q-num", "1", "--q-den", "3", "--q-irr-add", "pi/0"], "--q-irr-add"),
+        (["--q-num", "1", "--q-den", "3", "--q-irr-add", "pi/-0.0"], "--q-irr-add"),
+    ])
+    def test_zero_denominator(self, extra, flag, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an orbit was computed for a zero denominator")
+
+        monkeypatch.setattr(cli, "touch_points", refuse)
+        err = self._rejected(["orbit", "--two-circle", *extra], tmp_path, capsys)
+        assert flag in err
+
 
 class TestStartup:
     def test_cli_import_leaves_scipy_unloaded(self):
@@ -487,16 +501,106 @@ class TestStartup:
         assert proc.stdout.strip() == "[]"
 
 
+class TestRepeatedMain:
+    """`main` called many times in one process: the parser tree is built once and shared."""
+
+    # every subcommand in CSV and JSON, with parse failures and --help between them
+    ARGV = [
+        ["rep", "--algebra", "su2", "--l", "2"],
+        ["evolve", "--N", "x"],
+        ["rep", "--algebra", "su11", "--k", "1.5", "--dim", "6", "--format", "json"],
+        ["contract", "--family", "su2", "--params", "5,10,20"],
+        ["rep", "--algebra", "h1", "--dim", "5", "--tolerance", "-1"],
+        ["contract", "--hp", "--dim", "6", "--format", "json"],
+        ["--help"],
+        ["evolve", "--N", "5", "--units", "omega"],
+        ["orbit", "--torus", "--ratio", "golden", "--steps", str(2**62)],
+        ["evolve", "--N", "4", "--format", "json"],
+        ["orbit", "--thooft-N", "5", "--curve-samples", "3"],
+        ["schwinger", "--help"],
+        ["orbit", "--two-circle", "--q-num", "1", "--q-den", "3", "--steps", "7",
+         "--format", "json"],
+        ["schwinger", "--nmax", "3"],
+        ["schwinger", "--nmax", "3", "--sector", "0.5", "--dump", "--format", "json"],
+    ]
+
+    @staticmethod
+    def _argv(index, argv, tmp_path):
+        if "--help" in argv:
+            return argv, None
+        out = tmp_path / f"{index}.{'json' if 'json' in argv else 'csv'}"
+        return argv + ["--out", str(out)], out
+
+    @staticmethod
+    def _take(out):
+        """The bytes written to `out` (None if nothing was), removing the file."""
+        if out is None or not out.exists():
+            return None
+        data = out.read_bytes()
+        out.unlink()
+        return data
+
+    def test_each_call_builds_its_own_parser(self):
+        first, second = cli.build_parser(), cli.build_parser()
+        assert first is not second
+        assert vars(first.parse_args(["evolve", "--N", "3"])) == vars(
+            second.parse_args(["evolve", "--N", "3"]))
+
+    def test_parse_wrapper_stays_on_its_parser(self, tmp_path, capsys, monkeypatch):
+        # the benchmark tracer sets a wrapped parse_args on each parser it is handed
+        parses = []
+        build = cli.build_parser
+
+        def counting_parser():
+            parser = build()
+            parse = parser.parse_args
+
+            def counted(*args, **kwargs):
+                parses.append(args)
+                return parse(*args, **kwargs)
+
+            parser.parse_args = counted
+            return parser
+
+        monkeypatch.setattr(cli, "build_parser", counting_parser)
+        for index in range(3):
+            assert main(["evolve", "--N", "3", "--out", str(tmp_path / f"{index}.csv")]) == 0
+        assert len(parses) == 3
+        monkeypatch.undo()
+        assert main(["evolve", "--N", "3", "--out", str(tmp_path / "3.csv")]) == 0
+        assert len(parses) == 3
+        capsys.readouterr()
+
+    def test_forwards_reversed_and_subprocess_agree(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the same width everywhere
+        calls = [self._argv(index, argv, tmp_path) for index, argv in enumerate(self.ARGV)]
+        seen = {}
+        for argv, out in [*calls, *reversed(calls)]:
+            code = main(argv)
+            captured = capsys.readouterr()
+            seen.setdefault(tuple(argv), []).append(
+                (code, captured.out, captured.err, self._take(out)))
+        for argv, out in calls:
+            forwards, backwards = seen[tuple(argv)]
+            assert forwards == backwards, argv
+            proc = run_module(argv)
+            assert (proc.returncode, proc.stdout, proc.stderr, self._take(out)) == forwards, argv
+        codes = [seen[tuple(argv)][0][0] for argv, _ in calls]
+        assert codes.count(0) == 12 and codes.count(2) == 3
+
+
 class TestReach:
-    """`schwinger --check all` at nmax 800: dim 641 601, 6.6 TB per dense complex matrix."""
+    """`schwinger` at nmax 800: dim 641 601, 6.6 TB per dense complex matrix."""
 
-    # tracemalloc peak measured at 170 MB (x86-64, numpy 2.4); the bound leaves headroom
+    # tracemalloc peaks measured at 124 MB for --check all and --check
+    # hamiltonian (x86-64, numpy 2.4); each bound leaves headroom
     PEAK_BOUND = 250e6
+    HAMILTONIAN_PEAK_BOUND = 150e6
 
-    def test_schwinger_nmax_800(self, tmp_path, capsys):
+    def _run(self, check, tmp_path, capsys):
         tracemalloc.start()
         try:
-            code, out, _ = run_cli(["schwinger", "--nmax", "800", "--check", "all"],
+            code, out, _ = run_cli(["schwinger", "--nmax", "800", "--check", check],
                                    tmp_path, capsys)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -504,7 +608,17 @@ class TestReach:
         # Exit 3 is the fixed 1e-12 gate sitting below the rounding error of exact
         # identities at this size, a false breach (ROADMAP open item 1).
         assert code in (0, 3)
-        _, checks, header, rows = read_csv(out)
+        return read_csv(out), peak
+
+    def test_schwinger_nmax_800(self, tmp_path, capsys):
+        (_, checks, header, rows), peak = self._run("all", tmp_path, capsys)
         assert header == ["check", "residual"] and len(rows) == 9
         assert float(checks["sector_match"]) < 1e-12
         assert peak < self.PEAK_BOUND, f"tracemalloc peak {peak / 1e6:.1f} MB"
+
+    def test_hamiltonian_check_nmax_800(self, tmp_path, capsys):
+        # the dissipative residuals set the peak of --check all
+        (_, _, _, rows), peak = self._run("hamiltonian", tmp_path, capsys)
+        assert [r["check"] for r in rows] == [
+            "h0_vs_casimir", "hi_vs_l2", "h0_hermiticity", "hi_hermiticity", "h0_hi_commutator"]
+        assert peak < self.HAMILTONIAN_PEAK_BOUND, f"tracemalloc peak {peak / 1e6:.1f} MB"
