@@ -371,19 +371,31 @@ def cmd_evolve(args) -> CommandResult:
 
 
 def _parse_offset(text: str) -> float:
+    """--q-irr-add: '', '0' or 'none' (no offset), 'pi', 'pi/<d>', 'pi*<m>' or a number.
+
+    Each number follows the `_finite` rules, and so does the offset; an
+    error names the flag.
+    """
     t = text.strip()
     if t in ("", "0", "none"):
         return 0.0
     if t == "pi":
         return math.pi
-    if t.startswith("pi/"):
-        divisor = float(t[3:])
-        if divisor == 0:
-            raise ValueError(f"--q-irr-add {text!r} divides by zero")
-        return math.pi / divisor
-    if t.startswith("pi*"):
-        return math.pi * float(t[3:])
-    return float(t)
+    try:
+        if t.startswith("pi/"):
+            divisor = _finite(t[3:])
+            if divisor == 0:
+                raise argparse.ArgumentTypeError("divides by zero")
+            offset = math.pi / divisor
+        elif t.startswith("pi*"):
+            offset = math.pi * _finite(t[3:])
+        else:
+            offset = _finite(t)
+        if not math.isfinite(offset):
+            raise argparse.ArgumentTypeError("the offset is not finite")
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"--q-irr-add {text!r}: {exc}") from None
+    return offset
 
 
 def _trace_groups(dynamics, trace, curve_samples: int) -> list[tuple]:
@@ -441,11 +453,17 @@ def cmd_orbit(args) -> CommandResult:
         if args.q_den == 0:
             raise ValueError("--q-den must be nonzero")
         offset = _parse_offset(args.q_irr_add)
-        if offset == 0.0:
-            dynamics = CircleDynamics.rational(args.alpha, args.q_num, args.q_den)
-        else:
-            ratio = args.q_num / args.q_den + offset
-            dynamics = CircleDynamics.irrational(args.alpha, args.alpha * ratio)
+        try:
+            if offset == 0.0:
+                dynamics = CircleDynamics.rational(args.alpha, args.q_num, args.q_den)
+            else:
+                beta = args.alpha * (args.q_num / args.q_den + offset)
+                if not math.isfinite(beta):
+                    raise OverflowError
+                dynamics = CircleDynamics.irrational(args.alpha, beta)
+        except OverflowError:
+            raise ValueError("--q-num / --q-den: the ratio, or --alpha times it, is beyond "
+                             "the float range") from None
         trace = touch_points(dynamics, args.steps)
 
     radius_error = float(np.max(np.abs(trace.points[:, 0] ** 2 + trace.points[:, 1] ** 2 - 1.0)))
@@ -525,25 +543,60 @@ def _json_safe(value):
     return value
 
 
-def _csv_column(values: tuple) -> list[str]:
+def _numeric_cells(values: np.ndarray) -> list[str]:
+    """The `repr` of each element of a float or integer array, in one `orjson.dumps` call.
+
+    orjson writes the shortest round-trip digits of a float64 (Ryu), the
+    same digits as `repr`, and spells them as `repr` does wherever `repr`
+    uses fixed notation: 1e-4 <= |x| < 1e16, and zero.  The few cells
+    outside that range (exponents, nan, inf, which orjson writes as
+    `null`) are taken from `repr`.  Floats go through float64 first, since
+    orjson prints a float32 with float32's own shortest digits.
+    """
+    import orjson  # on first use: a CLI start that only parses pays nothing
+
+    if values.dtype.kind == "f":
+        values = values.astype(np.float64, copy=False)
+    elif not values.dtype.isnative:
+        # orjson reads the array's memory in native byte order
+        values = values.astype(values.dtype.newbyteorder("="))
+    if not len(values):
+        return []
+    text = orjson.dumps(np.ascontiguousarray(values), option=orjson.OPT_SERIALIZE_NUMPY)
+    cells = text[1:-1].decode("ascii").split(",")
+    if values.dtype.kind == "f":
+        magnitude = np.abs(values)
+        fixed = ((magnitude >= 1e-4) & (magnitude < 1e16)) | (values == 0)
+        for i in np.flatnonzero(~fixed).tolist():
+            cells[i] = repr(float(values[i]))
+    return cells
+
+
+def _exact_cells(values, kind: type) -> list[str]:
+    """The `repr` of each value of a sequence whose values are all of type `kind`, float or int."""
+    array = np.array(values)
+    # ints beyond int64 become an object array, or float64 when both signs
+    # are present; those keep int.__repr__
+    if kind is float or array.dtype.kind in "iu":
+        return _numeric_cells(array)
+    return list(map(int.__repr__, values))
+
+
+def _csv_column(values) -> list[str]:
     """`_fmt` of each value; a column of one exact type is formatted in one pass."""
     kinds = set(map(type, values))
-    if kinds == {float}:
-        return list(map(float.__repr__, values))
-    if kinds == {int}:
-        return list(map(int.__repr__, values))
+    if kinds == {float} or kinds == {int}:
+        return _exact_cells(values, *kinds)
     if kinds == {str}:
         return list(values)
     return list(map(_fmt, values))
 
 
-def _json_column(values: tuple) -> list[str]:
+def _json_column(values) -> list[str]:
     """Each value as `json.dumps` writes it after `_json_safe` (NaN as null)."""
     kinds = set(map(type, values))
-    if kinds == {float} and all(map(math.isfinite, values)):
-        return list(map(float.__repr__, values))
-    if kinds == {int}:
-        return list(map(int.__repr__, values))
+    if (kinds == {float} and all(map(math.isfinite, values))) or kinds == {int}:
+        return _exact_cells(values, *kinds)
     if kinds == {str}:
         return list(map(json.encoder.encode_basestring_ascii, values))
     return [json.dumps(_json_safe(v)) for v in values]
@@ -552,14 +605,14 @@ def _json_column(values: tuple) -> list[str]:
 def _cells(values, fmt: str) -> list[str]:
     """The formatted cells of a column slice, a numpy array or a sequence.
 
-    A float or integer array skips the per-cell type test: `.tolist()` gives
-    exact Python floats or ints, formatted by the same rules.
+    A float or integer array is formatted whole by `_numeric_cells`; JSON
+    leaves a float array with nan or inf to `_json_column`, which writes
+    NaN as null.
     """
     if isinstance(values, np.ndarray):
-        if values.dtype.kind == "f" and (fmt == "csv" or np.isfinite(values).all()):
-            return list(map(float.__repr__, values.tolist()))
-        if values.dtype.kind in "iu":
-            return list(map(int.__repr__, values.tolist()))
+        kind = values.dtype.kind
+        if kind in "iu" or (kind == "f" and (fmt == "csv" or np.isfinite(values).all())):
+            return _numeric_cells(values)
         values = values.tolist()
     return _csv_column(values) if fmt == "csv" else _json_column(values)
 

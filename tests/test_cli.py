@@ -419,6 +419,10 @@ class TestOutputContract:
         assert (tmp_path / "evolve.csv").exists()
 
 
+def refuse_orbit(*args, **kwargs):
+    raise AssertionError("an orbit was computed for a rejected configuration")
+
+
 class TestInputValidation:
     """Non-finite values and non-positive tolerances exit 2 before any work."""
 
@@ -482,12 +486,29 @@ class TestInputValidation:
         (["--q-num", "1", "--q-den", "3", "--q-irr-add", "pi/-0.0"], "--q-irr-add"),
     ])
     def test_zero_denominator(self, extra, flag, tmp_path, capsys, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("an orbit was computed for a zero denominator")
-
-        monkeypatch.setattr(cli, "touch_points", refuse)
+        monkeypatch.setattr(cli, "touch_points", refuse_orbit)
         err = self._rejected(["orbit", "--two-circle", *extra], tmp_path, capsys)
         assert flag in err
+
+    @pytest.mark.parametrize("value", ["pi/nan", "inf", "xyz", "pi*-inf", "pi/1e-320"])
+    def test_q_irr_add(self, value, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "touch_points", refuse_orbit)
+        err = self._rejected(["orbit", "--two-circle", "--q-num", "1", "--q-den", "3",
+                              "--q-irr-add", value], tmp_path, capsys)
+        assert "--q-irr-add" in err
+
+    @pytest.mark.parametrize("extra", [
+        ["--q-num", "9" * 400, "--q-den", "1", "--q-irr-add", "pi/40"],
+        ["--q-num", "9" * 400, "--q-den", "1"],
+        ["--q-num", "1", "--q-den", "9" * 400],
+        # a finite ratio whose sum with the offset, or product with alpha, overflows
+        ["--q-num", str(10**308), "--q-den", "1", "--q-irr-add", "1.7e308"],
+        ["--q-num", "1", "--q-den", "3", "--q-irr-add", "1e300", "--alpha", "1e10"],
+    ])
+    def test_ratio_beyond_float_range(self, extra, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "touch_points", refuse_orbit)
+        err = self._rejected(["orbit", "--two-circle", *extra, "--steps", "10"], tmp_path, capsys)
+        assert "--q-num / --q-den" in err
 
 
 class TestStartup:
@@ -499,6 +520,14 @@ class TestStartup:
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_cli_import_leaves_orjson_unloaded(self):
+        # orjson formats numeric cells and is imported when the first one is
+        # written, so a CLI start that only builds its parser does not pay for it
+        proc = run_module(None, code=(
+            "import sys, ladderlab.cli as cli; cli.build_parser(); print('orjson' in sys.modules)"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestRepeatedMain:

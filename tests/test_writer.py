@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ladderlab import __version__, cli
 from ladderlab.cli import CommandResult, Periodic, TOOL, WRITE_BLOCK_ROWS, write_output
@@ -301,3 +303,97 @@ def test_orbit_peak_memory(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert peak < 6_000_000
+
+
+# `cli._cells` formats float and integer columns from orjson's shortest
+# round-trip digits; these tests hold every cell to `float.__repr__`,
+# `int.__repr__` and `json.dumps`.
+
+def _neighbours(x: float, steps: int = 2) -> list[float]:
+    below, above, out = x, x, [x]
+    for _ in range(steps):
+        below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+        out += [below, above]
+    return out
+
+
+EDGE_FLOATS = sorted({
+    *_neighbours(1e-4), *_neighbours(1e16),
+    *(v for k in range(-14, 54) for v in _neighbours(2.0**k, 1)),
+    1e15, 2.0**53 + 2, 5e-324, 0.0, 1.0 / 3, 0.1, 123456789.123, 1e-5, 1.5e-5, 1e22, 1e300,
+}) + [-0.0, math.nan, math.inf, -math.inf]
+EDGE_FLOATS += [-x for x in EDGE_FLOATS]
+
+
+def _expected(values, fmt: str) -> list[str]:
+    """The cells of the row-at-a-time writer for a list of Python floats or ints."""
+    if fmt == "csv":
+        return list(map(_fmt, values))
+    return [json.dumps(_json_safe(v)) for v in values]
+
+
+def _assert_cells(values: np.ndarray) -> None:
+    """`_cells` of `values` and of its list against `repr` and `json.dumps`, finite and not."""
+    exact = values.tolist()
+    finite = values[np.isfinite(values)] if values.dtype.kind == "f" else values
+    for fmt in ("csv", "json"):
+        assert cli._cells(values, fmt) == _expected(exact, fmt)
+        assert cli._cells(exact, fmt) == _expected(exact, fmt)
+        assert cli._cells(finite, fmt) == _expected(finite.tolist(), fmt)
+        assert cli._cells(finite.tolist(), fmt) == _expected(finite.tolist(), fmt)
+
+
+def test_edge_floats_match_repr():
+    values = np.array(EDGE_FLOATS)
+    assert cli._cells(values, "csv") == list(map(float.__repr__, EDGE_FLOATS))
+    _assert_cells(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=-2**63, max_value=2**63 - 1), max_size=300))
+def test_float_bit_patterns_match_repr(bits):
+    # every float64, nan payloads and subnormals included, is some int64 bit pattern
+    _assert_cells(np.array(bits, dtype=np.int64).view(np.float64))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float16, ">f8", ">f4"])
+def test_narrow_and_byte_swapped_floats_keep_their_exact_value(dtype):
+    # a float32 or float16 cell is the repr of the float64 it widens to, not
+    # the shortest digits of the narrow type
+    values = np.array([0.1, 1 / 3, -2.5e-5, 6e4, 1e-4, 0.0, -0.0, np.nan, np.inf], dtype=dtype)
+    assert cli._cells(values, "csv")[:2] == [repr(float(values[0])), repr(float(values[1]))]
+    _assert_cells(values)
+
+
+def test_strided_and_empty_columns():
+    rng = np.random.default_rng(7)
+    points = rng.normal(size=(600, 2)) * 10.0 ** rng.integers(-8, 20, size=(600, 2))
+    _assert_cells(points[:, 0])
+    _assert_cells(points[::-3, 1])
+    for empty in (points[600:, 0], np.zeros(0), np.arange(0)):
+        for fmt in ("csv", "json"):
+            assert cli._cells(empty, fmt) == []
+
+
+@pytest.mark.parametrize("values", [
+    np.array([np.iinfo(np.int64).min, -1, 0, 1, np.iinfo(np.int64).max], dtype=np.int64),
+    np.array([0, 2**63, np.iinfo(np.uint64).max], dtype=np.uint64),
+    np.array([-128, 127], dtype=np.int8),
+    np.array([0, 65535], dtype=np.uint16),
+    np.array([1, -2, 2**40], dtype=">i8"),
+    np.array([7, 2**31 - 1], dtype=np.int32)[::-1],
+], ids=["int64", "uint64", "int8", "uint16", "int64-big-endian", "int32-strided"])
+def test_integer_arrays_match_repr(values):
+    assert cli._cells(values, "csv") == list(map(int.__repr__, values.tolist()))
+    _assert_cells(values)
+
+
+@pytest.mark.parametrize("values", [
+    [2**63, 2**64 - 1],
+    [-1, 2**63],  # numpy would hold these as float64
+    [2**70, -2**70, 3],  # and these as objects
+    range(-5, 5),
+])
+def test_integer_lists_beyond_int64_match_repr(values):
+    for fmt in ("csv", "json"):
+        assert cli._cells(values, fmt) == list(map(int.__repr__, values))
