@@ -191,8 +191,8 @@ def _parser_tree() -> argparse.ArgumentParser:
 
     rep = sub.add_parser("rep", parents=[common], help="build a representation and dump elements")
     rep.add_argument("--algebra", choices=("su2", "su11", "h1"), required=True)
-    rep.add_argument("--l", type=float, help="spin label (su2)")
-    rep.add_argument("--k", type=float, help="discrete-series weight (su11)")
+    rep.add_argument("--l", type=_finite, help="spin label (su2)")
+    rep.add_argument("--k", type=_finite, help="discrete-series weight (su11)")
     rep.add_argument("--dim", type=int, help="truncation cutoff (su11, h1)")
     rep.add_argument("--interior", type=int, help="states used for the relation check")
 
@@ -205,7 +205,7 @@ def _parser_tree() -> argparse.ArgumentParser:
     contract.add_argument("--identities", action="store_true",
                           help="deformed commutator and Hamiltonian identities")
     contract.add_argument("--dim", type=int, help="cutoff for --hp (default 64)")
-    contract.add_argument("--l", type=float, help="spin label for --identities")
+    contract.add_argument("--l", type=_finite, help="spin label for --identities")
     contract.add_argument("--tau", type=_finite, default=1.0, help="time step for --identities")
 
     evolve = sub.add_parser("evolve", parents=[common], help="cyclic evolution spectrum and phase")
@@ -336,7 +336,7 @@ def cmd_contract(args) -> CommandResult:
 
     if not args.params:
         raise ValueError("--family requires --params")
-    params = [float(tok) for tok in args.params.split(",") if tok.strip()]
+    params = _finite_list("--params", args.params)
     report = run_contraction_study(args.family, params, args.n + 1)
     sweep, levels = len(report.params), report.interior
     return CommandResult(
@@ -368,6 +368,17 @@ def cmd_evolve(args) -> CommandResult:
     if abs(phase + 1.0) > args.tolerance:
         result.breaches.append("phase")
     return result
+
+
+def _finite_list(flag: str, text: str, skip_blank: bool = True) -> list[float]:
+    """The comma-separated numbers of a flag, each by the `_finite` rules; an error names the flag.
+
+    With `skip_blank`, blank items are left out.
+    """
+    try:
+        return [_finite(tok) for tok in text.split(",") if tok.strip() or not skip_blank]
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"{flag} {text!r}: {exc}") from None
 
 
 def _parse_offset(text: str) -> float:
@@ -430,10 +441,7 @@ def cmd_orbit(args) -> CommandResult:
             rot1, rot2 = args.rot1, args.rot2
         else:
             raise ValueError("--torus requires --ratio golden or both --rot1 and --rot2")
-        try:
-            phi0 = tuple(float(tok) for tok in args.phi0.split(","))
-        except ValueError as exc:
-            raise ValueError(f"bad --phi0: {args.phi0!r}") from exc
+        phi0 = tuple(_finite_list("--phi0", args.phi0, skip_blank=False))
         if len(phi0) != 2:
             raise ValueError("--phi0 needs two comma-separated angles")
         orbit = simulate_torus(rot1, rot2, 1.0, args.steps, phi0)
@@ -565,11 +573,15 @@ def _numeric_cells(values: np.ndarray) -> list[str]:
     text = orjson.dumps(np.ascontiguousarray(values), option=orjson.OPT_SERIALIZE_NUMPY)
     cells = text[1:-1].decode("ascii").split(",")
     if values.dtype.kind == "f":
-        magnitude = np.abs(values)
-        fixed = ((magnitude >= 1e-4) & (magnitude < 1e16)) | (values == 0)
-        for i in np.flatnonzero(~fixed).tolist():
+        for i in np.flatnonzero(~_fixed_notation(values)).tolist():
             cells[i] = repr(float(values[i]))
     return cells
+
+
+def _fixed_notation(values: np.ndarray) -> np.ndarray:
+    """Where orjson spells a float64 as `repr` does: 1e-4 <= |x| < 1e16, and zero."""
+    magnitude = np.abs(values)
+    return ((magnitude >= 1e-4) & (magnitude < 1e16)) | (values == 0)
 
 
 def _exact_cells(values, kind: type) -> list[str]:
@@ -637,6 +649,85 @@ def _block_cells(column, fmt: str):
     return cells
 
 
+def _folded_text(column) -> str | None:
+    """The CSV cell of a column holding one label, or None, throughout; else None.
+
+    Only a label that is one plain CSV cell as it stands (ASCII, with no
+    `,`, `"` or line break) qualifies, so the row dump may fold it into
+    its row breaks.
+    """
+    if not (isinstance(column, Periodic) and len(column.values) == 1):
+        return None
+    value = column.values[0]
+    if value is None:
+        return ""
+    if type(value) is str and value.isascii() and not any(c in value for c in ',"\n\r'):
+        return value
+    return None
+
+
+def _numeric_column(column) -> bool:
+    """Whether a column is an integer or float array, or a `Periodic` run of one."""
+    values = column.values if isinstance(column, Periodic) else column
+    return isinstance(values, np.ndarray) and values.dtype.kind in "iuf"
+
+
+def _block_values(column, start: int, stop: int) -> np.ndarray:
+    """Cells start .. stop - 1 of a numeric column, floats as float64 (as in `_numeric_cells`)."""
+    if isinstance(column, Periodic):
+        values = column.values[np.arange(start, stop) % len(column.values)]
+    else:
+        values = column[start:stop]
+    return values.astype(np.float64, copy=False) if values.dtype.kind == "f" else values
+
+
+def _plain(blocks: list[np.ndarray]) -> bool:
+    """Whether orjson spells every cell of a block's integer and float64 arrays as `repr` does."""
+    floats = [values for values in blocks if values.dtype.kind == "f"]
+    # one check over all float columns at once
+    return not floats or bool(_fixed_notation(np.array(floats)).all())
+
+
+def _row_dumper(group: tuple):
+    """For a CSV row group, a function (start, stop) -> the text of rows start .. stop - 1.
+
+    The text comes from one `orjson.dumps` of the block's rows, with no
+    string made per cell: the dump's brackets and the `,` between rows
+    become the row breaks.  The middle columns must be numeric
+    (`_numeric_column`); the first and the last may instead be a label
+    repeated throughout (`_folded_text`), which goes into the row breaks.
+    The function returns None for a block with a cell that is not
+    `_plain`, and `_row_dumper` returns None for a group of any other shape.
+    """
+    lead = _folded_text(group[0]) if group else None
+    trail = _folded_text(group[-1]) if len(group) > 1 else None
+    middle = group[lead is not None:len(group) - (trail is not None)]
+    if not middle or not all(map(_numeric_column, middle)):
+        return None
+    import orjson
+
+    prefix = "" if lead is None else lead + ","
+    suffix = "" if trail is None else "," + trail
+
+    def text(start: int, stop: int) -> str | None:
+        values = [_block_values(column, start, stop) for column in middle]
+        if not _plain(values):
+            return None
+        rows = np.array(values, dtype=object).T.tolist()  # lists of Python ints and floats
+        # "[[a,b],[c,d]]" -> "a,b],[c,d"; "]" and "[" each mark one row end and start
+        body = str(memoryview(orjson.dumps(rows))[2:-2], "ascii")
+        del rows  # freed before the row breaks are built
+        if lead is not None:  # the "," between rows follows the lead label
+            body = body.replace("[", "").replace("]", suffix + "\n" + lead)
+        elif trail is not None:  # the "," between rows precedes the trail label
+            body = body.replace("]", "").replace("[", trail + "\n")
+        else:
+            body = body.replace("],[", "\n")
+        return prefix + body + suffix + "\n"
+
+    return text
+
+
 def _json_row_pieces(columns: tuple[str, ...]) -> list[str]:
     """The text around the cells of one row object inside "rows".
 
@@ -660,13 +751,15 @@ def write_output(path: str, fmt: str, command: str, parameters: dict,
                  tolerance: float, result: CommandResult) -> None:
     """Write the manifest, the checks and the rows of `result` to `path`.
 
-    Each row group is written WRITE_BLOCK_ROWS rows at a time: every column's
-    slice is formatted in one pass, the block's rows are joined from the
-    formatted columns and the fixed text between cells, and the block's text
-    is written before the next block is formatted.  The bytes are those of
-    formatting every cell with `_fmt` (CSV) or of `json.dumps(payload,
-    indent=2)` over row objects (JSON).  Groups whose columns differ in
-    number or length raise ValueError before the file is opened.
+    Each row group is written WRITE_BLOCK_ROWS rows at a time, and each
+    block's text is written before the next block is formatted.  A CSV block
+    of plain numbers comes from one dump of its rows (`_row_dumper`); any
+    other block has every column's slice formatted in one pass and its rows
+    joined from the formatted columns and the fixed text between cells.
+    The bytes are those of formatting every cell with `_fmt` (CSV) or of
+    `json.dumps(payload, indent=2)` over row objects (JSON).  Groups whose
+    columns differ in number or length raise ValueError before the file is
+    opened.
     """
     width = len(result.columns)
     lengths = [_group_length(group, width) for group in result.groups]
@@ -698,12 +791,16 @@ def write_output(path: str, fmt: str, command: str, parameters: dict,
         handle.write(head)
         started = False
         for group, length in zip(result.groups, lengths):
+            dump = _row_dumper(group) if fmt == "csv" else None
             formatters = [_block_cells(column, fmt) for column in group]
             for start in range(0, length, WRITE_BLOCK_ROWS):
                 stop = min(start + WRITE_BLOCK_ROWS, length)
-                text = _join_rows(pieces, [cells(start, stop) for cells in formatters])
+                text = dump(start, stop) if dump else None
+                if text is None:
+                    text = _join_rows(pieces, [cells(start, stop) for cells in formatters])
                 handle.write(text if started else text[len(separator):])
                 started = True
+                del text  # not held while the next block is formatted
         handle.write(tail)
 
 

@@ -92,6 +92,19 @@ def continuous_position(d: CircleDynamics, t):
     return envelope * np.cos(d.beta * t), -envelope * np.sin(d.beta * t)
 
 
+def _rotations(angle: float, step: float, count: int) -> list[float]:
+    """The angle after each of `count` rotations by `step`, each sum reduced mod 2 pi.
+
+    The recurrence rounds at every step, so the j-th angle may drift from
+    (angle + j step) mod 2 pi by about j u 2 pi (u the unit roundoff).
+    """
+    angles = []
+    for _ in range(count):
+        angle = (angle + step) % TWO_PI
+        angles.append(angle)
+    return angles
+
+
 def touch_points(d: CircleDynamics, count: int) -> OrbitTrace:
     """The first `count` touches of the unit circle, j = 1 .. count.
 
@@ -120,11 +133,7 @@ def touch_points(d: CircleDynamics, count: int) -> OrbitTrace:
         period = 2 * den // math.gcd(den - num, 2 * den)
     else:
         delta = (1.0 - d.beta / d.alpha) * math.pi
-        angles = np.empty(count)
-        theta = 0.0
-        for i in range(count):
-            theta = (theta + delta) % TWO_PI
-            angles[i] = theta
+        angles = np.array(_rotations(0.0, delta, count))
         period = None
     points = np.column_stack([np.cos(angles), np.sin(angles)])
     return OrbitTrace(
@@ -164,14 +173,9 @@ def simulate_torus(
         raise ValueError("tau must be positive and finite")
     if not all(math.isfinite(v) for v in (alpha1, alpha2, *phi0)):
         raise ValueError("rotation rates and start angles must be finite")
-    d1, d2 = alpha1 * tau, alpha2 * tau
-    p1, p2 = phi0[0] % TWO_PI, phi0[1] % TWO_PI
     angles = np.empty((steps, 2))
-    for j in range(steps):
-        p1 = (p1 + d1) % TWO_PI
-        p2 = (p2 + d2) % TWO_PI
-        angles[j, 0] = p1
-        angles[j, 1] = p2
+    angles[:, 0] = _rotations(phi0[0] % TWO_PI, alpha1 * tau, steps)
+    angles[:, 1] = _rotations(phi0[1] % TWO_PI, alpha2 * tau, steps)
     return TorusOrbit(
         alpha1=float(alpha1),
         alpha2=float(alpha2),

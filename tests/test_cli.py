@@ -423,6 +423,10 @@ def refuse_orbit(*args, **kwargs):
     raise AssertionError("an orbit was computed for a rejected configuration")
 
 
+def refuse_build(*args, **kwargs):
+    raise AssertionError("a representation, study or orbit was built for a rejected configuration")
+
+
 class TestInputValidation:
     """Non-finite values and non-positive tolerances exit 2 before any work."""
 
@@ -509,6 +513,33 @@ class TestInputValidation:
         monkeypatch.setattr(cli, "touch_points", refuse_orbit)
         err = self._rejected(["orbit", "--two-circle", *extra, "--steps", "10"], tmp_path, capsys)
         assert "--q-num / --q-den" in err
+
+    # --flag=value, since argparse reads a separate "-inf" as an option
+    @pytest.mark.parametrize("argv,flag,builder", [
+        (["rep", "--algebra", "su2", "--l={}"], "--l", "build_su2_rep"),
+        (["rep", "--algebra", "su11", "--k={}", "--dim", "8"], "--k", "build_su11_rep"),
+        (["contract", "--identities", "--l={}"], "--l", "build_su2_rep"),
+        (["contract", "--family", "su2", "--params=50,{}"], "--params",
+         "run_contraction_study"),
+        (["contract", "--family", "su11", "--params={},5"], "--params",
+         "run_contraction_study"),
+        (["orbit", "--torus", "--ratio", "golden", "--phi0={},0"], "--phi0", "simulate_torus"),
+        (["orbit", "--torus", "--ratio", "golden", "--phi0=0,{}"], "--phi0", "simulate_torus"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_names_its_flag(self, argv, flag, builder, value, tmp_path, capsys,
+                                             monkeypatch):
+        monkeypatch.setattr(cli, builder, refuse_build)
+        err = self._rejected([arg.format(value) for arg in argv], tmp_path, capsys)
+        assert flag in err and "finite" in err
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["contract", "--family", "su2", "--params", "5,ten"], "--params"),
+        (["orbit", "--torus", "--ratio", "golden", "--phi0", "0,"], "--phi0"),
+        (["orbit", "--torus", "--ratio", "golden", "--phi0", "a,b"], "--phi0"),
+    ])
+    def test_non_number_names_its_flag(self, argv, flag, tmp_path, capsys):
+        assert flag in self._rejected(argv, tmp_path, capsys)
 
 
 class TestStartup:

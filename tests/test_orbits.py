@@ -258,3 +258,60 @@ def test_torus_reversibility(rot1, rot2, phi1, phi2, steps):
     gap = np.abs(recovered - start)
     gap = np.minimum(gap, TWO_PI - gap)
     assert np.max(gap) < 1e-9
+
+
+# The per-step loops that stored each angle into numpy, kept as oracles for
+# `orbits._rotations`: the float sequence, and so every byte, must not change.
+
+def itemwise_torus(alpha1, alpha2, tau, steps, phi0):
+    d1, d2 = alpha1 * tau, alpha2 * tau
+    p1, p2 = phi0[0] % TWO_PI, phi0[1] % TWO_PI
+    angles = np.empty((steps, 2))
+    for j in range(steps):
+        p1 = (p1 + d1) % TWO_PI
+        p2 = (p2 + d2) % TWO_PI
+        angles[j, 0] = p1
+        angles[j, 1] = p2
+    return angles
+
+
+def itemwise_touch_angles(d, count):
+    delta = (1.0 - d.beta / d.alpha) * math.pi
+    angles = np.empty(count)
+    theta = 0.0
+    for i in range(count):
+        theta = (theta + delta) % TWO_PI
+        angles[i] = theta
+    return angles
+
+
+class TestRotationLoop:
+    @pytest.mark.parametrize("alpha1, alpha2, tau, phi0", [
+        (GOLDEN, GOLDEN, 1.0, (0.0, 0.0)),
+        (0.31, -1.7, 2.0, (0.2, 5.1)),  # one step forward, one backward
+        (-GOLDEN, 0.0, 1.0, (-3.5, 2.5)),  # a zero step, a start below 0
+        (1e-9, 6.2, 0.5, (100.0, -TWO_PI)),  # starts beyond 2 pi and exactly at -2 pi
+        (5.0, -5.0, 3.0, (TWO_PI, 7.0)),
+    ])
+    @pytest.mark.parametrize("steps", [1, 2, 1000])
+    def test_torus_matches_itemwise_loop(self, alpha1, alpha2, tau, phi0, steps):
+        orbit = simulate_torus(alpha1, alpha2, tau, steps, phi0)
+        assert orbit.angles.tobytes() == itemwise_torus(alpha1, alpha2, tau, steps, phi0).tobytes()
+
+    @pytest.mark.parametrize("beta", [
+        5 / 3 + math.pi / 40,  # a negative step
+        3 / 7 + 0.01,  # a positive step
+        1.0,  # a zero step
+        2.0 + 1e-12,  # a step just below -pi
+    ])
+    def test_touch_angles_match_itemwise_loop(self, beta):
+        d = CircleDynamics.irrational(1.0, beta)
+        trace = touch_points(d, 5000)
+        assert trace.angles.tobytes() == itemwise_touch_angles(d, 5000).tobytes()
+
+    def test_rotations_of_a_start_outside_the_circle(self):
+        # the helper reduces each sum, the start included through the first one
+        assert orbits._rotations(10.0, 0.0, 3) == [10.0 % TWO_PI] * 3
+        assert orbits._rotations(-1.0, 0.5, 2) == [(-1.0 + 0.5) % TWO_PI,
+                                                   ((-1.0 + 0.5) % TWO_PI + 0.5) % TWO_PI]
+        assert orbits._rotations(1.0, 1.0, 0) == []

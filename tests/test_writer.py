@@ -175,6 +175,7 @@ def test_every_subcommand_matches_rowwise_writer(argv, fmt, tmp_path, monkeypatc
 
 
 def _write_peak(writer, path, result) -> int:
+    import orjson  # noqa: F401  loaded before tracing, so the peak is the writer's own
     tracemalloc.start()
     try:
         writer(str(path), "csv", "orbit", {}, 1e-12, result)
@@ -193,6 +194,19 @@ def test_writer_memory_is_one_block(tmp_path):
     # (about 11 MB here). The column writer holds one block of formatted
     # cells: about 110 kB with 256-row blocks (64 kB with 128 rows); 512-row
     # blocks exceed the bound.
+    assert new < 200_000
+    assert 30 * new < old
+
+
+def test_row_dump_memory_is_one_block(tmp_path):
+    # touch rows led by a constant label, then curve rows that also end in an
+    # empty theta: both labels are folded into the row breaks of each block
+    args = cli.build_parser().parse_args(
+        ["orbit", "--thooft-N", "60000", "--curve-samples", "20000"])
+    result = cli.cmd_orbit(args)
+    assert [cli._row_dumper(group) is not None for group in result.groups] == [True, True]
+    new = _write_peak(write_output, tmp_path / "new.csv", result)
+    old = _write_peak(rowwise_write_output, tmp_path / "old.csv", result)
     assert new < 200_000
     assert 30 * new < old
 
@@ -397,3 +411,120 @@ def test_integer_arrays_match_repr(values):
 def test_integer_lists_beyond_int64_match_repr(values):
     for fmt in ("csv", "json"):
         assert cli._cells(values, fmt) == list(map(int.__repr__, values))
+
+
+# A CSV block of plain numbers is written from one orjson dump of its rows
+# (`cli._row_dumper`); every other block goes through `_join_rows`.  These
+# tests hold both to the row-at-a-time writer and count the blocks that fell
+# back.
+
+def _joined_blocks(monkeypatch) -> list[int]:
+    """The row count of each block that `write_output` joins from formatted columns."""
+    counts = []
+    join_rows = cli._join_rows
+
+    def counting(pieces, cells):
+        counts.append(len(cells[0]))
+        return join_rows(pieces, cells)
+
+    monkeypatch.setattr(cli, "_join_rows", counting)
+    return counts
+
+
+ROWS = 3 * WRITE_BLOCK_ROWS + 7
+
+
+@pytest.mark.parametrize("special", [1e-5, -1e-5, 1e16, -1e16, 5e-324, math.nan, math.inf,
+                                     -math.inf, math.nextafter(1e-4, 0)])
+@pytest.mark.parametrize("column", [1, 2])
+def test_one_non_plain_cell_sends_only_its_block_to_the_column_path(special, column, tmp_path,
+                                                                    monkeypatch):
+    x = np.linspace(0.5, 6.0, ROWS)
+    y = -x
+    (x, y)[column - 1][WRITE_BLOCK_ROWS + 5] = special
+    joined = _joined_blocks(monkeypatch)
+    result = CommandResult(("i", "x", "y"), [(np.arange(ROWS), x, y)])
+    assert_same_bytes(tmp_path, "csv", result)
+    assert joined == [WRITE_BLOCK_ROWS]  # the second block alone
+
+
+def test_signed_zeros_and_integer_extremes(tmp_path, monkeypatch):
+    ints = np.resize(np.array([np.iinfo(np.int64).min, -1, 0, np.iinfo(np.int64).max]), ROWS)
+    uints = np.resize(np.array([0, 2**63, np.iinfo(np.uint64).max], dtype=np.uint64), ROWS)
+    floats = np.resize(np.array([0.0, -0.0, 1e-4, -1e-4, math.nextafter(1e16, 0), 0.1]), ROWS)
+    narrow = np.resize(np.array([0.1, -0.0, 6e4], dtype=np.float32), ROWS)
+    swapped = (np.arange(ROWS, dtype=">i8") - 9, np.linspace(-3.0, 3.5, ROWS).astype(">f8"))
+    joined = _joined_blocks(monkeypatch)
+    result = CommandResult(("i", "u", "f", "n", "bi", "bf"),
+                           [(ints, uints, floats, narrow, *swapped)])
+    assert_same_bytes(tmp_path, "csv", result)
+    assert joined == []
+
+
+EDGE_COLUMNS = {"none": None, "curve": Periodic(("curve",), ROWS),
+                "empty": Periodic((None,), ROWS), "blank": Periodic(("",), ROWS)}
+
+
+@pytest.mark.parametrize("first", list(EDGE_COLUMNS))
+@pytest.mark.parametrize("last", list(EDGE_COLUMNS))
+def test_constant_labels_first_and_last_fold_into_row_breaks(first, last, tmp_path,
+                                                             monkeypatch):
+    # ("curve", ..., "empty") is the shape of the curve rows, ("curve", ...) of the touch rows
+    middle = (np.arange(ROWS), np.linspace(1.0, 2.0, ROWS), np.arange(ROWS) / 7 + 1)
+    group = tuple(column for column in (EDGE_COLUMNS[first], *middle, EDGE_COLUMNS[last])
+                  if column is not None)
+    joined = _joined_blocks(monkeypatch)
+    result = CommandResult(tuple("abcde"[:len(group)]), [group, group])
+    assert_same_bytes(tmp_path, "csv", result)
+    assert joined == []
+
+
+@pytest.mark.parametrize("period", [1, 13, WRITE_BLOCK_ROWS, 300, ROWS + 1])
+def test_periodic_numbers_across_block_boundaries(period, tmp_path, monkeypatch):
+    angles = np.linspace(0.25, 6.0, period)
+    group = (Periodic(("touch",), ROWS), np.arange(1, ROWS + 1),
+             Periodic(np.cos(angles), ROWS), Periodic(angles, ROWS),
+             Periodic(np.arange(period, dtype=np.int32) - 5, ROWS))
+    joined = _joined_blocks(monkeypatch)
+    assert_same_bytes(tmp_path, "csv", CommandResult(tuple("abcde"), [group]))
+    assert joined == []
+
+
+def test_a_non_plain_cell_in_a_period_sends_its_blocks_to_the_column_path(tmp_path,
+                                                                        monkeypatch):
+    # cell 5 of a 300-cell period: in rows 5 and 305 (blocks 0 and 1), 605 (block 2)
+    period = np.linspace(1.0, 2.0, 300)
+    period[5] = 1e-7
+    joined = _joined_blocks(monkeypatch)
+    result = CommandResult(("a", "b"), [(np.arange(ROWS), Periodic(period, ROWS))])
+    assert_same_bytes(tmp_path, "csv", result)
+    assert joined == [WRITE_BLOCK_ROWS] * 3
+
+
+@pytest.mark.parametrize("group", [
+    (Periodic(("a,b",), ROWS), np.arange(ROWS)),  # a label that is not one plain CSV cell
+    (Periodic(('say "hi"',), ROWS), np.arange(ROWS)),
+    (np.arange(ROWS), Periodic(("ψ",), ROWS)),  # a non-ASCII label
+    (np.arange(ROWS), Periodic(("new\nline",), ROWS)),
+    (np.arange(ROWS), Periodic(("mid",), ROWS), np.arange(ROWS) / 3),  # a label in the middle
+    (np.arange(ROWS), Periodic((None,), ROWS), np.arange(ROWS) / 3),
+    (np.arange(ROWS), ["s"] * ROWS, np.arange(ROWS) / 3),  # a string column in the middle
+    (np.arange(ROWS), np.arange(ROWS) % 2 == 0),  # bools
+    (np.arange(ROWS), list(range(ROWS))),  # numbers in a list
+    (Periodic(("touch",), ROWS), np.arange(ROWS) + 1j),  # complex
+    (Periodic(("touch",), ROWS),),  # no numeric column
+    (Periodic(("touch",), ROWS), Periodic((None,), ROWS)),
+], ids=["comma", "quote", "non-ascii", "newline", "middle-label", "middle-none",
+        "middle-strings", "bools", "list", "complex", "label-only", "labels-only"])
+def test_other_groups_take_the_column_path(group, tmp_path, monkeypatch):
+    assert cli._row_dumper(group) is None
+    joined = _joined_blocks(monkeypatch)
+    assert_same_bytes(tmp_path, "csv", CommandResult(tuple("abc"[:len(group)]), [group]))
+    assert joined == [WRITE_BLOCK_ROWS] * 3 + [7]
+
+
+@pytest.mark.parametrize("argv", CLI_CASES, ids=lambda argv: " ".join(argv[:3]))
+def test_json_never_takes_the_row_dump(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_row_dumper", None)  # any call would raise
+    assert cli.main(argv + ["--format", "json", "--out", str(tmp_path / "out.json")]) in (0, 3)
+    capsys.readouterr()
