@@ -238,7 +238,7 @@ def _parser_tree() -> argparse.ArgumentParser:
     schwinger.add_argument("--nmax", type=int, required=True, help="per-mode cutoff")
     schwinger.add_argument("--check", choices=("all", "casimir", "sectors", "hamiltonian", "l2"),
                            default="all")
-    schwinger.add_argument("--sector", type=float, help="sector label j for --dump")
+    schwinger.add_argument("--sector", type=_finite, help="sector label j for --dump")
     schwinger.add_argument("--dump", action="store_true", help="dump one sector's ladder table")
     schwinger.add_argument("--Omega", type=_finite, default=1.0)
     schwinger.add_argument("--Gamma", type=_finite, default=0.5)
@@ -472,7 +472,13 @@ def cmd_orbit(args) -> CommandResult:
         except OverflowError:
             raise ValueError("--q-num / --q-den: the ratio, or --alpha times it, is beyond "
                              "the float range") from None
-        trace = touch_points(dynamics, args.steps)
+        try:
+            trace = touch_points(dynamics, args.steps)
+        except ValueError as exc:
+            if dynamics.q is not None or args.steps < 1:
+                raise
+            # the touch angle step (1 - beta/alpha) pi is beyond the float range
+            raise ValueError(f"--alpha / --q-num / --q-den / --q-irr-add: {exc}") from None
 
     radius_error = float(np.max(np.abs(trace.points[:, 0] ** 2 + trace.points[:, 1] ** 2 - 1.0)))
     result = CommandResult(
@@ -484,17 +490,17 @@ def cmd_orbit(args) -> CommandResult:
             "min_touch_gap": float(np.min(circular_gaps(trace.angles))),
         },
     )
-    if radius_error > args.tolerance:
+    if not radius_error <= args.tolerance:  # a nan residual is a breach too
         result.breaches.append("radius_error")
     return result
 
 
 def cmd_schwinger(args) -> CommandResult:
+    if args.dump and args.sector is None:
+        raise ValueError("--dump requires --sector")
     space = build_two_mode(args.nmax)
 
     if args.dump:
-        if args.sector is None:
-            raise ValueError("--dump requires --sector")
         decomp = sector_decompose(space)
         if args.sector not in decomp.sectors:
             raise ValueError(f"no sector with j = {args.sector}")
@@ -691,13 +697,14 @@ def _plain(blocks: list[np.ndarray]) -> bool:
 def _row_dumper(group: tuple):
     """For a CSV row group, a function (start, stop) -> the text of rows start .. stop - 1.
 
-    The text comes from one `orjson.dumps` of the block's rows, with no
-    string made per cell: the dump's brackets and the `,` between rows
-    become the row breaks.  The middle columns must be numeric
-    (`_numeric_column`); the first and the last may instead be a label
-    repeated throughout (`_folded_text`), which goes into the row breaks.
-    The function returns None for a block with a cell that is not
-    `_plain`, and `_row_dumper` returns None for a group of any other shape.
+    The text comes from one `orjson.dumps` of a flat list of the block's
+    cells, each row's cells followed by a None marker, with no string made
+    per cell: each `,null,` between rows becomes a row break.  The middle
+    columns must be numeric (`_numeric_column`); the first and the last may
+    instead be a label repeated throughout (`_folded_text`), which goes into
+    the row breaks.  The function returns None for a block with a cell that
+    is not `_plain`, and `_row_dumper` returns None for a group of any other
+    shape.
     """
     lead = _folded_text(group[0]) if group else None
     trail = _folded_text(group[-1]) if len(group) > 1 else None
@@ -708,22 +715,20 @@ def _row_dumper(group: tuple):
 
     prefix = "" if lead is None else lead + ","
     suffix = "" if trail is None else "," + trail
+    row_break, stride = suffix + "\n" + prefix, len(middle) + 1
 
     def text(start: int, stop: int) -> str | None:
         values = [_block_values(column, start, stop) for column in middle]
         if not _plain(values):
             return None
-        rows = np.array(values, dtype=object).T.tolist()  # lists of Python ints and floats
-        # "[[a,b],[c,d]]" -> "a,b],[c,d"; "]" and "[" each mark one row end and start
-        body = str(memoryview(orjson.dumps(rows))[2:-2], "ascii")
-        del rows  # freed before the row breaks are built
-        if lead is not None:  # the "," between rows follows the lead label
-            body = body.replace("[", "").replace("]", suffix + "\n" + lead)
-        elif trail is not None:  # the "," between rows precedes the trail label
-            body = body.replace("]", "").replace("[", trail + "\n")
-        else:
-            body = body.replace("],[", "\n")
-        return prefix + body + suffix + "\n"
+        flat = [None] * ((stop - start) * stride)  # Python ints and floats, then a None per row
+        for k, column in enumerate(values):
+            flat[k::stride] = column.tolist()
+        # "[a,b,null,c,d,null]" -> "a,b,null,c,d"
+        body = str(memoryview(orjson.dumps(flat))[1:-6], "ascii")
+        del flat  # freed before the row breaks are built
+        # `null` is only ever a marker: `_plain` sends a block with nan or inf to the column path
+        return prefix + body.replace(",null,", row_break) + suffix + "\n"
 
     return text
 
@@ -741,10 +746,13 @@ def _json_row_pieces(columns: tuple[str, ...]) -> list[str]:
 
 def _join_rows(pieces: list[str], cells: list[list[str]]) -> str:
     """The rows of a block: pieces[0], the first cell, pieces[1], ..., pieces[-1] per row."""
-    parts = [itertools.repeat(pieces[0])]
-    for column, piece in zip(cells, pieces[1:]):
-        parts += [column, itertools.repeat(piece)]
-    return "".join(itertools.chain.from_iterable(zip(*parts)))
+    rows, stride = len(cells[0]), 2 * len(cells) + 1
+    flat = [""] * (rows * stride)
+    flat[::stride] = [pieces[0]] * rows
+    for k, (column, piece) in enumerate(zip(cells, pieces[1:])):
+        flat[2 * k + 1::stride] = column
+        flat[2 * k + 2::stride] = [piece] * rows
+    return "".join(flat)
 
 
 def write_output(path: str, fmt: str, command: str, parameters: dict,

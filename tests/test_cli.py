@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -540,6 +541,42 @@ class TestInputValidation:
     ])
     def test_non_number_names_its_flag(self, argv, flag, tmp_path, capsys):
         assert flag in self._rejected(argv, tmp_path, capsys)
+
+
+    def test_overflowing_touch_step_names_the_flags(self, tmp_path, capsys):
+        # beta is finite, but the touch angle step (1 - beta/alpha) pi overflows to -inf;
+        # it once gave nan angles, a nan radius_error and exit 0
+        err = self._rejected(["orbit", "--two-circle", "--alpha", "1e-300", "--q-num", "1",
+                              "--q-den", "2", "--q-irr-add", "1e308", "--steps", "3"],
+                             tmp_path, capsys)
+        assert "--q-irr-add" in err and "--alpha" in err and "finite" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_sector_is_finite(self, value, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "build_two_mode", refuse_build)
+        err = self._rejected(["schwinger", "--nmax", "4", f"--sector={value}", "--dump"],
+                             tmp_path, capsys)
+        assert "--sector" in err and "finite" in err
+
+    def test_dump_needs_sector_before_the_build(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "build_two_mode", refuse_build)
+        err = self._rejected(["schwinger", "--nmax", "800", "--dump"], tmp_path, capsys)
+        assert "--dump requires --sector" in err
+
+
+def test_nan_radius_error_is_a_breach(tmp_path, capsys, monkeypatch):
+    # the gate reads `not radius_error <= tolerance`, so a nan residual cannot pass it
+    touch_points = cli.touch_points
+
+    def nan_points(*args):
+        trace = touch_points(*args)
+        return dataclasses.replace(trace, points=np.full_like(trace.points, np.nan))
+
+    monkeypatch.setattr(cli, "touch_points", nan_points)
+    code, out, captured = run_cli(["orbit", "--thooft-N", "7"], tmp_path, capsys)
+    assert code == 3
+    assert "tolerance breach in check 'radius_error'" in captured.err
+    assert "# check radius_error=nan" in out.read_text().splitlines()
 
 
 class TestStartup:

@@ -260,8 +260,15 @@ def test_torus_reversibility(rot1, rot2, phi1, phi2, steps):
     assert np.max(gap) < 1e-9
 
 
-# The per-step loops that stored each angle into numpy, kept as oracles for
-# `orbits._rotations`: the float sequence, and so every byte, must not change.
+# The per-step loops that stored each angle into numpy.  `orbits._rotations`
+# replaced them with a closed form, which must stay within their rounding
+# drift: each step rounds the sum and its reduction, so the j-th angle of a
+# loop may be off by up to j eps (2 pi + |step|).  The closed form itself is
+# held to the exact value by `TestRotationOracle`.
+
+EPS = float(np.finfo(float).eps)
+U = EPS / 2
+
 
 def itemwise_torus(alpha1, alpha2, tau, steps, phi0):
     d1, d2 = alpha1 * tau, alpha2 * tau
@@ -285,6 +292,13 @@ def itemwise_touch_angles(d, count):
     return angles
 
 
+def assert_within_loop_drift(angles, loop, step):
+    j = np.arange(1, len(angles) + 1)
+    gap = np.abs(angles - loop)
+    gap = np.minimum(gap, TWO_PI - gap)
+    assert np.all(gap <= j * EPS * (TWO_PI + abs(step)) + 2 * U * TWO_PI)
+
+
 class TestRotationLoop:
     @pytest.mark.parametrize("alpha1, alpha2, tau, phi0", [
         (GOLDEN, GOLDEN, 1.0, (0.0, 0.0)),
@@ -296,7 +310,9 @@ class TestRotationLoop:
     @pytest.mark.parametrize("steps", [1, 2, 1000])
     def test_torus_matches_itemwise_loop(self, alpha1, alpha2, tau, phi0, steps):
         orbit = simulate_torus(alpha1, alpha2, tau, steps, phi0)
-        assert orbit.angles.tobytes() == itemwise_torus(alpha1, alpha2, tau, steps, phi0).tobytes()
+        loop = itemwise_torus(alpha1, alpha2, tau, steps, phi0)
+        assert_within_loop_drift(orbit.angles[:, 0], loop[:, 0], alpha1 * tau)
+        assert_within_loop_drift(orbit.angles[:, 1], loop[:, 1], alpha2 * tau)
 
     @pytest.mark.parametrize("beta", [
         5 / 3 + math.pi / 40,  # a negative step
@@ -307,11 +323,98 @@ class TestRotationLoop:
     def test_touch_angles_match_itemwise_loop(self, beta):
         d = CircleDynamics.irrational(1.0, beta)
         trace = touch_points(d, 5000)
-        assert trace.angles.tobytes() == itemwise_touch_angles(d, 5000).tobytes()
+        delta = (1.0 - d.beta / d.alpha) * math.pi
+        assert_within_loop_drift(trace.angles, itemwise_touch_angles(d, 5000), delta)
 
     def test_rotations_of_a_start_outside_the_circle(self):
-        # the helper reduces each sum, the start included through the first one
-        assert orbits._rotations(10.0, 0.0, 3) == [10.0 % TWO_PI] * 3
-        assert orbits._rotations(-1.0, 0.5, 2) == [(-1.0 + 0.5) % TWO_PI,
-                                                   ((-1.0 + 0.5) % TWO_PI + 0.5) % TWO_PI]
-        assert orbits._rotations(1.0, 1.0, 0) == []
+        # the start is reduced with the rotations, bit for bit as the loop did here
+        assert orbits._rotations(10.0, 0.0, 3).tolist() == [10.0 % TWO_PI] * 3
+        assert orbits._rotations(-1.0, 0.5, 2).tolist() == [(-1.0 + 0.5) % TWO_PI,
+                                                            ((-1.0 + 0.5) % TWO_PI + 0.5) % TWO_PI]
+        assert orbits._rotations(1.0, 1.0, 0).tolist() == []
+
+
+def worst_error(angles, angle, step, js) -> float:
+    """The largest distance on the circle of angles[j - 1] from the exact
+    (angle + j step) mod TWO_PI over `js`, in units of u TWO_PI.
+
+    The float `angle`, `step` and TWO_PI are taken as the exact rationals
+    they are, so the reference carries no rounding.
+    """
+    a, s, t = Fraction(angle), Fraction(step), Fraction(TWO_PI)
+    worst = Fraction(0)
+    for j in js:
+        gap = (Fraction(float(angles[j - 1])) - a - j * s) % t
+        worst = max(worst, min(gap, t - gap))
+    return float(worst / (Fraction(U) * t))
+
+
+ORACLE_STEPS = [
+    GOLDEN, -GOLDEN, 0.0, 1e-9, -1e-9, -2.5,
+    math.nextafter(math.pi, 0.0), -math.nextafter(math.pi, 4.0),  # just below pi and -pi
+    6.2, 100.0, -100.0, 1e300,  # near and beyond 2 pi
+]
+ORACLE_STARTS = [0.0, 5.1, -3.5, -TWO_PI, 100.0, TWO_PI, -1e-20]
+
+
+class TestRotationOracle:
+    """`orbits._rotations` against exact rational arithmetic: within 2 u TWO_PI at every j."""
+
+    @pytest.mark.parametrize("step", ORACLE_STEPS)
+    @pytest.mark.parametrize("count", [1, 2, 1000])
+    def test_every_angle_within_two_units(self, step, count):
+        for angle in ORACLE_STARTS:
+            angles = orbits._rotations(angle, step, count)
+            assert angles.dtype == np.float64 and angles.shape == (count,)
+            assert worst_error(angles, angle, step, range(1, count + 1)) <= 2
+
+    @pytest.mark.parametrize("step, angle", [(GOLDEN, 0.0), (-1e-9, 5.1), (6.2, -3.5),
+                                             (-math.nextafter(math.pi, 4.0), 100.0)])
+    def test_a_million_rotations_sampled(self, step, angle):
+        count = 10**6
+        angles = orbits._rotations(angle, step, count)
+        js = [*range(1, 200), *range(count - 200, count + 1),
+              *np.random.default_rng(1).integers(1, count + 1, 1500).tolist()]
+        assert worst_error(angles, angle, step, js) <= 2
+
+    def test_torus_and_touch_angles_are_the_closed_form(self):
+        orbit = simulate_torus(0.31, -1.7, 2.0, 300, (0.2, 5.1))
+        assert worst_error(orbit.angles[:, 0], 0.2, 0.31 * 2.0, range(1, 301)) <= 2
+        assert worst_error(orbit.angles[:, 1], 5.1, -1.7 * 2.0, range(1, 301)) <= 2
+        d = CircleDynamics.irrational(1.0, 3 / 7 + 0.01)
+        delta = (1.0 - d.beta / d.alpha) * math.pi
+        assert worst_error(touch_points(d, 300).angles, 0.0, delta, range(1, 301)) <= 2
+
+    def test_writes_into_the_given_column(self):
+        angles = np.full((2, 50), np.nan).T
+        column = angles[:, 1]
+        assert orbits._rotations(0.5, 0.25, 50, out=column) is column
+        assert np.isnan(angles[:, 0]).all()
+        assert worst_error(angles[:, 1], 0.5, 0.25, range(1, 51)) <= 2
+
+    @pytest.mark.parametrize("angle, step", [(0.0, math.inf), (0.0, -math.inf), (0.0, math.nan),
+                                             (math.nan, 1.0), (math.inf, 1.0)])
+    def test_non_finite_step_or_start_is_rejected(self, angle, step):
+        with pytest.raises(ValueError, match="finite"):
+            orbits._rotations(angle, step, 3)
+
+    def test_count_limit(self):
+        with pytest.raises(ValueError, match=f"at most {orbits.MAX_ROTATIONS} rotations"):
+            orbits._rotations(0.0, 1.0, orbits.MAX_ROTATIONS + 1)
+
+    def test_split_halves_are_exact_and_short(self):
+        for value in (TWO_PI, GOLDEN, -2.5, 1e-9, math.nextafter(math.pi, 0.0)):
+            hi, lo = orbits._split(value)
+            assert Fraction(hi) + Fraction(lo) == Fraction(value)
+            for half in (hi, lo):
+                numerator = Fraction(abs(half)).numerator
+                odd_part = numerator // (numerator & -numerator) if numerator else 0
+                assert odd_part.bit_length() <= 26  # significant bits
+
+
+def test_overflowing_rotation_rate_is_rejected():
+    # alpha tau overflows to inf, which once gave nan angles
+    with pytest.raises(ValueError, match="finite"):
+        simulate_torus(1e200, 1.0, 1e200, 3)
+    with pytest.raises(ValueError, match="finite"):
+        touch_points(CircleDynamics.irrational(1e-300, 1e8), 3)

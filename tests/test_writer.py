@@ -479,6 +479,18 @@ def test_constant_labels_first_and_last_fold_into_row_breaks(first, last, tmp_pa
     assert joined == []
 
 
+@pytest.mark.parametrize("first", ["none", "curve"])
+@pytest.mark.parametrize("last", ["none", "empty"])
+@pytest.mark.parametrize("column", [0, 1])
+def test_a_nan_in_one_block_stays_a_cell(first, last, column, tmp_path):
+    # orjson writes nan as `null`, the text of the row dump's row markers; only
+    # the bytes are checked, so a nan taken for a row break cannot pass
+    middle = [np.linspace(1.0, 2.0, ROWS), np.arange(ROWS) / 7 + 1]
+    middle[column][2 * WRITE_BLOCK_ROWS + 9] = math.nan
+    group = tuple(c for c in (EDGE_COLUMNS[first], *middle, EDGE_COLUMNS[last]) if c is not None)
+    assert_same_bytes(tmp_path, "csv", CommandResult(tuple("abcd"[:len(group)]), [group]))
+
+
 @pytest.mark.parametrize("period", [1, 13, WRITE_BLOCK_ROWS, 300, ROWS + 1])
 def test_periodic_numbers_across_block_boundaries(period, tmp_path, monkeypatch):
     angles = np.linspace(0.25, 6.0, period)
