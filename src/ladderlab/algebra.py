@@ -174,4 +174,4 @@ def check_algebra_relations(rep: LadderRep, interior: int) -> float:
     else:
         sign = 2.0 if isinstance(rep.kind, Su2) else -2.0
         residuals.append(lp @ lm - lm @ lp - sign * l3)
-    return max(max_entry(r, keep) for r in residuals)
+    return float(np.max([max_entry(r, keep) for r in residuals]))  # a nan stays nan

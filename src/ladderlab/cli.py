@@ -59,6 +59,9 @@ GOLDEN_ROTATION = math.pi * (math.sqrt(5.0) - 1.0)  # 2*pi*(sqrt(5)-1)/2
 # Rows per block in `write_output`: the writer holds one block of formatted
 # text beyond the result's columns, so its memory does not grow with the row count.
 WRITE_BLOCK_ROWS = 256
+# Rows per step of the writer's plain-number scan (`_non_plain_blocks`): whole
+# blocks, few enough that the scan's arrays stay small whatever the row count.
+PLAIN_SCAN_ROWS = 16 * WRITE_BLOCK_ROWS
 # Largest --steps, --thooft-N, --curve-samples and evolve --N: each is a count
 # of output rows, checked before any array is allocated.
 MAX_ROWS = 10**7
@@ -289,7 +292,7 @@ def cmd_rep(args) -> CommandResult:
         groups=_element_groups([rep.L3, rep.Lplus, rep.Lminus]),
         checks={"dim": rep.dim, "interior": interior, "relations_residual": residual},
     )
-    if residual > args.tolerance:
+    if not residual <= args.tolerance:  # a nan residual is a breach too
         result.breaches.append("relations_residual")
     return result
 
@@ -304,16 +307,16 @@ def cmd_contract(args) -> CommandResult:
         rep = build_su11_rep(0.5, dim)
         a, adag = holstein_primakoff(rep)
         osc = build_h1_rep(dim)
-        deviation = max(
+        deviation = float(np.maximum(
             max_entry(a.bands - osc.Lminus.bands),
             max_entry(adag.bands - osc.Lplus.bands),
-        )
+        ))
         result = CommandResult(
             columns=ELEMENT_COLUMNS,
             groups=_element_groups([a, adag]),
             checks={"hp_max_deviation": deviation},
         )
-        if deviation > args.tolerance:
+        if not deviation <= args.tolerance:
             result.breaches.append("hp_max_deviation")
         return result
 
@@ -331,7 +334,8 @@ def cmd_contract(args) -> CommandResult:
             groups=[(Periodic((args.l,), count), Periodic((args.tau,), count),
                      list(residuals), list(residuals.values()))],
         )
-        result.breaches = [name for name, value in residuals.items() if value > args.tolerance]
+        result.breaches = [name for name, value in residuals.items()
+                           if not value <= args.tolerance]
         return result
 
     if not args.params:
@@ -353,6 +357,10 @@ def cmd_contract(args) -> CommandResult:
 
 def cmd_evolve(args) -> CommandResult:
     params = EvolutionParams(args.N, args.tau)
+    # the energies run up to N omega = 2 pi / tau; a zero omega divides --units omega
+    if not (params.omega > 0.0 and math.isfinite(params.n_states * params.omega)):
+        raise ValueError(f"--N {args.N} / --tau {args.tau!r}: omega = 2 pi/(N tau) = "
+                         f"{params.omega!r} puts the energies beyond the float range")
     spectrum = spectrum_via_dft(params)
     phase = geometric_phase_check(params)
     scale = params.omega if args.units == "omega" else 1.0
@@ -365,7 +373,7 @@ def cmd_evolve(args) -> CommandResult:
             "phase_im": phase.imag,
         },
     )
-    if abs(phase + 1.0) > args.tolerance:
+    if not abs(phase + 1.0) <= args.tolerance:
         result.breaches.append("phase")
     return result
 
@@ -452,6 +460,12 @@ def cmd_orbit(args) -> CommandResult:
             checks={"max_gap_1": gap1, "max_gap_2": gap2},
         )
 
+    count, flag = (args.steps, "--steps") if args.thooft_n is None else (args.thooft_n, "--thooft-N")
+    # an alpha <= 0 is refused with the dynamics below
+    last_time = max(count, 1) * (math.pi / args.alpha) if args.alpha > 0 else 0.0
+    if not math.isfinite(last_time):
+        raise ValueError(f"--alpha {args.alpha!r} / {flag} {count}: the touch times "
+                         "j pi/alpha are beyond the float range")
     if args.thooft_n is not None:
         dynamics = thooft_system(args.thooft_n, alpha=args.alpha)
         trace = touch_points(dynamics, args.thooft_n)
@@ -472,6 +486,10 @@ def cmd_orbit(args) -> CommandResult:
         except OverflowError:
             raise ValueError("--q-num / --q-den: the ratio, or --alpha times it, is beyond "
                              "the float range") from None
+        # the curve runs to the last touch time; a 't Hooft system has beta < alpha
+        if args.curve_samples > 0 and not math.isfinite(abs(dynamics.beta) * last_time):
+            raise ValueError("--alpha / --q-num / --q-den / --q-irr-add / --steps: the curve "
+                             "phase beta t is beyond the float range")
         try:
             trace = touch_points(dynamics, args.steps)
         except ValueError as exc:
@@ -519,6 +537,14 @@ def cmd_schwinger(args) -> CommandResult:
     selected = args.check
     if selected in ("all", "l2") and args.nmax < 2:
         raise ValueError("--check all/l2 need --nmax >= 2")
+    if selected in ("all", "hamiltonian"):
+        # H0 and HI have entries up to |Omega| nmax and |Gamma| nmax, and H0 is
+        # diagonal, so no entry the dissipative checks form exceeds this
+        scale = 2.0 * space.n_max**2 * max(abs(args.Omega), abs(args.Gamma),
+                                           abs(args.Omega * args.Gamma))
+        if not math.isfinite(scale):
+            raise ValueError(f"--Omega {args.Omega!r} / --Gamma {args.Gamma!r}: the dissipative "
+                             f"checks at --nmax {args.nmax} reach beyond the float range")
     checks: dict[str, object] = {}
     if selected in ("all", "casimir"):
         checks["casimir_interior"] = casimir_interior_residual(space)
@@ -536,7 +562,7 @@ def cmd_schwinger(args) -> CommandResult:
         groups=[(list(checks), list(checks.values()))],
         checks=checks,
     )
-    result.breaches = [name for name, value in checks.items() if value > args.tolerance]
+    result.breaches = [name for name, value in checks.items() if not value <= args.tolerance]
     return result
 
 
@@ -557,28 +583,33 @@ def _json_safe(value):
     return value
 
 
-def _numeric_cells(values: np.ndarray) -> list[str]:
+def _float64(values: np.ndarray) -> np.ndarray:
+    """A float array as float64, the type orjson spells as `repr`; any other array as it is."""
+    return values.astype(np.float64, copy=False) if values.dtype.kind == "f" else values
+
+
+def _numeric_cells(values: np.ndarray, plain: bool = False) -> list[str]:
     """The `repr` of each element of a float or integer array, in one `orjson.dumps` call.
 
     orjson writes the shortest round-trip digits of a float64 (Ryu), the
     same digits as `repr`, and spells them as `repr` does wherever `repr`
     uses fixed notation: 1e-4 <= |x| < 1e16, and zero.  The few cells
     outside that range (exponents, nan, inf, which orjson writes as
-    `null`) are taken from `repr`.  Floats go through float64 first, since
+    `null`) are taken from `repr`, unless the caller passes `plain` for an
+    array it knows has none.  Floats go through float64 first, since
     orjson prints a float32 with float32's own shortest digits.
     """
     import orjson  # on first use: a CLI start that only parses pays nothing
 
-    if values.dtype.kind == "f":
-        values = values.astype(np.float64, copy=False)
-    elif not values.dtype.isnative:
+    values = _float64(values)
+    if not values.dtype.isnative:
         # orjson reads the array's memory in native byte order
         values = values.astype(values.dtype.newbyteorder("="))
     if not len(values):
         return []
     text = orjson.dumps(np.ascontiguousarray(values), option=orjson.OPT_SERIALIZE_NUMPY)
     cells = text[1:-1].decode("ascii").split(",")
-    if values.dtype.kind == "f":
+    if values.dtype.kind == "f" and not plain:
         for i in np.flatnonzero(~_fixed_notation(values)).tolist():
             cells[i] = repr(float(values[i]))
     return cells
@@ -635,24 +666,13 @@ def _cells(values, fmt: str) -> list[str]:
     return _csv_column(values) if fmt == "csv" else _json_column(values)
 
 
-def _block_cells(column, fmt: str):
-    """A function (start, stop) -> the formatted cells start .. stop - 1 of `column`.
-
-    A `Periodic` column's values are formatted once, and each block repeats
-    those strings from the right offset.
-    """
-    if not isinstance(column, Periodic):
-        return lambda start, stop: _cells(column[start:stop], fmt)
-    period = _cells(column.values, fmt)
+def _periodic_slice(period: list, start: int, stop: int) -> list:
+    """Items start .. stop - 1 of a sequence that repeats the list `period`."""
     size = len(period)
-
-    def cells(start: int, stop: int) -> list[str]:
-        first = start % size
-        head = period[first:first + stop - start]
-        missing = stop - start - len(head)
-        return head + period * (missing // size) + period[:missing % size]
-
-    return cells
+    first = start % size
+    head = period[first:first + stop - start]
+    missing = stop - start - len(head)
+    return head + period * (missing // size) + period[:missing % size]
 
 
 def _folded_text(column) -> str | None:
@@ -678,33 +698,62 @@ def _numeric_column(column) -> bool:
     return isinstance(values, np.ndarray) and values.dtype.kind in "iuf"
 
 
-def _block_values(column, start: int, stop: int) -> np.ndarray:
-    """Cells start .. stop - 1 of a numeric column, floats as float64 (as in `_numeric_cells`)."""
+def _number_lists(column):
+    """For a numeric column, a function (start, stop) -> its cells start .. stop - 1 as a list.
+
+    The cells are Python ints and floats.  A `Periodic` column becomes one
+    list here, and each block slices it.
+    """
     if isinstance(column, Periodic):
-        values = column.values[np.arange(start, stop) % len(column.values)]
-    else:
-        values = column[start:stop]
-    return values.astype(np.float64, copy=False) if values.dtype.kind == "f" else values
+        return functools.partial(_periodic_slice, _float64(column.values).tolist())
+    return lambda start, stop: _float64(column[start:stop]).tolist()
 
 
-def _plain(blocks: list[np.ndarray]) -> bool:
-    """Whether orjson spells every cell of a block's integer and float64 arrays as `repr` does."""
-    floats = [values for values in blocks if values.dtype.kind == "f"]
-    # one check over all float columns at once
-    return not floats or bool(_fixed_notation(np.array(floats)).all())
+def _non_plain_blocks(columns, length: int) -> bytes:
+    """One flag per block of a row group: 1 if a float cell is one orjson does not spell as `repr`.
+
+    A block is a run of WRITE_BLOCK_ROWS rows, numbered from 0; the spelling
+    rule is `_fixed_notation`.  An array column is checked PLAIN_SCAN_ROWS
+    rows at a time.  A `Periodic` column's period is checked once, and only
+    a period with such a cell is laid out over the rows.
+    """
+    blocks = np.zeros(-(-length // WRITE_BLOCK_ROWS), dtype=bool)
+    for column in columns:
+        values = column.values if isinstance(column, Periodic) else column
+        if values.dtype.kind != "f":
+            continue
+        if isinstance(column, Periodic):
+            off = ~_fixed_notation(_float64(values))
+            if not off.any():
+                continue
+
+            def marks(start, stop, off=off):
+                return off[np.arange(start, stop) % len(off)]
+        else:
+            def marks(start, stop, values=values):
+                return ~_fixed_notation(_float64(values[start:stop]))
+
+        for start in range(0, length, PLAIN_SCAN_ROWS):
+            rows = np.flatnonzero(marks(start, min(start + PLAIN_SCAN_ROWS, length)))
+            blocks[(rows + start) // WRITE_BLOCK_ROWS] = True
+    return blocks.tobytes()
 
 
 def _row_dumper(group: tuple):
-    """For a CSV row group, a function (start, stop) -> the text of rows start .. stop - 1.
+    """For a CSV row group, a function (start, stop) -> the bytes of rows start .. stop - 1.
 
-    The text comes from one `orjson.dumps` of a flat list of the block's
-    cells, each row's cells followed by a None marker, with no string made
-    per cell: each `,null,` between rows becomes a row break.  The middle
-    columns must be numeric (`_numeric_column`); the first and the last may
-    instead be a label repeated throughout (`_folded_text`), which goes into
-    the row breaks.  The function returns None for a block with a cell that
-    is not `_plain`, and `_row_dumper` returns None for a group of any other
-    shape.
+    The bytes come from one `orjson.dumps` of a flat list of the block's
+    cells, with no string made per cell: a None marker before the first row
+    and after each row, and a 0 at each end of the list.  orjson writes
+    each marker as `null`, and each `,null,` becomes a row break, the end
+    of one row and the start of the next; the two zeros and the breaks
+    outside the block are cut off, so the block is one buffer, sliced from
+    the dump with no copy.  The middle columns must be numeric
+    (`_numeric_column`); the first and the last may instead be a label
+    repeated throughout (`_folded_text`), which goes into the row breaks.
+    The blocks with a cell that is not plain are found once, here
+    (`_non_plain_blocks`), and the function returns None for them;
+    `_row_dumper` returns None for a group of any other shape.
     """
     lead = _folded_text(group[0]) if group else None
     trail = _folded_text(group[-1]) if len(group) > 1 else None
@@ -713,24 +762,29 @@ def _row_dumper(group: tuple):
         return None
     import orjson
 
-    prefix = "" if lead is None else lead + ","
-    suffix = "" if trail is None else "," + trail
-    row_break, stride = suffix + "\n" + prefix, len(middle) + 1
+    non_plain = _non_plain_blocks(middle, len(group[0]))
+    numbers = [_number_lists(column) for column in middle]
+    prefix = b"" if lead is None else lead.encode() + b","
+    end = b"\n" if trail is None else b"," + trail.encode() + b"\n"
+    row_break, stride = end + prefix, len(middle) + 1
 
-    def text(start: int, stop: int) -> str | None:
-        values = [_block_values(column, start, stop) for column in middle]
-        if not _plain(values):
+    def dump(start: int, stop: int) -> memoryview | None:
+        if non_plain[start // WRITE_BLOCK_ROWS]:
             return None
-        flat = [None] * ((stop - start) * stride)  # Python ints and floats, then a None per row
-        for k, column in enumerate(values):
-            flat[k::stride] = column.tolist()
-        # "[a,b,null,c,d,null]" -> "a,b,null,c,d"
-        body = str(memoryview(orjson.dumps(flat))[1:-6], "ascii")
-        del flat  # freed before the row breaks are built
-        # `null` is only ever a marker: `_plain` sends a block with nan or inf to the column path
-        return prefix + body.replace(",null,", row_break) + suffix + "\n"
+        cells_end = 2 + (stop - start) * stride
+        flat = [None] * (cells_end + 1)  # 0, None, then each row's numbers and a None, then 0
+        flat[0] = flat[-1] = 0
+        for k, cells in enumerate(numbers):
+            flat[2 + k:cells_end:stride] = cells(start, stop)
+        text = orjson.dumps(flat)
+        del flat  # freed before the row breaks are put in
+        # "[0,null,a,b,null,c,d,null,0]" -> "[0" end prefix "a,b" end prefix
+        # "c,d" end prefix "0]"; a block with nan or inf is not dumped, so
+        # `null` is only ever a marker
+        text = text.replace(b",null,", row_break)
+        return memoryview(text)[2 + len(end):len(text) - 2 - len(prefix)]
 
-    return text
+    return dump
 
 
 def _json_row_pieces(columns: tuple[str, ...]) -> list[str]:
@@ -745,14 +799,92 @@ def _json_row_pieces(columns: tuple[str, ...]) -> list[str]:
 
 
 def _join_rows(pieces: list[str], cells: list[list[str]]) -> str:
-    """The rows of a block: pieces[0], the first cell, pieces[1], ..., pieces[-1] per row."""
-    rows, stride = len(cells[0]), 2 * len(cells) + 1
+    """The rows of a block: pieces[0], the first cell, pieces[1], ..., pieces[-1] per row.
+
+    An empty piece takes no place in the joined list.
+    """
+    rows = len(cells[0])
+    slots = [pieces[0], *itertools.chain.from_iterable(zip(cells, pieces[1:]))]
+    slots = [slot for slot in slots if not isinstance(slot, str) or slot]
+    stride = len(slots)
     flat = [""] * (rows * stride)
-    flat[::stride] = [pieces[0]] * rows
-    for k, (column, piece) in enumerate(zip(cells, pieces[1:])):
-        flat[2 * k + 1::stride] = column
-        flat[2 * k + 2::stride] = [piece] * rows
+    for k, slot in enumerate(slots):
+        flat[k::stride] = [slot] * rows if isinstance(slot, str) else slot
     return "".join(flat)
+
+
+def _array_cells(column, fmt: str, length: int, scan: bool):
+    """For a column that is not `Periodic`, a function (start, stop) -> its cells start .. stop - 1.
+
+    The cells are those of `_cells`.  With `scan`, the blocks of a float
+    array with a cell that is not plain are found once
+    (`_non_plain_blocks`), and every other block of an integer or float
+    array is formatted with no check.
+    """
+    if not (scan and _numeric_column(column)):
+        return lambda start, stop: _cells(column[start:stop], fmt)
+    non_plain = _non_plain_blocks([column], length)
+
+    def cells(start: int, stop: int) -> list[str]:
+        if non_plain[start // WRITE_BLOCK_ROWS]:
+            return _cells(column[start:stop], fmt)
+        return _numeric_cells(column[start:stop], plain=True)
+
+    return cells
+
+
+def _column_path(group: tuple, pieces: list[str], fmt: str, length: int, scan: bool):
+    """For a row group, a function (start, stop) -> the text of rows start .. stop - 1.
+
+    A row is pieces[0], the first column's cell, pieces[1], and so on.  Each
+    run of pieces and `Periodic` columns between two other columns is joined
+    here, once, into one periodic text: row by row over the least common
+    multiple of its periods, or over the group if that is shorter.  A run
+    is split before a column that would take that period past the longest
+    of WRITE_BLOCK_ROWS and its parts.  Each block then slices those texts,
+    formats the other columns' cells (`_array_cells`, which checks for
+    plain blocks if `scan` is set), and joins the row from both with
+    `_join_rows`.  A path that takes only the blocks the row dump found not
+    plain is built without `scan`: those blocks are few.
+    """
+    texts: list = []  # in row order: a text for every row, or a function (start, stop) -> texts
+    run: list[list[str]] = [[pieces[0]]]  # the current run, each part one period of its texts
+
+    def close_run(size: int) -> None:
+        joined = ["".join(row) for row in zip(*(_periodic_slice(part, 0, size) for part in run))]
+        texts.append(joined[0] if size == 1 else functools.partial(_periodic_slice, joined))
+        run.clear()
+
+    period = 1
+    for column, piece in zip(group, pieces[1:]):
+        if isinstance(column, Periodic):
+            cells = _cells(column.values, fmt)
+            own = min(len(cells), length)
+            merged = min(math.lcm(period, len(cells)), length)
+            if merged > max(WRITE_BLOCK_ROWS, period, own):
+                close_run(period)
+                merged = own
+            run.append(cells)
+            period = merged
+        else:
+            close_run(period)
+            texts.append(_array_cells(column, fmt, length, scan))
+            period = 1
+        run.append([piece])
+    close_run(period)
+
+    # `_join_rows` alternates fixed pieces and per-row cells
+    joined_pieces, slots = [""], []
+    for text in texts:
+        if isinstance(text, str):
+            joined_pieces[-1] += text
+        else:
+            slots.append(text)
+            joined_pieces.append("")
+    if not slots:  # every run has period 1: each row is the same text
+        row, joined_pieces = joined_pieces[0], ["", ""]
+        slots.append(lambda start, stop: [row] * (stop - start))
+    return lambda start, stop: _join_rows(joined_pieces, [cells(start, stop) for cells in slots])
 
 
 def write_output(path: str, fmt: str, command: str, parameters: dict,
@@ -760,11 +892,14 @@ def write_output(path: str, fmt: str, command: str, parameters: dict,
     """Write the manifest, the checks and the rows of `result` to `path`.
 
     Each row group is written WRITE_BLOCK_ROWS rows at a time, and each
-    block's text is written before the next block is formatted.  A CSV block
-    of plain numbers comes from one dump of its rows (`_row_dumper`); any
-    other block has every column's slice formatted in one pass and its rows
-    joined from the formatted columns and the fixed text between cells.
-    The bytes are those of formatting every cell with `_fmt` (CSV) or of
+    block's bytes are written before the next block is formatted.  What is
+    fixed for a whole group is planned once, before its first block: a CSV
+    group of numbers gets its row dump (`_row_dumper`) with the blocks that
+    are not plain found in one scan, and a block that the dump does not
+    take uses the group's column path (`_column_path`), built on first
+    use, with its periodic texts joined once.  The file is written as
+    bytes: UTF-8 text, lines ended by LF on every platform.  The bytes are
+    those of formatting every cell with `_fmt` (CSV) or of
     `json.dumps(payload, indent=2)` over row objects (JSON).  Groups whose
     columns differ in number or length raise ValueError before the file is
     opened.
@@ -795,21 +930,22 @@ def write_output(path: str, fmt: str, command: str, parameters: dict,
         # text ends with '"rows": []\n}'; the rows go between the brackets
         head, tail = (text[:-3], "\n  ]\n}\n") if sum(lengths) else (text + "\n", "")
         pieces, separator = _json_row_pieces(result.columns), ","
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(head)
-        started = False
+    skip = len(separator)  # cut from the first row written
+    with open(path, "wb") as handle:
+        handle.write(head.encode())
         for group, length in zip(result.groups, lengths):
             dump = _row_dumper(group) if fmt == "csv" else None
-            formatters = [_block_cells(column, fmt) for column in group]
+            join = None
             for start in range(0, length, WRITE_BLOCK_ROWS):
                 stop = min(start + WRITE_BLOCK_ROWS, length)
-                text = dump(start, stop) if dump else None
-                if text is None:
-                    text = _join_rows(pieces, [cells(start, stop) for cells in formatters])
-                handle.write(text if started else text[len(separator):])
-                started = True
-                del text  # not held while the next block is formatted
-        handle.write(tail)
+                data = dump(start, stop) if dump else None
+                if data is None:
+                    join = join or _column_path(group, pieces, fmt, length, scan=dump is None)
+                    data = memoryview(join(start, stop).encode())[skip:]
+                skip = 0
+                handle.write(data)
+                del data  # not held while the next block is formatted
+        handle.write(tail.encode())
 
 
 def main(argv=None) -> int:

@@ -103,6 +103,6 @@ def geometric_phase_check(p: EvolutionParams) -> complex:
         if bit:
             power = square if power is None else power @ square
     phi = complex(power.diagonal()[0])
-    if max_entry(power - phi * Bands.identity(n)) > 1e-12:
+    if not max_entry(power - phi * Bands.identity(n)) <= 1e-12:
         raise ValueError("U^N is not proportional to the identity")
     return phi

@@ -298,7 +298,8 @@ def max_entry(matrix, keep=None) -> float:
 
     The identity-residual norm.  With `keep`, a boolean vector over the
     basis, only the entries whose row and column are both kept count: the
-    residual restricted to that interior.
+    residual restricted to that interior.  A nan among the counted entries
+    gives nan, so no tolerance gate can pass it.
     """
     if isinstance(matrix, Bands):
         peak = 0.0
@@ -308,7 +309,7 @@ def max_entry(matrix, keep=None) -> float:
             if keep is not None:
                 values = values[keep[rows] & _at(keep, rows, offset)]
             if values.size:
-                peak = max(peak, np.max(np.abs(values)))
+                peak = np.maximum(peak, np.max(np.abs(values)))
         return float(peak)
     if keep is not None:
         matrix = restricted(matrix, np.flatnonzero(keep))

@@ -164,7 +164,7 @@ def casimir(space: TwoModeSpace, tol: float = 1e-12) -> OperatorMatrix:
     """
     c2 = _casimir_ladder_form(space)
     residual = _casimir_residual(space, c2)
-    if residual > tol:
+    if not residual <= tol:  # a nan residual is a breach too
         raise ValueError(f"Casimir forms disagree on the interior: {residual:.3e}")
     return OperatorMatrix("C2", c2)
 
@@ -220,8 +220,8 @@ def sector_match_residual(space: TwoModeSpace) -> float:
         "Lplus": {-step: raising_into},
         "Lminus": {step: np.where(_interior_mask(space), raising, 0.0)},
     }
-    return max(max_entry(getattr(space, name).bands - Bands(space.dim, block))
-               for name, block in reference.items())
+    return float(np.max([max_entry(getattr(space, name).bands - Bands(space.dim, block))
+                         for name, block in reference.items()]))  # a nan stays nan
 
 
 def dissipative_residuals(space: TwoModeSpace, p: DissipativeParams) -> dict[str, float]:
@@ -266,8 +266,8 @@ def dissipative_hamiltonian(
     are verified on the interior before returning; both pieces are hermitian.
     """
     residuals = dissipative_residuals(space, p)
-    worst = max(residuals.values())
-    if worst > tol:
+    worst = float(np.max(list(residuals.values())))  # a nan stays nan
+    if not worst <= tol:
         raise ValueError(f"dissipative Hamiltonian identities breached: {worst:.3e}")
     h0, hi = _dissipative_pieces(space, p)
     return OperatorMatrix("H0", h0), OperatorMatrix("HI", hi)

@@ -176,3 +176,16 @@ def test_constructor_and_dim_stay_for_tracing():
     # perfbench's tracer wraps OperatorMatrix.__post_init__ and reads .dim
     assert "__post_init__" in vars(OperatorMatrix)
     assert OperatorMatrix("I", Bands.identity(4)).dim == 4
+
+
+@pytest.mark.parametrize("first", [True, False], ids=["nan-diagonal-first", "nan-diagonal-last"])
+def test_a_nan_entry_is_the_max_entry_unless_masked_out(first):
+    # M[1, 2] is nan; Python's max(0.0, nan) is 0.0, so a fold with `max`
+    # read it as 0.0 whenever another diagonal came first
+    diagonals = [(0, np.array([1.0, -2.0, 3.0, 0.5])),
+                 (1, np.array([0.25, np.nan, 0.75, 0.0]))]
+    a = Bands(4, dict(diagonals if first else diagonals[::-1]))
+    assert np.isnan(max_entry(a))
+    assert np.isnan(max_entry(a, np.array([True, True, True, False])))
+    assert max_entry(a, np.array([True, False, True, True])) == 3.0  # row 1 left out
+    assert max_entry(a, np.array([True, True, False, True])) == 2.0  # column 2 left out

@@ -473,9 +473,11 @@ class TestInputValidation:
     def test_rot2(self, value, tmp_path, capsys):
         self._rejected(["orbit", "--torus", "--rot1", "1", "--rot2", value], tmp_path, capsys)
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
     def test_alpha(self, value, tmp_path, capsys):
         self._rejected(["orbit", "--thooft-N", "7", "--alpha", value], tmp_path, capsys)
+        self._rejected(["orbit", "--two-circle", "--q-num", "1", "--q-den", "3",
+                        "--curve-samples", "4", "--alpha", value], tmp_path, capsys)
 
     @pytest.mark.parametrize("value", ["nan,0", "0,inf", "1,-inf"])
     def test_phi0(self, value, tmp_path, capsys):
@@ -551,6 +553,41 @@ class TestInputValidation:
                              tmp_path, capsys)
         assert "--q-irr-add" in err and "--alpha" in err and "finite" in err
 
+    # a derived scale beyond the float range (Omega Gamma nmax^2, omega = 2 pi/(N tau),
+    # the touch times j pi/alpha, the curve phase beta t) is refused before the
+    # arithmetic that overflows, so no RuntimeWarning fires; each of these once
+    # exited 0 with inf, nan or 0.0 cells
+    @pytest.mark.parametrize("argv,flags", [
+        (["schwinger", "--nmax", "3", "--check", "hamiltonian", "--Omega", "1e308",
+          "--Gamma", "1e308"], ["--Omega", "--Gamma"]),
+        (["evolve", "--N", "2", "--tau", "1e-320"], ["--N", "--tau"]),
+        (["evolve", "--N", "2", "--tau", "1e308", "--units", "omega"], ["--N", "--tau"]),
+        (["orbit", "--thooft-N", "7", "--alpha", "1e-308"], ["--alpha", "--thooft-N"]),
+        (["orbit", "--two-circle", "--alpha", "1e-308", "--q-num", "1", "--q-den", "2",
+          "--steps", "2", "--curve-samples", "3"], ["--alpha", "--steps"]),
+        # beta t overflows at the last curve sample: it once wrote nan curve cells
+        (["orbit", "--two-circle", "--q-num", "1", "--q-den", "1", "--q-irr-add", "1e307",
+          "--steps", "10", "--curve-samples", "3"], ["--q-irr-add", "--steps"]),
+    ], ids=["schwinger-Omega-Gamma", "evolve-small-tau", "evolve-zero-omega", "thooft-alpha",
+            "two-circle-alpha", "two-circle-curve-phase"])
+    def test_overflowing_scale_names_its_flags(self, argv, flags, tmp_path, capsys,
+                                               monkeypatch):
+        for builder in ("dissipative_residuals", "spectrum_via_dft", "geometric_phase_check",
+                        "thooft_system", "touch_points"):
+            monkeypatch.setattr(cli, builder, refuse_build)
+        err = self._rejected(argv, tmp_path, capsys)
+        assert all(flag in err for flag in flags) and "float range" in err
+
+    def test_large_but_finite_scales_still_run(self, tmp_path, capsys):
+        code, _, _ = run_cli(["schwinger", "--nmax", "3", "--check", "hamiltonian",
+                              "--Omega", "1e150", "--Gamma", "1e150"], tmp_path, capsys)
+        assert code in (0, 3)
+        code, _, _ = run_cli(["orbit", "--thooft-N", "7", "--alpha", "1e-300"], tmp_path, capsys)
+        assert code == 0
+        code, _, _ = run_cli(["orbit", "--two-circle", "--q-num", "1", "--q-den", "1",
+                              "--q-irr-add", "1e307", "--steps", "10"], tmp_path, capsys)
+        assert code == 0  # no curve, so beta t is never formed
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_sector_is_finite(self, value, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "build_two_mode", refuse_build)
@@ -562,6 +599,25 @@ class TestInputValidation:
         monkeypatch.setattr(cli, "build_two_mode", refuse_build)
         err = self._rejected(["schwinger", "--nmax", "800", "--dump"], tmp_path, capsys)
         assert "--dump requires --sector" in err
+
+
+@pytest.mark.parametrize("argv,target,values,check", [
+    (["rep", "--algebra", "h1", "--dim", "5"], "check_algebra_relations", [math.nan],
+     "relations_residual"),
+    # the second deviation is nan: max(0.0, nan) would be 0.0
+    (["contract", "--hp", "--dim", "8"], "max_entry", [0.0, math.nan], "hp_max_deviation"),
+    (["contract", "--identities", "--l", "2"], "hamiltonian_identity_check", [math.nan],
+     "hamiltonian_decomposition"),
+    (["evolve", "--N", "4"], "geometric_phase_check", [complex(math.nan, 0.0)], "phase"),
+    (["schwinger", "--nmax", "3"], "sector_match_residual", [math.nan], "sector_match"),
+], ids=["rep", "contract-hp", "contract-identities", "evolve", "schwinger"])
+def test_a_nan_check_is_a_breach(argv, target, values, check, tmp_path, capsys, monkeypatch):
+    # every gate reads `not value <= tolerance`, which a nan fails
+    results = iter(values)
+    monkeypatch.setattr(cli, target, lambda *args, **kwargs: next(results))
+    code, _, captured = run_cli(argv, tmp_path, capsys)
+    assert code == 3
+    assert f"tolerance breach in check {check!r}" in captured.err
 
 
 def test_nan_radius_error_is_a_breach(tmp_path, capsys, monkeypatch):

@@ -289,3 +289,18 @@ class TestRotationRelation:
                 float(np.linalg.norm(mism[:interior]) / np.linalg.norm(phi[:interior])),
             )
         assert abs(worst - l2_finite_residual(rep, interior)) < 1e-9
+
+
+def test_raising_wrappers_refuse_a_nan_residual(monkeypatch):
+    # the gates read `not residual <= tol`; `residual > tol` lets a nan through
+    from ladderlab import twomode
+
+    space = build_two_mode(3)
+    monkeypatch.setattr(twomode, "_casimir_residual", lambda *args: math.nan)
+    with pytest.raises(ValueError, match="Casimir"):
+        casimir(space)
+    # a nan after a finite residual: max(0.0, nan) would be 0.0
+    monkeypatch.setattr(twomode, "dissipative_residuals",
+                        lambda *args: {"h0_vs_casimir": 0.0, "hi_vs_l2": math.nan})
+    with pytest.raises(ValueError, match="dissipative"):
+        dissipative_hamiltonian(space, DissipativeParams(Omega=1.0, Gamma=0.5))

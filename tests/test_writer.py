@@ -540,3 +540,129 @@ def test_json_never_takes_the_row_dump(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "_row_dumper", None)  # any call would raise
     assert cli.main(argv + ["--format", "json", "--out", str(tmp_path / "out.json")]) in (0, 3)
     capsys.readouterr()
+
+
+# Before a group's first block, `write_output` plans what is fixed for the
+# whole group: the blocks that are not plain, found by one scan of
+# PLAIN_SCAN_ROWS rows at a time (`cli._non_plain_blocks`), and, on the
+# column path, each run of fixed text and `Periodic` columns joined into one
+# periodic text.  These tests hold the plan to the row-at-a-time writer.
+
+def _both_formats(tmp_path, result):
+    for fmt in ("csv", "json"):
+        assert_same_bytes(tmp_path, fmt, result)
+
+
+def test_adjacent_periods_13_and_7(tmp_path, monkeypatch):
+    # joined into one text of period 91 on the column path
+    group = (np.arange(ROWS), Periodic(np.linspace(0.5, 1.5, 13), ROWS),
+             Periodic(np.arange(7) - 3, ROWS), np.arange(ROWS) / 7 + 1)
+    joined = _joined_blocks(monkeypatch)
+    _both_formats(tmp_path, CommandResult(tuple("abcd"), [group]))
+    assert joined == [WRITE_BLOCK_ROWS] * 3 + [7]  # the JSON blocks only
+
+
+PERIODIC_PLACES = {
+    "first": lambda p: (p, np.arange(ROWS), np.linspace(1.0, 2.0, ROWS)),
+    "last": lambda p: (np.arange(ROWS), np.linspace(1.0, 2.0, ROWS), p),
+    "after-label": lambda p: (Periodic(("touch",), ROWS), p, np.arange(ROWS)),
+    "before-label": lambda p: (np.arange(ROWS), p, Periodic((None,), ROWS)),
+    # a string column keeps CSV on the column path; with period 256 the run
+    # would have period 1280 and is split before the numbers
+    "after-strings": lambda p: (np.arange(ROWS), Periodic(STRINGS, ROWS), p,
+                                np.linspace(1.0, 2.0, ROWS)),
+    "only-periodic": lambda p: (Periodic(("touch",), ROWS), p, Periodic(STRINGS[:3], ROWS)),
+}
+
+
+@pytest.mark.parametrize("period", [1, WRITE_BLOCK_ROWS, 300, ROWS + 1])
+@pytest.mark.parametrize("place", list(PERIODIC_PLACES))
+def test_periodic_column_in_every_place(place, period, tmp_path):
+    column = Periodic(np.linspace(0.25, 6.0, period) * 10.0 ** (np.arange(period) % 3), ROWS)
+    group = PERIODIC_PLACES[place](column)
+    _both_formats(tmp_path, CommandResult(tuple("abcd"[:len(group)]), [group, group]))
+
+
+def _slots_per_row(monkeypatch) -> list[int]:
+    """The texts joined per row in each block that `write_output` joins from formatted columns."""
+    slots = []
+    join_rows = cli._join_rows
+
+    def counting(pieces, cells):
+        slots.append(sum(1 for piece in pieces if piece) + len(cells))
+        return join_rows(pieces, cells)
+
+    monkeypatch.setattr(cli, "_join_rows", counting)
+    return slots
+
+
+def test_periodic_runs_are_joined_once_per_group(tmp_path, monkeypatch, capsys):
+    # a JSON two-circle row: the record label with the text around it, then
+    # index, "t", and x, y, theta with the text up to the row's end: 5 slots
+    slots = _slots_per_row(monkeypatch)
+    argv = ["orbit", "--two-circle", "--q-num", "5", "--q-den", "13", "--steps", "600"]
+    _recorded(argv, "json", tmp_path, monkeypatch, capsys)
+    assert slots == [5, 5, 5]
+
+
+@pytest.mark.parametrize("periods,count", [((300, 300), 3), ((13, 7), 3), ((300, 301), 4)])
+def test_a_run_is_split_before_its_period_outgrows_it(periods, count, tmp_path, monkeypatch):
+    # periods 300 and 301 would join into 775 texts, the whole group, where
+    # each part holds about 300: the run is split, one slot more per row
+    slots = _slots_per_row(monkeypatch)
+    group = (np.arange(ROWS), *(Periodic(np.arange(p) / 7, ROWS) for p in periods))
+    assert_same_bytes(tmp_path, "json", CommandResult(("a", "b", "c"), [group]))
+    assert slots == [count] * 4
+
+
+SCAN_ROWS = 2 * cli.PLAIN_SCAN_ROWS + WRITE_BLOCK_ROWS + 44  # ends in a 44-row block
+
+
+@pytest.mark.parametrize("row,block_rows", [
+    (cli.PLAIN_SCAN_ROWS - 1, WRITE_BLOCK_ROWS),  # the last row of the first scan step
+    (cli.PLAIN_SCAN_ROWS, WRITE_BLOCK_ROWS),  # the first row of the second
+    (2 * cli.PLAIN_SCAN_ROWS, WRITE_BLOCK_ROWS),  # the first row of the last
+    (SCAN_ROWS - 1, 44),  # the group's last row, in its partial block
+    (SCAN_ROWS - 44, 44),
+])
+@pytest.mark.parametrize("special", [1e-7, math.nan, -math.inf])
+def test_a_non_plain_cell_at_a_scan_edge_sends_only_its_block(row, block_rows, special,
+                                                              tmp_path, monkeypatch):
+    x = np.linspace(0.5, 6.0, SCAN_ROWS)
+    x[row] = special
+    joined = _joined_blocks(monkeypatch)
+    group = (Periodic(("touch",), SCAN_ROWS), np.arange(SCAN_ROWS), x)
+    assert_same_bytes(tmp_path, "csv", CommandResult(("a", "b", "c"), [group]))
+    assert joined == [block_rows]
+
+
+def test_a_non_plain_cell_in_a_period_over_many_scan_steps(tmp_path, monkeypatch):
+    # cell 5 of a 300-cell period, laid out over rows 5, 305, ... of each scan step
+    period = np.linspace(1.0, 2.0, 300)
+    period[5] = 1e-7
+    joined = _joined_blocks(monkeypatch)
+    group = (np.arange(SCAN_ROWS), Periodic(period, SCAN_ROWS))
+    assert_same_bytes(tmp_path, "csv", CommandResult(("a", "b"), [group]))
+    blocks = sorted({row // WRITE_BLOCK_ROWS for row in range(5, SCAN_ROWS, 300)})
+    assert len(joined) == len(blocks) < SCAN_ROWS // WRITE_BLOCK_ROWS
+
+
+def test_json_writer_memory_is_one_block(tmp_path):
+    # the benchmark's JSON op: the column path holds one block of formatted
+    # cells and the group's period-13 texts
+    import orjson  # noqa: F401  loaded before tracing, so the peak is the writer's own
+    args = cli.build_parser().parse_args(
+        ["orbit", "--two-circle", "--q-num", "5", "--q-den", "13", "--steps", "60000"])
+    result = cli.cmd_orbit(args)
+    peaks = []
+    for writer, name in ((write_output, "new"), (rowwise_write_output, "old")):
+        tracemalloc.start()
+        try:
+            writer(str(tmp_path / f"{name}.json"), "json", "orbit", {}, 1e-12, result)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    new, old = peaks
+    assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+    assert new < 200_000
+    assert 30 * new < old
