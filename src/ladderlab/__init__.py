@@ -8,132 +8,57 @@ circle and torus orbits underneath; and assembles the two-mode boson
 realization with its Casimir sectors and dissipative Hamiltonian.
 """
 
-from .algebra import (
-    AlgebraKind,
-    Heisenberg,
-    LadderRep,
-    Su2,
-    Su11,
-    build_h1_rep,
-    build_su2_rep,
-    build_su11_rep,
-    cartesian_generators,
-    check_algebra_relations,
-)
+from .algebra import build_h1_rep, build_su2_rep, build_su11_rep, check_algebra_relations
 from .contraction import (
-    ContractionReport,
-    ScalingPair,
     contraction_deviation,
-    deformed_commutator_check,
-    hamiltonian_identity_check,
     holstein_primakoff,
-    position_momentum,
     run_contraction_study,
     scaled_ladders,
-    su2_hamiltonian,
 )
-from .evolution import (
-    EvolutionParams,
-    build_evolution_operator,
-    geometric_phase_check,
-    spectrum_via_dft,
-)
-from .operators import (
-    OperatorMatrix,
-    Spectrum,
-    adjoint,
-    anticommutator,
-    commutator,
-    hermiticity_residual,
-    matrix_exponential,
-    max_entry,
-    restricted,
-)
-from .orbits import (
-    CircleDynamics,
-    OrbitTrace,
-    TorusOrbit,
-    continuous_position,
-    density_metrics,
-    simulate_torus,
-    thooft_system,
-    touch_points,
-)
+from .evolution import EvolutionParams, geometric_phase_check, spectrum_via_dft
+from .operators import OperatorMatrix, adjoint, commutator, max_entry, restricted
+from .orbits import density_metrics, simulate_torus, thooft_system, touch_points
 from .twomode import (
     DissipativeParams,
-    SectorDecomposition,
-    TwoModeSpace,
     build_two_mode,
-    casimir,
     casimir_interior_residual,
-    casimir_root,
-    dissipative_hamiltonian,
     dissipative_residuals,
-    interior_indices,
     l2_finite_residual,
     l2_relation_check,
     sector_decompose,
     sector_match_residual,
-    sector_operators,
 )
 
 __version__ = "0.1.0"
 
+# The names the README documents; everything else lives in its module.
 __all__ = [
-    "AlgebraKind",
-    "CircleDynamics",
-    "ContractionReport",
     "DissipativeParams",
     "EvolutionParams",
-    "Heisenberg",
-    "LadderRep",
     "OperatorMatrix",
-    "OrbitTrace",
-    "ScalingPair",
-    "SectorDecomposition",
-    "Spectrum",
-    "Su2",
-    "Su11",
-    "TorusOrbit",
-    "TwoModeSpace",
     "adjoint",
-    "anticommutator",
-    "build_evolution_operator",
     "build_h1_rep",
     "build_su2_rep",
     "build_su11_rep",
     "build_two_mode",
-    "cartesian_generators",
-    "casimir",
     "casimir_interior_residual",
-    "casimir_root",
     "check_algebra_relations",
     "commutator",
-    "continuous_position",
     "contraction_deviation",
-    "deformed_commutator_check",
     "density_metrics",
-    "dissipative_hamiltonian",
     "dissipative_residuals",
     "geometric_phase_check",
-    "hamiltonian_identity_check",
-    "hermiticity_residual",
     "holstein_primakoff",
-    "interior_indices",
     "l2_finite_residual",
     "l2_relation_check",
-    "matrix_exponential",
     "max_entry",
-    "position_momentum",
     "restricted",
     "run_contraction_study",
     "scaled_ladders",
     "sector_decompose",
     "sector_match_residual",
-    "sector_operators",
     "simulate_torus",
     "spectrum_via_dft",
-    "su2_hamiltonian",
     "thooft_system",
     "touch_points",
 ]

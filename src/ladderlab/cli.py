@@ -324,6 +324,15 @@ def cmd_contract(args) -> CommandResult:
         if args.l is None:
             raise ValueError("--identities requires --l")
         rep = build_su2_rep(args.l)
+        # x = alpha L1 has entries up to alpha (l + 1/2)/2, with alpha^2 = tau/pi, so x^2
+        # reaches tau (l + 1/2)^2 / (2 pi); H = omega (L3 + l + 1/2) reaches 2 pi/tau, so
+        # omega^2/4 + H^2 stays below 2 (2 pi/tau)^2, which also bounds p^2 and omega^2 x^2;
+        # and omega = 2 pi/((2l + 1) tau) underflows unless (2l + 1) tau is finite
+        width, rate = args.l + 0.5, 2.0 * math.pi / args.tau
+        if not math.isfinite(max(args.tau / (2.0 * math.pi) * width * width, 2.0 * rate * rate,
+                                 2.0 * width * args.tau)):
+            raise ValueError(f"--l {args.l!r} / --tau {args.tau!r}: the identity checks "
+                             "leave the float range")
         residuals = {
             "deformed_commutator": deformed_commutator_check(rep, args.tau),
             "hamiltonian_decomposition": hamiltonian_identity_check(rep, args.tau),

@@ -13,15 +13,13 @@ of diagonals.
 Each entry of a product is the sum of its terms in ascending order of the
 inner index, as in a row-major sparse product, and scalar division multiplies
 by the reciprocal, as scipy's sparse arrays do; so the values match
-compressed sparse row (CSR) arithmetic entry for entry.  `OperatorMatrix.csr`
-and `OperatorMatrix.entries` are CSR and dense views built on first access.
-scipy is imported only by the CSR view and by `matrix_exponential`, never when
-the package loads; a scipy array passed in is read through its own methods.
+compressed sparse row (CSR) arithmetic entry for entry.
+`OperatorMatrix.entries` is a dense view built on first access.  The module
+needs numpy alone.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -64,12 +62,6 @@ def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return product
 
 
-def _is_scipy_sparse(matrix) -> bool:
-    """True for a scipy sparse array or matrix; never imports scipy itself."""
-    module = sys.modules.get("scipy.sparse")
-    return module is not None and module.issparse(matrix)
-
-
 class Bands:
     """A square matrix as its diagonals: {offset: values}, values[i] = M[i, i + offset].
 
@@ -97,7 +89,7 @@ class Bands:
 
     @classmethod
     def from_entries(cls, dim: int, rows, cols, values) -> "Bands":
-        """The matrix with values[t] added at (rows[t], cols[t]); repeated positions sum."""
+        """The matrix with values[t] at (rows[t], cols[t]); the positions must be distinct."""
         rows = np.asarray(rows, dtype=np.int64)
         values = np.asarray(values)
         values = values.astype(np.result_type(values, float))
@@ -108,7 +100,7 @@ class Bands:
         diagonals = {}
         for offset, start, stop in zip(distinct.tolist(), starts, [*starts[1:], len(offsets)]):
             diagonal = np.zeros(dim, dtype=values.dtype)
-            np.add.at(diagonal, rows[start:stop], values[start:stop])
+            diagonal[rows[start:stop]] = values[start:stop]
             diagonals[offset] = diagonal
         return cls(dim, diagonals)
 
@@ -192,10 +184,10 @@ class Bands:
 class OperatorMatrix:
     """A labeled complex square matrix held as its nonzero diagonals.
 
-    `bands` accepts a `Bands`, a dense array or any scipy sparse array; it is
-    stored as a `Bands` without all-zero diagonals, whose values keep a float
-    dtype when the input is real.  Entries must be finite.  `csr` and
-    `entries` are complex views built from it on first access.
+    `bands` accepts a `Bands` or a dense array; it is stored as a `Bands`
+    without all-zero diagonals, whose values keep a float dtype when the
+    input is real.  Entries must be finite.  `entries` is a dense complex
+    view built from it on first access.
     """
 
     label: str
@@ -208,15 +200,11 @@ class OperatorMatrix:
             if any(values.shape != (dim,) for values in diagonals.values()):
                 raise ValueError(f"{self.label!r}: every diagonal needs {dim} values")
         else:
-            sparse_input = _is_scipy_sparse(source)
-            matrix = source.tocoo() if sparse_input else np.asarray(source)
-            if len(matrix.shape) != 2 or matrix.shape[0] != matrix.shape[1]:
+            matrix = np.asarray(source)
+            if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
                 raise ValueError(f"{self.label!r}: entries must form a square matrix")
-            if sparse_input:
-                rows, cols, values = matrix.row, matrix.col, matrix.data
-            else:
-                rows, cols = np.nonzero(matrix)
-                values = matrix[rows, cols]
+            rows, cols = np.nonzero(matrix)
+            values = matrix[rows, cols]
             dim = matrix.shape[0]
             diagonals = Bands.from_entries(dim, rows, cols, values).diagonals
         if dim < 1:
@@ -232,21 +220,6 @@ class OperatorMatrix:
     @property
     def dim(self) -> int:
         return self.bands.dim
-
-    @cached_property
-    def csr(self):
-        """Complex `scipy.sparse.csr_array` view in canonical form, built on first access.
-
-        Sorted column indices, no duplicates and no stored zeros: its entries
-        run in the row-major order of `np.nonzero` on the dense matrix.
-        """
-        from scipy import sparse
-
-        rows, cols, values = self.bands.nonzero()
-        indptr = np.zeros(self.dim + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=self.dim), out=indptr[1:])
-        return sparse.csr_array((values.astype(complex), cols, indptr),
-                                shape=(self.dim, self.dim))
 
     @cached_property
     def entries(self) -> np.ndarray:
@@ -272,29 +245,13 @@ def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     return OperatorMatrix(f"[{a.label},{b.label}]", a.bands @ b.bands - b.bands @ a.bands)
 
 
-def anticommutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
-    """{a, b} = ab + ba."""
-    _require_same_dim(a, b)
-    return OperatorMatrix(f"{{{a.label},{b.label}}}", a.bands @ b.bands + b.bands @ a.bands)
-
-
 def adjoint(a: OperatorMatrix) -> OperatorMatrix:
     """Conjugate transpose."""
     return OperatorMatrix(f"{a.label}†", a.bands.adjoint())
 
 
-def matrix_exponential(a: OperatorMatrix) -> OperatorMatrix:
-    """Matrix exponential, via scipy's Pade approximation with scaling and squaring.
-
-    Dense by nature: the exponential of a banded matrix fills in.
-    """
-    from scipy.linalg import expm
-
-    return OperatorMatrix(f"exp({a.label})", expm(np.asarray(a.entries)))
-
-
 def max_entry(matrix, keep=None) -> float:
-    """Largest absolute entry of a `Bands`, a dense array or a scipy sparse array.
+    """Largest absolute entry of a `Bands` or a dense array.
 
     The identity-residual norm.  With `keep`, a boolean vector over the
     basis, only the entries whose row and column are both kept count: the
@@ -313,12 +270,7 @@ def max_entry(matrix, keep=None) -> float:
         return float(peak)
     if keep is not None:
         matrix = restricted(matrix, np.flatnonzero(keep))
-    if _is_scipy_sparse(matrix):
-        matrix = matrix.tocsr()
-        matrix.sum_duplicates()
-        values = matrix.data
-    else:
-        values = np.asarray(matrix)
+    values = np.asarray(matrix)
     if values.size == 0:
         return 0.0
     return float(np.max(np.abs(values)))
@@ -327,8 +279,7 @@ def max_entry(matrix, keep=None) -> float:
 def restricted(matrix, indices):
     """Sub-matrix on the given distinct basis indices, in their order, for rows and columns.
 
-    A `Bands` gives a `Bands` block, dense input a dense block and scipy
-    sparse input a CSR block.
+    A `Bands` gives a `Bands` block and dense input a dense block.
     """
     idx = np.asarray(list(indices), dtype=int)
     if isinstance(matrix, Bands):
@@ -338,14 +289,7 @@ def restricted(matrix, indices):
         rows, cols = position[rows], position[cols]
         inside = (rows >= 0) & (cols >= 0)
         return Bands.from_entries(len(idx), rows[inside], cols[inside], values[inside])
-    if _is_scipy_sparse(matrix):
-        return matrix.tocsr()[idx][:, idx]
     return matrix[np.ix_(idx, idx)]
-
-
-def hermiticity_residual(a: OperatorMatrix) -> float:
-    """max |A - A†|, zero for an exactly hermitian matrix."""
-    return max_entry(a.bands - a.bands.adjoint())
 
 
 @dataclass(frozen=True, eq=False)

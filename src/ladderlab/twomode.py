@@ -12,20 +12,20 @@ HI = i Gamma (A†B† - AB) = -2 Gamma L2.
 Truncation lives at the per-mode cutoff n_max: an "interior" of size b means
 the states with both occupations below b, which is where every identity holds
 exactly.  The finite conjugation e^{(pi/2) L1} L3 e^{-(pi/2) L1} is non-unitary
-and truncation-dominated, so it is exposed only as a diagnostic; the
-infinitesimal relations [L1, L3] = -i L2 and [L1, [L1, L3]] = -L3, which
-integrate to it, are the checked form.
+and truncation-dominated, so it is exposed only as a diagnostic, computed
+sector by sector; the infinitesimal relations [L1, L3] = -i L2 and
+[L1, [L1, L3]] = -L3, which integrate to it, are the checked form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite, pi
+from math import ceil, isfinite, log2, pi
 
 import numpy as np
 
 from .algebra import LadderRep, Su11, cartesian_generators, discrete_series_elements
-from .operators import Bands, OperatorMatrix, matrix_exponential, max_entry, restricted
+from .operators import Bands, OperatorMatrix, max_entry, restricted
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,14 +118,6 @@ def build_two_mode(n_max: int) -> TwoModeSpace:
     )
 
 
-def interior_indices(space: TwoModeSpace, bound: int | None = None) -> list[int]:
-    """Flat indices with both occupations below `bound` (default n_max)."""
-    bound = space.n_max if bound is None else int(bound)
-    side = space.n_max + 1
-    occupations = np.arange(min(bound, side))
-    return (occupations[:, None] * side + occupations[None, :]).ravel().tolist()
-
-
 def _mode_numbers(space: TwoModeSpace) -> tuple[np.ndarray, np.ndarray]:
     side = space.n_max + 1
     n_a = np.repeat(np.arange(side), side).astype(float)
@@ -134,7 +126,7 @@ def _mode_numbers(space: TwoModeSpace) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _interior_mask(space: TwoModeSpace, bound: int | None = None) -> np.ndarray:
-    """Boolean form of `interior_indices`: both occupations below `bound` (default n_max)."""
+    """The basis states with both occupations below `bound` (default n_max), as a mask."""
     bound = space.n_max if bound is None else int(bound)
     n_a, n_b = _mode_numbers(space)
     return (n_a < bound) & (n_b < bound)
@@ -154,19 +146,6 @@ def _casimir_residual(space: TwoModeSpace, c2: Bands) -> float:
 def casimir_interior_residual(space: TwoModeSpace) -> float:
     """Max-entry gap between the ladder-form Casimir and (A†A - B†B)^2/4 on the interior."""
     return _casimir_residual(space, _casimir_ladder_form(space))
-
-
-def casimir(space: TwoModeSpace, tol: float = 1e-12) -> OperatorMatrix:
-    """Casimir squared, C^2 = 1/4 + L3^2 - (L+L- + L-L+)/2.
-
-    Verified against the diagonal mode form (A†A - B†B)^2/4 on the interior;
-    a mismatch beyond `tol` means the construction is broken.
-    """
-    c2 = _casimir_ladder_form(space)
-    residual = _casimir_residual(space, c2)
-    if not residual <= tol:  # a nan residual is a breach too
-        raise ValueError(f"Casimir forms disagree on the interior: {residual:.3e}")
-    return OperatorMatrix("C2", c2)
 
 
 def casimir_root(space: TwoModeSpace) -> OperatorMatrix:
@@ -257,37 +236,19 @@ def _dissipative_pieces(space: TwoModeSpace, p: DissipativeParams) -> tuple[Band
     return h0, hi
 
 
-def dissipative_hamiltonian(
-    space: TwoModeSpace, p: DissipativeParams, tol: float = 1e-12
-) -> tuple[OperatorMatrix, OperatorMatrix]:
-    """H0 = Omega (A†A - B†B) and HI = i Gamma (A†B† - AB), built from the modes.
-
-    The ladder-form identities H0 = 2 Omega C (on j >= 0) and HI = -2 Gamma L2
-    are verified on the interior before returning; both pieces are hermitian.
-    """
-    residuals = dissipative_residuals(space, p)
-    worst = float(np.max(list(residuals.values())))  # a nan stays nan
-    if not worst <= tol:
-        raise ValueError(f"dissipative Hamiltonian identities breached: {worst:.3e}")
-    h0, hi = _dissipative_pieces(space, p)
-    return OperatorMatrix("H0", h0), OperatorMatrix("HI", hi)
-
-
-def _l1_l2_l3_keep(target, interior: int):
+def _checked_interior(target, interior) -> int:
+    """`interior` as an int, checked against a TwoModeSpace or an su(1,1) LadderRep."""
     if isinstance(target, TwoModeSpace):
-        if not 2 <= int(interior) <= target.n_max + 1:
-            raise ValueError(f"interior must be in 2..{target.n_max + 1}")
-        keep = _interior_mask(target, int(interior))
+        top = target.n_max + 1
     elif isinstance(target, LadderRep):
         if not isinstance(target.kind, Su11):
             raise ValueError("the rotation relation needs the su(1,1) sign; pass a D+_k rep")
-        if not 2 <= int(interior) <= target.dim:
-            raise ValueError(f"interior must be in 2..{target.dim}")
-        keep = np.arange(target.dim) < int(interior)
+        top = target.dim
     else:
         raise ValueError("expected a TwoModeSpace or an su(1,1) LadderRep")
-    l1, l2 = cartesian_generators(target)
-    return l1.bands, l2.bands, target.L3.bands, keep
+    if not 2 <= int(interior) <= top:
+        raise ValueError(f"interior must be in 2..{top}")
+    return int(interior)
 
 
 def l2_relation_check(target, interior: int) -> tuple[float, float]:
@@ -299,7 +260,13 @@ def l2_relation_check(target, interior: int) -> tuple[float, float]:
     Accepts a TwoModeSpace (interior = per-mode occupation bound) or an
     su(1,1) LadderRep (interior = number of leading states).
     """
-    l1, l2, l3, keep = _l1_l2_l3_keep(target, interior)
+    interior = _checked_interior(target, interior)
+    if isinstance(target, TwoModeSpace):
+        keep = _interior_mask(target, interior)
+    else:
+        keep = np.arange(target.dim) < interior
+    l1, l2 = (op.bands for op in cartesian_generators(target))
+    l3 = target.L3.bands
     first = l1 @ l3 - l3 @ l1
     first_residual = max_entry(first + 1j * l2, keep)
     del l2  # each operator is dropped once its last product is formed
@@ -318,19 +285,68 @@ def l2_finite_residual(target, interior: int) -> float:
     ||(L2 - i <n|L3|n>) |phi>|| / |||phi>||, both restricted to the interior
     components, maximized over the states.
 
+    L1 keeps the sector j, so each sector is computed on its own as the
+    su(1,1) block it is: sector j of a TwoModeSpace is the weight-(|j| + 1/2)
+    series on nmax + 1 - 2|j| levels, its interior the leading b - 2|j| of
+    them, and sector -j repeats sector j.  No matrix larger than nmax + 1
+    square is formed.
+
     Diagnostic only: e^{(pi/2) L1} is unbounded and non-unitary, so on a
     truncated space the residual is truncation-dominated, orders of magnitude
     above the infinitesimal commutator residuals.  It decays fast as the
     cutoff grows with the interior held fixed (the operator-identity block
     residual, by contrast, diverges with the cutoff and is not reported).
     """
-    l1, l2, l3, keep = _l1_l2_l3_keep(target, interior)
-    grow = matrix_exponential(OperatorMatrix("piL1/2", (pi / 2.0) * l1)).entries
-    weights = l3.diagonal()
-    worst = 0.0
-    for state in np.flatnonzero(keep):
-        phi = grow[:, state]
-        mismatch = l2 @ phi - 1j * weights[state] * phi
-        scale = float(np.linalg.norm(phi[keep]))
-        worst = max(worst, float(np.linalg.norm(mismatch[keep])) / scale)
-    return worst
+    interior = _checked_interior(target, interior)
+    if isinstance(target, LadderRep):
+        return _rotation_block_residual(target.L3.bands.diagonal(),
+                                        target.Lplus.bands.diagonals[-1][1:], interior)
+    side = target.n_max + 1
+    worst = []
+    for shift in range(interior):  # shift = 2j; sectors with 2|j| >= interior have no interior
+        levels, raising = discrete_series_elements((shift + 1) / 2.0,
+                                                   np.arange(side - shift, dtype=float))
+        worst.append(_rotation_block_residual(levels, raising[:-1], interior - shift))
+    return float(np.max(worst))  # a nan stays nan
+
+
+def _rotation_block_residual(levels: np.ndarray, raising: np.ndarray, interior: int) -> float:
+    """`l2_finite_residual` of one ladder block: L3 = diag(levels), <n+1|L+|n> = raising[n].
+
+    L1 is then real, symmetric and tridiagonal, and L2 = -i (L+ - L-)/2, so
+    i (L2 - i <n|L3|n>) |phi> = ((L+ - L-)/2 + <n|L3|n>) |phi> is real.
+    """
+    dim = len(levels)
+    steps = np.arange(dim - 1)
+    l1 = np.zeros((dim, dim))
+    l1[steps + 1, steps] = l1[steps, steps + 1] = raising / 2.0
+    phi = _nonnegative_exponential((pi / 2.0) * l1)[:, :interior]  # column n is e^{(pi/2) L1}|n>
+    mismatch = levels[:interior] * phi
+    mismatch[1:] += 0.5 * raising[:, None] * phi[:-1]
+    mismatch[:-1] -= 0.5 * raising[:, None] * phi[1:]
+    ratios = (np.linalg.norm(mismatch[:interior], axis=0)
+              / np.linalg.norm(phi[:interior], axis=0))
+    return float(np.max(ratios))
+
+
+def _nonnegative_exponential(m: np.ndarray) -> np.ndarray:
+    """e^m of a square matrix with no negative entry: a Taylor series, scaled and squared.
+
+    m / 2^s has 1-norm at most 1/2, where 18 Taylor terms leave a tail of
+    1-norm below 2^-18/19! (3e-23); squaring s times gives e^m (Moler and
+    Van Loan, "Nineteen dubious ways to compute the exponential of a matrix,
+    twenty-five years later", SIAM Rev. 45, 2003, method 3).  Every term and
+    every square is entrywise nonnegative, so no sum cancels and each entry
+    keeps its relative accuracy, however small it is beside the largest.
+    """
+    if np.any(m < 0):
+        raise ValueError("the Taylor exponential needs a matrix with no negative entry")
+    squarings = ceil(log2(max(float(m.sum(axis=0).max()), 1.0))) + 1
+    scaled = m / 2.0**squarings
+    term = result = np.eye(len(m))
+    for order in range(1, 19):
+        term = term @ scaled / order
+        result = result + term
+    for _ in range(squarings):
+        result = result @ result
+    return result

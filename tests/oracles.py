@@ -1,0 +1,110 @@
+"""Reference implementations that only the tests use.
+
+The CSR view and the scipy matrix exponential check the band store and the
+sector-wise finite-rotation diagnostic against independent arithmetic; the
+raising wrappers and small helpers give tests dense and gated forms of the
+library's residuals.  scipy is imported here and nowhere in the package.
+"""
+
+from math import pi
+
+import numpy as np
+from scipy import sparse
+from scipy.linalg import expm
+
+from ladderlab import twomode
+from ladderlab.algebra import cartesian_generators
+from ladderlab.operators import OperatorMatrix, max_entry
+from ladderlab.twomode import DissipativeParams, TwoModeSpace
+
+
+def csr(op: OperatorMatrix) -> sparse.csr_array:
+    """Complex `scipy.sparse.csr_array` of an operator, in canonical form.
+
+    Sorted column indices, no duplicates and no stored zeros: its entries
+    run in the row-major order of `np.nonzero` on the dense matrix.
+    """
+    rows, cols, values = op.bands.nonzero()
+    indptr = np.zeros(op.dim + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=op.dim), out=indptr[1:])
+    return sparse.csr_array((values.astype(complex), cols, indptr), shape=(op.dim, op.dim))
+
+
+def matrix_exponential(a: OperatorMatrix) -> OperatorMatrix:
+    """Matrix exponential, via scipy's Pade approximation with scaling and squaring."""
+    return OperatorMatrix(f"exp({a.label})", expm(np.asarray(a.entries)))
+
+
+def anticommutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
+    """{a, b} = ab + ba."""
+    if a.dim != b.dim:
+        raise ValueError(f"dimension mismatch: {a.dim} and {b.dim}")
+    return OperatorMatrix(f"{{{a.label},{b.label}}}", a.bands @ b.bands + b.bands @ a.bands)
+
+
+def hermiticity_residual(a: OperatorMatrix) -> float:
+    """max |A - A†|, zero for an exactly hermitian matrix."""
+    return max_entry(a.bands - a.bands.adjoint())
+
+
+def interior_indices(space: TwoModeSpace, bound: int | None = None) -> list[int]:
+    """Flat indices with both occupations below `bound` (default n_max)."""
+    bound = space.n_max if bound is None else int(bound)
+    side = space.n_max + 1
+    occupations = np.arange(min(bound, side))
+    return (occupations[:, None] * side + occupations[None, :]).ravel().tolist()
+
+
+def casimir(space: TwoModeSpace, tol: float = 1e-12) -> OperatorMatrix:
+    """Casimir squared, C^2 = 1/4 + L3^2 - (L+L- + L-L+)/2.
+
+    Verified against the diagonal mode form (A†A - B†B)^2/4 on the interior;
+    a mismatch beyond `tol` means the construction is broken.
+    """
+    c2 = twomode._casimir_ladder_form(space)
+    residual = twomode._casimir_residual(space, c2)
+    if not residual <= tol:  # a nan residual is a breach too
+        raise ValueError(f"Casimir forms disagree on the interior: {residual:.3e}")
+    return OperatorMatrix("C2", c2)
+
+
+def dissipative_hamiltonian(
+    space: TwoModeSpace, p: DissipativeParams, tol: float = 1e-12
+) -> tuple[OperatorMatrix, OperatorMatrix]:
+    """H0 = Omega (A†A - B†B) and HI = i Gamma (A†B† - AB), built from the modes.
+
+    The ladder-form identities H0 = 2 Omega C (on j >= 0) and HI = -2 Gamma L2
+    are verified on the interior before returning; both pieces are hermitian.
+    """
+    residuals = twomode.dissipative_residuals(space, p)
+    worst = float(np.max(list(residuals.values())))  # a nan stays nan
+    if not worst <= tol:
+        raise ValueError(f"dissipative Hamiltonian identities breached: {worst:.3e}")
+    h0, hi = twomode._dissipative_pieces(space, p)
+    return OperatorMatrix("H0", h0), OperatorMatrix("HI", hi)
+
+
+def dense_l2_finite_ratios(target, interior: int) -> dict[int, float]:
+    """Per interior basis state, the ratio `l2_finite_residual` maximizes.
+
+    From one dense `expm` of (pi/2) L1 over the whole space.
+    """
+    if isinstance(target, TwoModeSpace):
+        keep = np.zeros(target.dim, dtype=bool)
+        keep[interior_indices(target, interior)] = True
+    else:
+        keep = np.arange(target.dim) < interior
+    l1, l2 = (op.bands for op in cartesian_generators(target))
+    grow = matrix_exponential(OperatorMatrix("piL1/2", (pi / 2.0) * l1)).entries
+    weights = target.L3.bands.diagonal()
+    ratios = {}
+    for state in np.flatnonzero(keep).tolist():
+        phi = grow[:, state]
+        mismatch = l2 @ phi - 1j * weights[state] * phi
+        ratios[state] = float(np.linalg.norm(mismatch[keep])) / float(np.linalg.norm(phi[keep]))
+    return ratios
+
+
+def dense_l2_finite_residual(target, interior: int) -> float:
+    """`twomode.l2_finite_residual` from one dense `expm` of (pi/2) L1 over the whole space."""
+    return max(dense_l2_finite_ratios(target, interior).values())

@@ -9,23 +9,18 @@ import math
 import numpy as np
 
 from ladderlab import (
-    CircleDynamics,
     EvolutionParams,
-    anticommutator,
     build_h1_rep,
     build_su2_rep,
     build_su11_rep,
     build_two_mode,
     casimir_interior_residual,
     contraction_deviation,
-    deformed_commutator_check,
     density_metrics,
     dissipative_residuals,
     geometric_phase_check,
-    hamiltonian_identity_check,
     holstein_primakoff,
     l2_relation_check,
-    matrix_exponential,
     max_entry,
     run_contraction_study,
     scaled_ladders,
@@ -35,8 +30,11 @@ from ladderlab import (
     thooft_system,
     touch_points,
 )
+from ladderlab.contraction import deformed_commutator_check, hamiltonian_identity_check
 from ladderlab.operators import OperatorMatrix
+from ladderlab.orbits import CircleDynamics
 from ladderlab.twomode import DissipativeParams
+from oracles import anticommutator, matrix_exponential
 
 TWO_PI = 2.0 * math.pi
 GOLDEN_ROTATION = math.pi * (math.sqrt(5.0) - 1.0)
@@ -234,7 +232,7 @@ def test_criterion_8_oracle_equivalence():
 
     # evolution at N=2: U = e^{-i pi/2} (0 1; 1 0), U^2 = -1
     u = np.exp(-1j * math.pi / 2) * np.array([[0.0, 1.0], [1.0, 0.0]])
-    from ladderlab import build_evolution_operator
+    from ladderlab.evolution import build_evolution_operator
 
     checks.append(
         max_entry(build_evolution_operator(EvolutionParams(2, 1.0)).entries - u) < 1e-15

@@ -4,19 +4,16 @@ import numpy as np
 import pytest
 
 from ladderlab import (
-    Heisenberg,
-    Su2,
-    Su11,
     adjoint,
     build_h1_rep,
     build_su2_rep,
     build_su11_rep,
-    cartesian_generators,
     check_algebra_relations,
     commutator,
-    hermiticity_residual,
     max_entry,
 )
+from ladderlab.algebra import Heisenberg, Su2, Su11, cartesian_generators
+from oracles import hermiticity_residual
 
 # Pauli-matrix oracle written in the |n> ordering (n=0 is m=-1/2, so the
 # textbook sigma2 and sigma3 pick up the basis flip).

@@ -578,6 +578,25 @@ class TestInputValidation:
         err = self._rejected(argv, tmp_path, capsys)
         assert all(flag in err for flag in flags) and "float range" in err
 
+    # contract --identities at both float ends: x^2 overflows at a huge tau, omega^2
+    # and H^2 at a tiny one, and omega underflows to 0 once (2l + 1) tau overflows.
+    # These exited 3 on an overflow or a lost H, 1 with an OverflowError traceback,
+    # or 2 with a message that named no flag.
+    @pytest.mark.parametrize("l,tau", [("3", "1e308"), ("3", "9e307"), ("3", "1e-160"),
+                                       ("3", "1e-300"), ("3", "5e-324"), ("100000", "1e300")])
+    def test_identity_scale_names_tau_and_l(self, l, tau, tmp_path, capsys, monkeypatch):
+        for check in ("deformed_commutator_check", "hamiltonian_identity_check"):
+            monkeypatch.setattr(cli, check, refuse_build)
+        err = self._rejected(["contract", "--identities", "--l", l, "--tau", tau],
+                             tmp_path, capsys)
+        assert "--tau" in err and "--l" in err and "float range" in err
+
+    @pytest.mark.parametrize("l,tau", [("3", "2.5e307"), ("0.5", "8e307"), ("3", "1e-150")])
+    def test_identity_scale_inside_the_float_range_runs(self, l, tau, tmp_path, capsys):
+        code, out, _ = run_cli(["contract", "--identities", "--l", l, "--tau", tau],
+                               tmp_path, capsys)
+        assert code in (0, 3) and out.exists()  # 3: the fixed tolerance at 1e-150
+
     def test_large_but_finite_scales_still_run(self, tmp_path, capsys):
         code, _, _ = run_cli(["schwinger", "--nmax", "3", "--check", "hamiltonian",
                               "--Omega", "1e150", "--Gamma", "1e150"], tmp_path, capsys)
@@ -636,14 +655,22 @@ def test_nan_radius_error_is_a_breach(tmp_path, capsys, monkeypatch):
 
 
 class TestStartup:
-    def test_cli_import_leaves_scipy_unloaded(self):
-        # scipy is imported only by the CSR/dense views, matrix_exponential and
-        # scipy input; a CLI start that builds its parser needs none of them.
+    def test_cli_runs_without_scipy(self, tmp_path):
+        # scipy is a test dependency only: with sys.modules["scipy"] = None any
+        # scipy import raises ImportError, and every subcommand still exits 0
+        runs = [
+            ["rep", "--algebra", "su2", "--l", "1"],
+            ["contract", "--hp", "--dim", "8"],
+            ["evolve", "--N", "8"],
+            ["orbit", "--thooft-N", "7", "--format", "json"],
+            ["schwinger", "--nmax", "4"],
+        ]
+        argvs = [argv + ["--out", str(tmp_path / argv[0])] for argv in runs]
         proc = run_module(None, code=(
-            "import sys, ladderlab.cli as cli; cli.build_parser(); "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"))
+            "import sys; sys.modules['scipy'] = None; import ladderlab.cli as cli; "
+            f"print([cli.main(argv) for argv in {argvs!r}])"))
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert proc.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0, 0]", proc.stderr
 
     def test_cli_import_leaves_orjson_unloaded(self):
         # orjson formats numeric cells and is imported when the first one is

@@ -4,22 +4,23 @@ import numpy as np
 import pytest
 
 from ladderlab import (
-    ScalingPair,
-    anticommutator,
     build_h1_rep,
     build_su2_rep,
     build_su11_rep,
     contraction_deviation,
-    deformed_commutator_check,
-    hamiltonian_identity_check,
-    hermiticity_residual,
     holstein_primakoff,
     max_entry,
-    position_momentum,
     run_contraction_study,
     scaled_ladders,
+)
+from ladderlab.contraction import (
+    ScalingPair,
+    deformed_commutator_check,
+    hamiltonian_identity_check,
+    position_momentum,
     su2_hamiltonian,
 )
+from oracles import anticommutator, hermiticity_residual
 
 
 def basis_vector(dim, n):

@@ -4,15 +4,11 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from ladderlab import (
-    EvolutionParams,
-    build_evolution_operator,
-    geometric_phase_check,
-    max_entry,
-    spectrum_via_dft,
-)
+from ladderlab import EvolutionParams, geometric_phase_check, max_entry, spectrum_via_dft
 from ladderlab import evolution
+from ladderlab.evolution import build_evolution_operator
 from ladderlab.operators import OperatorMatrix
+from oracles import csr
 
 
 def _cyclic_permutation(n: int) -> np.ndarray:
@@ -111,7 +107,7 @@ class TestSpectrumRejectsDefects:
     def use_operator(monkeypatch, make):
         build = evolution.build_evolution_operator
         monkeypatch.setattr(evolution, "build_evolution_operator",
-                            lambda p: OperatorMatrix("U", make(build(p).csr)))
+                            lambda p: OperatorMatrix("U", make(csr(build(p))).toarray()))
 
     @pytest.mark.parametrize("entry", [0, 1, 5])
     def test_perturbed_entry(self, monkeypatch, entry):

@@ -8,13 +8,11 @@ from ladderlab.operators import (
     OperatorMatrix,
     Spectrum,
     adjoint,
-    anticommutator,
     commutator,
-    hermiticity_residual,
-    matrix_exponential,
     max_entry,
     restricted,
 )
+from oracles import anticommutator, hermiticity_residual, matrix_exponential
 
 
 def taylor_expm(m: np.ndarray, terms: int = 60) -> np.ndarray:

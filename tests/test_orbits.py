@@ -7,14 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ladderlab import orbits
-from ladderlab import (
-    CircleDynamics,
-    continuous_position,
-    density_metrics,
-    simulate_torus,
-    thooft_system,
-    touch_points,
-)
+from ladderlab import density_metrics, simulate_torus, thooft_system, touch_points
+from ladderlab.orbits import CircleDynamics, continuous_position
 
 TWO_PI = 2 * math.pi
 GOLDEN = math.pi * (math.sqrt(5) - 1)  # rotation 2*pi*(sqrt(5)-1)/2

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,21 +9,26 @@ from ladderlab import (
     DissipativeParams,
     build_su11_rep,
     build_two_mode,
-    casimir,
     casimir_interior_residual,
-    casimir_root,
-    dissipative_hamiltonian,
     dissipative_residuals,
-    interior_indices,
     l2_finite_residual,
     l2_relation_check,
     max_entry,
     restricted,
     sector_decompose,
     sector_match_residual,
-    sector_operators,
 )
+from ladderlab import twomode
 from ladderlab.operators import OperatorMatrix
+from ladderlab.twomode import casimir_root, sector_operators
+from oracles import (
+    casimir,
+    csr,
+    dense_l2_finite_ratios,
+    dense_l2_finite_residual,
+    dissipative_hamiltonian,
+    interior_indices,
+)
 
 
 def basis_vector(dim, n):
@@ -147,20 +153,20 @@ class TestSectors:
     def test_in_block_defect_is_caught(self):
         space = build_two_mode(6)
         defect = 2.0**-10
-        lplus = space.Lplus.csr.tolil()
+        lplus = csr(space.Lplus).tolil()
         # <1,1|L+|0,0> = 1 exactly in the j = 0 block
         lplus[space.index(1, 1), space.index(0, 0)] += defect
-        broken = replace(space, Lplus=OperatorMatrix("L+", lplus))
+        broken = replace(space, Lplus=OperatorMatrix("L+", lplus.toarray()))
         assert sector_match_residual(space) < 1e-12
         assert sector_match_residual(broken) >= defect
 
     def test_leak_between_sectors_is_caught(self):
         space = build_two_mode(6)
         defect = 1e-3
-        l3 = space.L3.csr.tolil()
+        l3 = csr(space.L3).tolil()
         # |1,0> has j = 1/2 and |0,0> has j = 0
         l3[space.index(1, 0), space.index(0, 0)] = defect
-        broken = replace(space, L3=OperatorMatrix("L3", l3))
+        broken = replace(space, L3=OperatorMatrix("L3", l3.toarray()))
         assert sector_match_residual(broken) >= defect
 
     def test_half_sector_matches_weight_one_elements(self):
@@ -289,6 +295,67 @@ class TestRotationRelation:
                 float(np.linalg.norm(mism[:interior]) / np.linalg.norm(phi[:interior])),
             )
         assert abs(worst - l2_finite_residual(rep, interior)) < 1e-9
+
+
+class TestFiniteRotationBySector:
+    """`l2_finite_residual` per su(1,1) block against one dense `expm` of the whole space."""
+
+    @staticmethod
+    def assert_matches_oracle(target, interior):
+        got, want = l2_finite_residual(target, interior), dense_l2_finite_residual(target, interior)
+        assert abs(got - want) <= 1e-12 + 1e-9 * want
+
+    @pytest.mark.parametrize("n_max,interior", [(6, 3), (6, 7), (10, 3), (10, 11), (20, 3),
+                                                (20, 10), (30, 3)])
+    def test_two_mode_matches_dense_expm(self, n_max, interior):
+        # interior n_max + 1 reaches the one-state sectors j = +-n_max/2
+        self.assert_matches_oracle(build_two_mode(n_max), interior)
+
+    @pytest.mark.parametrize("k,dim,interior", [(0.5, 12, 3), (1.5, 12, 12), (0.5, 20, 3),
+                                                (2.0, 20, 11)])
+    def test_su11_matches_dense_expm(self, k, dim, interior):
+        self.assert_matches_oracle(build_su11_rep(k, dim), interior)
+
+    @pytest.mark.parametrize("n_max,interior", [(6, 7), (10, 5)])
+    def test_each_sector_matches_dense_expm(self, n_max, interior, monkeypatch):
+        # The j = 0 block sets the total here, so compare block by block: the
+        # block of shift n_A - n_B = 2j against the dense ratios of the states
+        # with shift +2j, and of those with -2j, which it stands for too.
+        blocks = []
+        block = twomode._rotation_block_residual
+        monkeypatch.setattr(twomode, "_rotation_block_residual",
+                            lambda *args: blocks.append(block(*args)) or blocks[-1])
+        space = build_two_mode(n_max)
+        l2_finite_residual(space, interior)
+        ratios = dense_l2_finite_ratios(space, interior)
+        assert len(blocks) == interior
+        for shift, got in enumerate(blocks):
+            for sign in (1, -1):
+                want = max(ratio for flat, ratio in ratios.items()
+                           if np.subtract(*space.occupations(flat)) == sign * shift)
+                assert abs(got - want) <= 1e-12 + 1e-9 * want
+
+    def test_reach_past_the_dense_ceiling(self):
+        # dim 40 401: one dense complex matrix would take 26 GB
+        tracemalloc.start()
+        try:
+            value = l2_finite_residual(build_two_mode(200), 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value < 1e-10
+        assert peak < 32e6
+
+    def test_taylor_exponential_refuses_a_negative_entry(self):
+        with pytest.raises(ValueError, match="no negative entry"):
+            twomode._nonnegative_exponential(np.array([[0.0, 1.0], [-1e-300, 0.0]]))
+
+    def test_taylor_exponential_of_a_nonnegative_block(self):
+        # e^{t [[0, 1], [1, 0]]} = [[cosh t, sinh t], [sinh t, cosh t]]
+        t = 3.0
+        got = twomode._nonnegative_exponential(np.array([[0.0, t], [t, 0.0]]))
+        want = np.array([[math.cosh(t), math.sinh(t)], [math.sinh(t), math.cosh(t)]])
+        assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * want)
 
 
 def test_raising_wrappers_refuse_a_nan_residual(monkeypatch):

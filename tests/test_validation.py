@@ -4,15 +4,9 @@ import math
 
 import pytest
 
-from ladderlab import (
-    CircleDynamics,
-    DissipativeParams,
-    EvolutionParams,
-    ScalingPair,
-    build_su2_rep,
-    simulate_torus,
-    su2_hamiltonian,
-)
+from ladderlab import DissipativeParams, EvolutionParams, build_su2_rep, simulate_torus
+from ladderlab.contraction import ScalingPair, su2_hamiltonian
+from ladderlab.orbits import CircleDynamics
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
 
