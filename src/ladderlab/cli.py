@@ -328,6 +328,8 @@ def cmd_contract(args) -> CommandResult:
         # reaches tau (l + 1/2)^2 / (2 pi); H = omega (L3 + l + 1/2) reaches 2 pi/tau, so
         # omega^2/4 + H^2 stays below 2 (2 pi/tau)^2, which also bounds p^2 and omega^2 x^2;
         # and omega = 2 pi/((2l + 1) tau) underflows unless (2l + 1) tau is finite
+        if not args.tau > 0.0:
+            raise ValueError(f"--tau {args.tau!r}: the identity checks need a positive tau")
         width, rate = args.l + 0.5, 2.0 * math.pi / args.tau
         if not math.isfinite(max(args.tau / (2.0 * math.pi) * width * width, 2.0 * rate * rate,
                                  2.0 * width * args.tau)):

@@ -286,10 +286,11 @@ def l2_finite_residual(target, interior: int) -> float:
     components, maximized over the states.
 
     L1 keeps the sector j, so each sector is computed on its own as the
-    su(1,1) block it is: sector j of a TwoModeSpace is the weight-(|j| + 1/2)
-    series on nmax + 1 - 2|j| levels, its interior the leading b - 2|j| of
-    them, and sector -j repeats sector j.  No matrix larger than nmax + 1
-    square is formed.
+    su(1,1) block it is: L3 and L+ restricted to the states of sector j of a
+    TwoModeSpace, in ascending level, whose interior is the leading b - 2|j|
+    of them.  Within a block L- is taken as the adjoint of L+, and entries
+    between sectors are not read; `sector_match_residual` checks both.  No
+    matrix larger than nmax + 1 square is formed.
 
     Diagnostic only: e^{(pi/2) L1} is unbounded and non-unitary, so on a
     truncated space the residual is truncation-dominated, orders of magnitude
@@ -299,23 +300,28 @@ def l2_finite_residual(target, interior: int) -> float:
     """
     interior = _checked_interior(target, interior)
     if isinstance(target, LadderRep):
-        return _rotation_block_residual(target.L3.bands.diagonal(),
-                                        target.Lplus.bands.diagonals[-1][1:], interior)
-    side = target.n_max + 1
+        return _rotation_block_residual(target.L3.bands, target.Lplus.bands, interior)
     worst = []
-    for shift in range(interior):  # shift = 2j; sectors with 2|j| >= interior have no interior
-        levels, raising = discrete_series_elements((shift + 1) / 2.0,
-                                                   np.arange(side - shift, dtype=float))
-        worst.append(_rotation_block_residual(levels, raising[:-1], interior - shift))
+    for j, states in sector_decompose(target).sectors.items():
+        shift = int(abs(2 * j))
+        if shift < interior:  # a sector with 2|j| >= interior has no interior state
+            worst.append(_rotation_block_residual(restricted(target.L3.bands, states),
+                                                  restricted(target.Lplus.bands, states),
+                                                  interior - shift))
     return float(np.max(worst))  # a nan stays nan
 
 
-def _rotation_block_residual(levels: np.ndarray, raising: np.ndarray, interior: int) -> float:
-    """`l2_finite_residual` of one ladder block: L3 = diag(levels), <n+1|L+|n> = raising[n].
+def _rotation_block_residual(l3: Bands, lplus: Bands, interior: int) -> float:
+    """`l2_finite_residual` of one ladder block, from its L3 diagonal and L+ subdiagonal.
 
-    L1 is then real, symmetric and tridiagonal, and L2 = -i (L+ - L-)/2, so
-    i (L2 - i <n|L3|n>) |phi> = ((L+ - L-)/2 + <n|L3|n>) |phi> is real.
+    With real elements L1 is real, symmetric and tridiagonal, and
+    L2 = -i (L+ - L-)/2, so i (L2 - i <n|L3|n>) |phi> = ((L+ - L-)/2 + <n|L3|n>) |phi>
+    is real.
     """
+    levels, raising = l3.diagonal(), lplus.diagonals.get(-1, np.zeros(l3.dim))[1:]
+    if np.any(np.imag(levels)) or np.any(np.imag(raising)):
+        raise ValueError("the rotation block needs real L3 and L+ elements")
+    levels, raising = np.real(levels), np.real(raising)
     dim = len(levels)
     steps = np.arange(dim - 1)
     l1 = np.zeros((dim, dim))

@@ -591,6 +591,14 @@ class TestInputValidation:
                              tmp_path, capsys)
         assert "--tau" in err and "--l" in err and "float range" in err
 
+    @pytest.mark.parametrize("tau", ["0", "-0.0", "-1"])
+    def test_identity_tau_must_be_positive(self, tau, tmp_path, capsys, monkeypatch):
+        for check in ("deformed_commutator_check", "hamiltonian_identity_check"):
+            monkeypatch.setattr(cli, check, refuse_build)
+        err = self._rejected(["contract", "--identities", "--l", "3", "--tau", tau],
+                             tmp_path, capsys)
+        assert "--tau" in err and "positive" in err
+
     @pytest.mark.parametrize("l,tau", [("3", "2.5e307"), ("0.5", "8e307"), ("3", "1e-150")])
     def test_identity_scale_inside_the_float_range_runs(self, l, tau, tmp_path, capsys):
         code, out, _ = run_cli(["contract", "--identities", "--l", l, "--tau", tau],

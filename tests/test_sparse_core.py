@@ -17,7 +17,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from ladderlab import (
     DissipativeParams,
@@ -41,7 +40,7 @@ from ladderlab import twomode
 from ladderlab.cli import ELEMENT_COLUMNS, CommandResult, _element_groups
 from ladderlab.contraction import deformed_commutator_check, hamiltonian_identity_check
 from ladderlab.evolution import build_evolution_operator
-from ladderlab.operators import OperatorMatrix, max_entry, restricted
+from ladderlab.operators import Bands, OperatorMatrix, max_entry, restricted
 from ladderlab.twomode import casimir_root, sector_operators
 from oracles import casimir, csr, interior_indices
 
@@ -171,9 +170,14 @@ class TestStorage:
             op.entries[1, 0] = 2.0
 
     def test_rejects_non_finite_sparse_entries(self):
-        bad = sparse.csr_array(([np.inf], ([0], [1])), shape=(3, 3))
-        with pytest.raises(ValueError):
-            OperatorMatrix("bad", bad)
+        # one non-finite entry, given densely or as the band store's one diagonal
+        for value in (np.inf, -np.inf, np.nan):
+            bad = np.zeros((3, 3))
+            bad[0, 1] = value
+            with pytest.raises(ValueError, match="finite"):
+                OperatorMatrix("bad", bad)
+            with pytest.raises(ValueError, match="finite"):
+                OperatorMatrix("bad", Bands(3, {1: np.array([value, 0.0, 0.0])}))
 
 
 # ---------------------------------------------------------------- builders

@@ -19,7 +19,7 @@ from ladderlab import (
     sector_match_residual,
 )
 from ladderlab import twomode
-from ladderlab.operators import OperatorMatrix
+from ladderlab.operators import Bands, OperatorMatrix
 from ladderlab.twomode import casimir_root, sector_operators
 from oracles import (
     casimir,
@@ -319,8 +319,8 @@ class TestFiniteRotationBySector:
     @pytest.mark.parametrize("n_max,interior", [(6, 7), (10, 5)])
     def test_each_sector_matches_dense_expm(self, n_max, interior, monkeypatch):
         # The j = 0 block sets the total here, so compare block by block: the
-        # block of shift n_A - n_B = 2j against the dense ratios of the states
-        # with shift +2j, and of those with -2j, which it stands for too.
+        # block of shift n_A - n_B = 2j, in ascending j, against the dense
+        # ratios of the states with that shift.
         blocks = []
         block = twomode._rotation_block_residual
         monkeypatch.setattr(twomode, "_rotation_block_residual",
@@ -328,12 +328,30 @@ class TestFiniteRotationBySector:
         space = build_two_mode(n_max)
         l2_finite_residual(space, interior)
         ratios = dense_l2_finite_ratios(space, interior)
-        assert len(blocks) == interior
-        for shift, got in enumerate(blocks):
-            for sign in (1, -1):
-                want = max(ratio for flat, ratio in ratios.items()
-                           if np.subtract(*space.occupations(flat)) == sign * shift)
-                assert abs(got - want) <= 1e-12 + 1e-9 * want
+        shifts = range(1 - interior, interior)
+        assert len(blocks) == len(shifts)
+        for shift, got in zip(shifts, blocks):
+            want = max(ratio for flat, ratio in ratios.items()
+                       if np.subtract(*space.occupations(flat)) == shift)
+            assert abs(got - want) <= 1e-12 + 1e-9 * want
+
+    @pytest.mark.parametrize("occupations", [((1, 1), (0, 0)), ((3, 2), (2, 1)),
+                                             ((1, 3), (0, 2)), ((1, 0), (0, 0))])
+    def test_reads_the_space_operators(self, occupations):
+        # A defect in one L+ element inside a sector (L- kept as its adjoint)
+        # moves the diagnostic as the dense oracle sees it, in a j > 0 and a
+        # j < 0 sector alike; an element between two sectors is not read.
+        space = build_two_mode(6)
+        (row, col), defect = (space.index(*n) for n in occupations), 2.0
+        lplus = space.Lplus.bands + Bands.from_entries(space.dim, [row], [col], [defect])
+        broken = replace(space, Lplus=OperatorMatrix("L+", lplus),
+                         Lminus=OperatorMatrix("L-", lplus.adjoint()))
+        intact, got = l2_finite_residual(space, 4), l2_finite_residual(broken, 4)
+        in_sector = np.subtract(*occupations[0]) == np.subtract(*occupations[1])
+        assert (abs(got - intact) > 1e-3) == in_sector
+        if in_sector:
+            want = dense_l2_finite_residual(broken, 4)
+            assert abs(got - want) <= 1e-12 + 1e-9 * want
 
     def test_reach_past_the_dense_ceiling(self):
         # dim 40 401: one dense complex matrix would take 26 GB
