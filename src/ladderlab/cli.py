@@ -431,14 +431,13 @@ def _parse_offset(text: str) -> float:
 def _trace_groups(dynamics, trace, curve_samples: int) -> list[tuple]:
     """The touch rows, then the curve rows if any.
 
-    A closed orbit's x, y and theta repeat bit for bit every `period_steps`
-    touches (they are fixed functions of periodic int64 residues), so they
-    are passed as one period.
+    A closed orbit's trace holds x, y and theta for one period when the run
+    is longer (`OrbitTrace`); they are passed as that period, repeated.
     """
-    count, period = len(trace.angles), trace.period_steps
+    count = len(trace.times)
     x, y, theta = trace.points[:, 0], trace.points[:, 1], trace.angles
-    if period is not None and period < count:
-        x, y, theta = (Periodic(column[:period], count) for column in (x, y, theta))
+    if len(theta) < count:
+        x, y, theta = (Periodic(column, count) for column in (x, y, theta))
     groups = [(Periodic(("touch",), count), np.arange(1, count + 1), trace.times, x, y, theta)]
     if curve_samples > 0:
         times = np.linspace(0.0, float(trace.times[-1]), curve_samples)
@@ -452,6 +451,12 @@ def cmd_orbit(args) -> CommandResult:
     chosen = [args.thooft_n is not None, args.two_circle, args.torus]
     if sum(chosen) != 1:
         raise ValueError("choose exactly one of --thooft-N, --two-circle, --torus")
+    if args.curve_samples < 0:
+        raise ValueError(f"--curve-samples must be >= 0, got {args.curve_samples}")
+    count, flag = (args.steps, "--steps") if args.thooft_n is None else (args.thooft_n, "--thooft-N")
+    least = 1 if args.thooft_n is None else 3  # a 't Hooft system needs three sites
+    if count < least:
+        raise ValueError(f"{flag} must be >= {least}, got {count}")
 
     if args.torus:
         if args.ratio == "golden":
@@ -471,9 +476,9 @@ def cmd_orbit(args) -> CommandResult:
             checks={"max_gap_1": gap1, "max_gap_2": gap2},
         )
 
-    count, flag = (args.steps, "--steps") if args.thooft_n is None else (args.thooft_n, "--thooft-N")
-    # an alpha <= 0 is refused with the dynamics below
-    last_time = max(count, 1) * (math.pi / args.alpha) if args.alpha > 0 else 0.0
+    if not args.alpha > 0:
+        raise ValueError(f"--alpha must be positive, got {args.alpha!r}")
+    last_time = count * (math.pi / args.alpha)
     if not math.isfinite(last_time):
         raise ValueError(f"--alpha {args.alpha!r} / {flag} {count}: the touch times "
                          "j pi/alpha are beyond the float range")
@@ -497,6 +502,9 @@ def cmd_orbit(args) -> CommandResult:
         except OverflowError:
             raise ValueError("--q-num / --q-den: the ratio, or --alpha times it, is beyond "
                              "the float range") from None
+        except ValueError as exc:  # a rational ratio outside (0, 1), or a beta not above 0
+            flags = "--q-num / --q-den" if offset == 0.0 else "--q-num / --q-den / --q-irr-add"
+            raise ValueError(f"{flags}: {exc}") from None
         # the curve runs to the last touch time; a 't Hooft system has beta < alpha
         if args.curve_samples > 0 and not math.isfinite(abs(dynamics.beta) * last_time):
             raise ValueError("--alpha / --q-num / --q-den / --q-irr-add / --steps: the curve "
@@ -504,19 +512,23 @@ def cmd_orbit(args) -> CommandResult:
         try:
             trace = touch_points(dynamics, args.steps)
         except ValueError as exc:
-            if dynamics.q is not None or args.steps < 1:
-                raise
-            # the touch angle step (1 - beta/alpha) pi is beyond the float range
-            raise ValueError(f"--alpha / --q-num / --q-den / --q-irr-add: {exc}") from None
+            # a rational q beyond the int64 angles, or an irrational touch
+            # angle step (1 - beta/alpha) pi beyond the float range
+            flags = ("--q-num / --q-den / --steps" if dynamics.q is not None
+                     else "--alpha / --q-num / --q-den / --q-irr-add")
+            raise ValueError(f"{flags}: {exc}") from None
 
+    # a closed orbit's trace holds one period, whose values repeat bit for bit;
+    # once it wraps, every angle is revisited exactly, a gap of zero
     radius_error = float(np.max(np.abs(trace.points[:, 0] ** 2 + trace.points[:, 1] ** 2 - 1.0)))
+    wrapped = len(trace.angles) < count
     result = CommandResult(
         columns=("record", "index", "t", "x", "y", "theta"),
         groups=_trace_groups(dynamics, trace, args.curve_samples),
         checks={
             "period_steps": trace.period_steps,
             "radius_error": radius_error,
-            "min_touch_gap": float(np.min(circular_gaps(trace.angles))),
+            "min_touch_gap": 0.0 if wrapped else float(np.min(circular_gaps(trace.angles))),
         },
     )
     if not radius_error <= args.tolerance:  # a nan residual is a breach too

@@ -59,8 +59,11 @@ class CircleDynamics:
 class OrbitTrace:
     """Touch points of a circle orbit: times t_j, unit-circle points, angles.
 
-    Parallel arrays over j = 1 .. count; `period_steps` is the exact closure
-    period for rational dynamics and None otherwise.
+    `times` holds t_j for every j = 1 .. count.  `period_steps` is the exact
+    closure period for rational dynamics and None otherwise.  `angles` and
+    `points` hold one period when `period_steps < count`, and every touch
+    otherwise: touch j has angle `angles[(j - 1) % len(angles)]` and point
+    `points[(j - 1) % len(points)]`, since a closed orbit repeats them bit for bit.
     """
 
     dynamics: CircleDynamics
@@ -158,16 +161,19 @@ def touch_points(d: CircleDynamics, count: int) -> OrbitTrace:
 
     theta_j = j (1 - beta/alpha) pi reduced into [0, 2 pi).  Rational dynamics
     q = num/den use exact int64 arithmetic for the angle (so closure is exact
-    to rounding), which needs count * (den - num) and 2 den below 2**63;
-    irrational dynamics take the closed form of `_rotations`, within 2 u 2 pi
-    of the exact angle at every j.  The emitted points are
-    (cos theta_j, sin theta_j), which is what the continuous curve evaluates
-    to at t_j = j pi / alpha.
+    to rounding), which needs count * (den - num) and 2 den below 2**63; their
+    angles and points are computed for j = 1 .. min(count, period_steps) only,
+    since theta_j depends on j through the periodic residue
+    j (den - num) mod 2 den.  Irrational dynamics take the closed form of
+    `_rotations`, within 2 u 2 pi of the exact angle at every j.  The emitted
+    points are (cos theta_j, sin theta_j), which is what the continuous curve
+    evaluates to at t_j = j pi / alpha.
     """
     count = int(count)
     if count < 1:
         raise ValueError("count must be >= 1")
-    times = np.arange(1, count + 1) * (math.pi / d.alpha)
+    times = np.arange(1.0, count + 1)  # exact integers, scaled in place
+    times *= math.pi / d.alpha
     if d.q is not None:
         num, den = d.q.numerator, d.q.denominator
         if max(count * (den - num), 2 * den) >= 2**63:
@@ -175,10 +181,11 @@ def touch_points(d: CircleDynamics, count: int) -> OrbitTrace:
                 f"int64 touch angles need count * (den - num) and 2 * den below 2**63; "
                 f"got count {count}, q = {num}/{den}"
             )
-        # theta_j / pi = j (den - num) / den, reduced mod 2
-        residues = (np.arange(1, count + 1, dtype=np.int64) * (den - num)) % (2 * den)
-        angles = math.pi * residues.astype(float) / den
         period = 2 * den // math.gcd(den - num, 2 * den)
+        # theta_j / pi = j (den - num) / den, reduced mod 2
+        j = np.arange(1, min(count, period) + 1, dtype=np.int64)
+        residues = (j * (den - num)) % (2 * den)
+        angles = math.pi * residues.astype(float) / den
     else:
         angles = _rotations(0.0, (1.0 - d.beta / d.alpha) * math.pi, count)
         period = None

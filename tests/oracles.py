@@ -1,9 +1,10 @@
 """Reference implementations that only the tests use.
 
 The CSR view and the scipy matrix exponential check the band store and the
-sector-wise finite-rotation diagnostic against independent arithmetic; the
-raising wrappers and small helpers give tests dense and gated forms of the
-library's residuals.  scipy is imported here and nowhere in the package.
+sector-wise finite-rotation diagnostic against independent arithmetic, and
+the object-integer touch angles check the closed orbits; the raising
+wrappers and small helpers give tests dense and gated forms of the library's
+residuals.  scipy is imported here and nowhere in the package.
 """
 
 from math import pi
@@ -28,6 +29,17 @@ def csr(op: OperatorMatrix) -> sparse.csr_array:
     indptr = np.zeros(op.dim + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=op.dim), out=indptr[1:])
     return sparse.csr_array((values.astype(complex), cols, indptr), shape=(op.dim, op.dim))
+
+
+def rational_touch_angles(num: int, den: int, count: int) -> np.ndarray:
+    """The touch angles theta_j of the ratio num/den, one for each j = 1 .. count.
+
+    theta_j = pi r_j / den with r_j = j (den - num) mod 2 den, formed in Python
+    integers (object dtype), so no residue overflows, and with no closure
+    period in sight.
+    """
+    residues = (np.arange(1, count + 1, dtype=object) * (den - num)) % (2 * den)
+    return np.array([pi * int(r) / den for r in residues])
 
 
 def matrix_exponential(a: OperatorMatrix) -> OperatorMatrix:

@@ -545,6 +545,36 @@ class TestInputValidation:
         assert flag in self._rejected(argv, tmp_path, capsys)
 
 
+    # each of these once printed a message that named no flag, such as "beta
+    # must be positive", "count must be >= 1" or "n_sites must be >= 3"
+    @pytest.mark.parametrize("argv,flags", [
+        (["--two-circle", "--q-num", "-3", "--q-den", "7"], ["--q-num", "--q-den"]),
+        (["--two-circle", "--q-num", "3", "--q-den", "-7"], ["--q-num", "--q-den"]),
+        (["--two-circle", "--q-num", "3", "--q-den", "7", "--q-irr-add", "-0.5"],
+         ["--q-irr-add"]),
+        (["--two-circle", "--q-num", "3", "--q-den", "7", "--steps", "0"], ["--steps"]),
+        (["--two-circle", "--q-num", "3", "--q-den", "7", "--steps", "-2"], ["--steps"]),
+        (["--torus", "--ratio", "golden", "--steps", "0"], ["--steps"]),
+        (["--thooft-N", "2"], ["--thooft-N"]),
+        (["--thooft-N", "7", "--alpha", "0"], ["--alpha"]),
+        (["--two-circle", "--q-num", "3", "--q-den", "7", "--alpha", "0"], ["--alpha"]),
+        (["--two-circle", "--q-num", "9", "--q-den", "7"], ["--q-num", "--q-den"]),
+        (["--two-circle", "--q-num", "1", "--q-den", str(2**62), "--steps", "1"],
+         ["--q-den", "--steps"]),
+    ], ids=" ".join)
+    def test_orbit_message_names_its_flags(self, argv, flags, tmp_path, capsys):
+        err = self._rejected(["orbit", *argv], tmp_path, capsys)
+        assert all(flag in err for flag in flags), err
+
+    @pytest.mark.parametrize("mode", [["--two-circle", "--q-num", "3", "--q-den", "7"],
+                                      ["--thooft-N", "7"], ["--torus", "--ratio", "golden"]])
+    def test_negative_curve_samples(self, mode, tmp_path, capsys, monkeypatch):
+        # it once exited 0, writing `param curve_samples=-1` and no curve rows
+        monkeypatch.setattr(cli, "touch_points", refuse_orbit)
+        monkeypatch.setattr(cli, "simulate_torus", refuse_orbit)
+        err = self._rejected(["orbit", *mode, "--curve-samples", "-1"], tmp_path, capsys)
+        assert "--curve-samples" in err
+
     def test_overflowing_touch_step_names_the_flags(self, tmp_path, capsys):
         # beta is finite, but the touch angle step (1 - beta/alpha) pi overflows to -inf;
         # it once gave nan angles, a nan radius_error and exit 0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from ladderlab import orbits
 from ladderlab import density_metrics, simulate_torus, thooft_system, touch_points
 from ladderlab.orbits import CircleDynamics, continuous_position
+from oracles import rational_touch_angles
 
 TWO_PI = 2 * math.pi
 GOLDEN = math.pi * (math.sqrt(5) - 1)  # rotation 2*pi*(sqrt(5)-1)/2
@@ -82,12 +84,14 @@ class TestTouchPoints:
         assert np.allclose(trace.angles, [2 * math.pi / 3, 4 * math.pi / 3, 0.0], atol=1e-12)
 
     def test_consistent_with_continuous_curve(self):
-        # emitted touch points equal the curve evaluated at t_j
+        # emitted touch points equal the curve evaluated at t_j, for every j
         d = CircleDynamics.rational(1.0, 5, 7)
         trace = touch_points(d, 20)
+        assert trace.period_steps == 7 and trace.points.shape == (7, 2)
         x, y = continuous_position(d, trace.times)
-        assert np.max(np.abs(x - trace.points[:, 0])) < 1e-10
-        assert np.max(np.abs(y - trace.points[:, 1])) < 1e-10
+        points = trace.points[np.arange(20) % 7]  # touch j is point (j - 1) mod 7
+        assert np.max(np.abs(x - points[:, 0])) < 1e-10
+        assert np.max(np.abs(y - points[:, 1])) < 1e-10
 
     def test_irrational_never_closes(self):
         # exhaustive scan: no touch angle returns to 0 within 1e-9 over 1e4 steps
@@ -110,8 +114,37 @@ class TestTouchPoints:
     def test_int64_residues_match_object_oracle(self, num, den, count):
         angles = rational_touch_angles(num, den, count)
         trace = touch_points(CircleDynamics.rational(1.0, num, den), count)
-        assert np.array_equal(trace.angles, angles)
-        assert np.array_equal(trace.points, np.column_stack([np.cos(angles), np.sin(angles)]))
+        assert len(trace.angles) == len(trace.points) == min(count, trace.period_steps)
+        # every touch j, read from the stored period
+        stored = np.arange(count) % len(trace.angles)
+        assert np.array_equal(trace.angles[stored], angles)
+        assert np.array_equal(trace.points[stored],
+                              np.column_stack([np.cos(angles), np.sin(angles)]))
+
+    @pytest.mark.parametrize("count", [1, 12, 13, 14, 27, 60_000])
+    def test_closed_orbit_stores_one_period(self, count):
+        # q = 5/13 closes after 13 touches; every touch keeps its own time
+        trace = touch_points(CircleDynamics.rational(2.0, 5, 13), count)
+        assert trace.period_steps == 13
+        assert trace.angles.shape == (min(count, 13),)
+        assert trace.points.shape == (min(count, 13), 2)
+        assert np.array_equal(trace.times, np.arange(1, count + 1) * (math.pi / 2.0))
+
+    def test_irrational_orbit_stores_every_touch(self):
+        trace = touch_points(CircleDynamics.irrational(1.0, 5 / 13 + 0.01), 300)
+        assert trace.angles.shape == (300,) and trace.points.shape == (300, 2)
+
+    def test_closed_orbit_reach(self):
+        # a million touches of q = 5/13 hold the times and one period: 8.0 MB
+        # measured (56 MB when every touch had its residue, angle and point)
+        tracemalloc.start()
+        try:
+            trace = touch_points(CircleDynamics.rational(1.0, 5, 13), 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(trace.times) == 10**6 and len(trace.angles) == 13
+        assert peak < 9_000_000, f"tracemalloc peak {peak / 1e6:.1f} MB"
 
     @pytest.mark.parametrize("num, den, count", [
         (1, 2**61 + 1, 4),  # count * (den - num) = 2**63
@@ -120,12 +153,6 @@ class TestTouchPoints:
     def test_int64_overflow_rejected(self, num, den, count):
         with pytest.raises(ValueError, match=r"below 2\*\*63"):
             touch_points(CircleDynamics.rational(1.0, num, den), count)
-
-
-def rational_touch_angles(num: int, den: int, count: int) -> np.ndarray:
-    """Oracle: the touch angles in Python integers (object dtype), never overflowing."""
-    residues = (np.arange(1, count + 1, dtype=object) * (den - num)) % (2 * den)
-    return np.array([math.pi * int(r) / den for r in residues])
 
 
 class TestThooftSystem:

@@ -8,16 +8,18 @@ file the column writer produces must equal its output byte for byte.
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ladderlab import __version__, cli
 from ladderlab.cli import CommandResult, Periodic, TOOL, WRITE_BLOCK_ROWS, write_output
-from ladderlab.orbits import CircleDynamics, thooft_system, touch_points
+from ladderlab.orbits import CircleDynamics, thooft_system
+from oracles import rational_touch_angles
 
 
 def _fmt(value) -> str:
@@ -243,7 +245,7 @@ def test_groups_need_every_column(tmp_path):
     assert not (tmp_path / "out.json").exists()
 
 
-def _recorded(argv, fmt, tmp_path, monkeypatch, capsys):
+def _recorded(argv, fmt, tmp_path, monkeypatch):
     """Run the CLI; return its output file and the arguments `write_output` got."""
     calls = []
 
@@ -254,9 +256,46 @@ def _recorded(argv, fmt, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "write_output", recording)
     out = tmp_path / f"new.{fmt}"
     assert cli.main(argv + ["--format", fmt, "--out", str(out)]) == 0
-    capsys.readouterr()
     (call,) = calls
     return out, call
+
+
+def full_closed_orbit(q: Fraction, count: int, alpha: float) -> CommandResult:
+    """The touch rows and checks of `orbit` for the ratio q, one row per touch.
+
+    Every array runs over all `count` touches, with angles from the
+    object-integer oracle and the period from exact fractions; nothing is
+    read from `touch_points`.
+    """
+    angles = rational_touch_angles(q.numerator, q.denominator, count)
+    x, y = np.cos(angles), np.sin(angles)
+    ordered = np.sort(angles)
+    gaps = np.append(np.diff(ordered), ordered[0] + 2 * math.pi - ordered[-1])
+    checks = {
+        "period_steps": ((1 - q) / 2).denominator,  # theta_j / 2 pi = j (1 - q) / 2 mod 1
+        "radius_error": float(np.max(np.abs(x**2 + y**2 - 1.0))),
+        "min_touch_gap": float(np.min(gaps)),
+    }
+    rows = (["touch"] * count, list(range(1, count + 1)),
+            [j * (math.pi / alpha) for j in range(1, count + 1)],
+            x.tolist(), y.tolist(), angles.tolist())
+    return CommandResult(("record", "index", "t", "x", "y", "theta"), [rows], checks=checks)
+
+
+def assert_closed_orbit_matches_oracle(argv, q, count, alpha, fmt, tmp_path, monkeypatch):
+    """The CLI's checks and bytes for a closed orbit against `full_closed_orbit`."""
+    out, (_, _, command, parameters, tolerance, result) = _recorded(
+        argv, fmt, tmp_path, monkeypatch)
+    full = full_closed_orbit(q, count, alpha)
+    repeats = full.checks["period_steps"] < count
+    assert [isinstance(column, Periodic) for column in result.groups[0]] == \
+        [True, False, False, repeats, repeats, repeats]
+    assert result.checks == full.checks
+    # the oracle formats the full touch arrays row by row, with no period in sight
+    old = tmp_path / f"old.{fmt}"
+    rowwise_write_output(str(old), fmt, command, parameters, tolerance, full)
+    assert out.read_bytes() == old.read_bytes()
+    return out, result, full
 
 
 CLOSED_ORBITS = [
@@ -277,22 +316,9 @@ CLOSED_ORBITS = [
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("argv,dynamics,count", CLOSED_ORBITS)
-def test_closed_orbit_matches_full_arrays(argv, dynamics, count, fmt, tmp_path, monkeypatch,
-                                         capsys):
-    out, (_, _, command, parameters, tolerance, result) = _recorded(
-        argv, fmt, tmp_path, monkeypatch, capsys)
-    trace = touch_points(dynamics, count)
-    repeats = trace.period_steps < count
-    assert [isinstance(column, Periodic) for column in result.groups[0]] == \
-        [True, False, False, repeats, repeats, repeats]
-    # the oracle formats the full touch arrays row by row, with no period in sight
-    full = CommandResult(result.columns, [(
-        ["touch"] * count, list(range(1, count + 1)), trace.times.tolist(),
-        trace.points[:, 0].tolist(), trace.points[:, 1].tolist(), trace.angles.tolist(),
-    )], checks=result.checks)
-    old = tmp_path / f"old.{fmt}"
-    rowwise_write_output(str(old), fmt, command, parameters, tolerance, full)
-    assert out.read_bytes() == old.read_bytes()
+def test_closed_orbit_matches_full_arrays(argv, dynamics, count, fmt, tmp_path, monkeypatch):
+    out, result, full = assert_closed_orbit_matches_oracle(
+        argv, dynamics.q, count, dynamics.alpha, fmt, tmp_path, monkeypatch)
     assert list(result.rows) == list(full.rows)
     text = out.read_text(encoding="utf-8")
     if fmt == "json":
@@ -302,10 +328,40 @@ def test_closed_orbit_matches_full_arrays(argv, dynamics, count, fmt, tmp_path, 
     assert len(result.rows) == written == count
 
 
+# Runs around the closure period of random ratios: one touch short of it, at
+# it, one past it, and k periods plus a remainder.  The examples hold periods
+# longer than a write block (602 and 400 rows).
+@settings(derandomize=True, max_examples=40, deadline=None)
+@example(num=2, den=301, alpha=1.0, place="wrapped", k=2, r=296)
+@example(num=1, den=200, alpha=0.3, place="before", k=1, r=0)
+@given(
+    num=st.integers(min_value=1, max_value=400),
+    den=st.integers(min_value=3, max_value=401),
+    alpha=st.sampled_from([1.0, 0.3, 2.5]),
+    place=st.sampled_from(["before", "at", "after", "wrapped"]),
+    k=st.integers(min_value=1, max_value=4),
+    r=st.integers(min_value=0, max_value=10**6),
+)
+def test_closed_orbit_around_its_period_matches_object_oracle(num, den, alpha, place, k, r,
+                                                              tmp_path_factory):
+    q = Fraction(1 + (num - 1) % (den - 1), den)  # 0 < q < 1
+    period = ((1 - q) / 2).denominator
+    count = {"before": period - 1, "at": period, "after": period + 1,
+             "wrapped": k * period + r % period}[place]
+    argv = ["orbit", "--two-circle", "--q-num", str(q.numerator), "--q-den",
+            str(q.denominator), "--steps", str(count), "--alpha", repr(alpha)]
+    tmp_path = tmp_path_factory.mktemp("closed")
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for fmt in ("csv", "json"):
+            assert_closed_orbit_matches_oracle(argv, q, count, alpha, fmt, tmp_path, monkeypatch)
+
+
 def test_orbit_peak_memory(tmp_path, capsys):
     # The benchmark's largest orbits op. Its full tracemalloc peak was 17.8 MB
-    # when the command built one tuple per row; with columns it is 3.9 MB,
-    # most of it the touch_points arrays.
+    # when the command built one tuple per row, and 3.85 MB with columns while
+    # touch_points formed every touch's residue, angle and point.  Holding one
+    # period of 13 leaves the times and index columns (0.48 MB each) and the
+    # writer's block: 1.07 MB measured with orjson 3.8.3.
     argv = ["orbit", "--two-circle", "--q-num", "5", "--q-den", "13", "--steps", "60000",
             "--format", "json", "--out", str(tmp_path / "out.json")]
     tracemalloc.start()
@@ -316,7 +372,7 @@ def test_orbit_peak_memory(tmp_path, capsys):
         tracemalloc.stop()
     capsys.readouterr()
     assert code == 0
-    assert peak < 6_000_000
+    assert peak < 1_300_000, f"tracemalloc peak {peak / 1e6:.2f} MB"
 
 
 # `cli._cells` formats float and integer columns from orjson's shortest
@@ -596,12 +652,12 @@ def _slots_per_row(monkeypatch) -> list[int]:
     return slots
 
 
-def test_periodic_runs_are_joined_once_per_group(tmp_path, monkeypatch, capsys):
+def test_periodic_runs_are_joined_once_per_group(tmp_path, monkeypatch):
     # a JSON two-circle row: the record label with the text around it, then
     # index, "t", and x, y, theta with the text up to the row's end: 5 slots
     slots = _slots_per_row(monkeypatch)
     argv = ["orbit", "--two-circle", "--q-num", "5", "--q-den", "13", "--steps", "600"]
-    _recorded(argv, "json", tmp_path, monkeypatch, capsys)
+    _recorded(argv, "json", tmp_path, monkeypatch)
     assert slots == [5, 5, 5]
 
 
