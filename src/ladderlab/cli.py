@@ -87,12 +87,38 @@ class Periodic:
         return self.length
 
 
+class Arange:
+    """A column of `length` cells first + i, each times `scale` if one is given.
+
+    A slice `column[a:b]` is an array of `dtype`, made when it is taken:
+    integers as `np.arange` makes them or, with a scale, each exact integer
+    first + i times `scale`, rounded once, the bits of
+    `np.arange(float(first), first + length) * scale`.  A plain class, not
+    a dataclass, which would cost every CLI start half a millisecond.
+    """
+
+    def __init__(self, first: int, length: int, scale: float | None = None) -> None:
+        self.first, self.length, self.scale = first, length, scale
+        self.dtype = np.dtype(int if scale is None else float)
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __getitem__(self, key: slice) -> np.ndarray:
+        start, stop, step = key.indices(self.length)
+        if self.scale is None:
+            return np.arange(self.first + start, self.first + stop, step)
+        cells = np.arange(float(self.first + start), float(self.first + stop), step)
+        cells *= self.scale
+        return cells
+
+
 def _python_values(column) -> Iterable:
     """The cells of a column as Python values (numpy scalars become float/int)."""
     if isinstance(column, Periodic):
         return itertools.islice(itertools.cycle(_python_values(column.values)), column.length)
-    if isinstance(column, np.ndarray):
-        return column.tolist()
+    if isinstance(column, (np.ndarray, Arange)):
+        return column[:].tolist()
     return column
 
 
@@ -109,7 +135,7 @@ class CommandResult:
     """Named columns, stored as row groups written one after the other.
 
     Each group holds one column per name, all of one length; a column is a
-    numpy array, a sequence of Python values, or a `Periodic`.
+    numpy array, a sequence of Python values, a `Periodic` or an `Arange`.
     """
 
     columns: tuple[str, ...]
@@ -273,20 +299,20 @@ def cmd_rep(args) -> CommandResult:
     if args.algebra == "su2":
         if args.l is None:
             raise ValueError("su2 requires --l")
-        rep = build_su2_rep(args.l)
+        rep = _flagged("--l", build_su2_rep, args.l)
         default_interior = rep.dim
     elif args.algebra == "su11":
         if args.k is None or args.dim is None:
             raise ValueError("su11 requires --k and --dim")
-        rep = build_su11_rep(args.k, args.dim)
+        rep = _flagged("--k / --dim", build_su11_rep, args.k, args.dim)
         default_interior = rep.dim - 1
     else:
         if args.dim is None:
             raise ValueError("h1 requires --dim")
-        rep = build_h1_rep(args.dim)
+        rep = _flagged("--dim", build_h1_rep, args.dim)
         default_interior = rep.dim - 1
     interior = default_interior if args.interior is None else args.interior
-    residual = check_algebra_relations(rep, interior)
+    residual = _flagged("--interior", check_algebra_relations, rep, interior)
     result = CommandResult(
         columns=ELEMENT_COLUMNS,
         groups=_element_groups([rep.L3, rep.Lplus, rep.Lminus]),
@@ -304,7 +330,7 @@ def cmd_contract(args) -> CommandResult:
 
     if args.hp:
         dim = 64 if args.dim is None else args.dim
-        rep = build_su11_rep(0.5, dim)
+        rep = _flagged("--dim", build_su11_rep, 0.5, dim)
         a, adag = holstein_primakoff(rep)
         osc = build_h1_rep(dim)
         deviation = float(np.maximum(
@@ -352,7 +378,7 @@ def cmd_contract(args) -> CommandResult:
     if not args.params:
         raise ValueError("--family requires --params")
     params = _finite_list("--params", args.params)
-    report = run_contraction_study(args.family, params, args.n + 1)
+    report = _flagged("--params / --n", run_contraction_study, args.family, params, args.n + 1)
     sweep, levels = len(report.params), report.interior
     return CommandResult(
         columns=("param", "n", "deviation"),
@@ -367,7 +393,7 @@ def cmd_contract(args) -> CommandResult:
 
 
 def cmd_evolve(args) -> CommandResult:
-    params = EvolutionParams(args.N, args.tau)
+    params = _flagged("--N / --tau", EvolutionParams, args.N, args.tau)
     # the energies run up to N omega = 2 pi / tau; a zero omega divides --units omega
     if not (params.omega > 0.0 and math.isfinite(params.n_states * params.omega)):
         raise ValueError(f"--N {args.N} / --tau {args.tau!r}: omega = 2 pi/(N tau) = "
@@ -387,6 +413,14 @@ def cmd_evolve(args) -> CommandResult:
     if not abs(phase + 1.0) <= args.tolerance:
         result.breaches.append("phase")
     return result
+
+
+def _flagged(flags: str, function, *args):
+    """`function(*args)`; a ValueError it raises is raised again, its message led by `flags`."""
+    try:
+        return function(*args)
+    except ValueError as exc:
+        raise ValueError(f"{flags}: {exc}") from None
 
 
 def _finite_list(flag: str, text: str, skip_blank: bool = True) -> list[float]:
@@ -432,25 +466,50 @@ def _trace_groups(dynamics, trace, curve_samples: int) -> list[tuple]:
     """The touch rows, then the curve rows if any.
 
     A closed orbit's trace holds x, y and theta for one period when the run
-    is longer (`OrbitTrace`); they are passed as that period, repeated.
+    is longer (`OrbitTrace`); they are passed as that period, repeated.  The
+    index and the times t_j = j pi/alpha are `Arange` columns.
     """
-    count = len(trace.times)
+    count = trace.count
     x, y, theta = trace.points[:, 0], trace.points[:, 1], trace.angles
     if len(theta) < count:
         x, y, theta = (Periodic(column, count) for column in (x, y, theta))
-    groups = [(Periodic(("touch",), count), np.arange(1, count + 1), trace.times, x, y, theta)]
+    groups = [(Periodic(("touch",), count), Arange(1, count),
+               Arange(1, count, trace.time_step), x, y, theta)]
     if curve_samples > 0:
-        times = np.linspace(0.0, float(trace.times[-1]), curve_samples)
+        # the last touch time, the bits of trace.times[-1]
+        times = np.linspace(0.0, count * trace.time_step, curve_samples)
         xs, ys = continuous_position(dynamics, times)
-        groups.append((Periodic(("curve",), curve_samples), np.arange(curve_samples), times,
+        groups.append((Periodic(("curve",), curve_samples), Arange(0, curve_samples), times,
                        xs, ys, Periodic((None,), curve_samples)))
     return groups
+
+
+# The orbit flags each mode reads, beside the mode's own flag; a mode refuses
+# any other of these flags set away from its default, rather than ignore it.
+ORBIT_MODE_FLAGS = {
+    "--thooft-N": ("--alpha", "--curve-samples"),
+    "--two-circle": ("--alpha", "--curve-samples", "--steps", "--q-num", "--q-den",
+                     "--q-irr-add"),
+    "--torus": ("--steps", "--ratio", "--rot1", "--rot2", "--phi0"),
+}
+
+
+@functools.cache
+def _orbit_defaults() -> dict:
+    """The argparse default of every orbit flag, by dest."""
+    return vars(_parser_tree().parse_args(["orbit", "--torus"]))
 
 
 def cmd_orbit(args) -> CommandResult:
     chosen = [args.thooft_n is not None, args.two_circle, args.torus]
     if sum(chosen) != 1:
         raise ValueError("choose exactly one of --thooft-N, --two-circle, --torus")
+    mode = list(ORBIT_MODE_FLAGS)[chosen.index(True)]
+    defaults = _orbit_defaults()
+    for flag in dict.fromkeys(itertools.chain(*ORBIT_MODE_FLAGS.values())):
+        dest = flag[2:].replace("-", "_")
+        if flag not in ORBIT_MODE_FLAGS[mode] and getattr(args, dest) != defaults[dest]:
+            raise ValueError(f"{flag} is not read by orbit {mode}; leave it out")
     if args.curve_samples < 0:
         raise ValueError(f"--curve-samples must be >= 0, got {args.curve_samples}")
     count, flag = (args.steps, "--steps") if args.thooft_n is None else (args.thooft_n, "--thooft-N")
@@ -472,7 +531,7 @@ def cmd_orbit(args) -> CommandResult:
         gap1, gap2 = density_metrics(orbit)
         return CommandResult(
             columns=("step", "phi1", "phi2"),
-            groups=[(np.arange(1, orbit.steps + 1), orbit.angles[:, 0], orbit.angles[:, 1])],
+            groups=[(Arange(1, orbit.steps), orbit.angles[:, 0], orbit.angles[:, 1])],
             checks={"max_gap_1": gap1, "max_gap_2": gap2},
         )
 
@@ -539,7 +598,7 @@ def cmd_orbit(args) -> CommandResult:
 def cmd_schwinger(args) -> CommandResult:
     if args.dump and args.sector is None:
         raise ValueError("--dump requires --sector")
-    space = build_two_mode(args.nmax)
+    space = _flagged("--nmax", build_two_mode, args.nmax)
 
     if args.dump:
         decomp = sector_decompose(space)
@@ -574,7 +633,7 @@ def cmd_schwinger(args) -> CommandResult:
     if selected in ("all", "sectors"):
         checks["sector_match"] = sector_match_residual(space)
     if selected in ("all", "hamiltonian"):
-        params = DissipativeParams(Omega=args.Omega, Gamma=args.Gamma)
+        params = _flagged("--Omega / --Gamma", DissipativeParams, args.Omega, args.Gamma)
         checks.update(dissipative_residuals(space, params))
     if selected in ("all", "l2"):
         res1, res2 = l2_relation_check(space, space.n_max)
@@ -716,9 +775,9 @@ def _folded_text(column) -> str | None:
 
 
 def _numeric_column(column) -> bool:
-    """Whether a column is an integer or float array, or a `Periodic` run of one."""
+    """Whether a column is an integer or float array or `Arange`, or a `Periodic` run of one."""
     values = column.values if isinstance(column, Periodic) else column
-    return isinstance(values, np.ndarray) and values.dtype.kind in "iuf"
+    return isinstance(values, (np.ndarray, Arange)) and values.dtype.kind in "iuf"
 
 
 def _number_lists(column):
@@ -736,8 +795,8 @@ def _non_plain_blocks(columns, length: int) -> bytes:
     """One flag per block of a row group: 1 if a float cell is one orjson does not spell as `repr`.
 
     A block is a run of WRITE_BLOCK_ROWS rows, numbered from 0; the spelling
-    rule is `_fixed_notation`.  An array column is checked PLAIN_SCAN_ROWS
-    rows at a time.  A `Periodic` column's period is checked once, and only
+    rule is `_fixed_notation`.  An array or `Arange` column is checked
+    PLAIN_SCAN_ROWS rows at a time.  A `Periodic` column's period is checked once, and only
     a period with such a cell is laid out over the rows.
     """
     blocks = np.zeros(-(-length // WRITE_BLOCK_ROWS), dtype=bool)

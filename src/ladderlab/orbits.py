@@ -57,20 +57,30 @@ class CircleDynamics:
 
 @dataclass(frozen=True, eq=False)
 class OrbitTrace:
-    """Touch points of a circle orbit: times t_j, unit-circle points, angles.
+    """Touch points of a circle orbit j = 1 .. count: unit-circle points, angles, times.
 
-    `times` holds t_j for every j = 1 .. count.  `period_steps` is the exact
-    closure period for rational dynamics and None otherwise.  `angles` and
-    `points` hold one period when `period_steps < count`, and every touch
-    otherwise: touch j has angle `angles[(j - 1) % len(angles)]` and point
-    `points[(j - 1) % len(points)]`, since a closed orbit repeats them bit for bit.
+    Touch j happens at t_j = j * time_step, with time_step = pi / alpha;
+    `times` forms all `count` of them on each read, an exact integer j times
+    `time_step`, rounded once.  `period_steps` is the exact closure period for
+    rational dynamics and None otherwise.  `angles` and `points` hold one
+    period when `period_steps < count`, and every touch otherwise: touch j has
+    angle `angles[(j - 1) % len(angles)]` and point `points[(j - 1) % len(points)]`,
+    since a closed orbit repeats them bit for bit.
     """
 
     dynamics: CircleDynamics
-    times: np.ndarray
     points: np.ndarray
     angles: np.ndarray
     period_steps: int | None
+    count: int
+    time_step: float
+
+    @property
+    def times(self) -> np.ndarray:
+        """t_j for j = 1 .. count, built on each read."""
+        times = np.arange(1.0, self.count + 1)  # exact integers, scaled in place
+        times *= self.time_step
+        return times
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,13 +177,12 @@ def touch_points(d: CircleDynamics, count: int) -> OrbitTrace:
     j (den - num) mod 2 den.  Irrational dynamics take the closed form of
     `_rotations`, within 2 u 2 pi of the exact angle at every j.  The emitted
     points are (cos theta_j, sin theta_j), which is what the continuous curve
-    evaluates to at t_j = j pi / alpha.
+    evaluates to at t_j = j pi / alpha.  No array of times is formed: the
+    trace holds `count` and the step pi / alpha (`OrbitTrace.times`).
     """
     count = int(count)
     if count < 1:
         raise ValueError("count must be >= 1")
-    times = np.arange(1.0, count + 1)  # exact integers, scaled in place
-    times *= math.pi / d.alpha
     if d.q is not None:
         num, den = d.q.numerator, d.q.denominator
         if max(count * (den - num), 2 * den) >= 2**63:
@@ -190,9 +199,8 @@ def touch_points(d: CircleDynamics, count: int) -> OrbitTrace:
         angles = _rotations(0.0, (1.0 - d.beta / d.alpha) * math.pi, count)
         period = None
     points = np.column_stack([np.cos(angles), np.sin(angles)])
-    return OrbitTrace(
-        dynamics=d, times=times, points=points, angles=angles, period_steps=period
-    )
+    return OrbitTrace(dynamics=d, points=points, angles=angles, period_steps=period,
+                      count=count, time_step=math.pi / d.alpha)
 
 
 def thooft_system(n_sites: int, alpha: float = 1.0) -> CircleDynamics:

@@ -566,6 +566,54 @@ class TestInputValidation:
         err = self._rejected(["orbit", *argv], tmp_path, capsys)
         assert all(flag in err for flag in flags), err
 
+    # each of these once printed the library's message alone, such as "dim must
+    # be at least 2" or "n_max must be >= 1"
+    @pytest.mark.parametrize("argv,flag", [
+        (["contract", "--family", "su2", "--params", "0"], "--params"),
+        (["contract", "--family", "su2", "--params", "5,10", "--n", "-1"], "--n"),
+        (["evolve", "--N", "0"], "--N"),
+        (["evolve", "--N", "1"], "--N"),
+        (["schwinger", "--nmax", "0"], "--nmax"),
+        (["rep", "--algebra", "su2", "--l", "0"], "--l"),
+        (["rep", "--algebra", "su11", "--k", "1.5", "--dim", "0"], "--dim"),
+        (["rep", "--algebra", "h1", "--dim", "1"], "--dim"),
+        (["contract", "--hp", "--dim", "0"], "--dim"),
+        (["rep", "--algebra", "su2", "--l", "2", "--interior", "0"], "--interior"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+    def test_library_message_names_its_flag(self, argv, flag, tmp_path, capsys):
+        err = self._rejected(argv, tmp_path, capsys)
+        assert f"{flag}:" in err or f"{flag} /" in err, err
+
+    # each of these once exited 0, recording the ignored value in the manifest
+    @pytest.mark.parametrize("argv,flag", [
+        (["--thooft-N", "7", "--steps", "0"], "--steps"),
+        (["--torus", "--ratio", "golden", "--steps", "5", "--alpha", "0"], "--alpha"),
+        (["--thooft-N", "7", "--q-num", "9", "--q-den", "7"], "--q-num"),
+        (["--thooft-N", "7", "--q-irr-add", "pi/40"], "--q-irr-add"),
+        (["--two-circle", "--q-num", "1", "--q-den", "3", "--phi0", "1,2"], "--phi0"),
+        (["--two-circle", "--q-num", "1", "--q-den", "3", "--ratio", "golden"], "--ratio"),
+        (["--torus", "--rot1", "1", "--rot2", "2", "--curve-samples", "5"], "--curve-samples"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+    def test_orbit_refuses_a_flag_its_mode_ignores(self, argv, flag, tmp_path, capsys,
+                                                   monkeypatch):
+        monkeypatch.setattr(cli, "touch_points", refuse_orbit)
+        monkeypatch.setattr(cli, "simulate_torus", refuse_orbit)
+        err = self._rejected(["orbit", *argv], tmp_path, capsys)
+        assert flag in err and "not read" in err, err
+
+    @pytest.mark.parametrize("argv,defaults", [
+        (["--thooft-N", "7"], ["--steps", "1000", "--q-irr-add", "0", "--phi0", "0,0"]),
+        (["--torus", "--ratio", "golden"], ["--alpha", "1", "--curve-samples", "0"]),
+    ], ids=lambda v: " ".join(v))
+    def test_orbit_accepts_an_ignored_flag_at_its_default(self, argv, defaults, tmp_path,
+                                                         capsys):
+        outputs = []
+        for extra in ([], defaults):
+            code, out, _ = run_cli(["orbit", *argv, *extra], tmp_path, capsys)
+            assert code == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("mode", [["--two-circle", "--q-num", "3", "--q-den", "7"],
                                       ["--thooft-N", "7"], ["--torus", "--ratio", "golden"]])
     def test_negative_curve_samples(self, mode, tmp_path, capsys, monkeypatch):

@@ -135,16 +135,17 @@ class TestTouchPoints:
         assert trace.angles.shape == (300,) and trace.points.shape == (300, 2)
 
     def test_closed_orbit_reach(self):
-        # a million touches of q = 5/13 hold the times and one period: 8.0 MB
-        # measured (56 MB when every touch had its residue, angle and point)
+        # a million touches of q = 5/13 hold one period and no times: 2 kB
+        # measured (8.0 MB with an array of times, 56 MB when every touch had
+        # its residue, angle and point)
         tracemalloc.start()
         try:
             trace = touch_points(CircleDynamics.rational(1.0, 5, 13), 10**6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(trace.times) == 10**6 and len(trace.angles) == 13
-        assert peak < 9_000_000, f"tracemalloc peak {peak / 1e6:.1f} MB"
+        assert trace.count == 10**6 and len(trace.angles) == 13
+        assert peak < 20_000, f"tracemalloc peak {peak / 1e3:.1f} kB"
 
     @pytest.mark.parametrize("num, den, count", [
         (1, 2**61 + 1, 4),  # count * (den - num) = 2**63

@@ -7,6 +7,7 @@ file the column writer produces must equal its output byte for byte.
 
 import json
 import math
+import os
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -17,8 +18,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ladderlab import __version__, cli
-from ladderlab.cli import CommandResult, Periodic, TOOL, WRITE_BLOCK_ROWS, write_output
-from ladderlab.orbits import CircleDynamics, thooft_system
+from ladderlab.cli import (PLAIN_SCAN_ROWS, TOOL, WRITE_BLOCK_ROWS, Arange, CommandResult,
+                           Periodic, write_output)
+from ladderlab.orbits import CircleDynamics, continuous_position, thooft_system, touch_points
 from oracles import rational_touch_angles
 
 
@@ -356,23 +358,84 @@ def test_closed_orbit_around_its_period_matches_object_oracle(num, den, alpha, p
             assert_closed_orbit_matches_oracle(argv, q, count, alpha, fmt, tmp_path, monkeypatch)
 
 
-def test_orbit_peak_memory(tmp_path, capsys):
-    # The benchmark's largest orbits op. Its full tracemalloc peak was 17.8 MB
-    # when the command built one tuple per row, and 3.85 MB with columns while
-    # touch_points formed every touch's residue, angle and point.  Holding one
-    # period of 13 leaves the times and index columns (0.48 MB each) and the
-    # writer's block: 1.07 MB measured with orjson 3.8.3.
-    argv = ["orbit", "--two-circle", "--q-num", "5", "--q-den", "13", "--steps", "60000",
-            "--format", "json", "--out", str(tmp_path / "out.json")]
+def _main_peak(argv) -> int:
+    """The tracemalloc peak of `cli.main(argv)`, with orjson and the parser made before tracing."""
+    import orjson  # noqa: F401
+    cli.build_parser()
     tracemalloc.start()
     try:
-        code = cli.main(argv)
-        peak = tracemalloc.get_traced_memory()[1]
+        assert cli.main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_orbit_peak_memory(tmp_path, capsys):
+    # The benchmark's largest orbits op. Its full tracemalloc peak was 17.8 MB
+    # when the command built one tuple per row, 3.85 MB with columns while
+    # touch_points formed every touch's residue, angle and point, and 1.07 MB
+    # with one period of 13 and index and times arrays (0.48 MB each).  With
+    # those two as `Arange` columns it is the writer's block: 0.11 MB measured
+    # with orjson 3.8.3.
+    peak = _main_peak(["orbit", "--two-circle", "--q-num", "5", "--q-den", "13",
+                       "--steps", "60000", "--format", "json", "--out", str(tmp_path / "out.json")])
     capsys.readouterr()
-    assert code == 0
-    assert peak < 1_300_000, f"tracemalloc peak {peak / 1e6:.2f} MB"
+    assert peak < 300_000, f"tracemalloc peak {peak / 1e6:.2f} MB"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cli_closed_orbit_reach(fmt, capsys):
+    # a million touches hold one period and a block: 0.11 MB (CSV) and 0.12 MB
+    # (JSON) measured, where the index and times arrays took 16 MB
+    peak = _main_peak(["orbit", "--two-circle", "--q-num", "5", "--q-den", "13",
+                       "--steps", "1000000", "--format", fmt, "--out", os.devnull])
+    capsys.readouterr()
+    assert peak < 500_000, f"tracemalloc peak {peak / 1e6:.2f} MB"
+
+
+# `Arange` columns against the arrays they stand for, formed as the command
+# formed them before: the touch index and times and a curve group from
+# `_trace_groups`, and a torus-like group.  The lengths fall around the block
+# (256) and scan (4096) boundaries.  alpha 1e5 puts the first touch times
+# below 1e-4, and alpha 1e-12 puts them at 1e16 and above from j = 3184 on,
+# so cells in exponent form start partway through a group.
+@settings(derandomize=True, max_examples=30, deadline=None)
+@example(boundary=PLAIN_SCAN_ROWS, offset=1, alpha=1e-12, curve=WRITE_BLOCK_ROWS + 1)
+@example(boundary=WRITE_BLOCK_ROWS, offset=0, alpha=1e5, curve=0)
+@given(
+    boundary=st.sampled_from([1, WRITE_BLOCK_ROWS, 3 * WRITE_BLOCK_ROWS, PLAIN_SCAN_ROWS,
+                              2 * PLAIN_SCAN_ROWS]),
+    offset=st.integers(min_value=-2, max_value=2),
+    alpha=st.one_of(st.sampled_from([1e5, 1e-12]), st.floats(min_value=1e-12, max_value=1e5)),
+    curve=st.sampled_from([0, 1, WRITE_BLOCK_ROWS + 1, PLAIN_SCAN_ROWS - 1]),
+)
+def test_arange_columns_write_the_bytes_of_their_arrays(boundary, offset, alpha, curve,
+                                                        tmp_path_factory):
+    count = max(1, boundary + offset)
+    dynamics = CircleDynamics.rational(alpha, 5, 13)
+    trace = touch_points(dynamics, count)
+    groups = cli._trace_groups(dynamics, trace, curve)
+    label, _, _, x, y, theta = groups[0]
+    touch_times = np.arange(1.0, count + 1) * (math.pi / alpha)
+    arrays = [(label, np.arange(1, count + 1), touch_times, x, y, theta)]
+    if curve:
+        times = np.linspace(0.0, float(touch_times[-1]), curve)
+        arrays.append((groups[1][0], np.arange(curve), times,
+                       *continuous_position(dynamics, times), groups[1][-1]))
+    assert cli._row_dumper(groups[0]) is not None  # Arange columns take the row dump
+    columns = ("record", "index", "t", "x", "y", "theta")
+    step = -math.pi / alpha
+    torus = (Arange(1, count), np.arange(count) / 7, Arange(0, count, step))
+    torus_arrays = (np.arange(1, count + 1), torus[1], np.arange(0.0, count) * step)
+    tmp_path = tmp_path_factory.mktemp("arange")
+    for new, old in ((CommandResult(columns, groups), CommandResult(columns, arrays)),
+                     (CommandResult(("a", "b", "c"), [torus]),
+                      CommandResult(("a", "b", "c"), [torus_arrays]))):
+        assert list(new.rows) == list(old.rows)
+        for fmt in ("csv", "json"):
+            write_output(str(tmp_path / f"new.{fmt}"), fmt, "orbit", {}, 1e-12, new)
+            write_output(str(tmp_path / f"old.{fmt}"), fmt, "orbit", {}, 1e-12, old)
+            assert (tmp_path / f"new.{fmt}").read_bytes() == (tmp_path / f"old.{fmt}").read_bytes()
 
 
 # `cli._cells` formats float and integer columns from orjson's shortest
