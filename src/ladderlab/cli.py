@@ -62,8 +62,9 @@ WRITE_BLOCK_ROWS = 256
 # Rows per step of the writer's plain-number scan (`_non_plain_blocks`): whole
 # blocks, few enough that the scan's arrays stay small whatever the row count.
 PLAIN_SCAN_ROWS = 16 * WRITE_BLOCK_ROWS
-# Largest --steps, --thooft-N, --curve-samples and evolve --N: each is a count
-# of output rows, checked before any array is allocated.
+# Largest row count of an output or an operator, checked at parse time before
+# any array is allocated: --steps, --thooft-N, --curve-samples, evolve --N and
+# each --dim directly, and the dimension 2l + 1 of --l and (nmax + 1)^2 of --nmax.
 MAX_ROWS = 10**7
 ELEMENT_COLUMNS = ("operator", "row", "col", "re", "im")
 
@@ -136,12 +137,13 @@ class CommandResult:
 
     Each group holds one column per name, all of one length; a column is a
     numpy array, a sequence of Python values, a `Periodic` or an `Arange`.
+    `gated` holds the values `main` holds to `--tolerance`.
     """
 
     columns: tuple[str, ...]
     groups: list[tuple]
     checks: dict[str, object] = field(default_factory=dict)
-    breaches: list[str] = field(default_factory=list)
+    gated: dict[str, float] = field(default_factory=dict)
 
     @property
     def rows(self) -> "Rows":
@@ -183,15 +185,27 @@ def _positive(text: str) -> float:
     return value
 
 
-def _row_count(text: str) -> int:
-    """argparse type: an integer no larger than MAX_ROWS (lower bounds are the command's)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value > MAX_ROWS:
-        raise argparse.ArgumentTypeError(f"at most {MAX_ROWS} rows, got {text}")
-    return value
+class Count:
+    """argparse type: a number from `least` to `most`, read by `parse` (`int`, or `_finite`).
+
+    `unit` follows `most` in the message: "rows" where the value is itself a
+    row count, else what it counts.  A plain class, not a dataclass, for the
+    reason `Arange` gives.
+    """
+
+    def __init__(self, least, most=MAX_ROWS, unit: str = "rows", parse=int) -> None:
+        self.least, self.most, self.unit, self.parse = least, most, unit, parse
+
+    def __call__(self, text: str):
+        try:
+            value = self.parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < self.least:
+            raise argparse.ArgumentTypeError(f"must be >= {self.least}, got {text}")
+        if value > self.most:
+            raise argparse.ArgumentTypeError(f"at most {self.most} {self.unit}, got {text}")
+        return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -217,40 +231,46 @@ def _parser_tree() -> argparse.ArgumentParser:
                         help="breach threshold for requested checks (default 1e-12)")
 
     sub = parser.add_subparsers(dest="command", required=True)
+    # a spin label l builds operators of 2l + 1 rows
+    spin_label = Count(0.5, (MAX_ROWS - 1) / 2, f"(2l + 1 <= {MAX_ROWS} rows)", _finite)
 
     rep = sub.add_parser("rep", parents=[common], help="build a representation and dump elements")
     rep.add_argument("--algebra", choices=("su2", "su11", "h1"), required=True)
-    rep.add_argument("--l", type=_finite, help="spin label (su2)")
+    rep.add_argument("--l", type=spin_label, help="spin label (su2)")
     rep.add_argument("--k", type=_finite, help="discrete-series weight (su11)")
-    rep.add_argument("--dim", type=int, help="truncation cutoff (su11, h1)")
+    rep.add_argument("--dim", type=Count(2), help="truncation cutoff (su11, h1)")
     rep.add_argument("--interior", type=int, help="states used for the relation check")
 
     contract = sub.add_parser("contract", parents=[common],
                               help="contraction sweeps, the k=1/2 boson mapping, identities")
-    contract.add_argument("--family", choices=("su2", "su11"))
+    # the mode flags sit among the others: the manifest lists parameters in parser order
+    contract_mode = contract.add_mutually_exclusive_group(required=True)
+    contract_mode.add_argument("--family", choices=("su2", "su11"))
     contract.add_argument("--params", help="comma-separated sweep values, ascending")
-    contract.add_argument("--n", type=int, default=3, help="ladder level for the rate fit")
-    contract.add_argument("--hp", action="store_true", help="compare the k=1/2 mapping with h(1)")
-    contract.add_argument("--identities", action="store_true",
-                          help="deformed commutator and Hamiltonian identities")
-    contract.add_argument("--dim", type=int, help="cutoff for --hp (default 64)")
-    contract.add_argument("--l", type=_finite, help="spin label for --identities")
-    contract.add_argument("--tau", type=_finite, default=1.0, help="time step for --identities")
+    contract.add_argument("--n", type=Count(1), default=3, help="ladder level for the rate fit")
+    contract_mode.add_argument("--hp", action="store_true",
+                               help="compare the k=1/2 mapping with h(1)")
+    contract_mode.add_argument("--identities", action="store_true",
+                               help="deformed commutator and Hamiltonian identities")
+    contract.add_argument("--dim", type=Count(2), help="cutoff for --hp (default 64)")
+    contract.add_argument("--l", type=spin_label, help="spin label for --identities")
+    contract.add_argument("--tau", type=_positive, default=1.0, help="time step for --identities")
 
     evolve = sub.add_parser("evolve", parents=[common], help="cyclic evolution spectrum and phase")
-    evolve.add_argument("--N", type=_row_count, required=True, help="number of states")
-    evolve.add_argument("--tau", type=_finite, default=1.0, help="time step")
+    evolve.add_argument("--N", type=Count(2), required=True, help="number of states")
+    evolve.add_argument("--tau", type=_positive, default=1.0, help="time step")
     evolve.add_argument("--units", choices=("energy", "omega"), default="energy")
 
     orbit = sub.add_parser("orbit", parents=[common], help="circle and torus orbit traces")
-    orbit.add_argument("--thooft-N", dest="thooft_n", type=_row_count,
-                       help="N-site single-cover circle system")
-    orbit.add_argument("--two-circle", dest="two_circle", action="store_true")
-    orbit.add_argument("--torus", action="store_true")
-    orbit.add_argument("--alpha", type=_finite, default=1.0, help="envelope frequency")
-    orbit.add_argument("--curve-samples", dest="curve_samples", type=_row_count, default=0,
+    orbit_mode = orbit.add_mutually_exclusive_group(required=True)
+    orbit_mode.add_argument("--thooft-N", dest="thooft_n", type=Count(3),
+                            help="N-site single-cover circle system")
+    orbit_mode.add_argument("--two-circle", dest="two_circle", action="store_true")
+    orbit_mode.add_argument("--torus", action="store_true")
+    orbit.add_argument("--alpha", type=_positive, default=1.0, help="envelope frequency")
+    orbit.add_argument("--curve-samples", dest="curve_samples", type=Count(0), default=0,
                        help="samples of the underlying continuous curve")
-    orbit.add_argument("--steps", type=_row_count, default=1000)
+    orbit.add_argument("--steps", type=Count(1), default=1000)
     orbit.add_argument("--q-num", dest="q_num", type=int, help="rational ratio numerator")
     orbit.add_argument("--q-den", dest="q_den", type=int, help="rational ratio denominator")
     orbit.add_argument("--q-irr-add", dest="q_irr_add", default="0",
@@ -264,13 +284,15 @@ def _parser_tree() -> argparse.ArgumentParser:
 
     schwinger = sub.add_parser("schwinger", parents=[common],
                                help="two-mode realization checks and sector dumps")
-    schwinger.add_argument("--nmax", type=int, required=True, help="per-mode cutoff")
+    schwinger.add_argument("--nmax", type=Count(1, math.isqrt(MAX_ROWS) - 1,
+                                                f"((nmax + 1)^2 <= {MAX_ROWS} rows)"),
+                           required=True, help="per-mode cutoff")
     schwinger.add_argument("--check", choices=("all", "casimir", "sectors", "hamiltonian", "l2"),
                            default="all")
     schwinger.add_argument("--sector", type=_finite, help="sector label j for --dump")
     schwinger.add_argument("--dump", action="store_true", help="dump one sector's ladder table")
     schwinger.add_argument("--Omega", type=_finite, default=1.0)
-    schwinger.add_argument("--Gamma", type=_finite, default=0.5)
+    schwinger.add_argument("--Gamma", type=_positive, default=0.5)
     return parser
 
 
@@ -309,53 +331,43 @@ def cmd_rep(args) -> CommandResult:
     else:
         if args.dim is None:
             raise ValueError("h1 requires --dim")
-        rep = _flagged("--dim", build_h1_rep, args.dim)
+        rep = build_h1_rep(args.dim)
         default_interior = rep.dim - 1
     interior = default_interior if args.interior is None else args.interior
     residual = _flagged("--interior", check_algebra_relations, rep, interior)
-    result = CommandResult(
+    return CommandResult(
         columns=ELEMENT_COLUMNS,
         groups=_element_groups([rep.L3, rep.Lplus, rep.Lminus]),
         checks={"dim": rep.dim, "interior": interior, "relations_residual": residual},
+        gated={"relations_residual": residual},
     )
-    if not residual <= args.tolerance:  # a nan residual is a breach too
-        result.breaches.append("relations_residual")
-    return result
 
 
 def cmd_contract(args) -> CommandResult:
-    chosen = [args.family is not None, args.hp, args.identities]
-    if sum(chosen) != 1:
-        raise ValueError("choose exactly one of --family, --hp, --identities")
-
     if args.hp:
         dim = 64 if args.dim is None else args.dim
-        rep = _flagged("--dim", build_su11_rep, 0.5, dim)
+        rep = build_su11_rep(0.5, dim)
         a, adag = holstein_primakoff(rep)
         osc = build_h1_rep(dim)
         deviation = float(np.maximum(
             max_entry(a.bands - osc.Lminus.bands),
             max_entry(adag.bands - osc.Lplus.bands),
         ))
-        result = CommandResult(
+        return CommandResult(
             columns=ELEMENT_COLUMNS,
             groups=_element_groups([a, adag]),
             checks={"hp_max_deviation": deviation},
+            gated={"hp_max_deviation": deviation},
         )
-        if not deviation <= args.tolerance:
-            result.breaches.append("hp_max_deviation")
-        return result
 
     if args.identities:
         if args.l is None:
             raise ValueError("--identities requires --l")
-        rep = build_su2_rep(args.l)
+        rep = _flagged("--l", build_su2_rep, args.l)
         # x = alpha L1 has entries up to alpha (l + 1/2)/2, with alpha^2 = tau/pi, so x^2
         # reaches tau (l + 1/2)^2 / (2 pi); H = omega (L3 + l + 1/2) reaches 2 pi/tau, so
         # omega^2/4 + H^2 stays below 2 (2 pi/tau)^2, which also bounds p^2 and omega^2 x^2;
         # and omega = 2 pi/((2l + 1) tau) underflows unless (2l + 1) tau is finite
-        if not args.tau > 0.0:
-            raise ValueError(f"--tau {args.tau!r}: the identity checks need a positive tau")
         width, rate = args.l + 0.5, 2.0 * math.pi / args.tau
         if not math.isfinite(max(args.tau / (2.0 * math.pi) * width * width, 2.0 * rate * rate,
                                  2.0 * width * args.tau)):
@@ -366,14 +378,12 @@ def cmd_contract(args) -> CommandResult:
             "hamiltonian_decomposition": hamiltonian_identity_check(rep, args.tau),
         }
         count = len(residuals)
-        result = CommandResult(
+        return CommandResult(
             columns=("l", "tau", "identity", "residual"),
             groups=[(Periodic((args.l,), count), Periodic((args.tau,), count),
                      list(residuals), list(residuals.values()))],
+            gated=residuals,
         )
-        result.breaches = [name for name, value in residuals.items()
-                           if not value <= args.tolerance]
-        return result
 
     if not args.params:
         raise ValueError("--family requires --params")
@@ -393,7 +403,7 @@ def cmd_contract(args) -> CommandResult:
 
 
 def cmd_evolve(args) -> CommandResult:
-    params = _flagged("--N / --tau", EvolutionParams, args.N, args.tau)
+    params = EvolutionParams(args.N, args.tau)
     # the energies run up to N omega = 2 pi / tau; a zero omega divides --units omega
     if not (params.omega > 0.0 and math.isfinite(params.n_states * params.omega)):
         raise ValueError(f"--N {args.N} / --tau {args.tau!r}: omega = 2 pi/(N tau) = "
@@ -401,7 +411,7 @@ def cmd_evolve(args) -> CommandResult:
     spectrum = spectrum_via_dft(params)
     phase = geometric_phase_check(params)
     scale = params.omega if args.units == "omega" else 1.0
-    result = CommandResult(
+    return CommandResult(
         columns=("n", "energy"),
         groups=[(np.arange(len(spectrum)), spectrum.values / scale)],
         checks={
@@ -409,10 +419,8 @@ def cmd_evolve(args) -> CommandResult:
             "phase_re": phase.real,
             "phase_im": phase.imag,
         },
+        gated={"phase": abs(phase + 1.0)},
     )
-    if not abs(phase + 1.0) <= args.tolerance:
-        result.breaches.append("phase")
-    return result
 
 
 def _flagged(flags: str, function, *args):
@@ -502,23 +510,19 @@ def _orbit_defaults() -> dict:
 
 def cmd_orbit(args) -> CommandResult:
     chosen = [args.thooft_n is not None, args.two_circle, args.torus]
-    if sum(chosen) != 1:
-        raise ValueError("choose exactly one of --thooft-N, --two-circle, --torus")
     mode = list(ORBIT_MODE_FLAGS)[chosen.index(True)]
     defaults = _orbit_defaults()
     for flag in dict.fromkeys(itertools.chain(*ORBIT_MODE_FLAGS.values())):
         dest = flag[2:].replace("-", "_")
         if flag not in ORBIT_MODE_FLAGS[mode] and getattr(args, dest) != defaults[dest]:
             raise ValueError(f"{flag} is not read by orbit {mode}; leave it out")
-    if args.curve_samples < 0:
-        raise ValueError(f"--curve-samples must be >= 0, got {args.curve_samples}")
     count, flag = (args.steps, "--steps") if args.thooft_n is None else (args.thooft_n, "--thooft-N")
-    least = 1 if args.thooft_n is None else 3  # a 't Hooft system needs three sites
-    if count < least:
-        raise ValueError(f"{flag} must be >= {least}, got {count}")
 
     if args.torus:
         if args.ratio == "golden":
+            if (args.rot1, args.rot2) != (None, None):
+                raise ValueError("--rot1 / --rot2 are not read by orbit --torus --ratio golden, "
+                                 "which sets both rotations; leave them out")
             rot1 = rot2 = GOLDEN_ROTATION
         elif args.rot1 is not None and args.rot2 is not None:
             rot1, rot2 = args.rot1, args.rot2
@@ -535,8 +539,6 @@ def cmd_orbit(args) -> CommandResult:
             checks={"max_gap_1": gap1, "max_gap_2": gap2},
         )
 
-    if not args.alpha > 0:
-        raise ValueError(f"--alpha must be positive, got {args.alpha!r}")
     last_time = count * (math.pi / args.alpha)
     if not math.isfinite(last_time):
         raise ValueError(f"--alpha {args.alpha!r} / {flag} {count}: the touch times "
@@ -581,7 +583,7 @@ def cmd_orbit(args) -> CommandResult:
     # once it wraps, every angle is revisited exactly, a gap of zero
     radius_error = float(np.max(np.abs(trace.points[:, 0] ** 2 + trace.points[:, 1] ** 2 - 1.0)))
     wrapped = len(trace.angles) < count
-    result = CommandResult(
+    return CommandResult(
         columns=("record", "index", "t", "x", "y", "theta"),
         groups=_trace_groups(dynamics, trace, args.curve_samples),
         checks={
@@ -589,16 +591,14 @@ def cmd_orbit(args) -> CommandResult:
             "radius_error": radius_error,
             "min_touch_gap": 0.0 if wrapped else float(np.min(circular_gaps(trace.angles))),
         },
+        gated={"radius_error": radius_error},
     )
-    if not radius_error <= args.tolerance:  # a nan residual is a breach too
-        result.breaches.append("radius_error")
-    return result
 
 
 def cmd_schwinger(args) -> CommandResult:
     if args.dump and args.sector is None:
         raise ValueError("--dump requires --sector")
-    space = _flagged("--nmax", build_two_mode, args.nmax)
+    space = build_two_mode(args.nmax)
 
     if args.dump:
         decomp = sector_decompose(space)
@@ -633,19 +633,18 @@ def cmd_schwinger(args) -> CommandResult:
     if selected in ("all", "sectors"):
         checks["sector_match"] = sector_match_residual(space)
     if selected in ("all", "hamiltonian"):
-        params = _flagged("--Omega / --Gamma", DissipativeParams, args.Omega, args.Gamma)
+        params = DissipativeParams(args.Omega, args.Gamma)
         checks.update(dissipative_residuals(space, params))
     if selected in ("all", "l2"):
         res1, res2 = l2_relation_check(space, space.n_max)
         checks["l2_commutator"] = res1
         checks["l2_double_commutator"] = res2
-    result = CommandResult(
+    return CommandResult(
         columns=("check", "residual"),
         groups=[(list(checks), list(checks.values()))],
         checks=checks,
+        gated=checks,
     )
-    result.breaches = [name for name, value in checks.items() if not value <= args.tolerance]
-    return result
 
 
 COMMANDS = {
@@ -1053,11 +1052,11 @@ def main(argv=None) -> int:
     parameters["out"] = out
     write_output(out, args.format, args.command, parameters, args.tolerance, result)
     print(out)
-    if result.breaches:
-        for name in result.breaches:
-            print(f"{TOOL}: tolerance breach in check {name!r}", file=sys.stderr)
-        return 3
-    return 0
+    # a nan fails `value <= tolerance`, so it is a breach too
+    breaches = [name for name, value in result.gated.items() if not value <= args.tolerance]
+    for name in breaches:
+        print(f"{TOOL}: tolerance breach in check {name!r}", file=sys.stderr)
+    return 3 if breaches else 0
 
 
 def run() -> None:

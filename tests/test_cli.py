@@ -272,6 +272,37 @@ class TestRowLimit:
         args = cli.build_parser().parse_args(["evolve", "--N", str(cli.MAX_ROWS)])
         assert args.N == cli.MAX_ROWS
 
+    # operator sizes: 2l + 1 rows for --l, dim rows for --dim, (nmax + 1)^2 for --nmax
+    SPIN_CEILING, NMAX_CEILING = (cli.MAX_ROWS - 1) / 2, 3161
+
+    @pytest.mark.parametrize("argv,flag,ceiling", [
+        (["rep", "--algebra", "su2", "--l"], "--l", SPIN_CEILING),
+        (["contract", "--identities", "--l"], "--l", SPIN_CEILING),
+        (["rep", "--algebra", "h1", "--dim"], "--dim", cli.MAX_ROWS),
+        (["rep", "--algebra", "su11", "--k", "1.5", "--dim"], "--dim", cli.MAX_ROWS),
+        (["contract", "--hp", "--dim"], "--dim", cli.MAX_ROWS),
+        (["schwinger", "--nmax"], "--nmax", NMAX_CEILING),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+    def test_operator_size_rejected(self, argv, flag, ceiling, tmp_path, capsys, monkeypatch):
+        for builder in ("build_su2_rep", "build_su11_rep", "build_h1_rep", "build_two_mode"):
+            monkeypatch.setattr(cli, builder, refuse_build)
+        for text in (str(ceiling + 1), str(10**18)):
+            code, out, captured = run_cli([*argv, text], tmp_path, capsys)
+            assert code == 2
+            assert f"argument {flag}: at most {ceiling}" in captured.err
+            assert not out.exists()
+
+    def test_operator_ceilings_parse(self):
+        parse = cli.build_parser().parse_args
+        args = parse(["rep", "--algebra", "su2", "--l", str(self.SPIN_CEILING),
+                      "--dim", str(cli.MAX_ROWS)])
+        assert 2 * args.l + 1 == args.dim == cli.MAX_ROWS
+        args = parse(["contract", "--hp", "--l", str(self.SPIN_CEILING), "--dim",
+                      str(cli.MAX_ROWS)])
+        assert 2 * args.l + 1 == args.dim == cli.MAX_ROWS
+        nmax = parse(["schwinger", "--nmax", str(self.NMAX_CEILING)]).nmax
+        assert (nmax + 1) ** 2 <= cli.MAX_ROWS < (nmax + 2) ** 2
+
 
 class TestSchwinger:
     def test_check_all(self, tmp_path, capsys):
@@ -465,6 +496,23 @@ class TestInputValidation:
     def test_gamma(self, value, tmp_path, capsys):
         self._rejected(["schwinger", "--nmax", "4", "--Gamma", value], tmp_path, capsys)
 
+    @pytest.mark.parametrize("value", ["0", "-0.0", "-1"])
+    def test_gamma_is_refused_before_the_build(self, value, tmp_path, capsys, monkeypatch):
+        # it was once refused only after build_two_mode and the casimir and sector checks
+        monkeypatch.setattr(cli, "build_two_mode", refuse_build)
+        err = self._rejected(["schwinger", "--nmax", "300", "--Gamma", value], tmp_path, capsys)
+        assert "--Gamma" in err and "positive" in err
+
+    # each of these once exited 0: the mode does not read the flag, but its value
+    # is still refused where it is parsed
+    @pytest.mark.parametrize("argv,flag", [
+        (["schwinger", "--nmax", "4", "--check", "casimir", "--Gamma", "0"], "--Gamma"),
+        (["contract", "--family", "su2", "--params", "5,10", "--tau", "0"], "--tau"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+    def test_unread_flag_outside_its_domain(self, argv, flag, tmp_path, capsys):
+        err = self._rejected(argv, tmp_path, capsys)
+        assert f"argument {flag}: must be positive" in err
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_rot1(self, value, tmp_path, capsys):
         self._rejected(["orbit", "--torus", "--rot1", value, "--rot2", "1"], tmp_path, capsys)
@@ -579,6 +627,7 @@ class TestInputValidation:
         (["rep", "--algebra", "h1", "--dim", "1"], "--dim"),
         (["contract", "--hp", "--dim", "0"], "--dim"),
         (["rep", "--algebra", "su2", "--l", "2", "--interior", "0"], "--interior"),
+        (["contract", "--identities", "--l", "1.3"], "--l"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
     def test_library_message_names_its_flag(self, argv, flag, tmp_path, capsys):
         err = self._rejected(argv, tmp_path, capsys)
@@ -586,13 +635,16 @@ class TestInputValidation:
 
     # each of these once exited 0, recording the ignored value in the manifest
     @pytest.mark.parametrize("argv,flag", [
-        (["--thooft-N", "7", "--steps", "0"], "--steps"),
-        (["--torus", "--ratio", "golden", "--steps", "5", "--alpha", "0"], "--alpha"),
+        (["--thooft-N", "7", "--steps", "5"], "--steps"),
+        (["--torus", "--ratio", "golden", "--steps", "5", "--alpha", "2"], "--alpha"),
         (["--thooft-N", "7", "--q-num", "9", "--q-den", "7"], "--q-num"),
         (["--thooft-N", "7", "--q-irr-add", "pi/40"], "--q-irr-add"),
         (["--two-circle", "--q-num", "1", "--q-den", "3", "--phi0", "1,2"], "--phi0"),
         (["--two-circle", "--q-num", "1", "--q-den", "3", "--ratio", "golden"], "--ratio"),
         (["--torus", "--rot1", "1", "--rot2", "2", "--curve-samples", "5"], "--curve-samples"),
+        # the golden preset sets both rotations
+        (["--torus", "--ratio", "golden", "--rot1", "1", "--rot2", "2"], "--rot1"),
+        (["--torus", "--ratio", "golden", "--rot2", "2"], "--rot2"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
     def test_orbit_refuses_a_flag_its_mode_ignores(self, argv, flag, tmp_path, capsys,
                                                    monkeypatch):
