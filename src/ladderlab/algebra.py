@@ -15,6 +15,7 @@ top basis state, so identity checks take an explicit `interior` size.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +26,11 @@ from .operators import Bands, OperatorMatrix, max_entry
 def _validate_half_integer(value: float, minimum: float, name: str) -> float:
     value = float(value)
     doubled = 2.0 * value
+    shown = "1/2" if minimum == 0.5 else str(minimum)
+    if not math.isfinite(doubled):
+        raise ValueError(f"{name} must be a half-integer >= {shown} with 2{name} finite, "
+                         f"got {value!r}")
     if doubled != round(doubled) or value < minimum:
-        shown = "1/2" if minimum == 0.5 else str(minimum)
         raise ValueError(f"{name} must be a half-integer >= {shown}")
     return value
 
@@ -91,6 +95,16 @@ def _ladder_rep(kind: AlgebraKind, diagonal: np.ndarray, raising: np.ndarray) ->
     )
 
 
+def su2_elements(l, n) -> tuple[np.ndarray, np.ndarray]:
+    """(<n|L3|n>, <n+1|L+|n>) of the spin-l irrep; broadcasts over l and n."""
+    return n - l, np.sqrt((2.0 * l - n) * (n + 1.0))
+
+
+def su2_dim(l: float) -> int:
+    """2l + 1, the dimension of the spin-l irrep."""
+    return int(round(2 * Su2(l).l)) + 1
+
+
 def build_su2_rep(l: float) -> LadderRep:
     """Spin-l ladder matrices.
 
@@ -99,10 +113,8 @@ def build_su2_rep(l: float) -> LadderRep:
     by L+.  All three defining relations hold exactly.
     """
     kind = Su2(l)
-    dim = int(round(2 * kind.l)) + 1
-    n = np.arange(dim - 1, dtype=float)
-    return _ladder_rep(kind, np.arange(dim, dtype=float) - kind.l,
-                       np.sqrt((2.0 * kind.l - n) * (n + 1.0)))
+    diagonal, raising = su2_elements(kind.l, np.arange(su2_dim(kind.l), dtype=float))
+    return _ladder_rep(kind, diagonal, raising[:-1])
 
 
 def discrete_series_elements(k, n) -> tuple[np.ndarray, np.ndarray]:

@@ -21,9 +21,11 @@ from .algebra import (
     LadderRep,
     Su2,
     Su11,
-    build_su2_rep,
+    _ladder_rep,
     build_su11_rep,
     cartesian_generators,
+    su2_dim,
+    su2_elements,
 )
 from .operators import Bands, OperatorMatrix, max_entry
 
@@ -123,13 +125,28 @@ def contraction_deviation(rep: LadderRep, n: int) -> float:
     return float(_deviations(rep)[n])
 
 
+def _leading_su2(l: float, levels: int) -> LadderRep:
+    """The leading min(levels, 2l + 1) states of the spin-l irrep, from `su2_elements`.
+
+    Its elements equal those of `build_su2_rep(l)` bit for bit.  Cut below
+    2l + 1 it is no complete irrep, so `_deviation_bound` would misjudge it:
+    it stays inside `run_contraction_study`.
+    """
+    kind = Su2(l)
+    levels = min(levels, su2_dim(kind.l))
+    diagonal, raising = su2_elements(kind.l, np.arange(levels, dtype=float))
+    return _ladder_rep(kind, diagonal, raising[:-1])
+
+
 def run_contraction_study(family: str, params, interior: int) -> ContractionReport:
     """Sweep the representation label and tabulate contraction deviations.
 
     `interior` is the number of ladder states tabulated (n = 0 .. interior-1).
-    For su(1,1) the truncation cutoff is chosen as interior + 1 so every
-    tabulated n is interior; for su(2) the sweep parameter itself must give a
-    large enough representation.
+    Each label gets the leading interior + 1 states only, so memory does not
+    grow with the label: for su(1,1) that cutoff makes every tabulated n
+    interior, and an su(2) irrep is cut to it as well, which leaves entries
+    0 .. interior-1 of the commutator unchanged; the su(2) label itself must
+    still give interior <= 2l + 1 states.
     """
     if family not in ("su2", "su11"):
         raise ValueError("family must be 'su2' or 'su11'")
@@ -145,7 +162,7 @@ def run_contraction_study(family: str, params, interior: int) -> ContractionRepo
     rows = []
     for p in params:
         if family == "su2":
-            rep = build_su2_rep(p)
+            rep = _leading_su2(p, interior + 1)
             if interior > rep.dim:
                 raise ValueError(f"interior {interior} exceeds the l={p} representation")
         else:

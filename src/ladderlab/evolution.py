@@ -55,34 +55,55 @@ def build_evolution_operator(p: EvolutionParams) -> OperatorMatrix:
     return OperatorMatrix("U", Bands(n, {-1: below, n - 1: corner}))
 
 
+def _circulant_column(bands: Bands) -> np.ndarray:
+    """The first column of `bands`, once the matrix is checked to be exactly circulant.
+
+    Offset o lies on cyclic diagonal (-o) mod N.  One stored diagonal at a
+    time, each nonzero entry must equal the first-column entry of its cyclic
+    diagonal, and there must be N stored nonzeros per nonzero of the column;
+    a nan equals nothing, so it fails.
+    """
+    n = bands.dim
+    # the first-column entry M[r, 0] sits at row r of offset -r
+    column = np.zeros(n, dtype=complex)
+    for offset, values in bands.diagonals.items():
+        if -n < offset <= 0:
+            column[-offset] = values[-offset]
+    stored = 0
+    for offset, values in bands.diagonals.items():
+        count = np.count_nonzero(values)
+        entry = column[-offset % n]
+        # entries equal to a nonzero `entry` are a subset of the nonzeros,
+        # so equal counts mean every nonzero equals it
+        if count and (entry == 0 or np.count_nonzero(values == entry) != count):
+            raise ValueError("the DFT failed to diagonalize the evolution operator")
+        stored += count
+    if stored != n * np.count_nonzero(column):
+        raise ValueError("the DFT failed to diagonalize the evolution operator")
+    return column
+
+
 def spectrum_via_dft(p: EvolutionParams) -> Spectrum:
     """Energies (n + 1/2) omega extracted by Fourier-diagonalizing the step operator.
 
     The DFT diagonalizes exactly the circulant matrices, with the FFT of the
     first column as eigenvalues (Gray, "Toeplitz and Circulant Matrices: A
-    Review", sec. 3).  So U is checked to be circulant, exactly: each stored
-    entry equals the first-column entry on its cyclic diagonal, and there are
-    N stored entries per nonzero of that column.  Eigenphases are unwrapped
-    with arg taken in (-2 pi, 0] via n = round((-arg * N/pi - 1)/2); any
-    collision signals a construction bug.  Returned energies are sorted
-    ascending.
+    Review", sec. 3).  So U is checked to be circulant, exactly, one stored
+    diagonal at a time (`_circulant_column`).  Eigenphases are unwrapped
+    with arg taken in (-2 pi, 0] via n = round((-arg * N/pi - 1)/2), and the
+    levels must be 0 .. N-1 once sorted; any collision signals a
+    construction bug.  The energies are those sorted levels times omega: a
+    real ascending array, so the `Spectrum` takes them with no hermiticity
+    tolerance.  U, its first column and the eigenvalues are each dropped
+    after their last use.
     """
     n = p.n_states
-    rows, cols, values = build_evolution_operator(p).bands.nonzero()
-    diagonal = (rows - cols) % n
-    column = np.zeros(n, dtype=complex)
-    first = cols == 0
-    column[diagonal[first]] = values[first]
-    if len(values) != n * np.count_nonzero(column) or np.any(values != column[diagonal]):
-        raise ValueError("the DFT failed to diagonalize the evolution operator")
-    eigenvalues = np.fft.fft(column)
-    args = np.angle(eigenvalues)
+    args = np.angle(np.fft.fft(_circulant_column(build_evolution_operator(p).bands)))
     args = np.where(args > 0, args - 2.0 * math.pi, args)
-    levels = np.rint((-args * n / math.pi - 1.0) / 2.0).astype(int)
-    if sorted(levels) != list(range(n)):
+    levels = np.sort(np.rint((-args * n / math.pi - 1.0) / 2.0).astype(int))
+    if not np.array_equal(levels, np.arange(n)):
         raise ValueError("eigenphase unwrapping produced colliding levels")
-    energies = (levels + 0.5) * p.omega
-    return Spectrum.from_eigenvalues(energies, hermitian_tol=1e-12)
+    return Spectrum(values=(levels + 0.5) * p.omega, hermitian=True)
 
 
 def geometric_phase_check(p: EvolutionParams) -> complex:
@@ -90,18 +111,21 @@ def geometric_phase_check(p: EvolutionParams) -> complex:
 
     U^N comes from binary squaring of U, in the multiplication order of
     `numpy.linalg.matrix_power`; every power of U is a phased shift on two
-    diagonals, so each product costs O(N).
+    diagonals, so each product costs O(N).  U itself is not held once it
+    has been squared: only the current square and the running power are.
     Raises if U^N is not proportional to the identity (construction bug).
     """
     n = p.n_states
-    u = build_evolution_operator(p).bands
-    square = power = None
+    square = build_evolution_operator(p).bands
+    power = None
     remaining = n
-    while remaining > 0:
-        square = u if square is None else square @ square
+    while True:
         remaining, bit = divmod(remaining, 2)
         if bit:
             power = square if power is None else power @ square
+        if not remaining:
+            break
+        square = square @ square
     phi = complex(power.diagonal()[0])
     if not max_entry(power - phi * Bands.identity(n)) <= 1e-12:
         raise ValueError("U^N is not proportional to the identity")

@@ -294,22 +294,14 @@ def restricted(matrix, indices):
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Eigenvalues sorted by real part, then imaginary part.
+    """Eigenvalues as a real array in ascending order.
 
-    When `hermitian` is set the imaginary parts were below tolerance and
-    `values` is a real array.
+    `hermitian` marks that the spectrum is real; `evolution.spectrum_via_dft`,
+    the one producer, builds it from real energies and sets it.
     """
 
     values: np.ndarray
     hermitian: bool
-
-    @classmethod
-    def from_eigenvalues(cls, values, hermitian_tol: float | None = None) -> "Spectrum":
-        vals = np.asarray(values, dtype=complex)
-        vals = vals[np.lexsort((vals.imag, vals.real))]
-        if hermitian_tol is not None and np.max(np.abs(vals.imag), initial=0.0) < hermitian_tol:
-            return cls(values=vals.real.copy(), hermitian=True)
-        return cls(values=vals, hermitian=False)
 
     def __len__(self) -> int:
         return len(self.values)

@@ -2,7 +2,9 @@
 
 The CSR view and the scipy matrix exponential check the band store and the
 sector-wise finite-rotation diagnostic against independent arithmetic, and
-the object-integer touch angles check the closed orbits; the raising
+the object-integer touch angles check the closed orbits, and the whole
+su(2) irrep checks the contraction sweep, which builds only its leading
+levels; the raising
 wrappers and small helpers give tests dense and gated forms of the library's
 residuals.  scipy is imported here and nowhere in the package.
 """
@@ -14,7 +16,8 @@ from scipy import sparse
 from scipy.linalg import expm
 
 from ladderlab import twomode
-from ladderlab.algebra import cartesian_generators
+from ladderlab.algebra import build_su2_rep, cartesian_generators
+from ladderlab.contraction import contraction_deviation
 from ladderlab.operators import OperatorMatrix, max_entry
 from ladderlab.twomode import DissipativeParams, TwoModeSpace
 
@@ -40,6 +43,12 @@ def rational_touch_angles(num: int, den: int, count: int) -> np.ndarray:
     """
     residues = (np.arange(1, count + 1, dtype=object) * (den - num)) % (2 * den)
     return np.array([pi * int(r) / den for r in residues])
+
+
+def full_irrep_deviations(l: float, interior: int) -> np.ndarray:
+    """||([a, a†] - 1)|n>|| for n = 0 .. interior-1, from the whole spin-l irrep."""
+    rep = build_su2_rep(l)
+    return np.array([contraction_deviation(rep, n) for n in range(interior)])
 
 
 def matrix_exponential(a: OperatorMatrix) -> OperatorMatrix:

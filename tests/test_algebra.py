@@ -33,6 +33,16 @@ class TestKindValidation:
         with pytest.raises(ValueError, match="half-integer"):
             Su11(bad)
 
+    # 2 * 1e308 overflows to inf, whose round() once raised OverflowError
+    @pytest.mark.parametrize("kind", [Su2, Su11])
+    @pytest.mark.parametrize("bad", [1e308, float("inf"), -float("inf")])
+    def test_overflowing_label_rejected(self, kind, bad):
+        with pytest.raises(ValueError, match="finite"):
+            kind(bad)
+
+    def test_largest_finite_double_accepted(self):
+        assert Su11(8e307).k == 8e307
+
     def test_half_integers_accepted(self):
         assert Su2(0.5).l == 0.5
         assert Su2(3).l == 3.0

@@ -84,6 +84,13 @@ class TestRep:
         code, _, _ = run_cli(["rep", "--algebra", "su2"], tmp_path, capsys)
         assert code == 2
 
+    def test_overflowing_weight_exits_2(self, tmp_path, capsys):
+        # 2 * 1e308 overflows; this once ended in an OverflowError traceback, exit 1
+        code, out, captured = run_cli(["rep", "--algebra", "su11", "--k", "1e308", "--dim", "4"],
+                                      tmp_path, capsys)
+        assert code == 2 and not out.exists()
+        assert "--k" in captured.err and "finite" in captured.err
+
     def test_contaminated_interior_breaches(self, tmp_path, capsys):
         code, out, captured = run_cli(
             ["rep", "--algebra", "su11", "--k", "0.5", "--dim", "10", "--interior", "10"],
@@ -131,6 +138,24 @@ class TestContract:
             ["contract", "--hp", "--identities", "--l", "3"], tmp_path, capsys
         )
         assert code == 2
+
+    def test_su2_label_past_memory_runs(self, tmp_path, capsys):
+        # l = 1e12 is an irrep of 2e12 + 1 states; building it once died with a
+        # 14.6 TiB MemoryError, and the sweep builds 4 + 1 of them now
+        code, out, _ = run_cli(["contract", "--family", "su2", "--params", "5,1e12"],
+                               tmp_path, capsys)
+        assert code == 0
+        _, _, _, rows = read_csv(out)
+        assert [(r["param"], r["n"]) for r in rows][-1] == ("1000000000000.0", "3")
+        assert abs(float(rows[-1]["deviation"]) - 3e-12) < 1e-15
+
+    @pytest.mark.parametrize("family", ["su2", "su11"])
+    def test_overflowing_label_exits_2(self, family, tmp_path, capsys):
+        # 2 * 1e308 overflows; this once ended in an OverflowError traceback, exit 1
+        code, out, captured = run_cli(["contract", "--family", family, "--params", "5,1e308"],
+                                      tmp_path, capsys)
+        assert code == 2 and not out.exists()
+        assert "--params" in captured.err and "finite" in captured.err
 
 
 class TestEvolve:
@@ -908,21 +933,36 @@ class TestRepeatedMain:
 
 
 class TestReach:
-    """`schwinger` at nmax 800: dim 641 601, 6.6 TB per dense complex matrix."""
+    """Sizes far past what a dense or a full-size build could hold, under tracemalloc bounds.
+
+    `schwinger` at nmax 800 has dim 641 601, 6.6 TB per dense complex matrix;
+    `evolve` at N = 2^18 holds a few O(N) vectors at a time; and the su(2)
+    contraction sweep builds only the levels it tabulates of each irrep.
+    """
 
     # tracemalloc peaks measured at 124 MB for --check all and --check
-    # hamiltonian (x86-64, numpy 2.4); each bound leaves headroom
+    # hamiltonian, 23.1 MB for evolve at N = 2^18 (42.2 MB when U was held
+    # through the squarings and the circulant check sorted every entry) and
+    # 0.02 MB for the su(2) sweep (530 MB with each irrep built whole), on
+    # x86-64 with numpy 2.4; each bound leaves headroom
     PEAK_BOUND = 250e6
     HAMILTONIAN_PEAK_BOUND = 150e6
+    EVOLVE_PEAK_BOUND = 32e6
+    SU2_SWEEP_PEAK_BOUND = 1e6
 
-    def _run(self, check, tmp_path, capsys):
+    @staticmethod
+    def _traced(argv, tmp_path, capsys):
         tracemalloc.start()
         try:
-            code, out, _ = run_cli(["schwinger", "--nmax", "800", "--check", check],
-                                   tmp_path, capsys)
+            code, out, _ = run_cli(argv, tmp_path, capsys)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        return code, out, peak
+
+    def _run(self, check, tmp_path, capsys):
+        code, out, peak = self._traced(["schwinger", "--nmax", "800", "--check", check],
+                                       tmp_path, capsys)
         # Exit 3 is the fixed 1e-12 gate sitting below the rounding error of exact
         # identities at this size, a false breach (ROADMAP open item 1).
         assert code in (0, 3)
@@ -940,3 +980,25 @@ class TestReach:
         assert [r["check"] for r in rows] == [
             "h0_vs_casimir", "hi_vs_l2", "h0_hermiticity", "hi_hermiticity", "h0_hi_commutator"]
         assert peak < self.HAMILTONIAN_PEAK_BOUND, f"tracemalloc peak {peak / 1e6:.1f} MB"
+
+    def test_evolve_n_2_18(self, tmp_path, capsys):
+        # --tolerance 1e-6: at this N the rounding of the phase passes the fixed
+        # 1e-12 default, a false breach (ROADMAP open item 1)
+        n = 2**18
+        code, out, peak = self._traced(["evolve", "--N", str(n), "--tolerance", "1e-6"],
+                                       tmp_path, capsys)
+        assert code == 0
+        _, checks, header, rows = read_csv(out)
+        assert header == ["n", "energy"] and len(rows) == n
+        omega = float(checks["omega"])
+        assert [float(rows[i]["energy"]) for i in (0, n - 1)] == [0.5 * omega, (n - 0.5) * omega]
+        assert peak < self.EVOLVE_PEAK_BOUND, f"tracemalloc peak {peak / 1e6:.1f} MB"
+
+    def test_su2_sweep_to_l_4e6(self, tmp_path, capsys):
+        code, out, peak = self._traced(
+            ["contract", "--family", "su2", "--params", "50,1e5,1e6,4e6"], tmp_path, capsys)
+        assert code == 0
+        _, checks, _, rows = read_csv(out)
+        assert len(rows) == 4 * 4
+        assert abs(float(checks["fitted_slope"]) + 1.0) < 1e-6
+        assert peak < self.SU2_SWEEP_PEAK_BOUND, f"tracemalloc peak {peak / 1e6:.1f} MB"

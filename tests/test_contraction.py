@@ -20,7 +20,7 @@ from ladderlab.contraction import (
     position_momentum,
     su2_hamiltonian,
 )
-from oracles import anticommutator, hermiticity_residual
+from oracles import anticommutator, full_irrep_deviations, hermiticity_residual
 
 
 def basis_vector(dim, n):
@@ -122,6 +122,16 @@ class TestContractionStudy:
             run_contraction_study("other", [1, 2], 3)
         with pytest.raises(ValueError):
             run_contraction_study("su2", [1, 2, 4], 1)
+
+    @pytest.mark.parametrize("interior", [2, 3, 4, 5])
+    def test_su2_sweep_bitwise_equals_full_irreps(self, interior):
+        # the sweep builds the leading interior + 1 levels of each irrep; every
+        # tabulated deviation must carry the digits of the whole irrep's
+        labels = [l for l in [*np.arange(0.5, 400.5, 0.5), 1234.5, 1e4]
+                  if 2 * l + 1 >= interior]
+        report = run_contraction_study("su2", labels, interior)
+        expected = np.array([full_irrep_deviations(l, interior) for l in labels])
+        assert report.deviations.tobytes() == expected.tobytes()
 
     def test_anticommutator_approaches_oscillator_ladder(self):
         # (1/2){adag, a}|n> -> (n + 1/2)|n> as the label grows

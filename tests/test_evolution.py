@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from scipy import sparse
 from ladderlab import EvolutionParams, geometric_phase_check, max_entry, spectrum_via_dft
 from ladderlab import evolution
 from ladderlab.evolution import build_evolution_operator
-from ladderlab.operators import OperatorMatrix
+from ladderlab.operators import Bands, OperatorMatrix
 from oracles import csr
 
 
@@ -72,7 +73,7 @@ class TestSpectrum:
     def test_n7_matches_closed_form(self):
         spec = spectrum_via_dft(EvolutionParams(7, 1.0))
         expected = (np.arange(7) + 0.5) * 2 * math.pi / 7
-        assert spec.hermitian
+        assert spec.hermitian and spec.values.dtype == np.float64
         assert np.allclose(spec.values, expected, atol=1e-10)
 
     def test_n2_tau_pi_oracle(self):
@@ -120,6 +121,56 @@ class TestSpectrumRejectsDefects:
         self.use_operator(monkeypatch, perturb)
         with pytest.raises(ValueError, match="the DFT failed to diagonalize"):
             spectrum_via_dft(EvolutionParams(6, 1.0))
+
+    @pytest.mark.parametrize("row,col", [(1, 0), (3, 2), (0, 5)])
+    def test_nan_entry(self, monkeypatch, row, col):
+        # (1, 0) is the first-column entry; OperatorMatrix refuses a nan, so the
+        # band store is handed over bare
+        def with_nan(p):
+            dense = build_evolution_operator(p).entries.copy()
+            dense[row, col] = np.nan
+            rows, cols = np.nonzero(dense)
+            return SimpleNamespace(bands=Bands.from_entries(6, rows, cols, dense[rows, cols]))
+
+        monkeypatch.setattr(evolution, "build_evolution_operator", with_nan)
+        with pytest.raises(ValueError, match="the DFT failed to diagonalize"):
+            spectrum_via_dft(EvolutionParams(6, 1.0))
+
+    @pytest.mark.parametrize("row,col", [(3, 0), (0, 3), (2, 4)])
+    def test_entry_on_a_new_cyclic_diagonal(self, monkeypatch, row, col):
+        # (3, 0) adds a first-column entry, so the column asks for six more
+        # entries; the others sit on cyclic diagonals 3 and 4, which the column
+        # leaves empty
+        def extra(u):
+            u = u.tolil()
+            u[row, col] = u[1, 0]
+            return u.tocsr()
+
+        self.use_operator(monkeypatch, extra)
+        with pytest.raises(ValueError, match="the DFT failed to diagonalize"):
+            spectrum_via_dft(EvolutionParams(6, 1.0))
+
+    @pytest.mark.parametrize("row", [0, 1, 3])
+    def test_swapped_values_on_a_cyclic_diagonal(self, monkeypatch, row):
+        # U + 2 U^2 is circulant with two cyclic diagonals of distinct values;
+        # exchanging the two entries of one row leaves the count of entries on
+        # every diagonal and the set of all values as they were, but puts a
+        # foreign value on cyclic diagonals 1 and 2
+        def swap(u):
+            u = (u + 2.0 * (u @ u)).tolil()
+            one, two = (row + 5) % 6, (row + 4) % 6
+            u[row, one], u[row, two] = u[row, two], u[row, one]
+            return u.tocsr()
+
+        self.use_operator(monkeypatch, swap)
+        with pytest.raises(ValueError, match="the DFT failed to diagonalize"):
+            spectrum_via_dft(EvolutionParams(6, 1.0))
+
+    def test_unswapped_circulant_passes(self, monkeypatch):
+        # the control for the swap: U + 2 U^2 itself passes the circulant check,
+        # and its eigenphases happen to unwrap to six distinct levels
+        self.use_operator(monkeypatch, lambda u: (u + 2.0 * (u @ u)).tocsr())
+        assert len(spectrum_via_dft(EvolutionParams(6, 1.0))) == 6
 
     @pytest.mark.parametrize("entry", [0, 1, 5])
     def test_missing_entry(self, monkeypatch, entry):
