@@ -408,12 +408,12 @@ def cmd_evolve(args) -> CommandResult:
     if not (params.omega > 0.0 and math.isfinite(params.n_states * params.omega)):
         raise ValueError(f"--N {args.N} / --tau {args.tau!r}: omega = 2 pi/(N tau) = "
                          f"{params.omega!r} puts the energies beyond the float range")
-    spectrum = spectrum_via_dft(params)
+    energies = spectrum_via_dft(params)
     phase = geometric_phase_check(params)
     scale = params.omega if args.units == "omega" else 1.0
     return CommandResult(
         columns=("n", "energy"),
-        groups=[(np.arange(len(spectrum)), spectrum.values / scale)],
+        groups=[(np.arange(len(energies)), energies / scale)],
         checks={
             "omega": params.omega,
             "phase_re": phase.real,
@@ -492,30 +492,7 @@ def _trace_groups(dynamics, trace, curve_samples: int) -> list[tuple]:
     return groups
 
 
-# The orbit flags each mode reads, beside the mode's own flag; a mode refuses
-# any other of these flags set away from its default, rather than ignore it.
-ORBIT_MODE_FLAGS = {
-    "--thooft-N": ("--alpha", "--curve-samples"),
-    "--two-circle": ("--alpha", "--curve-samples", "--steps", "--q-num", "--q-den",
-                     "--q-irr-add"),
-    "--torus": ("--steps", "--ratio", "--rot1", "--rot2", "--phi0"),
-}
-
-
-@functools.cache
-def _orbit_defaults() -> dict:
-    """The argparse default of every orbit flag, by dest."""
-    return vars(_parser_tree().parse_args(["orbit", "--torus"]))
-
-
 def cmd_orbit(args) -> CommandResult:
-    chosen = [args.thooft_n is not None, args.two_circle, args.torus]
-    mode = list(ORBIT_MODE_FLAGS)[chosen.index(True)]
-    defaults = _orbit_defaults()
-    for flag in dict.fromkeys(itertools.chain(*ORBIT_MODE_FLAGS.values())):
-        dest = flag[2:].replace("-", "_")
-        if flag not in ORBIT_MODE_FLAGS[mode] and getattr(args, dest) != defaults[dest]:
-            raise ValueError(f"{flag} is not read by orbit {mode}; leave it out")
     count, flag = (args.steps, "--steps") if args.thooft_n is None else (args.thooft_n, "--thooft-N")
 
     if args.torus:
@@ -645,6 +622,49 @@ def cmd_schwinger(args) -> CommandResult:
         checks=checks,
         gated=checks,
     )
+
+
+# The flags each mode of a command reads, by the mode: a flag that picks the mode
+# when set, or a flag and the value that picks it.  The first mode picked runs,
+# and refuses any other flag named here for its command that is set away from
+# its default, rather than ignore it.
+MODE_FLAGS = {
+    "rep": {"--algebra su2": ("--l",), "--algebra su11": ("--k", "--dim"),
+            "--algebra h1": ("--dim",)},
+    "contract": {"--family": ("--params", "--n"), "--hp": ("--dim",),
+                 "--identities": ("--l", "--tau")},
+    "orbit": {"--thooft-N": ("--alpha", "--curve-samples"),
+              "--two-circle": ("--alpha", "--curve-samples", "--steps", "--q-num", "--q-den",
+                               "--q-irr-add"),
+              "--torus": ("--steps", "--ratio", "--rot1", "--rot2", "--phi0")},
+    "schwinger": {"--dump": ("--sector",), "--check all": ("--Omega", "--Gamma"),
+                  "--check casimir": (), "--check sectors": (),
+                  "--check hamiltonian": ("--Omega", "--Gamma"), "--check l2": ()},
+}
+
+
+def _refuse_unread_flags(args) -> None:
+    """Raise if the mode run ignores a flag of `MODE_FLAGS` set away from its parser default."""
+    modes = MODE_FLAGS.get(args.command, {})
+    (commands,) = [action for action in _parser_tree()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    actions = {flag: action for action in commands.choices[args.command]._actions
+               for flag in action.option_strings}
+
+    def set_to(flag: str, choice: str = "") -> bool:
+        """Whether `flag` is set to `choice` or, with no choice, away from its default."""
+        value = getattr(args, actions[flag].dest)
+        return value == choice if choice else value != actions[flag].default
+
+    for mode, read in modes.items():
+        if set_to(*mode.split()):
+            read = {mode.split()[0], *read}
+            for key, flags in modes.items():
+                for flag in (key.split()[0], *flags):
+                    if flag not in read and set_to(flag):
+                        raise ValueError(f"{flag} is not read by {args.command} {mode}; "
+                                         "leave it out")
+            return
 
 
 COMMANDS = {
@@ -1043,6 +1063,7 @@ def main(argv=None) -> int:
         return 2
 
     try:
+        _refuse_unread_flags(args)
         result = COMMANDS[args.command](args)
     except ValueError as exc:
         print(f"{TOOL}: {exc}", file=sys.stderr)

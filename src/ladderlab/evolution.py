@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import Bands, OperatorMatrix, Spectrum, max_entry
+from .operators import Bands, OperatorMatrix, max_entry
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ def _circulant_column(bands: Bands) -> np.ndarray:
     return column
 
 
-def spectrum_via_dft(p: EvolutionParams) -> Spectrum:
+def spectrum_via_dft(p: EvolutionParams) -> np.ndarray:
     """Energies (n + 1/2) omega extracted by Fourier-diagonalizing the step operator.
 
     The DFT diagonalizes exactly the circulant matrices, with the FFT of the
@@ -92,10 +92,9 @@ def spectrum_via_dft(p: EvolutionParams) -> Spectrum:
     diagonal at a time (`_circulant_column`).  Eigenphases are unwrapped
     with arg taken in (-2 pi, 0] via n = round((-arg * N/pi - 1)/2), and the
     levels must be 0 .. N-1 once sorted; any collision signals a
-    construction bug.  The energies are those sorted levels times omega: a
-    real ascending array, so the `Spectrum` takes them with no hermiticity
-    tolerance.  U, its first column and the eigenvalues are each dropped
-    after their last use.
+    construction bug.  Returns the energies, those sorted levels times
+    omega: an ascending float64 array.  U, its first column and the
+    eigenvalues are each dropped after their last use.
     """
     n = p.n_states
     args = np.angle(np.fft.fft(_circulant_column(build_evolution_operator(p).bands)))
@@ -103,7 +102,7 @@ def spectrum_via_dft(p: EvolutionParams) -> Spectrum:
     levels = np.sort(np.rint((-args * n / math.pi - 1.0) / 2.0).astype(int))
     if not np.array_equal(levels, np.arange(n)):
         raise ValueError("eigenphase unwrapping produced colliding levels")
-    return Spectrum(values=(levels + 0.5) * p.omega, hermitian=True)
+    return (levels + 0.5) * p.omega
 
 
 def geometric_phase_check(p: EvolutionParams) -> complex:

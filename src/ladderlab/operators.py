@@ -14,14 +14,13 @@ Each entry of a product is the sum of its terms in ascending order of the
 inner index, as in a row-major sparse product, and scalar division multiplies
 by the reciprocal, as scipy's sparse arrays do; so the values match
 compressed sparse row (CSR) arithmetic entry for entry.
-`OperatorMatrix.entries` is a dense view built on first access.  The module
-needs numpy alone.
+The band store is the only form an operator takes here: no function of the
+module accepts or returns a dense matrix.  The module needs numpy alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -184,10 +183,9 @@ class Bands:
 class OperatorMatrix:
     """A labeled complex square matrix held as its nonzero diagonals.
 
-    `bands` accepts a `Bands` or a dense array; it is stored as a `Bands`
-    without all-zero diagonals, whose values keep a float dtype when the
-    input is real.  Entries must be finite.  `entries` is a dense complex
-    view built from it on first access.
+    `bands` must be a `Bands`; it is stored without its all-zero diagonals,
+    and values keep a float dtype when they are real.  Entries must be
+    finite.
     """
 
     label: str
@@ -195,18 +193,12 @@ class OperatorMatrix:
 
     def __post_init__(self) -> None:
         source = self.bands
-        if isinstance(source, Bands):
-            dim, diagonals = source.dim, source.diagonals
-            if any(values.shape != (dim,) for values in diagonals.values()):
-                raise ValueError(f"{self.label!r}: every diagonal needs {dim} values")
-        else:
-            matrix = np.asarray(source)
-            if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-                raise ValueError(f"{self.label!r}: entries must form a square matrix")
-            rows, cols = np.nonzero(matrix)
-            values = matrix[rows, cols]
-            dim = matrix.shape[0]
-            diagonals = Bands.from_entries(dim, rows, cols, values).diagonals
+        if not isinstance(source, Bands):
+            raise ValueError(f"{self.label!r}: a square matrix is given as a Bands, "
+                             f"not a {type(source).__name__}")
+        dim, diagonals = source.dim, source.diagonals
+        if any(values.shape != (dim,) for values in diagonals.values()):
+            raise ValueError(f"{self.label!r}: every diagonal needs {dim} values")
         if dim < 1:
             raise ValueError(f"{self.label!r}: dimension must be at least 1")
         kept = {}
@@ -220,16 +212,6 @@ class OperatorMatrix:
     @property
     def dim(self) -> int:
         return self.bands.dim
-
-    @cached_property
-    def entries(self) -> np.ndarray:
-        """Read-only dense complex copy, built on first access; meant for small sizes."""
-        dense = np.zeros((self.dim, self.dim), dtype=complex)
-        for offset, values in self.bands.diagonals.items():
-            rows = np.arange(self.dim)[_rows(self.dim, offset)]
-            dense[rows, rows + offset] = values[rows]
-        dense.setflags(write=False)
-        return dense
 
 
 def _require_same_dim(a: OperatorMatrix, b: OperatorMatrix) -> None:
@@ -250,58 +232,31 @@ def adjoint(a: OperatorMatrix) -> OperatorMatrix:
     return OperatorMatrix(f"{a.label}†", a.bands.adjoint())
 
 
-def max_entry(matrix, keep=None) -> float:
-    """Largest absolute entry of a `Bands` or a dense array.
+def max_entry(bands: Bands, keep=None) -> float:
+    """Largest absolute entry of a `Bands`: the identity-residual norm.
 
-    The identity-residual norm.  With `keep`, a boolean vector over the
-    basis, only the entries whose row and column are both kept count: the
-    residual restricted to that interior.  A nan among the counted entries
-    gives nan, so no tolerance gate can pass it.
+    With `keep`, a boolean vector over the basis, only the entries whose row
+    and column are both kept count: the residual restricted to that
+    interior.  A nan among the counted entries gives nan, so no tolerance
+    gate can pass it.
     """
-    if isinstance(matrix, Bands):
-        peak = 0.0
-        for offset, values in matrix.diagonals.items():
-            rows = _rows(matrix.dim, offset)
-            values = values[rows]
-            if keep is not None:
-                values = values[keep[rows] & _at(keep, rows, offset)]
-            if values.size:
-                peak = np.maximum(peak, np.max(np.abs(values)))
-        return float(peak)
-    if keep is not None:
-        matrix = restricted(matrix, np.flatnonzero(keep))
-    values = np.asarray(matrix)
-    if values.size == 0:
-        return 0.0
-    return float(np.max(np.abs(values)))
+    peak = 0.0
+    for offset, values in bands.diagonals.items():
+        rows = _rows(bands.dim, offset)
+        values = values[rows]
+        if keep is not None:
+            values = values[keep[rows] & _at(keep, rows, offset)]
+        if values.size:
+            peak = np.maximum(peak, np.max(np.abs(values)))
+    return float(peak)
 
 
-def restricted(matrix, indices):
-    """Sub-matrix on the given distinct basis indices, in their order, for rows and columns.
-
-    A `Bands` gives a `Bands` block and dense input a dense block.
-    """
+def restricted(bands: Bands, indices) -> Bands:
+    """The block of `bands` on the given distinct basis indices, as rows and columns in their order."""
     idx = np.asarray(list(indices), dtype=int)
-    if isinstance(matrix, Bands):
-        position = np.full(matrix.dim, -1)
-        position[idx] = np.arange(len(idx))
-        rows, cols, values = matrix.nonzero()
-        rows, cols = position[rows], position[cols]
-        inside = (rows >= 0) & (cols >= 0)
-        return Bands.from_entries(len(idx), rows[inside], cols[inside], values[inside])
-    return matrix[np.ix_(idx, idx)]
-
-
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Eigenvalues as a real array in ascending order.
-
-    `hermitian` marks that the spectrum is real; `evolution.spectrum_via_dft`,
-    the one producer, builds it from real energies and sets it.
-    """
-
-    values: np.ndarray
-    hermitian: bool
-
-    def __len__(self) -> int:
-        return len(self.values)
+    position = np.full(bands.dim, -1)
+    position[idx] = np.arange(len(idx))
+    rows, cols, values = bands.nonzero()
+    rows, cols = position[rows], position[cols]
+    inside = (rows >= 0) & (cols >= 0)
+    return Bands.from_entries(len(idx), rows[inside], cols[inside], values[inside])

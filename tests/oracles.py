@@ -1,12 +1,14 @@
 """Reference implementations that only the tests use.
 
-The CSR view and the scipy matrix exponential check the band store and the
-sector-wise finite-rotation diagnostic against independent arithmetic, and
-the object-integer touch angles check the closed orbits, and the whole
-su(2) irrep checks the contraction sweep, which builds only its leading
-levels; the raising
-wrappers and small helpers give tests dense and gated forms of the library's
-residuals.  scipy is imported here and nowhere in the package.
+The library keeps every operator as its diagonals (`operators.Bands`); dense
+matrices live here alone.  `dense` is the tests' one dense view of an
+operator and `from_dense` builds an operator from a dense array.  The CSR
+view and the scipy matrix exponential check the band store and the
+sector-wise finite-rotation diagnostic against independent arithmetic, the
+object-integer touch angles check the closed orbits, and the whole su(2)
+irrep checks the contraction sweep, which builds only its leading levels;
+the raising wrappers and small helpers give tests dense and gated forms of
+the library's residuals.  scipy is imported here and nowhere in the package.
 """
 
 from math import pi
@@ -18,8 +20,31 @@ from scipy.linalg import expm
 from ladderlab import twomode
 from ladderlab.algebra import build_su2_rep, cartesian_generators
 from ladderlab.contraction import contraction_deviation
-from ladderlab.operators import OperatorMatrix, max_entry
+from ladderlab.operators import Bands, OperatorMatrix, max_entry
 from ladderlab.twomode import DissipativeParams, TwoModeSpace
+
+
+def dense(x: OperatorMatrix | Bands) -> np.ndarray:
+    """Read-only dense complex copy of an operator or a `Bands`, for small sizes.
+
+    Built from the definition M[i, i + offset] = values[i], on the rows where
+    i + offset lies inside the matrix.
+    """
+    bands = x.bands if isinstance(x, OperatorMatrix) else x
+    m = np.zeros((bands.dim, bands.dim), dtype=complex)
+    rows = np.arange(bands.dim)
+    for offset, values in bands.diagonals.items():
+        inside = (rows + offset >= 0) & (rows + offset < bands.dim)
+        m[rows[inside], rows[inside] + offset] = values[inside]
+    m.setflags(write=False)
+    return m
+
+
+def from_dense(label: str, m) -> OperatorMatrix:
+    """The operator with the nonzero entries of the square array `m`; real input stays real."""
+    m = np.asarray(m)
+    rows, cols = np.nonzero(m)
+    return OperatorMatrix(label, Bands.from_entries(len(m), rows, cols, m[rows, cols]))
 
 
 def csr(op: OperatorMatrix) -> sparse.csr_array:
@@ -53,7 +78,7 @@ def full_irrep_deviations(l: float, interior: int) -> np.ndarray:
 
 def matrix_exponential(a: OperatorMatrix) -> OperatorMatrix:
     """Matrix exponential, via scipy's Pade approximation with scaling and squaring."""
-    return OperatorMatrix(f"exp({a.label})", expm(np.asarray(a.entries)))
+    return from_dense(f"exp({a.label})", expm(dense(a)))
 
 
 def anticommutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
@@ -116,7 +141,7 @@ def dense_l2_finite_ratios(target, interior: int) -> dict[int, float]:
     else:
         keep = np.arange(target.dim) < interior
     l1, l2 = (op.bands for op in cartesian_generators(target))
-    grow = matrix_exponential(OperatorMatrix("piL1/2", (pi / 2.0) * l1)).entries
+    grow = dense(matrix_exponential(OperatorMatrix("piL1/2", (pi / 2.0) * l1)))
     weights = target.L3.bands.diagonal()
     ratios = {}
     for state in np.flatnonzero(keep).tolist():

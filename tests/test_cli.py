@@ -670,23 +670,44 @@ class TestInputValidation:
         # the golden preset sets both rotations
         (["--torus", "--ratio", "golden", "--rot1", "1", "--rot2", "2"], "--rot1"),
         (["--torus", "--ratio", "golden", "--rot2", "2"], "--rot2"),
+        # the other commands' modes, named with the command
+        (["rep", "--algebra", "su2", "--l", "3", "--k", "2"], "--k"),
+        (["rep", "--algebra", "h1", "--dim", "5", "--l", "2"], "--l"),
+        (["contract", "--hp", "--l", "3"], "--l"),
+        (["contract", "--family", "su2", "--params", "5,10", "--dim", "7"], "--dim"),
+        (["contract", "--identities", "--l", "3", "--n", "5"], "--n"),
+        (["schwinger", "--nmax", "3", "--sector", "0"], "--sector"),
+        (["schwinger", "--nmax", "3", "--check", "casimir", "--Omega", "5"], "--Omega"),
+        (["schwinger", "--nmax", "3", "--dump", "--sector", "0", "--check", "l2"], "--check"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
     def test_orbit_refuses_a_flag_its_mode_ignores(self, argv, flag, tmp_path, capsys,
                                                    monkeypatch):
-        monkeypatch.setattr(cli, "touch_points", refuse_orbit)
-        monkeypatch.setattr(cli, "simulate_torus", refuse_orbit)
-        err = self._rejected(["orbit", *argv], tmp_path, capsys)
+        for name in ("touch_points", "simulate_torus"):
+            monkeypatch.setattr(cli, name, refuse_orbit)
+        for name in ("build_su2_rep", "build_su11_rep", "build_h1_rep", "build_two_mode",
+                     "run_contraction_study"):
+            monkeypatch.setattr(cli, name, refuse_build)
+        command = argv if argv[0] in cli.COMMANDS else ["orbit", *argv]
+        err = self._rejected(command, tmp_path, capsys)
         assert flag in err and "not read" in err, err
 
+    # rep is not here: its mode flags --l, --k and --dim default to None,
+    # which no argv can spell
     @pytest.mark.parametrize("argv,defaults", [
         (["--thooft-N", "7"], ["--steps", "1000", "--q-irr-add", "0", "--phi0", "0,0"]),
         (["--torus", "--ratio", "golden"], ["--alpha", "1", "--curve-samples", "0"]),
+        (["contract", "--hp", "--dim", "8"], ["--n", "3", "--tau", "1"]),
+        (["contract", "--identities", "--l", "3"], ["--n", "3"]),
+        (["schwinger", "--nmax", "3", "--dump", "--sector", "0"],
+         ["--check", "all", "--Omega", "1", "--Gamma", "0.5"]),
+        (["schwinger", "--nmax", "3", "--check", "casimir"], ["--Omega", "1", "--Gamma", "0.5"]),
     ], ids=lambda v: " ".join(v))
     def test_orbit_accepts_an_ignored_flag_at_its_default(self, argv, defaults, tmp_path,
                                                          capsys):
+        command = argv if argv[0] in cli.COMMANDS else ["orbit", *argv]
         outputs = []
         for extra in ([], defaults):
-            code, out, _ = run_cli(["orbit", *argv, *extra], tmp_path, capsys)
+            code, out, _ = run_cli([*command, *extra], tmp_path, capsys)
             assert code == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]

@@ -9,7 +9,6 @@ from ladderlab import (
     build_su11_rep,
     contraction_deviation,
     holstein_primakoff,
-    max_entry,
     run_contraction_study,
     scaled_ladders,
 )
@@ -20,7 +19,7 @@ from ladderlab.contraction import (
     position_momentum,
     su2_hamiltonian,
 )
-from oracles import anticommutator, full_irrep_deviations, hermiticity_residual
+from oracles import anticommutator, dense, full_irrep_deviations, hermiticity_residual
 
 
 def basis_vector(dim, n):
@@ -33,18 +32,18 @@ class TestScaledLadders:
     def test_su2_vacuum_element_is_one(self):
         # <1|adag|0> = sqrt((2l - 0)/2l) * sqrt(1) = 1 for any l
         _, adag = scaled_ladders(build_su2_rep(2))
-        assert abs(adag.entries[1, 0] - 1.0) < 1e-15
+        assert abs(dense(adag)[1, 0] - 1.0) < 1e-15
 
     def test_su11_fundamental_element(self):
         # k=1/2: <4|adag|3> = (3+1)/sqrt(2k) = 4
         _, adag = scaled_ladders(build_su11_rep(0.5, 8))
-        assert abs(adag.entries[4, 3] - 4.0) < 1e-12
+        assert abs(dense(adag)[4, 3] - 4.0) < 1e-12
 
     def test_su2_elements_approach_canonical(self):
         osc = build_h1_rep(6)
         for l, tol in ((10, 0.3), (1000, 3e-3)):
             _, adag = scaled_ladders(build_su2_rep(l))
-            gap = max_entry(adag.entries[:6, :6] - osc.Lplus.entries)
+            gap = np.max(np.abs(dense(adag)[:6, :6] - dense(osc.Lplus)))
             assert gap < tol
 
     def test_heisenberg_rejected(self):
@@ -70,7 +69,7 @@ class TestContractionDeviation:
     def test_matches_brute_force_vector_norm(self, family):
         rep = build_su2_rep(8) if family == "su2" else build_su11_rep(8, 12)
         a, adag = scaled_ladders(rep)
-        comm = a.entries @ adag.entries - adag.entries @ a.entries
+        comm = dense(a) @ dense(adag) - dense(adag) @ dense(a)
         for n in range(6):
             direct = np.linalg.norm(comm @ basis_vector(rep.dim, n) - basis_vector(rep.dim, n))
             assert abs(contraction_deviation(rep, n) - direct) < 1e-15
@@ -139,7 +138,7 @@ class TestContractionStudy:
         for l in (10, 100):
             rep = build_su2_rep(l)
             a, adag = scaled_ladders(rep)
-            half = 0.5 * anticommutator(adag, a).entries
+            half = 0.5 * dense(anticommutator(adag, a))
             n = 3
             gaps.append(abs(half[n, n].real - (n + 0.5)))
         assert gaps[1] < gaps[0] / 5
@@ -152,29 +151,29 @@ class TestHolsteinPrimakoff:
         # adag|3> = L+ f(L3)|3> = 4/sqrt(4) |4> = 2|4>
         rep = build_su11_rep(0.5, 8)
         _, adag = holstein_primakoff(rep)
-        out = adag.entries @ basis_vector(8, 3)
+        out = dense(adag) @ basis_vector(8, 3)
         assert abs(out[4] - 2.0) < 1e-12
         assert np.linalg.norm(out) - 2.0 < 1e-12
 
     def test_vacuum_annihilated(self):
         a, _ = holstein_primakoff(build_su11_rep(0.5, 6))
-        assert np.linalg.norm(a.entries @ basis_vector(6, 0)) == 0.0
+        assert np.linalg.norm(dense(a) @ basis_vector(6, 0)) == 0.0
 
     def test_entrywise_equals_oscillator_ladders(self):
         rep = build_su11_rep(0.5, 64)
         a, adag = holstein_primakoff(rep)
         osc = build_h1_rep(64)
-        assert max_entry(a.entries - osc.Lminus.entries) < 1e-12
-        assert max_entry(adag.entries - osc.Lplus.entries) < 1e-12
+        assert np.max(np.abs(dense(a) - dense(osc.Lminus))) < 1e-12
+        assert np.max(np.abs(dense(adag) - dense(osc.Lplus))) < 1e-12
 
     def test_half_anticommutator_spectrum_on_interior(self):
         rep = build_su11_rep(0.5, 32)
         a, adag = holstein_primakoff(rep)
-        half = 0.5 * anticommutator(adag, a).entries
+        half = 0.5 * dense(anticommutator(adag, a))
         diag = np.diag(half).real
         assert np.allclose(diag[:31], np.arange(31) + 0.5, atol=1e-12)
         # matches the L3 eigenvalues n + 1/2 of the weight-1/2 series
-        assert np.allclose(diag[:31], np.diag(rep.L3.entries).real[:31], atol=1e-12)
+        assert np.allclose(diag[:31], np.diag(dense(rep.L3)).real[:31], atol=1e-12)
 
     def test_requires_fundamental_weight(self):
         with pytest.raises(ValueError):
@@ -197,8 +196,8 @@ class TestPositionMomentum:
         assert abs(pair.beta + 1.0) < 1e-15
         sigma1 = np.array([[0, 1], [1, 0]], dtype=complex)
         sigma2_flipped = np.array([[0, 1j], [-1j, 0]])
-        assert max_entry(xhat.entries - sigma1 / 2) < 1e-15
-        assert max_entry(phat.entries + sigma2_flipped / 2) < 1e-15
+        assert np.max(np.abs(dense(xhat) - sigma1 / 2)) < 1e-15
+        assert np.max(np.abs(dense(phat) + sigma2_flipped / 2)) < 1e-15
 
     def test_scaling_pair_product_invariant(self):
         for tau in (0.01, 0.1, 1.0, math.pi):
@@ -226,19 +225,19 @@ class TestOperatorIdentities:
         rep = build_su2_rep(0.5)
         tau = math.pi
         xhat, phat, _ = position_momentum(rep, tau)
-        lhs = xhat.entries @ phat.entries - phat.entries @ xhat.entries
-        h = su2_hamiltonian(rep, tau).entries
+        lhs = dense(xhat) @ dense(phat) - dense(phat) @ dense(xhat)
+        h = dense(su2_hamiltonian(rep, tau))
         rhs = 1j * (np.eye(2) - (tau / math.pi) * h)
-        assert max_entry(lhs - rhs) < 1e-15
+        assert np.max(np.abs(lhs - rhs)) < 1e-15
         # and the same matrices by hand: [sigma1/2, -sigma2/2] = -i sigma3/2
         sigma3 = np.diag([-1.0, 1.0])
-        assert max_entry(lhs + 1j * sigma3 / 2) < 1e-15
+        assert np.max(np.abs(lhs + 1j * sigma3 / 2)) < 1e-15
 
     def test_deformation_visible_at_top_state(self):
         # eigenvalue of [x, p]/i is 1 - (2n+1)/N, negative at the top for l >= 1
         rep = build_su2_rep(6)
         xhat, phat, _ = position_momentum(rep, tau=0.5)
-        comm = (xhat.entries @ phat.entries - phat.entries @ xhat.entries) / 1j
+        comm = (dense(xhat) @ dense(phat) - dense(phat) @ dense(xhat)) / 1j
         diag = np.diag(comm).real
         n = np.arange(rep.dim)
         assert np.allclose(diag, 1.0 - (2.0 * n + 1.0) / rep.dim, atol=1e-13)
@@ -263,7 +262,7 @@ class TestOperatorIdentities:
             big_n = int(2 * l + 1)
             tau = 2 * math.pi / big_n  # omega = 2 pi/(N tau) = 1
             rep = build_su2_rep(l)
-            h = su2_hamiltonian(rep, tau).entries
+            h = dense(su2_hamiltonian(rep, tau))
             corr = (tau / (2 * math.pi)) * (1.0 / 4.0 * np.eye(big_n) + h @ h)
             e = basis_vector(big_n, n)
             return np.linalg.norm(corr @ e)
@@ -276,8 +275,8 @@ class TestOperatorIdentities:
         # scaling touches only the off-diagonal ladders; H is untouched
         rep = build_su2_rep(4)
         h = su2_hamiltonian(rep, tau=0.3)
-        before = np.sort(np.linalg.eigvalsh(h.entries))
+        before = np.sort(np.linalg.eigvalsh(dense(h)))
         scaled_ladders(rep)
-        after = np.sort(np.linalg.eigvalsh(su2_hamiltonian(rep, tau=0.3).entries))
+        after = np.sort(np.linalg.eigvalsh(dense(su2_hamiltonian(rep, tau=0.3))))
         assert np.array_equal(before, after)
         assert np.all(np.diff(before) > 0)

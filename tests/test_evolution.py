@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from ladderlab import EvolutionParams, geometric_phase_check, max_entry, spectrum_via_dft
+from ladderlab import EvolutionParams, geometric_phase_check, spectrum_via_dft
 from ladderlab import evolution
 from ladderlab.evolution import build_evolution_operator
-from ladderlab.operators import Bands, OperatorMatrix
-from oracles import csr
+from ladderlab.operators import Bands
+from oracles import csr, dense, from_dense
 
 
 def _cyclic_permutation(n: int) -> np.ndarray:
@@ -22,7 +22,7 @@ def _cyclic_permutation(n: int) -> np.ndarray:
 
 def dense_eigensolver_energies(params: EvolutionParams) -> np.ndarray:
     """Oracle: dense eigendecomposition of U, phases unwrapped to energies."""
-    u = build_evolution_operator(params).entries
+    u = dense(build_evolution_operator(params))
     lam = np.linalg.eigvals(u)
     args = np.angle(lam)
     args = np.where(args > 0, args - 2.0 * math.pi, args)
@@ -47,13 +47,13 @@ class TestParams:
 
 class TestOperator:
     def test_two_state_explicit(self):
-        u = build_evolution_operator(EvolutionParams(2, 1.0)).entries
+        u = dense(build_evolution_operator(EvolutionParams(2, 1.0)))
         phase = np.exp(-1j * math.pi / 2)
-        assert max_entry(u - phase * np.array([[0, 1], [1, 0]])) < 1e-15
-        assert max_entry(u @ u + np.eye(2)) < 1e-15  # U^2 = -1
+        assert np.max(np.abs(u - phase * np.array([[0, 1], [1, 0]]))) < 1e-15
+        assert np.max(np.abs(u @ u + np.eye(2))) < 1e-15  # U^2 = -1
 
     def test_entry_convention(self):
-        u = build_evolution_operator(EvolutionParams(5, 1.0)).entries
+        u = dense(build_evolution_operator(EvolutionParams(5, 1.0)))
         phase = np.exp(-1j * math.pi / 5)
         for col in range(5):
             assert abs(u[(col + 1) % 5, col] - phase) < 1e-15
@@ -61,43 +61,43 @@ class TestOperator:
 
     def test_unitary_for_all_sizes(self):
         for n in range(2, 65):
-            u = build_evolution_operator(EvolutionParams(n, 0.3)).entries
-            assert max_entry(u @ u.conj().T - np.eye(n)) < 1e-13
+            u = dense(build_evolution_operator(EvolutionParams(n, 0.3)))
+            assert np.max(np.abs(u @ u.conj().T - np.eye(n))) < 1e-13
 
     def test_seventh_power_is_minus_identity(self):
-        u = build_evolution_operator(EvolutionParams(7, 1.0)).entries
-        assert max_entry(np.linalg.matrix_power(u, 7) + np.eye(7)) < 1e-12
+        u = dense(build_evolution_operator(EvolutionParams(7, 1.0)))
+        assert np.max(np.abs(np.linalg.matrix_power(u, 7) + np.eye(7))) < 1e-12
 
 
 class TestSpectrum:
     def test_n7_matches_closed_form(self):
-        spec = spectrum_via_dft(EvolutionParams(7, 1.0))
+        energies = spectrum_via_dft(EvolutionParams(7, 1.0))
         expected = (np.arange(7) + 0.5) * 2 * math.pi / 7
-        assert spec.hermitian and spec.values.dtype == np.float64
-        assert np.allclose(spec.values, expected, atol=1e-10)
+        assert energies.dtype == np.float64
+        assert np.allclose(energies, expected, atol=1e-10)
 
     def test_n2_tau_pi_oracle(self):
         p = EvolutionParams(2, math.pi)
         assert abs(p.omega - 1.0) < 1e-15
-        spec = spectrum_via_dft(p)
-        assert np.allclose(spec.values, [0.5, 1.5], atol=1e-12)
-        assert np.allclose(spec.values, dense_eigensolver_energies(p), atol=1e-12)
+        energies = spectrum_via_dft(p)
+        assert np.allclose(energies, [0.5, 1.5], atol=1e-12)
+        assert np.allclose(energies, dense_eigensolver_energies(p), atol=1e-12)
 
     @pytest.mark.parametrize("n", range(2, 65))
     def test_matches_dense_eigensolver(self, n):
         p = EvolutionParams(n, 1.0)
-        assert np.allclose(spectrum_via_dft(p).values, dense_eigensolver_energies(p), atol=1e-10)
+        assert np.allclose(spectrum_via_dft(p), dense_eigensolver_energies(p), atol=1e-10)
 
     @pytest.mark.parametrize("n", [2, 5, 13, 40, 64])
     def test_equispaced_with_zero_point(self, n):
         p = EvolutionParams(n, 0.7)
-        values = spectrum_via_dft(p).values
+        values = spectrum_via_dft(p)
         assert abs(values[0] - p.omega / 2) < 1e-12
         assert np.allclose(np.diff(values), p.omega, atol=1e-12)
 
     def test_top_level_bounded(self):
         p = EvolutionParams(9, 1.0)
-        values = spectrum_via_dft(p).values
+        values = spectrum_via_dft(p)
         assert abs(values[-1] - (9 - 0.5) * p.omega) < 1e-12
 
 
@@ -108,7 +108,7 @@ class TestSpectrumRejectsDefects:
     def use_operator(monkeypatch, make):
         build = evolution.build_evolution_operator
         monkeypatch.setattr(evolution, "build_evolution_operator",
-                            lambda p: OperatorMatrix("U", make(csr(build(p))).toarray()))
+                            lambda p: from_dense("U", make(csr(build(p))).toarray()))
 
     @pytest.mark.parametrize("entry", [0, 1, 5])
     def test_perturbed_entry(self, monkeypatch, entry):
@@ -127,10 +127,10 @@ class TestSpectrumRejectsDefects:
         # (1, 0) is the first-column entry; OperatorMatrix refuses a nan, so the
         # band store is handed over bare
         def with_nan(p):
-            dense = build_evolution_operator(p).entries.copy()
-            dense[row, col] = np.nan
-            rows, cols = np.nonzero(dense)
-            return SimpleNamespace(bands=Bands.from_entries(6, rows, cols, dense[rows, cols]))
+            m = dense(build_evolution_operator(p)).copy()
+            m[row, col] = np.nan
+            rows, cols = np.nonzero(m)
+            return SimpleNamespace(bands=Bands.from_entries(6, rows, cols, m[rows, cols]))
 
         monkeypatch.setattr(evolution, "build_evolution_operator", with_nan)
         with pytest.raises(ValueError, match="the DFT failed to diagonalize"):
@@ -201,4 +201,4 @@ class TestGeometricPhase:
     def test_bare_permutation_has_order_n(self):
         for n in (3, 8):
             perm = _cyclic_permutation(n)
-            assert max_entry(np.linalg.matrix_power(perm, n) - np.eye(n)) == 0.0
+            assert np.max(np.abs(np.linalg.matrix_power(perm, n) - np.eye(n))) == 0.0

@@ -3,16 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import sparse
 
-from ladderlab.operators import (
-    OperatorMatrix,
-    Spectrum,
-    adjoint,
-    commutator,
-    max_entry,
-    restricted,
-)
-from oracles import anticommutator, hermiticity_residual, matrix_exponential
+from ladderlab.operators import Bands, OperatorMatrix, adjoint, commutator, restricted
+from oracles import anticommutator, dense, from_dense, hermiticity_residual, matrix_exponential
 
 
 def taylor_expm(m: np.ndarray, terms: int = 60) -> np.ndarray:
@@ -32,40 +26,48 @@ def taylor_expm(m: np.ndarray, terms: int = 60) -> np.ndarray:
 def random_operator(dim: int, seed: int, label: str = "A") -> OperatorMatrix:
     rng = np.random.default_rng(seed)
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return OperatorMatrix(label, m)
+    return from_dense(label, m)
 
 
 class TestOperatorMatrix:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
-            OperatorMatrix("bad", np.zeros((2, 3)))
+            OperatorMatrix("bad", Bands(3, {0: np.zeros(2)}))
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            OperatorMatrix("bad", np.array([[np.inf, 0], [0, 1]]))
+        for value in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError):
+                OperatorMatrix("bad", Bands(2, {0: np.array([value, 1.0])}))
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            OperatorMatrix("bad", np.zeros((0, 0)))
+            OperatorMatrix("bad", Bands(0, {}))
+
+    @pytest.mark.parametrize("source", [np.eye(2), [[1.0, 0.0], [0.0, 1.0]],
+                                        sparse.csr_array(np.eye(2))],
+                             ids=["ndarray", "list", "csr_array"])
+    def test_rejects_anything_but_bands(self, source):
+        with pytest.raises(ValueError, match="'bad'"):
+            OperatorMatrix("bad", source)
 
     def test_entries_are_complex_and_frozen(self):
-        op = OperatorMatrix("A", np.eye(2))
-        assert op.entries.dtype == complex
+        entries = dense(from_dense("A", np.eye(2)))
+        assert entries.dtype == complex
         with pytest.raises(ValueError):
-            op.entries[0, 0] = 5.0
+            entries[0, 0] = 5.0
 
     def test_dim(self):
-        assert OperatorMatrix("A", np.eye(4)).dim == 4
+        assert from_dense("A", np.eye(4)).dim == 4
 
 
 class TestCalculus:
     def test_commutator_with_itself_is_zero(self):
         a = random_operator(5, seed=1)
-        assert max_entry(commutator(a, a).entries) == 0.0
+        assert np.max(np.abs(dense(commutator(a, a)))) == 0.0
 
     def test_adjoint_involution(self):
         a = random_operator(4, seed=2)
-        assert np.array_equal(adjoint(adjoint(a)).entries, a.entries)
+        assert np.array_equal(dense(adjoint(adjoint(a))), dense(a))
 
     def test_dimension_mismatch(self):
         a, b = random_operator(3, seed=3), random_operator(4, seed=4)
@@ -75,29 +77,30 @@ class TestCalculus:
             anticommutator(a, b)
 
     def test_exponential_of_zero_is_identity(self):
-        z = OperatorMatrix("0", np.zeros((5, 5)))
-        assert max_entry(matrix_exponential(z).entries - np.eye(5)) < 1e-15
+        z = from_dense("0", np.zeros((5, 5)))
+        assert np.max(np.abs(dense(matrix_exponential(z)) - np.eye(5))) < 1e-15
 
     @pytest.mark.parametrize("seed", [10, 11, 12])
     def test_exponential_matches_taylor_oracle(self, seed):
         a = random_operator(6, seed=seed)
-        expected = taylor_expm(np.asarray(a.entries))
-        got = matrix_exponential(a).entries
-        assert max_entry(got - expected) < 1e-11 * max(1.0, max_entry(expected))
+        expected = taylor_expm(dense(a))
+        got = dense(matrix_exponential(a))
+        assert np.max(np.abs(got - expected)) < 1e-11 * max(1.0, np.max(np.abs(expected)))
 
     def test_exponential_of_antihermitian_is_unitary(self):
         a = random_operator(5, seed=20)
-        anti = OperatorMatrix("K", a.entries - a.entries.conj().T)
-        u = matrix_exponential(anti).entries
-        assert max_entry(u @ u.conj().T - np.eye(5)) < 1e-12
+        anti = from_dense("K", dense(a) - dense(a).conj().T)
+        u = dense(matrix_exponential(anti))
+        assert np.max(np.abs(u @ u.conj().T - np.eye(5))) < 1e-12
 
     def test_restricted_picks_the_block(self):
         m = np.arange(16).reshape(4, 4)
-        assert np.array_equal(restricted(m, [0, 2]), m[np.ix_([0, 2], [0, 2])])
+        block = restricted(from_dense("M", m).bands, [0, 2])
+        assert np.array_equal(dense(block), m[np.ix_([0, 2], [0, 2])])
 
     def test_hermiticity_residual(self):
         h = np.array([[1.0, 2.0 - 1j], [2.0 + 1j, 3.0]])
-        assert hermiticity_residual(OperatorMatrix("H", h)) == 0.0
+        assert hermiticity_residual(from_dense("H", h)) == 0.0
 
 
 complex_entries = st.complex_numbers(
@@ -111,17 +114,12 @@ complex_entries = st.complex_numbers(
     n=arrays(np.complex128, (4, 4), elements=complex_entries),
 )
 def test_commutator_antisymmetry(m, n):
-    a, b = OperatorMatrix("A", m), OperatorMatrix("B", n)
-    assert np.array_equal(commutator(a, b).entries, -commutator(b, a).entries)
+    a, b = from_dense("A", m), from_dense("B", n)
+    assert np.array_equal(dense(commutator(a, b)), -dense(commutator(b, a)))
 
 
 @settings(max_examples=50, deadline=None)
 @given(m=arrays(np.complex128, (3, 3), elements=complex_entries))
 def test_adjoint_is_entrywise_conjugate_transpose(m):
-    a = OperatorMatrix("A", m)
-    assert np.array_equal(adjoint(a).entries, m.conj().T)
-
-
-class TestSpectrum:
-    def test_len(self):
-        assert len(Spectrum(values=np.array([1.0, 2.0, 3.0]), hermitian=True)) == 3
+    a = from_dense("A", m)
+    assert np.array_equal(dense(adjoint(a)), m.conj().T)
