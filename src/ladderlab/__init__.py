@@ -16,7 +16,7 @@ from .contraction import (
     scaled_ladders,
 )
 from .evolution import EvolutionParams, geometric_phase_check, spectrum_via_dft
-from .operators import OperatorMatrix, adjoint, commutator, max_entry, restricted
+from .operators import OperatorMatrix, adjoint, commutator, max_entry
 from .orbits import density_metrics, simulate_torus, thooft_system, touch_points
 from .twomode import (
     DissipativeParams,
@@ -52,7 +52,6 @@ __all__ = [
     "l2_finite_residual",
     "l2_relation_check",
     "max_entry",
-    "restricted",
     "run_contraction_study",
     "scaled_ladders",
     "sector_decompose",

@@ -573,22 +573,25 @@ def cmd_orbit(args) -> CommandResult:
 
 
 def cmd_schwinger(args) -> CommandResult:
-    if args.dump and args.sector is None:
-        raise ValueError("--dump requires --sector")
+    if args.dump:
+        if args.sector is None:
+            raise ValueError("--dump requires --sector")
+        # j = (n_A - n_B)/2 with both occupations in 0 .. nmax
+        if not ((2 * args.sector).is_integer() and abs(2 * args.sector) <= args.nmax):
+            raise ValueError(f"--sector: no sector with j = {args.sector} at --nmax {args.nmax} "
+                             f"(2j must be an integer with |2j| <= nmax)")
     space = build_two_mode(args.nmax)
 
     if args.dump:
         decomp = sector_decompose(space)
-        if args.sector not in decomp.sectors:
-            raise ValueError(f"no sector with j = {args.sector}")
-        indices = decomp.sectors[args.sector]
-        ops = sector_operators(space, indices)
+        states = decomp.sectors[args.sector]
+        ops = sector_operators(space, states)
         return CommandResult(
             columns=ELEMENT_COLUMNS,
             groups=_element_groups(ops),
             checks={
                 "sector_j": args.sector,
-                "sector_size": len(indices),
+                "sector_size": len(states),
                 "induced_k": decomp.induced_k[args.sector],
             },
         )

@@ -1,10 +1,10 @@
 """Labeled complex matrices stored as their diagonals, and the band calculus on them.
 
-Every operator the lab builds is a few constant-offset diagonals of the flat
+Every operator the lab builds is a few constant-offset diagonals of its
 basis index: the su(2), su(1,1) and h(1) ladders sit on offsets 0 and +-1,
-the two-mode A, B on n_max + 1 and 1 (with zeros at the block edges) and
-L+-, their products, on -+(n_max + 2), and the cyclic step operator U on -1
-and N - 1.  A `Bands` holds exactly those diagonals as {offset: values} with
+and so do the two-mode L3 and L+- in the sector order of that space (with
+zeros at the sector boundaries); the cyclic step operator U sits on -1 and
+N - 1.  A `Bands` holds exactly those diagonals as {offset: values} with
 values[i] = M[i, i + offset].  On it a product is one shifted elementwise
 multiply per pair of offsets, a sum merges the diagonals by offset, and an
 interior restriction is a boolean mask, so a residual costs O(dim) per pair
@@ -85,23 +85,6 @@ class Bands:
     @classmethod
     def identity(cls, dim: int) -> "Bands":
         return cls(dim, {0: np.ones(dim)})
-
-    @classmethod
-    def from_entries(cls, dim: int, rows, cols, values) -> "Bands":
-        """The matrix with values[t] at (rows[t], cols[t]); the positions must be distinct."""
-        rows = np.asarray(rows, dtype=np.int64)
-        values = np.asarray(values)
-        values = values.astype(np.result_type(values, float))
-        offsets = np.asarray(cols, dtype=np.int64) - rows
-        order = np.argsort(offsets, kind="stable")
-        offsets, rows, values = offsets[order], rows[order], values[order]
-        distinct, starts = np.unique(offsets, return_index=True)
-        diagonals = {}
-        for offset, start, stop in zip(distinct.tolist(), starts, [*starts[1:], len(offsets)]):
-            diagonal = np.zeros(dim, dtype=values.dtype)
-            diagonal[rows[start:stop]] = values[start:stop]
-            diagonals[offset] = diagonal
-        return cls(dim, diagonals)
 
     def diagonal(self) -> np.ndarray:
         """The main diagonal, M[i, i]."""
@@ -250,13 +233,3 @@ def max_entry(bands: Bands, keep=None) -> float:
             peak = np.maximum(peak, np.max(np.abs(values)))
     return float(peak)
 
-
-def restricted(bands: Bands, indices) -> Bands:
-    """The block of `bands` on the given distinct basis indices, as rows and columns in their order."""
-    idx = np.asarray(list(indices), dtype=int)
-    position = np.full(bands.dim, -1)
-    position[idx] = np.arange(len(idx))
-    rows, cols, values = bands.nonzero()
-    rows, cols = position[rows], position[cols]
-    inside = (rows >= 0) & (cols >= 0)
-    return Bands.from_entries(len(idx), rows[inside], cols[inside], values[inside])

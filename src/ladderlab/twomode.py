@@ -4,10 +4,15 @@ Two independent truncated oscillator modes A, B carry L+ = A†B†, L- = AB,
 L3 = (A†A + B†B + 1)/2.  The Casimir is diagonal with eigenvalue
 j = (n_A - n_B)/2, and each fixed-j sector reproduces the discrete series of
 weight k = |j| + 1/2 entrywise (the j = 0 sector is the square-root-free
-weight-1/2 ladder).  L+, L- and L3 keep j: each is one diagonal of the flat
-index, so one comparison per diagonal checks every sector.  On top of
-this sits the dissipative Hamiltonian H0 = Omega (A†A - B†B),
-HI = i Gamma (A†B† - AB) = -2 Gamma L2.
+weight-1/2 ladder).  L+, L- and L3 keep j, so the basis is ordered by
+sector: ascending j, then ascending n_A, which within a sector is ascending
+level.  Each sector is then a contiguous run of the basis, L+ and L- are the
+single offsets -1 and +1 with a zero at each sector boundary, and L3 is
+diagonal: every check runs on the tridiagonal arithmetic of `algebra`'s
+ladders.  On top of this sits the dissipative Hamiltonian
+H0 = Omega (A†A - B†B), HI = i Gamma (A†B† - AB) = -2 Gamma L2, formed from
+the occupations and the ladders; the single-mode operators A, B are not
+constant-offset diagonals in this order and are not built.
 
 Truncation lives at the per-mode cutoff n_max: an "interior" of size b means
 the states with both occupations below b, which is where every identity holds
@@ -25,23 +30,20 @@ from math import ceil, isfinite, log2, pi
 import numpy as np
 
 from .algebra import LadderRep, Su11, cartesian_generators, discrete_series_elements
-from .operators import Bands, OperatorMatrix, max_entry, restricted
+from .operators import Bands, OperatorMatrix, max_entry
 
 
 @dataclass(frozen=True, eq=False)
 class TwoModeSpace:
-    """Truncated two-oscillator space with mode and ladder operators.
+    """Truncated two-oscillator space with its su(1,1) ladders.
 
-    Basis |n_A, n_B> with 0 <= n_A, n_B <= n_max, flattened row-major:
-    flat index = n_A (n_max + 1) + n_B.
+    Basis |n_A, n_B> with 0 <= n_A, n_B <= n_max, ordered by sector:
+    ascending j = (n_A - n_B)/2, then ascending n_A.  L+ sits on offset -1,
+    L- on +1 and L3 on 0.
     """
 
     n_max: int
     dim: int
-    A: OperatorMatrix
-    Adag: OperatorMatrix
-    B: OperatorMatrix
-    Bdag: OperatorMatrix
     Lplus: OperatorMatrix
     Lminus: OperatorMatrix
     L3: OperatorMatrix
@@ -49,22 +51,29 @@ class TwoModeSpace:
     def index(self, n_a: int, n_b: int) -> int:
         if not (0 <= n_a <= self.n_max and 0 <= n_b <= self.n_max):
             raise ValueError("occupation out of range")
-        return n_a * (self.n_max + 1) + n_b
+        shift = n_a - n_b
+        return int(_sector_starts(self.n_max)[shift + self.n_max]) + n_a - max(shift, 0)
 
-    def occupations(self, flat: int) -> tuple[int, int]:
-        return divmod(int(flat), self.n_max + 1)
+    def occupations(self, index: int) -> tuple[int, int]:
+        if not 0 <= index < self.dim:
+            raise ValueError("basis index out of range")
+        starts = _sector_starts(self.n_max)
+        sector = int(np.searchsorted(starts, index, side="right")) - 1
+        shift = sector - self.n_max
+        n_a = int(index) - int(starts[sector]) + max(shift, 0)
+        return n_a, n_a - shift
 
 
 @dataclass(frozen=True, eq=False)
 class SectorDecomposition:
     """Partition of the two-mode basis by j = (n_A - n_B)/2.
 
-    Within each sector the indices are ordered by ascending m = (n_A + n_B)/2,
-    i.e. by the ladder level n = m - |j|.  Each sector carries the induced
-    discrete-series weight k = |j| + 1/2.
+    Each sector is the run of the basis it occupies, in ascending
+    m = (n_A + n_B)/2, i.e. by the ladder level n = m - |j|.  Each sector
+    carries the induced discrete-series weight k = |j| + 1/2.
     """
 
-    sectors: dict[float, list[int]]
+    sectors: dict[float, range]
     induced_k: dict[float, float]
 
 
@@ -87,48 +96,55 @@ class DissipativeParams:
 
 
 def build_two_mode(n_max: int) -> TwoModeSpace:
-    """Two single-mode ladders on the flat index, and L+ = A†B†, L- = AB, L3 as their products.
+    """L+ = A†B†, L- = AB and L3 = (A†A + B†B + 1)/2 in the sector order.
 
-    A lowers n_A, one step of n_max + 1 in the flat index, and B lowers n_B,
-    one step of 1; both diagonals are zero at the block edge n = n_max.
+    Each entry is the one product the mode operators would form:
+    <n_A, n_B|L+|n_A - 1, n_B - 1> = sqrt(n_A) sqrt(n_B), which is zero at a
+    sector's first state (n_A or n_B = 0), so no entry crosses a sector
+    boundary, and <n_A, n_B|L3|n_A, n_B> from sqrt(n_A)^2 + sqrt(n_B)^2.
     """
     n_max = int(n_max)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    side = n_max + 1
-    dim = side * side
-    # <n - 1|a|n> = sqrt(n), stored in the row of n - 1; the top row has none
-    lowering = np.append(np.sqrt(np.arange(1, side, dtype=float)), 0.0)
-    a = Bands(dim, {side: np.repeat(lowering, side)})
-    b = Bands(dim, {1: np.tile(lowering, side)})
-    adag, bdag = a.adjoint(), b.adjoint()
-    lplus = adag @ bdag
-    lminus = a @ b
-    l3 = 0.5 * (adag @ a + bdag @ b + Bands.identity(dim))
+    dim = (n_max + 1) ** 2
+    root_a, root_b = (np.sqrt(n) for n in _mode_numbers(n_max))
+    # the raising element into each state is stored in that state's row
+    lplus = Bands(dim, {-1: root_a * root_b})
+    l3 = 0.5 * Bands.diag(root_a * root_a + root_b * root_b + 1.0)
     return TwoModeSpace(
         n_max=n_max,
         dim=dim,
-        A=OperatorMatrix("A", a),
-        Adag=OperatorMatrix("Adag", adag),
-        B=OperatorMatrix("B", b),
-        Bdag=OperatorMatrix("Bdag", bdag),
         Lplus=OperatorMatrix("L+", lplus),
-        Lminus=OperatorMatrix("L-", lminus),
+        Lminus=OperatorMatrix("L-", lplus.adjoint()),
         L3=OperatorMatrix("L3", l3),
     )
 
 
-def _mode_numbers(space: TwoModeSpace) -> tuple[np.ndarray, np.ndarray]:
-    side = space.n_max + 1
-    n_a = np.repeat(np.arange(side), side).astype(float)
-    n_b = np.tile(np.arange(side), side).astype(float)
-    return n_a, n_b
+def _sector_starts(n_max: int) -> np.ndarray:
+    """The first basis index of each sector j = -n_max/2 .. n_max/2, then dim.
+
+    This fixes the basis order: sector j holds the n_max + 1 - 2|j| states
+    with n_A - n_B = 2j, in ascending n_A.
+    """
+    sizes = n_max + 1 - np.abs(np.arange(-n_max, n_max + 1))
+    return np.concatenate(([0], np.cumsum(sizes)))
+
+
+def _mode_numbers(n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n_A, n_B) of every basis state, as floats, in the basis order."""
+    shifts = np.arange(-n_max, n_max + 1).astype(float)
+    starts = _sector_starts(n_max)
+    sizes = np.diff(starts)
+    # the index n_A = 0 would have in each sector, whose n_A starts at max(0, n_A - n_B)
+    origins = starts[:-1] - np.maximum(shifts, 0.0)
+    n_a = np.arange(starts[-1], dtype=float) - np.repeat(origins, sizes)
+    return n_a, n_a - np.repeat(shifts, sizes)
 
 
 def _interior_mask(space: TwoModeSpace, bound: int | None = None) -> np.ndarray:
     """The basis states with both occupations below `bound` (default n_max), as a mask."""
     bound = space.n_max if bound is None else int(bound)
-    n_a, n_b = _mode_numbers(space)
+    n_a, n_b = _mode_numbers(space.n_max)
     return (n_a < bound) & (n_b < bound)
 
 
@@ -138,7 +154,7 @@ def _casimir_ladder_form(space: TwoModeSpace) -> Bands:
 
 
 def _casimir_residual(space: TwoModeSpace, c2: Bands) -> float:
-    n_a, n_b = _mode_numbers(space)
+    n_a, n_b = _mode_numbers(space.n_max)
     mode_form = Bands.diag(0.25 * (n_a - n_b) ** 2)
     return max_entry(c2 - mode_form, _interior_mask(space))
 
@@ -150,31 +166,40 @@ def casimir_interior_residual(space: TwoModeSpace) -> float:
 
 def casimir_root(space: TwoModeSpace) -> OperatorMatrix:
     """C = nonnegative square root of the exact diagonal C^2, i.e. diag(|j|)."""
-    n_a, n_b = _mode_numbers(space)
+    n_a, n_b = _mode_numbers(space.n_max)
     return OperatorMatrix("C", Bands.diag(np.abs(n_a - n_b) / 2.0))
 
 
 def sector_decompose(space: TwoModeSpace) -> SectorDecomposition:
-    """Group the basis by j = (n_A - n_B)/2, each sector ordered by ascending m."""
-    side = space.n_max + 1
-    ordered = {}
-    for shift in range(-space.n_max, side):
-        # fixed j: ascending n_A is ascending m = (n_A + n_B)/2
-        n_a = np.arange(max(0, shift), min(side, side + shift))
-        ordered[shift / 2.0] = (n_a * side + (n_a - shift)).tolist()
+    """Group the basis by j = (n_A - n_B)/2: each sector is a range of the basis."""
+    starts = _sector_starts(space.n_max).tolist()
+    ordered = {shift / 2.0: range(start, stop) for shift, start, stop
+               in zip(range(-space.n_max, space.n_max + 1), starts, starts[1:])}
     induced = {j: abs(j) + 0.5 for j in ordered}
     return SectorDecomposition(sectors=ordered, induced_k=induced)
 
 
 def sector_operators(
-    space: TwoModeSpace, indices
+    space: TwoModeSpace, states: range
 ) -> tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix]:
-    """Restrictions of (L3, L+, L-) to the given sector index list."""
+    """The blocks of (L3, L+, L-) on one sector's range of the basis."""
     return (
-        OperatorMatrix("L3", restricted(space.L3.bands, indices)),
-        OperatorMatrix("L+", restricted(space.Lplus.bands, indices)),
-        OperatorMatrix("L-", restricted(space.Lminus.bands, indices)),
+        OperatorMatrix("L3", _block(space.L3.bands, states)),
+        OperatorMatrix("L+", _block(space.Lplus.bands, states)),
+        OperatorMatrix("L-", _block(space.Lminus.bands, states)),
     )
+
+
+def _block(bands: Bands, states: range) -> Bands:
+    """The block of `bands` on a contiguous run of the basis: each diagonal, sliced.
+
+    A sliced entry whose column falls outside the run is set to zero.
+    """
+    size = len(states)
+    rows = np.arange(size)
+    return Bands(size, {offset: np.where((rows + offset >= 0) & (rows + offset < size),
+                                         values[states.start:states.stop], 0.0)
+                        for offset, values in bands.diagonals.items()})
 
 
 def sector_match_residual(space: TwoModeSpace) -> float:
@@ -182,22 +207,21 @@ def sector_match_residual(space: TwoModeSpace) -> float:
 
     |n_A, n_B> is level n = min(n_A, n_B) of sector j = (n_A - n_B)/2, whose
     series has weight |j| + 1/2.  Each diagonal of L3, L+ and L- is compared
-    with that series at its flat index: L3 on offset 0, L+ on -(n_max + 2)
-    (into |n_A, n_B> from level n - 1, nothing into level 0) and L- on
-    n_max + 2 (from level n + 1, nothing out of a sector's top state at
-    n_A or n_B = n_max, where the sector is truncated).  Any other diagonal
-    is a leak between sectors and counts in full.
+    with that series in the sector order: L3 on offset 0, L+ on -1 (into
+    |n_A, n_B> from level n - 1, nothing into level 0, so nothing from the
+    sector before) and L- on +1 (from level n + 1, nothing out of a sector's
+    top state at n_A or n_B = n_max, where the sector is truncated).  Any
+    other diagonal is a leak between sectors and counts in full.
     """
-    n_a, n_b = _mode_numbers(space)
+    n_a, n_b = _mode_numbers(space.n_max)
     weight = np.abs((n_a - n_b) / 2.0) + 0.5
     level = np.minimum(n_a, n_b)
     diagonal, raising = discrete_series_elements(weight, level)
     _, raising_into = discrete_series_elements(weight, level - 1.0)
-    step = space.n_max + 2
     reference = {
         "L3": {0: diagonal},
-        "Lplus": {-step: raising_into},
-        "Lminus": {step: np.where(_interior_mask(space), raising, 0.0)},
+        "Lplus": {-1: raising_into},
+        "Lminus": {1: np.where(_interior_mask(space), raising, 0.0)},
     }
     return float(np.max([max_entry(getattr(space, name).bands - Bands(space.dim, block))
                          for name, block in reference.items()]))  # a nan stays nan
@@ -216,7 +240,7 @@ def dissipative_residuals(space: TwoModeSpace, p: DissipativeParams) -> dict[str
     # comes first, while H0 and HI are the only others alive; C and L2 follow
     # one at a time, each dropped as soon as its residual is taken.
     commutator = max_entry(h0 @ hi - hi @ h0, keep)
-    n_a, n_b = _mode_numbers(space)
+    n_a, n_b = _mode_numbers(space.n_max)
     h0_vs_casimir = max_entry(h0 - 2.0 * p.Omega * casimir_root(space).bands, n_a >= n_b)
     hi_vs_l2 = max_entry(hi - (-2.0 * p.Gamma) * cartesian_generators(space)[1].bands, keep)
     return {
@@ -229,10 +253,10 @@ def dissipative_residuals(space: TwoModeSpace, p: DissipativeParams) -> dict[str
 
 
 def _dissipative_pieces(space: TwoModeSpace, p: DissipativeParams) -> tuple[Bands, Bands]:
-    a, adag = space.A.bands, space.Adag.bands
-    b, bdag = space.B.bands, space.Bdag.bands
-    h0 = p.Omega * (adag @ a - bdag @ b)
-    hi = 1j * p.Gamma * (adag @ bdag - a @ b)
+    """H0 = Omega (A†A - B†B) from sqrt(n_A)^2 - sqrt(n_B)^2, and HI = i Gamma (L+ - L-)."""
+    root_a, root_b = (np.sqrt(n) for n in _mode_numbers(space.n_max))
+    h0 = p.Omega * Bands.diag(root_a * root_a - root_b * root_b)
+    hi = 1j * p.Gamma * (space.Lplus.bands - space.Lminus.bands)
     return h0, hi
 
 
@@ -286,11 +310,11 @@ def l2_finite_residual(target, interior: int) -> float:
     components, maximized over the states.
 
     L1 keeps the sector j, so each sector is computed on its own as the
-    su(1,1) block it is: L3 and L+ restricted to the states of sector j of a
+    su(1,1) block it is: L3 and L+ sliced to the range of sector j of a
     TwoModeSpace, in ascending level, whose interior is the leading b - 2|j|
-    of them.  Within a block L- is taken as the adjoint of L+, and entries
-    between sectors are not read; `sector_match_residual` checks both.  No
-    matrix larger than nmax + 1 square is formed.
+    of its states.  Within a block L- is taken as the adjoint of L+, and
+    entries between sectors are not read; `sector_match_residual` checks
+    both.  No matrix larger than nmax + 1 square is formed.
 
     Diagnostic only: e^{(pi/2) L1} is unbounded and non-unitary, so on a
     truncated space the residual is truncation-dominated, orders of magnitude
@@ -301,12 +325,12 @@ def l2_finite_residual(target, interior: int) -> float:
     interior = _checked_interior(target, interior)
     if isinstance(target, LadderRep):
         return _rotation_block_residual(target.L3.bands, target.Lplus.bands, interior)
+    l3, lplus = target.L3.bands, target.Lplus.bands
     worst = []
     for j, states in sector_decompose(target).sectors.items():
         shift = int(abs(2 * j))
         if shift < interior:  # a sector with 2|j| >= interior has no interior state
-            worst.append(_rotation_block_residual(restricted(target.L3.bands, states),
-                                                  restricted(target.Lplus.bands, states),
+            worst.append(_rotation_block_residual(_block(l3, states), _block(lplus, states),
                                                   interior - shift))
     return float(np.max(worst))  # a nan stays nan
 

@@ -2,7 +2,11 @@
 
 The library keeps every operator as its diagonals (`operators.Bands`); dense
 matrices live here alone.  `dense` is the tests' one dense view of an
-operator and `from_dense` builds an operator from a dense array.  The CSR
+operator, and `from_dense` and `bands_from_entries` build one from a dense
+array or from its entries.  The flat two-mode build, on the index
+n_A (n_max + 1) + n_B, is `dense_two_mode`; `sector_order` gives the
+library's sector order from a scan of that basis, and `in_sector_order`
+permutes a flat matrix into it.  The CSR
 view and the scipy matrix exponential check the band store and the
 sector-wise finite-rotation diagnostic against independent arithmetic, the
 object-integer touch angles check the closed orbits, and the whole su(2)
@@ -40,11 +44,61 @@ def dense(x: OperatorMatrix | Bands) -> np.ndarray:
     return m
 
 
+def bands_from_entries(dim: int, rows, cols, values) -> Bands:
+    """The matrix with values[t] at (rows[t], cols[t]); the positions must be distinct."""
+    rows = np.asarray(rows, dtype=np.int64)
+    values = np.asarray(values)
+    values = values.astype(np.result_type(values, float))
+    offsets = np.asarray(cols, dtype=np.int64) - rows
+    order = np.argsort(offsets, kind="stable")
+    offsets, rows, values = offsets[order], rows[order], values[order]
+    distinct, starts = np.unique(offsets, return_index=True)
+    diagonals = {}
+    for offset, start, stop in zip(distinct.tolist(), starts, [*starts[1:], len(offsets)]):
+        diagonal = np.zeros(dim, dtype=values.dtype)
+        diagonal[rows[start:stop]] = values[start:stop]
+        diagonals[offset] = diagonal
+    return Bands(dim, diagonals)
+
+
 def from_dense(label: str, m) -> OperatorMatrix:
     """The operator with the nonzero entries of the square array `m`; real input stays real."""
     m = np.asarray(m)
     rows, cols = np.nonzero(m)
-    return OperatorMatrix(label, Bands.from_entries(len(m), rows, cols, m[rows, cols]))
+    return OperatorMatrix(label, bands_from_entries(len(m), rows, cols, m[rows, cols]))
+
+
+def dense_two_mode(n_max: int) -> dict[str, np.ndarray]:
+    """The mode operators and their ladder products, dense, on the index n_A (n_max + 1) + n_B.
+
+    The library's two-mode basis is in sector order; `in_sector_order` permutes these into it.
+    """
+    cutoff = n_max + 1
+    lower = np.diag(np.sqrt(np.arange(1, cutoff, dtype=float)), 1)
+    eye = np.eye(cutoff)
+    a, b = np.kron(lower, eye), np.kron(eye, lower)
+    adag, bdag = a.T, b.T
+    return {
+        "A": a, "Adag": adag, "B": b, "Bdag": bdag,
+        "Lplus": adag @ bdag, "Lminus": a @ b,
+        "L3": 0.5 * (adag @ a + bdag @ b + np.eye(cutoff * cutoff)),
+    }
+
+
+def sector_order(n_max: int) -> np.ndarray:
+    """The flat index of each state of the library's basis order, from a scan of the flat basis.
+
+    The order is ascending j = (n_A - n_B)/2, then ascending n_A.
+    """
+    side = n_max + 1
+    scan = sorted((n_a - n_b, n_a, n_a * side + n_b) for n_a in range(side) for n_b in range(side))
+    return np.array([flat for _, _, flat in scan])
+
+
+def in_sector_order(m: np.ndarray, n_max: int) -> np.ndarray:
+    """A flat-index vector or square matrix, permuted into the sector order."""
+    order = sector_order(n_max)
+    return m[order] if m.ndim == 1 else m[np.ix_(order, order)]
 
 
 def csr(op: OperatorMatrix) -> sparse.csr_array:
@@ -94,11 +148,11 @@ def hermiticity_residual(a: OperatorMatrix) -> float:
 
 
 def interior_indices(space: TwoModeSpace, bound: int | None = None) -> list[int]:
-    """Flat indices with both occupations below `bound` (default n_max)."""
+    """Basis indices, in the sector order, with both occupations below `bound` (default n_max)."""
     bound = space.n_max if bound is None else int(bound)
     side = space.n_max + 1
-    occupations = np.arange(min(bound, side))
-    return (occupations[:, None] * side + occupations[None, :]).ravel().tolist()
+    return [i for i, flat in enumerate(sector_order(space.n_max).tolist())
+            if max(divmod(flat, side)) < bound]
 
 
 def casimir(space: TwoModeSpace, tol: float = 1e-12) -> OperatorMatrix:

@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from ladderlab.operators import Bands, OperatorMatrix, max_entry, restricted
+from ladderlab import twomode
+from ladderlab.operators import Bands, OperatorMatrix, max_entry
 from oracles import csr, dense, from_dense
 
 EPS = float(np.finfo(float).eps)
@@ -97,10 +98,13 @@ def test_masked_max_entry_and_restriction(a, data):
     block = m[np.ix_(indices, indices)]
     assert max_entry(a) == np.max(np.abs(m))
     assert max_entry(a, keep) == np.max(np.abs(block), initial=0.0)
-    if len(indices):
-        assert np.array_equal(dense(restricted(a, indices)), block)
-        order = data.draw(st.permutations(indices.tolist()))
-        assert np.array_equal(dense(restricted(a, order)), m[np.ix_(order, order)])
+    # a contiguous run, as a two-mode sector is, is sliced from the diagonals
+    start = data.draw(st.integers(0, a.dim - 1))
+    stop = data.draw(st.integers(start + 1, a.dim))
+    block = twomode._block(a, range(start, stop))
+    assert np.array_equal(dense(block), m[start:stop, start:stop])
+    _, cols, _ = block.nonzero()  # nothing from outside the run is carried into the block
+    assert np.all((cols >= 0) & (cols < stop - start))
 
 
 @settings(max_examples=150, deadline=None)

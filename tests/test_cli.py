@@ -528,6 +528,14 @@ class TestInputValidation:
         err = self._rejected(["schwinger", "--nmax", "300", "--Gamma", value], tmp_path, capsys)
         assert "--Gamma" in err and "positive" in err
 
+    @pytest.mark.parametrize("value", ["0.3", "5", "-5", "1e9"])
+    def test_sector_is_refused_before_the_build(self, value, tmp_path, capsys, monkeypatch):
+        # it was once refused only after the whole space was built
+        monkeypatch.setattr(cli, "build_two_mode", refuse_build)
+        err = self._rejected(["schwinger", "--nmax", "4", "--dump", "--sector", value],
+                             tmp_path, capsys)
+        assert err.startswith("ladderlab: --sector:") and f"j = {float(value)}" in err, err
+
     # each of these once exited 0: the mode does not read the flag, but its value
     # is still refused where it is parsed
     @pytest.mark.parametrize("argv,flag", [
@@ -653,6 +661,9 @@ class TestInputValidation:
         (["contract", "--hp", "--dim", "0"], "--dim"),
         (["rep", "--algebra", "su2", "--l", "2", "--interior", "0"], "--interior"),
         (["contract", "--identities", "--l", "1.3"], "--l"),
+        (["schwinger", "--nmax", "3", "--dump", "--sector", "0.3"], "--sector"),
+        (["schwinger", "--nmax", "3", "--dump", "--sector", "5"], "--sector"),
+        (["schwinger", "--nmax", "3", "--dump", "--sector", "1e9"], "--sector"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
     def test_library_message_names_its_flag(self, argv, flag, tmp_path, capsys):
         err = self._rejected(argv, tmp_path, capsys)
@@ -961,13 +972,16 @@ class TestReach:
     contraction sweep builds only the levels it tabulates of each irrep.
     """
 
-    # tracemalloc peaks measured at 124 MB for --check all and --check
-    # hamiltonian, 23.1 MB for evolve at N = 2^18 (42.2 MB when U was held
+    # tracemalloc peaks measured at 103 MB for --check all and --check
+    # hamiltonian (124 MB on the flat basis order), 31 MB for the sector dump
+    # (103 MB when the sector was picked out of the flat order by index
+    # lists), 23.1 MB for evolve at N = 2^18 (42.2 MB when U was held
     # through the squarings and the circulant check sorted every entry) and
     # 0.02 MB for the su(2) sweep (530 MB with each irrep built whole), on
     # x86-64 with numpy 2.4; each bound leaves headroom
     PEAK_BOUND = 250e6
     HAMILTONIAN_PEAK_BOUND = 150e6
+    DUMP_PEAK_BOUND = 60e6
     EVOLVE_PEAK_BOUND = 32e6
     SU2_SWEEP_PEAK_BOUND = 1e6
 
@@ -1001,6 +1015,16 @@ class TestReach:
         assert [r["check"] for r in rows] == [
             "h0_vs_casimir", "hi_vs_l2", "h0_hermiticity", "hi_hermiticity", "h0_hi_commutator"]
         assert peak < self.HAMILTONIAN_PEAK_BOUND, f"tracemalloc peak {peak / 1e6:.1f} MB"
+
+    def test_sector_dump_nmax_800(self, tmp_path, capsys):
+        code, out, peak = self._traced(["schwinger", "--nmax", "800", "--sector", "3", "--dump"],
+                                       tmp_path, capsys)
+        assert code == 0
+        _, checks, header, rows = read_csv(out)
+        assert checks["sector_size"] == "795"
+        # L3 on every state of the sector, L+ and L- on each of its 794 steps
+        assert header == list(cli.ELEMENT_COLUMNS) and len(rows) == 795 + 2 * 794
+        assert peak < self.DUMP_PEAK_BOUND, f"tracemalloc peak {peak / 1e6:.1f} MB"
 
     def test_evolve_n_2_18(self, tmp_path, capsys):
         # --tolerance 1e-6: at this N the rounding of the phase passes the fixed

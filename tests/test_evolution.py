@@ -8,8 +8,7 @@ from scipy import sparse
 from ladderlab import EvolutionParams, geometric_phase_check, spectrum_via_dft
 from ladderlab import evolution
 from ladderlab.evolution import build_evolution_operator
-from ladderlab.operators import Bands
-from oracles import csr, dense, from_dense
+from oracles import bands_from_entries, csr, dense, from_dense
 
 
 def _cyclic_permutation(n: int) -> np.ndarray:
@@ -130,7 +129,7 @@ class TestSpectrumRejectsDefects:
             m = dense(build_evolution_operator(p)).copy()
             m[row, col] = np.nan
             rows, cols = np.nonzero(m)
-            return SimpleNamespace(bands=Bands.from_entries(6, rows, cols, m[rows, cols]))
+            return SimpleNamespace(bands=bands_from_entries(6, rows, cols, m[rows, cols]))
 
         monkeypatch.setattr(evolution, "build_evolution_operator", with_nan)
         with pytest.raises(ValueError, match="the DFT failed to diagonalize"):

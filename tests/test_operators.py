@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import sparse
 
-from ladderlab.operators import Bands, OperatorMatrix, adjoint, commutator, restricted
+from ladderlab.operators import Bands, OperatorMatrix, adjoint, commutator
 from oracles import anticommutator, dense, from_dense, hermiticity_residual, matrix_exponential
 
 
@@ -92,11 +92,6 @@ class TestCalculus:
         anti = from_dense("K", dense(a) - dense(a).conj().T)
         u = dense(matrix_exponential(anti))
         assert np.max(np.abs(u @ u.conj().T - np.eye(5))) < 1e-12
-
-    def test_restricted_picks_the_block(self):
-        m = np.arange(16).reshape(4, 4)
-        block = restricted(from_dense("M", m).bands, [0, 2])
-        assert np.array_equal(dense(block), m[np.ix_([0, 2], [0, 2])])
 
     def test_hermiticity_residual(self):
         h = np.array([[1.0, 2.0 - 1j], [2.0 + 1j, 3.0]])

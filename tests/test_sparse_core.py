@@ -42,7 +42,15 @@ from ladderlab.contraction import deformed_commutator_check, hamiltonian_identit
 from ladderlab.evolution import build_evolution_operator
 from ladderlab.operators import Bands, OperatorMatrix
 from ladderlab.twomode import casimir_root, sector_operators
-from oracles import casimir, csr, dense, from_dense, interior_indices
+from oracles import (
+    casimir,
+    csr,
+    dense,
+    dense_two_mode,
+    from_dense,
+    in_sector_order,
+    interior_indices,
+)
 
 EPS = float(np.finfo(float).eps)
 C = 16
@@ -75,19 +83,6 @@ def dense_su11(k, dim):
 
 def dense_h1(dim):
     return dense_ladder(np.arange(dim) + 0.5, np.sqrt(np.arange(1, dim, dtype=float)))
-
-
-def dense_two_mode(n_max):
-    cutoff = n_max + 1
-    lower = np.diag(np.sqrt(np.arange(1, cutoff, dtype=float)), 1)
-    eye = np.eye(cutoff)
-    a, b = np.kron(lower, eye), np.kron(eye, lower)
-    adag, bdag = a.T, b.T
-    return {
-        "A": a, "Adag": adag, "B": b, "Bdag": bdag,
-        "Lplus": adag @ bdag, "Lminus": a @ b,
-        "L3": 0.5 * (adag @ a + bdag @ b + np.eye(cutoff * cutoff)),
-    }
 
 
 def dense_mode_numbers(n_max):
@@ -200,11 +195,11 @@ class TestBuildersMatchDense:
         for op, dense in zip((rep.L3, rep.Lplus, rep.Lminus), dense_h1(dim)):
             assert_bitwise(op, dense)
 
-    @pytest.mark.parametrize("n_max", SMALL_NMAX)
+    @pytest.mark.parametrize("n_max", range(1, 13))
     def test_two_mode(self, n_max):
-        space = build_two_mode(n_max)
-        for name, dense in dense_two_mode(n_max).items():
-            assert_bitwise(getattr(space, name), dense)
+        space, ops = build_two_mode(n_max), dense_two_mode(n_max)
+        for name in ("Lplus", "Lminus", "L3"):
+            assert_bitwise(getattr(space, name), in_sector_order(ops[name], n_max))
 
     @pytest.mark.parametrize("n", [2, 3, 7, 16])
     def test_evolution_operator(self, n):
@@ -214,9 +209,9 @@ class TestBuildersMatchDense:
 
     def test_casimir_root_and_ladder_form(self):
         space, ops = build_two_mode(6), dense_two_mode(6)
-        n_a, n_b = dense_mode_numbers(6)
+        n_a, n_b = (in_sector_order(n, 6) for n in dense_mode_numbers(6))
         assert_bitwise(casimir_root(space), np.diag(np.abs(n_a - n_b) / 2.0))
-        assert_bitwise(casimir(space), dense_casimir(ops))
+        assert_bitwise(casimir(space), in_sector_order(dense_casimir(ops), 6))
 
     def test_holstein_primakoff(self):
         rep = build_su11_rep(0.5, 12)
@@ -239,7 +234,7 @@ class TestSingleBandProductsBitwise:
     @pytest.mark.parametrize("n_max", [2, 8])
     def test_two_mode_products(self, n_max):
         space = build_two_mode(n_max)
-        ops = (space.A, space.Adag, space.B, space.Bdag, space.Lplus, space.Lminus, space.L3)
+        ops = (space.Lplus, space.Lminus, space.L3)
         for x in ops:
             for y in ops:
                 assert np.array_equal((csr(x) @ csr(y)).toarray(), dense(x) @ dense(y))
@@ -312,8 +307,8 @@ class TestResidualsMatchDense:
         space, ops = build_two_mode(n_max), dense_two_mode(n_max)
         n_a, n_b = dense_mode_numbers(n_max)
         keep = interior_indices(space)
-        want = np.max(np.abs((dense_casimir(ops) - np.diag(0.25 * (n_a - n_b) ** 2))
-                             [np.ix_(keep, keep)]))
+        want = np.max(np.abs(in_sector_order(dense_casimir(ops) - np.diag(0.25 * (n_a - n_b) ** 2),
+                                             n_max)[np.ix_(keep, keep)]))
         assert casimir_interior_residual(space) == want
 
     @pytest.mark.parametrize("n_max", SMALL_NMAX)
@@ -327,7 +322,8 @@ class TestResidualsMatchDense:
         # [L1, L3] has one term per entry; the double commutator sums two.
         space, ops = build_two_mode(n_max), dense_two_mode(n_max)
         keep = interior_indices(space)
-        first, second = dense_l2_relations(ops["Lplus"], ops["Lminus"], ops["L3"], keep)
+        first, second = dense_l2_relations(
+            *(in_sector_order(ops[name], n_max) for name in ("Lplus", "Lminus", "L3")), keep)
         got_first, got_second = l2_relation_check(space, n_max)
         assert got_first == first
         assert abs(got_second - second) <= 4 * EPS * 4 * (n_max + 1) ** 3
@@ -343,13 +339,14 @@ class TestResidualsMatchDense:
     @pytest.mark.parametrize("n_max", SMALL_NMAX)
     def test_sector_match(self, n_max):
         space, ops = build_two_mode(n_max), dense_two_mode(n_max)
+        ladders = [in_sector_order(ops[name], n_max) for name in ("L3", "Lplus", "Lminus")]
         want = 0.0
         for j, indices in sector_decompose(space).sectors.items():
             if len(indices) < 2:
                 continue
             reference = dense_su11(abs(j) + 0.5, len(indices))
-            want = max(want, *(np.max(np.abs(ops[name][np.ix_(indices, indices)] - ref))
-                               for name, ref in zip(("L3", "Lplus", "Lminus"), reference)))
+            want = max(want, *(np.max(np.abs(op[np.ix_(indices, indices)] - ref))
+                               for op, ref in zip(ladders, reference)))
         assert sector_match_residual(space) == want
 
     @pytest.mark.parametrize("n", [2, 3, 7, 16])
@@ -375,13 +372,16 @@ class TestSectorLookup:
     def test_sector_indices_match_a_basis_scan(self, n_max):
         space = build_two_mode(n_max)
         scanned = {}
-        for flat in range(space.dim):
-            n_a, n_b = space.occupations(flat)
-            scanned.setdefault((n_a - n_b) / 2.0, []).append((n_a, flat))
+        for index in range(space.dim):
+            n_a, n_b = space.occupations(index)
+            scanned.setdefault((n_a - n_b) / 2.0, []).append((n_a, index))
         decomp = sector_decompose(space)
         assert list(decomp.sectors) == sorted(scanned)
         for j, members in scanned.items():
-            assert decomp.sectors[j] == [flat for _, flat in sorted(members)]
+            assert list(decomp.sectors[j]) == [index for _, index in sorted(members)]
+        # the sectors are ranges that tile the basis in ascending j
+        assert all(isinstance(states, range) for states in decomp.sectors.values())
+        assert [i for states in decomp.sectors.values() for i in states] == list(range(space.dim))
 
     def test_match_residual_does_not_scan_the_basis(self, monkeypatch):
         calls = []

@@ -17,17 +17,21 @@ from ladderlab import (
     sector_match_residual,
 )
 from ladderlab import twomode
-from ladderlab.operators import Bands, OperatorMatrix
+from ladderlab.operators import OperatorMatrix
 from ladderlab.twomode import casimir_root, sector_operators
 from oracles import (
+    bands_from_entries,
     casimir,
     csr,
     dense,
     dense_l2_finite_ratios,
     dense_l2_finite_residual,
+    dense_two_mode,
     dissipative_hamiltonian,
     from_dense,
+    in_sector_order,
     interior_indices,
+    sector_order,
 )
 
 
@@ -41,8 +45,9 @@ class TestBuildTwoMode:
     def test_dimensions_and_index_map(self):
         space = build_two_mode(4)
         assert space.dim == 25
-        assert space.index(2, 3) == 13
-        assert space.occupations(13) == (2, 3)
+        # sectors j = -2, -3/2, -1 hold 1 + 2 + 3 states; j = -1/2 then runs |0,1>, |1,2>, |2,3>
+        assert space.index(2, 3) == 8
+        assert space.occupations(8) == (2, 3)
         with pytest.raises(ValueError):
             space.index(5, 0)
 
@@ -51,17 +56,15 @@ class TestBuildTwoMode:
             build_two_mode(0)
 
     def test_mode_commutators_on_interior(self):
-        space = build_two_mode(5)
+        space, ops = build_two_mode(5), dense_two_mode(5)
         keep = interior_indices(space)
-        for lower, raiser in ((space.A, space.Adag), (space.B, space.Bdag)):
-            comm = dense(lower) @ dense(raiser) - dense(raiser) @ dense(lower)
+        for lower, raiser in (("A", "Adag"), ("B", "Bdag")):
+            comm = in_sector_order(ops[lower] @ ops[raiser] - ops[raiser] @ ops[lower], 5)
             assert np.max(np.abs((comm - np.eye(space.dim))[np.ix_(keep, keep)])) < 1e-13
 
     def test_cross_mode_commutator_vanishes_exactly(self):
-        space = build_two_mode(4)
-        assert np.max(np.abs(
-            dense(space.A) @ dense(space.Bdag) - dense(space.Bdag) @ dense(space.A)
-        )) == 0.0
+        ops = dense_two_mode(4)
+        assert np.max(np.abs(ops["A"] @ ops["Bdag"] - ops["Bdag"] @ ops["A"])) == 0.0
 
     def test_raising_vacuum(self):
         # L+|0,0> = |1,1> with coefficient 1
@@ -76,9 +79,35 @@ class TestBuildTwoMode:
         assert abs(dense(space.L3)[vac, vac] - 0.5) < 1e-15
 
     def test_ladders_built_from_modes(self):
-        space = build_two_mode(3)
-        assert np.max(np.abs(dense(space.Lplus) - dense(space.Adag) @ dense(space.Bdag))) == 0.0
-        assert np.max(np.abs(dense(space.Lminus) - dense(space.A) @ dense(space.B))) == 0.0
+        space, ops = build_two_mode(3), dense_two_mode(3)
+        raising = in_sector_order(ops["Adag"] @ ops["Bdag"], 3)
+        lowering = in_sector_order(ops["A"] @ ops["B"], 3)
+        assert np.max(np.abs(dense(space.Lplus) - raising)) == 0.0
+        assert np.max(np.abs(dense(space.Lminus) - lowering)) == 0.0
+
+
+class TestSectorOrder:
+    """The basis order, ascending j and then ascending n_A: tridiagonal operators, and the
+    index maps against a scan of the flat basis."""
+
+    @pytest.mark.parametrize("n_max", [1, 2, 7, 30])
+    def test_every_two_mode_diagonal_is_tridiagonal(self, n_max):
+        space = build_two_mode(n_max)
+        h0, hi = twomode._dissipative_pieces(space, DissipativeParams(Omega=1.3, Gamma=0.7))
+        stored = [space.Lplus.bands, space.Lminus.bands, space.L3.bands,
+                  casimir_root(space).bands, casimir(space).bands, h0, hi]
+        for bands in stored:
+            assert set(bands.diagonals) <= {-1, 0, 1}
+
+    @pytest.mark.parametrize("n_max", [1, 4, 9])
+    def test_index_and_occupations_are_inverses(self, n_max):
+        space = build_two_mode(n_max)
+        scanned = [divmod(flat, n_max + 1) for flat in sector_order(n_max).tolist()]
+        assert [space.occupations(i) for i in range(space.dim)] == scanned
+        assert [space.index(*pair) for pair in scanned] == list(range(space.dim))
+        for outside in (-1, space.dim):
+            with pytest.raises(ValueError):
+                space.occupations(outside)
 
 
 class TestCasimir:
@@ -112,9 +141,9 @@ class TestCasimir:
         space = build_two_mode(4)
         c2 = dense(casimir(space))
         keep = interior_indices(space)
-        for flat in keep:
-            n_a, n_b = space.occupations(flat)
-            assert abs(c2[flat, flat].real - ((n_a - n_b) / 2.0) ** 2) < 1e-12
+        for index in keep:
+            n_a, n_b = space.occupations(index)
+            assert abs(c2[index, index].real - ((n_a - n_b) / 2.0) ** 2) < 1e-12
 
 
 class TestSectors:
@@ -331,8 +360,8 @@ class TestFiniteRotationBySector:
         shifts = range(1 - interior, interior)
         assert len(blocks) == len(shifts)
         for shift, got in zip(shifts, blocks):
-            want = max(ratio for flat, ratio in ratios.items()
-                       if np.subtract(*space.occupations(flat)) == shift)
+            want = max(ratio for index, ratio in ratios.items()
+                       if np.subtract(*space.occupations(index)) == shift)
             assert abs(got - want) <= 1e-12 + 1e-9 * want
 
     @pytest.mark.parametrize("occupations", [((1, 1), (0, 0)), ((3, 2), (2, 1)),
@@ -343,7 +372,7 @@ class TestFiniteRotationBySector:
         # j < 0 sector alike; an element between two sectors is not read.
         space = build_two_mode(6)
         (row, col), defect = (space.index(*n) for n in occupations), 2.0
-        lplus = space.Lplus.bands + Bands.from_entries(space.dim, [row], [col], [defect])
+        lplus = space.Lplus.bands + bands_from_entries(space.dim, [row], [col], [defect])
         broken = replace(space, Lplus=OperatorMatrix("L+", lplus),
                          Lminus=OperatorMatrix("L-", lplus.adjoint()))
         intact, got = l2_finite_residual(space, 4), l2_finite_residual(broken, 4)
