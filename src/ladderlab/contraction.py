@@ -30,37 +30,6 @@ from .algebra import (
 from .operators import Bands, OperatorMatrix, max_entry
 
 
-@dataclass(frozen=True)
-class ScalingPair:
-    """Position/momentum scalings alpha = sqrt(tau/pi), beta = -2/(2l+1) sqrt(pi/tau).
-
-    Only the product alpha*beta = -2/(2l+1) enters the commutator identities;
-    the sign convention is observable solely through the overall sign of p.
-    """
-
-    alpha: float
-    beta: float
-    tau: float
-    l: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.tau) and self.tau > 0):
-            raise ValueError("tau must be positive and finite")
-        if not (self.alpha > 0 and self.beta < 0):
-            raise ValueError("alpha must be positive and beta negative")
-        product = self.alpha * self.beta * (2.0 * self.l + 1.0) / (-2.0)
-        if abs(product - 1.0) > 1e-12:
-            raise ValueError("alpha*beta must equal -2/(2l+1)")
-
-    @classmethod
-    def for_parameters(cls, tau: float, l: float) -> "ScalingPair":
-        if not (math.isfinite(tau) and tau > 0):
-            raise ValueError("tau must be positive and finite")
-        alpha = math.sqrt(tau / math.pi)
-        beta = -2.0 / (2.0 * l + 1.0) * math.sqrt(math.pi / tau)
-        return cls(alpha=alpha, beta=beta, tau=float(tau), l=float(l))
-
-
 @dataclass(frozen=True, eq=False)
 class ContractionReport:
     """Deviation table of a contraction sweep plus its fitted decay rate.
@@ -213,17 +182,23 @@ def holstein_primakoff(rep: LadderRep) -> tuple[OperatorMatrix, OperatorMatrix]:
     return a, adag
 
 
-def position_momentum(
-    rep: LadderRep, tau: float
-) -> tuple[OperatorMatrix, OperatorMatrix, ScalingPair]:
-    """Deformed position/momentum analogues x = alpha*L1, p = beta*L2 (both hermitian)."""
+def position_momentum(rep: LadderRep, tau: float) -> tuple[OperatorMatrix, OperatorMatrix]:
+    """Deformed position/momentum analogues x = alpha*L1, p = beta*L2 (both hermitian).
+
+    alpha = sqrt(tau/pi) and beta = -2/(2l+1) sqrt(pi/tau).  Only the product
+    alpha*beta = -2/(2l+1) enters the commutator identities; the sign
+    convention is observable solely through the overall sign of p.
+    """
     if not isinstance(rep.kind, Su2):
         raise ValueError("position/momentum analogues live on the su(2) representation")
-    pair = ScalingPair.for_parameters(tau, rep.kind.l)
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError("tau must be positive and finite")
+    alpha = math.sqrt(tau / math.pi)
+    beta = -2.0 / (2.0 * rep.kind.l + 1.0) * math.sqrt(math.pi / tau)
+    if not (alpha > 0 and math.isfinite(beta)):
+        raise ValueError(f"tau {tau!r} puts alpha or beta outside the float range")
     l1, l2 = cartesian_generators(rep)
-    xhat = OperatorMatrix("x", pair.alpha * l1.bands)
-    phat = OperatorMatrix("p", pair.beta * l2.bands)
-    return xhat, phat, pair
+    return OperatorMatrix("x", alpha * l1.bands), OperatorMatrix("p", beta * l2.bands)
 
 
 def su2_hamiltonian(rep: LadderRep, tau: float) -> OperatorMatrix:
@@ -243,7 +218,7 @@ def su2_hamiltonian(rep: LadderRep, tau: float) -> OperatorMatrix:
 
 def deformed_commutator_check(rep: LadderRep, tau: float) -> float:
     """Residual of [x, p] = i (1 - (tau/pi) H), an exact identity on the irrep."""
-    xhat, phat, _ = position_momentum(rep, tau)
+    xhat, phat = position_momentum(rep, tau)
     h = su2_hamiltonian(rep, tau)
     x, p = xhat.bands, phat.bands
     lhs = x @ p - p @ x
@@ -258,7 +233,7 @@ def hamiltonian_identity_check(rep: LadderRep, tau: float) -> float:
     L1^2 + L2^2 = l(l+1) - L3^2, and the correction term vanishes in the
     contraction limit on states of bounded energy.
     """
-    xhat, phat, _ = position_momentum(rep, tau)
+    xhat, phat = position_momentum(rep, tau)
     h = su2_hamiltonian(rep, tau)
     omega = 2.0 * math.pi / (rep.dim * tau)
     x, p, h = xhat.bands, phat.bands, h.bands

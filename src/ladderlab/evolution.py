@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import Bands, OperatorMatrix, max_entry
+from .operators import Bands, OperatorMatrix
 
 
 @dataclass(frozen=True)
@@ -76,10 +76,10 @@ def _circulant_column(bands: Bands) -> np.ndarray:
         # entries equal to a nonzero `entry` are a subset of the nonzeros,
         # so equal counts mean every nonzero equals it
         if count and (entry == 0 or np.count_nonzero(values == entry) != count):
-            raise ValueError("the DFT failed to diagonalize the evolution operator")
+            raise ValueError("the step operator is not circulant")
         stored += count
     if stored != n * np.count_nonzero(column):
-        raise ValueError("the DFT failed to diagonalize the evolution operator")
+        raise ValueError("the step operator is not circulant")
     return column
 
 
@@ -105,27 +105,37 @@ def spectrum_via_dft(p: EvolutionParams) -> np.ndarray:
     return (levels + 0.5) * p.omega
 
 
+def _entry_product(a: complex, b: complex) -> complex:
+    # one entry of a product of phased shifts, as `Bands.__matmul__` forms it:
+    # each part by `operators._times`' formula, added to its 0.0 accumulator
+    return complex(0.0 + (a.real * b.real - a.imag * b.imag),
+                   0.0 + (a.real * b.imag + a.imag * b.real))
+
+
 def geometric_phase_check(p: EvolutionParams) -> complex:
     """Scalar phi with U^N = phi * 1; the phase factor makes phi = -1.
 
-    U^N comes from binary squaring of U, in the multiplication order of
-    `numpy.linalg.matrix_power`; every power of U is a phased shift on two
-    diagonals, so each product costs O(N).  U itself is not held once it
-    has been squared: only the current square and the running power are.
-    Raises if U^N is not proportional to the identity (construction bug).
+    U is read as a circulant (`_circulant_column`) whose first column must
+    hold exactly one nonzero entry c.  Then U = c P^s is a phased cyclic
+    shift, and U^N = c^N P^(sN) = c^N * 1 exactly, since P^N = 1.  c^N comes
+    from binary squaring of c, in the multiplication order of
+    `numpy.linalg.matrix_power`, each product rounded as the band product
+    rounds the entries of a power of U, so phi has the bits of the diagonal
+    of U^N formed as a matrix.  Raises if U is not a phased cyclic shift
+    (construction bug).
     """
-    n = p.n_states
-    square = build_evolution_operator(p).bands
+    column = _circulant_column(build_evolution_operator(p).bands)
+    entries = column[np.flatnonzero(column)]
+    if len(entries) != 1:
+        raise ValueError("the step operator is not a phased cyclic shift")
+    square = complex(entries[0])
     power = None
-    remaining = n
+    remaining = p.n_states
     while True:
         remaining, bit = divmod(remaining, 2)
         if bit:
-            power = square if power is None else power @ square
+            power = square if power is None else _entry_product(power, square)
         if not remaining:
             break
-        square = square @ square
-    phi = complex(power.diagonal()[0])
-    if not max_entry(power - phi * Bands.identity(n)) <= 1e-12:
-        raise ValueError("U^N is not proportional to the identity")
-    return phi
+        square = _entry_product(square, square)
+    return power

@@ -11,8 +11,10 @@ view and the scipy matrix exponential check the band store and the
 sector-wise finite-rotation diagnostic against independent arithmetic, the
 object-integer touch angles check the closed orbits, and the whole su(2)
 irrep checks the contraction sweep, which builds only its leading levels;
-the raising wrappers and small helpers give tests dense and gated forms of
-the library's residuals.  scipy is imported here and nowhere in the package.
+`scalar_power` is the phase chain that the band powers of the step operator
+form entry by entry; the raising wrappers and small helpers give tests dense
+and gated forms of the library's residuals.  scipy is imported here and
+nowhere in the package.
 """
 
 from math import pi
@@ -99,6 +101,26 @@ def in_sector_order(m: np.ndarray, n_max: int) -> np.ndarray:
     """A flat-index vector or square matrix, permuted into the sector order."""
     order = sector_order(n_max)
     return m[order] if m.ndim == 1 else m[np.ix_(order, order)]
+
+
+def scalar_power(c: complex, n: int) -> complex:
+    """c^n by binary squaring in `numpy.linalg.matrix_power` order.
+
+    Each product is rounded as `Bands.__matmul__` rounds one entry of a
+    product of phased shifts: every real product on its own, and each part
+    added to the entry's 0.0 accumulator, so a zero part reads 0.0, never -0.0.
+    """
+    def times(a, b):
+        return complex(0.0 + (a.real * b.real - a.imag * b.imag),
+                       0.0 + (a.real * b.imag + a.imag * b.real))
+
+    square = power = None
+    while n > 0:
+        square = c if square is None else times(square, square)
+        n, bit = divmod(n, 2)
+        if bit:
+            power = square if power is None else times(power, square)
+    return power
 
 
 def csr(op: OperatorMatrix) -> sparse.csr_array:

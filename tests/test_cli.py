@@ -968,21 +968,24 @@ class TestReach:
     """Sizes far past what a dense or a full-size build could hold, under tracemalloc bounds.
 
     `schwinger` at nmax 800 has dim 641 601, 6.6 TB per dense complex matrix;
-    `evolve` at N = 2^18 holds a few O(N) vectors at a time; and the su(2)
-    contraction sweep builds only the levels it tabulates of each irrep.
+    `evolve` at N = 2^18 and 2^20 holds a few O(N) vectors at a time; and
+    the su(2) contraction sweep builds only the levels it tabulates of each
+    irrep.
     """
 
     # tracemalloc peaks measured at 103 MB for --check all and --check
     # hamiltonian (124 MB on the flat basis order), 31 MB for the sector dump
     # (103 MB when the sector was picked out of the flat order by index
-    # lists), 23.1 MB for evolve at N = 2^18 (42.2 MB when U was held
-    # through the squarings and the circulant check sorted every entry) and
-    # 0.02 MB for the su(2) sweep (530 MB with each irrep built whole), on
-    # x86-64 with numpy 2.4; each bound leaves headroom
+    # lists), 15.3 MB for evolve at N = 2^18 and 60.1 MB at N = 2^20 (23.4
+    # and 92.6 MB when U^N was formed by band products, 42.2 MB at 2^18 when
+    # U was also held through the squarings) and 0.02 MB for the su(2) sweep
+    # (530 MB with each irrep built whole), on x86-64 with numpy 2.4; each
+    # bound leaves headroom
     PEAK_BOUND = 250e6
     HAMILTONIAN_PEAK_BOUND = 150e6
     DUMP_PEAK_BOUND = 60e6
-    EVOLVE_PEAK_BOUND = 32e6
+    EVOLVE_PEAK_BOUND = 20e6
+    EVOLVE_2_20_PEAK_BOUND = 80e6
     SU2_SWEEP_PEAK_BOUND = 1e6
 
     @staticmethod
@@ -1026,10 +1029,9 @@ class TestReach:
         assert header == list(cli.ELEMENT_COLUMNS) and len(rows) == 795 + 2 * 794
         assert peak < self.DUMP_PEAK_BOUND, f"tracemalloc peak {peak / 1e6:.1f} MB"
 
-    def test_evolve_n_2_18(self, tmp_path, capsys):
-        # --tolerance 1e-6: at this N the rounding of the phase passes the fixed
+    def _evolve(self, n, bound, tmp_path, capsys):
+        # --tolerance 1e-6: at these N the rounding of the phase passes the fixed
         # 1e-12 default, a false breach (ROADMAP open item 1)
-        n = 2**18
         code, out, peak = self._traced(["evolve", "--N", str(n), "--tolerance", "1e-6"],
                                        tmp_path, capsys)
         assert code == 0
@@ -1037,7 +1039,13 @@ class TestReach:
         assert header == ["n", "energy"] and len(rows) == n
         omega = float(checks["omega"])
         assert [float(rows[i]["energy"]) for i in (0, n - 1)] == [0.5 * omega, (n - 0.5) * omega]
-        assert peak < self.EVOLVE_PEAK_BOUND, f"tracemalloc peak {peak / 1e6:.1f} MB"
+        assert peak < bound, f"tracemalloc peak {peak / 1e6:.1f} MB"
+
+    def test_evolve_n_2_18(self, tmp_path, capsys):
+        self._evolve(2**18, self.EVOLVE_PEAK_BOUND, tmp_path, capsys)
+
+    def test_evolve_n_2_20(self, tmp_path, capsys):
+        self._evolve(2**20, self.EVOLVE_2_20_PEAK_BOUND, tmp_path, capsys)
 
     def test_su2_sweep_to_l_4e6(self, tmp_path, capsys):
         code, out, peak = self._traced(

@@ -13,7 +13,6 @@ from ladderlab import (
     scaled_ladders,
 )
 from ladderlab.contraction import (
-    ScalingPair,
     deformed_commutator_check,
     hamiltonian_identity_check,
     position_momentum,
@@ -184,32 +183,35 @@ class TestHolsteinPrimakoff:
 
 class TestPositionMomentum:
     def test_hermitian(self):
-        xhat, phat, _ = position_momentum(build_su2_rep(3), tau=0.7)
+        xhat, phat = position_momentum(build_su2_rep(3), tau=0.7)
         assert hermiticity_residual(xhat) < 1e-15
         assert hermiticity_residual(phat) < 1e-15
 
     def test_spin_half_tau_pi_oracle(self):
         # alpha = 1, beta = -1: x = sigma1/2, p = -sigma2/2, with the Pauli
         # matrices written in the |n> ordering (n=0 is m=-1/2)
-        xhat, phat, pair = position_momentum(build_su2_rep(0.5), tau=math.pi)
-        assert abs(pair.alpha - 1.0) < 1e-15
-        assert abs(pair.beta + 1.0) < 1e-15
+        xhat, phat = position_momentum(build_su2_rep(0.5), tau=math.pi)
         sigma1 = np.array([[0, 1], [1, 0]], dtype=complex)
         sigma2_flipped = np.array([[0, 1j], [-1j, 0]])
         assert np.max(np.abs(dense(xhat) - sigma1 / 2)) < 1e-15
         assert np.max(np.abs(dense(phat) + sigma2_flipped / 2)) < 1e-15
 
     def test_scaling_pair_product_invariant(self):
+        # x[1,0] = alpha L+[1,0]/2 and p[1,0] = beta L+[1,0]/(2i), so
+        # alpha beta = 4i x[1,0] p[1,0] / L+[1,0]^2, which must be -2/(2l+1)
         for tau in (0.01, 0.1, 1.0, math.pi):
             for l in (0.5, 3, 22.5):
-                pair = ScalingPair.for_parameters(tau, l)
-                assert abs(pair.alpha * pair.beta * (2 * l + 1) / (-2) - 1.0) < 1e-14
+                rep = build_su2_rep(l)
+                xhat, phat = position_momentum(rep, tau)
+                x, p, lplus = (dense(op)[1, 0] for op in (xhat, phat, rep.Lplus))
+                product = 4j * x * p / lplus**2
+                assert abs(product * (2 * l + 1) / (-2) - 1.0) < 1e-14
 
     def test_scaling_pair_validation(self):
-        with pytest.raises(ValueError):
-            ScalingPair.for_parameters(-1.0, 3)
-        with pytest.raises(ValueError):
-            ScalingPair(alpha=1.0, beta=1.0, tau=1.0, l=0.5)
+        # at 5e-324 alpha underflows to 0 and beta overflows
+        for tau in (-1.0, 0.0, math.nan, 5e-324):
+            with pytest.raises(ValueError):
+                position_momentum(build_su2_rep(3), tau)
 
     def test_requires_su2(self):
         with pytest.raises(ValueError):
@@ -224,7 +226,7 @@ class TestOperatorIdentities:
         # 2x2 oracle: [x, p] at l=1/2, tau=pi from hand-built matrices
         rep = build_su2_rep(0.5)
         tau = math.pi
-        xhat, phat, _ = position_momentum(rep, tau)
+        xhat, phat = position_momentum(rep, tau)
         lhs = dense(xhat) @ dense(phat) - dense(phat) @ dense(xhat)
         h = dense(su2_hamiltonian(rep, tau))
         rhs = 1j * (np.eye(2) - (tau / math.pi) * h)
@@ -236,7 +238,7 @@ class TestOperatorIdentities:
     def test_deformation_visible_at_top_state(self):
         # eigenvalue of [x, p]/i is 1 - (2n+1)/N, negative at the top for l >= 1
         rep = build_su2_rep(6)
-        xhat, phat, _ = position_momentum(rep, tau=0.5)
+        xhat, phat = position_momentum(rep, tau=0.5)
         comm = (dense(xhat) @ dense(phat) - dense(phat) @ dense(xhat)) / 1j
         diag = np.diag(comm).real
         n = np.arange(rep.dim)

@@ -8,7 +8,7 @@ from scipy import sparse
 from ladderlab import EvolutionParams, geometric_phase_check, spectrum_via_dft
 from ladderlab import evolution
 from ladderlab.evolution import build_evolution_operator
-from oracles import bands_from_entries, csr, dense, from_dense
+from oracles import bands_from_entries, csr, dense, from_dense, scalar_power
 
 
 def _cyclic_permutation(n: int) -> np.ndarray:
@@ -100,8 +100,15 @@ class TestSpectrum:
         assert abs(values[-1] - (9 - 0.5) * p.omega) < 1e-12
 
 
+# both read U's first column once U is checked to be exactly circulant
+CIRCULANT_READERS = (spectrum_via_dft, geometric_phase_check)
+
+
 class TestSpectrumRejectsDefects:
-    """A step operator that is not circulant, or whose levels collide, is refused."""
+    """A step operator that is not circulant, or whose levels collide, is refused.
+
+    The operators that are not circulant are refused by the phase check too.
+    """
 
     @staticmethod
     def use_operator(monkeypatch, make):
@@ -118,8 +125,9 @@ class TestSpectrumRejectsDefects:
             return u
 
         self.use_operator(monkeypatch, perturb)
-        with pytest.raises(ValueError, match="the DFT failed to diagonalize"):
-            spectrum_via_dft(EvolutionParams(6, 1.0))
+        for reader in CIRCULANT_READERS:
+            with pytest.raises(ValueError, match="the step operator is not circulant"):
+                reader(EvolutionParams(6, 1.0))
 
     @pytest.mark.parametrize("row,col", [(1, 0), (3, 2), (0, 5)])
     def test_nan_entry(self, monkeypatch, row, col):
@@ -132,8 +140,9 @@ class TestSpectrumRejectsDefects:
             return SimpleNamespace(bands=bands_from_entries(6, rows, cols, m[rows, cols]))
 
         monkeypatch.setattr(evolution, "build_evolution_operator", with_nan)
-        with pytest.raises(ValueError, match="the DFT failed to diagonalize"):
-            spectrum_via_dft(EvolutionParams(6, 1.0))
+        for reader in CIRCULANT_READERS:
+            with pytest.raises(ValueError, match="the step operator is not circulant"):
+                reader(EvolutionParams(6, 1.0))
 
     @pytest.mark.parametrize("row,col", [(3, 0), (0, 3), (2, 4)])
     def test_entry_on_a_new_cyclic_diagonal(self, monkeypatch, row, col):
@@ -146,8 +155,9 @@ class TestSpectrumRejectsDefects:
             return u.tocsr()
 
         self.use_operator(monkeypatch, extra)
-        with pytest.raises(ValueError, match="the DFT failed to diagonalize"):
-            spectrum_via_dft(EvolutionParams(6, 1.0))
+        for reader in CIRCULANT_READERS:
+            with pytest.raises(ValueError, match="the step operator is not circulant"):
+                reader(EvolutionParams(6, 1.0))
 
     @pytest.mark.parametrize("row", [0, 1, 3])
     def test_swapped_values_on_a_cyclic_diagonal(self, monkeypatch, row):
@@ -162,14 +172,19 @@ class TestSpectrumRejectsDefects:
             return u.tocsr()
 
         self.use_operator(monkeypatch, swap)
-        with pytest.raises(ValueError, match="the DFT failed to diagonalize"):
-            spectrum_via_dft(EvolutionParams(6, 1.0))
+        for reader in CIRCULANT_READERS:
+            with pytest.raises(ValueError, match="the step operator is not circulant"):
+                reader(EvolutionParams(6, 1.0))
 
     def test_unswapped_circulant_passes(self, monkeypatch):
         # the control for the swap: U + 2 U^2 itself passes the circulant check,
-        # and its eigenphases happen to unwrap to six distinct levels
+        # and its eigenphases happen to unwrap to six distinct levels; its first
+        # column holds two entries, so it is no phased shift and has no scalar
+        # N-th power
         self.use_operator(monkeypatch, lambda u: (u + 2.0 * (u @ u)).tocsr())
         assert len(spectrum_via_dft(EvolutionParams(6, 1.0))) == 6
+        with pytest.raises(ValueError, match="not a phased cyclic shift"):
+            geometric_phase_check(EvolutionParams(6, 1.0))
 
     @pytest.mark.parametrize("entry", [0, 1, 5])
     def test_missing_entry(self, monkeypatch, entry):
@@ -180,8 +195,9 @@ class TestSpectrumRejectsDefects:
                                     shape=u.shape)
 
         self.use_operator(monkeypatch, drop)
-        with pytest.raises(ValueError, match="the DFT failed to diagonalize"):
-            spectrum_via_dft(EvolutionParams(6, 1.0))
+        for reader in CIRCULANT_READERS:
+            with pytest.raises(ValueError, match="the step operator is not circulant"):
+                reader(EvolutionParams(6, 1.0))
 
     @pytest.mark.parametrize("n", [2, 6, 16])
     def test_two_step_shift_collides(self, monkeypatch, n):
@@ -189,6 +205,17 @@ class TestSpectrumRejectsDefects:
         self.use_operator(monkeypatch, lambda u: u @ u)
         with pytest.raises(ValueError, match="colliding levels"):
             spectrum_via_dft(EvolutionParams(n, 1.0))
+
+    @pytest.mark.parametrize("n", [2, 6, 7, 16])
+    def test_two_step_shift_has_a_scalar_power(self, monkeypatch, n):
+        # U^2 = c P^2 is a phased shift, so (U^2)^N is c^N times the identity
+        self.use_operator(monkeypatch, lambda u: u @ u)
+        p = EvolutionParams(n, 1.0)
+        entry = complex(dense(evolution.build_evolution_operator(p))[2 % n, 0])
+        phi = geometric_phase_check(p)
+        want = scalar_power(entry, n)
+        assert (repr(phi.real), repr(phi.imag)) == (repr(want.real), repr(want.imag))
+        assert abs(phi - 1.0) < 1e-12  # (U^2)^N = (-1)^2
 
 
 class TestGeometricPhase:

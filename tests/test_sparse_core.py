@@ -50,6 +50,7 @@ from oracles import (
     from_dense,
     in_sector_order,
     interior_indices,
+    scalar_power,
 )
 
 EPS = float(np.finfo(float).eps)
@@ -239,18 +240,33 @@ class TestSingleBandProductsBitwise:
             for y in ops:
                 assert np.array_equal((csr(x) @ csr(y)).toarray(), dense(x) @ dense(y))
 
-    @pytest.mark.parametrize("n", [2, 3, 5, 7, 12, 16])
+    @pytest.mark.parametrize("n", [*range(2, 65), 2**18, 1000003])
     def test_cyclic_power_is_the_scalar_phase_power(self, n):
-        # Every entry of U^N is the phase multiplied up in the same binary
-        # squaring order, so it equals the scalar power bit for bit.
-        square = power = None
+        # The phase multiplied up in binary squaring order, each part of each
+        # product added to 0.0 as the band product's accumulator adds it.  repr
+        # tells -0.0 from 0.0, which == does not: without the zero-add, N = 16
+        # gives an imaginary part of -0.0.
+        power = scalar_power(np.exp(-1j * math.pi / n), n)
+        phi = geometric_phase_check(EvolutionParams(n, 1.0))
+        assert (repr(phi.real), repr(phi.imag)) == (repr(power.real), repr(power.imag))
+
+    @pytest.mark.parametrize("n", range(2, 65))
+    def test_cyclic_power_is_the_band_power_entry(self, n):
+        # U^N formed as a matrix, by band products in `numpy.linalg.matrix_power`
+        # order, is phi times the identity with phi's bits in every entry
+        square = build_evolution_operator(EvolutionParams(n, 1.0)).bands
+        power = None
         remaining = n
         while remaining > 0:
-            square = np.exp(-1j * math.pi / n) if square is None else square * square
             remaining, bit = divmod(remaining, 2)
             if bit:
-                power = square if power is None else power * square
-        assert geometric_phase_check(EvolutionParams(n, 1.0)) == complex(power)
+                power = square if power is None else power @ square
+            if remaining:
+                square = square @ square
+        phi = geometric_phase_check(EvolutionParams(n, 1.0))
+        assert np.array_equal(dense(power), phi * np.eye(n))
+        entry = complex(power.diagonal()[0])
+        assert (repr(phi.real), repr(phi.imag)) == (repr(entry.real), repr(entry.imag))
 
 
 # ---------------------------------------------------------------- residuals
