@@ -25,8 +25,8 @@ from .twomode import (
     dissipative_residuals,
     l2_finite_residual,
     l2_relation_check,
-    sector_decompose,
     sector_match_residual,
+    sector_operators,
 )
 
 __version__ = "0.1.0"
@@ -54,8 +54,8 @@ __all__ = [
     "max_entry",
     "run_contraction_study",
     "scaled_ladders",
-    "sector_decompose",
     "sector_match_residual",
+    "sector_operators",
     "simulate_torus",
     "spectrum_via_dft",
     "thooft_system",

@@ -112,8 +112,19 @@ def build_su2_rep(l: float) -> LadderRep:
     eigenvalues run through m = -l .. l and the top state is annihilated
     by L+.  All three defining relations hold exactly.
     """
+    return _leading_su2(l, su2_dim(l))
+
+
+def _leading_su2(l: float, levels: int) -> LadderRep:
+    """The leading min(levels, 2l + 1) states of the spin-l irrep, from `su2_elements`.
+
+    Cut below 2l + 1 it is no complete irrep, whose deviation bound
+    `contraction` would misjudge, so only `build_su2_rep` and the contraction
+    sweep call it.
+    """
     kind = Su2(l)
-    diagonal, raising = su2_elements(kind.l, np.arange(su2_dim(kind.l), dtype=float))
+    levels = min(levels, su2_dim(kind.l))
+    diagonal, raising = su2_elements(kind.l, np.arange(levels, dtype=float))
     return _ladder_rep(kind, diagonal, raising[:-1])
 
 

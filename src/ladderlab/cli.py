@@ -49,7 +49,6 @@ from .twomode import (
     casimir_interior_residual,
     dissipative_residuals,
     l2_relation_check,
-    sector_decompose,
     sector_match_residual,
     sector_operators,
 )
@@ -583,17 +582,11 @@ def cmd_schwinger(args) -> CommandResult:
     space = build_two_mode(args.nmax)
 
     if args.dump:
-        decomp = sector_decompose(space)
-        states = decomp.sectors[args.sector]
-        ops = sector_operators(space, states)
+        rep = sector_operators(space, args.sector)
         return CommandResult(
             columns=ELEMENT_COLUMNS,
-            groups=_element_groups(ops),
-            checks={
-                "sector_j": args.sector,
-                "sector_size": len(states),
-                "induced_k": decomp.induced_k[args.sector],
-            },
+            groups=_element_groups([rep.L3, rep.Lplus, rep.Lminus]),
+            checks={"sector_j": args.sector, "sector_size": rep.dim, "induced_k": rep.kind.k},
         )
 
     selected = args.check

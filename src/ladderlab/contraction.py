@@ -21,11 +21,9 @@ from .algebra import (
     LadderRep,
     Su2,
     Su11,
-    _ladder_rep,
+    _leading_su2,
     build_su11_rep,
     cartesian_generators,
-    su2_dim,
-    su2_elements,
 )
 from .operators import Bands, OperatorMatrix, max_entry
 
@@ -92,19 +90,6 @@ def contraction_deviation(rep: LadderRep, n: int) -> float:
     if not 0 <= n <= bound:
         raise ValueError(f"n must be in 0..{bound} for this representation")
     return float(_deviations(rep)[n])
-
-
-def _leading_su2(l: float, levels: int) -> LadderRep:
-    """The leading min(levels, 2l + 1) states of the spin-l irrep, from `su2_elements`.
-
-    Its elements equal those of `build_su2_rep(l)` bit for bit.  Cut below
-    2l + 1 it is no complete irrep, so `_deviation_bound` would misjudge it:
-    it stays inside `run_contraction_study`.
-    """
-    kind = Su2(l)
-    levels = min(levels, su2_dim(kind.l))
-    diagonal, raising = su2_elements(kind.l, np.arange(levels, dtype=float))
-    return _ladder_rep(kind, diagonal, raising[:-1])
 
 
 def run_contraction_study(family: str, params, interior: int) -> ContractionReport:

@@ -4,15 +4,17 @@ Two independent truncated oscillator modes A, B carry L+ = A†B†, L- = AB,
 L3 = (A†A + B†B + 1)/2.  The Casimir is diagonal with eigenvalue
 j = (n_A - n_B)/2, and each fixed-j sector reproduces the discrete series of
 weight k = |j| + 1/2 entrywise (the j = 0 sector is the square-root-free
-weight-1/2 ladder).  L+, L- and L3 keep j, so the basis is ordered by
-sector: ascending j, then ascending n_A, which within a sector is ascending
-level.  Each sector is then a contiguous run of the basis, L+ and L- are the
-single offsets -1 and +1 with a zero at each sector boundary, and L3 is
-diagonal: every check runs on the tridiagonal arithmetic of `algebra`'s
-ladders.  On top of this sits the dissipative Hamiltonian
-H0 = Omega (A†A - B†B), HI = i Gamma (A†B† - AB) = -2 Gamma L2, formed from
-the occupations and the ladders; the single-mode operators A, B are not
-constant-offset diagonals in this order and are not built.
+weight-1/2 ladder, the oscillator with its zero-point 1/2), and
+`sector_operators` returns it as that su(1,1) `LadderRep`.  L+, L- and L3
+keep j, so the basis is ordered by sector: ascending j, then ascending n_A,
+which within a sector is ascending level.  Each sector is then a contiguous
+run of the basis, L+ and L- are the single offsets -1 and +1 with a zero at
+each sector boundary, and L3 is diagonal: every check runs on the
+tridiagonal arithmetic of `algebra`'s ladders.  On top of this sits the
+dissipative Hamiltonian H0 = Omega (A†A - B†B), HI = i Gamma (A†B† - AB)
+= -2 Gamma L2, formed from the occupations and the ladders; the single-mode
+operators A, B are not constant-offset diagonals in this order and are not
+built.
 
 Truncation lives at the per-mode cutoff n_max: an "interior" of size b means
 the states with both occupations below b, which is where every identity holds
@@ -62,19 +64,6 @@ class TwoModeSpace:
         shift = sector - self.n_max
         n_a = int(index) - int(starts[sector]) + max(shift, 0)
         return n_a, n_a - shift
-
-
-@dataclass(frozen=True, eq=False)
-class SectorDecomposition:
-    """Partition of the two-mode basis by j = (n_A - n_B)/2.
-
-    Each sector is the run of the basis it occupies, in ascending
-    m = (n_A + n_B)/2, i.e. by the ladder level n = m - |j|.  Each sector
-    carries the induced discrete-series weight k = |j| + 1/2.
-    """
-
-    sectors: dict[float, range]
-    induced_k: dict[float, float]
 
 
 @dataclass(frozen=True)
@@ -141,10 +130,8 @@ def _mode_numbers(n_max: int) -> tuple[np.ndarray, np.ndarray]:
     return n_a, n_a - np.repeat(shifts, sizes)
 
 
-def _interior_mask(space: TwoModeSpace, bound: int | None = None) -> np.ndarray:
-    """The basis states with both occupations below `bound` (default n_max), as a mask."""
-    bound = space.n_max if bound is None else int(bound)
-    n_a, n_b = _mode_numbers(space.n_max)
+def _interior_mask(n_a: np.ndarray, n_b: np.ndarray, bound: int) -> np.ndarray:
+    """The basis states with both occupations below `bound`, as a mask."""
     return (n_a < bound) & (n_b < bound)
 
 
@@ -156,7 +143,7 @@ def _casimir_ladder_form(space: TwoModeSpace) -> Bands:
 def _casimir_residual(space: TwoModeSpace, c2: Bands) -> float:
     n_a, n_b = _mode_numbers(space.n_max)
     mode_form = Bands.diag(0.25 * (n_a - n_b) ** 2)
-    return max_entry(c2 - mode_form, _interior_mask(space))
+    return max_entry(c2 - mode_form, _interior_mask(n_a, n_b, space.n_max))
 
 
 def casimir_interior_residual(space: TwoModeSpace) -> float:
@@ -170,24 +157,20 @@ def casimir_root(space: TwoModeSpace) -> OperatorMatrix:
     return OperatorMatrix("C", Bands.diag(np.abs(n_a - n_b) / 2.0))
 
 
-def sector_decompose(space: TwoModeSpace) -> SectorDecomposition:
-    """Group the basis by j = (n_A - n_B)/2: each sector is a range of the basis."""
-    starts = _sector_starts(space.n_max).tolist()
-    ordered = {shift / 2.0: range(start, stop) for shift, start, stop
-               in zip(range(-space.n_max, space.n_max + 1), starts, starts[1:])}
-    induced = {j: abs(j) + 0.5 for j in ordered}
-    return SectorDecomposition(sectors=ordered, induced_k=induced)
+def sector_operators(space: TwoModeSpace, j: float) -> LadderRep:
+    """Sector j as the su(1,1) ladder it carries, the discrete series of weight |j| + 1/2.
 
-
-def sector_operators(
-    space: TwoModeSpace, states: range
-) -> tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix]:
-    """The blocks of (L3, L+, L-) on one sector's range of the basis."""
-    return (
-        OperatorMatrix("L3", _block(space.L3.bands, states)),
-        OperatorMatrix("L+", _block(space.Lplus.bands, states)),
-        OperatorMatrix("L-", _block(space.Lminus.bands, states)),
-    )
+    Its L3, L+ and L- are the blocks of the space's operators on the run of
+    the basis that sector j occupies, in ascending level.
+    """
+    shift = 2 * j
+    if not (float(shift).is_integer() and abs(shift) <= space.n_max):
+        raise ValueError(f"no sector with j = {j} at n_max {space.n_max}")
+    sector = int(shift) + space.n_max  # the sectors run from j = -n_max/2
+    states = range(*_sector_starts(space.n_max)[sector:sector + 2].tolist())
+    return LadderRep(Su11(abs(j) + 0.5), len(states),
+                     *(OperatorMatrix(op.label, _block(op.bands, states))
+                       for op in (space.L3, space.Lplus, space.Lminus)))
 
 
 def _block(bands: Bands, states: range) -> Bands:
@@ -221,7 +204,7 @@ def sector_match_residual(space: TwoModeSpace) -> float:
     reference = {
         "L3": {0: diagonal},
         "Lplus": {-1: raising_into},
-        "Lminus": {1: np.where(_interior_mask(space), raising, 0.0)},
+        "Lminus": {1: np.where(_interior_mask(n_a, n_b, space.n_max), raising, 0.0)},
     }
     return float(np.max([max_entry(getattr(space, name).bands - Bands(space.dim, block))
                          for name, block in reference.items()]))  # a nan stays nan
@@ -234,14 +217,17 @@ def dissipative_residuals(space: TwoModeSpace, p: DissipativeParams) -> dict[str
     sectors only: C is the nonnegative Casimir root, so the signed mode form
     can match it only where j >= 0.
     """
-    h0, hi = _dissipative_pieces(space, p)
-    keep = _interior_mask(space)
-    # The commutator's products are the largest operators formed here, so it
-    # comes first, while H0 and HI are the only others alive; C and L2 follow
-    # one at a time, each dropped as soon as its residual is taken.
-    commutator = max_entry(h0 @ hi - hi @ h0, keep)
     n_a, n_b = _mode_numbers(space.n_max)
-    h0_vs_casimir = max_entry(h0 - 2.0 * p.Omega * casimir_root(space).bands, n_a >= n_b)
+    h0, hi = _dissipative_pieces(space, p, n_a, n_b)
+    keep = _interior_mask(n_a, n_b, space.n_max)
+    # C = diag(|j|), as `casimir_root` forms it
+    h0_vs_casimir = max_entry(h0 - 2.0 * p.Omega * Bands.diag(np.abs(n_a - n_b) / 2.0),
+                              n_a >= n_b)
+    # The commutator's products are the largest operators formed here, so the
+    # occupations are dropped before it, while H0 and HI are the only others
+    # alive; L2 follows, dropped as soon as its residual is taken.
+    del n_a, n_b
+    commutator = max_entry(h0 @ hi - hi @ h0, keep)
     hi_vs_l2 = max_entry(hi - (-2.0 * p.Gamma) * cartesian_generators(space)[1].bands, keep)
     return {
         "h0_vs_casimir": h0_vs_casimir,
@@ -252,9 +238,10 @@ def dissipative_residuals(space: TwoModeSpace, p: DissipativeParams) -> dict[str
     }
 
 
-def _dissipative_pieces(space: TwoModeSpace, p: DissipativeParams) -> tuple[Bands, Bands]:
+def _dissipative_pieces(space: TwoModeSpace, p: DissipativeParams, n_a: np.ndarray,
+                        n_b: np.ndarray) -> tuple[Bands, Bands]:
     """H0 = Omega (A†A - B†B) from sqrt(n_A)^2 - sqrt(n_B)^2, and HI = i Gamma (L+ - L-)."""
-    root_a, root_b = (np.sqrt(n) for n in _mode_numbers(space.n_max))
+    root_a, root_b = np.sqrt(n_a), np.sqrt(n_b)
     h0 = p.Omega * Bands.diag(root_a * root_a - root_b * root_b)
     hi = 1j * p.Gamma * (space.Lplus.bands - space.Lminus.bands)
     return h0, hi
@@ -286,7 +273,7 @@ def l2_relation_check(target, interior: int) -> tuple[float, float]:
     """
     interior = _checked_interior(target, interior)
     if isinstance(target, TwoModeSpace):
-        keep = _interior_mask(target, interior)
+        keep = _interior_mask(*_mode_numbers(target.n_max), interior)
     else:
         keep = np.arange(target.dim) < interior
     l1, l2 = (op.bands for op in cartesian_generators(target))
@@ -309,12 +296,12 @@ def l2_finite_residual(target, interior: int) -> float:
     ||(L2 - i <n|L3|n>) |phi>|| / |||phi>||, both restricted to the interior
     components, maximized over the states.
 
-    L1 keeps the sector j, so each sector is computed on its own as the
-    su(1,1) block it is: L3 and L+ sliced to the range of sector j of a
-    TwoModeSpace, in ascending level, whose interior is the leading b - 2|j|
-    of its states.  Within a block L- is taken as the adjoint of L+, and
-    entries between sectors are not read; `sector_match_residual` checks
-    both.  No matrix larger than nmax + 1 square is formed.
+    L1 keeps the sector j, so each sector of a TwoModeSpace is computed on
+    its own as the su(1,1) rep that `sector_operators` gives, whose interior
+    is the leading b - 2|j| of its states.  Within a block L- is taken as
+    the adjoint of L+, and entries between sectors are not read;
+    `sector_match_residual` checks both.  No matrix larger than nmax + 1
+    square is formed.
 
     Diagnostic only: e^{(pi/2) L1} is unbounded and non-unitary, so on a
     truncated space the residual is truncation-dominated, orders of magnitude
@@ -324,25 +311,22 @@ def l2_finite_residual(target, interior: int) -> float:
     """
     interior = _checked_interior(target, interior)
     if isinstance(target, LadderRep):
-        return _rotation_block_residual(target.L3.bands, target.Lplus.bands, interior)
-    l3, lplus = target.L3.bands, target.Lplus.bands
-    worst = []
-    for j, states in sector_decompose(target).sectors.items():
-        shift = int(abs(2 * j))
-        if shift < interior:  # a sector with 2|j| >= interior has no interior state
-            worst.append(_rotation_block_residual(_block(l3, states), _block(lplus, states),
-                                                  interior - shift))
-    return float(np.max(worst))  # a nan stays nan
+        return _rotation_block_residual(target, interior)
+    # a sector with 2|j| >= interior has no interior state
+    return float(np.max([_rotation_block_residual(sector_operators(target, shift / 2.0),
+                                                  interior - abs(shift))
+                         for shift in range(1 - interior, interior)]))  # a nan stays nan
 
 
-def _rotation_block_residual(l3: Bands, lplus: Bands, interior: int) -> float:
-    """`l2_finite_residual` of one ladder block, from its L3 diagonal and L+ subdiagonal.
+def _rotation_block_residual(rep: LadderRep, interior: int) -> float:
+    """`l2_finite_residual` of one ladder rep, from its L3 diagonal and L+ subdiagonal.
 
     With real elements L1 is real, symmetric and tridiagonal, and
     L2 = -i (L+ - L-)/2, so i (L2 - i <n|L3|n>) |phi> = ((L+ - L-)/2 + <n|L3|n>) |phi>
     is real.
     """
-    levels, raising = l3.diagonal(), lplus.diagonals.get(-1, np.zeros(l3.dim))[1:]
+    levels = rep.L3.bands.diagonal()
+    raising = rep.Lplus.bands.diagonals.get(-1, np.zeros(rep.dim))[1:]
     if np.any(np.imag(levels)) or np.any(np.imag(raising)):
         raise ValueError("the rotation block needs real L3 and L+ elements")
     levels, raising = np.real(levels), np.real(raising)

@@ -202,7 +202,7 @@ def dissipative_hamiltonian(
     worst = float(np.max(list(residuals.values())))  # a nan stays nan
     if not worst <= tol:
         raise ValueError(f"dissipative Hamiltonian identities breached: {worst:.3e}")
-    h0, hi = twomode._dissipative_pieces(space, p)
+    h0, hi = twomode._dissipative_pieces(space, p, *twomode._mode_numbers(space.n_max))
     return OperatorMatrix("H0", h0), OperatorMatrix("HI", hi)
 
 

@@ -32,8 +32,8 @@ from ladderlab import (
     geometric_phase_check,
     holstein_primakoff,
     l2_relation_check,
-    sector_decompose,
     sector_match_residual,
+    sector_operators,
     spectrum_via_dft,
 )
 from ladderlab import twomode
@@ -41,7 +41,7 @@ from ladderlab.cli import ELEMENT_COLUMNS, CommandResult, _element_groups
 from ladderlab.contraction import deformed_commutator_check, hamiltonian_identity_check
 from ladderlab.evolution import build_evolution_operator
 from ladderlab.operators import Bands, OperatorMatrix
-from ladderlab.twomode import casimir_root, sector_operators
+from ladderlab.twomode import casimir_root
 from oracles import (
     casimir,
     csr,
@@ -357,10 +357,11 @@ class TestResidualsMatchDense:
         space, ops = build_two_mode(n_max), dense_two_mode(n_max)
         ladders = [in_sector_order(ops[name], n_max) for name in ("L3", "Lplus", "Lminus")]
         want = 0.0
-        for j, indices in sector_decompose(space).sectors.items():
+        for shift in range(-n_max, n_max + 1):
+            indices = [i for i in range(space.dim) if np.subtract(*space.occupations(i)) == shift]
             if len(indices) < 2:
                 continue
-            reference = dense_su11(abs(j) + 0.5, len(indices))
+            reference = dense_su11(abs(shift) / 2.0 + 0.5, len(indices))
             want = max(want, *(np.max(np.abs(op[np.ix_(indices, indices)] - ref))
                                for op, ref in zip(ladders, reference)))
         assert sector_match_residual(space) == want
@@ -391,26 +392,31 @@ class TestSectorLookup:
         for index in range(space.dim):
             n_a, n_b = space.occupations(index)
             scanned.setdefault((n_a - n_b) / 2.0, []).append((n_a, index))
-        decomp = sector_decompose(space)
-        assert list(decomp.sectors) == sorted(scanned)
-        for j, members in scanned.items():
-            assert list(decomp.sectors[j]) == [index for _, index in sorted(members)]
-        # the sectors are ranges that tile the basis in ascending j
-        assert all(isinstance(states, range) for states in decomp.sectors.values())
-        assert [i for states in decomp.sectors.values() for i in states] == list(range(space.dim))
+        assert sorted(scanned) == [shift / 2.0 for shift in range(-n_max, n_max + 1)]
+        runs = {j: [index for _, index in sorted(members)] for j, members in sorted(scanned.items())}
+        # the sectors are runs that tile the basis in ascending j, each in ascending n_A
+        assert [i for run in runs.values() for i in run] == list(range(space.dim))
+        for j, run in runs.items():
+            rep = sector_operators(space, j)
+            assert rep.dim == len(run)
+            for name in ("L3", "Lplus", "Lminus"):
+                block = dense(getattr(space, name))[np.ix_(run, run)]
+                assert np.array_equal(dense(getattr(rep, name)), block)
 
     def test_match_residual_does_not_scan_the_basis(self, monkeypatch):
+        # no per-state index lookup and no per-sector block: every sector at once
         calls = []
-        decompose = twomode.sector_decompose
-
-        def counted(space):
-            calls.append(space)
-            return decompose(space)
-
-        monkeypatch.setattr(twomode, "sector_decompose", counted)
+        for name in ("index", "occupations"):
+            method = getattr(twomode.TwoModeSpace, name)
+            monkeypatch.setattr(twomode.TwoModeSpace, name,
+                                lambda self, *args, _name=name, _method=method:
+                                calls.append(_name) or _method(self, *args))
+        blocks = twomode.sector_operators
+        monkeypatch.setattr(twomode, "sector_operators",
+                            lambda *args: calls.append("sector_operators") or blocks(*args))
         space = build_two_mode(6)
         assert sector_match_residual(space) < 1e-12
-        assert len(calls) <= 1
+        assert calls == []
 
 
 # ---------------------------------------------------------------- element rows
@@ -441,7 +447,8 @@ class TestElementRows:
 
     def test_sector_dump_rows(self):
         space = build_two_mode(8)
-        ops = sector_operators(space, sector_decompose(space).sectors[-1.0])
+        rep = sector_operators(space, -1.0)
+        ops = [rep.L3, rep.Lplus, rep.Lminus]
         want = [
             (op.label, int(r), int(c), float(m[r, c].real), float(m[r, c].imag))
             for op, m in zip(ops, map(dense, ops))

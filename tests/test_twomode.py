@@ -7,18 +7,22 @@ import pytest
 
 from ladderlab import (
     DissipativeParams,
+    build_h1_rep,
     build_su11_rep,
     build_two_mode,
     casimir_interior_residual,
+    check_algebra_relations,
     dissipative_residuals,
+    holstein_primakoff,
     l2_finite_residual,
     l2_relation_check,
-    sector_decompose,
     sector_match_residual,
+    sector_operators,
 )
 from ladderlab import twomode
+from ladderlab.algebra import Su11
 from ladderlab.operators import OperatorMatrix
-from ladderlab.twomode import casimir_root, sector_operators
+from ladderlab.twomode import casimir_root
 from oracles import (
     bands_from_entries,
     casimir,
@@ -93,7 +97,8 @@ class TestSectorOrder:
     @pytest.mark.parametrize("n_max", [1, 2, 7, 30])
     def test_every_two_mode_diagonal_is_tridiagonal(self, n_max):
         space = build_two_mode(n_max)
-        h0, hi = twomode._dissipative_pieces(space, DissipativeParams(Omega=1.3, Gamma=0.7))
+        h0, hi = twomode._dissipative_pieces(space, DissipativeParams(Omega=1.3, Gamma=0.7),
+                                             *twomode._mode_numbers(n_max))
         stored = [space.Lplus.bands, space.Lminus.bands, space.L3.bands,
                   casimir_root(space).bands, casimir(space).bands, h0, hi]
         for bands in stored:
@@ -147,35 +152,48 @@ class TestCasimir:
 
 
 class TestSectors:
+    @staticmethod
+    def sectors(n_max):
+        """Every sector label j = -n_max/2 .. n_max/2 of a cutoff, ascending."""
+        return [shift / 2.0 for shift in range(-n_max, n_max + 1)]
+
     def test_sector_sizes(self):
         n_max = 6
-        decomp = sector_decompose(build_two_mode(n_max))
-        for j, indices in decomp.sectors.items():
-            assert len(indices) == n_max + 1 - int(2 * abs(j))
-        assert sum(len(v) for v in decomp.sectors.values()) == (n_max + 1) ** 2
+        space = build_two_mode(n_max)
+        reps = [sector_operators(space, j) for j in self.sectors(n_max)]
+        for j, rep in zip(self.sectors(n_max), reps):
+            assert rep.dim == n_max + 1 - int(2 * abs(j))
+            assert rep.L3.dim == rep.Lplus.dim == rep.Lminus.dim == rep.dim
+        assert sum(rep.dim for rep in reps) == (n_max + 1) ** 2
 
     def test_induced_weights(self):
-        decomp = sector_decompose(build_two_mode(4))
-        assert decomp.induced_k[0.0] == 0.5
-        assert decomp.induced_k[-1.5] == 2.0
+        space = build_two_mode(4)
+        assert sector_operators(space, 0.0).kind == Su11(0.5)
+        assert sector_operators(space, -1.5).kind.k == 2.0
+        assert [sector_operators(space, j).kind.k for j in self.sectors(4)] == [
+            abs(j) + 0.5 for j in self.sectors(4)]
 
     def test_m_ascends_within_sector(self):
+        # L3 = m + 1/2 with m = (n_A + n_B)/2 = n + |j| at level n of sector j
         space = build_two_mode(5)
-        decomp = sector_decompose(space)
-        for indices in decomp.sectors.values():
-            ms = [sum(space.occupations(i)) / 2.0 for i in indices]
-            assert ms == sorted(ms)
+        for j in self.sectors(5):
+            levels = sector_operators(space, j).L3.bands.diagonal()
+            assert np.all(np.diff(levels) > 0)
+            assert np.max(np.abs(levels - (np.arange(len(levels)) + abs(j) + 0.5))) <= 1e-14
 
     @pytest.mark.parametrize("j", [0.0, 0.5, -0.5, 1.0, 2.5, -3.0])
     def test_sector_restriction_matches_direct_build(self, j):
         space = build_two_mode(10)
-        assert j in sector_decompose(space).sectors
+        rep = sector_operators(space, j)
+        # the sector is the weight-(|j| + 1/2) series, truncated at its size
+        direct = build_su11_rep(abs(j) + 0.5, rep.dim)
+        for name in ("L3", "Lplus", "Lminus"):
+            assert np.max(np.abs(dense(getattr(rep, name)) - dense(getattr(direct, name)))) < 1e-12
         assert sector_match_residual(space) < 1e-12
 
     def test_zero_sector_ladder_is_square_root_free(self):
         space = build_two_mode(8)
-        decomp = sector_decompose(space)
-        _, _, lminus = sector_operators(space, decomp.sectors[0.0])
+        lminus = sector_operators(space, 0.0).Lminus
         # L-|n> = n|n-1> on the balanced sector: integer elements
         assert np.allclose(np.diag(dense(lminus), 1).real, np.arange(1, 9), atol=1e-12)
 
@@ -200,11 +218,47 @@ class TestSectors:
 
     def test_half_sector_matches_weight_one_elements(self):
         space = build_two_mode(8)
-        decomp = sector_decompose(space)
-        _, lplus, _ = sector_operators(space, decomp.sectors[0.5])
+        lplus = sector_operators(space, 0.5).Lplus
         n = np.arange(7, dtype=float)
         expected = np.sqrt((n + 2.0) * (n + 1.0))
         assert np.allclose(np.diag(dense(lplus), -1).real, expected, atol=1e-12)
+
+
+class TestSectorsAsSu11Reps:
+    """Each sector is the su(1,1) rep D+ of weight |j| + 1/2, read as a `LadderRep`."""
+
+    def test_every_sector_satisfies_the_su11_relations(self):
+        space = build_two_mode(8)
+        for j in TestSectors.sectors(8):
+            rep = sector_operators(space, j)
+            if rep.dim >= 2:
+                assert check_algebra_relations(rep, rep.dim - 1) <= 1e-12
+
+    def test_zero_sector_carries_the_zero_point_energy(self):
+        # L3 on the j = 0 sector is the oscillator spectrum n + 1/2
+        rep = sector_operators(build_two_mode(8), 0)
+        assert np.max(np.abs(rep.L3.bands.diagonal() - (np.arange(9) + 0.5))) <= 1e-14
+
+    def test_zero_sector_maps_onto_the_oscillator(self):
+        rep = sector_operators(build_two_mode(8), 0.0)
+        a, adag = holstein_primakoff(rep)
+        oscillator = build_h1_rep(rep.dim)
+        assert np.max(np.abs(dense(a) - dense(oscillator.Lminus))) <= 1e-14
+        assert np.max(np.abs(dense(adag) - dense(oscillator.Lplus))) <= 1e-14
+
+    @pytest.mark.parametrize("j", [0.3, 3.0, -3.0, math.nan, math.inf])
+    def test_refuses_a_sector_the_cutoff_does_not_hold(self, j):
+        # nmax 4 holds j = -2 .. 2 in steps of 1/2; 3 = nmax/2 + 1
+        with pytest.raises(ValueError, match="no sector"):
+            sector_operators(build_two_mode(4), j)
+
+    def test_one_state_sectors_have_empty_ladders(self):
+        space = build_two_mode(4)
+        for j in (-2.0, 2.0):
+            rep = sector_operators(space, j)
+            assert rep.dim == 1
+            assert rep.Lplus.bands.diagonals == rep.Lminus.bands.diagonals == {}
+            assert rep.L3.bands.diagonal().tolist() == [abs(j) + 0.5]
 
 
 class TestDissipativeHamiltonian:
