@@ -16,7 +16,7 @@ from .contraction import (
     scaled_ladders,
 )
 from .evolution import EvolutionParams, geometric_phase_check, spectrum_via_dft
-from .operators import OperatorMatrix, adjoint, commutator, max_entry
+from .operators import Identity, OperatorMatrix, evaluate, max_entry
 from .orbits import density_metrics, simulate_torus, thooft_system, touch_points
 from .twomode import (
     DissipativeParams,
@@ -35,18 +35,18 @@ __version__ = "0.1.0"
 __all__ = [
     "DissipativeParams",
     "EvolutionParams",
+    "Identity",
     "OperatorMatrix",
-    "adjoint",
     "build_h1_rep",
     "build_su2_rep",
     "build_su11_rep",
     "build_two_mode",
     "casimir_interior_residual",
     "check_algebra_relations",
-    "commutator",
     "contraction_deviation",
     "density_metrics",
     "dissipative_residuals",
+    "evaluate",
     "geometric_phase_check",
     "holstein_primakoff",
     "l2_finite_residual",

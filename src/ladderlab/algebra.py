@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import Bands, OperatorMatrix, max_entry
+from .operators import Bands, Identity, OperatorMatrix, evaluate
 
 
 def _validate_half_integer(value: float, minimum: float, name: str) -> float:
@@ -186,15 +186,16 @@ def check_algebra_relations(rep: LadderRep, interior: int) -> float:
     """
     if not 1 <= int(interior) <= rep.dim:
         raise ValueError(f"interior must be in 1..{rep.dim}")
-    keep = np.arange(rep.dim) < int(interior)
     l3, lp, lm = rep.L3.bands, rep.Lplus.bands, rep.Lminus.bands
-    residuals = [
-        l3 @ lp - lp @ l3 - lp,
-        l3 @ lm - lm @ l3 + lm,
-    ]
     if isinstance(rep.kind, Heisenberg):
-        residuals.append(lm @ lp - lp @ lm - Bands.identity(rep.dim))
+        one = Bands.identity(rep.dim)
+        closing = Identity("relations_residual", lambda: lm @ lp - lp @ lm - one)
     else:
         sign = 2.0 if isinstance(rep.kind, Su2) else -2.0
-        residuals.append(lp @ lm - lm @ lp - sign * l3)
-    return float(np.max([max_entry(r, keep) for r in residuals]))  # a nan stays nan
+        closing = Identity("relations_residual", lambda: lp @ lm - lm @ lp - sign * l3)
+    relations = [
+        Identity("relations_residual", lambda: l3 @ lp - lp @ l3 - lp),
+        Identity("relations_residual", lambda: l3 @ lm - lm @ l3 + lm),
+        closing,
+    ]
+    return evaluate(relations, np.arange(rep.dim) < int(interior))["relations_residual"]

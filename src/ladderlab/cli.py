@@ -33,7 +33,7 @@ from .contraction import (
     run_contraction_study,
 )
 from .evolution import EvolutionParams, geometric_phase_check, spectrum_via_dft
-from .operators import max_entry
+from .operators import Identity, evaluate
 from .orbits import (
     CircleDynamics,
     circular_gaps,
@@ -348,15 +348,13 @@ def cmd_contract(args) -> CommandResult:
         rep = build_su11_rep(0.5, dim)
         a, adag = holstein_primakoff(rep)
         osc = build_h1_rep(dim)
-        deviation = float(np.maximum(
-            max_entry(a.bands - osc.Lminus.bands),
-            max_entry(adag.bands - osc.Lplus.bands),
-        ))
+        deviation = evaluate([Identity("hp_max_deviation", lambda: a.bands - osc.Lminus.bands),
+                              Identity("hp_max_deviation", lambda: adag.bands - osc.Lplus.bands)])
         return CommandResult(
             columns=ELEMENT_COLUMNS,
             groups=_element_groups([a, adag]),
-            checks={"hp_max_deviation": deviation},
-            gated={"hp_max_deviation": deviation},
+            checks=deviation,
+            gated=deviation,
         )
 
     if args.identities:
@@ -796,42 +794,44 @@ def _numeric_column(column) -> bool:
 
 
 def _number_lists(column):
-    """For a numeric column, a function (start, stop) -> its cells start .. stop - 1 as a list.
+    """For a numeric column, a function (start, stop, spell) -> its cells start .. stop - 1.
 
-    The cells are Python ints and floats.  A `Periodic` column becomes one
-    list here, and each block slices it.
+    The cells are Python ints and floats, in a list; with `spell`, each
+    float that orjson does not spell as `repr` (`_fixed_notation`) is its
+    `repr` string instead.  A `Periodic` column becomes one list here,
+    spelled, and each block slices it: only a block with `spell` set holds
+    such a cell.
     """
     if isinstance(column, Periodic):
-        return functools.partial(_periodic_slice, _float64(column.values).tolist())
-    return lambda start, stop: _float64(column[start:stop]).tolist()
+        period = _spelled(_float64(column.values))
+        return lambda start, stop, spell: _periodic_slice(period, start, stop)
+    return lambda start, stop, spell: (_spelled if spell else np.ndarray.tolist)(
+        _float64(column[start:stop]))
+
+
+def _spelled(values: np.ndarray) -> list:
+    """`values.tolist()`, with the `repr` string of each float orjson would not spell as `repr`."""
+    cells = values.tolist()
+    if values.dtype.kind == "f":
+        for i in np.flatnonzero(~_fixed_notation(values)).tolist():
+            cells[i] = repr(cells[i])
+    return cells
 
 
 def _non_plain_blocks(columns, length: int) -> bytes:
     """One flag per block of a row group: 1 if a float cell is one orjson does not spell as `repr`.
 
     A block is a run of WRITE_BLOCK_ROWS rows, numbered from 0; the spelling
-    rule is `_fixed_notation`.  An array or `Arange` column is checked
-    PLAIN_SCAN_ROWS rows at a time.  A `Periodic` column's period is checked once, and only
-    a period with such a cell is laid out over the rows.
+    rule is `_fixed_notation`.  Each array or `Arange` column is checked
+    PLAIN_SCAN_ROWS rows at a time.
     """
     blocks = np.zeros(-(-length // WRITE_BLOCK_ROWS), dtype=bool)
     for column in columns:
-        values = column.values if isinstance(column, Periodic) else column
-        if values.dtype.kind != "f":
+        if column.dtype.kind != "f":
             continue
-        if isinstance(column, Periodic):
-            off = ~_fixed_notation(_float64(values))
-            if not off.any():
-                continue
-
-            def marks(start, stop, off=off):
-                return off[np.arange(start, stop) % len(off)]
-        else:
-            def marks(start, stop, values=values):
-                return ~_fixed_notation(_float64(values[start:stop]))
-
         for start in range(0, length, PLAIN_SCAN_ROWS):
-            rows = np.flatnonzero(marks(start, min(start + PLAIN_SCAN_ROWS, length)))
+            values = _float64(column[start:min(start + PLAIN_SCAN_ROWS, length)])
+            rows = np.flatnonzero(~_fixed_notation(values))
             blocks[(rows + start) // WRITE_BLOCK_ROWS] = True
     return blocks.tobytes()
 
@@ -848,9 +848,12 @@ def _row_dumper(group: tuple):
     the dump with no copy.  The middle columns must be numeric
     (`_numeric_column`); the first and the last may instead be a label
     repeated throughout (`_folded_text`), which goes into the row breaks.
-    The blocks with a cell that is not plain are found once, here
-    (`_non_plain_blocks`), and the function returns None for them;
-    `_row_dumper` returns None for a group of any other shape.
+    A float cell that is not plain (an exponent, nan or inf) is dumped as
+    its `repr` string, and the quotes orjson puts around it are deleted,
+    which no other cell and no folded label holds: a `Periodic` column's
+    period is spelled once, and the array blocks that hold such a cell are
+    found once, here (`_non_plain_blocks`).  `_row_dumper` returns None for
+    a group of any other shape.
     """
     lead = _folded_text(group[0]) if group else None
     trail = _folded_text(group[-1]) if len(group) > 1 else None
@@ -859,26 +862,26 @@ def _row_dumper(group: tuple):
         return None
     import orjson
 
-    non_plain = _non_plain_blocks(middle, len(group[0]))
+    non_plain = _non_plain_blocks([c for c in middle if not isinstance(c, Periodic)],
+                                  len(group[0]))
     numbers = [_number_lists(column) for column in middle]
     prefix = b"" if lead is None else lead.encode() + b","
     end = b"\n" if trail is None else b"," + trail.encode() + b"\n"
     row_break, stride = end + prefix, len(middle) + 1
 
-    def dump(start: int, stop: int) -> memoryview | None:
-        if non_plain[start // WRITE_BLOCK_ROWS]:
-            return None
+    def dump(start: int, stop: int) -> memoryview:
+        spell = non_plain[start // WRITE_BLOCK_ROWS]
         cells_end = 2 + (stop - start) * stride
         flat = [None] * (cells_end + 1)  # 0, None, then each row's numbers and a None, then 0
         flat[0] = flat[-1] = 0
         for k, cells in enumerate(numbers):
-            flat[2 + k:cells_end:stride] = cells(start, stop)
+            flat[2 + k:cells_end:stride] = cells(start, stop, spell)
         text = orjson.dumps(flat)
         del flat  # freed before the row breaks are put in
         # "[0,null,a,b,null,c,d,null,0]" -> "[0" end prefix "a,b" end prefix
-        # "c,d" end prefix "0]"; a block with nan or inf is not dumped, so
+        # "c,d" end prefix "0]"; nan and inf are spelled as strings, so
         # `null` is only ever a marker
-        text = text.replace(b",null,", row_break)
+        text = text.replace(b'"', b"").replace(b",null,", row_break)
         return memoryview(text)[2 + len(end):len(text) - 2 - len(prefix)]
 
     return dump
@@ -910,15 +913,14 @@ def _join_rows(pieces: list[str], cells: list[list[str]]) -> str:
     return "".join(flat)
 
 
-def _array_cells(column, fmt: str, length: int, scan: bool):
+def _array_cells(column, fmt: str, length: int):
     """For a column that is not `Periodic`, a function (start, stop) -> its cells start .. stop - 1.
 
-    The cells are those of `_cells`.  With `scan`, the blocks of a float
-    array with a cell that is not plain are found once
-    (`_non_plain_blocks`), and every other block of an integer or float
-    array is formatted with no check.
+    The cells are those of `_cells`.  The blocks of a float array with a
+    cell that is not plain are found once (`_non_plain_blocks`), and every
+    other block of an integer or float array is formatted with no check.
     """
-    if not (scan and _numeric_column(column)):
+    if not _numeric_column(column):
         return lambda start, stop: _cells(column[start:stop], fmt)
     non_plain = _non_plain_blocks([column], length)
 
@@ -930,7 +932,7 @@ def _array_cells(column, fmt: str, length: int, scan: bool):
     return cells
 
 
-def _column_path(group: tuple, pieces: list[str], fmt: str, length: int, scan: bool):
+def _column_path(group: tuple, pieces: list[str], fmt: str, length: int):
     """For a row group, a function (start, stop) -> the text of rows start .. stop - 1.
 
     A row is pieces[0], the first column's cell, pieces[1], and so on.  Each
@@ -939,10 +941,8 @@ def _column_path(group: tuple, pieces: list[str], fmt: str, length: int, scan: b
     multiple of its periods, or over the group if that is shorter.  A run
     is split before a column that would take that period past the longest
     of WRITE_BLOCK_ROWS and its parts.  Each block then slices those texts,
-    formats the other columns' cells (`_array_cells`, which checks for
-    plain blocks if `scan` is set), and joins the row from both with
-    `_join_rows`.  A path that takes only the blocks the row dump found not
-    plain is built without `scan`: those blocks are few.
+    formats the other columns' cells (`_array_cells`), and joins the row
+    from both with `_join_rows`.
     """
     texts: list = []  # in row order: a text for every row, or a function (start, stop) -> texts
     run: list[list[str]] = [[pieces[0]]]  # the current run, each part one period of its texts
@@ -965,7 +965,7 @@ def _column_path(group: tuple, pieces: list[str], fmt: str, length: int, scan: b
             period = merged
         else:
             close_run(period)
-            texts.append(_array_cells(column, fmt, length, scan))
+            texts.append(_array_cells(column, fmt, length))
             period = 1
         run.append([piece])
     close_run(period)
@@ -991,15 +991,14 @@ def write_output(path: str, fmt: str, command: str, parameters: dict,
     Each row group is written WRITE_BLOCK_ROWS rows at a time, and each
     block's bytes are written before the next block is formatted.  What is
     fixed for a whole group is planned once, before its first block: a CSV
-    group of numbers gets its row dump (`_row_dumper`) with the blocks that
-    are not plain found in one scan, and a block that the dump does not
-    take uses the group's column path (`_column_path`), built on first
-    use, with its periodic texts joined once.  The file is written as
-    bytes: UTF-8 text, lines ended by LF on every platform.  The bytes are
-    those of formatting every cell with `_fmt` (CSV) or of
-    `json.dumps(payload, indent=2)` over row objects (JSON).  Groups whose
-    columns differ in number or length raise ValueError before the file is
-    opened.
+    group of numbers gets its row dump (`_row_dumper`), with the blocks that
+    are not plain found in one scan, and any other group its column path
+    (`_column_path`), built on first use, with its periodic texts joined
+    once.  The file is written as bytes: UTF-8 text, lines ended by LF on
+    every platform.  The bytes are those of formatting every cell with
+    `_fmt` (CSV) or of `json.dumps(payload, indent=2)` over row objects
+    (JSON).  Groups whose columns differ in number or length raise
+    ValueError before the file is opened.
     """
     width = len(result.columns)
     lengths = [_group_length(group, width) for group in result.groups]
@@ -1035,9 +1034,10 @@ def write_output(path: str, fmt: str, command: str, parameters: dict,
             join = None
             for start in range(0, length, WRITE_BLOCK_ROWS):
                 stop = min(start + WRITE_BLOCK_ROWS, length)
-                data = dump(start, stop) if dump else None
-                if data is None:
-                    join = join or _column_path(group, pieces, fmt, length, scan=dump is None)
+                if dump:
+                    data = dump(start, stop)
+                else:
+                    join = join or _column_path(group, pieces, fmt, length)
                     data = memoryview(join(start, stop).encode())[skip:]
                 skip = 0
                 handle.write(data)

@@ -25,7 +25,7 @@ from .algebra import (
     build_su11_rep,
     cartesian_generators,
 )
-from .operators import Bands, OperatorMatrix, max_entry
+from .operators import Bands, Identity, OperatorMatrix, evaluate
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,9 +206,9 @@ def deformed_commutator_check(rep: LadderRep, tau: float) -> float:
     xhat, phat = position_momentum(rep, tau)
     h = su2_hamiltonian(rep, tau)
     x, p = xhat.bands, phat.bands
-    lhs = x @ p - p @ x
-    rhs = 1j * (Bands.identity(rep.dim) - (tau / math.pi) * h.bands)
-    return max_entry(lhs - rhs)
+    commutator = Identity("deformed_commutator", lambda: (
+        x @ p - p @ x - 1j * (Bands.identity(rep.dim) - (tau / math.pi) * h.bands)))
+    return evaluate([commutator])["deformed_commutator"]
 
 
 def hamiltonian_identity_check(rep: LadderRep, tau: float) -> float:
@@ -222,9 +222,9 @@ def hamiltonian_identity_check(rep: LadderRep, tau: float) -> float:
     h = su2_hamiltonian(rep, tau)
     omega = 2.0 * math.pi / (rep.dim * tau)
     x, p, h = xhat.bands, phat.bands, h.bands
-    reconstructed = (
+    decomposition = Identity("hamiltonian_decomposition", lambda: h - (
         0.5 * omega**2 * (x @ x)
         + 0.5 * (p @ p)
         + (tau / (2.0 * math.pi)) * (omega**2 / 4.0 * Bands.identity(rep.dim) + h @ h)
-    )
-    return max_entry(h - reconstructed)
+    ))
+    return evaluate([decomposition])["hamiltonian_decomposition"]

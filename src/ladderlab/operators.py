@@ -15,11 +15,14 @@ inner index, as in a row-major sparse product, and scalar division multiplies
 by the reciprocal, as scipy's sparse arrays do; so the values match
 compressed sparse row (CSR) arithmetic entry for entry.
 The band store is the only form an operator takes here: no function of the
-module accepts or returns a dense matrix.  The module needs numpy alone.
+module accepts or returns a dense matrix.  Every gated identity is an
+`Identity` record, and `evaluate` reduces each to its max-entry residual.
+The module needs numpy alone.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,24 +200,6 @@ class OperatorMatrix:
         return self.bands.dim
 
 
-def _require_same_dim(a: OperatorMatrix, b: OperatorMatrix) -> None:
-    if a.dim != b.dim:
-        raise ValueError(
-            f"dimension mismatch: {a.label!r} is {a.dim}x{a.dim}, {b.label!r} is {b.dim}x{b.dim}"
-        )
-
-
-def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
-    """[a, b] = ab - ba."""
-    _require_same_dim(a, b)
-    return OperatorMatrix(f"[{a.label},{b.label}]", a.bands @ b.bands - b.bands @ a.bands)
-
-
-def adjoint(a: OperatorMatrix) -> OperatorMatrix:
-    """Conjugate transpose."""
-    return OperatorMatrix(f"{a.label}†", a.bands.adjoint())
-
-
 def max_entry(bands: Bands, keep=None) -> float:
     """Largest absolute entry of a `Bands`: the identity-residual norm.
 
@@ -233,3 +218,33 @@ def max_entry(bands: Bands, keep=None) -> float:
             peak = np.maximum(peak, np.max(np.abs(values)))
     return float(peak)
 
+
+@dataclass(frozen=True, eq=False)
+class Identity:
+    """One gated identity: the name it is reported under, its residual, and where it is read.
+
+    `residual()` forms lhs - rhs as a `Bands`.  `mask`, a boolean vector over
+    the basis, counts the entries whose row and column are both kept, as in
+    `max_entry`; with None the identity is read where `evaluate` is told.
+    """
+
+    name: str
+    residual: Callable[[], Bands]
+    mask: np.ndarray | None = None
+
+
+def evaluate(identities: Iterable[Identity], keep=None) -> dict[str, float]:
+    """The max-entry residual of each identity, by name, in the order the names first come.
+
+    Each identity is read on its own mask, or on `keep` when it has none
+    (None: every entry), and identities that share a name give the largest
+    of their values.  They are taken one at a time, and each residual is
+    dropped once it is reduced, so a table given as a generator can drop an
+    operator after yielding the last identity that reads it.  A nan in any
+    counted entry gives its name nan, so no tolerance gate can pass it.
+    """
+    values: dict[str, float] = {}
+    for identity in identities:
+        peak = max_entry(identity.residual(), keep if identity.mask is None else identity.mask)
+        values[identity.name] = float(np.maximum(values.get(identity.name, 0.0), peak))
+    return values

@@ -32,7 +32,7 @@ from math import ceil, isfinite, log2, pi
 import numpy as np
 
 from .algebra import LadderRep, Su11, cartesian_generators, discrete_series_elements
-from .operators import Bands, OperatorMatrix, max_entry
+from .operators import Bands, Identity, OperatorMatrix, evaluate
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,26 +135,28 @@ def _interior_mask(n_a: np.ndarray, n_b: np.ndarray, bound: int) -> np.ndarray:
     return (n_a < bound) & (n_b < bound)
 
 
-def _casimir_ladder_form(space: TwoModeSpace) -> Bands:
-    l3, lp, lm = space.L3.bands, space.Lplus.bands, space.Lminus.bands
-    return 0.25 * Bands.identity(space.dim) + l3 @ l3 - 0.5 * (lp @ lm + lm @ lp)
-
-
-def _casimir_residual(space: TwoModeSpace, c2: Bands) -> float:
-    n_a, n_b = _mode_numbers(space.n_max)
-    mode_form = Bands.diag(0.25 * (n_a - n_b) ** 2)
-    return max_entry(c2 - mode_form, _interior_mask(n_a, n_b, space.n_max))
-
-
 def casimir_interior_residual(space: TwoModeSpace) -> float:
-    """Max-entry gap between the ladder-form Casimir and (A†A - B†B)^2/4 on the interior."""
-    return _casimir_residual(space, _casimir_ladder_form(space))
+    """Max-entry gap between the ladder-form Casimir and the mode form on the interior.
+
+    The ladder form is C^2 = 1/4 + L3^2 - (L+L- + L-L+)/2, the mode form
+    (A†A - B†B)^2/4 = j^2 from the occupations.
+    """
+    n_a, n_b = _mode_numbers(space.n_max)
+    l3, lp, lm = space.L3.bands, space.Lplus.bands, space.Lminus.bands
+    casimir = Identity("casimir_interior", lambda: (
+        0.25 * Bands.identity(space.dim) + l3 @ l3 - 0.5 * (lp @ lm + lm @ lp)
+        - Bands.diag(0.25 * (n_a - n_b) ** 2)))
+    return evaluate([casimir], _interior_mask(n_a, n_b, space.n_max))["casimir_interior"]
 
 
 def casimir_root(space: TwoModeSpace) -> OperatorMatrix:
     """C = nonnegative square root of the exact diagonal C^2, i.e. diag(|j|)."""
-    n_a, n_b = _mode_numbers(space.n_max)
-    return OperatorMatrix("C", Bands.diag(np.abs(n_a - n_b) / 2.0))
+    return OperatorMatrix("C", _casimir_root(*_mode_numbers(space.n_max)))
+
+
+def _casimir_root(n_a: np.ndarray, n_b: np.ndarray) -> Bands:
+    """diag(|j|) = diag(|n_A - n_B|/2), from the occupations."""
+    return Bands.diag(np.abs(n_a - n_b) / 2.0)
 
 
 def sector_operators(space: TwoModeSpace, j: float) -> LadderRep:
@@ -201,13 +203,12 @@ def sector_match_residual(space: TwoModeSpace) -> float:
     level = np.minimum(n_a, n_b)
     diagonal, raising = discrete_series_elements(weight, level)
     _, raising_into = discrete_series_elements(weight, level - 1.0)
-    reference = {
-        "L3": {0: diagonal},
-        "Lplus": {-1: raising_into},
-        "Lminus": {1: np.where(_interior_mask(n_a, n_b, space.n_max), raising, 0.0)},
-    }
-    return float(np.max([max_entry(getattr(space, name).bands - Bands(space.dim, block))
-                         for name, block in reference.items()]))  # a nan stays nan
+    lowering = np.where(_interior_mask(n_a, n_b, space.n_max), raising, 0.0)
+    return evaluate([
+        Identity("sector_match", lambda: space.L3.bands - Bands(space.dim, {0: diagonal})),
+        Identity("sector_match", lambda: space.Lplus.bands - Bands(space.dim, {-1: raising_into})),
+        Identity("sector_match", lambda: space.Lminus.bands - Bands(space.dim, {1: lowering})),
+    ])["sector_match"]
 
 
 def dissipative_residuals(space: TwoModeSpace, p: DissipativeParams) -> dict[str, float]:
@@ -217,25 +218,27 @@ def dissipative_residuals(space: TwoModeSpace, p: DissipativeParams) -> dict[str
     sectors only: C is the nonnegative Casimir root, so the signed mode form
     can match it only where j >= 0.
     """
+    return evaluate(_dissipative_identities(space, p))
+
+
+def _dissipative_identities(space: TwoModeSpace, p: DissipativeParams):
+    """The identities of `dissipative_residuals`, yielded one at a time in report order.
+
+    The H0·HI commutator's products are the largest operators formed here, so
+    the occupations are dropped once h0_vs_casimir, their last reader, is
+    yielded; L2 lives only within hi_vs_l2.
+    """
     n_a, n_b = _mode_numbers(space.n_max)
     h0, hi = _dissipative_pieces(space, p, n_a, n_b)
     keep = _interior_mask(n_a, n_b, space.n_max)
-    # C = diag(|j|), as `casimir_root` forms it
-    h0_vs_casimir = max_entry(h0 - 2.0 * p.Omega * Bands.diag(np.abs(n_a - n_b) / 2.0),
-                              n_a >= n_b)
-    # The commutator's products are the largest operators formed here, so the
-    # occupations are dropped before it, while H0 and HI are the only others
-    # alive; L2 follows, dropped as soon as its residual is taken.
+    yield Identity("h0_vs_casimir", lambda: h0 - 2.0 * p.Omega * _casimir_root(n_a, n_b),
+                   n_a >= n_b)
     del n_a, n_b
-    commutator = max_entry(h0 @ hi - hi @ h0, keep)
-    hi_vs_l2 = max_entry(hi - (-2.0 * p.Gamma) * cartesian_generators(space)[1].bands, keep)
-    return {
-        "h0_vs_casimir": h0_vs_casimir,
-        "hi_vs_l2": hi_vs_l2,
-        "h0_hermiticity": max_entry(h0 - h0.adjoint()),
-        "hi_hermiticity": max_entry(hi - hi.adjoint()),
-        "h0_hi_commutator": commutator,
-    }
+    yield Identity("hi_vs_l2",
+                   lambda: hi - (-2.0 * p.Gamma) * cartesian_generators(space)[1].bands, keep)
+    yield Identity("h0_hermiticity", lambda: h0 - h0.adjoint())
+    yield Identity("hi_hermiticity", lambda: hi - hi.adjoint())
+    yield Identity("h0_hi_commutator", lambda: h0 @ hi - hi @ h0, keep)
 
 
 def _dissipative_pieces(space: TwoModeSpace, p: DissipativeParams, n_a: np.ndarray,
@@ -276,14 +279,18 @@ def l2_relation_check(target, interior: int) -> tuple[float, float]:
         keep = _interior_mask(*_mode_numbers(target.n_max), interior)
     else:
         keep = np.arange(target.dim) < interior
+    values = evaluate(_l2_identities(target), keep)
+    return values["l2_commutator"], values["l2_double_commutator"]
+
+
+def _l2_identities(target):
+    """The two identities of `l2_relation_check`, yielded one at a time; L2 is dropped between."""
     l1, l2 = (op.bands for op in cartesian_generators(target))
     l3 = target.L3.bands
     first = l1 @ l3 - l3 @ l1
-    first_residual = max_entry(first + 1j * l2, keep)
-    del l2  # each operator is dropped once its last product is formed
-    second = l1 @ first - first @ l1
-    del first
-    return first_residual, max_entry(second + l3, keep)
+    yield Identity("l2_commutator", lambda: first + 1j * l2)
+    del l2
+    yield Identity("l2_double_commutator", lambda: l1 @ first - first @ l1 + l3)
 
 
 def l2_finite_residual(target, interior: int) -> float:

@@ -183,10 +183,11 @@ def casimir(space: TwoModeSpace, tol: float = 1e-12) -> OperatorMatrix:
     Verified against the diagonal mode form (A†A - B†B)^2/4 on the interior;
     a mismatch beyond `tol` means the construction is broken.
     """
-    c2 = twomode._casimir_ladder_form(space)
-    residual = twomode._casimir_residual(space, c2)
+    residual = twomode.casimir_interior_residual(space)
     if not residual <= tol:  # a nan residual is a breach too
         raise ValueError(f"Casimir forms disagree on the interior: {residual:.3e}")
+    l3, lp, lm = space.L3.bands, space.Lplus.bands, space.Lminus.bands
+    c2 = 0.25 * Bands.identity(space.dim) + l3 @ l3 - 0.5 * (lp @ lm + lm @ lp)
     return OperatorMatrix("C2", c2)
 
 

@@ -818,8 +818,9 @@ class TestInputValidation:
 @pytest.mark.parametrize("argv,target,values,check", [
     (["rep", "--algebra", "h1", "--dim", "5"], "check_algebra_relations", [math.nan],
      "relations_residual"),
-    # the second deviation is nan: max(0.0, nan) would be 0.0
-    (["contract", "--hp", "--dim", "8"], "max_entry", [0.0, math.nan], "hp_max_deviation"),
+    # a nan in the second of its two residuals is in tests/test_evaluate.py
+    (["contract", "--hp", "--dim", "8"], "evaluate", [{"hp_max_deviation": math.nan}],
+     "hp_max_deviation"),
     (["contract", "--identities", "--l", "2"], "hamiltonian_identity_check", [math.nan],
      "hamiltonian_decomposition"),
     (["evolve", "--N", "4"], "geometric_phase_check", [complex(math.nan, 0.0)], "phase"),

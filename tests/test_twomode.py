@@ -464,7 +464,7 @@ def test_raising_wrappers_refuse_a_nan_residual(monkeypatch):
     from ladderlab import twomode
 
     space = build_two_mode(3)
-    monkeypatch.setattr(twomode, "_casimir_residual", lambda *args: math.nan)
+    monkeypatch.setattr(twomode, "casimir_interior_residual", lambda *args: math.nan)
     with pytest.raises(ValueError, match="Casimir"):
         casimir(space)
     # a nan after a finite residual: max(0.0, nan) would be 0.0

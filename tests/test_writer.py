@@ -532,10 +532,12 @@ def test_integer_lists_beyond_int64_match_repr(values):
         assert cli._cells(values, fmt) == list(map(int.__repr__, values))
 
 
-# A CSV block of plain numbers is written from one orjson dump of its rows
+# A CSV block of numbers is written from one orjson dump of its rows
 # (`cli._row_dumper`); every other block goes through `_join_rows`.  These
 # tests hold both to the row-at-a-time writer and count the blocks that fell
-# back.
+# back.  A block with a cell that is not plain (an exponent, nan or inf)
+# stays in the dump, with its cells spelled by `cli._spelled`; the tests
+# named for the column path count the cells spelled.
 
 def _joined_blocks(monkeypatch) -> list[int]:
     """The row count of each block that `write_output` joins from formatted columns."""
@@ -550,6 +552,19 @@ def _joined_blocks(monkeypatch) -> list[int]:
     return counts
 
 
+def _spelled_rows(monkeypatch) -> list[int]:
+    """The length of each column slice or period whose cells the row dump spells."""
+    counts = []
+    spelled = cli._spelled
+
+    def counting(values):
+        counts.append(len(values))
+        return spelled(values)
+
+    monkeypatch.setattr(cli, "_spelled", counting)
+    return counts
+
+
 ROWS = 3 * WRITE_BLOCK_ROWS + 7
 
 
@@ -561,10 +576,11 @@ def test_one_non_plain_cell_sends_only_its_block_to_the_column_path(special, col
     x = np.linspace(0.5, 6.0, ROWS)
     y = -x
     (x, y)[column - 1][WRITE_BLOCK_ROWS + 5] = special
-    joined = _joined_blocks(monkeypatch)
+    joined, spelled = _joined_blocks(monkeypatch), _spelled_rows(monkeypatch)
     result = CommandResult(("i", "x", "y"), [(np.arange(ROWS), x, y)])
     assert_same_bytes(tmp_path, "csv", result)
-    assert joined == [WRITE_BLOCK_ROWS]  # the second block alone
+    assert joined == []
+    assert spelled == [WRITE_BLOCK_ROWS] * 3  # the second block alone, each of its columns
 
 
 def test_signed_zeros_and_integer_extremes(tmp_path, monkeypatch):
@@ -626,10 +642,11 @@ def test_a_non_plain_cell_in_a_period_sends_its_blocks_to_the_column_path(tmp_pa
     # cell 5 of a 300-cell period: in rows 5 and 305 (blocks 0 and 1), 605 (block 2)
     period = np.linspace(1.0, 2.0, 300)
     period[5] = 1e-7
-    joined = _joined_blocks(monkeypatch)
+    joined, spelled = _joined_blocks(monkeypatch), _spelled_rows(monkeypatch)
     result = CommandResult(("a", "b"), [(np.arange(ROWS), Periodic(period, ROWS))])
     assert_same_bytes(tmp_path, "csv", result)
-    assert joined == [WRITE_BLOCK_ROWS] * 3
+    assert joined == []
+    assert spelled == [300]  # the period, once
 
 
 @pytest.mark.parametrize("group", [
@@ -749,21 +766,22 @@ def test_a_non_plain_cell_at_a_scan_edge_sends_only_its_block(row, block_rows, s
                                                               tmp_path, monkeypatch):
     x = np.linspace(0.5, 6.0, SCAN_ROWS)
     x[row] = special
-    joined = _joined_blocks(monkeypatch)
+    joined, spelled = _joined_blocks(monkeypatch), _spelled_rows(monkeypatch)
     group = (Periodic(("touch",), SCAN_ROWS), np.arange(SCAN_ROWS), x)
     assert_same_bytes(tmp_path, "csv", CommandResult(("a", "b", "c"), [group]))
-    assert joined == [block_rows]
+    assert joined == []
+    assert spelled == [block_rows] * 2  # the numbers of that block alone
 
 
 def test_a_non_plain_cell_in_a_period_over_many_scan_steps(tmp_path, monkeypatch):
     # cell 5 of a 300-cell period, laid out over rows 5, 305, ... of each scan step
     period = np.linspace(1.0, 2.0, 300)
     period[5] = 1e-7
-    joined = _joined_blocks(monkeypatch)
+    joined, spelled = _joined_blocks(monkeypatch), _spelled_rows(monkeypatch)
     group = (np.arange(SCAN_ROWS), Periodic(period, SCAN_ROWS))
     assert_same_bytes(tmp_path, "csv", CommandResult(("a", "b"), [group]))
-    blocks = sorted({row // WRITE_BLOCK_ROWS for row in range(5, SCAN_ROWS, 300)})
-    assert len(joined) == len(blocks) < SCAN_ROWS // WRITE_BLOCK_ROWS
+    assert joined == []
+    assert spelled == [300]  # the period, once
 
 
 def test_json_writer_memory_is_one_block(tmp_path):
