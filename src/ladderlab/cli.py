@@ -836,16 +836,37 @@ def _non_plain_blocks(columns, length: int) -> bytes:
     return blocks.tobytes()
 
 
+def _row_marker(size: int):
+    """A value orjson writes as `size` bytes, for 2 <= size <= 509; None (`null`) otherwise.
+
+    It is size // 2 nested lists around nothing, or around a 0 when size is
+    odd: `[]`, `[0]`, `[[]]`, `[[0]]`, ...  No row-dump cell holds a bracket,
+    so `,marker,` is found only where a marker is.  orjson refuses more than
+    255 levels, and the dump's own list is one of them.
+    """
+    if not 2 <= size <= 509:
+        return None
+    marker = [0] if size % 2 else []
+    for _ in range(size // 2 - 1):
+        marker = [marker]
+    return marker
+
+
 def _row_dumper(group: tuple):
     """For a CSV row group, a function (start, stop) -> the bytes of rows start .. stop - 1.
 
     The bytes come from one `orjson.dumps` of a flat list of the block's
-    cells, with no string made per cell: a None marker before the first row
-    and after each row, and a 0 at each end of the list.  orjson writes
-    each marker as `null`, and each `,null,` becomes a row break, the end
-    of one row and the start of the next; the two zeros and the breaks
-    outside the block are cut off, so the block is one buffer, sliced from
-    the dump with no copy.  The middle columns must be numeric
+    cells, with no string made per cell: a marker before the first row and
+    after each row, and a 0 at each end of the list.  Each `,marker,` in the
+    text becomes a row break, the end of one row and the start of the next;
+    the two zeros and the breaks outside the block are cut off, so the block
+    is one buffer, sliced from the dump with no copy.  The marker makes
+    `,marker,` exactly as long as the row break (`_row_marker`): CPython's
+    `bytes.replace` then rewrites a copy in place, where a pattern of
+    another length has every match counted first and a new text built.  A
+    break of 1 to 3 bytes (a line break, or a one-character label and its
+    comma) is shorter than `,[],`, the shortest pattern no cell can hold, and
+    keeps None, written `null`.  The middle columns must be numeric
     (`_numeric_column`); the first and the last may instead be a label
     repeated throughout (`_folded_text`), which goes into the row breaks.
     A float cell that is not plain (an exponent, nan or inf) is dumped as
@@ -868,20 +889,21 @@ def _row_dumper(group: tuple):
     prefix = b"" if lead is None else lead.encode() + b","
     end = b"\n" if trail is None else b"," + trail.encode() + b"\n"
     row_break, stride = end + prefix, len(middle) + 1
+    marker = _row_marker(len(row_break) - 2)
+    pattern = b"," + orjson.dumps(marker) + b","
 
     def dump(start: int, stop: int) -> memoryview:
         spell = non_plain[start // WRITE_BLOCK_ROWS]
         cells_end = 2 + (stop - start) * stride
-        flat = [None] * (cells_end + 1)  # 0, None, then each row's numbers and a None, then 0
+        flat = [marker] * (cells_end + 1)  # 0, marker, each row's numbers and a marker, 0
         flat[0] = flat[-1] = 0
         for k, cells in enumerate(numbers):
             flat[2 + k:cells_end:stride] = cells(start, stop, spell)
         text = orjson.dumps(flat)
         del flat  # freed before the row breaks are put in
-        # "[0,null,a,b,null,c,d,null,0]" -> "[0" end prefix "a,b" end prefix
-        # "c,d" end prefix "0]"; nan and inf are spelled as strings, so
-        # `null` is only ever a marker
-        text = text.replace(b'"', b"").replace(b",null,", row_break)
+        # "[0,M,a,b,M,c,d,M,0]" -> "[0" end prefix "a,b" end prefix "c,d" end
+        # prefix "0]"; nan and inf are spelled as strings, so no cell is `null`
+        text = text.replace(b'"', b"").replace(pattern, row_break)
         return memoryview(text)[2 + len(end):len(text) - 2 - len(prefix)]
 
     return dump

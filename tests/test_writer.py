@@ -596,20 +596,50 @@ def test_signed_zeros_and_integer_extremes(tmp_path, monkeypatch):
     assert joined == []
 
 
+# a folded label of 1 to 12 characters at each end gives every row-break
+# length from 1 to 27 bytes, so every row marker up to 25 bytes, both
+# parities, and the `null` a break of 1 to 3 bytes keeps
 EDGE_COLUMNS = {"none": None, "curve": Periodic(("curve",), ROWS),
-                "empty": Periodic((None,), ROWS), "blank": Periodic(("",), ROWS)}
+                "empty": Periodic((None,), ROWS), "blank": Periodic(("",), ROWS),
+                **{f"label{n}": Periodic(("abcdefghijkl"[:n],), ROWS) for n in range(1, 13)}}
 
 
 @pytest.mark.parametrize("first", list(EDGE_COLUMNS))
 @pytest.mark.parametrize("last", list(EDGE_COLUMNS))
 def test_constant_labels_first_and_last_fold_into_row_breaks(first, last, tmp_path,
                                                              monkeypatch):
-    # ("curve", ..., "empty") is the shape of the curve rows, ("curve", ...) of the touch rows
+    # ("curve", ..., "empty") is the shape of the curve rows, ("curve", ...) of the touch rows;
+    # the nan and the 1e-7 in the second block are spelled, and their quotes deleted
     middle = (np.arange(ROWS), np.linspace(1.0, 2.0, ROWS), np.arange(ROWS) / 7 + 1)
+    middle[1][WRITE_BLOCK_ROWS + 3] = math.nan
+    middle[2][WRITE_BLOCK_ROWS + 9] = 1e-7
     group = tuple(column for column in (EDGE_COLUMNS[first], *middle, EDGE_COLUMNS[last])
                   if column is not None)
-    joined = _joined_blocks(monkeypatch)
+    joined, spelled = _joined_blocks(monkeypatch), _spelled_rows(monkeypatch)
     result = CommandResult(tuple("abcde"[:len(group)]), [group, group])
+    assert_same_bytes(tmp_path, "csv", result)
+    assert joined == []
+    assert spelled == [WRITE_BLOCK_ROWS] * 6  # the second block of each group, each middle column
+
+
+def test_row_marker_text_is_its_size():
+    import orjson
+
+    for size in range(600):
+        text = orjson.dumps(cli._row_marker(size))
+        if 2 <= size <= 509:
+            assert len(text) == size and not text.strip(b"[]0")
+        else:
+            assert text == b"null"
+
+
+@pytest.mark.parametrize("size", [508, 509, 510])
+def test_labels_at_the_marker_nesting_limit(size, tmp_path, monkeypatch):
+    # a row break of size + 2 bytes, the label, its comma and the line break, takes
+    # a marker of 254 nested lists at 508 and 509 and `null` at 510
+    middle = (np.arange(ROWS), np.linspace(1.0, 2.0, ROWS))
+    joined = _joined_blocks(monkeypatch)
+    result = CommandResult(("label", "i", "x"), [(Periodic(("x" * size,), ROWS), *middle)])
     assert_same_bytes(tmp_path, "csv", result)
     assert joined == []
 
@@ -618,8 +648,9 @@ def test_constant_labels_first_and_last_fold_into_row_breaks(first, last, tmp_pa
 @pytest.mark.parametrize("last", ["none", "empty"])
 @pytest.mark.parametrize("column", [0, 1])
 def test_a_nan_in_one_block_stays_a_cell(first, last, column, tmp_path):
-    # orjson writes nan as `null`, the text of the row dump's row markers; only
-    # the bytes are checked, so a nan taken for a row break cannot pass
+    # orjson writes nan as `null`, the text of the row marker of a break shorter
+    # than 4 bytes; only the bytes are checked, so a nan taken for a row break
+    # cannot pass
     middle = [np.linspace(1.0, 2.0, ROWS), np.arange(ROWS) / 7 + 1]
     middle[column][2 * WRITE_BLOCK_ROWS + 9] = math.nan
     group = tuple(c for c in (EDGE_COLUMNS[first], *middle, EDGE_COLUMNS[last]) if c is not None)
