@@ -27,8 +27,7 @@ import numpy as np
 from . import __version__
 from .algebra import build_h1_rep, build_su2_rep, build_su11_rep, check_algebra_relations
 from .contraction import (
-    deformed_commutator_check,
-    hamiltonian_identity_check,
+    deformed_identity_residuals,
     holstein_primakoff,
     run_contraction_study,
 )
@@ -370,10 +369,7 @@ def cmd_contract(args) -> CommandResult:
                                  2.0 * width * args.tau)):
             raise ValueError(f"--l {args.l!r} / --tau {args.tau!r}: the identity checks "
                              "leave the float range")
-        residuals = {
-            "deformed_commutator": deformed_commutator_check(rep, args.tau),
-            "hamiltonian_decomposition": hamiltonian_identity_check(rep, args.tau),
-        }
+        residuals = deformed_identity_residuals(rep, args.tau)
         count = len(residuals)
         return CommandResult(
             columns=("l", "tau", "identity", "residual"),
@@ -856,25 +852,33 @@ def _row_dumper(group: tuple):
     """For a CSV row group, a function (start, stop) -> the bytes of rows start .. stop - 1.
 
     The bytes come from one `orjson.dumps` of a flat list of the block's
-    cells, with no string made per cell: a marker before the first row and
-    after each row, and a 0 at each end of the list.  Each `,marker,` in the
-    text becomes a row break, the end of one row and the start of the next;
-    the two zeros and the breaks outside the block are cut off, so the block
-    is one buffer, sliced from the dump with no copy.  The marker makes
-    `,marker,` exactly as long as the row break (`_row_marker`): CPython's
-    `bytes.replace` then rewrites a copy in place, where a pattern of
-    another length has every match counted first and a new text built.  A
-    break of 1 to 3 bytes (a line break, or a one-character label and its
-    comma) is shorter than `,[],`, the shortest pattern no cell can hold, and
-    keeps None, written `null`.  The middle columns must be numeric
-    (`_numeric_column`); the first and the last may instead be a label
-    repeated throughout (`_folded_text`), which goes into the row breaks.
-    A float cell that is not plain (an exponent, nan or inf) is dumped as
-    its `repr` string, and the quotes orjson puts around it are deleted,
-    which no other cell and no folded label holds: a `Periodic` column's
-    period is spelled once, and the array blocks that hold such a cell are
-    found once, here (`_non_plain_blocks`).  `_row_dumper` returns None for
-    a group of any other shape.
+    cells, with no string made per cell.  A group with no label has a line
+    break alone as its row break: its list holds only the cells, and the
+    text is copied into a `bytearray` in which every `width`-th comma and
+    the closing `]` are overwritten by a line break, an equal-length rewrite
+    with nothing counted and no new text built.  That is right because no
+    cell holds a comma: cells are numbers or spelled `repr`s (`nan`, `inf`,
+    `1e-07`).  Any other group has a marker before the first row and after
+    each row, and a 0 at each end of the list.  Each `,marker,` in the text
+    becomes a row break, the end of one row and the start of the next; the
+    two zeros and the breaks outside the block are cut off.  The marker
+    makes `,marker,` exactly as long as the row break (`_row_marker`):
+    CPython's `bytes.replace` then rewrites a copy in place, where a pattern
+    of another length has every match counted first and a new text built.  A
+    break of 2 or 3 bytes (a line break, then an empty or one-character
+    label and its comma, as in `contract --hp`) is shorter than `,[],`, the
+    shortest pattern no cell can hold, and keeps None, written `null`: a
+    `,X,` with a one-byte X could only be a digit, and a digit can be a
+    cell.  Either way the block is one buffer, sliced from the dump with no
+    further copy.  The middle columns must be numeric (`_numeric_column`);
+    the first and the last may instead be a label repeated throughout
+    (`_folded_text`), which goes into the row breaks.  A float cell that is
+    not plain (an exponent, nan or inf) is dumped as its `repr` string, and
+    the quotes orjson puts around it are deleted, which no other cell and no
+    folded label holds: a `Periodic` column's period is spelled once, and
+    the array blocks that hold such a cell are found once, here
+    (`_non_plain_blocks`).  `_row_dumper` returns None for a group of any
+    other shape.
     """
     lead = _folded_text(group[0]) if group else None
     trail = _folded_text(group[-1]) if len(group) > 1 else None
@@ -886,6 +890,23 @@ def _row_dumper(group: tuple):
     non_plain = _non_plain_blocks([c for c in middle if not isinstance(c, Periodic)],
                                   len(group[0]))
     numbers = [_number_lists(column) for column in middle]
+    if lead is None and trail is None:
+        width = len(middle)
+
+        def dump_unlabeled(start: int, stop: int) -> memoryview:
+            spell = non_plain[start // WRITE_BLOCK_ROWS]
+            flat = [0] * ((stop - start) * width)
+            for k, cells in enumerate(numbers):
+                flat[k::width] = cells(start, stop, spell)
+            text = bytearray(orjson.dumps(flat).replace(b'"', b""))
+            del flat
+            # "[a,b,c,d]" -> "[a,b\nc,d\n": the last comma of each row, and the "]"
+            view = np.frombuffer(text, dtype=np.uint8)
+            view[np.flatnonzero(view == ord(","))[width - 1::width]] = ord("\n")
+            view[-1] = ord("\n")
+            return memoryview(text)[1:]
+
+        return dump_unlabeled
     prefix = b"" if lead is None else lead.encode() + b","
     end = b"\n" if trail is None else b"," + trail.encode() + b"\n"
     row_break, stride = end + prefix, len(middle) + 1

@@ -201,20 +201,12 @@ def su2_hamiltonian(rep: LadderRep, tau: float) -> OperatorMatrix:
     return OperatorMatrix("H", h)
 
 
-def deformed_commutator_check(rep: LadderRep, tau: float) -> float:
-    """Residual of [x, p] = i (1 - (tau/pi) H), an exact identity on the irrep."""
-    xhat, phat = position_momentum(rep, tau)
-    h = su2_hamiltonian(rep, tau)
-    x, p = xhat.bands, phat.bands
-    commutator = Identity("deformed_commutator", lambda: (
-        x @ p - p @ x - 1j * (Bands.identity(rep.dim) - (tau / math.pi) * h.bands)))
-    return evaluate([commutator])["deformed_commutator"]
+def _deformed_identities(rep: LadderRep, tau: float) -> list[Identity]:
+    """The deformed commutator and the Hamiltonian identity, over one build of x, p and H.
 
-
-def hamiltonian_identity_check(rep: LadderRep, tau: float) -> float:
-    """Residual of H = (1/2) omega^2 x^2 + (1/2) p^2 + (tau/2pi)(omega^2/4 + H^2).
-
-    Exact on the irrep: the quadratic terms reduce through the Casimir
+    [x, p] = i (1 - (tau/pi) H) and
+    H = (1/2) omega^2 x^2 + (1/2) p^2 + (tau/2pi)(omega^2/4 + H^2) are both
+    exact on the irrep: the quadratic terms reduce through the Casimir
     L1^2 + L2^2 = l(l+1) - L3^2, and the correction term vanishes in the
     contraction limit on states of bounded energy.
     """
@@ -222,9 +214,35 @@ def hamiltonian_identity_check(rep: LadderRep, tau: float) -> float:
     h = su2_hamiltonian(rep, tau)
     omega = 2.0 * math.pi / (rep.dim * tau)
     x, p, h = xhat.bands, phat.bands, h.bands
-    decomposition = Identity("hamiltonian_decomposition", lambda: h - (
-        0.5 * omega**2 * (x @ x)
-        + 0.5 * (p @ p)
-        + (tau / (2.0 * math.pi)) * (omega**2 / 4.0 * Bands.identity(rep.dim) + h @ h)
-    ))
+    return [
+        Identity("deformed_commutator", lambda: (
+            x @ p - p @ x - 1j * (Bands.identity(rep.dim) - (tau / math.pi) * h))),
+        Identity("hamiltonian_decomposition", lambda: h - (
+            0.5 * omega**2 * (x @ x)
+            + 0.5 * (p @ p)
+            + (tau / (2.0 * math.pi)) * (omega**2 / 4.0 * Bands.identity(rep.dim) + h @ h)
+        )),
+    ]
+
+
+def deformed_identity_residuals(rep: LadderRep, tau: float) -> dict[str, float]:
+    """Residuals of both deformed identities by name, `deformed_commutator` first.
+
+    x, p and H are built once for the two (`_deformed_identities`).
+    """
+    return evaluate(_deformed_identities(rep, tau))
+
+
+def deformed_commutator_check(rep: LadderRep, tau: float) -> float:
+    """Residual of [x, p] = i (1 - (tau/pi) H), an exact identity on the irrep."""
+    commutator, _ = _deformed_identities(rep, tau)
+    return evaluate([commutator])["deformed_commutator"]
+
+
+def hamiltonian_identity_check(rep: LadderRep, tau: float) -> float:
+    """Residual of H = (1/2) omega^2 x^2 + (1/2) p^2 + (tau/2pi)(omega^2/4 + H^2).
+
+    Exact on the irrep (`_deformed_identities`).
+    """
+    _, decomposition = _deformed_identities(rep, tau)
     return evaluate([decomposition])["hamiltonian_decomposition"]

@@ -7,9 +7,12 @@ su(1,1) and h(1) relation checks on both sides of the sizes where the fixed
 every sector at nmax 1 to 12, the Holstein-Primakoff map, the deformed
 identities on both sides of their first false breach, and the exact ops of
 the benchmark's `dense` workload at its sizes, with the values seeds 1 to 3
-draw.  `evolve`, `orbit` and `contract --family` go through exp, sin, cos,
-log and LAPACK, whose last bit may differ between builds, so none of their
-output files is here.  Every argv `tests/test_cli.py` expects to exit 2 is
+draw.  The `orbit --torus` traces are here too: their angles come only
+from `math.fmod`, *, +, / and `np.floor` (`orbits._rotations`), and their
+gaps only from a sort and subtractions.  `evolve`, the other `orbit` modes
+and `contract --family` go through exp, sin, cos, log and LAPACK, whose
+last bit may differ between builds, so none of their output files is
+here.  Every argv `tests/test_cli.py` expects to exit 2 is
 here as well, whatever its subcommand: it writes no file, and its refusal
 text is what is compared.
 
@@ -65,6 +68,7 @@ def argvs() -> list[list[str]]:
         runs += [["schwinger", "--nmax", str(nmax), "--dump", "--sector", str(shift / 2)]
                  for shift in range(-nmax, nmax + 1)]
     runs += [*BENCHMARK, *(argv + ["--format", "json"] for argv in BENCHMARK)]
+    runs += [*TORUS, *(argv + ["--format", "json"] for argv in TORUS)]
     return runs + REFUSALS
 
 
@@ -90,6 +94,25 @@ BENCHMARK = [
     *(["contract", "--identities", "--l", "300.0", "--tau", tau]
       for tau in ("0.75282900598463", "1.7081808336360904", "1.4147116734201082")),
     ["contract", "--hp", "--dim", "800"],
+]
+
+# the benchmark's two `orbits` torus ops at seeds 1 to 3, with the `--phi0`,
+# `--rot1` and `--rot2` that `perfbench/workloads.py` draws, and golden runs
+# whose rows end just before, on and just after the writer's block edges
+TORUS = [
+    *(["orbit", "--torus", "--ratio", "golden", "--steps", "60000", "--phi0", phi0]
+      for phi0 in ("0.015791856339292143,0.17255656276826628",
+                   "3.5880443729002756,5.340469739947538",
+                   "4.9702009966793925,3.1651416186098484")),
+    *(["orbit", "--torus", "--rot1", rot1, "--rot2", rot2, "--steps", "60000", "--phi0", phi0]
+      for rot1, rot2, phi0 in [
+          ("5.398130543606582", "4.169915118617388", "5.861320642170976,2.9783214148916985"),
+          ("2.974007134979136", "2.030215240600638", "1.4624640944718545,4.122267106628224"),
+          ("5.7038264091681405", "1.4047506335301303",
+           "0.6408323800737769,0.44554071720390703"),
+      ]),
+    *(["orbit", "--torus", "--ratio", "golden", "--steps", str(steps)]
+      for steps in (1, 255, 256, 257, 513)),
 ]
 
 # every argv `tests/test_cli.py` expects to exit 2 that `argvs` does not already hold

@@ -772,16 +772,14 @@ class TestInputValidation:
     @pytest.mark.parametrize("l,tau", [("3", "1e308"), ("3", "9e307"), ("3", "1e-160"),
                                        ("3", "1e-300"), ("3", "5e-324"), ("100000", "1e300")])
     def test_identity_scale_names_tau_and_l(self, l, tau, tmp_path, capsys, monkeypatch):
-        for check in ("deformed_commutator_check", "hamiltonian_identity_check"):
-            monkeypatch.setattr(cli, check, refuse_build)
+        monkeypatch.setattr(cli, "deformed_identity_residuals", refuse_build)
         err = self._rejected(["contract", "--identities", "--l", l, "--tau", tau],
                              tmp_path, capsys)
         assert "--tau" in err and "--l" in err and "float range" in err
 
     @pytest.mark.parametrize("tau", ["0", "-0.0", "-1"])
     def test_identity_tau_must_be_positive(self, tau, tmp_path, capsys, monkeypatch):
-        for check in ("deformed_commutator_check", "hamiltonian_identity_check"):
-            monkeypatch.setattr(cli, check, refuse_build)
+        monkeypatch.setattr(cli, "deformed_identity_residuals", refuse_build)
         err = self._rejected(["contract", "--identities", "--l", "3", "--tau", tau],
                              tmp_path, capsys)
         assert "--tau" in err and "positive" in err
@@ -821,7 +819,8 @@ class TestInputValidation:
     # a nan in the second of its two residuals is in tests/test_evaluate.py
     (["contract", "--hp", "--dim", "8"], "evaluate", [{"hp_max_deviation": math.nan}],
      "hp_max_deviation"),
-    (["contract", "--identities", "--l", "2"], "hamiltonian_identity_check", [math.nan],
+    (["contract", "--identities", "--l", "2"], "deformed_identity_residuals",
+     [{"deformed_commutator": 0.0, "hamiltonian_decomposition": math.nan}],
      "hamiltonian_decomposition"),
     (["evolve", "--N", "4"], "geometric_phase_check", [complex(math.nan, 0.0)], "phase"),
     (["schwinger", "--nmax", "3"], "sector_match_residual", [math.nan], "sector_match"),

@@ -598,7 +598,8 @@ def test_signed_zeros_and_integer_extremes(tmp_path, monkeypatch):
 
 # a folded label of 1 to 12 characters at each end gives every row-break
 # length from 1 to 27 bytes, so every row marker up to 25 bytes, both
-# parities, and the `null` a break of 1 to 3 bytes keeps
+# parities, the `null` a break of 2 or 3 bytes keeps, and the line break
+# written over each row's last comma when there is no label
 EDGE_COLUMNS = {"none": None, "curve": Periodic(("curve",), ROWS),
                 "empty": Periodic((None,), ROWS), "blank": Periodic(("",), ROWS),
                 **{f"label{n}": Periodic(("abcdefghijkl"[:n],), ROWS) for n in range(1, 13)}}
@@ -648,13 +649,45 @@ def test_labels_at_the_marker_nesting_limit(size, tmp_path, monkeypatch):
 @pytest.mark.parametrize("last", ["none", "empty"])
 @pytest.mark.parametrize("column", [0, 1])
 def test_a_nan_in_one_block_stays_a_cell(first, last, column, tmp_path):
-    # orjson writes nan as `null`, the text of the row marker of a break shorter
-    # than 4 bytes; only the bytes are checked, so a nan taken for a row break
+    # orjson writes nan as `null`, the text of the row marker of a break of 2 or
+    # 3 bytes; only the bytes are checked, so a nan taken for a row break
     # cannot pass
     middle = [np.linspace(1.0, 2.0, ROWS), np.arange(ROWS) / 7 + 1]
     middle[column][2 * WRITE_BLOCK_ROWS + 9] = math.nan
     group = tuple(c for c in (EDGE_COLUMNS[first], *middle, EDGE_COLUMNS[last]) if c is not None)
     assert_same_bytes(tmp_path, "csv", CommandResult(tuple("abcd"[:len(group)]), [group]))
+
+
+def _specials(n: int) -> np.ndarray:
+    """A float column with a nan, an inf and a 1e-7 in its first rows, all in block 0."""
+    column = np.linspace(0.5, 6.0, n)
+    column[:3] = [math.nan, math.inf, 1e-7][:n]
+    return column
+
+
+# the columns of an unlabeled group, the first `width` of one kind: its row
+# break is `\n`, written in place over every width-th comma of the dump
+UNLABELED_COLUMNS = {
+    "int": lambda n: [np.arange(n) - 7, Arange(1, n), Periodic(np.array([3, -1, 0]), n),
+                      np.arange(n, dtype=np.int32) * -3],
+    "float": lambda n: [_specials(n), Arange(1, n, 0.1),
+                        Periodic(np.array([2.0, 1e-7, -0.5, 4.0, 9.0]), n),
+                        np.linspace(-3.0, 3.5, n)],
+    "mixed": lambda n: [Arange(1, n), _specials(n), Periodic(np.array([5, -2]), n),
+                        Periodic(np.array([0.25, 1e20, -1.5]), n)],
+}
+
+
+@pytest.mark.parametrize("rows", [1, WRITE_BLOCK_ROWS - 1, WRITE_BLOCK_ROWS,
+                                  WRITE_BLOCK_ROWS + 1, 2 * WRITE_BLOCK_ROWS + 1])
+@pytest.mark.parametrize("kind", list(UNLABELED_COLUMNS))
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+def test_unlabeled_row_breaks_overwrite_each_rows_last_comma(width, kind, rows, tmp_path,
+                                                             monkeypatch):
+    group = tuple(UNLABELED_COLUMNS[kind](rows)[:width])
+    joined = _joined_blocks(monkeypatch)
+    assert_same_bytes(tmp_path, "csv", CommandResult(tuple("abcd"[:width]), [group, group]))
+    assert joined == []
 
 
 @pytest.mark.parametrize("period", [1, 13, WRITE_BLOCK_ROWS, 300, ROWS + 1])
