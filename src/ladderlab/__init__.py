@@ -8,26 +8,25 @@ circle and torus orbits underneath; and assembles the two-mode boson
 realization with its Casimir sectors and dissipative Hamiltonian.
 """
 
-from .algebra import build_h1_rep, build_su2_rep, build_su11_rep, check_algebra_relations
-from .contraction import (
-    contraction_deviation,
-    holstein_primakoff,
-    run_contraction_study,
-    scaled_ladders,
-)
-from .evolution import EvolutionParams, geometric_phase_check, spectrum_via_dft
-from .operators import Identity, OperatorMatrix, evaluate, max_entry
-from .orbits import density_metrics, simulate_torus, thooft_system, touch_points
-from .twomode import (
-    DissipativeParams,
-    build_two_mode,
-    casimir_interior_residual,
-    dissipative_residuals,
-    l2_finite_residual,
-    l2_relation_check,
-    sector_match_residual,
-    sector_operators,
-)
+import importlib
+
+# Each public name and the submodule that defines it.  A name is imported from
+# its submodule on first use (PEP 562), so `import ladderlab` loads no numpy.
+_SUBMODULES = {
+    name: module
+    for module, names in {
+        "algebra": ("build_h1_rep", "build_su2_rep", "build_su11_rep", "check_algebra_relations"),
+        "contraction": ("contraction_deviation", "holstein_primakoff", "run_contraction_study",
+                        "scaled_ladders"),
+        "evolution": ("EvolutionParams", "geometric_phase_check", "spectrum_via_dft"),
+        "operators": ("Identity", "OperatorMatrix", "evaluate", "max_entry"),
+        "orbits": ("density_metrics", "simulate_torus", "thooft_system", "touch_points"),
+        "twomode": ("DissipativeParams", "build_two_mode", "casimir_interior_residual",
+                    "dissipative_residuals", "l2_finite_residual", "l2_relation_check",
+                    "sector_match_residual", "sector_operators"),
+    }.items()
+    for name in names
+}
 
 __version__ = "0.1.0"
 
@@ -61,3 +60,14 @@ __all__ = [
     "thooft_system",
     "touch_points",
 ]
+
+
+def __getattr__(name: str):
+    """A public name, read from its submodule each time, so it is always that module's object."""
+    if name not in _SUBMODULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_SUBMODULES[name]}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

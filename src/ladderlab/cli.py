@@ -7,6 +7,12 @@ CSV, `# check name=value` lines for scalar results ahead of the data table.
 All computations are deterministic, so identical configurations produce
 byte-identical files.  Exit codes: 0 success, 2 invalid configuration,
 3 tolerance breach in a requested check.
+
+The module imports only the standard library.  Each command imports the
+library names it calls when it runs, and the writer imports numpy and
+orjson where it uses them, so a start that stops at the parse or at a
+refusal before the command loads neither numpy nor any other module of
+the package.
 """
 
 from __future__ import annotations
@@ -21,36 +27,12 @@ import os
 import sys
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .algebra import build_h1_rep, build_su2_rep, build_su11_rep, check_algebra_relations
-from .contraction import (
-    deformed_identity_residuals,
-    holstein_primakoff,
-    run_contraction_study,
-)
-from .evolution import EvolutionParams, geometric_phase_check, spectrum_via_dft
-from .operators import Identity, evaluate
-from .orbits import (
-    CircleDynamics,
-    circular_gaps,
-    continuous_position,
-    density_metrics,
-    simulate_torus,
-    thooft_system,
-    touch_points,
-)
-from .twomode import (
-    DissipativeParams,
-    build_two_mode,
-    casimir_interior_residual,
-    dissipative_residuals,
-    l2_relation_check,
-    sector_match_residual,
-    sector_operators,
-)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 TOOL = "ladderlab"
 GOLDEN_ROTATION = math.pi * (math.sqrt(5.0) - 1.0)  # 2*pi*(sqrt(5)-1)/2
@@ -97,6 +79,8 @@ class Arange:
     """
 
     def __init__(self, first: int, length: int, scale: float | None = None) -> None:
+        import numpy as np
+
         self.first, self.length, self.scale = first, length, scale
         self.dtype = np.dtype(int if scale is None else float)
 
@@ -104,6 +88,8 @@ class Arange:
         return self.length
 
     def __getitem__(self, key: slice) -> np.ndarray:
+        import numpy as np
+
         start, stop, step = key.indices(self.length)
         if self.scale is None:
             return np.arange(self.first + start, self.first + stop, step)
@@ -114,6 +100,8 @@ class Arange:
 
 def _python_values(column) -> Iterable:
     """The cells of a column as Python values (numpy scalars become float/int)."""
+    import numpy as np
+
     if isinstance(column, Periodic):
         return itertools.islice(itertools.cycle(_python_values(column.values)), column.length)
     if isinstance(column, (np.ndarray, Arange)):
@@ -316,6 +304,8 @@ def _element_groups(ops) -> list[tuple]:
 
 
 def cmd_rep(args) -> CommandResult:
+    from .algebra import build_h1_rep, build_su2_rep, build_su11_rep, check_algebra_relations
+
     if args.algebra == "su2":
         if args.l is None:
             raise ValueError("su2 requires --l")
@@ -342,6 +332,12 @@ def cmd_rep(args) -> CommandResult:
 
 
 def cmd_contract(args) -> CommandResult:
+    import numpy as np
+
+    from .algebra import build_h1_rep, build_su2_rep, build_su11_rep
+    from .contraction import deformed_identity_residuals, holstein_primakoff, run_contraction_study
+    from .operators import Identity, evaluate
+
     if args.hp:
         dim = 64 if args.dim is None else args.dim
         rep = build_su11_rep(0.5, dim)
@@ -396,6 +392,10 @@ def cmd_contract(args) -> CommandResult:
 
 
 def cmd_evolve(args) -> CommandResult:
+    import numpy as np
+
+    from .evolution import EvolutionParams, geometric_phase_check, spectrum_via_dft
+
     params = EvolutionParams(args.N, args.tau)
     # the energies run up to N omega = 2 pi / tau; a zero omega divides --units omega
     if not (params.omega > 0.0 and math.isfinite(params.n_states * params.omega)):
@@ -470,6 +470,10 @@ def _trace_groups(dynamics, trace, curve_samples: int) -> list[tuple]:
     is longer (`OrbitTrace`); they are passed as that period, repeated.  The
     index and the times t_j = j pi/alpha are `Arange` columns.
     """
+    import numpy as np
+
+    from .orbits import continuous_position
+
     count = trace.count
     x, y, theta = trace.points[:, 0], trace.points[:, 1], trace.angles
     if len(theta) < count:
@@ -486,6 +490,17 @@ def _trace_groups(dynamics, trace, curve_samples: int) -> list[tuple]:
 
 
 def cmd_orbit(args) -> CommandResult:
+    import numpy as np
+
+    from .orbits import (
+        CircleDynamics,
+        circular_gaps,
+        density_metrics,
+        simulate_torus,
+        thooft_system,
+        touch_points,
+    )
+
     count, flag = (args.steps, "--steps") if args.thooft_n is None else (args.thooft_n, "--thooft-N")
 
     if args.torus:
@@ -566,6 +581,16 @@ def cmd_orbit(args) -> CommandResult:
 
 
 def cmd_schwinger(args) -> CommandResult:
+    from .twomode import (
+        DissipativeParams,
+        build_two_mode,
+        casimir_interior_residual,
+        dissipative_residuals,
+        l2_relation_check,
+        sector_match_residual,
+        sector_operators,
+    )
+
     if args.dump:
         if args.sector is None:
             raise ValueError("--dump requires --sector")
@@ -676,6 +701,8 @@ def _json_safe(value):
 
 def _float64(values: np.ndarray) -> np.ndarray:
     """A float array as float64, the type orjson spells as `repr`; any other array as it is."""
+    import numpy as np
+
     return values.astype(np.float64, copy=False) if values.dtype.kind == "f" else values
 
 
@@ -690,6 +717,7 @@ def _numeric_cells(values: np.ndarray, plain: bool = False) -> list[str]:
     array it knows has none.  Floats go through float64 first, since
     orjson prints a float32 with float32's own shortest digits.
     """
+    import numpy as np
     import orjson  # on first use: a CLI start that only parses pays nothing
 
     values = _float64(values)
@@ -708,12 +736,16 @@ def _numeric_cells(values: np.ndarray, plain: bool = False) -> list[str]:
 
 def _fixed_notation(values: np.ndarray) -> np.ndarray:
     """Where orjson spells a float64 as `repr` does: 1e-4 <= |x| < 1e16, and zero."""
+    import numpy as np
+
     magnitude = np.abs(values)
     return ((magnitude >= 1e-4) & (magnitude < 1e16)) | (values == 0)
 
 
 def _exact_cells(values, kind: type) -> list[str]:
     """The `repr` of each value of a sequence whose values are all of type `kind`, float or int."""
+    import numpy as np
+
     array = np.array(values)
     # ints beyond int64 become an object array, or float64 when both signs
     # are present; those keep int.__repr__
@@ -749,6 +781,8 @@ def _cells(values, fmt: str) -> list[str]:
     leaves a float array with nan or inf to `_json_column`, which writes
     NaN as null.
     """
+    import numpy as np
+
     if isinstance(values, np.ndarray):
         kind = values.dtype.kind
         if kind in "iu" or (kind == "f" and (fmt == "csv" or np.isfinite(values).all())):
@@ -785,6 +819,8 @@ def _folded_text(column) -> str | None:
 
 def _numeric_column(column) -> bool:
     """Whether a column is an integer or float array or `Arange`, or a `Periodic` run of one."""
+    import numpy as np
+
     values = column.values if isinstance(column, Periodic) else column
     return isinstance(values, (np.ndarray, Arange)) and values.dtype.kind in "iuf"
 
@@ -798,6 +834,8 @@ def _number_lists(column):
     spelled, and each block slices it: only a block with `spell` set holds
     such a cell.
     """
+    import numpy as np
+
     if isinstance(column, Periodic):
         period = _spelled(_float64(column.values))
         return lambda start, stop, spell: _periodic_slice(period, start, stop)
@@ -807,6 +845,8 @@ def _number_lists(column):
 
 def _spelled(values: np.ndarray) -> list:
     """`values.tolist()`, with the `repr` string of each float orjson would not spell as `repr`."""
+    import numpy as np
+
     cells = values.tolist()
     if values.dtype.kind == "f":
         for i in np.flatnonzero(~_fixed_notation(values)).tolist():
@@ -821,6 +861,8 @@ def _non_plain_blocks(columns, length: int) -> bytes:
     rule is `_fixed_notation`.  Each array or `Arange` column is checked
     PLAIN_SCAN_ROWS rows at a time.
     """
+    import numpy as np
+
     blocks = np.zeros(-(-length // WRITE_BLOCK_ROWS), dtype=bool)
     for column in columns:
         if column.dtype.kind != "f":
@@ -885,6 +927,7 @@ def _row_dumper(group: tuple):
     middle = group[lead is not None:len(group) - (trail is not None)]
     if not middle or not all(map(_numeric_column, middle)):
         return None
+    import numpy as np
     import orjson
 
     non_plain = _non_plain_blocks([c for c in middle if not isinstance(c, Periodic)],

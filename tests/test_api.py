@@ -1,6 +1,7 @@
 """The public API and the README agree: `ladderlab.__all__` is what the README documents."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -39,3 +40,25 @@ def test_every_public_name_is_documented():
 
 def test_tour_runs():
     exec(tour_code(), {})
+
+
+def test_every_public_name_is_its_modules_object():
+    # the package reads each name from the submodule that defines it, on first use
+    for name in ladderlab.__all__:
+        value = getattr(ladderlab, name)
+        assert value is getattr(importlib.import_module(value.__module__), name), name
+        assert value.__module__.startswith("ladderlab."), name
+    assert ladderlab.touch_points is importlib.import_module("ladderlab.orbits").touch_points
+
+
+def test_dir_lists_every_public_name():
+    assert set(ladderlab.__all__) <= set(dir(ladderlab))
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    try:
+        ladderlab.no_such_name  # noqa: B018
+    except AttributeError as exc:
+        assert "'ladderlab'" in str(exc) and "'no_such_name'" in str(exc), exc
+    else:
+        raise AssertionError("ladderlab.no_such_name resolved")

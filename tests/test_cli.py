@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import ladderlab
-from ladderlab import cli
+from ladderlab import cli, orbits
 from ladderlab.cli import main
 
 
@@ -270,9 +270,9 @@ class TestRowLimit:
         def refuse(*args, **kwargs):
             raise AssertionError("rows were computed for a rejected row count")
 
-        for name in ("touch_points", "simulate_torus", "spectrum_via_dft",
-                     "geometric_phase_check"):
-            monkeypatch.setattr(cli, name, refuse)
+        for target in ("orbits.touch_points", "orbits.simulate_torus",
+                       "evolution.spectrum_via_dft", "evolution.geometric_phase_check"):
+            monkeypatch.setattr(f"ladderlab.{target}", refuse)
 
     @pytest.mark.parametrize("argv,flag", [
         (["orbit", "--two-circle", "--q-num", "1", "--q-den", "3", "--steps", HUGE], "--steps"),
@@ -309,8 +309,9 @@ class TestRowLimit:
         (["schwinger", "--nmax"], "--nmax", NMAX_CEILING),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
     def test_operator_size_rejected(self, argv, flag, ceiling, tmp_path, capsys, monkeypatch):
-        for builder in ("build_su2_rep", "build_su11_rep", "build_h1_rep", "build_two_mode"):
-            monkeypatch.setattr(cli, builder, refuse_build)
+        for builder in ("algebra.build_su2_rep", "algebra.build_su11_rep", "algebra.build_h1_rep",
+                        "twomode.build_two_mode"):
+            monkeypatch.setattr(f"ladderlab.{builder}", refuse_build)
         for text in (str(ceiling + 1), str(10**18)):
             code, out, captured = run_cli([*argv, text], tmp_path, capsys)
             assert code == 2
@@ -524,14 +525,14 @@ class TestInputValidation:
     @pytest.mark.parametrize("value", ["0", "-0.0", "-1"])
     def test_gamma_is_refused_before_the_build(self, value, tmp_path, capsys, monkeypatch):
         # it was once refused only after build_two_mode and the casimir and sector checks
-        monkeypatch.setattr(cli, "build_two_mode", refuse_build)
+        monkeypatch.setattr("ladderlab.twomode.build_two_mode", refuse_build)
         err = self._rejected(["schwinger", "--nmax", "300", "--Gamma", value], tmp_path, capsys)
         assert "--Gamma" in err and "positive" in err
 
     @pytest.mark.parametrize("value", ["0.3", "5", "-5", "1e9"])
     def test_sector_is_refused_before_the_build(self, value, tmp_path, capsys, monkeypatch):
         # it was once refused only after the whole space was built
-        monkeypatch.setattr(cli, "build_two_mode", refuse_build)
+        monkeypatch.setattr("ladderlab.twomode.build_two_mode", refuse_build)
         err = self._rejected(["schwinger", "--nmax", "4", "--dump", "--sector", value],
                              tmp_path, capsys)
         assert err.startswith("ladderlab: --sector:") and f"j = {float(value)}" in err, err
@@ -574,13 +575,13 @@ class TestInputValidation:
         (["--q-num", "1", "--q-den", "3", "--q-irr-add", "pi/-0.0"], "--q-irr-add"),
     ])
     def test_zero_denominator(self, extra, flag, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "touch_points", refuse_orbit)
+        monkeypatch.setattr("ladderlab.orbits.touch_points", refuse_orbit)
         err = self._rejected(["orbit", "--two-circle", *extra], tmp_path, capsys)
         assert flag in err
 
     @pytest.mark.parametrize("value", ["pi/nan", "inf", "xyz", "pi*-inf", "pi/1e-320"])
     def test_q_irr_add(self, value, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "touch_points", refuse_orbit)
+        monkeypatch.setattr("ladderlab.orbits.touch_points", refuse_orbit)
         err = self._rejected(["orbit", "--two-circle", "--q-num", "1", "--q-den", "3",
                               "--q-irr-add", value], tmp_path, capsys)
         assert "--q-irr-add" in err
@@ -594,26 +595,28 @@ class TestInputValidation:
         ["--q-num", "1", "--q-den", "3", "--q-irr-add", "1e300", "--alpha", "1e10"],
     ])
     def test_ratio_beyond_float_range(self, extra, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "touch_points", refuse_orbit)
+        monkeypatch.setattr("ladderlab.orbits.touch_points", refuse_orbit)
         err = self._rejected(["orbit", "--two-circle", *extra, "--steps", "10"], tmp_path, capsys)
         assert "--q-num / --q-den" in err
 
     # --flag=value, since argparse reads a separate "-inf" as an option
     @pytest.mark.parametrize("argv,flag,builder", [
-        (["rep", "--algebra", "su2", "--l={}"], "--l", "build_su2_rep"),
-        (["rep", "--algebra", "su11", "--k={}", "--dim", "8"], "--k", "build_su11_rep"),
-        (["contract", "--identities", "--l={}"], "--l", "build_su2_rep"),
+        (["rep", "--algebra", "su2", "--l={}"], "--l", "algebra.build_su2_rep"),
+        (["rep", "--algebra", "su11", "--k={}", "--dim", "8"], "--k", "algebra.build_su11_rep"),
+        (["contract", "--identities", "--l={}"], "--l", "algebra.build_su2_rep"),
         (["contract", "--family", "su2", "--params=50,{}"], "--params",
-         "run_contraction_study"),
+         "contraction.run_contraction_study"),
         (["contract", "--family", "su11", "--params={},5"], "--params",
-         "run_contraction_study"),
-        (["orbit", "--torus", "--ratio", "golden", "--phi0={},0"], "--phi0", "simulate_torus"),
-        (["orbit", "--torus", "--ratio", "golden", "--phi0=0,{}"], "--phi0", "simulate_torus"),
-    ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+         "contraction.run_contraction_study"),
+        (["orbit", "--torus", "--ratio", "golden", "--phi0={},0"], "--phi0",
+         "orbits.simulate_torus"),
+        (["orbit", "--torus", "--ratio", "golden", "--phi0=0,{}"], "--phi0",
+         "orbits.simulate_torus"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else v.rpartition(".")[2])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_value_names_its_flag(self, argv, flag, builder, value, tmp_path, capsys,
                                              monkeypatch):
-        monkeypatch.setattr(cli, builder, refuse_build)
+        monkeypatch.setattr(f"ladderlab.{builder}", refuse_build)
         err = self._rejected([arg.format(value) for arg in argv], tmp_path, capsys)
         assert flag in err and "finite" in err
 
@@ -693,11 +696,11 @@ class TestInputValidation:
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
     def test_orbit_refuses_a_flag_its_mode_ignores(self, argv, flag, tmp_path, capsys,
                                                    monkeypatch):
-        for name in ("touch_points", "simulate_torus"):
-            monkeypatch.setattr(cli, name, refuse_orbit)
-        for name in ("build_su2_rep", "build_su11_rep", "build_h1_rep", "build_two_mode",
-                     "run_contraction_study"):
-            monkeypatch.setattr(cli, name, refuse_build)
+        for target in ("orbits.touch_points", "orbits.simulate_torus"):
+            monkeypatch.setattr(f"ladderlab.{target}", refuse_orbit)
+        for target in ("algebra.build_su2_rep", "algebra.build_su11_rep", "algebra.build_h1_rep",
+                       "twomode.build_two_mode", "contraction.run_contraction_study"):
+            monkeypatch.setattr(f"ladderlab.{target}", refuse_build)
         command = argv if argv[0] in cli.COMMANDS else ["orbit", *argv]
         err = self._rejected(command, tmp_path, capsys)
         assert flag in err and "not read" in err, err
@@ -727,8 +730,8 @@ class TestInputValidation:
                                       ["--thooft-N", "7"], ["--torus", "--ratio", "golden"]])
     def test_negative_curve_samples(self, mode, tmp_path, capsys, monkeypatch):
         # it once exited 0, writing `param curve_samples=-1` and no curve rows
-        monkeypatch.setattr(cli, "touch_points", refuse_orbit)
-        monkeypatch.setattr(cli, "simulate_torus", refuse_orbit)
+        monkeypatch.setattr("ladderlab.orbits.touch_points", refuse_orbit)
+        monkeypatch.setattr("ladderlab.orbits.simulate_torus", refuse_orbit)
         err = self._rejected(["orbit", *mode, "--curve-samples", "-1"], tmp_path, capsys)
         assert "--curve-samples" in err
 
@@ -759,9 +762,10 @@ class TestInputValidation:
             "two-circle-alpha", "two-circle-curve-phase"])
     def test_overflowing_scale_names_its_flags(self, argv, flags, tmp_path, capsys,
                                                monkeypatch):
-        for builder in ("dissipative_residuals", "spectrum_via_dft", "geometric_phase_check",
-                        "thooft_system", "touch_points"):
-            monkeypatch.setattr(cli, builder, refuse_build)
+        for builder in ("twomode.dissipative_residuals", "evolution.spectrum_via_dft",
+                        "evolution.geometric_phase_check", "orbits.thooft_system",
+                        "orbits.touch_points"):
+            monkeypatch.setattr(f"ladderlab.{builder}", refuse_build)
         err = self._rejected(argv, tmp_path, capsys)
         assert all(flag in err for flag in flags) and "float range" in err
 
@@ -772,14 +776,14 @@ class TestInputValidation:
     @pytest.mark.parametrize("l,tau", [("3", "1e308"), ("3", "9e307"), ("3", "1e-160"),
                                        ("3", "1e-300"), ("3", "5e-324"), ("100000", "1e300")])
     def test_identity_scale_names_tau_and_l(self, l, tau, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "deformed_identity_residuals", refuse_build)
+        monkeypatch.setattr("ladderlab.contraction.deformed_identity_residuals", refuse_build)
         err = self._rejected(["contract", "--identities", "--l", l, "--tau", tau],
                              tmp_path, capsys)
         assert "--tau" in err and "--l" in err and "float range" in err
 
     @pytest.mark.parametrize("tau", ["0", "-0.0", "-1"])
     def test_identity_tau_must_be_positive(self, tau, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "deformed_identity_residuals", refuse_build)
+        monkeypatch.setattr("ladderlab.contraction.deformed_identity_residuals", refuse_build)
         err = self._rejected(["contract", "--identities", "--l", "3", "--tau", tau],
                              tmp_path, capsys)
         assert "--tau" in err and "positive" in err
@@ -802,33 +806,35 @@ class TestInputValidation:
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_sector_is_finite(self, value, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "build_two_mode", refuse_build)
+        monkeypatch.setattr("ladderlab.twomode.build_two_mode", refuse_build)
         err = self._rejected(["schwinger", "--nmax", "4", f"--sector={value}", "--dump"],
                              tmp_path, capsys)
         assert "--sector" in err and "finite" in err
 
     def test_dump_needs_sector_before_the_build(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "build_two_mode", refuse_build)
+        monkeypatch.setattr("ladderlab.twomode.build_two_mode", refuse_build)
         err = self._rejected(["schwinger", "--nmax", "800", "--dump"], tmp_path, capsys)
         assert "--dump requires --sector" in err
 
 
 @pytest.mark.parametrize("argv,target,values,check", [
-    (["rep", "--algebra", "h1", "--dim", "5"], "check_algebra_relations", [math.nan],
+    (["rep", "--algebra", "h1", "--dim", "5"], "algebra.check_algebra_relations", [math.nan],
      "relations_residual"),
     # a nan in the second of its two residuals is in tests/test_evaluate.py
-    (["contract", "--hp", "--dim", "8"], "evaluate", [{"hp_max_deviation": math.nan}],
-     "hp_max_deviation"),
-    (["contract", "--identities", "--l", "2"], "deformed_identity_residuals",
+    (["contract", "--hp", "--dim", "8"], "operators.evaluate",
+     [{"hp_max_deviation": math.nan}], "hp_max_deviation"),
+    (["contract", "--identities", "--l", "2"], "contraction.deformed_identity_residuals",
      [{"deformed_commutator": 0.0, "hamiltonian_decomposition": math.nan}],
      "hamiltonian_decomposition"),
-    (["evolve", "--N", "4"], "geometric_phase_check", [complex(math.nan, 0.0)], "phase"),
-    (["schwinger", "--nmax", "3"], "sector_match_residual", [math.nan], "sector_match"),
+    (["evolve", "--N", "4"], "evolution.geometric_phase_check", [complex(math.nan, 0.0)],
+     "phase"),
+    (["schwinger", "--nmax", "3"], "twomode.sector_match_residual", [math.nan],
+     "sector_match"),
 ], ids=["rep", "contract-hp", "contract-identities", "evolve", "schwinger"])
 def test_a_nan_check_is_a_breach(argv, target, values, check, tmp_path, capsys, monkeypatch):
     # every gate reads `not value <= tolerance`, which a nan fails
     results = iter(values)
-    monkeypatch.setattr(cli, target, lambda *args, **kwargs: next(results))
+    monkeypatch.setattr(f"ladderlab.{target}", lambda *args, **kwargs: next(results))
     code, _, captured = run_cli(argv, tmp_path, capsys)
     assert code == 3
     assert f"tolerance breach in check {check!r}" in captured.err
@@ -836,13 +842,13 @@ def test_a_nan_check_is_a_breach(argv, target, values, check, tmp_path, capsys, 
 
 def test_nan_radius_error_is_a_breach(tmp_path, capsys, monkeypatch):
     # the gate reads `not radius_error <= tolerance`, so a nan residual cannot pass it
-    touch_points = cli.touch_points
+    touch_points = orbits.touch_points
 
     def nan_points(*args):
         trace = touch_points(*args)
         return dataclasses.replace(trace, points=np.full_like(trace.points, np.nan))
 
-    monkeypatch.setattr(cli, "touch_points", nan_points)
+    monkeypatch.setattr(orbits, "touch_points", nan_points)
     code, out, captured = run_cli(["orbit", "--thooft-N", "7"], tmp_path, capsys)
     assert code == 3
     assert "tolerance breach in check 'radius_error'" in captured.err
@@ -874,6 +880,64 @@ class TestStartup:
             "import sys, ladderlab.cli as cli; cli.build_parser(); print('orjson' in sys.modules)"))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    @staticmethod
+    def _loaded(statements: str) -> list[str]:
+        """numpy, orjson and the `ladderlab.*` modules loaded, sorted, once `statements` ran.
+
+        They run in a fresh interpreter after `import sys, ladderlab.cli as cli`.
+        """
+        proc = run_module(None, code=(
+            f"import sys, ladderlab.cli as cli; {statements}; print(*sorted(name for name in "
+            "sys.modules if name in ('numpy', 'orjson') or name.startswith('ladderlab.')))"))
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip().splitlines()[-1].split()
+
+    # numpy and the library are imported where a command first needs them, so a
+    # start that stops at the parse, or at a refusal before the command, pays for
+    # neither; `--help` prints to stdout, so only the last line is read
+    @pytest.mark.parametrize("statements", [
+        "cli.build_parser()",
+        "cli.main(['--help'])",
+        "cli.main(['evolve', '--help'])",
+        "cli.main(['evolve', '--N', 'nan'])",
+        "cli.main(['evolve', '--N', '8', '--steps', '3'])",
+        "cli.main(['rep', '--algebra', 'su2', '--l', '1', '--k', '2'])",
+        "cli.main(['orbit', '--thooft-N', '7', '--steps', '5'])",
+    ], ids=["parser", "help", "command-help", "parse-error", "unknown-flag", "unread-flag",
+            "unread-orbit-flag"])
+    def test_a_start_that_only_parses_loads_no_numpy_or_library(self, statements):
+        assert self._loaded(statements) == ["ladderlab.cli"]
+
+    def test_package_import_loads_no_numpy(self):
+        proc = run_module(None, code=(
+            "import sys, ladderlab; print(*sorted(name for name in sys.modules if name == 'numpy' "
+            "or name.startswith('ladderlab.')))"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == ""
+
+    # each command loads its own modules and those they import, and no other
+    @pytest.mark.parametrize("argv,modules", [
+        (["rep", "--algebra", "h1", "--dim", "4"], ["algebra", "operators"]),
+        (["contract", "--hp", "--dim", "4"], ["algebra", "contraction", "operators"]),
+        (["evolve", "--N", "8"], ["evolution", "operators"]),
+        (["orbit", "--thooft-N", "7", "--curve-samples", "3"], ["orbits"]),
+        (["orbit", "--torus", "--ratio", "golden", "--steps", "10"], ["orbits"]),
+        (["schwinger", "--nmax", "2"], ["algebra", "operators", "twomode"]),
+    ], ids=lambda v: " ".join(v))
+    def test_each_command_loads_only_its_modules(self, argv, modules, tmp_path):
+        argv = [*argv, "--out", str(tmp_path / "out.csv")]
+        loaded = self._loaded(f"assert cli.main({argv!r}) == 0")
+        assert loaded == sorted(["numpy", "orjson", "ladderlab.cli",
+                                 *(f"ladderlab.{module}" for module in modules)])
+
+    def test_cli_holds_no_library_function(self):
+        # the commands import what they call when they run; a stub for a test is
+        # set on the library module, where that import reads it
+        borrowed = [name for name, value in vars(cli).items()
+                    if (getattr(value, "__module__", None) or "").startswith("ladderlab.")
+                    and value.__module__ != cli.__name__]
+        assert borrowed == []
 
 
 class TestRepeatedMain:

@@ -10,7 +10,7 @@ import argparse
 
 import pytest
 
-from ladderlab import cli
+from ladderlab import algebra, cli, contraction, evolution, operators, orbits, twomode
 
 # zero of either sign, the negative subnormal, and the non-finite values
 POSITIVE_OUTSIDE = ("0", "-0.0", "-5e-324", "-1", "nan", "inf", "-inf")
@@ -48,14 +48,19 @@ def test_the_walk_finds_the_typed_flags():
 
 @pytest.fixture
 def refuse_builders(monkeypatch):
-    """Every library function and class the CLI calls raises if it is called."""
+    """Every function and class of the library raises if it is called.
+
+    The commands import the library names they call from these modules when
+    they run, so each stub is set on the module, not on `cli`.
+    """
     def refuse(*args, **kwargs):
         raise AssertionError("the library was called for a value refused at parse time")
 
-    for name, value in list(vars(cli).items()):
-        module = getattr(value, "__module__", None) or ""
-        if callable(value) and module.startswith("ladderlab.") and module != cli.__name__:
-            monkeypatch.setattr(cli, name, refuse)
+    for module in (algebra, contraction, evolution, operators, orbits, twomode):
+        for name, value in list(vars(module).items()):
+            owner = getattr(value, "__module__", None) or ""
+            if callable(value) and owner.startswith("ladderlab."):
+                monkeypatch.setattr(module, name, refuse)
 
 
 @pytest.mark.parametrize("command,flag,value", CASES, ids=lambda v: v)

@@ -78,7 +78,8 @@ def route_evaluate(monkeypatch, poison: int | None = None) -> list[tuple[str, fl
 
         return evaluate(each(), keep)
 
-    for module in (algebra, twomode, contraction, cli):
+    # `cli.cmd_contract` imports `evaluate` from `operators` when it runs
+    for module in (algebra, twomode, contraction, operators):
         monkeypatch.setattr(module, "evaluate", wrapped)
     return log
 
@@ -158,12 +159,13 @@ def test_a_nan_in_any_record_trips_the_gate(argv, poison, tmp_path, capsys, monk
     assert f"tolerance breach in check {name!r}" in capsys.readouterr().err
 
 
-def inject_nan(monkeypatch, builder: str, operator: str, index) -> None:
-    """Make `cli.<builder>` put a nan into one stored entry of one operator it returns.
+def inject_nan(monkeypatch, module, builder: str, operator: str, index) -> None:
+    """Make `module.<builder>` put a nan into one stored entry of one operator it returns.
 
-    `index` is (offset, row), or a function of the built object that gives it.
+    The commands import each builder from its module when they run.  `index`
+    is (offset, row), or a function of the built object that gives it.
     """
-    build = getattr(cli, builder)
+    build = getattr(module, builder)
 
     def built(*args):
         made = build(*args)
@@ -171,7 +173,7 @@ def inject_nan(monkeypatch, builder: str, operator: str, index) -> None:
         getattr(made, operator).bands.diagonals[offset][row] = math.nan
         return made
 
-    monkeypatch.setattr(cli, builder, built)
+    monkeypatch.setattr(module, builder, built)
 
 
 def moved_records(argv, monkeypatch, *defect) -> set[int]:
@@ -217,29 +219,29 @@ L2_READERS = ("l2_commutator", "l2_double_commutator")
 # for any L+ and L-, so only a nan in them moves hi_vs_l2.
 DEFECTS = [
     # [L3, L+] = L+, [L3, L-] = -L- and [L+, L-] = -2 L3, in that order
-    (SU11, ("build_su11_rep", "L3", (0, 3)), {0, 1, 2}),
-    (SU11, ("build_su11_rep", "Lplus", (-1, 3)), {0, 2}),
-    (SU11, ("build_su11_rep", "Lminus", (1, 3)), {1, 2}),
+    (SU11, (algebra, "build_su11_rep", "L3", (0, 3)), {0, 1, 2}),
+    (SU11, (algebra, "build_su11_rep", "Lplus", (-1, 3)), {0, 2}),
+    (SU11, (algebra, "build_su11_rep", "Lminus", (1, 3)), {1, 2}),
     # the mapped a reads L-, and a† reads L+, each compared with h(1)'s; both read L3
-    (HP, ("build_su11_rep", "Lminus", (1, 3)), {0}),
-    (HP, ("build_su11_rep", "Lplus", (-1, 3)), {1}),
-    (HP, ("build_h1_rep", "Lplus", (-1, 3)), {1}),
-    (HP, ("build_su11_rep", "L3", (0, 3)), {0, 1}),
+    (HP, (algebra, "build_su11_rep", "Lminus", (1, 3)), {0}),
+    (HP, (algebra, "build_su11_rep", "Lplus", (-1, 3)), {1}),
+    (HP, (algebra, "build_h1_rep", "Lplus", (-1, 3)), {1}),
+    (HP, (algebra, "build_su11_rep", "L3", (0, 3)), {0, 1}),
     # x and p read L+ and L-, and H reads L3; both identities read all three
-    (IDENTITIES, ("build_su2_rep", "Lplus", (-1, 2)), {0, 1}),
-    (IDENTITIES, ("build_su2_rep", "L3", (0, 2)), {0, 1}),
+    (IDENTITIES, (algebra, "build_su2_rep", "Lplus", (-1, 2)), {0, 1}),
+    (IDENTITIES, (algebra, "build_su2_rep", "L3", (0, 2)), {0, 1}),
     # H0 is read from the occupations, HI from L+ and L-
-    (SCHWINGER, ("build_two_mode", "L3", balanced(0)),
+    (SCHWINGER, (twomode, "build_two_mode", "L3", balanced(0)),
      records("casimir_interior", "sector_match:L3", *L2_READERS)),
-    (SCHWINGER, ("build_two_mode", "Lplus", balanced(-1)),
+    (SCHWINGER, (twomode, "build_two_mode", "Lplus", balanced(-1)),
      records("casimir_interior", "sector_match:L+", *HI_READERS, *L2_READERS)),
-    (SCHWINGER, ("build_two_mode", "Lminus", balanced(1)),
+    (SCHWINGER, (twomode, "build_two_mode", "Lminus", balanced(1)),
      records("casimir_interior", "sector_match:L-", *HI_READERS, *L2_READERS)),
 ]
 
 
 @pytest.mark.parametrize("argv,defect,moved", DEFECTS,
                          ids=[f"{' '.join(argv)}: {builder} {operator}"
-                              for argv, (builder, operator, _), _ in DEFECTS])
+                              for argv, (_, builder, operator, _), _ in DEFECTS])
 def test_a_defect_moves_exactly_the_records_that_read_it(argv, defect, moved, monkeypatch):
     assert moved_records(argv, monkeypatch, *defect) == moved
