@@ -9,10 +9,10 @@ byte-identical files.  Exit codes: 0 success, 2 invalid configuration,
 3 tolerance breach in a requested check.
 
 The module imports only the standard library.  Each command imports the
-library names it calls when it runs, and the writer imports numpy and
-orjson where it uses them, so a start that stops at the parse or at a
-refusal before the command loads neither numpy nor any other module of
-the package.
+library names it calls, and the writer (`ladderlab.writer`), when it runs;
+the writer imports numpy and orjson where it uses them.  So a start that
+stops at the parse or at a refusal before the command loads neither numpy,
+the writer nor any other module of the package.
 """
 
 from __future__ import annotations
@@ -20,136 +20,17 @@ from __future__ import annotations
 import argparse
 import copy
 import functools
-import itertools
-import json
 import math
 import os
 import sys
-from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
-
-from . import __version__
-
-if TYPE_CHECKING:
-    import numpy as np
 
 TOOL = "ladderlab"
 GOLDEN_ROTATION = math.pi * (math.sqrt(5.0) - 1.0)  # 2*pi*(sqrt(5)-1)/2
-# Rows per block in `write_output`: the writer holds one block of formatted
-# text beyond the result's columns, so its memory does not grow with the row count.
-WRITE_BLOCK_ROWS = 256
-# Rows per step of the writer's plain-number scan (`_non_plain_blocks`): whole
-# blocks, few enough that the scan's arrays stay small whatever the row count.
-PLAIN_SCAN_ROWS = 16 * WRITE_BLOCK_ROWS
 # Largest row count of an output or an operator, checked at parse time before
 # any array is allocated: --steps, --thooft-N, --curve-samples, evolve --N and
 # each --dim directly, and the dimension 2l + 1 of --l and (nmax + 1)^2 of --nmax.
 MAX_ROWS = 10**7
 ELEMENT_COLUMNS = ("operator", "row", "col", "re", "im")
-
-
-@dataclass(frozen=True, eq=False)
-class Periodic:
-    """A column of `length` cells repeating `values`: cell i is values[i % len(values)].
-
-    One value repeated over a row group is `Periodic((value,), n)`.  The writer
-    formats `values` once and repeats the strings.
-    """
-
-    values: Sequence
-    length: int
-
-    def __post_init__(self) -> None:
-        if self.length < 0 or (self.length and not len(self.values)):
-            raise ValueError("a periodic column needs a length >= 0 and, if not empty, values")
-
-    def __len__(self) -> int:
-        return self.length
-
-
-class Arange:
-    """A column of `length` cells first + i, each times `scale` if one is given.
-
-    A slice `column[a:b]` is an array of `dtype`, made when it is taken:
-    integers as `np.arange` makes them or, with a scale, each exact integer
-    first + i times `scale`, rounded once, the bits of
-    `np.arange(float(first), first + length) * scale`.  A plain class, not
-    a dataclass, which would cost every CLI start half a millisecond.
-    """
-
-    def __init__(self, first: int, length: int, scale: float | None = None) -> None:
-        import numpy as np
-
-        self.first, self.length, self.scale = first, length, scale
-        self.dtype = np.dtype(int if scale is None else float)
-
-    def __len__(self) -> int:
-        return self.length
-
-    def __getitem__(self, key: slice) -> np.ndarray:
-        import numpy as np
-
-        start, stop, step = key.indices(self.length)
-        if self.scale is None:
-            return np.arange(self.first + start, self.first + stop, step)
-        cells = np.arange(float(self.first + start), float(self.first + stop), step)
-        cells *= self.scale
-        return cells
-
-
-def _python_values(column) -> Iterable:
-    """The cells of a column as Python values (numpy scalars become float/int)."""
-    import numpy as np
-
-    if isinstance(column, Periodic):
-        return itertools.islice(itertools.cycle(_python_values(column.values)), column.length)
-    if isinstance(column, (np.ndarray, Arange)):
-        return column[:].tolist()
-    return column
-
-
-def _group_length(group: tuple, width: int) -> int:
-    """Rows in a row group; ValueError unless it has `width` columns of one length."""
-    lengths = [len(column) for column in group]
-    if len(group) != width or len(set(lengths)) > 1:
-        raise ValueError(f"a row group needs {width} columns of one length, got lengths {lengths}")
-    return lengths[0] if lengths else 0
-
-
-@dataclass
-class CommandResult:
-    """Named columns, stored as row groups written one after the other.
-
-    Each group holds one column per name, all of one length; a column is a
-    numpy array, a sequence of Python values, a `Periodic` or an `Arange`.
-    `gated` holds the values `main` holds to `--tolerance`.
-    """
-
-    columns: tuple[str, ...]
-    groups: list[tuple]
-    checks: dict[str, object] = field(default_factory=dict)
-    gated: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def rows(self) -> "Rows":
-        return Rows(self)
-
-
-class Rows:
-    """Sized view of a result's rows: each row a tuple of Python values, in order."""
-
-    def __init__(self, result: CommandResult) -> None:
-        self._result = result
-
-    def __len__(self) -> int:
-        width = len(self._result.columns)
-        return sum(_group_length(group, width) for group in self._result.groups)
-
-    def __iter__(self):
-        len(self)  # rejects ragged groups before any row is yielded
-        for group in self._result.groups:
-            yield from zip(*map(_python_values, group))
 
 
 def _finite(text: str) -> float:
@@ -175,8 +56,8 @@ class Count:
     """argparse type: a number from `least` to `most`, read by `parse` (`int`, or `_finite`).
 
     `unit` follows `most` in the message: "rows" where the value is itself a
-    row count, else what it counts.  A plain class, not a dataclass, for the
-    reason `Arange` gives.
+    row count, else what it counts.  A plain class, not a dataclass, so that a
+    start that only parses imports no `dataclasses`.
     """
 
     def __init__(self, least, most=MAX_ROWS, unit: str = "rows", parse=int) -> None:
@@ -282,20 +163,14 @@ def _parser_tree() -> argparse.ArgumentParser:
     return parser
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _element_groups(ops) -> list[tuple]:
     """One row group of ELEMENT_COLUMNS per operator, over its nonzero entries.
 
     The entries come from the operator's diagonals in the row-major order of
     `np.nonzero` on the dense matrix.
     """
+    from .writer import Periodic
+
     groups = []
     for op in ops:
         rows, cols, values = op.bands.nonzero()
@@ -305,6 +180,7 @@ def _element_groups(ops) -> list[tuple]:
 
 def cmd_rep(args) -> CommandResult:
     from .algebra import build_h1_rep, build_su2_rep, build_su11_rep, check_algebra_relations
+    from .writer import CommandResult
 
     if args.algebra == "su2":
         if args.l is None:
@@ -314,6 +190,14 @@ def cmd_rep(args) -> CommandResult:
     elif args.algebra == "su11":
         if args.k is None or args.dim is None:
             raise ValueError("su11 requires --k and --dim")
+        # L3 reaches k + dim - 1 and L+- reach sqrt(ladder), ladder = (2k + dim - 2)(dim - 1),
+        # so the relation checks form entries up to twice their product, and L+ L- plus 2 L3;
+        # a 2k beyond the float range, or a ladder not above 0, is a k the build refuses
+        top, ladder = args.k + args.dim - 1, (2.0 * args.k + args.dim - 2) * (args.dim - 1)
+        if (math.isfinite(2.0 * args.k) and ladder > 0
+                and not math.isfinite(max(2.0 * top * math.sqrt(ladder), ladder + 2.0 * top))):
+            raise ValueError(f"--k / --dim: k = {args.k!r} at dim {args.dim} puts the "
+                             "relation checks beyond the float range")
         rep = _flagged("--k / --dim", build_su11_rep, args.k, args.dim)
         default_interior = rep.dim - 1
     else:
@@ -337,6 +221,7 @@ def cmd_contract(args) -> CommandResult:
     from .algebra import build_h1_rep, build_su2_rep, build_su11_rep
     from .contraction import deformed_identity_residuals, holstein_primakoff, run_contraction_study
     from .operators import Identity, evaluate
+    from .writer import CommandResult, Periodic
 
     if args.hp:
         dim = 64 if args.dim is None else args.dim
@@ -395,6 +280,7 @@ def cmd_evolve(args) -> CommandResult:
     import numpy as np
 
     from .evolution import EvolutionParams, geometric_phase_check, spectrum_via_dft
+    from .writer import CommandResult
 
     params = EvolutionParams(args.N, args.tau)
     # the energies run up to N omega = 2 pi / tau; a zero omega divides --units omega
@@ -473,6 +359,7 @@ def _trace_groups(dynamics, trace, curve_samples: int) -> list[tuple]:
     import numpy as np
 
     from .orbits import continuous_position
+    from .writer import Arange, Periodic
 
     count = trace.count
     x, y, theta = trace.points[:, 0], trace.points[:, 1], trace.angles
@@ -500,6 +387,7 @@ def cmd_orbit(args) -> CommandResult:
         thooft_system,
         touch_points,
     )
+    from .writer import Arange, CommandResult
 
     count, flag = (args.steps, "--steps") if args.thooft_n is None else (args.thooft_n, "--thooft-N")
 
@@ -590,6 +478,7 @@ def cmd_schwinger(args) -> CommandResult:
         sector_match_residual,
         sector_operators,
     )
+    from .writer import CommandResult
 
     if args.dump:
         if args.sector is None:
@@ -691,444 +580,12 @@ COMMANDS = {
 }
 
 
-def _json_safe(value):
-    if value is None:
-        return None
-    if isinstance(value, float):
-        return None if math.isnan(value) else value
-    return value
-
-
-def _float64(values: np.ndarray) -> np.ndarray:
-    """A float array as float64, the type orjson spells as `repr`; any other array as it is."""
-    import numpy as np
-
-    return values.astype(np.float64, copy=False) if values.dtype.kind == "f" else values
-
-
-def _numeric_cells(values: np.ndarray, plain: bool = False) -> list[str]:
-    """The `repr` of each element of a float or integer array, in one `orjson.dumps` call.
-
-    orjson writes the shortest round-trip digits of a float64 (Ryu), the
-    same digits as `repr`, and spells them as `repr` does wherever `repr`
-    uses fixed notation: 1e-4 <= |x| < 1e16, and zero.  The few cells
-    outside that range (exponents, nan, inf, which orjson writes as
-    `null`) are taken from `repr`, unless the caller passes `plain` for an
-    array it knows has none.  Floats go through float64 first, since
-    orjson prints a float32 with float32's own shortest digits.
-    """
-    import numpy as np
-    import orjson  # on first use: a CLI start that only parses pays nothing
-
-    values = _float64(values)
-    if not values.dtype.isnative:
-        # orjson reads the array's memory in native byte order
-        values = values.astype(values.dtype.newbyteorder("="))
-    if not len(values):
-        return []
-    text = orjson.dumps(np.ascontiguousarray(values), option=orjson.OPT_SERIALIZE_NUMPY)
-    cells = text[1:-1].decode("ascii").split(",")
-    if values.dtype.kind == "f" and not plain:
-        for i in np.flatnonzero(~_fixed_notation(values)).tolist():
-            cells[i] = repr(float(values[i]))
-    return cells
-
-
-def _fixed_notation(values: np.ndarray) -> np.ndarray:
-    """Where orjson spells a float64 as `repr` does: 1e-4 <= |x| < 1e16, and zero."""
-    import numpy as np
-
-    magnitude = np.abs(values)
-    return ((magnitude >= 1e-4) & (magnitude < 1e16)) | (values == 0)
-
-
-def _exact_cells(values, kind: type) -> list[str]:
-    """The `repr` of each value of a sequence whose values are all of type `kind`, float or int."""
-    import numpy as np
-
-    array = np.array(values)
-    # ints beyond int64 become an object array, or float64 when both signs
-    # are present; those keep int.__repr__
-    if kind is float or array.dtype.kind in "iu":
-        return _numeric_cells(array)
-    return list(map(int.__repr__, values))
-
-
-def _csv_column(values) -> list[str]:
-    """`_fmt` of each value; a column of one exact type is formatted in one pass."""
-    kinds = set(map(type, values))
-    if kinds == {float} or kinds == {int}:
-        return _exact_cells(values, *kinds)
-    if kinds == {str}:
-        return list(values)
-    return list(map(_fmt, values))
-
-
-def _json_column(values) -> list[str]:
-    """Each value as `json.dumps` writes it after `_json_safe` (NaN as null)."""
-    kinds = set(map(type, values))
-    if (kinds == {float} and all(map(math.isfinite, values))) or kinds == {int}:
-        return _exact_cells(values, *kinds)
-    if kinds == {str}:
-        return list(map(json.encoder.encode_basestring_ascii, values))
-    return [json.dumps(_json_safe(v)) for v in values]
-
-
-def _cells(values, fmt: str) -> list[str]:
-    """The formatted cells of a column slice, a numpy array or a sequence.
-
-    A float or integer array is formatted whole by `_numeric_cells`; JSON
-    leaves a float array with nan or inf to `_json_column`, which writes
-    NaN as null.
-    """
-    import numpy as np
-
-    if isinstance(values, np.ndarray):
-        kind = values.dtype.kind
-        if kind in "iu" or (kind == "f" and (fmt == "csv" or np.isfinite(values).all())):
-            return _numeric_cells(values)
-        values = values.tolist()
-    return _csv_column(values) if fmt == "csv" else _json_column(values)
-
-
-def _periodic_slice(period: list, start: int, stop: int) -> list:
-    """Items start .. stop - 1 of a sequence that repeats the list `period`."""
-    size = len(period)
-    first = start % size
-    head = period[first:first + stop - start]
-    missing = stop - start - len(head)
-    return head + period * (missing // size) + period[:missing % size]
-
-
-def _folded_text(column) -> str | None:
-    """The CSV cell of a column holding one label, or None, throughout; else None.
-
-    Only a label that is one plain CSV cell as it stands (ASCII, with no
-    `,`, `"` or line break) qualifies, so the row dump may fold it into
-    its row breaks.
-    """
-    if not (isinstance(column, Periodic) and len(column.values) == 1):
-        return None
-    value = column.values[0]
-    if value is None:
-        return ""
-    if type(value) is str and value.isascii() and not any(c in value for c in ',"\n\r'):
-        return value
-    return None
-
-
-def _numeric_column(column) -> bool:
-    """Whether a column is an integer or float array or `Arange`, or a `Periodic` run of one."""
-    import numpy as np
-
-    values = column.values if isinstance(column, Periodic) else column
-    return isinstance(values, (np.ndarray, Arange)) and values.dtype.kind in "iuf"
-
-
-def _number_lists(column):
-    """For a numeric column, a function (start, stop, spell) -> its cells start .. stop - 1.
-
-    The cells are Python ints and floats, in a list; with `spell`, each
-    float that orjson does not spell as `repr` (`_fixed_notation`) is its
-    `repr` string instead.  A `Periodic` column becomes one list here,
-    spelled, and each block slices it: only a block with `spell` set holds
-    such a cell.
-    """
-    import numpy as np
-
-    if isinstance(column, Periodic):
-        period = _spelled(_float64(column.values))
-        return lambda start, stop, spell: _periodic_slice(period, start, stop)
-    return lambda start, stop, spell: (_spelled if spell else np.ndarray.tolist)(
-        _float64(column[start:stop]))
-
-
-def _spelled(values: np.ndarray) -> list:
-    """`values.tolist()`, with the `repr` string of each float orjson would not spell as `repr`."""
-    import numpy as np
-
-    cells = values.tolist()
-    if values.dtype.kind == "f":
-        for i in np.flatnonzero(~_fixed_notation(values)).tolist():
-            cells[i] = repr(cells[i])
-    return cells
-
-
-def _non_plain_blocks(columns, length: int) -> bytes:
-    """One flag per block of a row group: 1 if a float cell is one orjson does not spell as `repr`.
-
-    A block is a run of WRITE_BLOCK_ROWS rows, numbered from 0; the spelling
-    rule is `_fixed_notation`.  Each array or `Arange` column is checked
-    PLAIN_SCAN_ROWS rows at a time.
-    """
-    import numpy as np
-
-    blocks = np.zeros(-(-length // WRITE_BLOCK_ROWS), dtype=bool)
-    for column in columns:
-        if column.dtype.kind != "f":
-            continue
-        for start in range(0, length, PLAIN_SCAN_ROWS):
-            values = _float64(column[start:min(start + PLAIN_SCAN_ROWS, length)])
-            rows = np.flatnonzero(~_fixed_notation(values))
-            blocks[(rows + start) // WRITE_BLOCK_ROWS] = True
-    return blocks.tobytes()
-
-
-def _row_marker(size: int):
-    """A value orjson writes as `size` bytes, for 2 <= size <= 509; None (`null`) otherwise.
-
-    It is size // 2 nested lists around nothing, or around a 0 when size is
-    odd: `[]`, `[0]`, `[[]]`, `[[0]]`, ...  No row-dump cell holds a bracket,
-    so `,marker,` is found only where a marker is.  orjson refuses more than
-    255 levels, and the dump's own list is one of them.
-    """
-    if not 2 <= size <= 509:
-        return None
-    marker = [0] if size % 2 else []
-    for _ in range(size // 2 - 1):
-        marker = [marker]
-    return marker
-
-
-def _row_dumper(group: tuple):
-    """For a CSV row group, a function (start, stop) -> the bytes of rows start .. stop - 1.
-
-    The bytes come from one `orjson.dumps` of a flat list of the block's
-    cells, with no string made per cell.  A group with no label has a line
-    break alone as its row break: its list holds only the cells, and the
-    text is copied into a `bytearray` in which every `width`-th comma and
-    the closing `]` are overwritten by a line break, an equal-length rewrite
-    with nothing counted and no new text built.  That is right because no
-    cell holds a comma: cells are numbers or spelled `repr`s (`nan`, `inf`,
-    `1e-07`).  Any other group has a marker before the first row and after
-    each row, and a 0 at each end of the list.  Each `,marker,` in the text
-    becomes a row break, the end of one row and the start of the next; the
-    two zeros and the breaks outside the block are cut off.  The marker
-    makes `,marker,` exactly as long as the row break (`_row_marker`):
-    CPython's `bytes.replace` then rewrites a copy in place, where a pattern
-    of another length has every match counted first and a new text built.  A
-    break of 2 or 3 bytes (a line break, then an empty or one-character
-    label and its comma, as in `contract --hp`) is shorter than `,[],`, the
-    shortest pattern no cell can hold, and keeps None, written `null`: a
-    `,X,` with a one-byte X could only be a digit, and a digit can be a
-    cell.  Either way the block is one buffer, sliced from the dump with no
-    further copy.  The middle columns must be numeric (`_numeric_column`);
-    the first and the last may instead be a label repeated throughout
-    (`_folded_text`), which goes into the row breaks.  A float cell that is
-    not plain (an exponent, nan or inf) is dumped as its `repr` string, and
-    the quotes orjson puts around it are deleted, which no other cell and no
-    folded label holds: a `Periodic` column's period is spelled once, and
-    the array blocks that hold such a cell are found once, here
-    (`_non_plain_blocks`).  `_row_dumper` returns None for a group of any
-    other shape.
-    """
-    lead = _folded_text(group[0]) if group else None
-    trail = _folded_text(group[-1]) if len(group) > 1 else None
-    middle = group[lead is not None:len(group) - (trail is not None)]
-    if not middle or not all(map(_numeric_column, middle)):
-        return None
-    import numpy as np
-    import orjson
-
-    non_plain = _non_plain_blocks([c for c in middle if not isinstance(c, Periodic)],
-                                  len(group[0]))
-    numbers = [_number_lists(column) for column in middle]
-    if lead is None and trail is None:
-        width = len(middle)
-
-        def dump_unlabeled(start: int, stop: int) -> memoryview:
-            spell = non_plain[start // WRITE_BLOCK_ROWS]
-            flat = [0] * ((stop - start) * width)
-            for k, cells in enumerate(numbers):
-                flat[k::width] = cells(start, stop, spell)
-            text = bytearray(orjson.dumps(flat).replace(b'"', b""))
-            del flat
-            # "[a,b,c,d]" -> "[a,b\nc,d\n": the last comma of each row, and the "]"
-            view = np.frombuffer(text, dtype=np.uint8)
-            view[np.flatnonzero(view == ord(","))[width - 1::width]] = ord("\n")
-            view[-1] = ord("\n")
-            return memoryview(text)[1:]
-
-        return dump_unlabeled
-    prefix = b"" if lead is None else lead.encode() + b","
-    end = b"\n" if trail is None else b"," + trail.encode() + b"\n"
-    row_break, stride = end + prefix, len(middle) + 1
-    marker = _row_marker(len(row_break) - 2)
-    pattern = b"," + orjson.dumps(marker) + b","
-
-    def dump(start: int, stop: int) -> memoryview:
-        spell = non_plain[start // WRITE_BLOCK_ROWS]
-        cells_end = 2 + (stop - start) * stride
-        flat = [marker] * (cells_end + 1)  # 0, marker, each row's numbers and a marker, 0
-        flat[0] = flat[-1] = 0
-        for k, cells in enumerate(numbers):
-            flat[2 + k:cells_end:stride] = cells(start, stop, spell)
-        text = orjson.dumps(flat)
-        del flat  # freed before the row breaks are put in
-        # "[0,M,a,b,M,c,d,M,0]" -> "[0" end prefix "a,b" end prefix "c,d" end
-        # prefix "0]"; nan and inf are spelled as strings, so no cell is `null`
-        text = text.replace(b'"', b"").replace(pattern, row_break)
-        return memoryview(text)[2 + len(end):len(text) - 2 - len(prefix)]
-
-    return dump
-
-
-def _json_row_pieces(columns: tuple[str, ...]) -> list[str]:
-    """The text around the cells of one row object inside "rows".
-
-    The layout is that of `json.dumps(..., indent=2)`; the first piece starts
-    with the "," that separates a row from the one before.
-    """
-    names = [json.encoder.encode_basestring_ascii(col) for col in columns]
-    return [f",\n    {{\n      {names[0]}: ", *(f",\n      {name}: " for name in names[1:]),
-            "\n    }"]
-
-
-def _join_rows(pieces: list[str], cells: list[list[str]]) -> str:
-    """The rows of a block: pieces[0], the first cell, pieces[1], ..., pieces[-1] per row.
-
-    An empty piece takes no place in the joined list.
-    """
-    rows = len(cells[0])
-    slots = [pieces[0], *itertools.chain.from_iterable(zip(cells, pieces[1:]))]
-    slots = [slot for slot in slots if not isinstance(slot, str) or slot]
-    stride = len(slots)
-    flat = [""] * (rows * stride)
-    for k, slot in enumerate(slots):
-        flat[k::stride] = [slot] * rows if isinstance(slot, str) else slot
-    return "".join(flat)
-
-
-def _array_cells(column, fmt: str, length: int):
-    """For a column that is not `Periodic`, a function (start, stop) -> its cells start .. stop - 1.
-
-    The cells are those of `_cells`.  The blocks of a float array with a
-    cell that is not plain are found once (`_non_plain_blocks`), and every
-    other block of an integer or float array is formatted with no check.
-    """
-    if not _numeric_column(column):
-        return lambda start, stop: _cells(column[start:stop], fmt)
-    non_plain = _non_plain_blocks([column], length)
-
-    def cells(start: int, stop: int) -> list[str]:
-        if non_plain[start // WRITE_BLOCK_ROWS]:
-            return _cells(column[start:stop], fmt)
-        return _numeric_cells(column[start:stop], plain=True)
-
-    return cells
-
-
-def _column_path(group: tuple, pieces: list[str], fmt: str, length: int):
-    """For a row group, a function (start, stop) -> the text of rows start .. stop - 1.
-
-    A row is pieces[0], the first column's cell, pieces[1], and so on.  Each
-    run of pieces and `Periodic` columns between two other columns is joined
-    here, once, into one periodic text: row by row over the least common
-    multiple of its periods, or over the group if that is shorter.  A run
-    is split before a column that would take that period past the longest
-    of WRITE_BLOCK_ROWS and its parts.  Each block then slices those texts,
-    formats the other columns' cells (`_array_cells`), and joins the row
-    from both with `_join_rows`.
-    """
-    texts: list = []  # in row order: a text for every row, or a function (start, stop) -> texts
-    run: list[list[str]] = [[pieces[0]]]  # the current run, each part one period of its texts
-
-    def close_run(size: int) -> None:
-        joined = ["".join(row) for row in zip(*(_periodic_slice(part, 0, size) for part in run))]
-        texts.append(joined[0] if size == 1 else functools.partial(_periodic_slice, joined))
-        run.clear()
-
-    period = 1
-    for column, piece in zip(group, pieces[1:]):
-        if isinstance(column, Periodic):
-            cells = _cells(column.values, fmt)
-            own = min(len(cells), length)
-            merged = min(math.lcm(period, len(cells)), length)
-            if merged > max(WRITE_BLOCK_ROWS, period, own):
-                close_run(period)
-                merged = own
-            run.append(cells)
-            period = merged
-        else:
-            close_run(period)
-            texts.append(_array_cells(column, fmt, length))
-            period = 1
-        run.append([piece])
-    close_run(period)
-
-    # `_join_rows` alternates fixed pieces and per-row cells
-    joined_pieces, slots = [""], []
-    for text in texts:
-        if isinstance(text, str):
-            joined_pieces[-1] += text
-        else:
-            slots.append(text)
-            joined_pieces.append("")
-    if not slots:  # every run has period 1: each row is the same text
-        row, joined_pieces = joined_pieces[0], ["", ""]
-        slots.append(lambda start, stop: [row] * (stop - start))
-    return lambda start, stop: _join_rows(joined_pieces, [cells(start, stop) for cells in slots])
-
-
 def write_output(path: str, fmt: str, command: str, parameters: dict,
                  tolerance: float, result: CommandResult) -> None:
-    """Write the manifest, the checks and the rows of `result` to `path`.
+    """`writer.write_output`, the writer imported on the first write."""
+    from . import writer
 
-    Each row group is written WRITE_BLOCK_ROWS rows at a time, and each
-    block's bytes are written before the next block is formatted.  What is
-    fixed for a whole group is planned once, before its first block: a CSV
-    group of numbers gets its row dump (`_row_dumper`), with the blocks that
-    are not plain found in one scan, and any other group its column path
-    (`_column_path`), built on first use, with its periodic texts joined
-    once.  The file is written as bytes: UTF-8 text, lines ended by LF on
-    every platform.  The bytes are those of formatting every cell with
-    `_fmt` (CSV) or of `json.dumps(payload, indent=2)` over row objects
-    (JSON).  Groups whose columns differ in number or length raise
-    ValueError before the file is opened.
-    """
-    width = len(result.columns)
-    lengths = [_group_length(group, width) for group in result.groups]
-    if fmt == "csv":
-        lines = [f"# {TOOL} {__version__}", f"# command={command}"]
-        lines.extend(f"# param {key}={_fmt(val)}" for key, val in parameters.items())
-        lines.append(f"# tolerance={_fmt(tolerance)}")
-        lines.extend(f"# check {key}={_fmt(val)}" for key, val in result.checks.items())
-        lines.append(",".join(result.columns))
-        head, tail = "\n".join(lines) + "\n", ""
-        pieces, separator = ["", *[","] * (width - 1), "\n"], ""
-    else:
-        payload = {
-            "manifest": {
-                "tool": TOOL,
-                "version": __version__,
-                "command": command,
-                "parameters": {k: _json_safe(v) for k, v in parameters.items()},
-                "tolerance": tolerance,
-            },
-            "checks": {k: _json_safe(v) for k, v in result.checks.items()},
-            "rows": [],
-        }
-        text = json.dumps(payload, indent=2)
-        # text ends with '"rows": []\n}'; the rows go between the brackets
-        head, tail = (text[:-3], "\n  ]\n}\n") if sum(lengths) else (text + "\n", "")
-        pieces, separator = _json_row_pieces(result.columns), ","
-    skip = len(separator)  # cut from the first row written
-    with open(path, "wb") as handle:
-        handle.write(head.encode())
-        for group, length in zip(result.groups, lengths):
-            dump = _row_dumper(group) if fmt == "csv" else None
-            join = None
-            for start in range(0, length, WRITE_BLOCK_ROWS):
-                stop = min(start + WRITE_BLOCK_ROWS, length)
-                if dump:
-                    data = dump(start, stop)
-                else:
-                    join = join or _column_path(group, pieces, fmt, length)
-                    data = memoryview(join(start, stop).encode())[skip:]
-                skip = 0
-                handle.write(data)
-                del data  # not held while the next block is formatted
-        handle.write(tail.encode())
+    writer.write_output(path, fmt, command, parameters, tolerance, result)
 
 
 def main(argv=None) -> int:

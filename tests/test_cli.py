@@ -794,6 +794,24 @@ class TestInputValidation:
                                tmp_path, capsys)
         assert code in (0, 3) and out.exists()  # 3: the fixed tolerance at 1e-150
 
+    # rep --algebra su11 at a huge weight: L3 L+- leaves the float range in the relation
+    # check, which once warned of an overflow, wrote relations_residual=nan and exited 3.
+    # At dim 3 the refusal starts between 1e205 and 1e206.
+    @pytest.mark.parametrize("k,dim", [("1e206", "3"), ("1e300", "3"), ("1e307", "3"),
+                                       ("1e296", "10000000")])
+    def test_su11_relation_scale_names_k_and_dim(self, k, dim, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("ladderlab.algebra.build_su11_rep", refuse_build)
+        err = self._rejected(["rep", "--algebra", "su11", "--k", k, "--dim", dim],
+                             tmp_path, capsys)
+        assert err.startswith("ladderlab: --k / --dim: ") and "float range" in err
+
+    @pytest.mark.parametrize("k", ["1e200", "1e205"])
+    def test_su11_relation_scale_inside_the_float_range_runs(self, k, tmp_path, capsys):
+        code, out, _ = run_cli(["rep", "--algebra", "su11", "--k", k, "--dim", "3"],
+                               tmp_path, capsys)
+        # 3: the fixed tolerance, far below the rounding of entries near 1e300
+        assert code == 3 and math.isfinite(float(read_csv(out)[1]["relations_residual"]))
+
     def test_large_but_finite_scales_still_run(self, tmp_path, capsys):
         code, _, _ = run_cli(["schwinger", "--nmax", "3", "--check", "hamiltonian",
                               "--Omega", "1e150", "--Gamma", "1e150"], tmp_path, capsys)
@@ -883,19 +901,24 @@ class TestStartup:
 
     @staticmethod
     def _loaded(statements: str) -> list[str]:
-        """numpy, orjson and the `ladderlab.*` modules loaded, sorted, once `statements` ran.
+        """The watched modules that `import ladderlab.cli as cli` and `statements` loaded, sorted.
 
-        They run in a fresh interpreter after `import sys, ladderlab.cli as cli`.
+        They run in a fresh interpreter.  The watched modules are numpy,
+        orjson, dataclasses, inspect, json and the `ladderlab.*` modules; one
+        the interpreter loaded before that import is not reported.
         """
         proc = run_module(None, code=(
-            f"import sys, ladderlab.cli as cli; {statements}; print(*sorted(name for name in "
-            "sys.modules if name in ('numpy', 'orjson') or name.startswith('ladderlab.')))"))
+            "import sys; before = set(sys.modules); import ladderlab.cli as cli; "
+            f"{statements}; print(*sorted(name for name in set(sys.modules) - before if name in "
+            "('numpy', 'orjson', 'dataclasses', 'inspect', 'json') "
+            "or name.startswith('ladderlab.')))"))
         assert proc.returncode == 0, proc.stderr
         return proc.stdout.strip().splitlines()[-1].split()
 
-    # numpy and the library are imported where a command first needs them, so a
-    # start that stops at the parse, or at a refusal before the command, pays for
-    # neither; `--help` prints to stdout, so only the last line is read
+    # numpy, the library and the writer (with dataclasses and json) are imported
+    # where a command first needs them, so a start that stops at the parse, or at
+    # a refusal before the command, pays for none of them; `--help` prints to
+    # stdout, so only the last line is read
     @pytest.mark.parametrize("statements", [
         "cli.build_parser()",
         "cli.main(['--help'])",
@@ -906,7 +929,7 @@ class TestStartup:
         "cli.main(['orbit', '--thooft-N', '7', '--steps', '5'])",
     ], ids=["parser", "help", "command-help", "parse-error", "unknown-flag", "unread-flag",
             "unread-orbit-flag"])
-    def test_a_start_that_only_parses_loads_no_numpy_or_library(self, statements):
+    def test_a_start_that_only_parses_loads_no_numpy_library_or_writer(self, statements):
         assert self._loaded(statements) == ["ladderlab.cli"]
 
     def test_package_import_loads_no_numpy(self):
@@ -916,7 +939,8 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == ""
 
-    # each command loads its own modules and those they import, and no other
+    # each command loads its own modules and those they import, the writer with its
+    # dataclasses and json, and no other
     @pytest.mark.parametrize("argv,modules", [
         (["rep", "--algebra", "h1", "--dim", "4"], ["algebra", "operators"]),
         (["contract", "--hp", "--dim", "4"], ["algebra", "contraction", "operators"]),
@@ -928,7 +952,8 @@ class TestStartup:
     def test_each_command_loads_only_its_modules(self, argv, modules, tmp_path):
         argv = [*argv, "--out", str(tmp_path / "out.csv")]
         loaded = self._loaded(f"assert cli.main({argv!r}) == 0")
-        assert loaded == sorted(["numpy", "orjson", "ladderlab.cli",
+        assert loaded == sorted(["numpy", "orjson", "dataclasses", "inspect", "json",
+                                 "ladderlab.cli", "ladderlab.writer",
                                  *(f"ladderlab.{module}" for module in modules)])
 
     def test_cli_holds_no_library_function(self):
@@ -1054,6 +1079,7 @@ class TestReach:
 
     @staticmethod
     def _traced(argv, tmp_path, capsys):
+        import ladderlab.writer  # noqa: F401  loaded before tracing, so the peak is the run's own
         tracemalloc.start()
         try:
             code, out, _ = run_cli(argv, tmp_path, capsys)

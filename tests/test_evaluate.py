@@ -14,7 +14,7 @@ import weakref
 import numpy as np
 import pytest
 
-from ladderlab import algebra, cli, contraction, operators, twomode
+from ladderlab import algebra, cli, contraction, operators, twomode, writer
 from ladderlab.operators import Bands, Identity, evaluate, max_entry
 
 # the two-mode records in order; the three sector matches compare L3, L+ and L- in turn
@@ -84,7 +84,7 @@ def route_evaluate(monkeypatch, poison: int | None = None) -> list[tuple[str, fl
     return log
 
 
-def command(argv) -> cli.CommandResult:
+def command(argv) -> writer.CommandResult:
     args = cli.build_parser().parse_args(list(argv))
     return cli.COMMANDS[args.command](args)
 

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import sparse
 
-from ladderlab.operators import Bands, OperatorMatrix
+from ladderlab.operators import Bands, OperatorMatrix, _times
 from oracles import anticommutator, dense, from_dense, hermiticity_residual, matrix_exponential
 
 
@@ -118,3 +121,50 @@ def test_commutator_antisymmetry(m, n):
 def test_adjoint_is_entrywise_conjugate_transpose(m):
     a = from_dense("A", m)
     assert np.array_equal(dense(a.bands.adjoint()), m.conj().T)
+
+
+def _product(x: float, y: float) -> float:
+    """x * y correctly rounded, with the IEEE sign (the product of the signs), also at zero."""
+    sign = math.copysign(1.0, x) * math.copysign(1.0, y)
+    return math.copysign(float(Fraction(x) * Fraction(y)), sign)
+
+
+def _sum(x: float, y: float) -> float:
+    """x + y correctly rounded; an exact zero is -0.0 only when both terms are -0.0."""
+    exact = Fraction(x) + Fraction(y)
+    if exact:
+        return float(exact)
+    return -0.0 if math.copysign(1.0, x) < 0 and math.copysign(1.0, y) < 0 else 0.0
+
+
+def _textbook(a: complex, b: complex) -> complex:
+    """(ar br - ai bi) + i (ar bi + ai br), each real product rounded, then one rounded sum."""
+    return complex(_sum(_product(a.real, b.real), -_product(a.imag, b.imag)),
+                   _sum(_product(a.real, b.imag), _product(a.imag, b.real)))
+
+
+def _bits(values: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(values, dtype=np.complex128).view(np.uint64)
+
+
+# long enough for numpy's vector loops, which may fuse a complex product into
+# multiply-adds that round once
+wide_entries = st.complex_numbers(max_magnitude=1e150, allow_nan=False, allow_infinity=False)
+factor_pairs = st.integers(min_value=1, max_value=80).flatmap(
+    lambda n: st.tuples(arrays(np.complex128, n, elements=wide_entries),
+                        arrays(np.complex128, n, elements=wide_entries)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(factor_pairs)
+def test_complex_times_matches_the_textbook_formula(factors):
+    a, b = factors
+    expected = np.array([_textbook(x, y) for x, y in zip(a.tolist(), b.tolist())])
+    assert np.array_equal(_bits(_times(a, b)), _bits(expected))
+
+
+def test_complex_times_on_a_long_vector_matches_the_textbook_formula():
+    rng = np.random.default_rng(7)
+    a, b = (rng.standard_normal(1000) + 1j * rng.standard_normal(1000) for _ in range(2))
+    expected = np.array([_textbook(x, y) for x, y in zip(a.tolist(), b.tolist())])
+    assert np.array_equal(_bits(_times(a, b)), _bits(expected))

@@ -37,11 +37,12 @@ from ladderlab import (
     spectrum_via_dft,
 )
 from ladderlab import twomode
-from ladderlab.cli import ELEMENT_COLUMNS, CommandResult, _element_groups
+from ladderlab.cli import ELEMENT_COLUMNS, _element_groups
 from ladderlab.contraction import deformed_commutator_check, hamiltonian_identity_check
 from ladderlab.evolution import build_evolution_operator
 from ladderlab.operators import Bands, OperatorMatrix
 from ladderlab.twomode import casimir_root
+from ladderlab.writer import CommandResult
 from oracles import (
     casimir,
     csr,

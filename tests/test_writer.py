@@ -1,4 +1,5 @@
-"""The column writer `cli.write_output` against the row-at-a-time writer it replaced.
+"""The column writer `writer.write_output`, called through `cli.write_output`, against
+the row-at-a-time writer it replaced.
 
 `rowwise_write_output` is that writer, kept unchanged (with its two helpers)
 as the byte oracle: it formats `result.rows` one tuple at a time, and every
@@ -17,9 +18,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ladderlab import __version__, cli
-from ladderlab.cli import (PLAIN_SCAN_ROWS, TOOL, WRITE_BLOCK_ROWS, Arange, CommandResult,
-                           Periodic, write_output)
+from ladderlab import __version__, cli, writer
+from ladderlab.cli import TOOL, write_output
+from ladderlab.writer import PLAIN_SCAN_ROWS, WRITE_BLOCK_ROWS, Arange, CommandResult, Periodic
 from ladderlab.orbits import CircleDynamics, continuous_position, thooft_system, touch_points
 from oracles import rational_touch_angles
 
@@ -208,7 +209,7 @@ def test_row_dump_memory_is_one_block(tmp_path):
     args = cli.build_parser().parse_args(
         ["orbit", "--thooft-N", "60000", "--curve-samples", "20000"])
     result = cli.cmd_orbit(args)
-    assert [cli._row_dumper(group) is not None for group in result.groups] == [True, True]
+    assert [writer._row_dumper(group) is not None for group in result.groups] == [True, True]
     new = _write_peak(write_output, tmp_path / "new.csv", result)
     old = _write_peak(rowwise_write_output, tmp_path / "old.csv", result)
     assert new < 200_000
@@ -422,7 +423,7 @@ def test_arange_columns_write_the_bytes_of_their_arrays(boundary, offset, alpha,
         times = np.linspace(0.0, float(touch_times[-1]), curve)
         arrays.append((groups[1][0], np.arange(curve), times,
                        *continuous_position(dynamics, times), groups[1][-1]))
-    assert cli._row_dumper(groups[0]) is not None  # Arange columns take the row dump
+    assert writer._row_dumper(groups[0]) is not None  # Arange columns take the row dump
     columns = ("record", "index", "t", "x", "y", "theta")
     step = -math.pi / alpha
     torus = (Arange(1, count), np.arange(count) / 7, Arange(0, count, step))
@@ -438,7 +439,7 @@ def test_arange_columns_write_the_bytes_of_their_arrays(boundary, offset, alpha,
             assert (tmp_path / f"new.{fmt}").read_bytes() == (tmp_path / f"old.{fmt}").read_bytes()
 
 
-# `cli._cells` formats float and integer columns from orjson's shortest
+# `writer._cells` formats float and integer columns from orjson's shortest
 # round-trip digits; these tests hold every cell to `float.__repr__`,
 # `int.__repr__` and `json.dumps`.
 
@@ -470,15 +471,15 @@ def _assert_cells(values: np.ndarray) -> None:
     exact = values.tolist()
     finite = values[np.isfinite(values)] if values.dtype.kind == "f" else values
     for fmt in ("csv", "json"):
-        assert cli._cells(values, fmt) == _expected(exact, fmt)
-        assert cli._cells(exact, fmt) == _expected(exact, fmt)
-        assert cli._cells(finite, fmt) == _expected(finite.tolist(), fmt)
-        assert cli._cells(finite.tolist(), fmt) == _expected(finite.tolist(), fmt)
+        assert writer._cells(values, fmt) == _expected(exact, fmt)
+        assert writer._cells(exact, fmt) == _expected(exact, fmt)
+        assert writer._cells(finite, fmt) == _expected(finite.tolist(), fmt)
+        assert writer._cells(finite.tolist(), fmt) == _expected(finite.tolist(), fmt)
 
 
 def test_edge_floats_match_repr():
     values = np.array(EDGE_FLOATS)
-    assert cli._cells(values, "csv") == list(map(float.__repr__, EDGE_FLOATS))
+    assert writer._cells(values, "csv") == list(map(float.__repr__, EDGE_FLOATS))
     _assert_cells(values)
 
 
@@ -494,7 +495,7 @@ def test_narrow_and_byte_swapped_floats_keep_their_exact_value(dtype):
     # a float32 or float16 cell is the repr of the float64 it widens to, not
     # the shortest digits of the narrow type
     values = np.array([0.1, 1 / 3, -2.5e-5, 6e4, 1e-4, 0.0, -0.0, np.nan, np.inf], dtype=dtype)
-    assert cli._cells(values, "csv")[:2] == [repr(float(values[0])), repr(float(values[1]))]
+    assert writer._cells(values, "csv")[:2] == [repr(float(values[0])), repr(float(values[1]))]
     _assert_cells(values)
 
 
@@ -505,7 +506,7 @@ def test_strided_and_empty_columns():
     _assert_cells(points[::-3, 1])
     for empty in (points[600:, 0], np.zeros(0), np.arange(0)):
         for fmt in ("csv", "json"):
-            assert cli._cells(empty, fmt) == []
+            assert writer._cells(empty, fmt) == []
 
 
 @pytest.mark.parametrize("values", [
@@ -517,7 +518,7 @@ def test_strided_and_empty_columns():
     np.array([7, 2**31 - 1], dtype=np.int32)[::-1],
 ], ids=["int64", "uint64", "int8", "uint16", "int64-big-endian", "int32-strided"])
 def test_integer_arrays_match_repr(values):
-    assert cli._cells(values, "csv") == list(map(int.__repr__, values.tolist()))
+    assert writer._cells(values, "csv") == list(map(int.__repr__, values.tolist()))
     _assert_cells(values)
 
 
@@ -529,39 +530,39 @@ def test_integer_arrays_match_repr(values):
 ])
 def test_integer_lists_beyond_int64_match_repr(values):
     for fmt in ("csv", "json"):
-        assert cli._cells(values, fmt) == list(map(int.__repr__, values))
+        assert writer._cells(values, fmt) == list(map(int.__repr__, values))
 
 
 # A CSV block of numbers is written from one orjson dump of its rows
-# (`cli._row_dumper`); every other block goes through `_join_rows`.  These
+# (`writer._row_dumper`); every other block goes through `_join_rows`.  These
 # tests hold both to the row-at-a-time writer and count the blocks that fell
 # back.  A block with a cell that is not plain (an exponent, nan or inf)
-# stays in the dump, with its cells spelled by `cli._spelled`; the tests
+# stays in the dump, with its cells spelled by `writer._spelled`; the tests
 # named for the column path count the cells spelled.
 
 def _joined_blocks(monkeypatch) -> list[int]:
     """The row count of each block that `write_output` joins from formatted columns."""
     counts = []
-    join_rows = cli._join_rows
+    join_rows = writer._join_rows
 
     def counting(pieces, cells):
         counts.append(len(cells[0]))
         return join_rows(pieces, cells)
 
-    monkeypatch.setattr(cli, "_join_rows", counting)
+    monkeypatch.setattr(writer, "_join_rows", counting)
     return counts
 
 
 def _spelled_rows(monkeypatch) -> list[int]:
     """The length of each column slice or period whose cells the row dump spells."""
     counts = []
-    spelled = cli._spelled
+    spelled = writer._spelled
 
     def counting(values):
         counts.append(len(values))
         return spelled(values)
 
-    monkeypatch.setattr(cli, "_spelled", counting)
+    monkeypatch.setattr(writer, "_spelled", counting)
     return counts
 
 
@@ -627,7 +628,7 @@ def test_row_marker_text_is_its_size():
     import orjson
 
     for size in range(600):
-        text = orjson.dumps(cli._row_marker(size))
+        text = orjson.dumps(writer._row_marker(size))
         if 2 <= size <= 509:
             assert len(text) == size and not text.strip(b"[]0")
         else:
@@ -729,7 +730,7 @@ def test_a_non_plain_cell_in_a_period_sends_its_blocks_to_the_column_path(tmp_pa
 ], ids=["comma", "quote", "non-ascii", "newline", "middle-label", "middle-none",
         "middle-strings", "bools", "list", "complex", "label-only", "labels-only"])
 def test_other_groups_take_the_column_path(group, tmp_path, monkeypatch):
-    assert cli._row_dumper(group) is None
+    assert writer._row_dumper(group) is None
     joined = _joined_blocks(monkeypatch)
     assert_same_bytes(tmp_path, "csv", CommandResult(tuple("abc"[:len(group)]), [group]))
     assert joined == [WRITE_BLOCK_ROWS] * 3 + [7]
@@ -737,14 +738,14 @@ def test_other_groups_take_the_column_path(group, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("argv", CLI_CASES, ids=lambda argv: " ".join(argv[:3]))
 def test_json_never_takes_the_row_dump(argv, tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "_row_dumper", None)  # any call would raise
+    monkeypatch.setattr(writer, "_row_dumper", None)  # any call would raise
     assert cli.main(argv + ["--format", "json", "--out", str(tmp_path / "out.json")]) in (0, 3)
     capsys.readouterr()
 
 
 # Before a group's first block, `write_output` plans what is fixed for the
 # whole group: the blocks that are not plain, found by one scan of
-# PLAIN_SCAN_ROWS rows at a time (`cli._non_plain_blocks`), and, on the
+# PLAIN_SCAN_ROWS rows at a time (`writer._non_plain_blocks`), and, on the
 # column path, each run of fixed text and `Periodic` columns joined into one
 # periodic text.  These tests hold the plan to the row-at-a-time writer.
 
@@ -786,13 +787,13 @@ def test_periodic_column_in_every_place(place, period, tmp_path):
 def _slots_per_row(monkeypatch) -> list[int]:
     """The texts joined per row in each block that `write_output` joins from formatted columns."""
     slots = []
-    join_rows = cli._join_rows
+    join_rows = writer._join_rows
 
     def counting(pieces, cells):
         slots.append(sum(1 for piece in pieces if piece) + len(cells))
         return join_rows(pieces, cells)
 
-    monkeypatch.setattr(cli, "_join_rows", counting)
+    monkeypatch.setattr(writer, "_join_rows", counting)
     return slots
 
 
@@ -815,13 +816,13 @@ def test_a_run_is_split_before_its_period_outgrows_it(periods, count, tmp_path, 
     assert slots == [count] * 4
 
 
-SCAN_ROWS = 2 * cli.PLAIN_SCAN_ROWS + WRITE_BLOCK_ROWS + 44  # ends in a 44-row block
+SCAN_ROWS = 2 * writer.PLAIN_SCAN_ROWS + WRITE_BLOCK_ROWS + 44  # ends in a 44-row block
 
 
 @pytest.mark.parametrize("row,block_rows", [
-    (cli.PLAIN_SCAN_ROWS - 1, WRITE_BLOCK_ROWS),  # the last row of the first scan step
-    (cli.PLAIN_SCAN_ROWS, WRITE_BLOCK_ROWS),  # the first row of the second
-    (2 * cli.PLAIN_SCAN_ROWS, WRITE_BLOCK_ROWS),  # the first row of the last
+    (writer.PLAIN_SCAN_ROWS - 1, WRITE_BLOCK_ROWS),  # the last row of the first scan step
+    (writer.PLAIN_SCAN_ROWS, WRITE_BLOCK_ROWS),  # the first row of the second
+    (2 * writer.PLAIN_SCAN_ROWS, WRITE_BLOCK_ROWS),  # the first row of the last
     (SCAN_ROWS - 1, 44),  # the group's last row, in its partial block
     (SCAN_ROWS - 44, 44),
 ])
