@@ -14,7 +14,8 @@ and `contract --family` go through exp, sin, cos, log and LAPACK, whose
 last bit may differ between builds, so none of their output files is
 here.  Every argv `tests/test_cli.py` expects to exit 2 is
 here as well, whatever its subcommand: it writes no file, and its refusal
-text is what is compared.
+text is what is compared.  So are both sides of the float-range edge of each
+parameter-scaled identity table.
 
 `manifest.json` holds, for each argv, the exit code, the stderr and the
 sha256 of the one file the run writes (null when it writes none).  The
@@ -69,7 +70,7 @@ def argvs() -> list[list[str]]:
                  for shift in range(-nmax, nmax + 1)]
     runs += [*BENCHMARK, *(argv + ["--format", "json"] for argv in BENCHMARK)]
     runs += [*TORUS, *(argv + ["--format", "json"] for argv in TORUS)]
-    return runs + REFUSALS
+    return runs + REFUSALS + EDGES
 
 
 # the exact-arithmetic ops of the benchmark's `dense` workload at seeds 1 to 3,
@@ -307,6 +308,24 @@ REFUSALS = [
     ["schwinger", "--nmax", "800", "--dump"],
     ["evolve", "--N", "x"],
     ["rep", "--algebra", "h1", "--dim", "5", "--tolerance", "-1"],
+]
+
+
+# both sides of the float-range edge of each parameter-scaled identity table:
+# the su(1,1) relations at dim 3, 10 and 10^7, the dissipative table with
+# Omega = Gamma at nmax 2, 30 and 3161, and the deformed identities at l = 1/2,
+# 3 and 10^5, where the low-tau edge sits
+EDGES = [
+    *(["rep", "--algebra", "su11", "--k", k, "--dim", dim]
+      for k, dim in [("1e206", "3"), ("1e300", "3"), ("1e307", "3"), ("1e296", "10000000"),
+                     ("1e205", "3"), ("1.264e205", "3"), ("1.265e205", "3"), ("7.655e204", "10"),
+                     ("7.657e204", "10"), ("7.393e202", "10000000")]),
+    *(["schwinger", "--nmax", nmax, "--check", "hamiltonian", "--Omega", g, "--Gamma", g]
+      for nmax, g in [("2", "4.740e153"), ("2", "4.741e153"), ("30", "3.160e152"),
+                      ("30", "3.161e152"), ("3161", "3e150")]),
+    *(["contract", "--identities", "--l", l, "--tau", tau]
+      for l, tau in [("3", "4e-154"), ("3", "4.3e-154"), ("3", "5e-154"), ("3", "6e-154"),
+                     ("0.5", "3.7e-154"), ("100000", "4.68e-154")]),
 ]
 
 
