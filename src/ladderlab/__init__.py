@@ -22,8 +22,8 @@ _SUBMODULES = {
         "operators": ("Identity", "OperatorMatrix", "evaluate", "max_entry"),
         "orbits": ("density_metrics", "simulate_torus", "thooft_system", "touch_points"),
         "twomode": ("DissipativeParams", "build_two_mode", "casimir_interior_residual",
-                    "dissipative_residuals", "l2_finite_residual", "l2_relation_check",
-                    "sector_match_residual", "sector_operators"),
+                    "dissipative_residuals", "l2_relation_check", "sector_match_residual",
+                    "sector_operators"),
     }.items()
     for name in names
 }
@@ -48,7 +48,6 @@ __all__ = [
     "evaluate",
     "geometric_phase_check",
     "holstein_primakoff",
-    "l2_finite_residual",
     "l2_relation_check",
     "max_entry",
     "run_contraction_study",

@@ -232,17 +232,3 @@ def deformed_identity_residuals(rep: LadderRep, tau: float) -> dict[str, float]:
     """
     return evaluate(_deformed_identities(rep, tau))
 
-
-def deformed_commutator_check(rep: LadderRep, tau: float) -> float:
-    """Residual of [x, p] = i (1 - (tau/pi) H), an exact identity on the irrep."""
-    commutator, _ = _deformed_identities(rep, tau)
-    return evaluate([commutator])["deformed_commutator"]
-
-
-def hamiltonian_identity_check(rep: LadderRep, tau: float) -> float:
-    """Residual of H = (1/2) omega^2 x^2 + (1/2) p^2 + (tau/2pi)(omega^2/4 + H^2).
-
-    Exact on the irrep (`_deformed_identities`).
-    """
-    _, decomposition = _deformed_identities(rep, tau)
-    return evaluate([decomposition])["hamiltonian_decomposition"]

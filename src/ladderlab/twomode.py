@@ -19,15 +19,15 @@ built.
 Truncation lives at the per-mode cutoff n_max: an "interior" of size b means
 the states with both occupations below b, which is where every identity holds
 exactly.  The finite conjugation e^{(pi/2) L1} L3 e^{-(pi/2) L1} is non-unitary
-and truncation-dominated, so it is exposed only as a diagnostic, computed
-sector by sector; the infinitesimal relations [L1, L3] = -i L2 and
+and truncation-dominated, so the library does not form it (the tests' oracles
+hold it as a diagnostic); the infinitesimal relations [L1, L3] = -i L2 and
 [L1, [L1, L3]] = -L3, which integrate to it, are the checked form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, isfinite, log2, pi
+from math import isfinite
 
 import numpy as np
 
@@ -149,11 +149,6 @@ def casimir_interior_residual(space: TwoModeSpace) -> float:
     return evaluate([casimir], _interior_mask(n_a, n_b, space.n_max))["casimir_interior"]
 
 
-def casimir_root(space: TwoModeSpace) -> OperatorMatrix:
-    """C = nonnegative square root of the exact diagonal C^2, i.e. diag(|j|)."""
-    return OperatorMatrix("C", _casimir_root(*_mode_numbers(space.n_max)))
-
-
 def _casimir_root(n_a: np.ndarray, n_b: np.ndarray) -> Bands:
     """diag(|j|) = diag(|n_A - n_B|/2), from the occupations."""
     return Bands.diag(np.abs(n_a - n_b) / 2.0)
@@ -250,21 +245,6 @@ def _dissipative_pieces(space: TwoModeSpace, p: DissipativeParams, n_a: np.ndarr
     return h0, hi
 
 
-def _checked_interior(target, interior) -> int:
-    """`interior` as an int, checked against a TwoModeSpace or an su(1,1) LadderRep."""
-    if isinstance(target, TwoModeSpace):
-        top = target.n_max + 1
-    elif isinstance(target, LadderRep):
-        if not isinstance(target.kind, Su11):
-            raise ValueError("the rotation relation needs the su(1,1) sign; pass a D+_k rep")
-        top = target.dim
-    else:
-        raise ValueError("expected a TwoModeSpace or an su(1,1) LadderRep")
-    if not 2 <= int(interior) <= top:
-        raise ValueError(f"interior must be in 2..{top}")
-    return int(interior)
-
-
 def l2_relation_check(target, interior: int) -> tuple[float, float]:
     """Residuals of [L1, L3] = -i L2 and [L1, [L1, L3]] = -L3 on the interior.
 
@@ -274,11 +254,16 @@ def l2_relation_check(target, interior: int) -> tuple[float, float]:
     Accepts a TwoModeSpace (interior = per-mode occupation bound) or an
     su(1,1) LadderRep (interior = number of leading states).
     """
-    interior = _checked_interior(target, interior)
+    interior = int(interior)
     if isinstance(target, TwoModeSpace):
-        keep = _interior_mask(*_mode_numbers(target.n_max), interior)
+        top, keep = target.n_max + 1, _interior_mask(*_mode_numbers(target.n_max), interior)
+    elif isinstance(target, LadderRep) and isinstance(target.kind, Su11):
+        top, keep = target.dim, np.arange(target.dim) < interior
     else:
-        keep = np.arange(target.dim) < interior
+        raise ValueError("expected a TwoModeSpace or an su(1,1) LadderRep, "
+                         "whose sign the rotation relation needs")
+    if not 2 <= interior <= top:
+        raise ValueError(f"interior must be in 2..{top}")
     values = evaluate(_l2_identities(target), keep)
     return values["l2_commutator"], values["l2_double_commutator"]
 
@@ -291,83 +276,3 @@ def _l2_identities(target):
     yield Identity("l2_commutator", lambda: first + 1j * l2)
     del l2
     yield Identity("l2_double_commutator", lambda: l1 @ first - first @ l1 + l3)
-
-
-def l2_finite_residual(target, interior: int) -> float:
-    """Finite-rotation diagnostic: how well e^{(pi/2) L1}|n> solves the L2 eigenproblem.
-
-    The finite form of the rotation says the conjugated states
-    |phi> = e^{(pi/2) L1} |n> are L2 eigenvectors with eigenvalue i (m + 1/2),
-    i.e. i times the L3 eigenvalue of |n>.  For every interior basis state
-    this returns the relative eigen-relation residual
-    ||(L2 - i <n|L3|n>) |phi>|| / |||phi>||, both restricted to the interior
-    components, maximized over the states.
-
-    L1 keeps the sector j, so each sector of a TwoModeSpace is computed on
-    its own as the su(1,1) rep that `sector_operators` gives, whose interior
-    is the leading b - 2|j| of its states.  Within a block L- is taken as
-    the adjoint of L+, and entries between sectors are not read;
-    `sector_match_residual` checks both.  No matrix larger than nmax + 1
-    square is formed.
-
-    Diagnostic only: e^{(pi/2) L1} is unbounded and non-unitary, so on a
-    truncated space the residual is truncation-dominated, orders of magnitude
-    above the infinitesimal commutator residuals.  It decays fast as the
-    cutoff grows with the interior held fixed (the operator-identity block
-    residual, by contrast, diverges with the cutoff and is not reported).
-    """
-    interior = _checked_interior(target, interior)
-    if isinstance(target, LadderRep):
-        return _rotation_block_residual(target, interior)
-    # a sector with 2|j| >= interior has no interior state
-    return float(np.max([_rotation_block_residual(sector_operators(target, shift / 2.0),
-                                                  interior - abs(shift))
-                         for shift in range(1 - interior, interior)]))  # a nan stays nan
-
-
-def _rotation_block_residual(rep: LadderRep, interior: int) -> float:
-    """`l2_finite_residual` of one ladder rep, from its L3 diagonal and L+ subdiagonal.
-
-    With real elements L1 is real, symmetric and tridiagonal, and
-    L2 = -i (L+ - L-)/2, so i (L2 - i <n|L3|n>) |phi> = ((L+ - L-)/2 + <n|L3|n>) |phi>
-    is real.
-    """
-    levels = rep.L3.bands.diagonal()
-    raising = rep.Lplus.bands.diagonals.get(-1, np.zeros(rep.dim))[1:]
-    if np.any(np.imag(levels)) or np.any(np.imag(raising)):
-        raise ValueError("the rotation block needs real L3 and L+ elements")
-    levels, raising = np.real(levels), np.real(raising)
-    dim = len(levels)
-    steps = np.arange(dim - 1)
-    l1 = np.zeros((dim, dim))
-    l1[steps + 1, steps] = l1[steps, steps + 1] = raising / 2.0
-    phi = _nonnegative_exponential((pi / 2.0) * l1)[:, :interior]  # column n is e^{(pi/2) L1}|n>
-    mismatch = levels[:interior] * phi
-    mismatch[1:] += 0.5 * raising[:, None] * phi[:-1]
-    mismatch[:-1] -= 0.5 * raising[:, None] * phi[1:]
-    ratios = (np.linalg.norm(mismatch[:interior], axis=0)
-              / np.linalg.norm(phi[:interior], axis=0))
-    return float(np.max(ratios))
-
-
-def _nonnegative_exponential(m: np.ndarray) -> np.ndarray:
-    """e^m of a square matrix with no negative entry: a Taylor series, scaled and squared.
-
-    m / 2^s has 1-norm at most 1/2, where 18 Taylor terms leave a tail of
-    1-norm below 2^-18/19! (3e-23); squaring s times gives e^m (Moler and
-    Van Loan, "Nineteen dubious ways to compute the exponential of a matrix,
-    twenty-five years later", SIAM Rev. 45, 2003, method 3).  Every term and
-    every square is entrywise nonnegative, so no sum cancels and each entry
-    keeps its relative accuracy, however small it is beside the largest.
-    """
-    if np.any(m < 0):
-        raise ValueError("the Taylor exponential needs a matrix with no negative entry")
-    squarings = ceil(log2(max(float(m.sum(axis=0).max()), 1.0))) + 1
-    scaled = m / 2.0**squarings
-    term = result = np.eye(len(m))
-    for order in range(1, 19):
-        term = term @ scaled / order
-        result = result + term
-    for _ in range(squarings):
-        result = result @ result
-    return result

@@ -6,9 +6,10 @@ operator, and `from_dense` and `bands_from_entries` build one from a dense
 array or from its entries.  The flat two-mode build, on the index
 n_A (n_max + 1) + n_B, is `dense_two_mode`; `sector_order` gives the
 library's sector order from a scan of that basis, and `in_sector_order`
-permutes a flat matrix into it.  The CSR
-view and the scipy matrix exponential check the band store and the
-sector-wise finite-rotation diagnostic against independent arithmetic, the
+permutes a flat matrix into it.  `l2_finite_residual` is the finite-rotation
+diagnostic, which the library does not form: a Taylor exponential per su(1,1)
+sector.  The CSR view and the scipy matrix exponential check the band store
+and that diagnostic against independent arithmetic, the
 object-integer touch angles check the closed orbits, and the whole su(2)
 irrep checks the contraction sweep, which builds only its leading levels;
 `scalar_power` is the phase chain that the band powers of the step operator
@@ -17,14 +18,14 @@ and gated forms of the library's residuals.  scipy is imported here and
 nowhere in the package.
 """
 
-from math import pi
+from math import ceil, log2, pi
 
 import numpy as np
 from scipy import sparse
 from scipy.linalg import expm
 
 from ladderlab import twomode
-from ladderlab.algebra import build_su2_rep, cartesian_generators
+from ladderlab.algebra import LadderRep, build_su2_rep, cartesian_generators
 from ladderlab.contraction import contraction_deviation
 from ladderlab.operators import Bands, OperatorMatrix, max_entry
 from ladderlab.twomode import DissipativeParams, TwoModeSpace
@@ -229,5 +230,87 @@ def dense_l2_finite_ratios(target, interior: int) -> dict[int, float]:
 
 
 def dense_l2_finite_residual(target, interior: int) -> float:
-    """`twomode.l2_finite_residual` from one dense `expm` of (pi/2) L1 over the whole space."""
+    """`l2_finite_residual` from one dense `expm` of (pi/2) L1 over the whole space."""
     return max(dense_l2_finite_ratios(target, interior).values())
+
+
+def l2_finite_residual(target, interior: int) -> float:
+    """Finite-rotation diagnostic: how well e^{(pi/2) L1}|n> solves the L2 eigenproblem.
+
+    A TwoModeSpace is read with interior = per-mode occupation bound, an
+    su(1,1) LadderRep with interior = number of leading states.
+
+    The finite form of the rotation says the conjugated states
+    |phi> = e^{(pi/2) L1} |n> are L2 eigenvectors with eigenvalue i (m + 1/2),
+    i.e. i times the L3 eigenvalue of |n>.  For every interior basis state
+    this returns the relative eigen-relation residual
+    ||(L2 - i <n|L3|n>) |phi>|| / |||phi>||, both restricted to the interior
+    components, maximized over the states.
+
+    L1 keeps the sector j, so each sector of a TwoModeSpace is computed on
+    its own as the su(1,1) rep that `sector_operators` gives, whose interior
+    is the leading b - 2|j| of its states.  Within a block L- is taken as
+    the adjoint of L+, and entries between sectors are not read;
+    `sector_match_residual` checks both.  No matrix larger than nmax + 1
+    square is formed.
+
+    Diagnostic only: e^{(pi/2) L1} is unbounded and non-unitary, so on a
+    truncated space the residual is truncation-dominated, orders of magnitude
+    above the infinitesimal commutator residuals.  It decays fast as the
+    cutoff grows with the interior held fixed (the operator-identity block
+    residual, by contrast, diverges with the cutoff and is not reported).
+    """
+    if isinstance(target, LadderRep):
+        return rotation_block_residual(target, interior)
+    # a sector with 2|j| >= interior has no interior state
+    return float(np.max([rotation_block_residual(twomode.sector_operators(target, shift / 2.0),
+                                                 interior - abs(shift))
+                         for shift in range(1 - interior, interior)]))  # a nan stays nan
+
+
+def rotation_block_residual(rep: LadderRep, interior: int) -> float:
+    """`l2_finite_residual` of one ladder rep, from its L3 diagonal and L+ subdiagonal.
+
+    With real elements L1 is real, symmetric and tridiagonal, and
+    L2 = -i (L+ - L-)/2, so i (L2 - i <n|L3|n>) |phi> = ((L+ - L-)/2 + <n|L3|n>) |phi>
+    is real.
+    """
+    levels = rep.L3.bands.diagonal()
+    raising = rep.Lplus.bands.diagonals.get(-1, np.zeros(rep.dim))[1:]
+    if np.any(np.imag(levels)) or np.any(np.imag(raising)):
+        raise ValueError("the rotation block needs real L3 and L+ elements")
+    levels, raising = np.real(levels), np.real(raising)
+    dim = len(levels)
+    steps = np.arange(dim - 1)
+    l1 = np.zeros((dim, dim))
+    l1[steps + 1, steps] = l1[steps, steps + 1] = raising / 2.0
+    phi = nonnegative_exponential((pi / 2.0) * l1)[:, :interior]  # column n is e^{(pi/2) L1}|n>
+    mismatch = levels[:interior] * phi
+    mismatch[1:] += 0.5 * raising[:, None] * phi[:-1]
+    mismatch[:-1] -= 0.5 * raising[:, None] * phi[1:]
+    ratios = (np.linalg.norm(mismatch[:interior], axis=0)
+              / np.linalg.norm(phi[:interior], axis=0))
+    return float(np.max(ratios))
+
+
+def nonnegative_exponential(m: np.ndarray) -> np.ndarray:
+    """e^m of a square matrix with no negative entry: a Taylor series, scaled and squared.
+
+    m / 2^s has 1-norm at most 1/2, where 18 Taylor terms leave a tail of
+    1-norm below 2^-18/19! (3e-23); squaring s times gives e^m (Moler and
+    Van Loan, "Nineteen dubious ways to compute the exponential of a matrix,
+    twenty-five years later", SIAM Rev. 45, 2003, method 3).  Every term and
+    every square is entrywise nonnegative, so no sum cancels and each entry
+    keeps its relative accuracy, however small it is beside the largest.
+    """
+    if np.any(m < 0):
+        raise ValueError("the Taylor exponential needs a matrix with no negative entry")
+    squarings = ceil(log2(max(float(m.sum(axis=0).max()), 1.0))) + 1
+    scaled = m / 2.0**squarings
+    term = result = np.eye(len(m))
+    for order in range(1, 19):
+        term = term @ scaled / order
+        result = result + term
+    for _ in range(squarings):
+        result = result @ result
+    return result

@@ -29,7 +29,7 @@ from ladderlab import (
     thooft_system,
     touch_points,
 )
-from ladderlab.contraction import deformed_commutator_check, hamiltonian_identity_check
+from ladderlab.contraction import deformed_identity_residuals
 from ladderlab.orbits import CircleDynamics
 from ladderlab.twomode import DissipativeParams
 from oracles import anticommutator, dense, from_dense, matrix_exponential
@@ -85,8 +85,9 @@ def test_criterion_3_exact_identities():
     for l in labels:
         rep = build_su2_rep(l)
         for tau in (0.01, 0.1, 1.0, math.pi):
-            worst_comm = max(worst_comm, deformed_commutator_check(rep, tau))
-            worst_ham = max(worst_ham, hamiltonian_identity_check(rep, tau))
+            residuals = deformed_identity_residuals(rep, tau)
+            worst_comm = max(worst_comm, residuals["deformed_commutator"])
+            worst_ham = max(worst_ham, residuals["hamiltonian_decomposition"])
     ok = worst_comm < 1e-10 and worst_ham < 1e-10
     report(
         "criterion 3: deformed-commutator and Hamiltonian identities, l <= 25 x four tau",

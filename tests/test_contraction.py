@@ -12,12 +12,7 @@ from ladderlab import (
     run_contraction_study,
     scaled_ladders,
 )
-from ladderlab.contraction import (
-    deformed_commutator_check,
-    hamiltonian_identity_check,
-    position_momentum,
-    su2_hamiltonian,
-)
+from ladderlab.contraction import deformed_identity_residuals, position_momentum, su2_hamiltonian
 from oracles import anticommutator, dense, full_irrep_deviations, hermiticity_residual
 
 
@@ -216,6 +211,14 @@ class TestPositionMomentum:
     def test_requires_su2(self):
         with pytest.raises(ValueError):
             position_momentum(build_su11_rep(1, 8), tau=1.0)
+
+
+def deformed_commutator_check(rep, tau):
+    return deformed_identity_residuals(rep, tau)["deformed_commutator"]
+
+
+def hamiltonian_identity_check(rep, tau):
+    return deformed_identity_residuals(rep, tau)["hamiltonian_decomposition"]
 
 
 class TestOperatorIdentities:

@@ -14,7 +14,6 @@ from ladderlab import (
     check_algebra_relations,
     dissipative_residuals,
     holstein_primakoff,
-    l2_finite_residual,
     l2_relation_check,
     sector_match_residual,
     sector_operators,
@@ -22,7 +21,7 @@ from ladderlab import (
 from ladderlab import twomode
 from ladderlab.algebra import Su11
 from ladderlab.operators import OperatorMatrix
-from ladderlab.twomode import casimir_root
+import oracles
 from oracles import (
     bands_from_entries,
     casimir,
@@ -35,6 +34,8 @@ from oracles import (
     from_dense,
     in_sector_order,
     interior_indices,
+    l2_finite_residual,
+    nonnegative_exponential,
     sector_order,
 )
 
@@ -100,7 +101,8 @@ class TestSectorOrder:
         h0, hi = twomode._dissipative_pieces(space, DissipativeParams(Omega=1.3, Gamma=0.7),
                                              *twomode._mode_numbers(n_max))
         stored = [space.Lplus.bands, space.Lminus.bands, space.L3.bands,
-                  casimir_root(space).bands, casimir(space).bands, h0, hi]
+                  twomode._casimir_root(*twomode._mode_numbers(n_max)), casimir(space).bands, h0,
+                  hi]
         for bands in stored:
             assert set(bands.diagonals) <= {-1, 0, 1}
 
@@ -135,7 +137,7 @@ class TestCasimir:
 
     def test_eigenvalues_are_half_occupation_differences(self):
         space = build_two_mode(5)
-        c = dense(casimir_root(space))
+        c = dense(twomode._casimir_root(*twomode._mode_numbers(space.n_max)))
         idx = space.index(3, 1)
         assert abs(c[idx, idx] - 1.0) < 1e-15  # j = (3-1)/2
         for n in range(6):
@@ -405,8 +407,8 @@ class TestFiniteRotationBySector:
         # block of shift n_A - n_B = 2j, in ascending j, against the dense
         # ratios of the states with that shift.
         blocks = []
-        block = twomode._rotation_block_residual
-        monkeypatch.setattr(twomode, "_rotation_block_residual",
+        block = oracles.rotation_block_residual
+        monkeypatch.setattr(oracles, "rotation_block_residual",
                             lambda *args: blocks.append(block(*args)) or blocks[-1])
         space = build_two_mode(n_max)
         l2_finite_residual(space, interior)
@@ -449,12 +451,12 @@ class TestFiniteRotationBySector:
 
     def test_taylor_exponential_refuses_a_negative_entry(self):
         with pytest.raises(ValueError, match="no negative entry"):
-            twomode._nonnegative_exponential(np.array([[0.0, 1.0], [-1e-300, 0.0]]))
+            nonnegative_exponential(np.array([[0.0, 1.0], [-1e-300, 0.0]]))
 
     def test_taylor_exponential_of_a_nonnegative_block(self):
         # e^{t [[0, 1], [1, 0]]} = [[cosh t, sinh t], [sinh t, cosh t]]
         t = 3.0
-        got = twomode._nonnegative_exponential(np.array([[0.0, t], [t, 0.0]]))
+        got = nonnegative_exponential(np.array([[0.0, t], [t, 0.0]]))
         want = np.array([[math.cosh(t), math.sinh(t)], [math.sinh(t), math.cosh(t)]])
         assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * want)
 
