@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import Bands, Identity, OperatorMatrix, evaluate
+from .operators import Bands, Envelope, Identity, OperatorMatrix, evaluate, in_float_range
 
 
 def _validate_half_integer(value: float, minimum: float, name: str) -> float:
@@ -180,22 +180,53 @@ def check_algebra_relations(rep: LadderRep, interior: int) -> float:
 
     Both sides of every identity are restricted to the span of
     |0> .. |interior-1>, which excises the truncation-contaminated top row of
-    the su(1,1)/h(1) matrices.  su(2) closes with [L+, L-] = +2 L3, su(1,1)
-    with -2 L3, and h(1) with [a, a†] = 1; the two [L3, L±] = ±L± relations
-    are checked for every kind.
+    the su(1,1)/h(1) matrices (`_relations`).
     """
     if not 1 <= int(interior) <= rep.dim:
         raise ValueError(f"interior must be in 1..{rep.dim}")
-    l3, lp, lm = rep.L3.bands, rep.Lplus.bands, rep.Lminus.bands
-    if isinstance(rep.kind, Heisenberg):
-        one = Bands.identity(rep.dim)
+    relations = _relations(rep.kind, rep.L3.bands, rep.Lplus.bands, rep.Lminus.bands,
+                           Bands.identity(rep.dim))
+    return evaluate(relations, np.arange(rep.dim) < int(interior))["relations_residual"]
+
+
+def relations_in_float_range(kind: Su2 | Su11, dim: int) -> bool:
+    """Whether the relation checks of the `kind` ladders on `dim` states stay in the float range.
+
+    Their table runs over `_ladder_envelopes`, at a cost that does not grow
+    with `dim`, before anything is built.
+    """
+    return in_float_range(_relations(kind, *_ladder_envelopes(kind, dim)))
+
+
+def _relations(kind: AlgebraKind, l3, lp, lm, one) -> list[Identity]:
+    """The defining relations of `kind`, over `Bands` or over `Envelope`s.
+
+    su(2) closes with [L+, L-] = +2 L3, su(1,1) with -2 L3, and h(1) with
+    [a, a†] = 1; the two [L3, L±] = ±L± relations hold for every kind.
+    """
+    if isinstance(kind, Heisenberg):
         closing = Identity("relations_residual", lambda: lm @ lp - lp @ lm - one)
     else:
-        sign = 2.0 if isinstance(rep.kind, Su2) else -2.0
+        sign = 2.0 if isinstance(kind, Su2) else -2.0
         closing = Identity("relations_residual", lambda: lp @ lm - lm @ lp - sign * l3)
-    relations = [
+    return [
         Identity("relations_residual", lambda: l3 @ lp - lp @ l3 - lp),
         Identity("relations_residual", lambda: l3 @ lm - lm @ l3 + lm),
         closing,
     ]
-    return evaluate(relations, np.arange(rep.dim) < int(interior))["relations_residual"]
+
+
+def _ladder_envelopes(kind: Su2 | Su11, dim: int | None = None) -> tuple[Envelope, ...]:
+    """L3, L+, L- and 1 of the `kind` ladders as `Envelope`s, each from its largest entry.
+
+    su(2): |n - l| <= l, and sqrt((2l - n)(n + 1)) <= l + 1/2 by the mean of
+    its two factors.  The discrete series cut at `dim` states: its top
+    elements, L3 at n = dim - 1 and L+- at n = dim - 2.
+    """
+    if isinstance(kind, Su2):
+        top, step = kind.l, kind.l + 0.5
+    else:
+        top = discrete_series_elements(kind.k, dim - 1.0)[0]
+        step = float(discrete_series_elements(kind.k, dim - 2.0)[1])
+    lp = Envelope({-1: step})
+    return Envelope({0: top}), lp, lp.adjoint(), Envelope({0: 1.0})

@@ -179,7 +179,14 @@ def _element_groups(ops) -> list[tuple]:
 
 
 def cmd_rep(args) -> CommandResult:
-    from .algebra import build_h1_rep, build_su2_rep, build_su11_rep, check_algebra_relations
+    from .algebra import (
+        Su11,
+        build_h1_rep,
+        build_su2_rep,
+        build_su11_rep,
+        check_algebra_relations,
+        relations_in_float_range,
+    )
     from .writer import CommandResult
 
     if args.algebra == "su2":
@@ -190,15 +197,11 @@ def cmd_rep(args) -> CommandResult:
     elif args.algebra == "su11":
         if args.k is None or args.dim is None:
             raise ValueError("su11 requires --k and --dim")
-        # L3 reaches k + dim - 1 and L+- reach sqrt(ladder), ladder = (2k + dim - 2)(dim - 1),
-        # so the relation checks form entries up to twice their product, and L+ L- plus 2 L3;
-        # a 2k beyond the float range, or a ladder not above 0, is a k the build refuses
-        top, ladder = args.k + args.dim - 1, (2.0 * args.k + args.dim - 2) * (args.dim - 1)
-        if (math.isfinite(2.0 * args.k) and ladder > 0
-                and not math.isfinite(max(2.0 * top * math.sqrt(ladder), ladder + 2.0 * top))):
+        kind = _flagged("--k / --dim", Su11, args.k)
+        if not relations_in_float_range(kind, args.dim):
             raise ValueError(f"--k / --dim: k = {args.k!r} at dim {args.dim} puts the "
                              "relation checks beyond the float range")
-        rep = _flagged("--k / --dim", build_su11_rep, args.k, args.dim)
+        rep = build_su11_rep(kind.k, args.dim)
         default_interior = rep.dim - 1
     else:
         if args.dim is None:
@@ -218,8 +221,13 @@ def cmd_rep(args) -> CommandResult:
 def cmd_contract(args) -> CommandResult:
     import numpy as np
 
-    from .algebra import build_h1_rep, build_su2_rep, build_su11_rep
-    from .contraction import deformed_identity_residuals, holstein_primakoff, run_contraction_study
+    from .algebra import Su2, build_h1_rep, build_su2_rep, build_su11_rep
+    from .contraction import (
+        deformed_identities_in_float_range,
+        deformed_identity_residuals,
+        holstein_primakoff,
+        run_contraction_study,
+    )
     from .operators import Identity, evaluate
     from .writer import CommandResult, Periodic
 
@@ -240,17 +248,13 @@ def cmd_contract(args) -> CommandResult:
     if args.identities:
         if args.l is None:
             raise ValueError("--identities requires --l")
-        rep = _flagged("--l", build_su2_rep, args.l)
-        # x = alpha L1 has entries up to alpha (l + 1/2)/2, with alpha^2 = tau/pi, so x^2
-        # reaches tau (l + 1/2)^2 / (2 pi); H = omega (L3 + l + 1/2) reaches 2 pi/tau, so
-        # omega^2/4 + H^2 stays below 2 (2 pi/tau)^2, which also bounds p^2 and omega^2 x^2;
-        # and omega = 2 pi/((2l + 1) tau) underflows unless (2l + 1) tau is finite
-        width, rate = args.l + 0.5, 2.0 * math.pi / args.tau
-        if not math.isfinite(max(args.tau / (2.0 * math.pi) * width * width, 2.0 * rate * rate,
-                                 2.0 * width * args.tau)):
+        kind = _flagged("--l", Su2, args.l)
+        # omega = 2 pi/((2l + 1) tau) underflows unless (2l + 1) tau is finite
+        if not (math.isfinite(2.0 * (kind.l + 0.5) * args.tau)
+                and deformed_identities_in_float_range(kind.l, args.tau)):
             raise ValueError(f"--l {args.l!r} / --tau {args.tau!r}: the identity checks "
                              "leave the float range")
-        residuals = deformed_identity_residuals(rep, args.tau)
+        residuals = deformed_identity_residuals(build_su2_rep(kind.l), args.tau)
         count = len(residuals)
         return CommandResult(
             columns=("l", "tau", "identity", "residual"),
@@ -473,6 +477,7 @@ def cmd_schwinger(args) -> CommandResult:
         DissipativeParams,
         build_two_mode,
         casimir_interior_residual,
+        dissipative_in_float_range,
         dissipative_residuals,
         l2_relation_check,
         sector_match_residual,
@@ -480,6 +485,7 @@ def cmd_schwinger(args) -> CommandResult:
     )
     from .writer import CommandResult
 
+    selected, params = args.check, DissipativeParams(args.Omega, args.Gamma)
     if args.dump:
         if args.sector is None:
             raise ValueError("--dump requires --sector")
@@ -487,6 +493,11 @@ def cmd_schwinger(args) -> CommandResult:
         if not ((2 * args.sector).is_integer() and abs(2 * args.sector) <= args.nmax):
             raise ValueError(f"--sector: no sector with j = {args.sector} at --nmax {args.nmax} "
                              f"(2j must be an integer with |2j| <= nmax)")
+    elif selected in ("all", "l2") and args.nmax < 2:
+        raise ValueError("--check all/l2 need --nmax >= 2")
+    elif selected in ("all", "hamiltonian") and not dissipative_in_float_range(args.nmax, params):
+        raise ValueError(f"--Omega {args.Omega!r} / --Gamma {args.Gamma!r}: the dissipative "
+                         f"checks at --nmax {args.nmax} reach beyond the float range")
     space = build_two_mode(args.nmax)
 
     if args.dump:
@@ -497,24 +508,12 @@ def cmd_schwinger(args) -> CommandResult:
             checks={"sector_j": args.sector, "sector_size": rep.dim, "induced_k": rep.kind.k},
         )
 
-    selected = args.check
-    if selected in ("all", "l2") and args.nmax < 2:
-        raise ValueError("--check all/l2 need --nmax >= 2")
-    if selected in ("all", "hamiltonian"):
-        # H0 and HI have entries up to |Omega| nmax and |Gamma| nmax, and H0 is
-        # diagonal, so no entry the dissipative checks form exceeds this
-        scale = 2.0 * space.n_max**2 * max(abs(args.Omega), abs(args.Gamma),
-                                           abs(args.Omega * args.Gamma))
-        if not math.isfinite(scale):
-            raise ValueError(f"--Omega {args.Omega!r} / --Gamma {args.Gamma!r}: the dissipative "
-                             f"checks at --nmax {args.nmax} reach beyond the float range")
     checks: dict[str, object] = {}
     if selected in ("all", "casimir"):
         checks["casimir_interior"] = casimir_interior_residual(space)
     if selected in ("all", "sectors"):
         checks["sector_match"] = sector_match_residual(space)
     if selected in ("all", "hamiltonian"):
-        params = DissipativeParams(args.Omega, args.Gamma)
         checks.update(dissipative_residuals(space, params))
     if selected in ("all", "l2"):
         res1, res2 = l2_relation_check(space, space.n_max)

@@ -21,11 +21,12 @@ from .algebra import (
     LadderRep,
     Su2,
     Su11,
+    _ladder_envelopes,
     _leading_su2,
     build_su11_rep,
     cartesian_generators,
 )
-from .operators import Bands, Identity, OperatorMatrix, evaluate
+from .operators import Bands, Identity, OperatorMatrix, evaluate, in_float_range
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,16 +175,28 @@ def position_momentum(rep: LadderRep, tau: float) -> tuple[OperatorMatrix, Opera
     alpha*beta = -2/(2l+1) enters the commutator identities; the sign
     convention is observable solely through the overall sign of p.
     """
-    if not isinstance(rep.kind, Su2):
-        raise ValueError("position/momentum analogues live on the su(2) representation")
-    if not (math.isfinite(tau) and tau > 0):
-        raise ValueError("tau must be positive and finite")
-    alpha = math.sqrt(tau / math.pi)
-    beta = -2.0 / (2.0 * rep.kind.l + 1.0) * math.sqrt(math.pi / tau)
-    if not (alpha > 0 and math.isfinite(beta)):
-        raise ValueError(f"tau {tau!r} puts alpha or beta outside the float range")
+    alpha, beta, _ = _checked_scales(rep, tau)
     l1, l2 = cartesian_generators(rep)
     return OperatorMatrix("x", alpha * l1.bands), OperatorMatrix("p", beta * l2.bands)
+
+
+def _checked_scales(rep: LadderRep, tau: float) -> tuple[float, float, float]:
+    """`_scales` of an su(2) rep at a positive finite tau whose alpha and beta are in range."""
+    if not isinstance(rep.kind, Su2):
+        raise ValueError("the deformed x, p and H live on the su(2) representation")
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError("tau must be positive and finite")
+    alpha, beta, omega = _scales(rep.kind.l, tau)
+    if not (alpha > 0 and math.isfinite(beta)):
+        raise ValueError(f"tau {tau!r} puts alpha or beta outside the float range")
+    return alpha, beta, omega
+
+
+def _scales(l: float, tau: float) -> tuple[float, float, float]:
+    """alpha = sqrt(tau/pi), beta = -2/(2l+1) sqrt(pi/tau) and omega = 2 pi/((2l+1) tau)."""
+    width = 2.0 * l + 1.0
+    return (math.sqrt(tau / math.pi), -2.0 / width * math.sqrt(math.pi / tau),
+            2.0 * math.pi / (width * tau))
 
 
 def su2_hamiltonian(rep: LadderRep, tau: float) -> OperatorMatrix:
@@ -192,43 +205,52 @@ def su2_hamiltonian(rep: LadderRep, tau: float) -> OperatorMatrix:
     The shift by l + 1/2 moves the L3 spectrum m = -l .. l onto n + 1/2, the
     cyclic-evolution energy ladder.
     """
-    if not isinstance(rep.kind, Su2):
-        raise ValueError("the oscillator-ladder Hamiltonian is defined on su(2)")
-    if not (math.isfinite(tau) and tau > 0):
-        raise ValueError("tau must be positive and finite")
-    omega = 2.0 * math.pi / (rep.dim * tau)
+    omega = _checked_scales(rep, tau)[2]
     h = omega * (rep.L3.bands + (rep.kind.l + 0.5) * Bands.identity(rep.dim))
     return OperatorMatrix("H", h)
 
 
-def _deformed_identities(rep: LadderRep, tau: float) -> list[Identity]:
-    """The deformed commutator and the Hamiltonian identity, over one build of x, p and H.
+def deformed_identity_residuals(rep: LadderRep, tau: float) -> dict[str, float]:
+    """Residuals of both deformed identities by name, `deformed_commutator` first.
 
+    rep and tau are checked as `position_momentum` checks them, and x, p and
+    H are built once for the two (`_deformed_identities`).
+    """
+    _checked_scales(rep, tau)
+    return evaluate(_deformed_identities(rep.kind.l, tau, rep.L3.bands, rep.Lplus.bands,
+                                         rep.Lminus.bands, Bands.identity(rep.dim)))
+
+
+def deformed_identities_in_float_range(l: float, tau: float) -> bool:
+    """Whether both deformed identities of spin l at time step tau stay in the float range.
+
+    Their table runs over the su(2) `_ladder_envelopes`, at a cost that does
+    not grow with l, before anything is built.
+    """
+    return in_float_range(_deformed_identities(l, tau, *_ladder_envelopes(Su2(l))))
+
+
+def _deformed_identities(l: float, tau: float, l3, lp, lm, one) -> list[Identity]:
+    """The deformed commutator and the Hamiltonian identity of spin l, over `Bands` or `Envelope`s.
+
+    x = alpha L1 and p = beta L2 are formed from the ladders as
+    `position_momentum` forms them, and H = omega (L3 + l + 1/2) as
+    `su2_hamiltonian` does, once for both identities.
     [x, p] = i (1 - (tau/pi) H) and
     H = (1/2) omega^2 x^2 + (1/2) p^2 + (tau/2pi)(omega^2/4 + H^2) are both
     exact on the irrep: the quadratic terms reduce through the Casimir
     L1^2 + L2^2 = l(l+1) - L3^2, and the correction term vanishes in the
     contraction limit on states of bounded energy.
     """
-    xhat, phat = position_momentum(rep, tau)
-    h = su2_hamiltonian(rep, tau)
-    omega = 2.0 * math.pi / (rep.dim * tau)
-    x, p, h = xhat.bands, phat.bands, h.bands
+    alpha, beta, omega = _scales(l, tau)
+    # L1 and L2 as `cartesian_generators` forms them
+    x, p = alpha * ((lp + lm) / 2.0), beta * ((lp - lm) / 2.0j)
+    h = omega * (l3 + (l + 0.5) * one)
     return [
-        Identity("deformed_commutator", lambda: (
-            x @ p - p @ x - 1j * (Bands.identity(rep.dim) - (tau / math.pi) * h))),
+        Identity("deformed_commutator", lambda: x @ p - p @ x - 1j * (one - (tau / math.pi) * h)),
         Identity("hamiltonian_decomposition", lambda: h - (
             0.5 * omega**2 * (x @ x)
             + 0.5 * (p @ p)
-            + (tau / (2.0 * math.pi)) * (omega**2 / 4.0 * Bands.identity(rep.dim) + h @ h)
+            + (tau / (2.0 * math.pi)) * (omega**2 / 4.0 * one + h @ h)
         )),
     ]
-
-
-def deformed_identity_residuals(rep: LadderRep, tau: float) -> dict[str, float]:
-    """Residuals of both deformed identities by name, `deformed_commutator` first.
-
-    x, p and H are built once for the two (`_deformed_identities`).
-    """
-    return evaluate(_deformed_identities(rep, tau))
-

@@ -17,11 +17,17 @@ compressed sparse row (CSR) arithmetic entry for entry.
 The band store is the only form an operator takes here: no function of the
 module accepts or returns a dense matrix.  Every gated identity is an
 `Identity` record, and `evaluate` reduces each to its max-entry residual.
+An identity table is a function of the operators it reads, so it also runs
+over `Envelope`s, a bound on |entry| per diagonal with the same arithmetic:
+`in_float_range` runs a table over the envelopes of its operators, at a cost
+that does not grow with the dimension, and says whether every entry and
+every partial sum the table forms over `Bands` stays finite.
 The module needs numpy alone.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
@@ -87,7 +93,8 @@ class Bands:
 
     @classmethod
     def identity(cls, dim: int) -> "Bands":
-        return cls(dim, {0: np.ones(dim)})
+        # one read-only 1.0 seen `dim` times, so a table may hold it at no cost
+        return cls(dim, {0: np.broadcast_to(1.0, dim)})
 
     def diagonal(self) -> np.ndarray:
         """The main diagonal, M[i, i]."""
@@ -223,8 +230,9 @@ def max_entry(bands: Bands, keep=None) -> float:
 class Identity:
     """One gated identity: the name it is reported under, its residual, and where it is read.
 
-    `residual()` forms lhs - rhs as a `Bands`.  `mask`, a boolean vector over
-    the basis, counts the entries whose row and column are both kept, as in
+    `residual()` forms lhs - rhs as a `Bands`, or as an `Envelope` when the
+    table is run over envelopes.  `mask`, a boolean vector over the basis,
+    counts the entries whose row and column are both kept, as in
     `max_entry`; with None the identity is read where `evaluate` is told.
     """
 
@@ -248,3 +256,53 @@ def evaluate(identities: Iterable[Identity], keep=None) -> dict[str, float]:
         peak = max_entry(identity.residual(), keep if identity.mask is None else identity.mask)
         values[identity.name] = float(np.maximum(values.get(identity.name, 0.0), peak))
     return values
+
+
+class Envelope(dict):
+    """A bound on the entries of an operator, by diagonal: {offset: bound on |entry|}.
+
+    The arithmetic of `Bands`, over bounds: `@` adds a[p] b[q] into offset
+    p + q, `+` and `-` add the two bounds, a scalar multiplies each bound by
+    its absolute value, and `adjoint` mirrors the offsets.  Each result
+    bounds every entry, and every partial sum of an entry, that the same
+    operation forms over operators within the operands' bounds.  The bounds
+    are Python floats, which overflow to inf without a warning.
+    """
+
+    def __matmul__(self, other: "Envelope") -> "Envelope":
+        product = Envelope()
+        for p, a in self.items():
+            for q, b in other.items():
+                product[p + q] = product.get(p + q, 0.0) + a * b
+        return product
+
+    def __add__(self, other: "Envelope") -> "Envelope":
+        return Envelope({offset: self.get(offset, 0.0) + other.get(offset, 0.0)
+                         for offset in self.keys() | other.keys()})
+
+    __sub__ = __add__
+
+    def __mul__(self, scalar) -> "Envelope":
+        return Envelope({offset: abs(scalar) * bound for offset, bound in self.items()})
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, scalar) -> "Envelope":
+        return self * (1 / scalar)
+
+    def adjoint(self) -> "Envelope":
+        return Envelope({-offset: bound for offset, bound in self.items()})
+
+
+def in_float_range(identities: Iterable[Identity]) -> bool:
+    """Whether a table run over `Envelope`s stays in the float range.
+
+    Every bound of every residual must be finite.  The table's own scalars
+    count too: one whose power overflows raises OverflowError, which reads
+    as out of range.
+    """
+    try:
+        return all(math.isfinite(bound) for identity in identities
+                   for bound in identity.residual().values())
+    except OverflowError:
+        return False

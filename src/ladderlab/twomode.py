@@ -32,7 +32,7 @@ from math import isfinite
 import numpy as np
 
 from .algebra import LadderRep, Su11, cartesian_generators, discrete_series_elements
-from .operators import Bands, Identity, OperatorMatrix, evaluate
+from .operators import Bands, Envelope, Identity, OperatorMatrix, evaluate, in_float_range
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,36 +213,59 @@ def dissipative_residuals(space: TwoModeSpace, p: DissipativeParams) -> dict[str
     sectors only: C is the nonnegative Casimir root, so the signed mode form
     can match it only where j >= 0.
     """
-    return evaluate(_dissipative_identities(space, p))
+    return evaluate(_dissipative_identities(p, space.Lplus.bands, space.Lminus.bands,
+                                            *_mode_operators(space.n_max)))
 
 
-def _dissipative_identities(space: TwoModeSpace, p: DissipativeParams):
+def dissipative_in_float_range(n_max: int, p: DissipativeParams) -> bool:
+    """Whether the dissipative checks at cutoff n_max stay in the float range.
+
+    Their table runs over `_mode_envelopes`, at a cost that does not grow
+    with n_max, before anything is built.
+    """
+    return in_float_range(_dissipative_identities(p, *_mode_envelopes(n_max)))
+
+
+def _mode_operators(n_max: int) -> tuple[Bands, Bands, np.ndarray, np.ndarray]:
+    """What the dissipative table reads besides the ladders, from the occupations.
+
+    A†A - B†B from sqrt(n_A)^2 - sqrt(n_B)^2, the Casimir root, and the
+    masks of j >= 0 and of the interior.
+    """
+    n_a, n_b = _mode_numbers(n_max)
+    root_a, root_b = np.sqrt(n_a), np.sqrt(n_b)
+    return (Bands.diag(root_a * root_a - root_b * root_b), _casimir_root(n_a, n_b), n_a >= n_b,
+            _interior_mask(n_a, n_b, n_max))
+
+
+def _mode_envelopes(n_max: int) -> tuple[Envelope, ...]:
+    """L+, L-, A†A - B†B and the Casimir root as `Envelope`s, from the occupations' top n_max.
+
+    sqrt(n_A n_B) <= n_max, |n_A - n_B| <= n_max and |j| <= n_max/2.
+    """
+    lp = Envelope({-1: float(n_max)})
+    return lp, lp.adjoint(), Envelope({0: float(n_max)}), Envelope({0: n_max / 2.0})
+
+
+def _dissipative_identities(p: DissipativeParams, lp, lm, modes, casimir, upper=None, keep=None):
     """The identities of `dissipative_residuals`, yielded one at a time in report order.
 
-    The H0·HI commutator's products are the largest operators formed here, so
-    the occupations are dropped once h0_vs_casimir, their last reader, is
-    yielded; L2 lives only within hi_vs_l2.
+    A function of the ladders, of the mode difference A†A - B†B and of the
+    Casimir root, over `Bands` with the masks j >= 0 (`upper`) and interior
+    (`keep`), or over `Envelope`s, which need no mask.  H0 = Omega (A†A - B†B)
+    and HI = i Gamma (L+ - L-).  The H0·HI commutator's products are the
+    largest operators formed here, so the occupation operators are dropped
+    once h0_vs_casimir, their last reader, is yielded; L2 lives only within
+    hi_vs_l2.
     """
-    n_a, n_b = _mode_numbers(space.n_max)
-    h0, hi = _dissipative_pieces(space, p, n_a, n_b)
-    keep = _interior_mask(n_a, n_b, space.n_max)
-    yield Identity("h0_vs_casimir", lambda: h0 - 2.0 * p.Omega * _casimir_root(n_a, n_b),
-                   n_a >= n_b)
-    del n_a, n_b
-    yield Identity("hi_vs_l2",
-                   lambda: hi - (-2.0 * p.Gamma) * cartesian_generators(space)[1].bands, keep)
+    h0, hi = p.Omega * modes, 1j * p.Gamma * (lp - lm)
+    yield Identity("h0_vs_casimir", lambda: h0 - 2.0 * p.Omega * casimir, upper)
+    del modes, casimir, upper
+    # L2 as `cartesian_generators` forms it
+    yield Identity("hi_vs_l2", lambda: hi - (-2.0 * p.Gamma) * ((lp - lm) / 2.0j), keep)
     yield Identity("h0_hermiticity", lambda: h0 - h0.adjoint())
     yield Identity("hi_hermiticity", lambda: hi - hi.adjoint())
     yield Identity("h0_hi_commutator", lambda: h0 @ hi - hi @ h0, keep)
-
-
-def _dissipative_pieces(space: TwoModeSpace, p: DissipativeParams, n_a: np.ndarray,
-                        n_b: np.ndarray) -> tuple[Bands, Bands]:
-    """H0 = Omega (A†A - B†B) from sqrt(n_A)^2 - sqrt(n_B)^2, and HI = i Gamma (L+ - L-)."""
-    root_a, root_b = np.sqrt(n_a), np.sqrt(n_b)
-    h0 = p.Omega * Bands.diag(root_a * root_a - root_b * root_b)
-    hi = 1j * p.Gamma * (space.Lplus.bands - space.Lminus.bands)
-    return h0, hi
 
 
 def l2_relation_check(target, interior: int) -> tuple[float, float]:

@@ -13,8 +13,10 @@ and that diagnostic against independent arithmetic, the
 object-integer touch angles check the closed orbits, and the whole su(2)
 irrep checks the contraction sweep, which builds only its leading levels;
 `scalar_power` is the phase chain that the band powers of the step operator
-form entry by entry; the raising wrappers and small helpers give tests dense
-and gated forms of the library's residuals.  scipy is imported here and
+form entry by entry; `Bounded` runs an identity table over `Bands` and their
+`Envelope`s at once, checking each operator the table forms against its
+bound; the raising wrappers and small helpers give tests dense and gated
+forms of the library's residuals.  scipy is imported here and
 nowhere in the package.
 """
 
@@ -27,7 +29,7 @@ from scipy.linalg import expm
 from ladderlab import twomode
 from ladderlab.algebra import LadderRep, build_su2_rep, cartesian_generators
 from ladderlab.contraction import contraction_deviation
-from ladderlab.operators import Bands, OperatorMatrix, max_entry
+from ladderlab.operators import Bands, Envelope, OperatorMatrix, max_entry
 from ladderlab.twomode import DissipativeParams, TwoModeSpace
 
 
@@ -124,6 +126,52 @@ def scalar_power(c: complex, n: int) -> complex:
     return power
 
 
+
+class Bounded:
+    """A `Bands` with the `Envelope` that must bound it; arithmetic runs on both at once.
+
+    Every result is checked as it is formed: each entry of its Bands lies
+    within the envelope's bound on its diagonal, and for a product so does
+    each entry of |A| |B|, which bounds every partial sum of that entry.
+    The slack is the rounding of the complex modulus and of the bounds
+    themselves.  So an identity table run over Bounded operators checks
+    every operator it forms, partial products included.
+    """
+
+    SLACK = 1.0 + 8 * np.finfo(float).eps
+
+    def __init__(self, bands: Bands, envelope: Envelope, partial: Bands | None = None) -> None:
+        for checked in (bands,) if partial is None else (bands, partial):
+            for offset, values in checked.diagonals.items():
+                peak = float(np.max(np.abs(values)))
+                assert peak <= envelope.get(offset, 0.0) * self.SLACK, (
+                    offset, peak, envelope)
+        self.bands, self.envelope = bands, envelope
+
+    def __matmul__(self, other: "Bounded") -> "Bounded":
+        magnitude = [Bands(x.bands.dim, {offset: np.abs(values)
+                                         for offset, values in x.bands.diagonals.items()})
+                     for x in (self, other)]
+        return Bounded(self.bands @ other.bands, self.envelope @ other.envelope,
+                       magnitude[0] @ magnitude[1])
+
+    def __add__(self, other: "Bounded") -> "Bounded":
+        return Bounded(self.bands + other.bands, self.envelope + other.envelope)
+
+    def __sub__(self, other: "Bounded") -> "Bounded":
+        return Bounded(self.bands - other.bands, self.envelope - other.envelope)
+
+    def __mul__(self, scalar) -> "Bounded":
+        return Bounded(self.bands * scalar, self.envelope * scalar)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, scalar) -> "Bounded":
+        return Bounded(self.bands / scalar, self.envelope / scalar)
+
+    def adjoint(self) -> "Bounded":
+        return Bounded(self.bands.adjoint(), self.envelope.adjoint())
+
 def csr(op: OperatorMatrix) -> sparse.csr_array:
     """Complex `scipy.sparse.csr_array` of an operator, in canonical form.
 
@@ -204,7 +252,8 @@ def dissipative_hamiltonian(
     worst = float(np.max(list(residuals.values())))  # a nan stays nan
     if not worst <= tol:
         raise ValueError(f"dissipative Hamiltonian identities breached: {worst:.3e}")
-    h0, hi = twomode._dissipative_pieces(space, p, *twomode._mode_numbers(space.n_max))
+    h0 = p.Omega * twomode._mode_operators(space.n_max)[0]
+    hi = 1j * p.Gamma * (space.Lplus.bands - space.Lminus.bands)
     return OperatorMatrix("H0", h0), OperatorMatrix("HI", hi)
 
 

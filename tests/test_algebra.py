@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ladderlab import (
     build_h1_rep,
@@ -9,8 +11,10 @@ from ladderlab import (
     build_su11_rep,
     check_algebra_relations,
 )
+from ladderlab import algebra
 from ladderlab.algebra import Heisenberg, Su2, Su11, cartesian_generators
-from oracles import dense, hermiticity_residual
+from ladderlab.operators import Bands
+from oracles import Bounded, dense, hermiticity_residual
 
 # Pauli-matrix oracle written in the |n> ordering (n=0 is m=-1/2, so the
 # textbook sigma2 and sigma3 pick up the basis flip).
@@ -201,3 +205,18 @@ class TestSharedContracts:
         assert isinstance(build_h1_rep(3).kind, Heisenberg)
         assert build_su11_rep(1, 4).kind == Su11(1)
         assert build_su2_rep(1).kind == Su2(1)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(kind=st.sampled_from(["su2", "su11"]), twice=st.integers(1, 24), dim=st.integers(2, 12),
+       exponent=st.integers(0, 120))
+def test_envelopes_bound_every_operator_the_relations_form(kind, twice, dim, exponent):
+    # su(2) at l = twice/2; the discrete series at k = (twice/2) 10^exponent on dim states
+    if kind == "su2":
+        rep = build_su2_rep(twice / 2)
+    else:
+        rep = build_su11_rep(twice / 2 * 10.0**exponent, dim)
+    operators = (rep.L3.bands, rep.Lplus.bands, rep.Lminus.bands, Bands.identity(rep.dim))
+    envelopes = algebra._ladder_envelopes(rep.kind, rep.dim)
+    for identity in algebra._relations(rep.kind, *map(Bounded, operators, envelopes)):
+        identity.residual()

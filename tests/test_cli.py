@@ -743,13 +743,18 @@ class TestInputValidation:
                              tmp_path, capsys)
         assert "--q-irr-add" in err and "--alpha" in err and "finite" in err
 
-    # a derived scale beyond the float range (Omega Gamma nmax^2, omega = 2 pi/(N tau),
-    # the touch times j pi/alpha, the curve phase beta t) is refused before the
-    # arithmetic that overflows, so no RuntimeWarning fires; each of these once
-    # exited 0 with inf, nan or 0.0 cells
+    # a derived scale beyond the float range (the dissipative table's envelope,
+    # omega = 2 pi/(N tau), the touch times j pi/alpha, the curve phase beta t) is
+    # refused before the arithmetic that overflows, so no RuntimeWarning fires; each
+    # of these once exited 0 with inf, nan or 0.0 cells.  With Omega = Gamma the
+    # dissipative table leaves the float range just above 4.7404e153 at nmax 2,
+    # 3.1603e152 at nmax 30 and 2.9993e150 at nmax 3161.
     @pytest.mark.parametrize("argv,flags", [
         (["schwinger", "--nmax", "3", "--check", "hamiltonian", "--Omega", "1e308",
           "--Gamma", "1e308"], ["--Omega", "--Gamma"]),
+        *((["schwinger", "--nmax", nmax, "--check", "hamiltonian", "--Omega", g, "--Gamma", g],
+           ["--Omega", "--Gamma", "--nmax"])
+          for nmax, g in [("2", "4.741e153"), ("30", "3.161e152"), ("3161", "3e150")]),
         (["evolve", "--N", "2", "--tau", "1e-320"], ["--N", "--tau"]),
         (["evolve", "--N", "2", "--tau", "1e308", "--units", "omega"], ["--N", "--tau"]),
         (["orbit", "--thooft-N", "7", "--alpha", "1e-308"], ["--alpha", "--thooft-N"]),
@@ -758,11 +763,13 @@ class TestInputValidation:
         # beta t overflows at the last curve sample: it once wrote nan curve cells
         (["orbit", "--two-circle", "--q-num", "1", "--q-den", "1", "--q-irr-add", "1e307",
           "--steps", "10", "--curve-samples", "3"], ["--q-irr-add", "--steps"]),
-    ], ids=["schwinger-Omega-Gamma", "evolve-small-tau", "evolve-zero-omega", "thooft-alpha",
+    ], ids=["schwinger-Omega-Gamma", "schwinger-edge-nmax-2", "schwinger-edge-nmax-30",
+            "schwinger-edge-nmax-3161", "evolve-small-tau", "evolve-zero-omega", "thooft-alpha",
             "two-circle-alpha", "two-circle-curve-phase"])
     def test_overflowing_scale_names_its_flags(self, argv, flags, tmp_path, capsys,
                                                monkeypatch):
-        for builder in ("twomode.dissipative_residuals", "evolution.spectrum_via_dft",
+        for builder in ("twomode.build_two_mode", "twomode.dissipative_residuals",
+                        "evolution.spectrum_via_dft",
                         "evolution.geometric_phase_check", "orbits.thooft_system",
                         "orbits.touch_points"):
             monkeypatch.setattr(f"ladderlab.{builder}", refuse_build)
@@ -772,10 +779,14 @@ class TestInputValidation:
     # contract --identities at both float ends: x^2 overflows at a huge tau, omega^2
     # and H^2 at a tiny one, and omega underflows to 0 once (2l + 1) tau overflows.
     # These exited 3 on an overflow or a lost H, 1 with an OverflowError traceback,
-    # or 2 with a message that named no flag.
+    # or 2 with a message that named no flag.  The table's envelope refuses a tau
+    # below 3.7048e-154 at l = 1/2, 4.3643e-154 at l = 3 and 4.6862e-154 at l = 10^5.
     @pytest.mark.parametrize("l,tau", [("3", "1e308"), ("3", "9e307"), ("3", "1e-160"),
-                                       ("3", "1e-300"), ("3", "5e-324"), ("100000", "1e300")])
+                                       ("3", "1e-300"), ("3", "5e-324"), ("100000", "1e300"),
+                                       ("3", "4e-154"), ("3", "4.3e-154"), ("0.5", "3.7e-154"),
+                                       ("100000", "4.68e-154")])
     def test_identity_scale_names_tau_and_l(self, l, tau, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("ladderlab.algebra.build_su2_rep", refuse_build)
         monkeypatch.setattr("ladderlab.contraction.deformed_identity_residuals", refuse_build)
         err = self._rejected(["contract", "--identities", "--l", l, "--tau", tau],
                              tmp_path, capsys)
@@ -788,34 +799,41 @@ class TestInputValidation:
                              tmp_path, capsys)
         assert "--tau" in err and "positive" in err
 
-    @pytest.mark.parametrize("l,tau", [("3", "2.5e307"), ("0.5", "8e307"), ("3", "1e-150")])
+    @pytest.mark.parametrize("l,tau", [("3", "2.5e307"), ("0.5", "8e307"), ("3", "1e-150"),
+                                       ("3", "5e-154"), ("3", "4.4e-154"), ("0.5", "3.71e-154"),
+                                       ("100000", "4.69e-154")])
     def test_identity_scale_inside_the_float_range_runs(self, l, tau, tmp_path, capsys):
         code, out, _ = run_cli(["contract", "--identities", "--l", l, "--tau", tau],
                                tmp_path, capsys)
-        assert code in (0, 3) and out.exists()  # 3: the fixed tolerance at 1e-150
+        # 3: the fixed tolerance, below the rounding of entries near 1e154 at a tiny tau
+        assert code in (0, 3) and out.exists()
 
     # rep --algebra su11 at a huge weight: L3 L+- leaves the float range in the relation
     # check, which once warned of an overflow, wrote relations_residual=nan and exited 3.
-    # At dim 3 the refusal starts between 1e205 and 1e206.
+    # The refusal starts just above k = 1.26407e205 at dim 3, 7.65655e204 at dim 10
+    # and 7.39231e202 at dim 10^7.
     @pytest.mark.parametrize("k,dim", [("1e206", "3"), ("1e300", "3"), ("1e307", "3"),
-                                       ("1e296", "10000000")])
+                                       ("1e296", "10000000"), ("1.265e205", "3"),
+                                       ("7.657e204", "10"), ("7.393e202", "10000000")])
     def test_su11_relation_scale_names_k_and_dim(self, k, dim, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("ladderlab.algebra.build_su11_rep", refuse_build)
         err = self._rejected(["rep", "--algebra", "su11", "--k", k, "--dim", dim],
                              tmp_path, capsys)
         assert err.startswith("ladderlab: --k / --dim: ") and "float range" in err
 
-    @pytest.mark.parametrize("k", ["1e200", "1e205"])
-    def test_su11_relation_scale_inside_the_float_range_runs(self, k, tmp_path, capsys):
-        code, out, _ = run_cli(["rep", "--algebra", "su11", "--k", k, "--dim", "3"],
+    @pytest.mark.parametrize("k,dim", [("1e200", "3"), ("1e205", "3"), ("1.264e205", "3"),
+                                       ("7.655e204", "10")])
+    def test_su11_relation_scale_inside_the_float_range_runs(self, k, dim, tmp_path, capsys):
+        code, out, _ = run_cli(["rep", "--algebra", "su11", "--k", k, "--dim", dim],
                                tmp_path, capsys)
         # 3: the fixed tolerance, far below the rounding of entries near 1e300
         assert code == 3 and math.isfinite(float(read_csv(out)[1]["relations_residual"]))
 
     def test_large_but_finite_scales_still_run(self, tmp_path, capsys):
-        code, _, _ = run_cli(["schwinger", "--nmax", "3", "--check", "hamiltonian",
-                              "--Omega", "1e150", "--Gamma", "1e150"], tmp_path, capsys)
-        assert code in (0, 3)
+        for nmax, g in [("3", "1e150"), ("2", "4.740e153"), ("30", "3.160e152")]:
+            code, _, _ = run_cli(["schwinger", "--nmax", nmax, "--check", "hamiltonian",
+                                  "--Omega", g, "--Gamma", g], tmp_path, capsys)
+            assert code in (0, 3)
         code, _, _ = run_cli(["orbit", "--thooft-N", "7", "--alpha", "1e-300"], tmp_path, capsys)
         assert code == 0
         code, _, _ = run_cli(["orbit", "--two-circle", "--q-num", "1", "--q-den", "1",
@@ -1068,8 +1086,8 @@ class TestReach:
     # lists), 15.3 MB for evolve at N = 2^18 and 60.1 MB at N = 2^20 (23.4
     # and 92.6 MB when U^N was formed by band products, 42.2 MB at 2^18 when
     # U was also held through the squarings) and 0.02 MB for the su(2) sweep
-    # (530 MB with each irrep built whole), on x86-64 with numpy 2.4; each
-    # bound leaves headroom
+    # (530 MB with each irrep built whole), on x86-64 with numpy 2.4, each
+    # after the warm-up of `_traced`; each bound leaves headroom
     PEAK_BOUND = 250e6
     HAMILTONIAN_PEAK_BOUND = 150e6
     DUMP_PEAK_BOUND = 60e6
@@ -1078,8 +1096,14 @@ class TestReach:
     SU2_SWEEP_PEAK_BOUND = 1e6
 
     @staticmethod
-    def _traced(argv, tmp_path, capsys):
-        import ladderlab.writer  # noqa: F401  loaded before tracing, so the peak is the run's own
+    def _traced(argv, warmup, tmp_path, capsys):
+        """Exit code, output path and tracemalloc peak of `argv`, after an untraced `warmup`.
+
+        The warm-up, a small argv of the same command and mode, makes the
+        imports and first-use allocations of that path, so the peak is the
+        run's own.
+        """
+        assert run_cli(warmup, tmp_path, capsys, name="warmup.csv")[0] == 0
         tracemalloc.start()
         try:
             code, out, _ = run_cli(argv, tmp_path, capsys)
@@ -1090,6 +1114,7 @@ class TestReach:
 
     def _run(self, check, tmp_path, capsys):
         code, out, peak = self._traced(["schwinger", "--nmax", "800", "--check", check],
+                                       ["schwinger", "--nmax", "2", "--check", check],
                                        tmp_path, capsys)
         # Exit 3 is the fixed 1e-12 gate sitting below the rounding error of exact
         # identities at this size, a false breach (ROADMAP open item 1).
@@ -1111,6 +1136,7 @@ class TestReach:
 
     def test_sector_dump_nmax_800(self, tmp_path, capsys):
         code, out, peak = self._traced(["schwinger", "--nmax", "800", "--sector", "3", "--dump"],
+                                       ["schwinger", "--nmax", "2", "--sector", "0", "--dump"],
                                        tmp_path, capsys)
         assert code == 0
         _, checks, header, rows = read_csv(out)
@@ -1123,7 +1149,7 @@ class TestReach:
         # --tolerance 1e-6: at these N the rounding of the phase passes the fixed
         # 1e-12 default, a false breach (ROADMAP open item 1)
         code, out, peak = self._traced(["evolve", "--N", str(n), "--tolerance", "1e-6"],
-                                       tmp_path, capsys)
+                                       ["evolve", "--N", "8"], tmp_path, capsys)
         assert code == 0
         _, checks, header, rows = read_csv(out)
         assert header == ["n", "energy"] and len(rows) == n
@@ -1139,7 +1165,8 @@ class TestReach:
 
     def test_su2_sweep_to_l_4e6(self, tmp_path, capsys):
         code, out, peak = self._traced(
-            ["contract", "--family", "su2", "--params", "50,1e5,1e6,4e6"], tmp_path, capsys)
+            ["contract", "--family", "su2", "--params", "50,1e5,1e6,4e6"],
+            ["contract", "--family", "su2", "--params", "5,10,20"], tmp_path, capsys)
         assert code == 0
         _, checks, _, rows = read_csv(out)
         assert len(rows) == 4 * 4

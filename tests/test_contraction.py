@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ladderlab import (
     build_h1_rep,
@@ -12,8 +14,11 @@ from ladderlab import (
     run_contraction_study,
     scaled_ladders,
 )
+from ladderlab import contraction
+from ladderlab.algebra import _ladder_envelopes
 from ladderlab.contraction import deformed_identity_residuals, position_momentum, su2_hamiltonian
-from oracles import anticommutator, dense, full_irrep_deviations, hermiticity_residual
+from ladderlab.operators import Bands
+from oracles import Bounded, anticommutator, dense, full_irrep_deviations, hermiticity_residual
 
 
 def basis_vector(dim, n):
@@ -285,3 +290,14 @@ class TestOperatorIdentities:
         after = np.sort(np.linalg.eigvalsh(dense(su2_hamiltonian(rep, tau=0.3))))
         assert np.array_equal(before, after)
         assert np.all(np.diff(before) > 0)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(twice=st.integers(1, 24), exponent=st.floats(-100.0, 100.0))
+def test_envelopes_bound_every_operator_the_deformed_identities_form(twice, exponent):
+    l, tau = twice / 2, 10.0**exponent
+    rep = build_su2_rep(l)
+    operators = (rep.L3.bands, rep.Lplus.bands, rep.Lminus.bands, Bands.identity(rep.dim))
+    envelopes = _ladder_envelopes(rep.kind, rep.dim)
+    for identity in contraction._deformed_identities(l, tau, *map(Bounded, operators, envelopes)):
+        identity.residual()

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ladderlab import (
     DissipativeParams,
@@ -23,6 +25,7 @@ from ladderlab.algebra import Su11
 from ladderlab.operators import OperatorMatrix
 import oracles
 from oracles import (
+    Bounded,
     bands_from_entries,
     casimir,
     csr,
@@ -98,11 +101,10 @@ class TestSectorOrder:
     @pytest.mark.parametrize("n_max", [1, 2, 7, 30])
     def test_every_two_mode_diagonal_is_tridiagonal(self, n_max):
         space = build_two_mode(n_max)
-        h0, hi = twomode._dissipative_pieces(space, DissipativeParams(Omega=1.3, Gamma=0.7),
-                                             *twomode._mode_numbers(n_max))
+        h0, hi = dissipative_hamiltonian(space, DissipativeParams(Omega=1.3, Gamma=0.7))
         stored = [space.Lplus.bands, space.Lminus.bands, space.L3.bands,
-                  twomode._casimir_root(*twomode._mode_numbers(n_max)), casimir(space).bands, h0,
-                  hi]
+                  twomode._casimir_root(*twomode._mode_numbers(n_max)), casimir(space).bands,
+                  h0.bands, hi.bands]
         for bands in stored:
             assert set(bands.diagonals) <= {-1, 0, 1}
 
@@ -474,3 +476,15 @@ def test_raising_wrappers_refuse_a_nan_residual(monkeypatch):
                         lambda *args: {"h0_vs_casimir": 0.0, "hi_vs_l2": math.nan})
     with pytest.raises(ValueError, match="dissipative"):
         dissipative_hamiltonian(space, DissipativeParams(Omega=1.0, Gamma=0.5))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(n_max=st.integers(1, 6), omega=st.floats(-1e150, 1e150),
+       exponent=st.floats(-100.0, 150.0))
+def test_envelopes_bound_every_operator_the_dissipative_table_forms(n_max, omega, exponent):
+    space, p = build_two_mode(n_max), DissipativeParams(omega, 10.0**exponent)
+    *operators, upper, keep = twomode._mode_operators(n_max)
+    bounded = map(Bounded, (space.Lplus.bands, space.Lminus.bands, *operators),
+                  twomode._mode_envelopes(n_max))
+    for identity in twomode._dissipative_identities(p, *bounded, upper, keep):
+        identity.residual()
