@@ -171,8 +171,13 @@ def cartesian_generators(rep) -> tuple[OperatorMatrix, OperatorMatrix]:
     """
     if isinstance(getattr(rep, "kind", None), Heisenberg):
         raise ValueError("cartesian generators are defined for the su(2)/su(1,1) ladders")
-    lp, lm = rep.Lplus.bands, rep.Lminus.bands
-    return OperatorMatrix("L1", (lp + lm) / 2.0), OperatorMatrix("L2", (lp - lm) / 2.0j)
+    l1, l2 = _cartesian(rep.Lplus.bands, rep.Lminus.bands)
+    return OperatorMatrix("L1", l1), OperatorMatrix("L2", l2)
+
+
+def _cartesian(lp, lm):
+    """L1 = (L+ + L-)/2 and L2 = (L+ - L-)/(2i), over `Bands` or `Envelope`s."""
+    return (lp + lm) / 2.0, (lp - lm) / 2.0j
 
 
 def check_algebra_relations(rep: LadderRep, interior: int) -> float:
@@ -184,8 +189,9 @@ def check_algebra_relations(rep: LadderRep, interior: int) -> float:
     """
     if not 1 <= int(interior) <= rep.dim:
         raise ValueError(f"interior must be in 1..{rep.dim}")
-    relations = _relations(rep.kind, rep.L3.bands, rep.Lplus.bands, rep.Lminus.bands,
-                           Bands.identity(rep.dim))
+    # only the h(1) relation reads the identity
+    one = Bands.identity(rep.dim) if isinstance(rep.kind, Heisenberg) else None
+    relations = _relations(rep.kind, rep.L3.bands, rep.Lplus.bands, rep.Lminus.bands, one)
     return evaluate(relations, np.arange(rep.dim) < int(interior))["relations_residual"]
 
 

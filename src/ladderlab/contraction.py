@@ -21,10 +21,10 @@ from .algebra import (
     LadderRep,
     Su2,
     Su11,
+    _cartesian,
     _ladder_envelopes,
     _leading_su2,
     build_su11_rep,
-    cartesian_generators,
 )
 from .operators import Bands, Identity, OperatorMatrix, evaluate, in_float_range
 
@@ -168,18 +168,6 @@ def holstein_primakoff(rep: LadderRep) -> tuple[OperatorMatrix, OperatorMatrix]:
     return a, adag
 
 
-def position_momentum(rep: LadderRep, tau: float) -> tuple[OperatorMatrix, OperatorMatrix]:
-    """Deformed position/momentum analogues x = alpha*L1, p = beta*L2 (both hermitian).
-
-    alpha = sqrt(tau/pi) and beta = -2/(2l+1) sqrt(pi/tau).  Only the product
-    alpha*beta = -2/(2l+1) enters the commutator identities; the sign
-    convention is observable solely through the overall sign of p.
-    """
-    alpha, beta, _ = _checked_scales(rep, tau)
-    l1, l2 = cartesian_generators(rep)
-    return OperatorMatrix("x", alpha * l1.bands), OperatorMatrix("p", beta * l2.bands)
-
-
 def _checked_scales(rep: LadderRep, tau: float) -> tuple[float, float, float]:
     """`_scales` of an su(2) rep at a positive finite tau whose alpha and beta are in range."""
     if not isinstance(rep.kind, Su2):
@@ -199,25 +187,14 @@ def _scales(l: float, tau: float) -> tuple[float, float, float]:
             2.0 * math.pi / (width * tau))
 
 
-def su2_hamiltonian(rep: LadderRep, tau: float) -> OperatorMatrix:
-    """H = omega (L3 + l + 1/2) with omega = 2 pi / ((2l+1) tau).
-
-    The shift by l + 1/2 moves the L3 spectrum m = -l .. l onto n + 1/2, the
-    cyclic-evolution energy ladder.
-    """
-    omega = _checked_scales(rep, tau)[2]
-    h = omega * (rep.L3.bands + (rep.kind.l + 0.5) * Bands.identity(rep.dim))
-    return OperatorMatrix("H", h)
-
-
 def deformed_identity_residuals(rep: LadderRep, tau: float) -> dict[str, float]:
     """Residuals of both deformed identities by name, `deformed_commutator` first.
 
-    rep and tau are checked as `position_momentum` checks them, and x, p and
-    H are built once for the two (`_deformed_identities`).
+    rep must be su(2), and tau positive and finite with alpha and beta in the
+    float range; x, p and H are built once for the two (`_deformed_identities`).
     """
-    _checked_scales(rep, tau)
-    return evaluate(_deformed_identities(rep.kind.l, tau, rep.L3.bands, rep.Lplus.bands,
+    scales = _checked_scales(rep, tau)
+    return evaluate(_deformed_identities(rep.kind.l, tau, scales, rep.L3.bands, rep.Lplus.bands,
                                          rep.Lminus.bands, Bands.identity(rep.dim)))
 
 
@@ -227,25 +204,36 @@ def deformed_identities_in_float_range(l: float, tau: float) -> bool:
     Their table runs over the su(2) `_ladder_envelopes`, at a cost that does
     not grow with l, before anything is built.
     """
-    return in_float_range(_deformed_identities(l, tau, *_ladder_envelopes(Su2(l))))
+    return in_float_range(_deformed_identities(l, tau, _scales(l, tau),
+                                               *_ladder_envelopes(Su2(l))))
 
 
-def _deformed_identities(l: float, tau: float, l3, lp, lm, one) -> list[Identity]:
+def _deformed_operators(l: float, scales, l3, lp, lm, one) -> tuple:
+    """x = alpha L1, p = beta L2 and H = omega (L3 + l + 1/2) of spin l, over `Bands` or `Envelope`s.
+
+    `scales` are (alpha, beta, omega) of `_scales`.  x and p are hermitian;
+    only the product alpha*beta = -2/(2l+1) enters the commutator
+    identities, so the sign convention is observable solely through the
+    overall sign of p.  The shift by l + 1/2 moves the L3 spectrum
+    m = -l .. l onto n + 1/2, the cyclic-evolution energy ladder.
+    """
+    alpha, beta, omega = scales
+    l1, l2 = _cartesian(lp, lm)
+    return alpha * l1, beta * l2, omega * (l3 + (l + 0.5) * one)
+
+
+def _deformed_identities(l: float, tau: float, scales, l3, lp, lm, one) -> list[Identity]:
     """The deformed commutator and the Hamiltonian identity of spin l, over `Bands` or `Envelope`s.
 
-    x = alpha L1 and p = beta L2 are formed from the ladders as
-    `position_momentum` forms them, and H = omega (L3 + l + 1/2) as
-    `su2_hamiltonian` does, once for both identities.
+    x, p and H are formed once for both identities (`_deformed_operators`).
     [x, p] = i (1 - (tau/pi) H) and
     H = (1/2) omega^2 x^2 + (1/2) p^2 + (tau/2pi)(omega^2/4 + H^2) are both
     exact on the irrep: the quadratic terms reduce through the Casimir
     L1^2 + L2^2 = l(l+1) - L3^2, and the correction term vanishes in the
     contraction limit on states of bounded energy.
     """
-    alpha, beta, omega = _scales(l, tau)
-    # L1 and L2 as `cartesian_generators` forms them
-    x, p = alpha * ((lp + lm) / 2.0), beta * ((lp - lm) / 2.0j)
-    h = omega * (l3 + (l + 0.5) * one)
+    omega = scales[2]
+    x, p, h = _deformed_operators(l, scales, l3, lp, lm, one)
     return [
         Identity("deformed_commutator", lambda: x @ p - p @ x - 1j * (one - (tau / math.pi) * h)),
         Identity("hamiltonian_decomposition", lambda: h - (

@@ -93,8 +93,7 @@ class Bands:
 
     @classmethod
     def identity(cls, dim: int) -> "Bands":
-        # one read-only 1.0 seen `dim` times, so a table may hold it at no cost
-        return cls(dim, {0: np.broadcast_to(1.0, dim)})
+        return cls(dim, {0: np.ones(dim)})
 
     def diagonal(self) -> np.ndarray:
         """The main diagonal, M[i, i]."""

@@ -31,7 +31,7 @@ from math import isfinite
 
 import numpy as np
 
-from .algebra import LadderRep, Su11, cartesian_generators, discrete_series_elements
+from .algebra import LadderRep, Su11, _cartesian, cartesian_generators, discrete_series_elements
 from .operators import Bands, Envelope, Identity, OperatorMatrix, evaluate, in_float_range
 
 
@@ -261,8 +261,7 @@ def _dissipative_identities(p: DissipativeParams, lp, lm, modes, casimir, upper=
     h0, hi = p.Omega * modes, 1j * p.Gamma * (lp - lm)
     yield Identity("h0_vs_casimir", lambda: h0 - 2.0 * p.Omega * casimir, upper)
     del modes, casimir, upper
-    # L2 as `cartesian_generators` forms it
-    yield Identity("hi_vs_l2", lambda: hi - (-2.0 * p.Gamma) * ((lp - lm) / 2.0j), keep)
+    yield Identity("hi_vs_l2", lambda: hi - (-2.0 * p.Gamma) * _cartesian(lp, lm)[1], keep)
     yield Identity("h0_hermiticity", lambda: h0 - h0.adjoint())
     yield Identity("hi_hermiticity", lambda: hi - hi.adjoint())
     yield Identity("h0_hi_commutator", lambda: h0 @ hi - hi @ h0, keep)

@@ -16,8 +16,8 @@ from ladderlab import (
 )
 from ladderlab import contraction
 from ladderlab.algebra import _ladder_envelopes
-from ladderlab.contraction import deformed_identity_residuals, position_momentum, su2_hamiltonian
-from ladderlab.operators import Bands
+from ladderlab.contraction import deformed_identity_residuals
+from ladderlab.operators import Bands, OperatorMatrix
 from oracles import Bounded, anticommutator, dense, full_irrep_deviations, hermiticity_residual
 
 
@@ -181,16 +181,24 @@ class TestHolsteinPrimakoff:
             holstein_primakoff(build_su2_rep(2))
 
 
+def deformed_operators(rep, tau):
+    """x, p and H of `rep` at tau, checked and built as `deformed_identity_residuals` builds them."""
+    operators = contraction._deformed_operators(
+        rep.kind.l, contraction._checked_scales(rep, tau),
+        rep.L3.bands, rep.Lplus.bands, rep.Lminus.bands, Bands.identity(rep.dim))
+    return [OperatorMatrix(label, bands) for label, bands in zip("xpH", operators)]
+
+
 class TestPositionMomentum:
     def test_hermitian(self):
-        xhat, phat = position_momentum(build_su2_rep(3), tau=0.7)
+        xhat, phat, _ = deformed_operators(build_su2_rep(3), tau=0.7)
         assert hermiticity_residual(xhat) < 1e-15
         assert hermiticity_residual(phat) < 1e-15
 
     def test_spin_half_tau_pi_oracle(self):
         # alpha = 1, beta = -1: x = sigma1/2, p = -sigma2/2, with the Pauli
         # matrices written in the |n> ordering (n=0 is m=-1/2)
-        xhat, phat = position_momentum(build_su2_rep(0.5), tau=math.pi)
+        xhat, phat, _ = deformed_operators(build_su2_rep(0.5), tau=math.pi)
         sigma1 = np.array([[0, 1], [1, 0]], dtype=complex)
         sigma2_flipped = np.array([[0, 1j], [-1j, 0]])
         assert np.max(np.abs(dense(xhat) - sigma1 / 2)) < 1e-15
@@ -202,7 +210,7 @@ class TestPositionMomentum:
         for tau in (0.01, 0.1, 1.0, math.pi):
             for l in (0.5, 3, 22.5):
                 rep = build_su2_rep(l)
-                xhat, phat = position_momentum(rep, tau)
+                xhat, phat, _ = deformed_operators(rep, tau)
                 x, p, lplus = (dense(op)[1, 0] for op in (xhat, phat, rep.Lplus))
                 product = 4j * x * p / lplus**2
                 assert abs(product * (2 * l + 1) / (-2) - 1.0) < 1e-14
@@ -211,11 +219,11 @@ class TestPositionMomentum:
         # at 5e-324 alpha underflows to 0 and beta overflows
         for tau in (-1.0, 0.0, math.nan, 5e-324):
             with pytest.raises(ValueError):
-                position_momentum(build_su2_rep(3), tau)
+                deformed_identity_residuals(build_su2_rep(3), tau)
 
     def test_requires_su2(self):
         with pytest.raises(ValueError):
-            position_momentum(build_su11_rep(1, 8), tau=1.0)
+            deformed_identity_residuals(build_su11_rep(1, 8), tau=1.0)
 
 
 def deformed_commutator_check(rep, tau):
@@ -234,9 +242,8 @@ class TestOperatorIdentities:
         # 2x2 oracle: [x, p] at l=1/2, tau=pi from hand-built matrices
         rep = build_su2_rep(0.5)
         tau = math.pi
-        xhat, phat = position_momentum(rep, tau)
-        lhs = dense(xhat) @ dense(phat) - dense(phat) @ dense(xhat)
-        h = dense(su2_hamiltonian(rep, tau))
+        xhat, phat, h = (dense(op) for op in deformed_operators(rep, tau))
+        lhs = xhat @ phat - phat @ xhat
         rhs = 1j * (np.eye(2) - (tau / math.pi) * h)
         assert np.max(np.abs(lhs - rhs)) < 1e-15
         # and the same matrices by hand: [sigma1/2, -sigma2/2] = -i sigma3/2
@@ -246,8 +253,8 @@ class TestOperatorIdentities:
     def test_deformation_visible_at_top_state(self):
         # eigenvalue of [x, p]/i is 1 - (2n+1)/N, negative at the top for l >= 1
         rep = build_su2_rep(6)
-        xhat, phat = position_momentum(rep, tau=0.5)
-        comm = (dense(xhat) @ dense(phat) - dense(phat) @ dense(xhat)) / 1j
+        xhat, phat, _ = (dense(op) for op in deformed_operators(rep, tau=0.5))
+        comm = (xhat @ phat - phat @ xhat) / 1j
         diag = np.diag(comm).real
         n = np.arange(rep.dim)
         assert np.allclose(diag, 1.0 - (2.0 * n + 1.0) / rep.dim, atol=1e-13)
@@ -272,7 +279,7 @@ class TestOperatorIdentities:
             big_n = int(2 * l + 1)
             tau = 2 * math.pi / big_n  # omega = 2 pi/(N tau) = 1
             rep = build_su2_rep(l)
-            h = dense(su2_hamiltonian(rep, tau))
+            h = dense(deformed_operators(rep, tau)[2])
             corr = (tau / (2 * math.pi)) * (1.0 / 4.0 * np.eye(big_n) + h @ h)
             e = basis_vector(big_n, n)
             return np.linalg.norm(corr @ e)
@@ -284,10 +291,10 @@ class TestOperatorIdentities:
     def test_energy_ordering_unchanged_by_scaling(self):
         # scaling touches only the off-diagonal ladders; H is untouched
         rep = build_su2_rep(4)
-        h = su2_hamiltonian(rep, tau=0.3)
+        h = deformed_operators(rep, tau=0.3)[2]
         before = np.sort(np.linalg.eigvalsh(dense(h)))
         scaled_ladders(rep)
-        after = np.sort(np.linalg.eigvalsh(dense(su2_hamiltonian(rep, tau=0.3))))
+        after = np.sort(np.linalg.eigvalsh(dense(deformed_operators(rep, tau=0.3)[2])))
         assert np.array_equal(before, after)
         assert np.all(np.diff(before) > 0)
 
@@ -299,5 +306,7 @@ def test_envelopes_bound_every_operator_the_deformed_identities_form(twice, expo
     rep = build_su2_rep(l)
     operators = (rep.L3.bands, rep.Lplus.bands, rep.Lminus.bands, Bands.identity(rep.dim))
     envelopes = _ladder_envelopes(rep.kind, rep.dim)
-    for identity in contraction._deformed_identities(l, tau, *map(Bounded, operators, envelopes)):
+    scales = contraction._scales(l, tau)
+    for identity in contraction._deformed_identities(l, tau, scales,
+                                                     *map(Bounded, operators, envelopes)):
         identity.residual()
