@@ -308,6 +308,17 @@ REFUSALS = [
     ["schwinger", "--nmax", "800", "--dump"],
     ["evolve", "--N", "x"],
     ["rep", "--algebra", "h1", "--dim", "5", "--tolerance", "-1"],
+    # a mode run without a flag it needs
+    ["rep", "--algebra", "su11", "--k", "1.5"],
+    ["rep", "--algebra", "su11", "--dim", "4"],
+    ["rep", "--algebra", "h1"],
+    ["contract", "--identities"],
+    ["contract", "--family", "su2"],
+    ["contract", "--family", "su2", "--params", ""],
+    ["orbit", "--two-circle"],
+    ["orbit", "--two-circle", "--q-num", "1"],
+    ["orbit", "--torus", "--rot1", "1"],
+    ["orbit", "--two-circle", "--alpha", "1e-308", "--steps", "10000000"],
 ]
 
 
