@@ -31,34 +31,7 @@ _SUBMODULES = {
 __version__ = "0.1.0"
 
 # The names the README documents; everything else lives in its module.
-__all__ = [
-    "DissipativeParams",
-    "EvolutionParams",
-    "Identity",
-    "OperatorMatrix",
-    "build_h1_rep",
-    "build_su2_rep",
-    "build_su11_rep",
-    "build_two_mode",
-    "casimir_interior_residual",
-    "check_algebra_relations",
-    "contraction_deviation",
-    "density_metrics",
-    "dissipative_residuals",
-    "evaluate",
-    "geometric_phase_check",
-    "holstein_primakoff",
-    "l2_relation_check",
-    "max_entry",
-    "run_contraction_study",
-    "scaled_ladders",
-    "sector_match_residual",
-    "sector_operators",
-    "simulate_torus",
-    "spectrum_via_dft",
-    "thooft_system",
-    "touch_points",
-]
+__all__ = sorted(_SUBMODULES)
 
 
 def __getattr__(name: str):

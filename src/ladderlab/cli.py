@@ -190,13 +190,9 @@ def cmd_rep(args) -> CommandResult:
     from .writer import CommandResult
 
     if args.algebra == "su2":
-        if args.l is None:
-            raise ValueError("su2 requires --l")
         rep = _flagged("--l", build_su2_rep, args.l)
         default_interior = rep.dim
     elif args.algebra == "su11":
-        if args.k is None or args.dim is None:
-            raise ValueError("su11 requires --k and --dim")
         kind = _flagged("--k / --dim", Su11, args.k)
         if not relations_in_float_range(kind, args.dim):
             raise ValueError(f"--k / --dim: k = {args.k!r} at dim {args.dim} puts the "
@@ -204,8 +200,6 @@ def cmd_rep(args) -> CommandResult:
         rep = build_su11_rep(kind.k, args.dim)
         default_interior = rep.dim - 1
     else:
-        if args.dim is None:
-            raise ValueError("h1 requires --dim")
         rep = build_h1_rep(args.dim)
         default_interior = rep.dim - 1
     interior = default_interior if args.interior is None else args.interior
@@ -246,8 +240,6 @@ def cmd_contract(args) -> CommandResult:
         )
 
     if args.identities:
-        if args.l is None:
-            raise ValueError("--identities requires --l")
         kind = _flagged("--l", Su2, args.l)
         # omega = 2 pi/((2l + 1) tau) underflows unless (2l + 1) tau is finite
         if not (math.isfinite(2.0 * (kind.l + 0.5) * args.tau)
@@ -263,8 +255,6 @@ def cmd_contract(args) -> CommandResult:
             gated=residuals,
         )
 
-    if not args.params:
-        raise ValueError("--family requires --params")
     params = _finite_list("--params", args.params)
     report = _flagged("--params / --n", run_contraction_study, args.family, params, args.n + 1)
     sweep, levels = len(report.params), report.interior
@@ -424,8 +414,6 @@ def cmd_orbit(args) -> CommandResult:
         dynamics = thooft_system(args.thooft_n, alpha=args.alpha)
         trace = touch_points(dynamics, args.thooft_n)
     else:
-        if args.q_num is None or args.q_den is None:
-            raise ValueError("--two-circle requires --q-num and --q-den")
         if args.q_den == 0:
             raise ValueError("--q-den must be nonzero")
         offset = _parse_offset(args.q_irr_add)
@@ -487,8 +475,6 @@ def cmd_schwinger(args) -> CommandResult:
 
     selected, params = args.check, DissipativeParams(args.Omega, args.Gamma)
     if args.dump:
-        if args.sector is None:
-            raise ValueError("--dump requires --sector")
         # j = (n_A - n_B)/2 with both occupations in 0 .. nmax
         if not ((2 * args.sector).is_integer() and abs(2 * args.sector) <= args.nmax):
             raise ValueError(f"--sector: no sector with j = {args.sector} at --nmax {args.nmax} "
@@ -527,27 +513,32 @@ def cmd_schwinger(args) -> CommandResult:
     )
 
 
-# The flags each mode of a command reads, by the mode: a flag that picks the mode
-# when set, or a flag and the value that picks it.  The first mode picked runs,
-# and refuses any other flag named here for its command that is set away from
-# its default, rather than ignore it.
+# The flags each mode of a command needs, then the other flags it reads, by the
+# mode: a flag that picks the mode when set, or a flag and the value that picks
+# it.  The first mode picked runs.  It refuses any other flag named here for its
+# command that is set away from its default, rather than ignore it, and then a
+# flag it needs that is left out.
 MODE_FLAGS = {
-    "rep": {"--algebra su2": ("--l",), "--algebra su11": ("--k", "--dim"),
-            "--algebra h1": ("--dim",)},
-    "contract": {"--family": ("--params", "--n"), "--hp": ("--dim",),
-                 "--identities": ("--l", "--tau")},
-    "orbit": {"--thooft-N": ("--alpha", "--curve-samples"),
-              "--two-circle": ("--alpha", "--curve-samples", "--steps", "--q-num", "--q-den",
-                               "--q-irr-add"),
-              "--torus": ("--steps", "--ratio", "--rot1", "--rot2", "--phi0")},
-    "schwinger": {"--dump": ("--sector",), "--check all": ("--Omega", "--Gamma"),
-                  "--check casimir": (), "--check sectors": (),
-                  "--check hamiltonian": ("--Omega", "--Gamma"), "--check l2": ()},
+    "rep": {"--algebra su2": (("--l",), ()), "--algebra su11": (("--k", "--dim"), ()),
+            "--algebra h1": (("--dim",), ())},
+    "contract": {"--family": (("--params",), ("--n",)), "--hp": ((), ("--dim",)),
+                 "--identities": (("--l",), ("--tau",))},
+    "orbit": {"--thooft-N": ((), ("--alpha", "--curve-samples")),
+              "--two-circle": (("--q-num", "--q-den"),
+                               ("--alpha", "--curve-samples", "--steps", "--q-irr-add")),
+              "--torus": ((), ("--steps", "--ratio", "--rot1", "--rot2", "--phi0"))},
+    "schwinger": {"--dump": (("--sector",), ()), "--check all": ((), ("--Omega", "--Gamma")),
+                  "--check casimir": ((), ()), "--check sectors": ((), ()),
+                  "--check hamiltonian": ((), ("--Omega", "--Gamma")), "--check l2": ((), ())},
 }
 
 
 def _refuse_unread_flags(args) -> None:
-    """Raise if the mode run ignores a flag of `MODE_FLAGS` set away from its parser default."""
+    """Raise if the mode run ignores a set flag of `MODE_FLAGS`, or leaves out one it needs.
+
+    A flag is set when its value differs from its parser default; a needed
+    flag is left out when its value is None or "".
+    """
     modes = MODE_FLAGS.get(args.command, {})
     (commands,) = [action for action in _parser_tree()._actions
                    if isinstance(action, argparse._SubParsersAction)]
@@ -559,14 +550,16 @@ def _refuse_unread_flags(args) -> None:
         value = getattr(args, actions[flag].dest)
         return value == choice if choice else value != actions[flag].default
 
-    for mode, read in modes.items():
+    for mode, (needs, reads) in modes.items():
         if set_to(*mode.split()):
-            read = {mode.split()[0], *read}
-            for key, flags in modes.items():
-                for flag in (key.split()[0], *flags):
+            read = {mode.split()[0], *needs, *reads}
+            for key, (key_needs, key_reads) in modes.items():
+                for flag in (key.split()[0], *key_needs, *key_reads):
                     if flag not in read and set_to(flag):
                         raise ValueError(f"{flag} is not read by {args.command} {mode}; "
                                          "leave it out")
+            if any(getattr(args, actions[flag].dest) in (None, "") for flag in needs):
+                raise ValueError(f"{mode.split()[-1]} requires {' and '.join(needs)}")
             return
 
 

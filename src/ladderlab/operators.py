@@ -75,9 +75,9 @@ class Bands:
 
     Each `values` is a float or complex vector of length `dim`, zero where
     i + offset falls outside 0 .. dim-1; an absent offset is an all-zero
-    diagonal.  Arithmetic (`@` with a Bands or a vector, `+`, `-`, and `*`
-    or `/` by a scalar) returns a new Bands and may share vectors with its
-    inputs, so treat every Bands as read-only.
+    diagonal.  Arithmetic (`@` with a Bands, `+`, `-`, and `*` or `/` by a
+    scalar) returns a new Bands and may share vectors with its inputs, so
+    treat every Bands as read-only.
     """
 
     __slots__ = ("dim", "diagonals")
@@ -103,20 +103,14 @@ class Bands:
         if other.dim != self.dim:
             raise ValueError(f"dimension mismatch: {self.dim} and {other.dim}")
 
-    def __matmul__(self, other):
-        """Matrix product; a 1-D array on the right gives the matrix-vector product.
+    def __matmul__(self, other: "Bands") -> "Bands":
+        """Matrix product with another Bands of the same dimension.
 
         (AB)[i, i + p + q] collects A[i, i + p] B[i + p, i + p + q] over the
         pairs of offsets (p, q), on the rows where both factors exist; each
         entry starts at zero and adds its terms in ascending p, the order of
         the inner index.
         """
-        if isinstance(other, np.ndarray):
-            out = np.zeros(self.dim, dtype=np.result_type(other, *self.diagonals.values()))
-            for offset, values in sorted(self.diagonals.items()):
-                rows = _rows(self.dim, offset)
-                out[rows] += _times(values[rows], _at(other, rows, offset))
-            return out
         self._require_dim(other)
         dtype = np.result_type(float, *self.diagonals.values(), *other.diagonals.values())
         product = {}

@@ -193,44 +193,14 @@ def _fixed_notation(values: np.ndarray) -> np.ndarray:
     return ((magnitude >= 1e-4) & (magnitude < 1e16)) | (values == 0)
 
 
-def _exact_cells(values, kind: type) -> list[str]:
-    """The `repr` of each value of a sequence whose values are all of type `kind`, float or int."""
-    import numpy as np
-
-    array = np.array(values)
-    # ints beyond int64 become an object array, or float64 when both signs
-    # are present; those keep int.__repr__
-    if kind is float or array.dtype.kind in "iu":
-        return _numeric_cells(array)
-    return list(map(int.__repr__, values))
-
-
-def _csv_column(values) -> list[str]:
-    """`_fmt` of each value; a column of one exact type is formatted in one pass."""
-    kinds = set(map(type, values))
-    if kinds == {float} or kinds == {int}:
-        return _exact_cells(values, *kinds)
-    if kinds == {str}:
-        return list(values)
-    return list(map(_fmt, values))
-
-
-def _json_column(values) -> list[str]:
-    """Each value as `json.dumps` writes it after `_json_safe` (NaN as null)."""
-    kinds = set(map(type, values))
-    if (kinds == {float} and all(map(math.isfinite, values))) or kinds == {int}:
-        return _exact_cells(values, *kinds)
-    if kinds == {str}:
-        return list(map(json.encoder.encode_basestring_ascii, values))
-    return [json.dumps(_json_safe(v)) for v in values]
-
-
 def _cells(values, fmt: str) -> list[str]:
     """The formatted cells of a column slice, a numpy array or a sequence.
 
-    A float or integer array is formatted whole by `_numeric_cells`; JSON
-    leaves a float array with nan or inf to `_json_column`, which writes
-    NaN as null.
+    A float or integer array is formatted whole by `_numeric_cells`.  Any
+    other slice, and in JSON a float array with nan or inf, is formatted a
+    cell at a time: by `_fmt` for CSV, and for JSON as `json.dumps` writes
+    it after `_json_safe`, which writes NaN as null.  No long column is such
+    a slice: the longest list a command builds has nine cells.
     """
     import numpy as np
 
@@ -239,7 +209,9 @@ def _cells(values, fmt: str) -> list[str]:
         if kind in "iu" or (kind == "f" and (fmt == "csv" or np.isfinite(values).all())):
             return _numeric_cells(values)
         values = values.tolist()
-    return _csv_column(values) if fmt == "csv" else _json_column(values)
+    if fmt == "csv":
+        return list(map(_fmt, values))
+    return [json.dumps(_json_safe(value)) for value in values]
 
 
 def _periodic_slice(period: list, start: int, stop: int) -> list:

@@ -12,10 +12,10 @@ from `math.fmod`, *, +, / and `np.floor` (`orbits._rotations`), and their
 gaps only from a sort and subtractions.  `evolve`, the other `orbit` modes
 and `contract --family` go through exp, sin, cos, log and LAPACK, whose
 last bit may differ between builds, so none of their output files is
-here.  Every argv `tests/test_cli.py` expects to exit 2 is
-here as well, whatever its subcommand: it writes no file, and its refusal
-text is what is compared.  So are both sides of the float-range edge of each
-parameter-scaled identity table.
+here.  Every argv `tests/test_cli.py` expects to exit 2 is here as well,
+whatever its subcommand (its `run_refused` fails on one that is not): it
+writes no file, and its refusal text is what is compared.  So are both
+sides of the float-range edge of each parameter-scaled identity table.
 
 `manifest.json` holds, for each argv, the exit code, the stderr and the
 sha256 of the one file the run writes (null when it writes none).  The

@@ -269,6 +269,7 @@ def dense_l2_finite_ratios(target, interior: int) -> dict[int, float]:
         keep = np.arange(target.dim) < interior
     l1, l2 = (op.bands for op in cartesian_generators(target))
     grow = dense(matrix_exponential(OperatorMatrix("piL1/2", (pi / 2.0) * l1)))
+    l2 = dense(l2)
     weights = target.L3.bands.diagonal()
     ratios = {}
     for state in np.flatnonzero(keep).tolist():

@@ -80,15 +80,6 @@ def test_sum_difference_and_scalar_multiple(pair, scalar):
     assert np.array_equal(dense(a.adjoint()), dense(a).conj().T)
 
 
-@settings(max_examples=100, deadline=None)
-@given(a=band_operators(), data=st.data())
-def test_matrix_vector_product(a, data):
-    x = np.array(data.draw(st.lists(values_, min_size=a.dim, max_size=a.dim)))
-    got, m = a @ x, dense(a)
-    want = m.real @ x + 1j * (m.imag @ x)
-    assert np.all(np.abs(got - want) <= 4 * EPS * (np.abs(m) @ np.abs(x)))
-
-
 @settings(max_examples=150, deadline=None)
 @given(a=band_operators(), data=st.data())
 def test_masked_max_entry_and_restriction(a, data):

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import math
@@ -11,8 +12,13 @@ import numpy as np
 import pytest
 
 import ladderlab
+from golden.regen import MANIFEST
 from ladderlab import cli, orbits
 from ladderlab.cli import main
+
+# each argv of the byte-identity corpus, `golden/manifest.json`, and its exit code
+CORPUS_EXITS = {tuple(case["argv"]): case["exit"]
+                for case in json.loads(MANIFEST.read_text(encoding="utf-8"))}
 
 
 def run_cli(args, tmp_path, capsys, name="out.csv"):
@@ -20,6 +26,18 @@ def run_cli(args, tmp_path, capsys, name="out.csv"):
     code = main(args + ["--out", str(out)])
     captured = capsys.readouterr()
     return code, out, captured
+
+
+def run_refused(args, tmp_path, capsys) -> str:
+    """Run `args`, which must exit 2 and write no file, and return its stderr.
+
+    The byte-identity corpus must hold `args` as a refusal too, which pins its
+    text: a missing one is added to REFUSALS in `golden/regen.py`.
+    """
+    code, out, captured = run_cli(args, tmp_path, capsys)
+    assert code == 2 and not out.exists(), captured.err
+    assert CORPUS_EXITS.get(tuple(args)) == 2, f"{args} is not a refusal of the corpus"
+    return captured.err
 
 
 def run_module(argv, code=None):
@@ -74,22 +92,18 @@ class TestRep:
         assert abs(lplus[("4", "3")] - 4.0) < 1e-12
 
     def test_invalid_weight_exits_2(self, tmp_path, capsys):
-        code, _, captured = run_cli(
-            ["rep", "--algebra", "su11", "--k", "0.2", "--dim", "10"], tmp_path, capsys
-        )
-        assert code == 2
-        assert "half-integer" in captured.err
+        err = run_refused(["rep", "--algebra", "su11", "--k", "0.2", "--dim", "10"], tmp_path,
+                          capsys)
+        assert "half-integer" in err
 
     def test_missing_param_exits_2(self, tmp_path, capsys):
-        code, _, _ = run_cli(["rep", "--algebra", "su2"], tmp_path, capsys)
-        assert code == 2
+        run_refused(["rep", "--algebra", "su2"], tmp_path, capsys)
 
     def test_overflowing_weight_exits_2(self, tmp_path, capsys):
         # 2 * 1e308 overflows; this once ended in an OverflowError traceback, exit 1
-        code, out, captured = run_cli(["rep", "--algebra", "su11", "--k", "1e308", "--dim", "4"],
-                                      tmp_path, capsys)
-        assert code == 2 and not out.exists()
-        assert "--k" in captured.err and "finite" in captured.err
+        err = run_refused(["rep", "--algebra", "su11", "--k", "1e308", "--dim", "4"], tmp_path,
+                          capsys)
+        assert "--k" in err and "finite" in err
 
     def test_contaminated_interior_breaches(self, tmp_path, capsys):
         code, out, captured = run_cli(
@@ -134,10 +148,7 @@ class TestContract:
         assert residuals["hamiltonian_decomposition"] < 1e-12
 
     def test_mode_exclusivity(self, tmp_path, capsys):
-        code, _, _ = run_cli(
-            ["contract", "--hp", "--identities", "--l", "3"], tmp_path, capsys
-        )
-        assert code == 2
+        run_refused(["contract", "--hp", "--identities", "--l", "3"], tmp_path, capsys)
 
     def test_su2_label_past_memory_runs(self, tmp_path, capsys):
         # l = 1e12 is an irrep of 2e12 + 1 states; building it once died with a
@@ -152,10 +163,9 @@ class TestContract:
     @pytest.mark.parametrize("family", ["su2", "su11"])
     def test_overflowing_label_exits_2(self, family, tmp_path, capsys):
         # 2 * 1e308 overflows; this once ended in an OverflowError traceback, exit 1
-        code, out, captured = run_cli(["contract", "--family", family, "--params", "5,1e308"],
-                                      tmp_path, capsys)
-        assert code == 2 and not out.exists()
-        assert "--params" in captured.err and "finite" in captured.err
+        err = run_refused(["contract", "--family", family, "--params", "5,1e308"], tmp_path,
+                          capsys)
+        assert "--params" in err and "finite" in err
 
 
 class TestEvolve:
@@ -188,8 +198,7 @@ class TestEvolve:
         )
 
     def test_single_state_exits_2(self, tmp_path, capsys):
-        code, _, _ = run_cli(["evolve", "--N", "1"], tmp_path, capsys)
-        assert code == 2
+        run_refused(["evolve", "--N", "1"], tmp_path, capsys)
 
 
 class TestOrbit:
@@ -224,10 +233,7 @@ class TestOrbit:
         assert len([r for r in rows if r["record"] == "touch"]) == 200
 
     def test_two_circle_rational_above_one_rejected(self, tmp_path, capsys):
-        code, _, _ = run_cli(
-            ["orbit", "--two-circle", "--q-num", "5", "--q-den", "3"], tmp_path, capsys
-        )
-        assert code == 2
+        run_refused(["orbit", "--two-circle", "--q-num", "5", "--q-den", "3"], tmp_path, capsys)
 
     def test_torus_golden(self, tmp_path, capsys):
         code, out, _ = run_cli(
@@ -243,21 +249,17 @@ class TestOrbit:
         assert float(checks["max_gap_2"]) < 1e-2
 
     def test_rational_int64_overflow_exits_2(self, tmp_path, capsys):
-        code, out, captured = run_cli(
+        err = run_refused(
             ["orbit", "--two-circle", "--q-num", "1", "--q-den", str(2**62), "--steps", "3"],
             tmp_path, capsys,
         )
-        assert code == 2
-        assert "below 2**63" in captured.err
-        assert not out.exists()
+        assert "below 2**63" in err
 
     def test_torus_needs_rotations(self, tmp_path, capsys):
-        code, _, _ = run_cli(["orbit", "--torus"], tmp_path, capsys)
-        assert code == 2
+        run_refused(["orbit", "--torus"], tmp_path, capsys)
 
     def test_mode_exclusivity(self, tmp_path, capsys):
-        code, _, _ = run_cli(["orbit", "--thooft-N", "7", "--torus"], tmp_path, capsys)
-        assert code == 2
+        run_refused(["orbit", "--thooft-N", "7", "--torus"], tmp_path, capsys)
 
 
 class TestRowLimit:
@@ -284,10 +286,8 @@ class TestRowLimit:
         (["evolve", "--N", str(cli.MAX_ROWS + 1)], "--N"),
     ])
     def test_rejected(self, argv, flag, tmp_path, capsys):
-        code, out, captured = run_cli(argv, tmp_path, capsys)
-        assert code == 2
-        assert f"argument {flag}: at most {cli.MAX_ROWS} rows" in captured.err
-        assert not out.exists()
+        err = run_refused(argv, tmp_path, capsys)
+        assert f"argument {flag}: at most {cli.MAX_ROWS} rows" in err
 
     def test_limit_itself_parses(self):
         args = cli.build_parser().parse_args(
@@ -313,10 +313,8 @@ class TestRowLimit:
                         "twomode.build_two_mode"):
             monkeypatch.setattr(f"ladderlab.{builder}", refuse_build)
         for text in (str(ceiling + 1), str(10**18)):
-            code, out, captured = run_cli([*argv, text], tmp_path, capsys)
-            assert code == 2
-            assert f"argument {flag}: at most {ceiling}" in captured.err
-            assert not out.exists()
+            err = run_refused([*argv, text], tmp_path, capsys)
+            assert f"argument {flag}: at most {ceiling}" in err
 
     def test_operator_ceilings_parse(self):
         parse = cli.build_parser().parse_args
@@ -357,17 +355,12 @@ class TestSchwinger:
         assert np.allclose(lminus, np.arange(1, 9), atol=1e-12)
 
     def test_zero_cutoff_exits_2(self, tmp_path, capsys):
-        code, _, _ = run_cli(["schwinger", "--nmax", "0"], tmp_path, capsys)
-        assert code == 2
+        run_refused(["schwinger", "--nmax", "0"], tmp_path, capsys)
 
     @pytest.mark.parametrize("check", ["all", "l2"])
     def test_l2_checks_need_nmax_2(self, check, tmp_path, capsys):
-        code, out, captured = run_cli(
-            ["schwinger", "--nmax", "1", "--check", check], tmp_path, capsys
-        )
-        assert code == 2
-        assert "--check all/l2 need --nmax >= 2" in captured.err
-        assert not out.exists()
+        err = run_refused(["schwinger", "--nmax", "1", "--check", check], tmp_path, capsys)
+        assert "--check all/l2 need --nmax >= 2" in err
 
     @pytest.mark.parametrize("check", ["casimir", "sectors", "hamiltonian"])
     def test_other_checks_run_at_nmax_1(self, check, tmp_path, capsys):
@@ -379,18 +372,14 @@ class TestSchwinger:
         assert checks
 
     def test_dump_needs_sector(self, tmp_path, capsys):
-        code, _, _ = run_cli(["schwinger", "--nmax", "4", "--dump"], tmp_path, capsys)
-        assert code == 2
+        run_refused(["schwinger", "--nmax", "4", "--dump"], tmp_path, capsys)
 
     def test_dump_rejects_unknown_sector(self, tmp_path, capsys):
         # 7.5 lies past the largest |j| = 2 at nmax 4; 0.25 is no half-integer
         for sector in ("7.5", "0.25"):
-            code, out, captured = run_cli(
-                ["schwinger", "--nmax", "4", "--sector", sector, "--dump"], tmp_path, capsys
-            )
-            assert code == 2
-            assert "no sector with j" in captured.err
-            assert not out.exists()
+            err = run_refused(["schwinger", "--nmax", "4", "--sector", sector, "--dump"],
+                              tmp_path, capsys)
+            assert "no sector with j" in err
 
 
 class TestOutputContract:
@@ -437,9 +426,7 @@ class TestOutputContract:
         assert payload["checks"]["fitted_slope"] is None
 
     def test_unknown_flag_exits_2(self, tmp_path, capsys):
-        code = main(["evolve", "--N", "7", "--frobnicate"])
-        capsys.readouterr()
-        assert code == 2
+        run_refused(["evolve", "--N", "7", "--frobnicate"], tmp_path, capsys)
 
     def test_stdout_carries_only_the_path(self, tmp_path, capsys):
         code, out, captured = run_cli(
@@ -488,15 +475,9 @@ def refuse_build(*args, **kwargs):
 class TestInputValidation:
     """Non-finite values and non-positive tolerances exit 2 before any work."""
 
-    def _rejected(self, args, tmp_path, capsys):
-        code, out, captured = run_cli(args, tmp_path, capsys)
-        assert code == 2
-        assert not out.exists()
-        return captured.err
-
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "0"])
     def test_tolerance(self, value, tmp_path, capsys):
-        err = self._rejected(
+        err = run_refused(
             ["rep", "--algebra", "h1", "--dim", "8", "--tolerance", value], tmp_path, capsys
         )
         assert "--tolerance" in err
@@ -511,30 +492,30 @@ class TestInputValidation:
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_tau(self, value, tmp_path, capsys):
-        self._rejected(["evolve", "--N", "8", "--tau", value], tmp_path, capsys)
-        self._rejected(["contract", "--identities", "--l", "3", "--tau", value], tmp_path, capsys)
+        run_refused(["evolve", "--N", "8", "--tau", value], tmp_path, capsys)
+        run_refused(["contract", "--identities", "--l", "3", "--tau", value], tmp_path, capsys)
 
     @pytest.mark.parametrize("value", ["nan", "-inf"])
     def test_omega(self, value, tmp_path, capsys):
-        self._rejected(["schwinger", "--nmax", "4", "--Omega", value], tmp_path, capsys)
+        run_refused(["schwinger", "--nmax", "4", "--Omega", value], tmp_path, capsys)
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_gamma(self, value, tmp_path, capsys):
-        self._rejected(["schwinger", "--nmax", "4", "--Gamma", value], tmp_path, capsys)
+        run_refused(["schwinger", "--nmax", "4", "--Gamma", value], tmp_path, capsys)
 
     @pytest.mark.parametrize("value", ["0", "-0.0", "-1"])
     def test_gamma_is_refused_before_the_build(self, value, tmp_path, capsys, monkeypatch):
         # it was once refused only after build_two_mode and the casimir and sector checks
         monkeypatch.setattr("ladderlab.twomode.build_two_mode", refuse_build)
-        err = self._rejected(["schwinger", "--nmax", "300", "--Gamma", value], tmp_path, capsys)
+        err = run_refused(["schwinger", "--nmax", "300", "--Gamma", value], tmp_path, capsys)
         assert "--Gamma" in err and "positive" in err
 
     @pytest.mark.parametrize("value", ["0.3", "5", "-5", "1e9"])
     def test_sector_is_refused_before_the_build(self, value, tmp_path, capsys, monkeypatch):
         # it was once refused only after the whole space was built
         monkeypatch.setattr("ladderlab.twomode.build_two_mode", refuse_build)
-        err = self._rejected(["schwinger", "--nmax", "4", "--dump", "--sector", value],
-                             tmp_path, capsys)
+        err = run_refused(["schwinger", "--nmax", "4", "--dump", "--sector", value],
+                          tmp_path, capsys)
         assert err.startswith("ladderlab: --sector:") and f"j = {float(value)}" in err, err
 
     # each of these once exited 0: the mode does not read the flag, but its value
@@ -544,26 +525,26 @@ class TestInputValidation:
         (["contract", "--family", "su2", "--params", "5,10", "--tau", "0"], "--tau"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
     def test_unread_flag_outside_its_domain(self, argv, flag, tmp_path, capsys):
-        err = self._rejected(argv, tmp_path, capsys)
+        err = run_refused(argv, tmp_path, capsys)
         assert f"argument {flag}: must be positive" in err
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_rot1(self, value, tmp_path, capsys):
-        self._rejected(["orbit", "--torus", "--rot1", value, "--rot2", "1"], tmp_path, capsys)
+        run_refused(["orbit", "--torus", "--rot1", value, "--rot2", "1"], tmp_path, capsys)
 
     @pytest.mark.parametrize("value", ["nan", "-inf"])
     def test_rot2(self, value, tmp_path, capsys):
-        self._rejected(["orbit", "--torus", "--rot1", "1", "--rot2", value], tmp_path, capsys)
+        run_refused(["orbit", "--torus", "--rot1", "1", "--rot2", value], tmp_path, capsys)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
     def test_alpha(self, value, tmp_path, capsys):
-        self._rejected(["orbit", "--thooft-N", "7", "--alpha", value], tmp_path, capsys)
-        self._rejected(["orbit", "--two-circle", "--q-num", "1", "--q-den", "3",
+        run_refused(["orbit", "--thooft-N", "7", "--alpha", value], tmp_path, capsys)
+        run_refused(["orbit", "--two-circle", "--q-num", "1", "--q-den", "3",
                         "--curve-samples", "4", "--alpha", value], tmp_path, capsys)
 
     @pytest.mark.parametrize("value", ["nan,0", "0,inf", "1,-inf"])
     def test_phi0(self, value, tmp_path, capsys):
-        err = self._rejected(
+        err = run_refused(
             ["orbit", "--torus", "--ratio", "golden", "--phi0", value], tmp_path, capsys
         )
         assert "finite" in err
@@ -576,13 +557,13 @@ class TestInputValidation:
     ])
     def test_zero_denominator(self, extra, flag, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("ladderlab.orbits.touch_points", refuse_orbit)
-        err = self._rejected(["orbit", "--two-circle", *extra], tmp_path, capsys)
+        err = run_refused(["orbit", "--two-circle", *extra], tmp_path, capsys)
         assert flag in err
 
     @pytest.mark.parametrize("value", ["pi/nan", "inf", "xyz", "pi*-inf", "pi/1e-320"])
     def test_q_irr_add(self, value, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("ladderlab.orbits.touch_points", refuse_orbit)
-        err = self._rejected(["orbit", "--two-circle", "--q-num", "1", "--q-den", "3",
+        err = run_refused(["orbit", "--two-circle", "--q-num", "1", "--q-den", "3",
                               "--q-irr-add", value], tmp_path, capsys)
         assert "--q-irr-add" in err
 
@@ -596,7 +577,7 @@ class TestInputValidation:
     ])
     def test_ratio_beyond_float_range(self, extra, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("ladderlab.orbits.touch_points", refuse_orbit)
-        err = self._rejected(["orbit", "--two-circle", *extra, "--steps", "10"], tmp_path, capsys)
+        err = run_refused(["orbit", "--two-circle", *extra, "--steps", "10"], tmp_path, capsys)
         assert "--q-num / --q-den" in err
 
     # --flag=value, since argparse reads a separate "-inf" as an option
@@ -617,7 +598,7 @@ class TestInputValidation:
     def test_non_finite_value_names_its_flag(self, argv, flag, builder, value, tmp_path, capsys,
                                              monkeypatch):
         monkeypatch.setattr(f"ladderlab.{builder}", refuse_build)
-        err = self._rejected([arg.format(value) for arg in argv], tmp_path, capsys)
+        err = run_refused([arg.format(value) for arg in argv], tmp_path, capsys)
         assert flag in err and "finite" in err
 
     @pytest.mark.parametrize("argv,flag", [
@@ -626,7 +607,7 @@ class TestInputValidation:
         (["orbit", "--torus", "--ratio", "golden", "--phi0", "a,b"], "--phi0"),
     ])
     def test_non_number_names_its_flag(self, argv, flag, tmp_path, capsys):
-        assert flag in self._rejected(argv, tmp_path, capsys)
+        assert flag in run_refused(argv, tmp_path, capsys)
 
 
     # each of these once printed a message that named no flag, such as "beta
@@ -647,7 +628,7 @@ class TestInputValidation:
          ["--q-den", "--steps"]),
     ], ids=" ".join)
     def test_orbit_message_names_its_flags(self, argv, flags, tmp_path, capsys):
-        err = self._rejected(["orbit", *argv], tmp_path, capsys)
+        err = run_refused(["orbit", *argv], tmp_path, capsys)
         assert all(flag in err for flag in flags), err
 
     # each of these once printed the library's message alone, such as "dim must
@@ -669,7 +650,7 @@ class TestInputValidation:
         (["schwinger", "--nmax", "3", "--dump", "--sector", "1e9"], "--sector"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
     def test_library_message_names_its_flag(self, argv, flag, tmp_path, capsys):
-        err = self._rejected(argv, tmp_path, capsys)
+        err = run_refused(argv, tmp_path, capsys)
         assert f"{flag}:" in err or f"{flag} /" in err, err
 
     # each of these once exited 0, recording the ignored value in the manifest
@@ -702,8 +683,34 @@ class TestInputValidation:
                        "twomode.build_two_mode", "contraction.run_contraction_study"):
             monkeypatch.setattr(f"ladderlab.{target}", refuse_build)
         command = argv if argv[0] in cli.COMMANDS else ["orbit", *argv]
-        err = self._rejected(command, tmp_path, capsys)
+        err = run_refused(command, tmp_path, capsys)
         assert flag in err and "not read" in err, err
+
+    # a mode run without a flag it needs is refused, naming every flag it needs
+    @pytest.mark.parametrize("argv,refusal", [
+        (["rep", "--algebra", "su2"], "su2 requires --l"),
+        (["rep", "--algebra", "su11", "--k", "1.5"], "su11 requires --k and --dim"),
+        (["rep", "--algebra", "h1"], "h1 requires --dim"),
+        # an empty sweep is no sweep
+        (["contract", "--family", "su2", "--params", ""], "--family requires --params"),
+        (["contract", "--identities"], "--identities requires --l"),
+        (["orbit", "--two-circle", "--q-num", "1"], "--two-circle requires --q-num and --q-den"),
+        (["schwinger", "--nmax", "4", "--dump"], "--dump requires --sector"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+    def test_mode_refuses_a_missing_needed_flag(self, argv, refusal, tmp_path, capsys):
+        assert run_refused(argv, tmp_path, capsys) == f"ladderlab: {refusal}\n"
+
+    def test_every_needed_flag_defaults_to_none(self):
+        # a needed flag counts as left out when it is None or "", which a default must not be
+        (commands,) = [action for action in cli._parser_tree()._actions
+                       if isinstance(action, argparse._SubParsersAction)]
+        defaults = {(command, flag): action.default
+                    for command, parser in commands.choices.items()
+                    for action in parser._actions for flag in action.option_strings}
+        needed = [(command, flag) for command, modes in cli.MODE_FLAGS.items()
+                  for needs, _ in modes.values() for flag in needs]
+        assert len(needed) == 9
+        assert {key: defaults[key] for key in needed if defaults[key] is not None} == {}
 
     # rep is not here: its mode flags --l, --k and --dim default to None,
     # which no argv can spell
@@ -732,15 +739,15 @@ class TestInputValidation:
         # it once exited 0, writing `param curve_samples=-1` and no curve rows
         monkeypatch.setattr("ladderlab.orbits.touch_points", refuse_orbit)
         monkeypatch.setattr("ladderlab.orbits.simulate_torus", refuse_orbit)
-        err = self._rejected(["orbit", *mode, "--curve-samples", "-1"], tmp_path, capsys)
+        err = run_refused(["orbit", *mode, "--curve-samples", "-1"], tmp_path, capsys)
         assert "--curve-samples" in err
 
     def test_overflowing_touch_step_names_the_flags(self, tmp_path, capsys):
         # beta is finite, but the touch angle step (1 - beta/alpha) pi overflows to -inf;
         # it once gave nan angles, a nan radius_error and exit 0
-        err = self._rejected(["orbit", "--two-circle", "--alpha", "1e-300", "--q-num", "1",
+        err = run_refused(["orbit", "--two-circle", "--alpha", "1e-300", "--q-num", "1",
                               "--q-den", "2", "--q-irr-add", "1e308", "--steps", "3"],
-                             tmp_path, capsys)
+                          tmp_path, capsys)
         assert "--q-irr-add" in err and "--alpha" in err and "finite" in err
 
     # a derived scale beyond the float range (the dissipative table's envelope,
@@ -773,7 +780,7 @@ class TestInputValidation:
                         "evolution.geometric_phase_check", "orbits.thooft_system",
                         "orbits.touch_points"):
             monkeypatch.setattr(f"ladderlab.{builder}", refuse_build)
-        err = self._rejected(argv, tmp_path, capsys)
+        err = run_refused(argv, tmp_path, capsys)
         assert all(flag in err for flag in flags) and "float range" in err
 
     # contract --identities at both float ends: x^2 overflows at a huge tau, omega^2
@@ -788,15 +795,15 @@ class TestInputValidation:
     def test_identity_scale_names_tau_and_l(self, l, tau, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("ladderlab.algebra.build_su2_rep", refuse_build)
         monkeypatch.setattr("ladderlab.contraction.deformed_identity_residuals", refuse_build)
-        err = self._rejected(["contract", "--identities", "--l", l, "--tau", tau],
-                             tmp_path, capsys)
+        err = run_refused(["contract", "--identities", "--l", l, "--tau", tau],
+                          tmp_path, capsys)
         assert "--tau" in err and "--l" in err and "float range" in err
 
     @pytest.mark.parametrize("tau", ["0", "-0.0", "-1"])
     def test_identity_tau_must_be_positive(self, tau, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("ladderlab.contraction.deformed_identity_residuals", refuse_build)
-        err = self._rejected(["contract", "--identities", "--l", "3", "--tau", tau],
-                             tmp_path, capsys)
+        err = run_refused(["contract", "--identities", "--l", "3", "--tau", tau],
+                          tmp_path, capsys)
         assert "--tau" in err and "positive" in err
 
     @pytest.mark.parametrize("l,tau", [("3", "2.5e307"), ("0.5", "8e307"), ("3", "1e-150"),
@@ -817,8 +824,8 @@ class TestInputValidation:
                                        ("7.657e204", "10"), ("7.393e202", "10000000")])
     def test_su11_relation_scale_names_k_and_dim(self, k, dim, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("ladderlab.algebra.build_su11_rep", refuse_build)
-        err = self._rejected(["rep", "--algebra", "su11", "--k", k, "--dim", dim],
-                             tmp_path, capsys)
+        err = run_refused(["rep", "--algebra", "su11", "--k", k, "--dim", dim],
+                          tmp_path, capsys)
         assert err.startswith("ladderlab: --k / --dim: ") and "float range" in err
 
     @pytest.mark.parametrize("k,dim", [("1e200", "3"), ("1e205", "3"), ("1.264e205", "3"),
@@ -843,13 +850,13 @@ class TestInputValidation:
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_sector_is_finite(self, value, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("ladderlab.twomode.build_two_mode", refuse_build)
-        err = self._rejected(["schwinger", "--nmax", "4", f"--sector={value}", "--dump"],
-                             tmp_path, capsys)
+        err = run_refused(["schwinger", "--nmax", "4", f"--sector={value}", "--dump"],
+                          tmp_path, capsys)
         assert "--sector" in err and "finite" in err
 
     def test_dump_needs_sector_before_the_build(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("ladderlab.twomode.build_two_mode", refuse_build)
-        err = self._rejected(["schwinger", "--nmax", "800", "--dump"], tmp_path, capsys)
+        err = run_refused(["schwinger", "--nmax", "800", "--dump"], tmp_path, capsys)
         assert "--dump requires --sector" in err
 
 
@@ -945,8 +952,9 @@ class TestStartup:
         "cli.main(['evolve', '--N', '8', '--steps', '3'])",
         "cli.main(['rep', '--algebra', 'su2', '--l', '1', '--k', '2'])",
         "cli.main(['orbit', '--thooft-N', '7', '--steps', '5'])",
+        "cli.main(['rep', '--algebra', 'su11', '--k', '1.5'])",
     ], ids=["parser", "help", "command-help", "parse-error", "unknown-flag", "unread-flag",
-            "unread-orbit-flag"])
+            "unread-orbit-flag", "needed-flag"])
     def test_a_start_that_only_parses_loads_no_numpy_library_or_writer(self, statements):
         assert self._loaded(statements) == ["ladderlab.cli"]
 
@@ -958,21 +966,25 @@ class TestStartup:
         assert proc.stdout.strip() == ""
 
     # each command loads its own modules and those they import, the writer with its
-    # dataclasses and json, and no other
+    # dataclasses and json, and no other; orjson only where an array is written,
+    # so not for schwinger's check table, a list
     @pytest.mark.parametrize("argv,modules", [
-        (["rep", "--algebra", "h1", "--dim", "4"], ["algebra", "operators"]),
-        (["contract", "--hp", "--dim", "4"], ["algebra", "contraction", "operators"]),
-        (["evolve", "--N", "8"], ["evolution", "operators"]),
-        (["orbit", "--thooft-N", "7", "--curve-samples", "3"], ["orbits"]),
-        (["orbit", "--torus", "--ratio", "golden", "--steps", "10"], ["orbits"]),
-        (["schwinger", "--nmax", "2"], ["algebra", "operators", "twomode"]),
+        (["rep", "--algebra", "h1", "--dim", "4"], ["orjson", "ladderlab.algebra",
+                                                    "ladderlab.operators"]),
+        (["contract", "--hp", "--dim", "4"], ["orjson", "ladderlab.algebra",
+                                              "ladderlab.contraction", "ladderlab.operators"]),
+        (["evolve", "--N", "8"], ["orjson", "ladderlab.evolution", "ladderlab.operators"]),
+        (["orbit", "--thooft-N", "7", "--curve-samples", "3"], ["orjson", "ladderlab.orbits"]),
+        (["orbit", "--torus", "--ratio", "golden", "--steps", "10"],
+         ["orjson", "ladderlab.orbits"]),
+        (["schwinger", "--nmax", "2"], ["ladderlab.algebra", "ladderlab.operators",
+                                        "ladderlab.twomode"]),
     ], ids=lambda v: " ".join(v))
     def test_each_command_loads_only_its_modules(self, argv, modules, tmp_path):
         argv = [*argv, "--out", str(tmp_path / "out.csv")]
         loaded = self._loaded(f"assert cli.main({argv!r}) == 0")
-        assert loaded == sorted(["numpy", "orjson", "dataclasses", "inspect", "json",
-                                 "ladderlab.cli", "ladderlab.writer",
-                                 *(f"ladderlab.{module}" for module in modules)])
+        assert loaded == sorted(["numpy", "dataclasses", "inspect", "json", "ladderlab.cli",
+                                 "ladderlab.writer", *modules])
 
     def test_cli_holds_no_library_function(self):
         # the commands import what they call when they run; a stub for a test is
