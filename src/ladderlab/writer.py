@@ -226,17 +226,13 @@ def _periodic_slice(period: list, start: int, stop: int) -> list:
 def _folded_text(column) -> str | None:
     """The CSV cell of a column holding one label, or None, throughout; else None.
 
-    Only a label that is one plain CSV cell as it stands (ASCII, with no
-    `,`, `"` or line break) qualifies, so the row dump may fold it into
-    its row breaks.
+    The cell is `_fmt` of the value, a `str` or None, as the column path
+    writes it; the row dump puts its bytes into the row breaks verbatim.
     """
-    if not (isinstance(column, Periodic) and len(column.values) == 1):
-        return None
-    value = column.values[0]
-    if value is None:
-        return ""
-    if type(value) is str and value.isascii() and not any(c in value for c in ',"\n\r'):
-        return value
+    if isinstance(column, Periodic) and len(column.values) == 1:
+        value = column.values[0]
+        if value is None or type(value) is str:
+            return _fmt(value)
     return None
 
 
@@ -297,53 +293,28 @@ def _non_plain_blocks(columns, length: int) -> bytes:
     return blocks.tobytes()
 
 
-def _row_marker(size: int):
-    """A value orjson writes as `size` bytes, for 2 <= size <= 509; None (`null`) otherwise.
-
-    It is size // 2 nested lists around nothing, or around a 0 when size is
-    odd: `[]`, `[0]`, `[[]]`, `[[0]]`, ...  No row-dump cell holds a bracket,
-    so `,marker,` is found only where a marker is.  orjson refuses more than
-    255 levels, and the dump's own list is one of them.
-    """
-    if not 2 <= size <= 509:
-        return None
-    marker = [0] if size % 2 else []
-    for _ in range(size // 2 - 1):
-        marker = [marker]
-    return marker
-
-
 def _row_dumper(group: tuple):
     """For a CSV row group, a function (start, stop) -> the bytes of rows start .. stop - 1.
 
-    The bytes come from one `orjson.dumps` of a flat list of the block's
-    cells, with no string made per cell.  A group with no label has a line
-    break alone as its row break: its list holds only the cells, and the
-    text is copied into a `bytearray` in which every `width`-th comma and
-    the closing `]` are overwritten by a line break, an equal-length rewrite
-    with nothing counted and no new text built.  That is right because no
-    cell holds a comma: cells are numbers or spelled `repr`s (`nan`, `inf`,
-    `1e-07`).  Any other group has a marker before the first row and after
-    each row, and a 0 at each end of the list.  Each `,marker,` in the text
-    becomes a row break, the end of one row and the start of the next; the
-    two zeros and the breaks outside the block are cut off.  The marker
-    makes `,marker,` exactly as long as the row break (`_row_marker`):
-    CPython's `bytes.replace` then rewrites a copy in place, where a pattern
-    of another length has every match counted first and a new text built.  A
-    break of 2 or 3 bytes (a line break, then an empty or one-character
-    label and its comma, as in `contract --hp`) is shorter than `,[],`, the
-    shortest pattern no cell can hold, and keeps None, written `null`: a
-    `,X,` with a one-byte X could only be a digit, and a digit can be a
-    cell.  Either way the block is one buffer, sliced from the dump with no
-    further copy.  The middle columns must be numeric (`_numeric_column`);
-    the first and the last may instead be a label repeated throughout
-    (`_folded_text`), which goes into the row breaks.  A float cell that is
-    not plain (an exponent, nan or inf) is dumped as its `repr` string, and
-    the quotes orjson puts around it are deleted, which no other cell and no
-    folded label holds: a `Periodic` column's period is spelled once, and
-    the array blocks that hold such a cell are found once, here
-    (`_non_plain_blocks`).  `_row_dumper` returns None for a group of any
-    other shape.
+    The bytes, a `memoryview`, come from one `orjson.dumps` of a flat list
+    of the block's cells, with no string made per cell.  The text is copied
+    into a `bytearray`, and its `[`, every row's last comma and its `]` are
+    overwritten with a line break through a numpy view, an equal-length
+    rewrite with nothing counted and no new text built.  That is right
+    because no cell holds a comma: cells are numbers or spelled `repr`s
+    (`nan`, `inf`, `1e-07`).  A float cell that is not plain (an exponent,
+    nan or inf) is dumped as its `repr` string, and the quotes orjson puts
+    around it are deleted, which no other cell holds: a `Periodic` column's
+    period is spelled once, and the array blocks that hold such a cell are
+    found once, here (`_non_plain_blocks`).  The middle columns must be
+    numeric (`_numeric_column`); the first and the last may instead be a
+    label repeated throughout (`_folded_text`).  A group with such a label
+    then has one `replace` of every line break, which no cell holds, by the
+    row break: the end of one row, a comma and the trailing label before
+    the line break, and the start of the next, the leading label and a
+    comma.  The text before the first row and after the last is sliced
+    off, so the block goes to the file with no further copy.  `_row_dumper`
+    returns None for a group of any other shape.
     """
     lead = _folded_text(group[0]) if group else None
     trail = _folded_text(group[-1]) if len(group) > 1 else None
@@ -356,42 +327,25 @@ def _row_dumper(group: tuple):
     non_plain = _non_plain_blocks([c for c in middle if not isinstance(c, Periodic)],
                                   len(group[0]))
     numbers = [_number_lists(column) for column in middle]
-    if lead is None and trail is None:
-        width = len(middle)
-
-        def dump_unlabeled(start: int, stop: int) -> memoryview:
-            spell = non_plain[start // WRITE_BLOCK_ROWS]
-            flat = [0] * ((stop - start) * width)
-            for k, cells in enumerate(numbers):
-                flat[k::width] = cells(start, stop, spell)
-            text = bytearray(orjson.dumps(flat).replace(b'"', b""))
-            del flat
-            # "[a,b,c,d]" -> "[a,b\nc,d\n": the last comma of each row, and the "]"
-            view = np.frombuffer(text, dtype=np.uint8)
-            view[np.flatnonzero(view == ord(","))[width - 1::width]] = ord("\n")
-            view[-1] = ord("\n")
-            return memoryview(text)[1:]
-
-        return dump_unlabeled
+    width = len(middle)
     prefix = b"" if lead is None else lead.encode() + b","
     end = b"\n" if trail is None else b"," + trail.encode() + b"\n"
-    row_break, stride = end + prefix, len(middle) + 1
-    marker = _row_marker(len(row_break) - 2)
-    pattern = b"," + orjson.dumps(marker) + b","
 
     def dump(start: int, stop: int) -> memoryview:
         spell = non_plain[start // WRITE_BLOCK_ROWS]
-        cells_end = 2 + (stop - start) * stride
-        flat = [marker] * (cells_end + 1)  # 0, marker, each row's numbers and a marker, 0
-        flat[0] = flat[-1] = 0
+        flat = [0] * ((stop - start) * width)
         for k, cells in enumerate(numbers):
-            flat[2 + k:cells_end:stride] = cells(start, stop, spell)
+            flat[k::width] = cells(start, stop, spell)
         text = orjson.dumps(flat)
-        del flat  # freed before the row breaks are put in
-        # "[0,M,a,b,M,c,d,M,0]" -> "[0" end prefix "a,b" end prefix "c,d" end
-        # prefix "0]"; nan and inf are spelled as strings, so no cell is `null`
-        text = text.replace(b'"', b"").replace(pattern, row_break)
-        return memoryview(text)[2 + len(end):len(text) - 2 - len(prefix)]
+        del flat  # freed before the quotes are deleted and the row breaks put in
+        text = bytearray(text.replace(b'"', b""))
+        # "[a,b,c,d]" -> "\na,b\nc,d\n": the "[", the last comma of each row, and the "]"
+        view = np.frombuffer(text, dtype=np.uint8)
+        view[np.flatnonzero(view == ord(","))[width - 1::width]] = ord("\n")
+        view[0] = view[-1] = ord("\n")
+        if lead is not None or trail is not None:
+            text = text.replace(b"\n", end + prefix)
+        return memoryview(text)[len(end):len(text) - len(prefix)]
 
     return dump
 

@@ -265,6 +265,8 @@ REFUSALS = [
     ["orbit", "--thooft-N", "7", "--steps", "5"],
     ["orbit", "--torus", "--ratio", "golden", "--steps", "5", "--alpha", "2"],
     ["orbit", "--thooft-N", "7", "--q-num", "9", "--q-den", "7"],
+    # two unread flags: the one named is the first in MODE_FLAGS order, not on the line
+    ["orbit", "--thooft-N", "7", "--steps", "5", "--q-num", "9"],
     ["orbit", "--thooft-N", "7", "--q-irr-add", "pi/40"],
     ["orbit", "--two-circle", "--q-num", "1", "--q-den", "3", "--phi0", "1,2"],
     ["orbit", "--two-circle", "--q-num", "1", "--q-den", "3", "--ratio", "golden"],

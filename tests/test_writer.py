@@ -597,10 +597,10 @@ def test_signed_zeros_and_integer_extremes(tmp_path, monkeypatch):
     assert joined == []
 
 
-# a folded label of 1 to 12 characters at each end gives every row-break
-# length from 1 to 27 bytes, so every row marker up to 25 bytes, both
-# parities, the `null` a break of 2 or 3 bytes keeps, and the line break
-# written over each row's last comma when there is no label
+# a folded label of 0 to 12 characters at each end gives every row-break
+# length from 1 to 27 bytes: the line break alone, written over each row's
+# last comma when there is no label, and every longer break the `replace`
+# of that line break puts in, the 3-byte `\na,` of `contract --hp` among them
 EDGE_COLUMNS = {"none": None, "curve": Periodic(("curve",), ROWS),
                 "empty": Periodic((None,), ROWS), "blank": Periodic(("",), ROWS),
                 **{f"label{n}": Periodic(("abcdefghijkl"[:n],), ROWS) for n in range(1, 13)}}
@@ -624,25 +624,28 @@ def test_constant_labels_first_and_last_fold_into_row_breaks(first, last, tmp_pa
     assert spelled == [WRITE_BLOCK_ROWS] * 6  # the second block of each group, each middle column
 
 
-def test_row_marker_text_is_its_size():
-    import orjson
-
-    for size in range(600):
-        text = orjson.dumps(writer._row_marker(size))
-        if 2 <= size <= 509:
-            assert len(text) == size and not text.strip(b"[]0")
-        else:
-            assert text == b"null"
-
-
-@pytest.mark.parametrize("size", [508, 509, 510])
-def test_labels_at_the_marker_nesting_limit(size, tmp_path, monkeypatch):
-    # a row break of size + 2 bytes, the label, its comma and the line break, takes
-    # a marker of 254 nested lists at 508 and 509 and `null` at 510
+@pytest.mark.parametrize("size", [508, 509, 510, 4096])
+def test_long_labels_fold_into_row_breaks(size, tmp_path, monkeypatch):
+    # a row break of size + 2 bytes: the line break, the label and its comma
     middle = (np.arange(ROWS), np.linspace(1.0, 2.0, ROWS))
+    group = (Periodic(("x" * size,), ROWS), *middle)
+    assert writer._row_dumper(group) is not None
     joined = _joined_blocks(monkeypatch)
-    result = CommandResult(("label", "i", "x"), [(Periodic(("x" * size,), ROWS), *middle)])
-    assert_same_bytes(tmp_path, "csv", result)
+    assert_same_bytes(tmp_path, "csv", CommandResult(("label", "i", "x"), [group]))
+    assert joined == []
+
+
+@pytest.mark.parametrize("group", [
+    (Periodic(("a,b",), ROWS), np.arange(ROWS)),
+    (Periodic(('say "hi"',), ROWS), np.arange(ROWS)),
+    (np.arange(ROWS), Periodic(("ψ",), ROWS)),
+    (np.arange(ROWS), Periodic(("new\nline",), ROWS)),
+], ids=["comma", "quote", "non-ascii", "newline"])
+def test_labels_fold_as_the_reference_formatter_writes_them(group, tmp_path, monkeypatch):
+    # each label's bytes go into the row breaks verbatim, as `_fmt` writes the cell
+    assert writer._row_dumper(group) is not None
+    joined = _joined_blocks(monkeypatch)
+    assert_same_bytes(tmp_path, "csv", CommandResult(tuple("ab"), [group]))
     assert joined == []
 
 
@@ -650,9 +653,8 @@ def test_labels_at_the_marker_nesting_limit(size, tmp_path, monkeypatch):
 @pytest.mark.parametrize("last", ["none", "empty"])
 @pytest.mark.parametrize("column", [0, 1])
 def test_a_nan_in_one_block_stays_a_cell(first, last, column, tmp_path):
-    # orjson writes nan as `null`, the text of the row marker of a break of 2 or
-    # 3 bytes; only the bytes are checked, so a nan taken for a row break
-    # cannot pass
+    # orjson writes nan as `null`; only the bytes are checked, so a nan left
+    # as `null` cannot pass
     middle = [np.linspace(1.0, 2.0, ROWS), np.arange(ROWS) / 7 + 1]
     middle[column][2 * WRITE_BLOCK_ROWS + 9] = math.nan
     group = tuple(c for c in (EDGE_COLUMNS[first], *middle, EDGE_COLUMNS[last]) if c is not None)
@@ -715,10 +717,6 @@ def test_a_non_plain_cell_in_a_period_sends_its_blocks_to_the_column_path(tmp_pa
 
 
 @pytest.mark.parametrize("group", [
-    (Periodic(("a,b",), ROWS), np.arange(ROWS)),  # a label that is not one plain CSV cell
-    (Periodic(('say "hi"',), ROWS), np.arange(ROWS)),
-    (np.arange(ROWS), Periodic(("ψ",), ROWS)),  # a non-ASCII label
-    (np.arange(ROWS), Periodic(("new\nline",), ROWS)),
     (np.arange(ROWS), Periodic(("mid",), ROWS), np.arange(ROWS) / 3),  # a label in the middle
     (np.arange(ROWS), Periodic((None,), ROWS), np.arange(ROWS) / 3),
     (np.arange(ROWS), ["s"] * ROWS, np.arange(ROWS) / 3),  # a string column in the middle
@@ -727,8 +725,8 @@ def test_a_non_plain_cell_in_a_period_sends_its_blocks_to_the_column_path(tmp_pa
     (Periodic(("touch",), ROWS), np.arange(ROWS) + 1j),  # complex
     (Periodic(("touch",), ROWS),),  # no numeric column
     (Periodic(("touch",), ROWS), Periodic((None,), ROWS)),
-], ids=["comma", "quote", "non-ascii", "newline", "middle-label", "middle-none",
-        "middle-strings", "bools", "list", "complex", "label-only", "labels-only"])
+], ids=["middle-label", "middle-none", "middle-strings", "bools", "list", "complex",
+        "label-only", "labels-only"])
 def test_other_groups_take_the_column_path(group, tmp_path, monkeypatch):
     assert writer._row_dumper(group) is None
     joined = _joined_blocks(monkeypatch)
