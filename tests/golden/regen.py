@@ -251,6 +251,7 @@ REFUSALS = [
     ["orbit", "--two-circle", "--q-num", "1", "--q-den", "4611686018427387904", "--steps",
      "1"],
     ["contract", "--family", "su2", "--params", "0"],
+    ["contract", "--family", "su2", "--params", "10,5"],
     ["contract", "--family", "su2", "--params", "5,10", "--n", "-1"],
     ["evolve", "--N", "0"],
     ["rep", "--algebra", "su2", "--l", "0"],

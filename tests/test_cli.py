@@ -635,6 +635,7 @@ class TestInputValidation:
     # be at least 2" or "n_max must be >= 1"
     @pytest.mark.parametrize("argv,flag", [
         (["contract", "--family", "su2", "--params", "0"], "--params"),
+        (["contract", "--family", "su2", "--params", "10,5"], "--params"),
         (["contract", "--family", "su2", "--params", "5,10", "--n", "-1"], "--n"),
         (["evolve", "--N", "0"], "--N"),
         (["evolve", "--N", "1"], "--N"),
