@@ -16,8 +16,7 @@ _SUBMODULES = {
     name: module
     for module, names in {
         "algebra": ("build_h1_rep", "build_su2_rep", "build_su11_rep", "check_algebra_relations"),
-        "contraction": ("contraction_deviation", "holstein_primakoff", "run_contraction_study",
-                        "scaled_ladders"),
+        "contraction": ("holstein_primakoff", "run_contraction_study", "scaled_ladders"),
         "evolution": ("EvolutionParams", "geometric_phase_check", "spectrum_via_dft"),
         "operators": ("Identity", "OperatorMatrix", "evaluate", "max_entry"),
         "orbits": ("density_metrics", "simulate_torus", "thooft_system", "touch_points"),

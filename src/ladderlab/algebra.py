@@ -118,9 +118,8 @@ def build_su2_rep(l: float) -> LadderRep:
 def _leading_su2(l: float, levels: int) -> LadderRep:
     """The leading min(levels, 2l + 1) states of the spin-l irrep, from `su2_elements`.
 
-    Cut below 2l + 1 it is no complete irrep, whose deviation bound
-    `contraction` would misjudge, so only `build_su2_rep` and the contraction
-    sweep call it.
+    Cut below 2l + 1 it is no complete irrep, so only `build_su2_rep` and the
+    contraction sweep, which reads the leading entries alone, call it.
     """
     kind = Su2(l)
     levels = min(levels, su2_dim(kind.l))
@@ -161,18 +160,6 @@ def build_h1_rep(dim: int) -> LadderRep:
         raise ValueError("dim must be at least 2")
     n = np.arange(dim - 1, dtype=float)
     return _ladder_rep(Heisenberg(), np.arange(dim, dtype=float) + 0.5, np.sqrt(n + 1.0))
-
-
-def cartesian_generators(rep) -> tuple[OperatorMatrix, OperatorMatrix]:
-    """Hermitian combinations L1 = (L+ + L-)/2 and L2 = (L+ - L-)/(2i).
-
-    Takes any ladder pair carrying `Lplus` and `Lminus`: a su(2)/su(1,1)
-    `LadderRep` or the two-mode space.
-    """
-    if isinstance(getattr(rep, "kind", None), Heisenberg):
-        raise ValueError("cartesian generators are defined for the su(2)/su(1,1) ladders")
-    l1, l2 = _cartesian(rep.Lplus.bands, rep.Lminus.bands)
-    return OperatorMatrix("L1", l1), OperatorMatrix("L2", l2)
 
 
 def _cartesian(lp, lm):

@@ -362,7 +362,7 @@ def _trace_groups(dynamics, trace, curve_samples: int) -> list[tuple]:
     groups = [(Periodic(("touch",), count), Arange(1, count),
                Arange(1, count, trace.time_step), x, y, theta)]
     if curve_samples > 0:
-        # the last touch time, the bits of trace.times[-1]
+        # the last touch time, the bits of the last touch row's t
         times = np.linspace(0.0, count * trace.time_step, curve_samples)
         xs, ys = continuous_position(dynamics, times)
         groups.append((Periodic(("curve",), curve_samples), Arange(0, curve_samples), times,
@@ -398,11 +398,11 @@ def cmd_orbit(args) -> CommandResult:
         phi0 = tuple(_finite_list("--phi0", args.phi0, skip_blank=False))
         if len(phi0) != 2:
             raise ValueError("--phi0 needs two comma-separated angles")
-        orbit = simulate_torus(rot1, rot2, 1.0, args.steps, phi0)
-        gap1, gap2 = density_metrics(orbit)
+        angles = simulate_torus(rot1, rot2, 1.0, args.steps, phi0)
+        gap1, gap2 = density_metrics(angles)
         return CommandResult(
             columns=("step", "phi1", "phi2"),
-            groups=[(Arange(1, orbit.steps), orbit.angles[:, 0], orbit.angles[:, 1])],
+            groups=[(Arange(1, args.steps), angles[:, 0], angles[:, 1])],
             checks={"max_gap_1": gap1, "max_gap_2": gap2},
         )
 

@@ -39,7 +39,6 @@ class ContractionReport:
     fits with fewer than three points are rejected and reported as NaN.
     """
 
-    family: str
     params: tuple[float, ...]
     interior: int
     deviations: np.ndarray
@@ -62,13 +61,6 @@ def scaled_ladders(rep: LadderRep) -> tuple[OperatorMatrix, OperatorMatrix]:
     )
 
 
-def _deviation_bound(rep: LadderRep) -> int:
-    # su(2) is a complete irrep with no truncation row, so the closed form
-    # n/l holds up to the top state; the truncated families lose their top
-    # commutator column.
-    return rep.dim - 1 if isinstance(rep.kind, Su2) else rep.dim - 2
-
-
 def _deviations(rep: LadderRep) -> np.ndarray:
     """||([a, a†] - 1)|n>|| for every n, from one commutator of the scaled ladders.
 
@@ -78,19 +70,6 @@ def _deviations(rep: LadderRep) -> np.ndarray:
     a, adag = (op.bands for op in scaled_ladders(rep))
     defect = (a @ adag - adag @ a - Bands.identity(rep.dim)).diagonal()
     return np.sqrt(np.abs(defect) ** 2)  # the column's 2-norm, formed as np.linalg.norm does
-
-
-def contraction_deviation(rep: LadderRep, n: int) -> float:
-    """||([a, a†] - 1)|n>|| for the scaled ladders.
-
-    Closed form: n/l for su(2) and n/k for su(1,1), which the returned value
-    matches to machine precision.
-    """
-    n = int(n)
-    bound = _deviation_bound(rep)
-    if not 0 <= n <= bound:
-        raise ValueError(f"n must be in 0..{bound} for this representation")
-    return float(_deviations(rep)[n])
 
 
 def run_contraction_study(family: str, params, interior: int) -> ContractionReport:
@@ -108,8 +87,8 @@ def run_contraction_study(family: str, params, interior: int) -> ContractionRepo
     params = tuple(float(p) for p in params)
     if not params:
         raise ValueError("empty sweep")
-    if list(params) != sorted(params):
-        raise ValueError("params must be ascending")
+    if not all(a < b for a, b in zip(params, params[1:])):
+        raise ValueError("params must be strictly ascending")
     interior = int(interior)
     if interior < 2:
         raise ValueError("interior must be at least 2")
@@ -137,7 +116,6 @@ def run_contraction_study(family: str, params, interior: int) -> ContractionRepo
         fit_residual = math.nan
 
     return ContractionReport(
-        family=family,
         params=params,
         interior=interior,
         deviations=deviations,

@@ -57,42 +57,21 @@ class CircleDynamics:
 
 @dataclass(frozen=True, eq=False)
 class OrbitTrace:
-    """Touch points of a circle orbit j = 1 .. count: unit-circle points, angles, times.
+    """Touch points of a circle orbit j = 1 .. count: unit-circle points and angles.
 
-    Touch j happens at t_j = j * time_step, with time_step = pi / alpha;
-    `times` forms all `count` of them on each read, an exact integer j times
-    `time_step`, rounded once.  `period_steps` is the exact closure period for
-    rational dynamics and None otherwise.  `angles` and `points` hold one
-    period when `period_steps < count`, and every touch otherwise: touch j has
-    angle `angles[(j - 1) % len(angles)]` and point `points[(j - 1) % len(points)]`,
+    Touch j happens at t_j = j * time_step, with time_step = pi / alpha.
+    `period_steps` is the exact closure period for rational dynamics and None
+    otherwise.  `angles` and `points` hold one period when
+    `period_steps < count`, and every touch otherwise: touch j has angle
+    `angles[(j - 1) % len(angles)]` and point `points[(j - 1) % len(points)]`,
     since a closed orbit repeats them bit for bit.
     """
 
-    dynamics: CircleDynamics
     points: np.ndarray
     angles: np.ndarray
     period_steps: int | None
     count: int
     time_step: float
-
-    @property
-    def times(self) -> np.ndarray:
-        """t_j for j = 1 .. count, built on each read."""
-        times = np.arange(1.0, self.count + 1)  # exact integers, scaled in place
-        times *= self.time_step
-        return times
-
-
-@dataclass(frozen=True, eq=False)
-class TorusOrbit:
-    """Torus trajectory: angles[j-1] = state after the j-th jump, in [0, 2 pi)^2."""
-
-    alpha1: float
-    alpha2: float
-    tau: float
-    steps: int
-    phi0: tuple[float, float]
-    angles: np.ndarray
 
 
 def continuous_position(d: CircleDynamics, t):
@@ -178,7 +157,7 @@ def touch_points(d: CircleDynamics, count: int) -> OrbitTrace:
     `_rotations`, within 2 u 2 pi of the exact angle at every j.  The emitted
     points are (cos theta_j, sin theta_j), which is what the continuous curve
     evaluates to at t_j = j pi / alpha.  No array of times is formed: the
-    trace holds `count` and the step pi / alpha (`OrbitTrace.times`).
+    trace holds `count` and the step pi / alpha.
     """
     count = int(count)
     if count < 1:
@@ -199,8 +178,8 @@ def touch_points(d: CircleDynamics, count: int) -> OrbitTrace:
         angles = _rotations(0.0, (1.0 - d.beta / d.alpha) * math.pi, count)
         period = None
     points = np.column_stack([np.cos(angles), np.sin(angles)])
-    return OrbitTrace(dynamics=d, points=points, angles=angles, period_steps=period,
-                      count=count, time_step=math.pi / d.alpha)
+    return OrbitTrace(points=points, angles=angles, period_steps=period, count=count,
+                      time_step=math.pi / d.alpha)
 
 
 def thooft_system(n_sites: int, alpha: float = 1.0) -> CircleDynamics:
@@ -221,11 +200,12 @@ def simulate_torus(
     tau: float,
     steps: int,
     phi0: tuple[float, float] = (0.0, 0.0),
-) -> TorusOrbit:
+) -> np.ndarray:
     """Iterate the torus jump map phi_i -> phi_i + alpha_i tau, mod 2 pi.
 
-    The angle after jump j is the closed form (phi0_i + j alpha_i tau) mod 2 pi
-    of `_rotations`.  Negative rates step the map backwards, which is how the
+    Returns the (steps, 2) angles, row j - 1 the state after jump j, in
+    [0, 2 pi)^2: the closed form (phi0_i + j alpha_i tau) mod 2 pi of
+    `_rotations`.  Negative rates step the map backwards, which is how the
     inverse map is realized.
     """
     steps = int(steps)
@@ -238,14 +218,7 @@ def simulate_torus(
     angles = np.empty((2, steps)).T  # each coordinate contiguous
     _rotations(phi0[0], alpha1 * tau, steps, out=angles[:, 0])
     _rotations(phi0[1], alpha2 * tau, steps, out=angles[:, 1])
-    return TorusOrbit(
-        alpha1=float(alpha1),
-        alpha2=float(alpha2),
-        tau=float(tau),
-        steps=steps,
-        phi0=(float(phi0[0]), float(phi0[1])),
-        angles=angles,
-    )
+    return angles
 
 
 def circular_gaps(angles: np.ndarray) -> np.ndarray:
@@ -256,11 +229,11 @@ def circular_gaps(angles: np.ndarray) -> np.ndarray:
     return np.append(np.diff(ordered), ordered[0] + TWO_PI - ordered[-1])
 
 
-def density_metrics(o: TorusOrbit) -> tuple[float, float]:
-    """Largest circular gap of the visited angles, per torus coordinate.
+def density_metrics(angles: np.ndarray) -> tuple[float, float]:
+    """Largest circular gap of the visited (steps, 2) torus angles, per coordinate.
 
     For an irrational rotation the gap shrinks without bound as steps grow
     (three-distance theorem); for a rational rotation it stalls at the orbit
     spacing.  A single visited point reports the full circle, 2 pi.
     """
-    return tuple(float(np.max(circular_gaps(column))) for column in o.angles.T)
+    return tuple(float(np.max(circular_gaps(column))) for column in angles.T)

@@ -31,7 +31,7 @@ from math import isfinite
 
 import numpy as np
 
-from .algebra import LadderRep, Su11, _cartesian, cartesian_generators, discrete_series_elements
+from .algebra import LadderRep, Su11, _cartesian, discrete_series_elements
 from .operators import Bands, Envelope, Identity, OperatorMatrix, evaluate, in_float_range
 
 
@@ -78,10 +78,6 @@ class DissipativeParams:
             raise ValueError("Omega and Gamma must be finite")
         if self.Gamma <= 0:
             raise ValueError("Gamma must be positive")
-
-    @property
-    def omega(self) -> float:
-        return 2.0 * self.Gamma
 
 
 def build_two_mode(n_max: int) -> TwoModeSpace:
@@ -292,7 +288,7 @@ def l2_relation_check(target, interior: int) -> tuple[float, float]:
 
 def _l2_identities(target):
     """The two identities of `l2_relation_check`, yielded one at a time; L2 is dropped between."""
-    l1, l2 = (op.bands for op in cartesian_generators(target))
+    l1, l2 = _cartesian(target.Lplus.bands, target.Lminus.bands)
     l3 = target.L3.bands
     first = l1 @ l3 - l3 @ l1
     yield Identity("l2_commutator", lambda: first + 1j * l2)

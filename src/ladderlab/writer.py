@@ -399,13 +399,12 @@ def _column_path(group: tuple, pieces: list[str], fmt: str, length: int):
     """For a row group, a function (start, stop) -> the text of rows start .. stop - 1.
 
     A row is pieces[0], the first column's cell, pieces[1], and so on.  Each
-    run of pieces and `Periodic` columns between two other columns is joined
-    here, once, into one periodic text: row by row over the least common
-    multiple of its periods, or over the group if that is shorter.  A run
-    is split before a column that would take that period past the longest
-    of WRITE_BLOCK_ROWS and its parts.  Each block then slices those texts,
-    formats the other columns' cells (`_array_cells`), and joins the row
-    from both with `_join_rows`.
+    run of pieces and `Periodic` columns of one period (a one-value column
+    joins any run) is joined here, once, into one periodic text: row by row
+    over that period, or over the group if that is shorter.  Any other
+    column ends the run.  Each block then slices those texts, formats the
+    other columns' cells (`_array_cells`), and joins the row from both with
+    `_join_rows`.
     """
     texts: list = []  # in row order: a text for every row, or a function (start, stop) -> texts
     run: list[list[str]] = [[pieces[0]]]  # the current run, each part one period of its texts
@@ -420,12 +419,11 @@ def _column_path(group: tuple, pieces: list[str], fmt: str, length: int):
         if isinstance(column, Periodic):
             cells = _cells(column.values, fmt)
             own = min(len(cells), length)
-            merged = min(math.lcm(period, len(cells)), length)
-            if merged > max(WRITE_BLOCK_ROWS, period, own):
-                close_run(period)
-                merged = own
+            if own != 1:
+                if period not in (1, own):
+                    close_run(period)
+                period = own
             run.append(cells)
-            period = merged
         else:
             close_run(period)
             texts.append(_array_cells(column, fmt, length))

@@ -252,6 +252,8 @@ REFUSALS = [
      "1"],
     ["contract", "--family", "su2", "--params", "0"],
     ["contract", "--family", "su2", "--params", "10,5"],
+    ["contract", "--family", "su2", "--params", "5,5,5"],
+    ["contract", "--family", "su2", "--params", "5,5,10"],
     ["contract", "--family", "su2", "--params", "5,10", "--n", "-1"],
     ["evolve", "--N", "0"],
     ["rep", "--algebra", "su2", "--l", "0"],

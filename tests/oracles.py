@@ -10,8 +10,9 @@ permutes a flat matrix into it.  `l2_finite_residual` is the finite-rotation
 diagnostic, which the library does not form: a Taylor exponential per su(1,1)
 sector.  The CSR view and the scipy matrix exponential check the band store
 and that diagnostic against independent arithmetic, the
-object-integer touch angles check the closed orbits, and the whole su(2)
-irrep checks the contraction sweep, which builds only its leading levels;
+object-integer touch angles check the closed orbits, the dense ladders of
+the whole su(2) irrep check the contraction sweep, which builds only its
+leading levels, and `dense_cartesian` forms L1 and L2 from the dense L+-;
 `scalar_power` is the phase chain that the band powers of the step operator
 form entry by entry; `Bounded` runs an identity table over `Bands` and their
 `Envelope`s at once, checking each operator the table forms against its
@@ -20,15 +21,14 @@ forms of the library's residuals.  scipy is imported here and
 nowhere in the package.
 """
 
-from math import ceil, log2, pi
+from math import ceil, log2, pi, sqrt
 
 import numpy as np
 from scipy import sparse
 from scipy.linalg import expm
 
 from ladderlab import twomode
-from ladderlab.algebra import LadderRep, build_su2_rep, cartesian_generators
-from ladderlab.contraction import contraction_deviation
+from ladderlab.algebra import LadderRep, build_su2_rep
 from ladderlab.operators import Bands, Envelope, OperatorMatrix, max_entry
 from ladderlab.twomode import DissipativeParams, TwoModeSpace
 
@@ -195,10 +195,24 @@ def rational_touch_angles(num: int, den: int, count: int) -> np.ndarray:
     return np.array([pi * int(r) / den for r in residues])
 
 
+def leading_block(op: OperatorMatrix, size: int) -> Bands:
+    """The leading size x size block of `op`, cut from its diagonals."""
+    return Bands(size, {offset: values[:size] for offset, values in op.bands.diagonals.items()})
+
+
 def full_irrep_deviations(l: float, interior: int) -> np.ndarray:
-    """||([a, a†] - 1)|n>|| for n = 0 .. interior-1, from the whole spin-l irrep."""
+    """||([a, a†] - 1)|n>|| for n = 0 .. interior-1, from dense ladders of the whole spin-l irrep.
+
+    a = L-/sqrt(2l) and a† = L+/sqrt(2l), each a dense matrix product, and each
+    norm that of a whole column.  Column n < interior of either product reads
+    a† only at row n + 1 <= interior, so the leading interior + 1 states of
+    the built irrep hold every entry of it.
+    """
     rep = build_su2_rep(l)
-    return np.array([contraction_deviation(rep, n) for n in range(interior)])
+    size = min(interior + 1, rep.dim)
+    a, adag = (dense(leading_block(op, size)) / sqrt(2.0 * l) for op in (rep.Lminus, rep.Lplus))
+    defect = a @ adag - adag @ a - np.eye(size)
+    return np.array([np.linalg.norm(defect[:, n]) for n in range(interior)])
 
 
 def matrix_exponential(a: OperatorMatrix) -> OperatorMatrix:
@@ -257,6 +271,12 @@ def dissipative_hamiltonian(
     return OperatorMatrix("H0", h0), OperatorMatrix("HI", hi)
 
 
+def dense_cartesian(target) -> tuple[np.ndarray, np.ndarray]:
+    """L1 = (L+ + L-)/2 and L2 = (L+ - L-)/(2i), from the dense L+ and L- of `target`."""
+    lp, lm = dense(target.Lplus), dense(target.Lminus)
+    return (lp + lm) / 2.0, (lp - lm) / 2.0j
+
+
 def dense_l2_finite_ratios(target, interior: int) -> dict[int, float]:
     """Per interior basis state, the ratio `l2_finite_residual` maximizes.
 
@@ -267,9 +287,8 @@ def dense_l2_finite_ratios(target, interior: int) -> dict[int, float]:
         keep[interior_indices(target, interior)] = True
     else:
         keep = np.arange(target.dim) < interior
-    l1, l2 = (op.bands for op in cartesian_generators(target))
-    grow = dense(matrix_exponential(OperatorMatrix("piL1/2", (pi / 2.0) * l1)))
-    l2 = dense(l2)
+    l1, l2 = dense_cartesian(target)
+    grow = expm((pi / 2.0) * l1)
     weights = target.L3.bands.diagonal()
     ratios = {}
     for state in np.flatnonzero(keep).tolist():

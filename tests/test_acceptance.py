@@ -15,7 +15,6 @@ from ladderlab import (
     build_su11_rep,
     build_two_mode,
     casimir_interior_residual,
-    contraction_deviation,
     density_metrics,
     dissipative_residuals,
     geometric_phase_check,
@@ -29,7 +28,7 @@ from ladderlab import (
     thooft_system,
     touch_points,
 )
-from ladderlab.contraction import deformed_identity_residuals
+from ladderlab.contraction import _deviations, deformed_identity_residuals
 from ladderlab.orbits import CircleDynamics
 from ladderlab.twomode import DissipativeParams
 from oracles import anticommutator, dense, from_dense, matrix_exponential
@@ -98,18 +97,10 @@ def test_criterion_3_exact_identities():
 
 def test_criterion_4_contraction_rates():
     params = [5.0, 10.0, 20.0, 40.0, 80.0]
-    worst = 0.0
-    for p in params:
-        su2 = build_su2_rep(p)
-        su11 = build_su11_rep(p, 13)
-        for n in range(11):
-            worst = max(worst, abs(contraction_deviation(su2, n) - n / p))
-            worst = max(worst, abs(contraction_deviation(su11, n) - n / p))
-
-    slopes = [
-        run_contraction_study(family, params, 11).fitted_slope
-        for family in ("su2", "su11")
-    ]
+    reports = [run_contraction_study(family, params, 11) for family in ("su2", "su11")]
+    closed_form = np.arange(11) / np.array(params)[:, None]
+    worst = max(float(np.max(np.abs(r.deviations - closed_form))) for r in reports)
+    slopes = [r.fitted_slope for r in reports]
     ok = worst < 1e-12 and all(-1.01 <= s <= -0.99 for s in slopes)
     report(
         "criterion 4: deviations equal n/l and n/k with log-log slope -1",
@@ -220,7 +211,7 @@ def test_criterion_8_oracle_equivalence():
     e4 = np.zeros(12)
     e4[4] = 1.0
     brute = float(np.linalg.norm(comm @ e4 - e4))
-    checks.append(abs(contraction_deviation(rep, 4) - brute) < 1e-15)
+    checks.append(abs(_deviations(rep)[4] - brute) < 1e-15)
 
     # mapping composition at n=3: adag|3> = 2|4>
     hp_a, hp_adag = holstein_primakoff(build_su11_rep(0.5, 8))
@@ -247,8 +238,8 @@ def test_criterion_8_oracle_equivalence():
     checks.append(float(np.max(np.abs(spectrum_via_dft(p) - want))) < 1e-10)
 
     # torus lcm closure: 35 jumps of (2pi/5, 2pi/7) land on the start
-    orbit = simulate_torus(TWO_PI / 5, TWO_PI / 7, 1.0, 35)
-    checks.append(float(np.max(np.abs(orbit.angles[-1]))) < 1e-12)
+    angles = simulate_torus(TWO_PI / 5, TWO_PI / 7, 1.0, 35)
+    checks.append(float(np.max(np.abs(angles[-1]))) < 1e-12)
 
     # sector restrictions vs directly built series, every j
     checks.append(sector_match_residual(build_two_mode(8)) < 1e-12)

@@ -12,9 +12,16 @@ from ladderlab import (
     check_algebra_relations,
 )
 from ladderlab import algebra
-from ladderlab.algebra import Heisenberg, Su2, Su11, cartesian_generators
-from ladderlab.operators import Bands
-from oracles import Bounded, dense, hermiticity_residual
+from ladderlab.algebra import Heisenberg, Su2, Su11, _cartesian
+from ladderlab.operators import Bands, OperatorMatrix
+from oracles import Bounded, dense, dense_cartesian, hermiticity_residual
+
+
+def cartesian(rep) -> tuple[OperatorMatrix, OperatorMatrix]:
+    """L1 and L2 of `rep`, as the library forms them."""
+    l1, l2 = _cartesian(rep.Lplus.bands, rep.Lminus.bands)
+    return OperatorMatrix("L1", l1), OperatorMatrix("L2", l2)
+
 
 # Pauli-matrix oracle written in the |n> ordering (n=0 is m=-1/2, so the
 # textbook sigma2 and sigma3 pick up the basis flip).
@@ -75,7 +82,7 @@ class TestSu2Builder:
         rep = build_su2_rep(0.5)
         assert np.array_equal(dense(rep.L3), np.diag([-0.5, 0.5]).astype(complex))
         assert np.array_equal(dense(rep.Lplus), np.array([[0, 0], [1, 0]], dtype=complex))
-        l1, l2 = cartesian_generators(rep)
+        l1, l2 = cartesian(rep)
         assert np.max(np.abs(dense(l1) - SIGMA1 / 2)) < 1e-15
         assert np.max(np.abs(dense(l2) - SIGMA2 / 2)) < 1e-15
         assert np.max(np.abs(dense(rep.L3) - SIGMA3 / 2)) < 1e-15
@@ -128,7 +135,7 @@ class TestSu11Builder:
 
     def test_cartesian_commutator_closes_with_noncompact_sign(self):
         rep = build_su11_rep(0.5, 30)
-        l1, l2 = (dense(op) for op in cartesian_generators(rep))
+        l1, l2 = (dense(op) for op in cartesian(rep))
         resid = l1 @ l2 - l2 @ l1 + 1j * dense(rep.L3)
         assert np.max(np.abs(resid[:29, :29])) < 1e-12
 
@@ -186,13 +193,15 @@ class TestSharedContracts:
 
     def test_cartesian_generators_hermitian(self):
         rep = build_su11_rep(1.5, 10)
-        l1, l2 = cartesian_generators(rep)
+        l1, l2 = cartesian(rep)
         assert hermiticity_residual(l1) == 0.0
         assert hermiticity_residual(l2) == 0.0
 
-    def test_cartesian_rejects_heisenberg(self):
-        with pytest.raises(ValueError):
-            cartesian_generators(build_h1_rep(5))
+    @pytest.mark.parametrize("rep", [build_su2_rep(3.5), build_su11_rep(1.5, 10)],
+                             ids=["su2", "su11"])
+    def test_cartesian_matches_dense_combinations(self, rep):
+        for got, want in zip(cartesian(rep), dense_cartesian(rep)):
+            assert np.array_equal(dense(got), want)
 
     def test_interior_out_of_range(self):
         rep = build_su2_rep(1)

@@ -636,6 +636,8 @@ class TestInputValidation:
     @pytest.mark.parametrize("argv,flag", [
         (["contract", "--family", "su2", "--params", "0"], "--params"),
         (["contract", "--family", "su2", "--params", "10,5"], "--params"),
+        (["contract", "--family", "su2", "--params", "5,5,5"], "--params"),
+        (["contract", "--family", "su2", "--params", "5,5,10"], "--params"),
         (["contract", "--family", "su2", "--params", "5,10", "--n", "-1"], "--n"),
         (["evolve", "--N", "0"], "--N"),
         (["evolve", "--N", "1"], "--N"),

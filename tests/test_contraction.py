@@ -9,14 +9,13 @@ from ladderlab import (
     build_h1_rep,
     build_su2_rep,
     build_su11_rep,
-    contraction_deviation,
     holstein_primakoff,
     run_contraction_study,
     scaled_ladders,
 )
 from ladderlab import contraction
 from ladderlab.algebra import _ladder_envelopes
-from ladderlab.contraction import deformed_identity_residuals
+from ladderlab.contraction import _deviations, deformed_identity_residuals
 from ladderlab.operators import Bands, OperatorMatrix
 from oracles import Bounded, anticommutator, dense, full_irrep_deviations, hermiticity_residual
 
@@ -54,15 +53,15 @@ class TestContractionDeviation:
     def test_su2_closed_form(self):
         # brute-force matrix evaluation agrees with n/l exactly
         rep = build_su2_rep(10)
-        assert abs(contraction_deviation(rep, 2) - 0.2) < 1e-12
+        assert abs(_deviations(rep)[2] - 0.2) < 1e-12
 
     def test_su11_closed_form(self):
         rep = build_su11_rep(20, 12)
-        assert abs(contraction_deviation(rep, 4) - 0.2) < 1e-12
+        assert abs(_deviations(rep)[4] - 0.2) < 1e-12
 
     def test_vacuum_deviation_vanishes(self):
         for rep in (build_su2_rep(3), build_su11_rep(1.5, 9)):
-            assert contraction_deviation(rep, 0) < 1e-14
+            assert _deviations(rep)[0] < 1e-14
 
     @pytest.mark.parametrize("family", ["su2", "su11"])
     def test_matches_brute_force_vector_norm(self, family):
@@ -71,17 +70,17 @@ class TestContractionDeviation:
         comm = dense(a) @ dense(adag) - dense(adag) @ dense(a)
         for n in range(6):
             direct = np.linalg.norm(comm @ basis_vector(rep.dim, n) - basis_vector(rep.dim, n))
-            assert abs(contraction_deviation(rep, n) - direct) < 1e-15
+            assert abs(_deviations(rep)[n] - direct) < 1e-15
 
     def test_su2_top_state_allowed(self):
         # complete irrep: the closed form holds through n = dim - 1
-        assert abs(contraction_deviation(build_su2_rep(5), 10) - 2.0) < 1e-12
+        assert abs(_deviations(build_su2_rep(5))[10] - 2.0) < 1e-12
 
-    def test_su11_top_interior_enforced(self):
-        rep = build_su11_rep(1, 8)
-        contraction_deviation(rep, 6)
-        with pytest.raises(ValueError):
-            contraction_deviation(rep, 7)
+    def test_su11_closed_form_ends_at_the_truncation_row(self):
+        # n/k holds through the last interior state; the truncated top row breaks it
+        deviations = _deviations(build_su11_rep(1, 8))
+        assert abs(deviations[6] - 6.0) < 1e-12
+        assert abs(deviations[7] - 7.0) > 1.0
 
 
 class TestContractionStudy:
@@ -114,8 +113,9 @@ class TestContractionStudy:
     def test_validation(self):
         with pytest.raises(ValueError):
             run_contraction_study("su2", [], 3)
-        with pytest.raises(ValueError):
-            run_contraction_study("su2", [10, 5], 3)
+        for params in ([10, 5], [5, 5, 5], [5, 5, 10]):
+            with pytest.raises(ValueError, match="strictly ascending"):
+                run_contraction_study("su2", params, 3)
         with pytest.raises(ValueError):
             run_contraction_study("other", [1, 2], 3)
         with pytest.raises(ValueError):

@@ -66,7 +66,8 @@ class TestTouchPoints:
     def test_touch_times(self):
         d = CircleDynamics.rational(2.5, 5, 7)
         trace = touch_points(d, 4)
-        assert np.allclose(trace.times, np.arange(1, 5) * math.pi / 2.5)
+        times = np.arange(1, trace.count + 1) * trace.time_step
+        assert np.allclose(times, np.arange(1, 5) * math.pi / 2.5)
 
     def test_seven_site_first_angle(self):
         trace = touch_points(thooft_system(7), 3)
@@ -88,7 +89,7 @@ class TestTouchPoints:
         d = CircleDynamics.rational(1.0, 5, 7)
         trace = touch_points(d, 20)
         assert trace.period_steps == 7 and trace.points.shape == (7, 2)
-        x, y = continuous_position(d, trace.times)
+        x, y = continuous_position(d, np.arange(1, trace.count + 1) * trace.time_step)
         points = trace.points[np.arange(20) % 7]  # touch j is point (j - 1) mod 7
         assert np.max(np.abs(x - points[:, 0])) < 1e-10
         assert np.max(np.abs(y - points[:, 1])) < 1e-10
@@ -128,7 +129,8 @@ class TestTouchPoints:
         assert trace.period_steps == 13
         assert trace.angles.shape == (min(count, 13),)
         assert trace.points.shape == (min(count, 13), 2)
-        assert np.array_equal(trace.times, np.arange(1, count + 1) * (math.pi / 2.0))
+        times = np.arange(1, trace.count + 1) * trace.time_step
+        assert np.array_equal(times, np.arange(1, count + 1) * (math.pi / 2.0))
 
     def test_irrational_orbit_stores_every_touch(self):
         trace = touch_points(CircleDynamics.irrational(1.0, 5 / 13 + 0.01), 300)
@@ -197,27 +199,27 @@ def trace_period(d: CircleDynamics) -> int:
 
 class TestTorus:
     def test_rational_rotations_return_to_start(self):
-        orbit = simulate_torus(TWO_PI / 5, TWO_PI / 7, 1.0, 35)
-        assert np.max(np.abs(orbit.angles[-1])) < 1e-12  # lcm(5, 7) jumps land on (0, 0)
+        angles = simulate_torus(TWO_PI / 5, TWO_PI / 7, 1.0, 35)
+        assert np.max(np.abs(angles[-1])) < 1e-12  # lcm(5, 7) jumps land on (0, 0)
 
     def test_closed_form_invariant(self):
-        orbit = simulate_torus(0.31, 1.7, 2.0, 400, (0.2, 5.1))
+        angles = simulate_torus(0.31, 1.7, 2.0, 400, (0.2, 5.1))
         j = np.arange(1, 401)
         expected1 = (0.2 + j * 0.31 * 2.0) % TWO_PI
         expected2 = (5.1 + j * 1.7 * 2.0) % TWO_PI
-        assert np.max(np.abs(orbit.angles[:, 0] - expected1)) < 1e-9
-        assert np.max(np.abs(orbit.angles[:, 1] - expected2)) < 1e-9
+        assert np.max(np.abs(angles[:, 0] - expected1)) < 1e-9
+        assert np.max(np.abs(angles[:, 1] - expected2)) < 1e-9
 
     def test_irrational_never_revisits_start(self):
-        orbit = simulate_torus(1.0, math.sqrt(2), 1.0, 10**4, (0.0, 0.0))
-        d1 = np.minimum(orbit.angles[:, 0], TWO_PI - orbit.angles[:, 0])
-        d2 = np.minimum(orbit.angles[:, 1], TWO_PI - orbit.angles[:, 1])
+        angles = simulate_torus(1.0, math.sqrt(2), 1.0, 10**4, (0.0, 0.0))
+        d1 = np.minimum(angles[:, 0], TWO_PI - angles[:, 0])
+        d2 = np.minimum(angles[:, 1], TWO_PI - angles[:, 1])
         assert np.min(np.maximum(d1, d2)) > 1e-9
 
     def test_latitude_frozen_only_without_rotation(self):
-        orbit = simulate_torus(1.1, 0.0, 1.0, 50, (0.3, 0.4))
-        assert np.max(np.abs(orbit.angles[:, 1] - 0.4)) < 1e-15
-        assert np.std(orbit.angles[:, 0]) > 0
+        angles = simulate_torus(1.1, 0.0, 1.0, 50, (0.3, 0.4))
+        assert np.max(np.abs(angles[:, 1] - 0.4)) < 1e-15
+        assert np.std(angles[:, 0]) > 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -228,20 +230,20 @@ class TestTorus:
 
 class TestDensityMetrics:
     def test_golden_rotation_dense(self):
-        orbit = simulate_torus(GOLDEN, GOLDEN, 1.0, 10**4)
-        gap1, gap2 = density_metrics(orbit)
+        angles = simulate_torus(GOLDEN, GOLDEN, 1.0, 10**4)
+        gap1, gap2 = density_metrics(angles)
         assert gap1 < 1e-2 and gap2 < 1e-2
 
     def test_rational_rotation_gap_stalls(self):
         for steps in (5, 50, 500):
-            orbit = simulate_torus(TWO_PI / 5, TWO_PI / 5, 1.0, steps)
-            gap1, gap2 = density_metrics(orbit)
+            angles = simulate_torus(TWO_PI / 5, TWO_PI / 5, 1.0, steps)
+            gap1, gap2 = density_metrics(angles)
             assert abs(gap1 - TWO_PI / 5) < 1e-12
             assert abs(gap2 - TWO_PI / 5) < 1e-12
 
     def test_single_point_reports_full_circle(self):
-        orbit = simulate_torus(1.0, 1.0, 1.0, 1)
-        assert density_metrics(orbit) == (TWO_PI, TWO_PI)
+        angles = simulate_torus(1.0, 1.0, 1.0, 1)
+        assert density_metrics(angles) == (TWO_PI, TWO_PI)
 
     @pytest.mark.parametrize("steps", [100, 1000, 10000])
     def test_doubling_steps_shrinks_gap(self, steps):
@@ -250,7 +252,7 @@ class TestDensityMetrics:
         assert large < small
 
     def test_library_gaps_match_the_oracle(self):
-        angles = simulate_torus(GOLDEN, 1.0, 1.0, 777, (0.1, 0.2)).angles[:, 0]
+        angles = simulate_torus(GOLDEN, 1.0, 1.0, 777, (0.1, 0.2))[:, 0]
         assert np.array_equal(orbits.circular_gaps(angles), circular_gaps(angles))
 
     @pytest.mark.parametrize("angle", [0.0, 0.1, 3.0, TWO_PI - 1e-9])
@@ -258,10 +260,10 @@ class TestDensityMetrics:
         assert orbits.circular_gaps(np.array([angle])).tolist() == [TWO_PI]
 
     def test_matches_brute_force_sort(self):
-        orbit = simulate_torus(GOLDEN, 1.0, 1.0, 777, (0.1, 0.2))
-        gap1, gap2 = density_metrics(orbit)
-        assert abs(gap1 - float(np.max(circular_gaps(orbit.angles[:, 0])))) < 1e-15
-        assert abs(gap2 - float(np.max(circular_gaps(orbit.angles[:, 1])))) < 1e-15
+        angles = simulate_torus(GOLDEN, 1.0, 1.0, 777, (0.1, 0.2))
+        gap1, gap2 = density_metrics(angles)
+        assert abs(gap1 - float(np.max(circular_gaps(angles[:, 0])))) < 1e-15
+        assert abs(gap2 - float(np.max(circular_gaps(angles[:, 1])))) < 1e-15
 
 
 @settings(max_examples=40, deadline=None)
@@ -274,9 +276,9 @@ class TestDensityMetrics:
 )
 def test_torus_reversibility(rot1, rot2, phi1, phi2, steps):
     forward = simulate_torus(rot1, rot2, 1.0, steps, (phi1, phi2))
-    backward = simulate_torus(-rot1, -rot2, 1.0, steps, tuple(forward.angles[-1]))
+    backward = simulate_torus(-rot1, -rot2, 1.0, steps, tuple(forward[-1]))
     start = np.array([phi1 % TWO_PI, phi2 % TWO_PI])
-    recovered = backward.angles[-1]
+    recovered = backward[-1]
     gap = np.abs(recovered - start)
     gap = np.minimum(gap, TWO_PI - gap)
     assert np.max(gap) < 1e-9
@@ -331,10 +333,10 @@ class TestRotationLoop:
     ])
     @pytest.mark.parametrize("steps", [1, 2, 1000])
     def test_torus_matches_itemwise_loop(self, alpha1, alpha2, tau, phi0, steps):
-        orbit = simulate_torus(alpha1, alpha2, tau, steps, phi0)
+        angles = simulate_torus(alpha1, alpha2, tau, steps, phi0)
         loop = itemwise_torus(alpha1, alpha2, tau, steps, phi0)
-        assert_within_loop_drift(orbit.angles[:, 0], loop[:, 0], alpha1 * tau)
-        assert_within_loop_drift(orbit.angles[:, 1], loop[:, 1], alpha2 * tau)
+        assert_within_loop_drift(angles[:, 0], loop[:, 0], alpha1 * tau)
+        assert_within_loop_drift(angles[:, 1], loop[:, 1], alpha2 * tau)
 
     @pytest.mark.parametrize("beta", [
         5 / 3 + math.pi / 40,  # a negative step
@@ -400,9 +402,9 @@ class TestRotationOracle:
         assert worst_error(angles, angle, step, js) <= 2
 
     def test_torus_and_touch_angles_are_the_closed_form(self):
-        orbit = simulate_torus(0.31, -1.7, 2.0, 300, (0.2, 5.1))
-        assert worst_error(orbit.angles[:, 0], 0.2, 0.31 * 2.0, range(1, 301)) <= 2
-        assert worst_error(orbit.angles[:, 1], 5.1, -1.7 * 2.0, range(1, 301)) <= 2
+        angles = simulate_torus(0.31, -1.7, 2.0, 300, (0.2, 5.1))
+        assert worst_error(angles[:, 0], 0.2, 0.31 * 2.0, range(1, 301)) <= 2
+        assert worst_error(angles[:, 1], 5.1, -1.7 * 2.0, range(1, 301)) <= 2
         d = CircleDynamics.irrational(1.0, 3 / 7 + 0.01)
         delta = (1.0 - d.beta / d.alpha) * math.pi
         assert worst_error(touch_points(d, 300).angles, 0.0, delta, range(1, 301)) <= 2

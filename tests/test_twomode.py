@@ -302,8 +302,7 @@ class TestDissipativeHamiltonian:
             expected = 1j * gamma * math.sqrt((n + 1) * (m + 1))
             assert abs(dense(hi)[row, col] - expected) < 1e-12
 
-    def test_derived_frequency(self):
-        assert DissipativeParams(Omega=0.3, Gamma=2.5).omega == 5.0
+    def test_gamma_must_be_positive(self):
         with pytest.raises(ValueError):
             DissipativeParams(Omega=1.0, Gamma=0.0)
 
@@ -349,6 +348,8 @@ class TestRotationRelation:
 
         with pytest.raises(ValueError):
             l2_relation_check(build_su2_rep(2), 3)
+        with pytest.raises(ValueError):
+            l2_relation_check(build_h1_rep(5), 3)
 
     def test_finite_form_truncation_dominated(self):
         # small cutoff: the non-unitary conjugation residual sits orders of

@@ -753,7 +753,7 @@ def _both_formats(tmp_path, result):
 
 
 def test_adjacent_periods_13_and_7(tmp_path, monkeypatch):
-    # joined into one text of period 91 on the column path
+    # two periodic texts on the column path, one of period 13 and one of 7
     group = (np.arange(ROWS), Periodic(np.linspace(0.5, 1.5, 13), ROWS),
              Periodic(np.arange(7) - 3, ROWS), np.arange(ROWS) / 7 + 1)
     joined = _joined_blocks(monkeypatch)
@@ -766,8 +766,8 @@ PERIODIC_PLACES = {
     "last": lambda p: (np.arange(ROWS), np.linspace(1.0, 2.0, ROWS), p),
     "after-label": lambda p: (Periodic(("touch",), ROWS), p, np.arange(ROWS)),
     "before-label": lambda p: (np.arange(ROWS), p, Periodic((None,), ROWS)),
-    # a string column keeps CSV on the column path; with period 256 the run
-    # would have period 1280 and is split before the numbers
+    # a string column keeps CSV on the column path, and a period other than
+    # its own starts a run of its own
     "after-strings": lambda p: (np.arange(ROWS), Periodic(STRINGS, ROWS), p,
                                 np.linspace(1.0, 2.0, ROWS)),
     "only-periodic": lambda p: (Periodic(("touch",), ROWS), p, Periodic(STRINGS[:3], ROWS)),
@@ -804,10 +804,10 @@ def test_periodic_runs_are_joined_once_per_group(tmp_path, monkeypatch):
     assert slots == [5, 5, 5]
 
 
-@pytest.mark.parametrize("periods,count", [((300, 300), 3), ((13, 7), 3), ((300, 301), 4)])
+@pytest.mark.parametrize("periods,count", [((300, 300), 3), ((13, 7), 4), ((300, 301), 4)])
 def test_a_run_is_split_before_its_period_outgrows_it(periods, count, tmp_path, monkeypatch):
-    # periods 300 and 301 would join into 775 texts, the whole group, where
-    # each part holds about 300: the run is split, one slot more per row
+    # a run joins the columns of one period; a column of another period
+    # starts a run of its own, one slot more per row
     slots = _slots_per_row(monkeypatch)
     group = (np.arange(ROWS), *(Periodic(np.arange(p) / 7, ROWS) for p in periods))
     assert_same_bytes(tmp_path, "json", CommandResult(("a", "b", "c"), [group]))
