@@ -4,10 +4,10 @@ Every cell these argvs write comes from +, -, *, / and sqrt, which IEEE 754
 rounds exactly, so the bytes do not depend on the numpy build: the su(2),
 su(1,1) and h(1) relation checks on both sides of the sizes where the fixed
 1e-12 gate first trips, every two-mode check at nmax 1 to 40, a dump of
-every sector at nmax 1 to 12, the Holstein-Primakoff map, the deformed
-identities on both sides of their first false breach, and the exact ops of
-the benchmark's `dense` workload at its sizes, with the values seeds 1 to 3
-draw.  The `orbit --torus` traces are here too: their angles come only
+every sector at nmax 1 to 12 and of the edge and middle sectors at nmax 40
+and 1000, the Holstein-Primakoff map, the deformed identities on both sides
+of their first false breach, and the exact ops of the benchmark's `dense`
+workload at its sizes, with the values seeds 1 to 3 draw.  The `orbit --torus` traces are here too: their angles come only
 from `math.fmod`, *, +, / and `np.floor` (`orbits._rotations`), and their
 gaps only from a sort and subtractions.  `evolve`, the other `orbit` modes
 and `contract --family` go through exp, sin, cos, log and LAPACK, whose
@@ -68,6 +68,9 @@ def argvs() -> list[list[str]]:
     for nmax in range(1, 13):
         runs += [["schwinger", "--nmax", str(nmax), "--dump", "--sector", str(shift / 2)]
                  for shift in range(-nmax, nmax + 1)]
+    runs += [["schwinger", "--nmax", nmax, "--dump", "--sector", j] for nmax, sectors in [
+        ("40", ("-20", "-19.5", "-0.5", "0", "0.5", "19.5", "20")),
+        ("1000", ("-499.5", "0", "0.5"))] for j in sectors]
     runs += [*BENCHMARK, *(argv + ["--format", "json"] for argv in BENCHMARK)]
     runs += [*TORUS, *(argv + ["--format", "json"] for argv in TORUS)]
     return runs + REFUSALS + EDGES
