@@ -479,21 +479,19 @@ def cmd_schwinger(args) -> CommandResult:
         if not ((2 * args.sector).is_integer() and abs(2 * args.sector) <= args.nmax):
             raise ValueError(f"--sector: no sector with j = {args.sector} at --nmax {args.nmax} "
                              f"(2j must be an integer with |2j| <= nmax)")
-    elif selected in ("all", "l2") and args.nmax < 2:
-        raise ValueError("--check all/l2 need --nmax >= 2")
-    elif selected in ("all", "hamiltonian") and not dissipative_in_float_range(args.nmax, params):
-        raise ValueError(f"--Omega {args.Omega!r} / --Gamma {args.Gamma!r}: the dissipative "
-                         f"checks at --nmax {args.nmax} reach beyond the float range")
-    space = build_two_mode(args.nmax)
-
-    if args.dump:
-        rep = sector_operators(space, args.sector)
+        rep = sector_operators(args.nmax, args.sector)
         return CommandResult(
             columns=ELEMENT_COLUMNS,
             groups=_element_groups([rep.L3, rep.Lplus, rep.Lminus]),
             checks={"sector_j": args.sector, "sector_size": rep.dim, "induced_k": rep.kind.k},
         )
+    if selected in ("all", "l2") and args.nmax < 2:
+        raise ValueError("--check all/l2 need --nmax >= 2")
+    if selected in ("all", "hamiltonian") and not dissipative_in_float_range(args.nmax, params):
+        raise ValueError(f"--Omega {args.Omega!r} / --Gamma {args.Gamma!r}: the dissipative "
+                         f"checks at --nmax {args.nmax} reach beyond the float range")
 
+    space = build_two_mode(args.nmax)
     checks: dict[str, object] = {}
     if selected in ("all", "casimir"):
         checks["casimir_interior"] = casimir_interior_residual(space)
@@ -502,7 +500,7 @@ def cmd_schwinger(args) -> CommandResult:
     if selected in ("all", "hamiltonian"):
         checks.update(dissipative_residuals(space, params))
     if selected in ("all", "l2"):
-        res1, res2 = l2_relation_check(space, space.n_max)
+        res1, res2 = l2_relation_check(space)
         checks["l2_commutator"] = res1
         checks["l2_double_commutator"] = res2
     return CommandResult(

@@ -4,17 +4,20 @@ Two independent truncated oscillator modes A, B carry L+ = A†B†, L- = AB,
 L3 = (A†A + B†B + 1)/2.  The Casimir is diagonal with eigenvalue
 j = (n_A - n_B)/2, and each fixed-j sector reproduces the discrete series of
 weight k = |j| + 1/2 entrywise (the j = 0 sector is the square-root-free
-weight-1/2 ladder, the oscillator with its zero-point 1/2), and
-`sector_operators` returns it as that su(1,1) `LadderRep`.  L+, L- and L3
+weight-1/2 ladder, the oscillator with its zero-point 1/2).  L+, L- and L3
 keep j, so the basis is ordered by sector: ascending j, then ascending n_A,
 which within a sector is ascending level.  Each sector is then a contiguous
 run of the basis, L+ and L- are the single offsets -1 and +1 with a zero at
 each sector boundary, and L3 is diagonal: every check runs on the
-tridiagonal arithmetic of `algebra`'s ladders.  On top of this sits the
-dissipative Hamiltonian H0 = Omega (A†A - B†B), HI = i Gamma (A†B† - AB)
-= -2 Gamma L2, formed from the occupations and the ladders; the single-mode
-operators A, B are not constant-offset diagonals in this order and are not
-built.
+tridiagonal arithmetic of `algebra`'s ladders.  One formula, `_ladders`,
+forms L3, L+ and L- from sqrt(n_A) and sqrt(n_B) of a run of whole
+sectors: `build_two_mode` reads it over the whole basis, and
+`sector_operators` over one sector's occupations alone, which it returns as
+that su(1,1) `LadderRep` without building the rest of the space.  On top of
+this sits the dissipative Hamiltonian H0 = Omega (A†A - B†B),
+HI = i Gamma (A†B† - AB) = -2 Gamma L2, formed from the occupations and the
+ladders; the single-mode operators A, B are not constant-offset diagonals in
+this order and are not built.
 
 Truncation lives at the per-mode cutoff n_max: an "interior" of size b means
 the states with both occupations below b, which is where every identity holds
@@ -81,28 +84,27 @@ class DissipativeParams:
 
 
 def build_two_mode(n_max: int) -> TwoModeSpace:
-    """L+ = A†B†, L- = AB and L3 = (A†A + B†B + 1)/2 in the sector order.
+    """L+ = A†B†, L- = AB and L3 = (A†A + B†B + 1)/2 in the sector order."""
+    n_max = int(n_max)
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    l3, lplus, lminus = _ladders(*(np.sqrt(n) for n in _mode_numbers(n_max)))
+    return TwoModeSpace(n_max=n_max, dim=(n_max + 1) ** 2, Lplus=lplus, Lminus=lminus, L3=l3)
+
+
+def _ladders(root_a: np.ndarray, root_b: np.ndarray) -> tuple[OperatorMatrix, ...]:
+    """L3, L+ and L- on a run of whole sectors, from sqrt(n_A) and sqrt(n_B) of its states.
 
     Each entry is the one product the mode operators would form:
     <n_A, n_B|L+|n_A - 1, n_B - 1> = sqrt(n_A) sqrt(n_B), which is zero at a
     sector's first state (n_A or n_B = 0), so no entry crosses a sector
     boundary, and <n_A, n_B|L3|n_A, n_B> from sqrt(n_A)^2 + sqrt(n_B)^2.
     """
-    n_max = int(n_max)
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    dim = (n_max + 1) ** 2
-    root_a, root_b = (np.sqrt(n) for n in _mode_numbers(n_max))
     # the raising element into each state is stored in that state's row
-    lplus = Bands(dim, {-1: root_a * root_b})
+    lplus = Bands(len(root_a), {-1: root_a * root_b})
     l3 = 0.5 * Bands.diag(root_a * root_a + root_b * root_b + 1.0)
-    return TwoModeSpace(
-        n_max=n_max,
-        dim=dim,
-        Lplus=OperatorMatrix("L+", lplus),
-        Lminus=OperatorMatrix("L-", lplus.adjoint()),
-        L3=OperatorMatrix("L3", l3),
-    )
+    return (OperatorMatrix("L3", l3), OperatorMatrix("L+", lplus),
+            OperatorMatrix("L-", lplus.adjoint()))
 
 
 def _sector_starts(n_max: int) -> np.ndarray:
@@ -150,32 +152,18 @@ def _casimir_root(n_a: np.ndarray, n_b: np.ndarray) -> Bands:
     return Bands.diag(np.abs(n_a - n_b) / 2.0)
 
 
-def sector_operators(space: TwoModeSpace, j: float) -> LadderRep:
-    """Sector j as the su(1,1) ladder it carries, the discrete series of weight |j| + 1/2.
+def sector_operators(n_max: int, j: float) -> LadderRep:
+    """Sector j of cutoff n_max as the su(1,1) ladder it carries, of weight |j| + 1/2.
 
-    Its L3, L+ and L- are the blocks of the space's operators on the run of
-    the basis that sector j occupies, in ascending level.
+    Built from that sector's occupations alone, in ascending level: n_A from
+    max(2j, 0) up and n_B = n_A - 2j, so its n_max + 1 - |2j| states cost
+    nothing of the rest of the space.
     """
     shift = 2 * j
-    if not (float(shift).is_integer() and abs(shift) <= space.n_max):
-        raise ValueError(f"no sector with j = {j} at n_max {space.n_max}")
-    sector = int(shift) + space.n_max  # the sectors run from j = -n_max/2
-    states = range(*_sector_starts(space.n_max)[sector:sector + 2].tolist())
-    return LadderRep(Su11(abs(j) + 0.5), len(states),
-                     *(OperatorMatrix(op.label, _block(op.bands, states))
-                       for op in (space.L3, space.Lplus, space.Lminus)))
-
-
-def _block(bands: Bands, states: range) -> Bands:
-    """The block of `bands` on a contiguous run of the basis: each diagonal, sliced.
-
-    A sliced entry whose column falls outside the run is set to zero.
-    """
-    size = len(states)
-    rows = np.arange(size)
-    return Bands(size, {offset: np.where((rows + offset >= 0) & (rows + offset < size),
-                                         values[states.start:states.stop], 0.0)
-                        for offset, values in bands.diagonals.items()})
+    if not (float(shift).is_integer() and abs(shift) <= n_max):
+        raise ValueError(f"no sector with j = {j} at n_max {n_max}")
+    n_a = max(shift, 0) + np.arange(n_max + 1 - abs(shift), dtype=float)
+    return LadderRep(Su11(abs(j) + 0.5), len(n_a), *_ladders(np.sqrt(n_a), np.sqrt(n_a - shift)))
 
 
 def sector_match_residual(space: TwoModeSpace) -> float:
@@ -263,33 +251,26 @@ def _dissipative_identities(p: DissipativeParams, lp, lm, modes, casimir, upper=
     yield Identity("h0_hi_commutator", lambda: h0 @ hi - hi @ h0, keep)
 
 
-def l2_relation_check(target, interior: int) -> tuple[float, float]:
+def l2_relation_check(space: TwoModeSpace) -> tuple[float, float]:
     """Residuals of [L1, L3] = -i L2 and [L1, [L1, L3]] = -L3 on the interior.
 
     These two relations are the infinitesimal content of the finite rotation
     i e^{(pi/2) L1} L3 e^{-(pi/2) L1} = L2 (the double commutator closing on
-    -L3 makes the adjoint orbit a rotation, evaluated at angle pi/2).
-    Accepts a TwoModeSpace (interior = per-mode occupation bound) or an
-    su(1,1) LadderRep (interior = number of leading states).
+    -L3 makes the adjoint orbit a rotation, evaluated at angle pi/2).  The
+    interior is every state with both occupations below n_max, which needs
+    n_max >= 2.
     """
-    interior = int(interior)
-    if isinstance(target, TwoModeSpace):
-        top, keep = target.n_max + 1, _interior_mask(*_mode_numbers(target.n_max), interior)
-    elif isinstance(target, LadderRep) and isinstance(target.kind, Su11):
-        top, keep = target.dim, np.arange(target.dim) < interior
-    else:
-        raise ValueError("expected a TwoModeSpace or an su(1,1) LadderRep, "
-                         "whose sign the rotation relation needs")
-    if not 2 <= interior <= top:
-        raise ValueError(f"interior must be in 2..{top}")
-    values = evaluate(_l2_identities(target), keep)
+    if space.n_max < 2:
+        raise ValueError("the L2 relations need n_max >= 2")
+    values = evaluate(_l2_identities(space),
+                      _interior_mask(*_mode_numbers(space.n_max), space.n_max))
     return values["l2_commutator"], values["l2_double_commutator"]
 
 
-def _l2_identities(target):
+def _l2_identities(space: TwoModeSpace):
     """The two identities of `l2_relation_check`, yielded one at a time; L2 is dropped between."""
-    l1, l2 = _cartesian(target.Lplus.bands, target.Lminus.bands)
-    l3 = target.L3.bands
+    l1, l2 = _cartesian(space.Lplus.bands, space.Lminus.bands)
+    l3 = space.L3.bands
     first = l1 @ l3 - l3 @ l1
     yield Identity("l2_commutator", lambda: first + 1j * l2)
     del l2

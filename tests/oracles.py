@@ -8,7 +8,8 @@ n_A (n_max + 1) + n_B, is `dense_two_mode`; `sector_order` gives the
 library's sector order from a scan of that basis, and `in_sector_order`
 permutes a flat matrix into it.  `l2_finite_residual` is the finite-rotation
 diagnostic, which the library does not form: a Taylor exponential per su(1,1)
-sector.  The CSR view and the scipy matrix exponential check the band store
+sector, each sliced by `space_sector` from the operators of the space it is
+given.  The CSR view and the scipy matrix exponential check the band store
 and that diagnostic against independent arithmetic, the
 object-integer touch angles check the closed orbits, the dense ladders of
 the whole su(2) irrep check the contraction sweep, which builds only its
@@ -28,7 +29,7 @@ from scipy import sparse
 from scipy.linalg import expm
 
 from ladderlab import twomode
-from ladderlab.algebra import LadderRep, build_su2_rep
+from ladderlab.algebra import LadderRep, Su11, build_su2_rep
 from ladderlab.operators import Bands, Envelope, OperatorMatrix, max_entry
 from ladderlab.twomode import DissipativeParams, TwoModeSpace
 
@@ -195,9 +196,29 @@ def rational_touch_angles(num: int, den: int, count: int) -> np.ndarray:
     return np.array([pi * int(r) / den for r in residues])
 
 
-def leading_block(op: OperatorMatrix, size: int) -> Bands:
-    """The leading size x size block of `op`, cut from its diagonals."""
-    return Bands(size, {offset: values[:size] for offset, values in op.bands.diagonals.items()})
+def block(bands: Bands, states: range) -> Bands:
+    """The block of `bands` on a contiguous run of the basis: each diagonal, sliced.
+
+    A sliced entry whose column falls outside the run is set to zero.
+    """
+    size = len(states)
+    rows = np.arange(size)
+    return Bands(size, {offset: np.where((rows + offset >= 0) & (rows + offset < size),
+                                         values[states.start:states.stop], 0.0)
+                        for offset, values in bands.diagonals.items()})
+
+
+def space_sector(space: TwoModeSpace, j: float) -> LadderRep:
+    """Sector j of `space` as an su(1,1) `LadderRep`, sliced from the space's own operators.
+
+    `twomode.sector_operators` builds a sector from its occupations alone;
+    this reads the blocks of whatever operators `space` holds.
+    """
+    sector = int(2 * j) + space.n_max  # the sectors run from j = -n_max/2
+    states = range(*twomode._sector_starts(space.n_max)[sector:sector + 2].tolist())
+    return LadderRep(Su11(abs(j) + 0.5), len(states),
+                     *(OperatorMatrix(op.label, block(op.bands, states))
+                       for op in (space.L3, space.Lplus, space.Lminus)))
 
 
 def full_irrep_deviations(l: float, interior: int) -> np.ndarray:
@@ -210,7 +231,8 @@ def full_irrep_deviations(l: float, interior: int) -> np.ndarray:
     """
     rep = build_su2_rep(l)
     size = min(interior + 1, rep.dim)
-    a, adag = (dense(leading_block(op, size)) / sqrt(2.0 * l) for op in (rep.Lminus, rep.Lplus))
+    a, adag = (dense(block(op.bands, range(size))) / sqrt(2.0 * l)
+               for op in (rep.Lminus, rep.Lplus))
     defect = a @ adag - adag @ a - np.eye(size)
     return np.array([np.linalg.norm(defect[:, n]) for n in range(interior)])
 
@@ -317,9 +339,9 @@ def l2_finite_residual(target, interior: int) -> float:
     components, maximized over the states.
 
     L1 keeps the sector j, so each sector of a TwoModeSpace is computed on
-    its own as the su(1,1) rep that `sector_operators` gives, whose interior
-    is the leading b - 2|j| of its states.  Within a block L- is taken as
-    the adjoint of L+, and entries between sectors are not read;
+    its own as the su(1,1) rep `space_sector` slices from the space, whose
+    interior is the leading b - 2|j| of its states.  Within a block L- is
+    taken as the adjoint of L+, and entries between sectors are not read;
     `sector_match_residual` checks both.  No matrix larger than nmax + 1
     square is formed.
 
@@ -332,7 +354,7 @@ def l2_finite_residual(target, interior: int) -> float:
     if isinstance(target, LadderRep):
         return rotation_block_residual(target, interior)
     # a sector with 2|j| >= interior has no interior state
-    return float(np.max([rotation_block_residual(twomode.sector_operators(target, shift / 2.0),
+    return float(np.max([rotation_block_residual(space_sector(target, shift / 2.0),
                                                  interior - abs(shift))
                          for shift in range(1 - interior, interior)]))  # a nan stays nan
 

