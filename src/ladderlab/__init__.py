@@ -20,9 +20,8 @@ _SUBMODULES = {
         "evolution": ("EvolutionParams", "geometric_phase_check", "spectrum_via_dft"),
         "operators": ("Identity", "OperatorMatrix", "evaluate", "max_entry"),
         "orbits": ("density_metrics", "simulate_torus", "thooft_system", "touch_points"),
-        "twomode": ("DissipativeParams", "build_two_mode", "casimir_interior_residual",
-                    "dissipative_residuals", "l2_relation_check", "sector_match_residual",
-                    "sector_operators"),
+        "twomode": ("DissipativeParams", "casimir_interior_residual", "dissipative_residuals",
+                    "l2_relation_check", "sector_match_residual", "sector_operators"),
     }.items()
     for name in names
 }

@@ -463,7 +463,6 @@ def cmd_orbit(args) -> CommandResult:
 def cmd_schwinger(args) -> CommandResult:
     from .twomode import (
         DissipativeParams,
-        build_two_mode,
         casimir_interior_residual,
         dissipative_in_float_range,
         dissipative_residuals,
@@ -475,11 +474,7 @@ def cmd_schwinger(args) -> CommandResult:
 
     selected, params = args.check, DissipativeParams(args.Omega, args.Gamma)
     if args.dump:
-        # j = (n_A - n_B)/2 with both occupations in 0 .. nmax
-        if not ((2 * args.sector).is_integer() and abs(2 * args.sector) <= args.nmax):
-            raise ValueError(f"--sector: no sector with j = {args.sector} at --nmax {args.nmax} "
-                             f"(2j must be an integer with |2j| <= nmax)")
-        rep = sector_operators(args.nmax, args.sector)
+        rep = _flagged("--sector", sector_operators, args.nmax, args.sector)
         return CommandResult(
             columns=ELEMENT_COLUMNS,
             groups=_element_groups([rep.L3, rep.Lplus, rep.Lminus]),
@@ -491,16 +486,15 @@ def cmd_schwinger(args) -> CommandResult:
         raise ValueError(f"--Omega {args.Omega!r} / --Gamma {args.Gamma!r}: the dissipative "
                          f"checks at --nmax {args.nmax} reach beyond the float range")
 
-    space = build_two_mode(args.nmax)
     checks: dict[str, object] = {}
     if selected in ("all", "casimir"):
-        checks["casimir_interior"] = casimir_interior_residual(space)
+        checks["casimir_interior"] = casimir_interior_residual(args.nmax)
     if selected in ("all", "sectors"):
-        checks["sector_match"] = sector_match_residual(space)
+        checks["sector_match"] = sector_match_residual(args.nmax)
     if selected in ("all", "hamiltonian"):
-        checks.update(dissipative_residuals(space, params))
+        checks.update(dissipative_residuals(args.nmax, params))
     if selected in ("all", "l2"):
-        res1, res2 = l2_relation_check(space)
+        res1, res2 = l2_relation_check(args.nmax)
         checks["l2_commutator"] = res1
         checks["l2_double_commutator"] = res2
     return CommandResult(

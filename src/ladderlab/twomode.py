@@ -6,15 +6,20 @@ j = (n_A - n_B)/2, and each fixed-j sector reproduces the discrete series of
 weight k = |j| + 1/2 entrywise (the j = 0 sector is the square-root-free
 weight-1/2 ladder, the oscillator with its zero-point 1/2).  L+, L- and L3
 keep j, so the basis is ordered by sector: ascending j, then ascending n_A,
-which within a sector is ascending level.  Each sector is then a contiguous
-run of the basis, L+ and L- are the single offsets -1 and +1 with a zero at
-each sector boundary, and L3 is diagonal: every check runs on the
-tridiagonal arithmetic of `algebra`'s ladders.  One formula, `_ladders`,
-forms L3, L+ and L- from sqrt(n_A) and sqrt(n_B) of a run of whole
-sectors: `build_two_mode` reads it over the whole basis, and
-`sector_operators` over one sector's occupations alone, which it returns as
-that su(1,1) `LadderRep` without building the rest of the space.  On top of
-this sits the dissipative Hamiltonian H0 = Omega (A†A - B†B),
+which within a sector is ascending level.  One function, `_occupations`,
+states that order: (n_A, n_B) of each state of a range of sectors.  Each
+sector is then a contiguous run of the basis, L+ and L- are the single
+offsets -1 and +1 with a zero at each sector boundary, and L3 is diagonal:
+every check runs on the tridiagonal arithmetic of `algebra`'s ladders.
+`_ladders` forms L3, L+ and L- from the occupations of any run of whole
+sectors.  `sector_operators` reads one sector, which it returns as the
+su(1,1) `LadderRep` it carries.  Each check is a function of the cutoff
+n_max alone: `_sweep` runs its identity table over successive runs of whole
+sectors of at most `RUN_STATES` states (one sector, if it alone holds
+more).  No entry crosses a sector boundary, and `evaluate` keeps the
+largest value of each name, so each result is the value over the whole
+(n_max + 1)^2 space, bit for bit, which is never built.  On top of this
+sits the dissipative Hamiltonian H0 = Omega (A†A - B†B),
 HI = i Gamma (A†B† - AB) = -2 Gamma L2, formed from the occupations and the
 ladders; the single-mode operators A, B are not constant-offset diagonals in
 this order and are not built.
@@ -37,36 +42,8 @@ import numpy as np
 from .algebra import LadderRep, Su11, _cartesian, discrete_series_elements
 from .operators import Bands, Envelope, Identity, OperatorMatrix, evaluate, in_float_range
 
-
-@dataclass(frozen=True, eq=False)
-class TwoModeSpace:
-    """Truncated two-oscillator space with its su(1,1) ladders.
-
-    Basis |n_A, n_B> with 0 <= n_A, n_B <= n_max, ordered by sector:
-    ascending j = (n_A - n_B)/2, then ascending n_A.  L+ sits on offset -1,
-    L- on +1 and L3 on 0.
-    """
-
-    n_max: int
-    dim: int
-    Lplus: OperatorMatrix
-    Lminus: OperatorMatrix
-    L3: OperatorMatrix
-
-    def index(self, n_a: int, n_b: int) -> int:
-        if not (0 <= n_a <= self.n_max and 0 <= n_b <= self.n_max):
-            raise ValueError("occupation out of range")
-        shift = n_a - n_b
-        return int(_sector_starts(self.n_max)[shift + self.n_max]) + n_a - max(shift, 0)
-
-    def occupations(self, index: int) -> tuple[int, int]:
-        if not 0 <= index < self.dim:
-            raise ValueError("basis index out of range")
-        starts = _sector_starts(self.n_max)
-        sector = int(np.searchsorted(starts, index, side="right")) - 1
-        shift = sector - self.n_max
-        n_a = int(index) - int(starts[sector]) + max(shift, 0)
-        return n_a, n_a - shift
+# The most states a run of whole sectors holds, unless one sector alone holds more.
+RUN_STATES = 65536
 
 
 @dataclass(frozen=True)
@@ -83,49 +60,50 @@ class DissipativeParams:
             raise ValueError("Gamma must be positive")
 
 
-def build_two_mode(n_max: int) -> TwoModeSpace:
-    """L+ = A†B†, L- = AB and L3 = (A†A + B†B + 1)/2 in the sector order."""
-    n_max = int(n_max)
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    l3, lplus, lminus = _ladders(*(np.sqrt(n) for n in _mode_numbers(n_max)))
-    return TwoModeSpace(n_max=n_max, dim=(n_max + 1) ** 2, Lplus=lplus, Lminus=lminus, L3=l3)
+def _occupations(n_max: int, first: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n_A, n_B), as floats, of each state of the sectors 2j = first .. stop - 1 of cutoff n_max.
+
+    This fixes the basis order: ascending j, and within sector j its
+    n_max + 1 - |2j| states with n_A - n_B = 2j, in ascending n_A from max(2j, 0).
+    """
+    shifts = np.arange(first, stop)
+    sizes = n_max + 1 - np.abs(shifts)
+    # the index n_A = 0 would have in each sector, counted from the first state of the range
+    origins = np.cumsum(sizes) - sizes - np.maximum(shifts, 0)
+    n_a = np.arange(sizes.sum(), dtype=float) - np.repeat(origins, sizes)
+    return n_a, n_a - np.repeat(shifts, sizes)
 
 
-def _ladders(root_a: np.ndarray, root_b: np.ndarray) -> tuple[OperatorMatrix, ...]:
-    """L3, L+ and L- on a run of whole sectors, from sqrt(n_A) and sqrt(n_B) of its states.
+def _ladders(n_a: np.ndarray, n_b: np.ndarray) -> tuple[Bands, Bands, Bands]:
+    """L3, L+ and L- on a run of whole sectors, from the occupations n_A and n_B of its states.
 
     Each entry is the one product the mode operators would form:
     <n_A, n_B|L+|n_A - 1, n_B - 1> = sqrt(n_A) sqrt(n_B), which is zero at a
     sector's first state (n_A or n_B = 0), so no entry crosses a sector
     boundary, and <n_A, n_B|L3|n_A, n_B> from sqrt(n_A)^2 + sqrt(n_B)^2.
     """
+    root_a, root_b = np.sqrt(n_a), np.sqrt(n_b)
     # the raising element into each state is stored in that state's row
     lplus = Bands(len(root_a), {-1: root_a * root_b})
-    l3 = 0.5 * Bands.diag(root_a * root_a + root_b * root_b + 1.0)
-    return (OperatorMatrix("L3", l3), OperatorMatrix("L+", lplus),
-            OperatorMatrix("L-", lplus.adjoint()))
+    return 0.5 * Bands.diag(root_a * root_a + root_b * root_b + 1.0), lplus, lplus.adjoint()
 
 
-def _sector_starts(n_max: int) -> np.ndarray:
-    """The first basis index of each sector j = -n_max/2 .. n_max/2, then dim.
+def _sweep(n_max: int, table, *args):
+    """The identities of `table(*args, n_max, n_A, n_B, L3, L+, L-)` over each run of whole sectors.
 
-    This fixes the basis order: sector j holds the n_max + 1 - 2|j| states
-    with n_A - n_B = 2j, in ascending n_A.
+    The runs tile the basis in order, each of as many whole sectors as
+    `RUN_STATES` holds, and at least one.  A table derives what it needs of
+    the occupations and drops them before its first identity, so one run's
+    operators and masks are all that is held.
     """
-    sizes = n_max + 1 - np.abs(np.arange(-n_max, n_max + 1))
-    return np.concatenate(([0], np.cumsum(sizes)))
-
-
-def _mode_numbers(n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """(n_A, n_B) of every basis state, as floats, in the basis order."""
-    shifts = np.arange(-n_max, n_max + 1).astype(float)
-    starts = _sector_starts(n_max)
-    sizes = np.diff(starts)
-    # the index n_A = 0 would have in each sector, whose n_A starts at max(0, n_A - n_B)
-    origins = starts[:-1] - np.maximum(shifts, 0.0)
-    n_a = np.arange(starts[-1], dtype=float) - np.repeat(origins, sizes)
-    return n_a, n_a - np.repeat(shifts, sizes)
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    step = max(1, RUN_STATES // (n_max + 1))  # a sector holds at most n_max + 1 states
+    for first in range(-n_max, n_max + 1, step):
+        n_a, n_b = _occupations(n_max, first, min(first + step, n_max + 1))
+        identities = table(*args, n_max, n_a, n_b, *_ladders(n_a, n_b))
+        del n_a, n_b
+        yield from identities
 
 
 def _interior_mask(n_a: np.ndarray, n_b: np.ndarray, bound: int) -> np.ndarray:
@@ -133,18 +111,21 @@ def _interior_mask(n_a: np.ndarray, n_b: np.ndarray, bound: int) -> np.ndarray:
     return (n_a < bound) & (n_b < bound)
 
 
-def casimir_interior_residual(space: TwoModeSpace) -> float:
+def casimir_interior_residual(n_max: int) -> float:
     """Max-entry gap between the ladder-form Casimir and the mode form on the interior.
 
     The ladder form is C^2 = 1/4 + L3^2 - (L+L- + L-L+)/2, the mode form
     (A†A - B†B)^2/4 = j^2 from the occupations.
     """
-    n_a, n_b = _mode_numbers(space.n_max)
-    l3, lp, lm = space.L3.bands, space.Lplus.bands, space.Lminus.bands
-    casimir = Identity("casimir_interior", lambda: (
-        0.25 * Bands.identity(space.dim) + l3 @ l3 - 0.5 * (lp @ lm + lm @ lp)
-        - Bands.diag(0.25 * (n_a - n_b) ** 2)))
-    return evaluate([casimir], _interior_mask(n_a, n_b, space.n_max))["casimir_interior"]
+    return evaluate(_sweep(n_max, _casimir_identities))["casimir_interior"]
+
+
+def _casimir_identities(n_max, n_a, n_b, l3, lp, lm):
+    """The identity of `casimir_interior_residual`, read on the states below n_max."""
+    mode_form, keep = Bands.diag(0.25 * (n_a - n_b) ** 2), _interior_mask(n_a, n_b, n_max)
+    del n_a, n_b
+    yield Identity("casimir_interior", lambda: (
+        0.25 * Bands.identity(l3.dim) + l3 @ l3 - 0.5 * (lp @ lm + lm @ lp) - mode_form), keep)
 
 
 def _casimir_root(n_a: np.ndarray, n_b: np.ndarray) -> Bands:
@@ -155,18 +136,19 @@ def _casimir_root(n_a: np.ndarray, n_b: np.ndarray) -> Bands:
 def sector_operators(n_max: int, j: float) -> LadderRep:
     """Sector j of cutoff n_max as the su(1,1) ladder it carries, of weight |j| + 1/2.
 
-    Built from that sector's occupations alone, in ascending level: n_A from
-    max(2j, 0) up and n_B = n_A - 2j, so its n_max + 1 - |2j| states cost
-    nothing of the rest of the space.
+    Built from that sector's occupations alone, so its n_max + 1 - |2j|
+    states cost nothing of the rest of the space.
     """
     shift = 2 * j
     if not (float(shift).is_integer() and abs(shift) <= n_max):
-        raise ValueError(f"no sector with j = {j} at n_max {n_max}")
-    n_a = max(shift, 0) + np.arange(n_max + 1 - abs(shift), dtype=float)
-    return LadderRep(Su11(abs(j) + 0.5), len(n_a), *_ladders(np.sqrt(n_a), np.sqrt(n_a - shift)))
+        raise ValueError(f"no sector with j = {j} at n_max {n_max} "
+                         "(2j must be an integer with |2j| <= n_max)")
+    n_a, n_b = _occupations(n_max, int(shift), int(shift) + 1)
+    return LadderRep(Su11(abs(j) + 0.5), len(n_a),
+                     *map(OperatorMatrix, ("L3", "L+", "L-"), _ladders(n_a, n_b)))
 
 
-def sector_match_residual(space: TwoModeSpace) -> float:
+def sector_match_residual(n_max: int) -> float:
     """Entrywise gap between the two-mode ladders and the discrete series, every sector at once.
 
     |n_A, n_B> is level n = min(n_A, n_B) of sector j = (n_A - n_B)/2, whose
@@ -177,28 +159,35 @@ def sector_match_residual(space: TwoModeSpace) -> float:
     top state at n_A or n_B = n_max, where the sector is truncated).  Any
     other diagonal is a leak between sectors and counts in full.
     """
-    n_a, n_b = _mode_numbers(space.n_max)
+    return evaluate(_sweep(n_max, _sector_match_identities))["sector_match"]
+
+
+def _sector_match_identities(n_max, n_a, n_b, l3, lp, lm):
+    """The three identities of `sector_match_residual`, one per ladder."""
     weight = np.abs((n_a - n_b) / 2.0) + 0.5
     level = np.minimum(n_a, n_b)
     diagonal, raising = discrete_series_elements(weight, level)
-    _, raising_into = discrete_series_elements(weight, level - 1.0)
-    lowering = np.where(_interior_mask(n_a, n_b, space.n_max), raising, 0.0)
-    return evaluate([
-        Identity("sector_match", lambda: space.L3.bands - Bands(space.dim, {0: diagonal})),
-        Identity("sector_match", lambda: space.Lplus.bands - Bands(space.dim, {-1: raising_into})),
-        Identity("sector_match", lambda: space.Lminus.bands - Bands(space.dim, {1: lowering})),
-    ])["sector_match"]
+    raising_into = discrete_series_elements(weight, level - 1.0)[1]
+    lowering = np.where(_interior_mask(n_a, n_b, n_max), raising, 0.0)
+    del n_a, n_b, weight, level, raising
+    yield Identity("sector_match", lambda: l3 - Bands(l3.dim, {0: diagonal}))
+    yield Identity("sector_match", lambda: lp - Bands(lp.dim, {-1: raising_into}))
+    yield Identity("sector_match", lambda: lm - Bands(lm.dim, {1: lowering}))
 
 
-def dissipative_residuals(space: TwoModeSpace, p: DissipativeParams) -> dict[str, float]:
+def dissipative_residuals(n_max: int, p: DissipativeParams) -> dict[str, float]:
     """Identity residuals for the dissipative Hamiltonian pieces.
 
     h0_vs_casimir compares Omega (A†A - B†B) with 2 Omega C on the j >= 0
     sectors only: C is the nonnegative Casimir root, so the signed mode form
     can match it only where j >= 0.
     """
-    return evaluate(_dissipative_identities(p, space.Lplus.bands, space.Lminus.bands,
-                                            *_mode_operators(space.n_max)))
+    return evaluate(_sweep(n_max, _dissipative_run, p))
+
+
+def _dissipative_run(p: DissipativeParams, n_max, n_a, n_b, l3, lp, lm):
+    """`_dissipative_identities` over the ladders and the mode operators of one run."""
+    return _dissipative_identities(p, lp, lm, *_mode_operators(n_max, n_a, n_b))
 
 
 def dissipative_in_float_range(n_max: int, p: DissipativeParams) -> bool:
@@ -210,13 +199,13 @@ def dissipative_in_float_range(n_max: int, p: DissipativeParams) -> bool:
     return in_float_range(_dissipative_identities(p, *_mode_envelopes(n_max)))
 
 
-def _mode_operators(n_max: int) -> tuple[Bands, Bands, np.ndarray, np.ndarray]:
+def _mode_operators(n_max: int, n_a: np.ndarray,
+                    n_b: np.ndarray) -> tuple[Bands, Bands, np.ndarray, np.ndarray]:
     """What the dissipative table reads besides the ladders, from the occupations.
 
     A†A - B†B from sqrt(n_A)^2 - sqrt(n_B)^2, the Casimir root, and the
     masks of j >= 0 and of the interior.
     """
-    n_a, n_b = _mode_numbers(n_max)
     root_a, root_b = np.sqrt(n_a), np.sqrt(n_b)
     return (Bands.diag(root_a * root_a - root_b * root_b), _casimir_root(n_a, n_b), n_a >= n_b,
             _interior_mask(n_a, n_b, n_max))
@@ -251,7 +240,7 @@ def _dissipative_identities(p: DissipativeParams, lp, lm, modes, casimir, upper=
     yield Identity("h0_hi_commutator", lambda: h0 @ hi - hi @ h0, keep)
 
 
-def l2_relation_check(space: TwoModeSpace) -> tuple[float, float]:
+def l2_relation_check(n_max: int) -> tuple[float, float]:
     """Residuals of [L1, L3] = -i L2 and [L1, [L1, L3]] = -L3 on the interior.
 
     These two relations are the infinitesimal content of the finite rotation
@@ -260,18 +249,18 @@ def l2_relation_check(space: TwoModeSpace) -> tuple[float, float]:
     interior is every state with both occupations below n_max, which needs
     n_max >= 2.
     """
-    if space.n_max < 2:
+    if n_max < 2:
         raise ValueError("the L2 relations need n_max >= 2")
-    values = evaluate(_l2_identities(space),
-                      _interior_mask(*_mode_numbers(space.n_max), space.n_max))
+    values = evaluate(_sweep(n_max, _l2_identities))
     return values["l2_commutator"], values["l2_double_commutator"]
 
 
-def _l2_identities(space: TwoModeSpace):
+def _l2_identities(n_max, n_a, n_b, l3, lp, lm):
     """The two identities of `l2_relation_check`, yielded one at a time; L2 is dropped between."""
-    l1, l2 = _cartesian(space.Lplus.bands, space.Lminus.bands)
-    l3 = space.L3.bands
+    keep = _interior_mask(n_a, n_b, n_max)
+    l1, l2 = _cartesian(lp, lm)
+    del n_a, n_b, lp, lm
     first = l1 @ l3 - l3 @ l1
-    yield Identity("l2_commutator", lambda: first + 1j * l2)
+    yield Identity("l2_commutator", lambda: first + 1j * l2, keep)
     del l2
-    yield Identity("l2_double_commutator", lambda: l1 @ first - first @ l1 + l3)
+    yield Identity("l2_double_commutator", lambda: l1 @ first - first @ l1 + l3, keep)

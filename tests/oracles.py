@@ -3,7 +3,10 @@
 The library keeps every operator as its diagonals (`operators.Bands`); dense
 matrices live here alone.  `dense` is the tests' one dense view of an
 operator, and `from_dense` and `bands_from_entries` build one from a dense
-array or from its entries.  The flat two-mode build, on the index
+array or from its entries.  The library never holds the whole two-mode
+space; `build_two_mode` builds it here as one run of every sector, from the
+library's own occupations and ladders, so that the runs the checks sweep
+can be compared with it.  The flat two-mode build, on the index
 n_A (n_max + 1) + n_B, is `dense_two_mode`; `sector_order` gives the
 library's sector order from a scan of that basis, and `in_sector_order`
 permutes a flat matrix into it.  `l2_finite_residual` is the finite-rotation
@@ -22,6 +25,7 @@ forms of the library's residuals.  scipy is imported here and
 nowhere in the package.
 """
 
+from dataclasses import dataclass
 from math import ceil, log2, pi, sqrt
 
 import numpy as np
@@ -30,8 +34,8 @@ from scipy.linalg import expm
 
 from ladderlab import twomode
 from ladderlab.algebra import LadderRep, Su11, build_su2_rep
-from ladderlab.operators import Bands, Envelope, OperatorMatrix, max_entry
-from ladderlab.twomode import DissipativeParams, TwoModeSpace
+from ladderlab.operators import Bands, Envelope, OperatorMatrix, evaluate, max_entry
+from ladderlab.twomode import DissipativeParams
 
 
 def dense(x: OperatorMatrix | Bands) -> np.ndarray:
@@ -72,6 +76,54 @@ def from_dense(label: str, m) -> OperatorMatrix:
     m = np.asarray(m)
     rows, cols = np.nonzero(m)
     return OperatorMatrix(label, bands_from_entries(len(m), rows, cols, m[rows, cols]))
+
+
+@dataclass(frozen=True, eq=False)
+class TwoModeSpace:
+    """The whole truncated two-oscillator space with its su(1,1) ladders.
+
+    Basis |n_A, n_B> with 0 <= n_A, n_B <= n_max in the library's sector
+    order; `n_a` and `n_b` hold each state's occupations as floats.  L+ sits
+    on offset -1, L- on +1 and L3 on 0.
+    """
+
+    n_max: int
+    n_a: np.ndarray
+    n_b: np.ndarray
+    L3: OperatorMatrix
+    Lplus: OperatorMatrix
+    Lminus: OperatorMatrix
+
+    @property
+    def dim(self) -> int:
+        return len(self.n_a)
+
+    def index(self, n_a: int, n_b: int) -> int:
+        found = np.flatnonzero((self.n_a == n_a) & (self.n_b == n_b))
+        if len(found) != 1:
+            raise ValueError("occupation out of range")
+        return int(found[0])
+
+    def occupations(self, index: int) -> tuple[int, int]:
+        if not 0 <= index < self.dim:
+            raise ValueError("basis index out of range")
+        return int(self.n_a[index]), int(self.n_b[index])
+
+
+def build_two_mode(n_max: int) -> TwoModeSpace:
+    """Every sector of cutoff n_max as one run, from `twomode._occupations` and `_ladders`."""
+    n_a, n_b = twomode._occupations(n_max, -n_max, n_max + 1)
+    return TwoModeSpace(n_max, n_a, n_b, *map(OperatorMatrix, ("L3", "L+", "L-"),
+                                              twomode._ladders(n_a, n_b)))
+
+
+def whole_run(table, space: TwoModeSpace, *args) -> dict[str, float]:
+    """`evaluate` of one of `twomode`'s identity tables over the space's own operators, as one run.
+
+    A space whose operators a test has changed is read as it is, not rebuilt.
+    """
+    return evaluate(table(*args, space.n_max, space.n_a, space.n_b, space.L3.bands,
+                          space.Lplus.bands, space.Lminus.bands))
 
 
 def dense_two_mode(n_max: int) -> dict[str, np.ndarray]:
@@ -214,8 +266,8 @@ def space_sector(space: TwoModeSpace, j: float) -> LadderRep:
     `twomode.sector_operators` builds a sector from its occupations alone;
     this reads the blocks of whatever operators `space` holds.
     """
-    sector = int(2 * j) + space.n_max  # the sectors run from j = -n_max/2
-    states = range(*twomode._sector_starts(space.n_max)[sector:sector + 2].tolist())
+    members = np.flatnonzero(space.n_a - space.n_b == 2 * j)
+    states = range(int(members[0]), int(members[-1]) + 1)
     return LadderRep(Su11(abs(j) + 0.5), len(states),
                      *(OperatorMatrix(op.label, block(op.bands, states))
                        for op in (space.L3, space.Lplus, space.Lminus)))
@@ -268,7 +320,7 @@ def casimir(space: TwoModeSpace, tol: float = 1e-12) -> OperatorMatrix:
     Verified against the diagonal mode form (A†A - B†B)^2/4 on the interior;
     a mismatch beyond `tol` means the construction is broken.
     """
-    residual = twomode.casimir_interior_residual(space)
+    residual = twomode.casimir_interior_residual(space.n_max)
     if not residual <= tol:  # a nan residual is a breach too
         raise ValueError(f"Casimir forms disagree on the interior: {residual:.3e}")
     l3, lp, lm = space.L3.bands, space.Lplus.bands, space.Lminus.bands
@@ -284,11 +336,11 @@ def dissipative_hamiltonian(
     The ladder-form identities H0 = 2 Omega C (on j >= 0) and HI = -2 Gamma L2
     are verified on the interior before returning; both pieces are hermitian.
     """
-    residuals = twomode.dissipative_residuals(space, p)
+    residuals = twomode.dissipative_residuals(space.n_max, p)
     worst = float(np.max(list(residuals.values())))  # a nan stays nan
     if not worst <= tol:
         raise ValueError(f"dissipative Hamiltonian identities breached: {worst:.3e}")
-    h0 = p.Omega * twomode._mode_operators(space.n_max)[0]
+    h0 = p.Omega * twomode._mode_operators(space.n_max, space.n_a, space.n_b)[0]
     hi = 1j * p.Gamma * (space.Lplus.bands - space.Lminus.bands)
     return OperatorMatrix("H0", h0), OperatorMatrix("HI", hi)
 

@@ -13,7 +13,6 @@ from ladderlab import (
     build_h1_rep,
     build_su2_rep,
     build_su11_rep,
-    build_two_mode,
     casimir_interior_residual,
     density_metrics,
     dissipative_residuals,
@@ -31,7 +30,7 @@ from ladderlab import (
 from ladderlab.contraction import _deviations, deformed_identity_residuals
 from ladderlab.orbits import CircleDynamics
 from ladderlab.twomode import DissipativeParams
-from oracles import anticommutator, dense, from_dense, matrix_exponential
+from oracles import anticommutator, build_two_mode, dense, from_dense, matrix_exponential
 
 TWO_PI = 2.0 * math.pi
 GOLDEN_ROTATION = math.pi * (math.sqrt(5.0) - 1.0)
@@ -131,12 +130,11 @@ def test_criterion_5_holstein_primakoff():
 
 
 def test_criterion_6_two_mode_structure():
-    space = build_two_mode(10)
-    casimir_gap = casimir_interior_residual(space)
-    sector_gap = sector_match_residual(space)
-    residuals = dissipative_residuals(space, DissipativeParams(Omega=1.0, Gamma=0.5))
+    casimir_gap = casimir_interior_residual(10)
+    sector_gap = sector_match_residual(10)
+    residuals = dissipative_residuals(10, DissipativeParams(Omega=1.0, Gamma=0.5))
     ham_gap = max(residuals["h0_vs_casimir"], residuals["hi_vs_l2"])
-    res1, res2 = l2_relation_check(space)
+    res1, res2 = l2_relation_check(10)
     ok = (
         casimir_gap < 1e-12
         and sector_gap < 1e-12
@@ -242,7 +240,7 @@ def test_criterion_8_oracle_equivalence():
     checks.append(float(np.max(np.abs(angles[-1]))) < 1e-12)
 
     # sector restrictions vs directly built series, every j
-    checks.append(sector_match_residual(build_two_mode(8)) < 1e-12)
+    checks.append(sector_match_residual(8) < 1e-12)
 
     # matrix exponential vs plain Taylor series on a fixed nilpotent-ish case
     m = np.array([[0.0, 1.0], [0.0, 0.0]])

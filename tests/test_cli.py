@@ -13,7 +13,7 @@ import pytest
 
 import ladderlab
 from golden.regen import MANIFEST
-from ladderlab import cli, orbits
+from ladderlab import cli, orbits, twomode
 from ladderlab.cli import main
 
 # each argv of the byte-identity corpus, `golden/manifest.json`, and its exit code
@@ -310,7 +310,7 @@ class TestRowLimit:
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
     def test_operator_size_rejected(self, argv, flag, ceiling, tmp_path, capsys, monkeypatch):
         for builder in ("algebra.build_su2_rep", "algebra.build_su11_rep", "algebra.build_h1_rep",
-                        "twomode.build_two_mode"):
+                        "twomode._occupations"):
             monkeypatch.setattr(f"ladderlab.{builder}", refuse_build)
         for text in (str(ceiling + 1), str(10**18)):
             err = run_refused([*argv, text], tmp_path, capsys)
@@ -355,14 +355,14 @@ class TestSchwinger:
         assert np.allclose(lminus, np.arange(1, 9), atol=1e-12)
 
     def test_dump_builds_only_its_sector(self, tmp_path, capsys, monkeypatch):
-        def whole_space(*args):
-            raise AssertionError("the whole two-mode space was built for a sector dump")
-
-        monkeypatch.setattr("ladderlab.twomode.build_two_mode", whole_space)
+        calls, occupations = [], twomode._occupations
+        monkeypatch.setattr(twomode, "_occupations",
+                            lambda *args: calls.append(args) or occupations(*args))
         code, out, captured = run_cli(
             ["schwinger", "--nmax", "8", "--sector", "-1.5", "--dump"], tmp_path, capsys
         )
         assert code == 0, captured.err
+        assert calls == [(8, -3, -2)]  # the sector 2j = -3 alone
         _, checks, _, rows = read_csv(out)
         assert checks["sector_size"] == "6" and len(rows) == 6 + 2 * 5
 
@@ -517,15 +517,16 @@ class TestInputValidation:
 
     @pytest.mark.parametrize("value", ["0", "-0.0", "-1"])
     def test_gamma_is_refused_before_the_build(self, value, tmp_path, capsys, monkeypatch):
-        # it was once refused only after build_two_mode and the casimir and sector checks
-        monkeypatch.setattr("ladderlab.twomode.build_two_mode", refuse_build)
+        # it was once refused only after the whole space was built and the casimir and
+        # sector checks had run
+        monkeypatch.setattr("ladderlab.twomode._occupations", refuse_build)
         err = run_refused(["schwinger", "--nmax", "300", "--Gamma", value], tmp_path, capsys)
         assert "--Gamma" in err and "positive" in err
 
     @pytest.mark.parametrize("value", ["0.3", "5", "-5", "1e9"])
     def test_sector_is_refused_before_the_build(self, value, tmp_path, capsys, monkeypatch):
         # it was once refused only after the whole space was built
-        monkeypatch.setattr("ladderlab.twomode.build_two_mode", refuse_build)
+        monkeypatch.setattr("ladderlab.twomode._occupations", refuse_build)
         err = run_refused(["schwinger", "--nmax", "4", "--dump", "--sector", value],
                           tmp_path, capsys)
         assert err.startswith("ladderlab: --sector:") and f"j = {float(value)}" in err, err
@@ -695,7 +696,7 @@ class TestInputValidation:
         for target in ("orbits.touch_points", "orbits.simulate_torus"):
             monkeypatch.setattr(f"ladderlab.{target}", refuse_orbit)
         for target in ("algebra.build_su2_rep", "algebra.build_su11_rep", "algebra.build_h1_rep",
-                       "twomode.build_two_mode", "contraction.run_contraction_study"):
+                       "twomode._occupations", "contraction.run_contraction_study"):
             monkeypatch.setattr(f"ladderlab.{target}", refuse_build)
         command = argv if argv[0] in cli.COMMANDS else ["orbit", *argv]
         err = run_refused(command, tmp_path, capsys)
@@ -790,7 +791,7 @@ class TestInputValidation:
             "two-circle-alpha", "two-circle-curve-phase"])
     def test_overflowing_scale_names_its_flags(self, argv, flags, tmp_path, capsys,
                                                monkeypatch):
-        for builder in ("twomode.build_two_mode", "twomode.dissipative_residuals",
+        for builder in ("twomode._occupations", "twomode.dissipative_residuals",
                         "evolution.spectrum_via_dft",
                         "evolution.geometric_phase_check", "orbits.thooft_system",
                         "orbits.touch_points"):
@@ -864,13 +865,13 @@ class TestInputValidation:
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_sector_is_finite(self, value, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr("ladderlab.twomode.build_two_mode", refuse_build)
+        monkeypatch.setattr("ladderlab.twomode._occupations", refuse_build)
         err = run_refused(["schwinger", "--nmax", "4", f"--sector={value}", "--dump"],
                           tmp_path, capsys)
         assert "--sector" in err and "finite" in err
 
     def test_dump_needs_sector_before_the_build(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr("ladderlab.twomode.build_two_mode", refuse_build)
+        monkeypatch.setattr("ladderlab.twomode._occupations", refuse_build)
         err = run_refused(["schwinger", "--nmax", "800", "--dump"], tmp_path, capsys)
         assert "--dump requires --sector" in err
 
@@ -1101,14 +1102,18 @@ class TestRepeatedMain:
 class TestReach:
     """Sizes far past what a dense or a full-size build could hold, under tracemalloc bounds.
 
-    `schwinger` at nmax 800 has dim 641 601, 6.6 TB per dense complex matrix;
-    `evolve` at N = 2^18 and 2^20 holds a few O(N) vectors at a time; and
-    the su(2) contraction sweep builds only the levels it tabulates of each
-    irrep.
+    `schwinger` at nmax 800 has dim 641 601, 6.6 TB per dense complex matrix,
+    and at nmax 3161 10^7 states, of which a check holds one run of whole
+    sectors at a time; `evolve` at N = 2^18 and 2^20 holds a few O(N) vectors
+    at a time; and the su(2) contraction sweep builds only the levels it
+    tabulates of each irrep.
     """
 
-    # tracemalloc peaks measured at 103 MB for --check all and --check
-    # hamiltonian (124 MB on the flat basis order), 0.14 MB for the sector
+    # tracemalloc peaks measured at 9.5 MB for --check all and --check
+    # hamiltonian at nmax 800 (103 MB with the whole space built, 124 MB on the
+    # flat basis order), 9.7 MB for --check all at nmax 1600 and 7.6 MB for
+    # --check sectors at nmax 3161 (the whole space built would take about
+    # 0.4 and 1.6 GB), 0.14 MB for the sector
     # dump at nmax 800 and 0.46 MB at nmax 3161 (31 MB at nmax 800 when the
     # sector was sliced out of the whole space, 103 MB when it was picked out
     # of the flat order by index lists), 15.3 MB for evolve at N = 2^18 and
@@ -1119,7 +1124,8 @@ class TestReach:
     # bound leaves headroom
     PEAK_BOUND = 250e6
     HAMILTONIAN_PEAK_BOUND = 150e6
-    DUMP_PEAK_BOUND = 60e6
+    RUN_PEAK_BOUND = 20e6
+    DUMP_PEAK_BOUND = 1e6
     DUMP_3161_PEAK_BOUND = 1e6
     EVOLVE_PEAK_BOUND = 20e6
     EVOLVE_2_20_PEAK_BOUND = 80e6
@@ -1142,8 +1148,8 @@ class TestReach:
             tracemalloc.stop()
         return code, out, peak
 
-    def _run(self, check, tmp_path, capsys):
-        code, out, peak = self._traced(["schwinger", "--nmax", "800", "--check", check],
+    def _run(self, check, tmp_path, capsys, nmax="800"):
+        code, out, peak = self._traced(["schwinger", "--nmax", nmax, "--check", check],
                                        ["schwinger", "--nmax", "2", "--check", check],
                                        tmp_path, capsys)
         # Exit 3 is the fixed 1e-12 gate sitting below the rounding error of exact
@@ -1163,6 +1169,18 @@ class TestReach:
         assert [r["check"] for r in rows] == [
             "h0_vs_casimir", "hi_vs_l2", "h0_hermiticity", "hi_hermiticity", "h0_hi_commutator"]
         assert peak < self.HAMILTONIAN_PEAK_BOUND, f"tracemalloc peak {peak / 1e6:.1f} MB"
+
+    def test_schwinger_nmax_1600(self, tmp_path, capsys):
+        (_, checks, _, rows), peak = self._run("all", tmp_path, capsys, nmax="1600")
+        assert len(rows) == 9 and float(checks["sector_match"]) < 1e-12
+        assert peak < self.RUN_PEAK_BOUND, f"tracemalloc peak {peak / 1e6:.1f} MB"
+
+    def test_sector_check_nmax_3161(self, tmp_path, capsys):
+        # the largest cutoff --nmax takes: 10^7 states, 80 MB per diagonal of the whole space
+        (_, checks, _, rows), peak = self._run("sectors", tmp_path, capsys, nmax="3161")
+        assert [r["check"] for r in rows] == ["sector_match"]
+        assert float(checks["sector_match"]) < 1e-12
+        assert peak < self.RUN_PEAK_BOUND, f"tracemalloc peak {peak / 1e6:.1f} MB"
 
     def _dump(self, nmax, sector, size, bound, tmp_path, capsys):
         code, out, peak = self._traced(["schwinger", "--nmax", nmax, "--sector", sector, "--dump"],

@@ -159,18 +159,21 @@ def test_a_nan_in_any_record_trips_the_gate(argv, poison, tmp_path, capsys, monk
     assert f"tolerance breach in check {name!r}" in capsys.readouterr().err
 
 
-def inject_nan(monkeypatch, module, builder: str, operator: str, index) -> None:
+def inject_nan(monkeypatch, module, builder: str, operator, index) -> None:
     """Make `module.<builder>` put a nan into one stored entry of one operator it returns.
 
-    The commands import each builder from its module when they run.  `index`
-    is (offset, row), or a function of the built object that gives it.
+    The commands import each builder from its module when they run.
+    `operator` names an operator of the built rep, or is its place in the
+    tuple of `Bands` the builder returns.  `index` is (offset, row), or a
+    function of the builder's arguments that gives it.
     """
     build = getattr(module, builder)
 
     def built(*args):
         made = build(*args)
-        offset, row = index(made) if callable(index) else index
-        getattr(made, operator).bands.diagonals[offset][row] = math.nan
+        offset, row = index(*args) if callable(index) else index
+        bands = made[operator] if isinstance(operator, int) else getattr(made, operator).bands
+        bands.diagonals[offset][row] = math.nan
         return made
 
     monkeypatch.setattr(module, builder, built)
@@ -203,8 +206,8 @@ SCHWINGER = ("schwinger", "--nmax", "4")
 
 
 def balanced(offset: int):
-    """(offset, row of |1,1>), an interior state of sector j = 0, for a two-mode space."""
-    return lambda space: (offset, space.index(1, 1))
+    """(offset, row of |1,1>), an interior state of sector j = 0, in a run of two-mode sectors."""
+    return lambda n_a, n_b: (offset, int(np.flatnonzero((n_a == 1) & (n_b == 1))[0]))
 
 
 def records(*labels: str) -> set[int]:
@@ -230,12 +233,13 @@ DEFECTS = [
     # x and p read L+ and L-, and H reads L3; both identities read all three
     (IDENTITIES, (algebra, "build_su2_rep", "Lplus", (-1, 2)), {0, 1}),
     (IDENTITIES, (algebra, "build_su2_rep", "L3", (0, 2)), {0, 1}),
-    # H0 is read from the occupations, HI from L+ and L-
-    (SCHWINGER, (twomode, "build_two_mode", "L3", balanced(0)),
+    # H0 is read from the occupations, HI from L+ and L-; `_ladders` returns L3, L+ and L-
+    # of each run, and each check builds its own
+    (SCHWINGER, (twomode, "_ladders", 0, balanced(0)),
      records("casimir_interior", "sector_match:L3", *L2_READERS)),
-    (SCHWINGER, (twomode, "build_two_mode", "Lplus", balanced(-1)),
+    (SCHWINGER, (twomode, "_ladders", 1, balanced(-1)),
      records("casimir_interior", "sector_match:L+", *HI_READERS, *L2_READERS)),
-    (SCHWINGER, (twomode, "build_two_mode", "Lminus", balanced(1)),
+    (SCHWINGER, (twomode, "_ladders", 2, balanced(1)),
      records("casimir_interior", "sector_match:L-", *HI_READERS, *L2_READERS)),
 ]
 

@@ -24,7 +24,6 @@ from ladderlab import (
     build_h1_rep,
     build_su2_rep,
     build_su11_rep,
-    build_two_mode,
     casimir_interior_residual,
     check_algebra_relations,
     dissipative_residuals,
@@ -42,6 +41,7 @@ from ladderlab.evolution import build_evolution_operator
 from ladderlab.operators import Bands, OperatorMatrix
 from ladderlab.writer import CommandResult
 from oracles import (
+    build_two_mode,
     casimir,
     csr,
     dense,
@@ -210,7 +210,7 @@ class TestBuildersMatchDense:
     def test_casimir_root_and_ladder_form(self):
         space, ops = build_two_mode(6), dense_two_mode(6)
         n_a, n_b = (in_sector_order(n, 6) for n in dense_mode_numbers(6))
-        root = OperatorMatrix("C", twomode._casimir_root(*twomode._mode_numbers(6)))
+        root = OperatorMatrix("C", twomode._casimir_root(space.n_a, space.n_b))
         assert_bitwise(root, np.diag(np.abs(n_a - n_b) / 2.0))
         assert_bitwise(casimir(space), in_sector_order(dense_casimir(ops), 6))
 
@@ -326,12 +326,12 @@ class TestResidualsMatchDense:
         keep = interior_indices(space)
         want = np.max(np.abs(in_sector_order(dense_casimir(ops) - np.diag(0.25 * (n_a - n_b) ** 2),
                                              n_max)[np.ix_(keep, keep)]))
-        assert casimir_interior_residual(space) == want
+        assert casimir_interior_residual(n_max) == want
 
     @pytest.mark.parametrize("n_max", SMALL_NMAX)
     def test_dissipative_residuals(self, n_max):
-        space, ops = build_two_mode(n_max), dense_two_mode(n_max)
-        got = dissipative_residuals(space, DissipativeParams(Omega=1.3, Gamma=0.7))
+        ops = dense_two_mode(n_max)
+        got = dissipative_residuals(n_max, DissipativeParams(Omega=1.3, Gamma=0.7))
         assert got == dense_dissipative(ops, n_max, 1.3, 0.7)
 
     @pytest.mark.parametrize("n_max", [2, 5, 8])
@@ -341,7 +341,7 @@ class TestResidualsMatchDense:
         keep = interior_indices(space)
         first, second = dense_l2_relations(
             *(in_sector_order(ops[name], n_max) for name in ("Lplus", "Lminus", "L3")), keep)
-        got_first, got_second = l2_relation_check(space)
+        got_first, got_second = l2_relation_check(n_max)
         assert got_first == first
         assert abs(got_second - second) <= 4 * EPS * 4 * (n_max + 1) ** 3
 
@@ -357,7 +357,7 @@ class TestResidualsMatchDense:
             reference = dense_su11(abs(shift) / 2.0 + 0.5, len(indices))
             want = max(want, *(np.max(np.abs(op[np.ix_(indices, indices)] - ref))
                                for op, ref in zip(ladders, reference)))
-        assert sector_match_residual(space) == want
+        assert sector_match_residual(n_max) == want
 
     @pytest.mark.parametrize("n", [2, 3, 7, 16])
     def test_spectrum_and_phase(self, n):
@@ -396,20 +396,16 @@ class TestSectorLookup:
                 block = dense(getattr(space, name))[np.ix_(run, run)]
                 assert np.array_equal(dense(getattr(rep, name)), block)
 
-    def test_match_residual_does_not_scan_the_basis(self, monkeypatch):
-        # no per-state index lookup and no per-sector block: every sector at once
+    def test_match_residual_does_not_build_each_sector(self, monkeypatch):
+        # no per-sector block: every sector of the one run at once
         calls = []
-        for name in ("index", "occupations"):
-            method = getattr(twomode.TwoModeSpace, name)
-            monkeypatch.setattr(twomode.TwoModeSpace, name,
-                                lambda self, *args, _name=name, _method=method:
-                                calls.append(_name) or _method(self, *args))
-        blocks = twomode.sector_operators
+        blocks, occupations = twomode.sector_operators, twomode._occupations
         monkeypatch.setattr(twomode, "sector_operators",
                             lambda *args: calls.append("sector_operators") or blocks(*args))
-        space = build_two_mode(6)
-        assert sector_match_residual(space) < 1e-12
-        assert calls == []
+        monkeypatch.setattr(twomode, "_occupations",
+                            lambda *args: calls.append(args) or occupations(*args))
+        assert sector_match_residual(6) < 1e-12
+        assert calls == [(6, -6, 7)]
 
 
 # ---------------------------------------------------------------- element rows
@@ -458,10 +454,10 @@ class TestPastTheDenseCeiling:
     N_MAX = 200
 
     def _traced(self, residual):
-        """Build the space and run `residual` on it under tracemalloc."""
+        """Run `residual` at this cutoff under tracemalloc."""
         tracemalloc.start()
         try:
-            result = residual(build_two_mode(self.N_MAX))
+            result = residual(self.N_MAX)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -478,8 +474,8 @@ class TestPastTheDenseCeiling:
 
     def test_dissipative(self):
         m, omega, gamma = self.N_MAX + 1, 1.3, 0.7
-        got = self._traced(lambda space: dissipative_residuals(
-            space, DissipativeParams(omega, gamma)))
+        got = self._traced(lambda n_max: dissipative_residuals(
+            n_max, DissipativeParams(omega, gamma)))
         scales = {
             "h0_vs_casimir": omega * m,
             "hi_vs_l2": gamma * m,

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,6 @@ from ladderlab import (
     DissipativeParams,
     build_h1_rep,
     build_su11_rep,
-    build_two_mode,
     casimir_interior_residual,
     check_algebra_relations,
     dissipative_residuals,
@@ -27,6 +27,7 @@ import oracles
 from oracles import (
     Bounded,
     bands_from_entries,
+    build_two_mode,
     casimir,
     csr,
     dense,
@@ -40,6 +41,7 @@ from oracles import (
     l2_finite_residual,
     nonnegative_exponential,
     sector_order,
+    whole_run,
 )
 
 
@@ -59,9 +61,12 @@ class TestBuildTwoMode:
         with pytest.raises(ValueError):
             space.index(5, 0)
 
-    def test_rejects_small_cutoff(self):
-        with pytest.raises(ValueError):
-            build_two_mode(0)
+    @pytest.mark.parametrize("check", [casimir_interior_residual, sector_match_residual,
+                                       lambda n_max: dissipative_residuals(
+                                           n_max, DissipativeParams(1.0, 0.5))])
+    def test_checks_refuse_a_cutoff_below_one(self, check):
+        with pytest.raises(ValueError, match="n_max must be >= 1"):
+            check(0)
 
     def test_mode_commutators_on_interior(self):
         space, ops = build_two_mode(5), dense_two_mode(5)
@@ -103,7 +108,7 @@ class TestSectorOrder:
         space = build_two_mode(n_max)
         h0, hi = dissipative_hamiltonian(space, DissipativeParams(Omega=1.3, Gamma=0.7))
         stored = [space.Lplus.bands, space.Lminus.bands, space.L3.bands,
-                  twomode._casimir_root(*twomode._mode_numbers(n_max)), casimir(space).bands,
+                  twomode._casimir_root(space.n_a, space.n_b), casimir(space).bands,
                   h0.bands, hi.bands]
         for bands in stored:
             assert set(bands.diagonals) <= {-1, 0, 1}
@@ -119,10 +124,71 @@ class TestSectorOrder:
                 space.occupations(outside)
 
 
+class TestRuns:
+    """Each check sweeps runs of whole sectors; every value equals the one-run value, bit for bit."""
+
+    PARAMS = DissipativeParams(Omega=1.3, Gamma=0.7)
+
+    @pytest.mark.parametrize("n_max,run_states", [(1, 1), (3, 1), (3, 10), (8, 40), (17, 40),
+                                                  (17, 65536)])
+    def test_runs_tile_the_basis_in_whole_sectors(self, n_max, run_states, monkeypatch):
+        space, runs, occupations = build_two_mode(n_max), [], twomode._occupations
+
+        def recorded(n, first, stop):
+            runs.append((first, stop, *occupations(n, first, stop)))
+            return runs[-1][2:]
+
+        monkeypatch.setattr(twomode, "RUN_STATES", run_states)
+        monkeypatch.setattr(twomode, "_occupations", recorded)
+        casimir_interior_residual(n_max)
+        assert [first for first, *_ in runs] == [-n_max, *(stop for _, stop, *_ in runs[:-1])]
+        assert runs[-1][1] == n_max + 1
+        for first, stop, n_a, _ in runs:
+            assert len(n_a) <= run_states or stop == first + 1
+        assert np.array_equal(np.concatenate([n_a for _, _, n_a, _ in runs]), space.n_a)
+        assert np.array_equal(np.concatenate([n_b for _, _, _, n_b in runs]), space.n_b)
+
+    @pytest.mark.parametrize("n_max", [2, 3, 8, 17])
+    @pytest.mark.parametrize("run_states", [1, 10, 40, 65536])
+    def test_each_check_equals_its_one_run_value(self, n_max, run_states, monkeypatch):
+        space = build_two_mode(n_max)
+        monkeypatch.setattr(twomode, "RUN_STATES", run_states)
+        assert casimir_interior_residual(n_max) == whole_run(
+            twomode._casimir_identities, space)["casimir_interior"]
+        assert sector_match_residual(n_max) == whole_run(
+            twomode._sector_match_identities, space)["sector_match"]
+        assert dissipative_residuals(n_max, self.PARAMS) == whole_run(
+            twomode._dissipative_run, space, self.PARAMS)
+        assert l2_relation_check(n_max) == tuple(whole_run(twomode._l2_identities, space).values())
+
+    def test_each_table_drops_the_occupations_before_its_first_identity(self, monkeypatch):
+        # at each identity a table yields, no run's n_A is alive: one run's
+        # operators and masks are all a check holds
+        alive = []
+        occupations = twomode._occupations
+
+        def tracked(*args):
+            n_a, n_b = occupations(*args)
+            alive.append(weakref.ref(n_a))
+            return n_a, n_b
+
+        seen = []
+        monkeypatch.setattr(twomode, "RUN_STATES", 1)
+        monkeypatch.setattr(twomode, "_occupations", tracked)
+        monkeypatch.setattr(twomode, "evaluate", lambda identities: evaluate(
+            seen.append(sum(ref() is not None for ref in alive)) or identity
+            for identity in identities))
+        for check in (casimir_interior_residual, sector_match_residual, l2_relation_check,
+                      lambda n_max: dissipative_residuals(n_max, self.PARAMS)):
+            alive.clear()
+            check(4)
+        assert seen and set(seen) == {0}
+
+
 class TestCasimir:
     def test_two_forms_agree_on_interior(self):
         for n_max in (2, 6, 12):
-            assert casimir_interior_residual(build_two_mode(n_max)) < 1e-12
+            assert casimir_interior_residual(n_max) < 1e-12
 
     def test_casimir_returns_ladder_form(self):
         space = build_two_mode(4)
@@ -139,7 +205,7 @@ class TestCasimir:
 
     def test_eigenvalues_are_half_occupation_differences(self):
         space = build_two_mode(5)
-        c = dense(twomode._casimir_root(*twomode._mode_numbers(space.n_max)))
+        c = dense(twomode._casimir_root(space.n_a, space.n_b))
         idx = space.index(3, 1)
         assert abs(c[idx, idx] - 1.0) < 1e-15  # j = (3-1)/2
         for n in range(6):
@@ -189,13 +255,15 @@ class TestSectors:
         direct = build_su11_rep(abs(j) + 0.5, rep.dim)
         for name in ("L3", "Lplus", "Lminus"):
             assert np.max(np.abs(dense(getattr(rep, name)) - dense(getattr(direct, name)))) < 1e-12
-        assert sector_match_residual(build_two_mode(10)) < 1e-12
+        assert sector_match_residual(10) < 1e-12
 
     def test_zero_sector_ladder_is_square_root_free(self):
         lminus = sector_operators(8, 0.0).Lminus
         # L-|n> = n|n-1> on the balanced sector: integer elements
         assert np.allclose(np.diag(dense(lminus), 1).real, np.arange(1, 9), atol=1e-12)
 
+    # Each defect goes into one run that holds every sector, read by the table
+    # the check sweeps.
     def test_in_block_defect_is_caught(self):
         space = build_two_mode(6)
         defect = 2.0**-10
@@ -203,8 +271,8 @@ class TestSectors:
         # <1,1|L+|0,0> = 1 exactly in the j = 0 block
         lplus[space.index(1, 1), space.index(0, 0)] += defect
         broken = replace(space, Lplus=from_dense("L+", lplus.toarray()))
-        assert sector_match_residual(space) < 1e-12
-        assert sector_match_residual(broken) >= defect
+        assert whole_run(twomode._sector_match_identities, space)["sector_match"] < 1e-12
+        assert whole_run(twomode._sector_match_identities, broken)["sector_match"] >= defect
 
     def test_leak_between_sectors_is_caught(self):
         space = build_two_mode(6)
@@ -213,7 +281,7 @@ class TestSectors:
         # |1,0> has j = 1/2 and |0,0> has j = 0
         l3[space.index(1, 0), space.index(0, 0)] = defect
         broken = replace(space, L3=from_dense("L3", l3.toarray()))
-        assert sector_match_residual(broken) >= defect
+        assert whole_run(twomode._sector_match_identities, broken)["sector_match"] >= defect
 
     def test_half_sector_matches_weight_one_elements(self):
         lplus = sector_operators(8, 0.5).Lplus
@@ -259,9 +327,7 @@ class TestSectorsAsSu11Reps:
 
 class TestDissipativeHamiltonian:
     def test_identities_and_hermiticity(self):
-        space = build_two_mode(8)
-        params = DissipativeParams(Omega=1.3, Gamma=0.4)
-        residuals = dissipative_residuals(space, params)
+        residuals = dissipative_residuals(8, DissipativeParams(Omega=1.3, Gamma=0.4))
         assert residuals["h0_vs_casimir"] < 1e-12
         assert residuals["hi_vs_l2"] < 1e-12
         assert residuals["h0_hermiticity"] < 1e-13
@@ -301,14 +367,16 @@ class TestDissipativeHamiltonian:
 
 class TestRotationRelation:
     def test_two_mode_commutator_residuals(self):
-        res1, res2 = l2_relation_check(build_two_mode(8))
+        res1, res2 = l2_relation_check(8)
         assert res1 < 1e-12
         assert res2 < 1e-12
 
     def test_full_space_double_commutator_contaminated(self):
         # the cutoff's top states break the double commutator, so the check
-        # reads only the interior
-        full = evaluate(twomode._l2_identities(build_two_mode(20)))
+        # reads only the interior; the bound n_max + 1 reads every state
+        space = build_two_mode(20)
+        full = evaluate(twomode._l2_identities(21, space.n_a, space.n_b, space.L3.bands,
+                                               space.Lplus.bands, space.Lminus.bands))
         assert full["l2_double_commutator"] > 1.0
 
     def test_brute_force_oracle(self):
@@ -325,7 +393,7 @@ class TestRotationRelation:
     def test_interior_validation(self):
         # nmax 1 has no interior on which both commutators are read
         with pytest.raises(ValueError, match="n_max >= 2"):
-            l2_relation_check(build_two_mode(1))
+            l2_relation_check(1)
 
     def test_finite_form_truncation_dominated(self):
         # small cutoff: the non-unitary conjugation residual sits orders of
@@ -460,7 +528,7 @@ def test_raising_wrappers_refuse_a_nan_residual(monkeypatch):
        exponent=st.floats(-100.0, 150.0))
 def test_envelopes_bound_every_operator_the_dissipative_table_forms(n_max, omega, exponent):
     space, p = build_two_mode(n_max), DissipativeParams(omega, 10.0**exponent)
-    *operators, upper, keep = twomode._mode_operators(n_max)
+    *operators, upper, keep = twomode._mode_operators(n_max, space.n_a, space.n_b)
     bounded = map(Bounded, (space.Lplus.bands, space.Lminus.bands, *operators),
                   twomode._mode_envelopes(n_max))
     for identity in twomode._dissipative_identities(p, *bounded, upper, keep):
