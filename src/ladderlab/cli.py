@@ -276,11 +276,7 @@ def cmd_evolve(args) -> CommandResult:
     from .evolution import EvolutionParams, geometric_phase_check, spectrum_via_dft
     from .writer import CommandResult
 
-    params = EvolutionParams(args.N, args.tau)
-    # the energies run up to N omega = 2 pi / tau; a zero omega divides --units omega
-    if not (params.omega > 0.0 and math.isfinite(params.n_states * params.omega)):
-        raise ValueError(f"--N {args.N} / --tau {args.tau!r}: omega = 2 pi/(N tau) = "
-                         f"{params.omega!r} puts the energies beyond the float range")
+    params = _flagged(f"--N {args.N} / --tau {args.tau!r}", EvolutionParams, args.N, args.tau)
     energies = spectrum_via_dft(params)
     phase = geometric_phase_check(params)
     scale = params.omega if args.units == "omega" else 1.0
@@ -386,19 +382,11 @@ def cmd_orbit(args) -> CommandResult:
     count, flag = (args.steps, "--steps") if args.thooft_n is None else (args.thooft_n, "--thooft-N")
 
     if args.torus:
-        if args.ratio == "golden":
-            if (args.rot1, args.rot2) != (None, None):
-                raise ValueError("--rot1 / --rot2 are not read by orbit --torus --ratio golden, "
-                                 "which sets both rotations; leave them out")
-            rot1 = rot2 = GOLDEN_ROTATION
-        elif args.rot1 is not None and args.rot2 is not None:
-            rot1, rot2 = args.rot1, args.rot2
-        else:
-            raise ValueError("--torus requires --ratio golden or both --rot1 and --rot2")
+        rot1, rot2 = (GOLDEN_ROTATION,) * 2 if args.ratio == "golden" else (args.rot1, args.rot2)
         phi0 = tuple(_finite_list("--phi0", args.phi0, skip_blank=False))
         if len(phi0) != 2:
             raise ValueError("--phi0 needs two comma-separated angles")
-        angles = simulate_torus(rot1, rot2, 1.0, args.steps, phi0)
+        angles = simulate_torus(rot1, rot2, steps=args.steps, phi0=phi0)
         gap1, gap2 = density_metrics(angles)
         return CommandResult(
             columns=("step", "phi1", "phi2"),
@@ -480,8 +468,6 @@ def cmd_schwinger(args) -> CommandResult:
             groups=_element_groups([rep.L3, rep.Lplus, rep.Lminus]),
             checks={"sector_j": args.sector, "sector_size": rep.dim, "induced_k": rep.kind.k},
         )
-    if selected in ("all", "l2") and args.nmax < 2:
-        raise ValueError("--check all/l2 need --nmax >= 2")
     if selected in ("all", "hamiltonian") and not dissipative_in_float_range(args.nmax, params):
         raise ValueError(f"--Omega {args.Omega!r} / --Gamma {args.Gamma!r}: the dissipative "
                          f"checks at --nmax {args.nmax} reach beyond the float range")
@@ -494,7 +480,7 @@ def cmd_schwinger(args) -> CommandResult:
     if selected in ("all", "hamiltonian"):
         checks.update(dissipative_residuals(args.nmax, params))
     if selected in ("all", "l2"):
-        res1, res2 = l2_relation_check(args.nmax)
+        res1, res2 = _flagged("--nmax", l2_relation_check, args.nmax)
         checks["l2_commutator"] = res1
         checks["l2_double_commutator"] = res2
     return CommandResult(
@@ -518,7 +504,9 @@ MODE_FLAGS = {
     "orbit": {"--thooft-N": ((), ("--alpha", "--curve-samples")),
               "--two-circle": (("--q-num", "--q-den"),
                                ("--alpha", "--curve-samples", "--steps", "--q-irr-add")),
-              "--torus": ((), ("--steps", "--ratio", "--rot1", "--rot2", "--phi0"))},
+              # ahead of --torus, whose rotations it sets
+              "--ratio golden": ((), ("--torus", "--steps", "--phi0")),
+              "--torus": (("--rot1", "--rot2"), ("--steps", "--phi0"))},
     "schwinger": {"--dump": (("--sector",), ()), "--check all": ((), ("--Omega", "--Gamma")),
                   "--check casimir": ((), ()), "--check sectors": ((), ()),
                   "--check hamiltonian": ((), ("--Omega", "--Gamma")), "--check l2": ((), ())},

@@ -34,6 +34,11 @@ class EvolutionParams:
             raise ValueError("tau must be positive and finite")
         object.__setattr__(self, "n_states", int(self.n_states))
         object.__setattr__(self, "tau", float(self.tau))
+        # the energies run up to N omega = 2 pi / tau; a zero omega divides them in omega units
+        omega = self.omega
+        if not (omega > 0.0 and math.isfinite(self.n_states * omega)):
+            raise ValueError(f"omega = 2 pi/(N tau) = {omega!r} puts the energies beyond "
+                             "the float range")
 
     @property
     def omega(self) -> float:

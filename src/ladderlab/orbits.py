@@ -197,27 +197,24 @@ def thooft_system(n_sites: int, alpha: float = 1.0) -> CircleDynamics:
 def simulate_torus(
     alpha1: float,
     alpha2: float,
-    tau: float,
     steps: int,
     phi0: tuple[float, float] = (0.0, 0.0),
 ) -> np.ndarray:
-    """Iterate the torus jump map phi_i -> phi_i + alpha_i tau, mod 2 pi.
+    """Iterate the torus jump map phi_i -> phi_i + alpha_i, mod 2 pi.
 
     Returns the (steps, 2) angles, row j - 1 the state after jump j, in
-    [0, 2 pi)^2: the closed form (phi0_i + j alpha_i tau) mod 2 pi of
+    [0, 2 pi)^2: the closed form (phi0_i + j alpha_i) mod 2 pi of
     `_rotations`.  Negative rates step the map backwards, which is how the
     inverse map is realized.
     """
     steps = int(steps)
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if not (math.isfinite(tau) and tau > 0):
-        raise ValueError("tau must be positive and finite")
     if not all(math.isfinite(v) for v in (alpha1, alpha2, *phi0)):
         raise ValueError("rotation rates and start angles must be finite")
     angles = np.empty((2, steps)).T  # each coordinate contiguous
-    _rotations(phi0[0], alpha1 * tau, steps, out=angles[:, 0])
-    _rotations(phi0[1], alpha2 * tau, steps, out=angles[:, 1])
+    _rotations(phi0[0], alpha1, steps, out=angles[:, 0])
+    _rotations(phi0[1], alpha2, steps, out=angles[:, 1])
     return angles
 
 

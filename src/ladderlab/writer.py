@@ -13,7 +13,7 @@ import functools
 import itertools
 import json
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -80,17 +80,6 @@ class Arange:
         return cells
 
 
-def _python_values(column) -> Iterable:
-    """The cells of a column as Python values (numpy scalars become float/int)."""
-    import numpy as np
-
-    if isinstance(column, Periodic):
-        return itertools.islice(itertools.cycle(_python_values(column.values)), column.length)
-    if isinstance(column, (np.ndarray, Arange)):
-        return column[:].tolist()
-    return column
-
-
 def _group_length(group: tuple, width: int) -> int:
     """Rows in a row group; ValueError unless it has `width` columns of one length."""
     lengths = [len(column) for column in group]
@@ -114,24 +103,10 @@ class CommandResult:
     gated: dict[str, float] = field(default_factory=dict)
 
     @property
-    def rows(self) -> "Rows":
-        return Rows(self)
-
-
-class Rows:
-    """Sized view of a result's rows: each row a tuple of Python values, in order."""
-
-    def __init__(self, result: CommandResult) -> None:
-        self._result = result
-
-    def __len__(self) -> int:
-        width = len(self._result.columns)
-        return sum(_group_length(group, width) for group in self._result.groups)
-
-    def __iter__(self):
-        len(self)  # rejects ragged groups before any row is yielded
-        for group in self._result.groups:
-            yield from zip(*map(_python_values, group))
+    def rows(self) -> range:
+        """A range of the row count; ValueError for ragged groups, as `write_output` raises."""
+        width = len(self.columns)
+        return range(sum(_group_length(group, width) for group in self.groups))
 
 
 def _fmt(value) -> str:

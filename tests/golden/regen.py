@@ -279,6 +279,7 @@ REFUSALS = [
     ["orbit", "--torus", "--rot1", "1", "--rot2", "2", "--curve-samples", "5"],
     ["orbit", "--torus", "--ratio", "golden", "--rot1", "1", "--rot2", "2"],
     ["orbit", "--torus", "--ratio", "golden", "--rot2", "2"],
+    ["orbit", "--torus", "--ratio", "golden", "--rot1", "1"],
     ["rep", "--algebra", "su2", "--l", "3", "--k", "2"],
     ["rep", "--algebra", "h1", "--dim", "5", "--l", "2"],
     ["contract", "--hp", "--l", "3"],
@@ -326,6 +327,7 @@ REFUSALS = [
     ["orbit", "--two-circle"],
     ["orbit", "--two-circle", "--q-num", "1"],
     ["orbit", "--torus", "--rot1", "1"],
+    ["orbit", "--torus", "--rot2", "2"],
     ["orbit", "--two-circle", "--alpha", "1e-308", "--steps", "10000000"],
 ]
 

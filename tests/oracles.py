@@ -21,10 +21,12 @@ leading levels, and `dense_cartesian` forms L1 and L2 from the dense L+-;
 form entry by entry; `Bounded` runs an identity table over `Bands` and their
 `Envelope`s at once, checking each operator the table forms against its
 bound; the raising wrappers and small helpers give tests dense and gated
-forms of the library's residuals.  scipy is imported here and
+forms of the library's residuals; `rows` reads a writer result row by row,
+as the writer's byte oracle formats it.  scipy is imported here and
 nowhere in the package.
 """
 
+import itertools
 from dataclasses import dataclass
 from math import ceil, log2, pi, sqrt
 
@@ -36,6 +38,7 @@ from ladderlab import twomode
 from ladderlab.algebra import LadderRep, Su11, build_su2_rep
 from ladderlab.operators import Bands, Envelope, OperatorMatrix, evaluate, max_entry
 from ladderlab.twomode import DissipativeParams
+from ladderlab.writer import Arange, CommandResult, Periodic
 
 
 def dense(x: OperatorMatrix | Bands) -> np.ndarray:
@@ -457,3 +460,22 @@ def nonnegative_exponential(m: np.ndarray) -> np.ndarray:
     for _ in range(squarings):
         result = result @ result
     return result
+
+
+def _python_values(column):
+    """The cells of a writer column as Python values (numpy scalars become float/int)."""
+    if isinstance(column, Periodic):
+        return itertools.islice(itertools.cycle(_python_values(column.values)), column.length)
+    if isinstance(column, (np.ndarray, Arange)):
+        return column[:].tolist()
+    return column
+
+
+def rows(result: CommandResult):
+    """The rows of a writer result, in order, each a tuple of Python values.
+
+    Ragged groups raise ValueError (`result.rows`) before any row is yielded.
+    """
+    len(result.rows)
+    for group in result.groups:
+        yield from zip(*map(_python_values, group))

@@ -168,7 +168,7 @@ def test_criterion_7_orbits():
 
     # golden-ratio torus rotation: dense, with strictly decreasing gaps
     gaps = {
-        steps: density_metrics(simulate_torus(GOLDEN_ROTATION, GOLDEN_ROTATION, 1.0, steps))
+        steps: density_metrics(simulate_torus(GOLDEN_ROTATION, GOLDEN_ROTATION, steps))
         for steps in (100, 1000, 10000)
     }
     dense_ok = max(gaps[10000]) < 1e-2
@@ -236,7 +236,7 @@ def test_criterion_8_oracle_equivalence():
     checks.append(float(np.max(np.abs(spectrum_via_dft(p) - want))) < 1e-10)
 
     # torus lcm closure: 35 jumps of (2pi/5, 2pi/7) land on the start
-    angles = simulate_torus(TWO_PI / 5, TWO_PI / 7, 1.0, 35)
+    angles = simulate_torus(TWO_PI / 5, TWO_PI / 7, 35)
     checks.append(float(np.max(np.abs(angles[-1]))) < 1e-12)
 
     # sector restrictions vs directly built series, every j

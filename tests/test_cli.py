@@ -372,7 +372,7 @@ class TestSchwinger:
     @pytest.mark.parametrize("check", ["all", "l2"])
     def test_l2_checks_need_nmax_2(self, check, tmp_path, capsys):
         err = run_refused(["schwinger", "--nmax", "1", "--check", check], tmp_path, capsys)
-        assert "--check all/l2 need --nmax >= 2" in err
+        assert err == "ladderlab: --nmax: the L2 relations need n_max >= 2\n"
 
     @pytest.mark.parametrize("check", ["casimir", "sectors", "hamiltonian"])
     def test_other_checks_run_at_nmax_1(self, check, tmp_path, capsys):
@@ -680,6 +680,7 @@ class TestInputValidation:
         (["--torus", "--rot1", "1", "--rot2", "2", "--curve-samples", "5"], "--curve-samples"),
         # the golden preset sets both rotations
         (["--torus", "--ratio", "golden", "--rot1", "1", "--rot2", "2"], "--rot1"),
+        (["--torus", "--ratio", "golden", "--rot1", "1"], "--rot1"),
         (["--torus", "--ratio", "golden", "--rot2", "2"], "--rot2"),
         # the other commands' modes, named with the command
         (["rep", "--algebra", "su2", "--l", "3", "--k", "2"], "--k"),
@@ -711,6 +712,10 @@ class TestInputValidation:
         (["contract", "--family", "su2", "--params", ""], "--family requires --params"),
         (["contract", "--identities"], "--identities requires --l"),
         (["orbit", "--two-circle", "--q-num", "1"], "--two-circle requires --q-num and --q-den"),
+        # with no --ratio golden, --torus needs both rotations
+        (["orbit", "--torus"], "--torus requires --rot1 and --rot2"),
+        (["orbit", "--torus", "--rot1", "1"], "--torus requires --rot1 and --rot2"),
+        (["orbit", "--torus", "--rot2", "2"], "--torus requires --rot1 and --rot2"),
         (["schwinger", "--nmax", "4", "--dump"], "--dump requires --sector"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
     def test_mode_refuses_a_missing_needed_flag(self, argv, refusal, tmp_path, capsys):
@@ -725,7 +730,7 @@ class TestInputValidation:
                     for action in parser._actions for flag in action.option_strings}
         needed = [(command, flag) for command, modes in cli.MODE_FLAGS.items()
                   for needs, _ in modes.values() for flag in needs]
-        assert len(needed) == 9
+        assert len(needed) == 11
         assert {key: defaults[key] for key in needed if defaults[key] is not None} == {}
 
     # rep is not here: its mode flags --l, --k and --dim default to None,

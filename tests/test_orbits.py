@@ -199,11 +199,11 @@ def trace_period(d: CircleDynamics) -> int:
 
 class TestTorus:
     def test_rational_rotations_return_to_start(self):
-        angles = simulate_torus(TWO_PI / 5, TWO_PI / 7, 1.0, 35)
+        angles = simulate_torus(TWO_PI / 5, TWO_PI / 7, 35)
         assert np.max(np.abs(angles[-1])) < 1e-12  # lcm(5, 7) jumps land on (0, 0)
 
     def test_closed_form_invariant(self):
-        angles = simulate_torus(0.31, 1.7, 2.0, 400, (0.2, 5.1))
+        angles = simulate_torus(0.31 * 2.0, 1.7 * 2.0, 400, (0.2, 5.1))
         j = np.arange(1, 401)
         expected1 = (0.2 + j * 0.31 * 2.0) % TWO_PI
         expected2 = (5.1 + j * 1.7 * 2.0) % TWO_PI
@@ -211,48 +211,46 @@ class TestTorus:
         assert np.max(np.abs(angles[:, 1] - expected2)) < 1e-9
 
     def test_irrational_never_revisits_start(self):
-        angles = simulate_torus(1.0, math.sqrt(2), 1.0, 10**4, (0.0, 0.0))
+        angles = simulate_torus(1.0, math.sqrt(2), 10**4, (0.0, 0.0))
         d1 = np.minimum(angles[:, 0], TWO_PI - angles[:, 0])
         d2 = np.minimum(angles[:, 1], TWO_PI - angles[:, 1])
         assert np.min(np.maximum(d1, d2)) > 1e-9
 
     def test_latitude_frozen_only_without_rotation(self):
-        angles = simulate_torus(1.1, 0.0, 1.0, 50, (0.3, 0.4))
+        angles = simulate_torus(1.1, 0.0, 50, (0.3, 0.4))
         assert np.max(np.abs(angles[:, 1] - 0.4)) < 1e-15
         assert np.std(angles[:, 0]) > 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            simulate_torus(1.0, 1.0, 1.0, 0)
-        with pytest.raises(ValueError):
-            simulate_torus(1.0, 1.0, -1.0, 5)
+            simulate_torus(1.0, 1.0, 0)
 
 
 class TestDensityMetrics:
     def test_golden_rotation_dense(self):
-        angles = simulate_torus(GOLDEN, GOLDEN, 1.0, 10**4)
+        angles = simulate_torus(GOLDEN, GOLDEN, 10**4)
         gap1, gap2 = density_metrics(angles)
         assert gap1 < 1e-2 and gap2 < 1e-2
 
     def test_rational_rotation_gap_stalls(self):
         for steps in (5, 50, 500):
-            angles = simulate_torus(TWO_PI / 5, TWO_PI / 5, 1.0, steps)
+            angles = simulate_torus(TWO_PI / 5, TWO_PI / 5, steps)
             gap1, gap2 = density_metrics(angles)
             assert abs(gap1 - TWO_PI / 5) < 1e-12
             assert abs(gap2 - TWO_PI / 5) < 1e-12
 
     def test_single_point_reports_full_circle(self):
-        angles = simulate_torus(1.0, 1.0, 1.0, 1)
+        angles = simulate_torus(1.0, 1.0, 1)
         assert density_metrics(angles) == (TWO_PI, TWO_PI)
 
     @pytest.mark.parametrize("steps", [100, 1000, 10000])
     def test_doubling_steps_shrinks_gap(self, steps):
-        small = density_metrics(simulate_torus(GOLDEN, GOLDEN, 1.0, steps))[0]
-        large = density_metrics(simulate_torus(GOLDEN, GOLDEN, 1.0, 2 * steps))[0]
+        small = density_metrics(simulate_torus(GOLDEN, GOLDEN, steps))[0]
+        large = density_metrics(simulate_torus(GOLDEN, GOLDEN, 2 * steps))[0]
         assert large < small
 
     def test_library_gaps_match_the_oracle(self):
-        angles = simulate_torus(GOLDEN, 1.0, 1.0, 777, (0.1, 0.2))[:, 0]
+        angles = simulate_torus(GOLDEN, 1.0, 777, (0.1, 0.2))[:, 0]
         assert np.array_equal(orbits.circular_gaps(angles), circular_gaps(angles))
 
     @pytest.mark.parametrize("angle", [0.0, 0.1, 3.0, TWO_PI - 1e-9])
@@ -260,7 +258,7 @@ class TestDensityMetrics:
         assert orbits.circular_gaps(np.array([angle])).tolist() == [TWO_PI]
 
     def test_matches_brute_force_sort(self):
-        angles = simulate_torus(GOLDEN, 1.0, 1.0, 777, (0.1, 0.2))
+        angles = simulate_torus(GOLDEN, 1.0, 777, (0.1, 0.2))
         gap1, gap2 = density_metrics(angles)
         assert abs(gap1 - float(np.max(circular_gaps(angles[:, 0])))) < 1e-15
         assert abs(gap2 - float(np.max(circular_gaps(angles[:, 1])))) < 1e-15
@@ -275,8 +273,8 @@ class TestDensityMetrics:
     steps=st.integers(min_value=1, max_value=300),
 )
 def test_torus_reversibility(rot1, rot2, phi1, phi2, steps):
-    forward = simulate_torus(rot1, rot2, 1.0, steps, (phi1, phi2))
-    backward = simulate_torus(-rot1, -rot2, 1.0, steps, tuple(forward[-1]))
+    forward = simulate_torus(rot1, rot2, steps, (phi1, phi2))
+    backward = simulate_torus(-rot1, -rot2, steps, tuple(forward[-1]))
     start = np.array([phi1 % TWO_PI, phi2 % TWO_PI])
     recovered = backward[-1]
     gap = np.abs(recovered - start)
@@ -294,8 +292,7 @@ EPS = float(np.finfo(float).eps)
 U = EPS / 2
 
 
-def itemwise_torus(alpha1, alpha2, tau, steps, phi0):
-    d1, d2 = alpha1 * tau, alpha2 * tau
+def itemwise_torus(d1, d2, steps, phi0):
     p1, p2 = phi0[0] % TWO_PI, phi0[1] % TWO_PI
     angles = np.empty((steps, 2))
     for j in range(steps):
@@ -324,19 +321,19 @@ def assert_within_loop_drift(angles, loop, step):
 
 
 class TestRotationLoop:
-    @pytest.mark.parametrize("alpha1, alpha2, tau, phi0", [
-        (GOLDEN, GOLDEN, 1.0, (0.0, 0.0)),
-        (0.31, -1.7, 2.0, (0.2, 5.1)),  # one step forward, one backward
-        (-GOLDEN, 0.0, 1.0, (-3.5, 2.5)),  # a zero step, a start below 0
-        (1e-9, 6.2, 0.5, (100.0, -TWO_PI)),  # starts beyond 2 pi and exactly at -2 pi
-        (5.0, -5.0, 3.0, (TWO_PI, 7.0)),
+    @pytest.mark.parametrize("alpha1, alpha2, phi0", [
+        (GOLDEN, GOLDEN, (0.0, 0.0)),
+        (0.31 * 2.0, -1.7 * 2.0, (0.2, 5.1)),  # one step forward, one backward
+        (-GOLDEN, 0.0, (-3.5, 2.5)),  # a zero step, a start below 0
+        (1e-9 * 0.5, 6.2 * 0.5, (100.0, -TWO_PI)),  # starts beyond 2 pi and exactly at -2 pi
+        (5.0 * 3.0, -5.0 * 3.0, (TWO_PI, 7.0)),
     ])
     @pytest.mark.parametrize("steps", [1, 2, 1000])
-    def test_torus_matches_itemwise_loop(self, alpha1, alpha2, tau, phi0, steps):
-        angles = simulate_torus(alpha1, alpha2, tau, steps, phi0)
-        loop = itemwise_torus(alpha1, alpha2, tau, steps, phi0)
-        assert_within_loop_drift(angles[:, 0], loop[:, 0], alpha1 * tau)
-        assert_within_loop_drift(angles[:, 1], loop[:, 1], alpha2 * tau)
+    def test_torus_matches_itemwise_loop(self, alpha1, alpha2, phi0, steps):
+        angles = simulate_torus(alpha1, alpha2, steps, phi0)
+        loop = itemwise_torus(alpha1, alpha2, steps, phi0)
+        assert_within_loop_drift(angles[:, 0], loop[:, 0], alpha1)
+        assert_within_loop_drift(angles[:, 1], loop[:, 1], alpha2)
 
     @pytest.mark.parametrize("beta", [
         5 / 3 + math.pi / 40,  # a negative step
@@ -402,7 +399,7 @@ class TestRotationOracle:
         assert worst_error(angles, angle, step, js) <= 2
 
     def test_torus_and_touch_angles_are_the_closed_form(self):
-        angles = simulate_torus(0.31, -1.7, 2.0, 300, (0.2, 5.1))
+        angles = simulate_torus(0.31 * 2.0, -1.7 * 2.0, 300, (0.2, 5.1))
         assert worst_error(angles[:, 0], 0.2, 0.31 * 2.0, range(1, 301)) <= 2
         assert worst_error(angles[:, 1], 5.1, -1.7 * 2.0, range(1, 301)) <= 2
         d = CircleDynamics.irrational(1.0, 3 / 7 + 0.01)
@@ -437,8 +434,8 @@ class TestRotationOracle:
 
 
 def test_overflowing_rotation_rate_is_rejected():
-    # alpha tau overflows to inf, which once gave nan angles
+    # a rate that overflows to inf once gave nan angles
     with pytest.raises(ValueError, match="finite"):
-        simulate_torus(1e200, 1.0, 1e200, 3)
+        simulate_torus(1e200 * 1e200, 1.0, 3)
     with pytest.raises(ValueError, match="finite"):
         touch_points(CircleDynamics.irrational(1e-300, 1e8), 3)

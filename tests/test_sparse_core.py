@@ -40,6 +40,7 @@ from ladderlab.contraction import _deviations, deformed_identity_residuals
 from ladderlab.evolution import build_evolution_operator
 from ladderlab.operators import Bands, OperatorMatrix
 from ladderlab.writer import CommandResult
+import oracles
 from oracles import (
     build_two_mode,
     casimir,
@@ -58,7 +59,7 @@ C = 16
 
 def _element_rows(ops) -> list[tuple]:
     """The rows the CLI writes for `ops`, as tuples."""
-    return list(CommandResult(ELEMENT_COLUMNS, _element_groups(ops)).rows)
+    return list(oracles.rows(CommandResult(ELEMENT_COLUMNS, _element_groups(ops))))
 
 
 # ---------------------------------------------------------------- dense oracles

@@ -2,8 +2,9 @@
 the row-at-a-time writer it replaced.
 
 `rowwise_write_output` is that writer, kept unchanged (with its two helpers)
-as the byte oracle: it formats `result.rows` one tuple at a time, and every
-file the column writer produces must equal its output byte for byte.
+as the byte oracle: it formats `oracles.rows(result)` one tuple at a time,
+and every file the column writer produces must equal its output byte for
+byte.
 """
 
 import json
@@ -22,6 +23,7 @@ from ladderlab import __version__, cli, writer
 from ladderlab.cli import TOOL, write_output
 from ladderlab.writer import PLAIN_SCAN_ROWS, WRITE_BLOCK_ROWS, Arange, CommandResult, Periodic
 from ladderlab.orbits import CircleDynamics, continuous_position, thooft_system, touch_points
+import oracles
 from oracles import rational_touch_angles
 
 
@@ -49,7 +51,7 @@ def rowwise_write_output(path: str, fmt: str, command: str, parameters: dict,
         lines.append(f"# tolerance={_fmt(tolerance)}")
         lines.extend(f"# check {key}={_fmt(val)}" for key, val in result.checks.items())
         lines.append(",".join(result.columns))
-        lines.extend(",".join(_fmt(v) for v in row) for row in result.rows)
+        lines.extend(",".join(_fmt(v) for v in row) for row in oracles.rows(result))
         text = "\n".join(lines) + "\n"
     else:
         payload = {
@@ -63,7 +65,7 @@ def rowwise_write_output(path: str, fmt: str, command: str, parameters: dict,
             "checks": {k: _json_safe(v) for k, v in result.checks.items()},
             "rows": [
                 {col: _json_safe(v) for col, v in zip(result.columns, row)}
-                for row in result.rows
+                for row in oracles.rows(result)
             ],
         }
         text = json.dumps(payload, indent=2) + "\n"
@@ -196,9 +198,11 @@ def test_writer_memory_is_one_block(tmp_path):
     new = _write_peak(write_output, tmp_path / "new.csv", result)
     old = _write_peak(rowwise_write_output, tmp_path / "old.csv", result)
     # The row-at-a-time writer holds every line and the whole text at once
-    # (about 11 MB here). The column writer holds one block of formatted
-    # cells: about 110 kB with 256-row blocks (64 kB with 128 rows); 512-row
-    # blocks exceed the bound.
+    # (about 11 MB here). The column writer holds about one block of text:
+    # 52 kB with 256-row blocks and 126 kB with 512-row blocks (the thooft
+    # write below: 119 and 163 kB; CPython 3.11, numpy 2.4), all under the
+    # bound. What holds the block at 256 rows is the peak of `evolve --N
+    # 1024`, 65 kB with 256-row blocks and 83 kB with 512, not this bound.
     assert new < 200_000
     assert 30 * new < old
 
@@ -244,8 +248,45 @@ def test_groups_need_every_column(tmp_path):
     with pytest.raises(ValueError):
         len(result.rows)
     with pytest.raises(ValueError):
+        next(oracles.rows(result))
+    with pytest.raises(ValueError):
         write_output(str(tmp_path / "out.json"), "json", "orbit", {}, 1e-12, result)
     assert not (tmp_path / "out.json").exists()
+
+
+# `result.rows` holds the row count alone: the count of the data rows written,
+# for every mode of every subcommand
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", [
+    ["rep", "--algebra", "su2", "--l", "2"],
+    ["rep", "--algebra", "su11", "--k", "1.5", "--dim", "6"],
+    ["contract", "--family", "su2", "--params", "5,10"],
+    ["contract", "--hp", "--dim", "5"],
+    ["contract", "--identities", "--l", "2"],
+    ["evolve", "--N", "6"],
+    ["orbit", "--thooft-N", "7", "--curve-samples", "4"],
+    ["orbit", "--two-circle", "--q-num", "3", "--q-den", "7", "--steps", "20"],
+    ["orbit", "--torus", "--ratio", "golden", "--steps", "300"],
+    ["orbit", "--torus", "--rot1", "1", "--rot2", "2", "--steps", "3"],
+    ["schwinger", "--nmax", "3"],
+    ["schwinger", "--nmax", "3", "--dump", "--sector", "0.5"],
+], ids=" ".join)
+def test_rows_counts_the_rows_written(argv, fmt, tmp_path):
+    args = cli.build_parser().parse_args(argv)
+    result = cli.COMMANDS[args.command](args)
+    out = tmp_path / f"out.{fmt}"
+    write_output(str(out), fmt, args.command, {}, 1e-12, result)
+    written = _rows_written(out, fmt)
+    assert written > 0
+    assert result.rows == range(written)
+
+
+def _rows_written(out: Path, fmt: str) -> int:
+    """The data rows of a CSV or JSON output file."""
+    text = out.read_text(encoding="utf-8")
+    if fmt == "json":
+        return len(json.loads(text)["rows"])
+    return sum(not line.startswith("#") for line in text.splitlines()) - 1
 
 
 def _recorded(argv, fmt, tmp_path, monkeypatch):
@@ -322,13 +363,8 @@ CLOSED_ORBITS = [
 def test_closed_orbit_matches_full_arrays(argv, dynamics, count, fmt, tmp_path, monkeypatch):
     out, result, full = assert_closed_orbit_matches_oracle(
         argv, dynamics.q, count, dynamics.alpha, fmt, tmp_path, monkeypatch)
-    assert list(result.rows) == list(full.rows)
-    text = out.read_text(encoding="utf-8")
-    if fmt == "json":
-        written = len(json.loads(text)["rows"])
-    else:
-        written = sum(not line.startswith("#") for line in text.splitlines()) - 1
-    assert len(result.rows) == written == count
+    assert list(oracles.rows(result)) == list(oracles.rows(full))
+    assert len(result.rows) == _rows_written(out, fmt) == count
 
 
 # Runs around the closure period of random ratios: one touch short of it, at
@@ -432,7 +468,7 @@ def test_arange_columns_write_the_bytes_of_their_arrays(boundary, offset, alpha,
     for new, old in ((CommandResult(columns, groups), CommandResult(columns, arrays)),
                      (CommandResult(("a", "b", "c"), [torus]),
                       CommandResult(("a", "b", "c"), [torus_arrays]))):
-        assert list(new.rows) == list(old.rows)
+        assert list(oracles.rows(new)) == list(oracles.rows(old))
         for fmt in ("csv", "json"):
             write_output(str(tmp_path / f"new.{fmt}"), fmt, "orbit", {}, 1e-12, new)
             write_output(str(tmp_path / f"old.{fmt}"), fmt, "orbit", {}, 1e-12, old)
