@@ -182,13 +182,15 @@ def check_algebra_relations(rep: LadderRep, interior: int) -> float:
     return evaluate(relations, np.arange(rep.dim) < int(interior))["relations_residual"]
 
 
-def relations_in_float_range(kind: Su2 | Su11, dim: int) -> bool:
-    """Whether the relation checks of the `kind` ladders on `dim` states stay in the float range.
+def relations_in_float_range(kind: Su2 | Su11, dim: int) -> None:
+    """Raise unless the relation checks of the `kind` ladders on `dim` states stay in float range.
 
     Their table runs over `_ladder_envelopes`, at a cost that does not grow
     with `dim`, before anything is built.
     """
-    return in_float_range(_relations(kind, *_ladder_envelopes(kind, dim)))
+    if not in_float_range(_relations(kind, *_ladder_envelopes(kind, dim))):
+        label = f"l = {kind.l!r}" if isinstance(kind, Su2) else f"k = {kind.k!r}"
+        raise ValueError(f"{label} at dim {dim} puts the relation checks beyond the float range")
 
 
 def _relations(kind: AlgebraKind, l3, lp, lm, one) -> list[Identity]:

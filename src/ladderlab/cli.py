@@ -194,9 +194,7 @@ def cmd_rep(args) -> CommandResult:
         default_interior = rep.dim
     elif args.algebra == "su11":
         kind = _flagged("--k / --dim", Su11, args.k)
-        if not relations_in_float_range(kind, args.dim):
-            raise ValueError(f"--k / --dim: k = {args.k!r} at dim {args.dim} puts the "
-                             "relation checks beyond the float range")
+        _flagged("--k / --dim", relations_in_float_range, kind, args.dim)
         rep = build_su11_rep(kind.k, args.dim)
         default_interior = rep.dim - 1
     else:
@@ -220,18 +218,15 @@ def cmd_contract(args) -> CommandResult:
         deformed_identities_in_float_range,
         deformed_identity_residuals,
         holstein_primakoff,
+        holstein_primakoff_deviation,
         run_contraction_study,
     )
-    from .operators import Identity, evaluate
     from .writer import CommandResult, Periodic
 
     if args.hp:
         dim = 64 if args.dim is None else args.dim
-        rep = build_su11_rep(0.5, dim)
-        a, adag = holstein_primakoff(rep)
-        osc = build_h1_rep(dim)
-        deviation = evaluate([Identity("hp_max_deviation", lambda: a.bands - osc.Lminus.bands),
-                              Identity("hp_max_deviation", lambda: adag.bands - osc.Lplus.bands)])
+        a, adag = holstein_primakoff(build_su11_rep(0.5, dim))
+        deviation = holstein_primakoff_deviation(a, adag, build_h1_rep(dim))
         return CommandResult(
             columns=ELEMENT_COLUMNS,
             groups=_element_groups([a, adag]),
@@ -241,11 +236,7 @@ def cmd_contract(args) -> CommandResult:
 
     if args.identities:
         kind = _flagged("--l", Su2, args.l)
-        # omega = 2 pi/((2l + 1) tau) underflows unless (2l + 1) tau is finite
-        if not (math.isfinite(2.0 * (kind.l + 0.5) * args.tau)
-                and deformed_identities_in_float_range(kind.l, args.tau)):
-            raise ValueError(f"--l {args.l!r} / --tau {args.tau!r}: the identity checks "
-                             "leave the float range")
+        _flagged("--l / --tau", deformed_identities_in_float_range, kind.l, args.tau)
         residuals = deformed_identity_residuals(build_su2_rep(kind.l), args.tau)
         count = len(residuals)
         return CommandResult(
@@ -292,10 +283,10 @@ def cmd_evolve(args) -> CommandResult:
     )
 
 
-def _flagged(flags: str, function, *args):
-    """`function(*args)`; a ValueError it raises is raised again, its message led by `flags`."""
+def _flagged(flags: str, function, *args, **kwargs):
+    """`function(*args, **kwargs)`; a ValueError it raises is raised again, led by `flags`."""
     try:
-        return function(*args)
+        return function(*args, **kwargs)
     except ValueError as exc:
         raise ValueError(f"{flags}: {exc}") from None
 
@@ -384,9 +375,7 @@ def cmd_orbit(args) -> CommandResult:
     if args.torus:
         rot1, rot2 = (GOLDEN_ROTATION,) * 2 if args.ratio == "golden" else (args.rot1, args.rot2)
         phi0 = tuple(_finite_list("--phi0", args.phi0, skip_blank=False))
-        if len(phi0) != 2:
-            raise ValueError("--phi0 needs two comma-separated angles")
-        angles = simulate_torus(rot1, rot2, steps=args.steps, phi0=phi0)
+        angles = _flagged("--phi0", simulate_torus, rot1, rot2, steps=args.steps, phi0=phi0)
         gap1, gap2 = density_metrics(angles)
         return CommandResult(
             columns=("step", "phi1", "phi2"),
@@ -402,35 +391,19 @@ def cmd_orbit(args) -> CommandResult:
         dynamics = thooft_system(args.thooft_n, alpha=args.alpha)
         trace = touch_points(dynamics, args.thooft_n)
     else:
-        if args.q_den == 0:
-            raise ValueError("--q-den must be nonzero")
         offset = _parse_offset(args.q_irr_add)
-        try:
-            if offset == 0.0:
-                dynamics = CircleDynamics.rational(args.alpha, args.q_num, args.q_den)
-            else:
-                beta = args.alpha * (args.q_num / args.q_den + offset)
-                if not math.isfinite(beta):
-                    raise OverflowError
-                dynamics = CircleDynamics.irrational(args.alpha, beta)
-        except OverflowError:
-            raise ValueError("--q-num / --q-den: the ratio, or --alpha times it, is beyond "
-                             "the float range") from None
-        except ValueError as exc:  # a rational ratio outside (0, 1), or a beta not above 0
-            flags = "--q-num / --q-den" if offset == 0.0 else "--q-num / --q-den / --q-irr-add"
-            raise ValueError(f"{flags}: {exc}") from None
+        flags = "--q-num / --q-den" if offset == 0.0 else "--q-num / --q-den / --q-irr-add"
+        dynamics = _flagged(flags, CircleDynamics.rational, args.alpha, args.q_num, args.q_den,
+                            offset)
         # the curve runs to the last touch time; a 't Hooft system has beta < alpha
         if args.curve_samples > 0 and not math.isfinite(abs(dynamics.beta) * last_time):
             raise ValueError("--alpha / --q-num / --q-den / --q-irr-add / --steps: the curve "
                              "phase beta t is beyond the float range")
-        try:
-            trace = touch_points(dynamics, args.steps)
-        except ValueError as exc:
-            # a rational q beyond the int64 angles, or an irrational touch
-            # angle step (1 - beta/alpha) pi beyond the float range
-            flags = ("--q-num / --q-den / --steps" if dynamics.q is not None
-                     else "--alpha / --q-num / --q-den / --q-irr-add")
-            raise ValueError(f"{flags}: {exc}") from None
+        # a rational q beyond the int64 angles, or an irrational touch angle
+        # step (1 - beta/alpha) pi beyond the float range
+        flags = ("--q-num / --q-den / --steps" if dynamics.q is not None
+                 else "--alpha / --q-num / --q-den / --q-irr-add")
+        trace = _flagged(flags, touch_points, dynamics, args.steps)
 
     # a closed orbit's trace holds one period, whose values repeat bit for bit;
     # once it wraps, every angle is revisited exactly, a gap of zero
@@ -468,9 +441,8 @@ def cmd_schwinger(args) -> CommandResult:
             groups=_element_groups([rep.L3, rep.Lplus, rep.Lminus]),
             checks={"sector_j": args.sector, "sector_size": rep.dim, "induced_k": rep.kind.k},
         )
-    if selected in ("all", "hamiltonian") and not dissipative_in_float_range(args.nmax, params):
-        raise ValueError(f"--Omega {args.Omega!r} / --Gamma {args.Gamma!r}: the dissipative "
-                         f"checks at --nmax {args.nmax} reach beyond the float range")
+    if selected in ("all", "hamiltonian"):
+        _flagged("--Omega / --Gamma / --nmax", dissipative_in_float_range, args.nmax, params)
 
     checks: dict[str, object] = {}
     if selected in ("all", "casimir"):

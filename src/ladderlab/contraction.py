@@ -146,15 +146,32 @@ def holstein_primakoff(rep: LadderRep) -> tuple[OperatorMatrix, OperatorMatrix]:
     return a, adag
 
 
+def holstein_primakoff_deviation(a: OperatorMatrix, adag: OperatorMatrix,
+                                 oscillator: LadderRep) -> dict[str, float]:
+    """{"hp_max_deviation": the largest |entry| of a - L- and a† - L+ of the `oscillator`}."""
+    return evaluate(_holstein_primakoff_identities(a.bands, adag.bands, oscillator.Lminus.bands,
+                                                   oscillator.Lplus.bands))
+
+
+def _holstein_primakoff_identities(a, adag, lm, lp) -> list[Identity]:
+    """The mapped a and a† against the oscillator's L- and L+, over `Bands` or `Envelope`s."""
+    return [Identity("hp_max_deviation", lambda: a - lm),
+            Identity("hp_max_deviation", lambda: adag - lp)]
+
+
 def _checked_scales(rep: LadderRep, tau: float) -> tuple[float, float, float]:
-    """`_scales` of an su(2) rep at a positive finite tau whose alpha and beta are in range."""
+    """`_scales` of an su(2) rep at a positive finite tau whose alpha, beta and omega are in range.
+
+    omega = 2 pi/((2l + 1) tau) is 0 once (2l + 1) tau overflows.
+    """
     if not isinstance(rep.kind, Su2):
         raise ValueError("the deformed x, p and H live on the su(2) representation")
     if not (math.isfinite(tau) and tau > 0):
         raise ValueError("tau must be positive and finite")
     alpha, beta, omega = _scales(rep.kind.l, tau)
-    if not (alpha > 0 and math.isfinite(beta)):
-        raise ValueError(f"tau {tau!r} puts alpha or beta outside the float range")
+    if not (alpha > 0 and math.isfinite(beta) and omega > 0):
+        raise ValueError(f"tau {tau!r} puts alpha, beta or omega outside the float range "
+                         f"at l = {rep.kind.l!r}")
     return alpha, beta, omega
 
 
@@ -168,22 +185,28 @@ def _scales(l: float, tau: float) -> tuple[float, float, float]:
 def deformed_identity_residuals(rep: LadderRep, tau: float) -> dict[str, float]:
     """Residuals of both deformed identities by name, `deformed_commutator` first.
 
-    rep must be su(2), and tau positive and finite with alpha and beta in the
-    float range; x, p and H are built once for the two (`_deformed_identities`).
+    rep must be su(2), and tau positive and finite with alpha, beta and omega
+    in the float range (`_checked_scales`); x, p and H are built once for the
+    two (`_deformed_identities`).
     """
     scales = _checked_scales(rep, tau)
     return evaluate(_deformed_identities(rep.kind.l, tau, scales, rep.L3.bands, rep.Lplus.bands,
                                          rep.Lminus.bands, Bands.identity(rep.dim)))
 
 
-def deformed_identities_in_float_range(l: float, tau: float) -> bool:
-    """Whether both deformed identities of spin l at time step tau stay in the float range.
+def deformed_identities_in_float_range(l: float, tau: float) -> None:
+    """Raise unless both deformed identities of spin l at time step tau stay in the float range.
 
-    Their table runs over the su(2) `_ladder_envelopes`, at a cost that does
-    not grow with l, before anything is built.
+    omega = 2 pi/((2l + 1) tau) must be above 0, as `_checked_scales` has it;
+    then their table runs over the su(2) `_ladder_envelopes`, at a cost that
+    does not grow with l, before anything is built.
     """
-    return in_float_range(_deformed_identities(l, tau, _scales(l, tau),
-                                               *_ladder_envelopes(Su2(l))))
+    kind = Su2(l)
+    scales = _scales(kind.l, tau)
+    if not (scales[2] > 0 and in_float_range(_deformed_identities(
+            kind.l, tau, scales, *_ladder_envelopes(kind)))):
+        raise ValueError(f"l = {kind.l!r} at tau {tau!r} puts the identity checks beyond the "
+                         "float range")
 
 
 def _deformed_operators(l: float, scales, l3, lp, lm, one) -> tuple:

@@ -46,9 +46,21 @@ class CircleDynamics:
             raise ValueError("a rational ratio must satisfy 0 < M/N < 1 in lowest terms")
 
     @classmethod
-    def rational(cls, alpha: float, num: int, den: int) -> "CircleDynamics":
-        q = Fraction(num, den)
-        return cls(alpha=float(alpha), beta=float(alpha) * num / den, q=q)
+    def rational(cls, alpha: float, num: int, den: int, offset: float = 0.0) -> "CircleDynamics":
+        """beta = alpha (num/den + offset), tagged with the exact ratio num/den at offset 0.
+
+        A nonzero offset declares the ratio irrational (q None).  den must be
+        nonzero, and the ratio, and alpha times it, within the float range.
+        """
+        if den == 0:
+            raise ValueError("den must be nonzero")
+        try:
+            beta = float(alpha) * num / den if offset == 0.0 else alpha * (num / den + offset)
+        except OverflowError:  # an integer beyond the float range
+            beta = math.inf
+        if math.isinf(beta):
+            raise ValueError("the ratio, or alpha times it, is beyond the float range")
+        return cls(float(alpha), beta, Fraction(num, den) if offset == 0.0 else None)
 
     @classmethod
     def irrational(cls, alpha: float, beta: float) -> "CircleDynamics":
@@ -210,6 +222,8 @@ def simulate_torus(
     steps = int(steps)
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if len(phi0) != 2:
+        raise ValueError(f"phi0 needs two angles, got {len(phi0)}")
     if not all(math.isfinite(v) for v in (alpha1, alpha2, *phi0)):
         raise ValueError("rotation rates and start angles must be finite")
     angles = np.empty((2, steps)).T  # each coordinate contiguous

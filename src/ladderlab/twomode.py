@@ -190,13 +190,15 @@ def _dissipative_run(p: DissipativeParams, n_max, n_a, n_b, l3, lp, lm):
     return _dissipative_identities(p, lp, lm, *_mode_operators(n_max, n_a, n_b))
 
 
-def dissipative_in_float_range(n_max: int, p: DissipativeParams) -> bool:
-    """Whether the dissipative checks at cutoff n_max stay in the float range.
+def dissipative_in_float_range(n_max: int, p: DissipativeParams) -> None:
+    """Raise unless the dissipative checks at cutoff n_max stay in the float range.
 
     Their table runs over `_mode_envelopes`, at a cost that does not grow
     with n_max, before anything is built.
     """
-    return in_float_range(_dissipative_identities(p, *_mode_envelopes(n_max)))
+    if not in_float_range(_dissipative_identities(p, *_mode_envelopes(n_max))):
+        raise ValueError(f"Omega = {p.Omega!r} and Gamma = {p.Gamma!r} put the dissipative "
+                         f"checks at n_max {n_max} beyond the float range")
 
 
 def _mode_operators(n_max: int, n_a: np.ndarray,

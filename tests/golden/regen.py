@@ -265,6 +265,7 @@ REFUSALS = [
     ["contract", "--hp", "--dim", "0"],
     ["rep", "--algebra", "su2", "--l", "2", "--interior", "0"],
     ["contract", "--identities", "--l", "1.3"],
+    ["orbit", "--torus", "--ratio", "golden", "--phi0", "1,2,3"],
     ["schwinger", "--nmax", "3", "--dump", "--sector", "0.3"],
     ["schwinger", "--nmax", "3", "--dump", "--sector", "5"],
     ["schwinger", "--nmax", "3", "--dump", "--sector", "1e9"],
@@ -308,6 +309,7 @@ REFUSALS = [
     ["contract", "--identities", "--l", "3", "--tau", "1e-300"],
     ["contract", "--identities", "--l", "3", "--tau", "5e-324"],
     ["contract", "--identities", "--l", "100000", "--tau", "1e300"],
+    ["contract", "--identities", "--l", "0.5", "--tau", "1e308"],
     ["contract", "--identities", "--l", "3", "--tau", "0"],
     ["contract", "--identities", "--l", "3", "--tau", "-0.0"],
     ["contract", "--identities", "--l", "3", "--tau", "-1"],

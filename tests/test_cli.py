@@ -661,6 +661,7 @@ class TestInputValidation:
         (["contract", "--hp", "--dim", "0"], "--dim"),
         (["rep", "--algebra", "su2", "--l", "2", "--interior", "0"], "--interior"),
         (["contract", "--identities", "--l", "1.3"], "--l"),
+        (["orbit", "--torus", "--ratio", "golden", "--phi0", "1,2,3"], "--phi0"),
         (["schwinger", "--nmax", "3", "--dump", "--sector", "0.3"], "--sector"),
         (["schwinger", "--nmax", "3", "--dump", "--sector", "5"], "--sector"),
         (["schwinger", "--nmax", "3", "--dump", "--sector", "1e9"], "--sector"),
@@ -812,7 +813,7 @@ class TestInputValidation:
     @pytest.mark.parametrize("l,tau", [("3", "1e308"), ("3", "9e307"), ("3", "1e-160"),
                                        ("3", "1e-300"), ("3", "5e-324"), ("100000", "1e300"),
                                        ("3", "4e-154"), ("3", "4.3e-154"), ("0.5", "3.7e-154"),
-                                       ("100000", "4.68e-154")])
+                                       ("100000", "4.68e-154"), ("0.5", "1e308")])
     def test_identity_scale_names_tau_and_l(self, l, tau, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("ladderlab.algebra.build_su2_rep", refuse_build)
         monkeypatch.setattr("ladderlab.contraction.deformed_identity_residuals", refuse_build)
@@ -885,7 +886,7 @@ class TestInputValidation:
     (["rep", "--algebra", "h1", "--dim", "5"], "algebra.check_algebra_relations", [math.nan],
      "relations_residual"),
     # a nan in the second of its two residuals is in tests/test_evaluate.py
-    (["contract", "--hp", "--dim", "8"], "operators.evaluate",
+    (["contract", "--hp", "--dim", "8"], "contraction.holstein_primakoff_deviation",
      [{"hp_max_deviation": math.nan}], "hp_max_deviation"),
     (["contract", "--identities", "--l", "2"], "contraction.deformed_identity_residuals",
      [{"deformed_commutator": 0.0, "hamiltonian_decomposition": math.nan}],

@@ -78,8 +78,7 @@ def route_evaluate(monkeypatch, poison: int | None = None) -> list[tuple[str, fl
 
         return evaluate(each(), keep)
 
-    # `cli.cmd_contract` imports `evaluate` from `operators` when it runs
-    for module in (algebra, twomode, contraction, operators):
+    for module in (algebra, twomode, contraction):
         monkeypatch.setattr(module, "evaluate", wrapped)
     return log
 

@@ -5,8 +5,10 @@ import math
 import pytest
 
 from ladderlab import DissipativeParams, EvolutionParams, build_su2_rep, simulate_torus
-from ladderlab.contraction import deformed_identity_residuals
+from ladderlab.algebra import Su11, relations_in_float_range
+from ladderlab.contraction import deformed_identities_in_float_range, deformed_identity_residuals
 from ladderlab.orbits import CircleDynamics
+from ladderlab.twomode import dissipative_in_float_range
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
 
@@ -55,3 +57,33 @@ def test_torus_rates_start_angles_and_step(value):
             simulate_torus(*args)
     with pytest.raises(ValueError, match="finite"):
         simulate_torus(1.0, 1.0, 5, (value, 0.0))
+
+
+# Each of these once came back from the library although the CLI refused it:
+# omega = 2 pi/((2l + 1) tau) underflowed to 0 and the deformed commutator read
+# 1.5, a third angle was dropped, and the ratios raised ZeroDivisionError or
+# OverflowError.
+@pytest.mark.parametrize("call, match", [
+    (lambda: deformed_identity_residuals(build_su2_rep(0.5), 1e308), "omega"),
+    (lambda: simulate_torus(1.0, 2.0, steps=2, phi0=(0.0, 0.5, 9.0)), "two angles, got 3"),
+    (lambda: CircleDynamics.rational(1.0, 1, 0), "den must be nonzero"),
+    (lambda: CircleDynamics.rational(1.0, 10**400, 10**400 + 1), "float range"),
+    (lambda: CircleDynamics.rational(1.0, 10**308, 1, 1.7e308), "float range"),
+], ids=["identities-omega", "torus-phi0", "ratio-den-0", "ratio-huge", "ratio-offset"])
+def test_the_library_refuses_what_the_cli_refuses(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+# each float-range guard at a corpus input just past its edge, and at its neighbour inside
+@pytest.mark.parametrize("guard, outside, inside", [
+    (relations_in_float_range, (Su11(1.265e205), 3), (Su11(1.264e205), 3)),
+    (deformed_identities_in_float_range, (3.0, 4.3e-154), (3.0, 5e-154)),
+    (deformed_identities_in_float_range, (3.0, 9e307), (3.0, 2.5e307)),
+    (dissipative_in_float_range, (2, DissipativeParams(4.741e153, 4.741e153)),
+     (2, DissipativeParams(4.740e153, 4.740e153))),
+], ids=["su11-relations", "identities-small-tau", "identities-large-tau", "dissipative"])
+def test_float_range_guard_raises_only_past_its_edge(guard, outside, inside):
+    with pytest.raises(ValueError, match="beyond the float range"):
+        guard(*outside)
+    assert guard(*inside) is None
