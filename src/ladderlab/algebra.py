@@ -167,19 +167,22 @@ def _cartesian(lp, lm):
     return (lp + lm) / 2.0, (lp - lm) / 2.0j
 
 
-def check_algebra_relations(rep: LadderRep, interior: int) -> float:
-    """Max-entry residual of the defining relations on the leading `interior` states.
+def check_algebra_relations(rep: LadderRep, interior: int) -> dict[str, float]:
+    """{"relations_residual": max-entry residual of the defining relations}, on `interior` states.
 
     Both sides of every identity are restricted to the span of
-    |0> .. |interior-1>, which excises the truncation-contaminated top row of
-    the su(1,1)/h(1) matrices (`_relations`).
+    |0> .. |interior-1>, the mask of each record (`_relations`), which
+    excises the truncation-contaminated top row of the su(1,1)/h(1)
+    matrices.  An su(1,1) rep is first run through `relations_in_float_range`.
     """
     if not 1 <= int(interior) <= rep.dim:
         raise ValueError(f"interior must be in 1..{rep.dim}")
+    if isinstance(rep.kind, Su11):
+        relations_in_float_range(rep.kind, rep.dim)
     # only the h(1) relation reads the identity
     one = Bands.identity(rep.dim) if isinstance(rep.kind, Heisenberg) else None
-    relations = _relations(rep.kind, rep.L3.bands, rep.Lplus.bands, rep.Lminus.bands, one)
-    return evaluate(relations, np.arange(rep.dim) < int(interior))["relations_residual"]
+    return evaluate(_relations(rep.kind, rep.L3.bands, rep.Lplus.bands, rep.Lminus.bands, one,
+                               np.arange(rep.dim) < int(interior)))
 
 
 def relations_in_float_range(kind: Su2 | Su11, dim: int) -> None:
@@ -193,20 +196,20 @@ def relations_in_float_range(kind: Su2 | Su11, dim: int) -> None:
         raise ValueError(f"{label} at dim {dim} puts the relation checks beyond the float range")
 
 
-def _relations(kind: AlgebraKind, l3, lp, lm, one) -> list[Identity]:
-    """The defining relations of `kind`, over `Bands` or over `Envelope`s.
+def _relations(kind: AlgebraKind, l3, lp, lm, one, keep=None) -> list[Identity]:
+    """The defining relations of `kind`, over `Bands` read on `keep`, or over `Envelope`s.
 
     su(2) closes with [L+, L-] = +2 L3, su(1,1) with -2 L3, and h(1) with
     [a, a†] = 1; the two [L3, L±] = ±L± relations hold for every kind.
     """
     if isinstance(kind, Heisenberg):
-        closing = Identity("relations_residual", lambda: lm @ lp - lp @ lm - one)
+        closing = Identity("relations_residual", lambda: lm @ lp - lp @ lm - one, keep)
     else:
         sign = 2.0 if isinstance(kind, Su2) else -2.0
-        closing = Identity("relations_residual", lambda: lp @ lm - lm @ lp - sign * l3)
+        closing = Identity("relations_residual", lambda: lp @ lm - lm @ lp - sign * l3, keep)
     return [
-        Identity("relations_residual", lambda: l3 @ lp - lp @ l3 - lp),
-        Identity("relations_residual", lambda: l3 @ lm - lm @ l3 + lm),
+        Identity("relations_residual", lambda: l3 @ lp - lp @ l3 - lp, keep),
+        Identity("relations_residual", lambda: l3 @ lm - lm @ l3 + lm, keep),
         closing,
     ]
 

@@ -201,12 +201,12 @@ def cmd_rep(args) -> CommandResult:
         rep = build_h1_rep(args.dim)
         default_interior = rep.dim - 1
     interior = default_interior if args.interior is None else args.interior
-    residual = _flagged("--interior", check_algebra_relations, rep, interior)
+    residuals = _flagged("--interior", check_algebra_relations, rep, interior)
     return CommandResult(
         columns=ELEMENT_COLUMNS,
         groups=_element_groups([rep.L3, rep.Lplus, rep.Lminus]),
-        checks={"dim": rep.dim, "interior": interior, "relations_residual": residual},
-        gated={"relations_residual": residual},
+        checks={"dim": rep.dim, "interior": interior, **residuals},
+        gated=residuals,
     )
 
 
@@ -446,15 +446,13 @@ def cmd_schwinger(args) -> CommandResult:
 
     checks: dict[str, object] = {}
     if selected in ("all", "casimir"):
-        checks["casimir_interior"] = casimir_interior_residual(args.nmax)
+        checks.update(casimir_interior_residual(args.nmax))
     if selected in ("all", "sectors"):
-        checks["sector_match"] = sector_match_residual(args.nmax)
+        checks.update(sector_match_residual(args.nmax))
     if selected in ("all", "hamiltonian"):
         checks.update(dissipative_residuals(args.nmax, params))
     if selected in ("all", "l2"):
-        res1, res2 = _flagged("--nmax", l2_relation_check, args.nmax)
-        checks["l2_commutator"] = res1
-        checks["l2_double_commutator"] = res2
+        checks.update(_flagged("--nmax", l2_relation_check, args.nmax))
     return CommandResult(
         columns=("check", "residual"),
         groups=[(list(checks), list(checks.values()))],

@@ -159,22 +159,6 @@ def _holstein_primakoff_identities(a, adag, lm, lp) -> list[Identity]:
             Identity("hp_max_deviation", lambda: adag - lp)]
 
 
-def _checked_scales(rep: LadderRep, tau: float) -> tuple[float, float, float]:
-    """`_scales` of an su(2) rep at a positive finite tau whose alpha, beta and omega are in range.
-
-    omega = 2 pi/((2l + 1) tau) is 0 once (2l + 1) tau overflows.
-    """
-    if not isinstance(rep.kind, Su2):
-        raise ValueError("the deformed x, p and H live on the su(2) representation")
-    if not (math.isfinite(tau) and tau > 0):
-        raise ValueError("tau must be positive and finite")
-    alpha, beta, omega = _scales(rep.kind.l, tau)
-    if not (alpha > 0 and math.isfinite(beta) and omega > 0):
-        raise ValueError(f"tau {tau!r} puts alpha, beta or omega outside the float range "
-                         f"at l = {rep.kind.l!r}")
-    return alpha, beta, omega
-
-
 def _scales(l: float, tau: float) -> tuple[float, float, float]:
     """alpha = sqrt(tau/pi), beta = -2/(2l+1) sqrt(pi/tau) and omega = 2 pi/((2l+1) tau)."""
     width = 2.0 * l + 1.0
@@ -185,23 +169,27 @@ def _scales(l: float, tau: float) -> tuple[float, float, float]:
 def deformed_identity_residuals(rep: LadderRep, tau: float) -> dict[str, float]:
     """Residuals of both deformed identities by name, `deformed_commutator` first.
 
-    rep must be su(2), and tau positive and finite with alpha, beta and omega
-    in the float range (`_checked_scales`); x, p and H are built once for the
-    two (`_deformed_identities`).
+    rep must be su(2), and `deformed_identities_in_float_range` runs first;
+    x, p and H are built once for the two (`_deformed_identities`).
     """
-    scales = _checked_scales(rep, tau)
-    return evaluate(_deformed_identities(rep.kind.l, tau, scales, rep.L3.bands, rep.Lplus.bands,
-                                         rep.Lminus.bands, Bands.identity(rep.dim)))
+    if not isinstance(rep.kind, Su2):
+        raise ValueError("the deformed x, p and H live on the su(2) representation")
+    deformed_identities_in_float_range(rep.kind.l, tau)
+    return evaluate(_deformed_identities(rep.kind.l, tau, _scales(rep.kind.l, tau),
+                                         rep.L3.bands, rep.Lplus.bands, rep.Lminus.bands,
+                                         Bands.identity(rep.dim)))
 
 
 def deformed_identities_in_float_range(l: float, tau: float) -> None:
     """Raise unless both deformed identities of spin l at time step tau stay in the float range.
 
-    omega = 2 pi/((2l + 1) tau) must be above 0, as `_checked_scales` has it;
-    then their table runs over the su(2) `_ladder_envelopes`, at a cost that
-    does not grow with l, before anything is built.
+    tau must be positive and finite, and omega = 2 pi/((2l + 1) tau) above
+    0; then their table runs over the su(2) `_ladder_envelopes`, at a cost
+    that does not grow with l, before anything is built.
     """
     kind = Su2(l)
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError("tau must be positive and finite")
     scales = _scales(kind.l, tau)
     if not (scales[2] > 0 and in_float_range(_deformed_identities(
             kind.l, tau, scales, *_ladder_envelopes(kind)))):

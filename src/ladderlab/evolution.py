@@ -28,7 +28,8 @@ class EvolutionParams:
     tau: float
 
     def __post_init__(self) -> None:
-        if int(self.n_states) != self.n_states or self.n_states < 2:
+        if not (math.isfinite(self.n_states) and int(self.n_states) == self.n_states
+                and self.n_states >= 2):
             raise ValueError("n_states must be an integer >= 2")
         if not (math.isfinite(self.tau) and self.tau > 0):
             raise ValueError("tau must be positive and finite")

@@ -226,7 +226,8 @@ class Identity:
     `residual()` forms lhs - rhs as a `Bands`, or as an `Envelope` when the
     table is run over envelopes.  `mask`, a boolean vector over the basis,
     counts the entries whose row and column are both kept, as in
-    `max_entry`; with None the identity is read where `evaluate` is told.
+    `max_entry`; with None every entry counts.  The mask is the only place
+    an identity is restricted.
     """
 
     name: str
@@ -234,19 +235,19 @@ class Identity:
     mask: np.ndarray | None = None
 
 
-def evaluate(identities: Iterable[Identity], keep=None) -> dict[str, float]:
+def evaluate(identities: Iterable[Identity]) -> dict[str, float]:
     """The max-entry residual of each identity, by name, in the order the names first come.
 
-    Each identity is read on its own mask, or on `keep` when it has none
-    (None: every entry), and identities that share a name give the largest
-    of their values.  They are taken one at a time, and each residual is
-    dropped once it is reduced, so a table given as a generator can drop an
-    operator after yielding the last identity that reads it.  A nan in any
-    counted entry gives its name nan, so no tolerance gate can pass it.
+    Each identity is read on its own mask, and identities that share a name
+    give the largest of their values.  They are taken one at a time, and
+    each residual is dropped once it is reduced, so a table given as a
+    generator can drop an operator after yielding the last identity that
+    reads it.  A nan in any counted entry gives its name nan, so no
+    tolerance gate can pass it.
     """
     values: dict[str, float] = {}
     for identity in identities:
-        peak = max_entry(identity.residual(), keep if identity.mask is None else identity.mask)
+        peak = max_entry(identity.residual(), identity.mask)
         values[identity.name] = float(np.maximum(values.get(identity.name, 0.0), peak))
     return values
 

@@ -111,13 +111,14 @@ def _interior_mask(n_a: np.ndarray, n_b: np.ndarray, bound: int) -> np.ndarray:
     return (n_a < bound) & (n_b < bound)
 
 
-def casimir_interior_residual(n_max: int) -> float:
-    """Max-entry gap between the ladder-form Casimir and the mode form on the interior.
+def casimir_interior_residual(n_max: int) -> dict[str, float]:
+    """{"casimir_interior": max-entry gap between the ladder-form and the mode-form Casimir}.
 
-    The ladder form is C^2 = 1/4 + L3^2 - (L+L- + L-L+)/2, the mode form
-    (A†A - B†B)^2/4 = j^2 from the occupations.
+    The gap is read on the interior.  The ladder form is
+    C^2 = 1/4 + L3^2 - (L+L- + L-L+)/2, the mode form (A†A - B†B)^2/4 = j^2
+    from the occupations.
     """
-    return evaluate(_sweep(n_max, _casimir_identities))["casimir_interior"]
+    return evaluate(_sweep(n_max, _casimir_identities))
 
 
 def _casimir_identities(n_max, n_a, n_b, l3, lp, lm):
@@ -148,10 +149,11 @@ def sector_operators(n_max: int, j: float) -> LadderRep:
                      *map(OperatorMatrix, ("L3", "L+", "L-"), _ladders(n_a, n_b)))
 
 
-def sector_match_residual(n_max: int) -> float:
-    """Entrywise gap between the two-mode ladders and the discrete series, every sector at once.
+def sector_match_residual(n_max: int) -> dict[str, float]:
+    """{"sector_match": entrywise gap between the two-mode ladders and the discrete series}.
 
-    |n_A, n_B> is level n = min(n_A, n_B) of sector j = (n_A - n_B)/2, whose
+    Every sector is compared at once.  |n_A, n_B> is level
+    n = min(n_A, n_B) of sector j = (n_A - n_B)/2, whose
     series has weight |j| + 1/2.  Each diagonal of L3, L+ and L- is compared
     with that series in the sector order: L3 on offset 0, L+ on -1 (into
     |n_A, n_B> from level n - 1, nothing into level 0, so nothing from the
@@ -159,7 +161,7 @@ def sector_match_residual(n_max: int) -> float:
     top state at n_A or n_B = n_max, where the sector is truncated).  Any
     other diagonal is a leak between sectors and counts in full.
     """
-    return evaluate(_sweep(n_max, _sector_match_identities))["sector_match"]
+    return evaluate(_sweep(n_max, _sector_match_identities))
 
 
 def _sector_match_identities(n_max, n_a, n_b, l3, lp, lm):
@@ -180,8 +182,10 @@ def dissipative_residuals(n_max: int, p: DissipativeParams) -> dict[str, float]:
 
     h0_vs_casimir compares Omega (A†A - B†B) with 2 Omega C on the j >= 0
     sectors only: C is the nonnegative Casimir root, so the signed mode form
-    can match it only where j >= 0.
+    can match it only where j >= 0.  `dissipative_in_float_range` runs
+    first.
     """
+    dissipative_in_float_range(n_max, p)
     return evaluate(_sweep(n_max, _dissipative_run, p))
 
 
@@ -242,10 +246,11 @@ def _dissipative_identities(p: DissipativeParams, lp, lm, modes, casimir, upper=
     yield Identity("h0_hi_commutator", lambda: h0 @ hi - hi @ h0, keep)
 
 
-def l2_relation_check(n_max: int) -> tuple[float, float]:
-    """Residuals of [L1, L3] = -i L2 and [L1, [L1, L3]] = -L3 on the interior.
+def l2_relation_check(n_max: int) -> dict[str, float]:
+    """Residuals of [L1, L3] = -i L2 and [L1, [L1, L3]] = -L3 on the interior, by name.
 
-    These two relations are the infinitesimal content of the finite rotation
+    The names are l2_commutator and l2_double_commutator.  These two
+    relations are the infinitesimal content of the finite rotation
     i e^{(pi/2) L1} L3 e^{-(pi/2) L1} = L2 (the double commutator closing on
     -L3 makes the adjoint orbit a rotation, evaluated at angle pi/2).  The
     interior is every state with both occupations below n_max, which needs
@@ -253,8 +258,7 @@ def l2_relation_check(n_max: int) -> tuple[float, float]:
     """
     if n_max < 2:
         raise ValueError("the L2 relations need n_max >= 2")
-    values = evaluate(_sweep(n_max, _l2_identities))
-    return values["l2_commutator"], values["l2_double_commutator"]
+    return evaluate(_sweep(n_max, _l2_identities))
 
 
 def _l2_identities(n_max, n_a, n_b, l3, lp, lm):

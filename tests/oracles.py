@@ -323,7 +323,7 @@ def casimir(space: TwoModeSpace, tol: float = 1e-12) -> OperatorMatrix:
     Verified against the diagonal mode form (A†A - B†B)^2/4 on the interior;
     a mismatch beyond `tol` means the construction is broken.
     """
-    residual = twomode.casimir_interior_residual(space.n_max)
+    residual = twomode.casimir_interior_residual(space.n_max)["casimir_interior"]
     if not residual <= tol:  # a nan residual is a breach too
         raise ValueError(f"Casimir forms disagree on the interior: {residual:.3e}")
     l3, lp, lm = space.L3.bands, space.Lplus.bands, space.Lminus.bands

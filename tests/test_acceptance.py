@@ -130,11 +130,12 @@ def test_criterion_5_holstein_primakoff():
 
 
 def test_criterion_6_two_mode_structure():
-    casimir_gap = casimir_interior_residual(10)
-    sector_gap = sector_match_residual(10)
+    casimir_gap = casimir_interior_residual(10)["casimir_interior"]
+    sector_gap = sector_match_residual(10)["sector_match"]
     residuals = dissipative_residuals(10, DissipativeParams(Omega=1.0, Gamma=0.5))
     ham_gap = max(residuals["h0_vs_casimir"], residuals["hi_vs_l2"])
-    res1, res2 = l2_relation_check(10)
+    rotation = l2_relation_check(10)
+    res1, res2 = rotation["l2_commutator"], rotation["l2_double_commutator"]
     ok = (
         casimir_gap < 1e-12
         and sector_gap < 1e-12
@@ -240,7 +241,7 @@ def test_criterion_8_oracle_equivalence():
     checks.append(float(np.max(np.abs(angles[-1]))) < 1e-12)
 
     # sector restrictions vs directly built series, every j
-    checks.append(sector_match_residual(8) < 1e-12)
+    checks.append(sector_match_residual(8)["sector_match"] < 1e-12)
 
     # matrix exponential vs plain Taylor series on a fixed nilpotent-ish case
     m = np.array([[0.0, 1.0], [0.0, 0.0]])

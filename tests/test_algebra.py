@@ -94,7 +94,7 @@ class TestSu2Builder:
     @pytest.mark.parametrize("l", [0.5, 1, 3.5, 10, 27.5, 50])
     def test_relations_exact_up_to_l_50(self, l):
         rep = build_su2_rep(l)
-        assert check_algebra_relations(rep, rep.dim) < 1e-12
+        assert check_algebra_relations(rep, rep.dim)["relations_residual"] < 1e-12
 
     def test_lowering_element_formula(self):
         # <n-1|L-|n> = sqrt((2l - n + 1) n) via the adjoint pairing
@@ -127,8 +127,8 @@ class TestSu11Builder:
 
     def test_interior_relations_exact_top_row_contaminated(self):
         rep = build_su11_rep(0.5, 40)
-        assert check_algebra_relations(rep, 39) < 1e-12
-        full = check_algebra_relations(rep, 40)
+        assert check_algebra_relations(rep, 39)["relations_residual"] < 1e-12
+        full = check_algebra_relations(rep, 40)["relations_residual"]
         # the broken entry is the top diagonal of [L+, L-], of order of the
         # squared top ladder element
         assert full > 100.0
@@ -165,8 +165,8 @@ class TestH1Builder:
 
     def test_truncation_locality(self):
         rep = build_h1_rep(30)
-        assert check_algebra_relations(rep, 29) < 1e-12
-        assert check_algebra_relations(rep, 30) > 1.0
+        assert check_algebra_relations(rep, 29)["relations_residual"] < 1e-12
+        assert check_algebra_relations(rep, 30)["relations_residual"] > 1.0
 
 
 class TestSharedContracts:

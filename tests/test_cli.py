@@ -883,8 +883,8 @@ class TestInputValidation:
 
 
 @pytest.mark.parametrize("argv,target,values,check", [
-    (["rep", "--algebra", "h1", "--dim", "5"], "algebra.check_algebra_relations", [math.nan],
-     "relations_residual"),
+    (["rep", "--algebra", "h1", "--dim", "5"], "algebra.check_algebra_relations",
+     [{"relations_residual": math.nan}], "relations_residual"),
     # a nan in the second of its two residuals is in tests/test_evaluate.py
     (["contract", "--hp", "--dim", "8"], "contraction.holstein_primakoff_deviation",
      [{"hp_max_deviation": math.nan}], "hp_max_deviation"),
@@ -893,8 +893,8 @@ class TestInputValidation:
      "hamiltonian_decomposition"),
     (["evolve", "--N", "4"], "evolution.geometric_phase_check", [complex(math.nan, 0.0)],
      "phase"),
-    (["schwinger", "--nmax", "3"], "twomode.sector_match_residual", [math.nan],
-     "sector_match"),
+    (["schwinger", "--nmax", "3"], "twomode.sector_match_residual",
+     [{"sector_match": math.nan}], "sector_match"),
 ], ids=["rep", "contract-hp", "contract-identities", "evolve", "schwinger"])
 def test_a_nan_check_is_a_breach(argv, target, values, check, tmp_path, capsys, monkeypatch):
     # every gate reads `not value <= tolerance`, which a nan fails

@@ -182,9 +182,9 @@ class TestHolsteinPrimakoff:
 
 
 def deformed_operators(rep, tau):
-    """x, p and H of `rep` at tau, checked and built as `deformed_identity_residuals` builds them."""
+    """x, p and H of `rep` at tau, built as `deformed_identity_residuals` builds them."""
     operators = contraction._deformed_operators(
-        rep.kind.l, contraction._checked_scales(rep, tau),
+        rep.kind.l, contraction._scales(rep.kind.l, tau),
         rep.L3.bands, rep.Lplus.bands, rep.Lminus.bands, Bands.identity(rep.dim))
     return [OperatorMatrix(label, bands) for label, bands in zip("xpH", operators)]
 

@@ -60,23 +60,22 @@ def route_evaluate(monkeypatch, poison: int | None = None) -> list[tuple[str, fl
     """
     log = []
 
-    def wrapped(identities, keep=None):
+    def wrapped(identities):
         def each():
             for identity in identities:
-                mask = keep if identity.mask is None else identity.mask
                 index = len(log)
                 log.append((identity.name, None))
 
-                def residual(identity=identity, mask=mask, index=index):
+                def residual(identity=identity, index=index):
                     bands = identity.residual()
                     if index == poison:
-                        bands = with_nan(bands, kept_row(mask))
-                    log[index] = (identity.name, max_entry(bands, mask))
+                        bands = with_nan(bands, kept_row(identity.mask))
+                    log[index] = (identity.name, max_entry(bands, identity.mask))
                     return bands
 
                 yield Identity(identity.name, residual, identity.mask)
 
-        return evaluate(each(), keep)
+        return evaluate(each())
 
     for module in (algebra, twomode, contraction):
         monkeypatch.setattr(module, "evaluate", wrapped)
@@ -89,11 +88,11 @@ def command(argv) -> writer.CommandResult:
 
 
 class TestEvaluate:
-    def test_each_record_is_read_on_its_mask_or_on_keep(self):
+    def test_each_record_is_read_on_its_own_mask(self):
         residual = Bands.diag([1.0, 2.0, 4.0])
         first, last = np.array([True, False, False]), np.array([False, False, True])
         values = evaluate([Identity("own", lambda: residual, last),
-                           Identity("shared", lambda: residual)], keep=first)
+                           Identity("shared", lambda: residual, first)])
         assert values == {"own": 4.0, "shared": 1.0}
         assert evaluate([Identity("all", lambda: residual)]) == {"all": 4.0}
 
@@ -107,7 +106,7 @@ class TestEvaluate:
 
     def test_a_nan_outside_the_mask_does_not_count(self):
         residual = Bands.diag([1.0, math.nan])
-        assert evaluate([Identity("r", lambda: residual)], np.array([True, False])) == {"r": 1.0}
+        assert evaluate([Identity("r", lambda: residual, np.array([True, False]))]) == {"r": 1.0}
 
     def test_names_keep_their_first_order(self):
         records = [Identity(name, lambda: Bands.diag([1.0])) for name in "bab"]
@@ -131,6 +130,32 @@ class TestEvaluate:
 
         assert evaluate(table()) == {"r": 2.0}
         assert len(formed) == 3
+
+
+# each library check at a small size; every one returns the table `evaluate` gives
+LIBRARY_CHECKS = {
+    "check_algebra_relations": lambda: algebra.check_algebra_relations(
+        algebra.build_su11_rep(1.5, 8), 7),
+    "casimir_interior_residual": lambda: twomode.casimir_interior_residual(4),
+    "sector_match_residual": lambda: twomode.sector_match_residual(4),
+    "dissipative_residuals": lambda: twomode.dissipative_residuals(
+        4, twomode.DissipativeParams(1.0, 0.5)),
+    "l2_relation_check": lambda: twomode.l2_relation_check(4),
+    "deformed_identity_residuals": lambda: contraction.deformed_identity_residuals(
+        algebra.build_su2_rep(2), 1.0),
+    "holstein_primakoff_deviation": lambda: contraction.holstein_primakoff_deviation(
+        *contraction.holstein_primakoff(algebra.build_su11_rep(0.5, 8)), algebra.build_h1_rep(8)),
+}
+
+
+@pytest.mark.parametrize("check", LIBRARY_CHECKS.values(), ids=LIBRARY_CHECKS)
+def test_each_library_check_returns_the_table_of_its_records(check, monkeypatch):
+    log = route_evaluate(monkeypatch)
+    result = check()
+    assert log
+    assert list(result) == list(dict.fromkeys(name for name, _ in log))
+    assert result == {name: max(value for logged, value in log if logged == name)
+                      for name in result}
 
 
 @pytest.mark.parametrize("argv", RECORDS, ids=" ".join)

@@ -286,7 +286,7 @@ class TestResidualsMatchDense:
         else:
             rep, dense = build_h1_rep(dim), dense_h1(dim)
         for interior in {1, rep.dim - 1, rep.dim}:
-            assert check_algebra_relations(rep, interior) == dense_relations(
+            assert check_algebra_relations(rep, interior)["relations_residual"] == dense_relations(
                 *dense, kind, interior)
 
     @pytest.mark.parametrize("l", [1.0, 4.5, 9.5])
@@ -327,7 +327,7 @@ class TestResidualsMatchDense:
         keep = interior_indices(space)
         want = np.max(np.abs(in_sector_order(dense_casimir(ops) - np.diag(0.25 * (n_a - n_b) ** 2),
                                              n_max)[np.ix_(keep, keep)]))
-        assert casimir_interior_residual(n_max) == want
+        assert casimir_interior_residual(n_max)["casimir_interior"] == want
 
     @pytest.mark.parametrize("n_max", SMALL_NMAX)
     def test_dissipative_residuals(self, n_max):
@@ -342,9 +342,9 @@ class TestResidualsMatchDense:
         keep = interior_indices(space)
         first, second = dense_l2_relations(
             *(in_sector_order(ops[name], n_max) for name in ("Lplus", "Lminus", "L3")), keep)
-        got_first, got_second = l2_relation_check(n_max)
-        assert got_first == first
-        assert abs(got_second - second) <= 4 * EPS * 4 * (n_max + 1) ** 3
+        got = l2_relation_check(n_max)
+        assert got["l2_commutator"] == first
+        assert abs(got["l2_double_commutator"] - second) <= 4 * EPS * 4 * (n_max + 1) ** 3
 
     @pytest.mark.parametrize("n_max", SMALL_NMAX)
     def test_sector_match(self, n_max):
@@ -358,7 +358,7 @@ class TestResidualsMatchDense:
             reference = dense_su11(abs(shift) / 2.0 + 0.5, len(indices))
             want = max(want, *(np.max(np.abs(op[np.ix_(indices, indices)] - ref))
                                for op, ref in zip(ladders, reference)))
-        assert sector_match_residual(n_max) == want
+        assert sector_match_residual(n_max)["sector_match"] == want
 
     @pytest.mark.parametrize("n", [2, 3, 7, 16])
     def test_spectrum_and_phase(self, n):
@@ -405,7 +405,7 @@ class TestSectorLookup:
                             lambda *args: calls.append("sector_operators") or blocks(*args))
         monkeypatch.setattr(twomode, "_occupations",
                             lambda *args: calls.append(args) or occupations(*args))
-        assert sector_match_residual(6) < 1e-12
+        assert sector_match_residual(6)["sector_match"] < 1e-12
         assert calls == [(6, -6, 7)]
 
 
@@ -470,7 +470,7 @@ class TestPastTheDenseCeiling:
 
     def test_casimir(self):
         m = self.N_MAX + 1
-        residual = self._traced(casimir_interior_residual)
+        residual = self._traced(casimir_interior_residual)["casimir_interior"]
         assert 0.0 <= residual <= self._bound(2 * m**2)
 
     def test_dissipative(self):
@@ -490,6 +490,6 @@ class TestPastTheDenseCeiling:
 
     def test_l2(self):
         m = self.N_MAX + 1
-        first, second = self._traced(l2_relation_check)
-        assert first <= self._bound(2 * m**2)
-        assert second <= self._bound(4 * m**3)
+        got = self._traced(l2_relation_check)
+        assert got["l2_commutator"] <= self._bound(2 * m**2)
+        assert got["l2_double_commutator"] <= self._bound(4 * m**3)

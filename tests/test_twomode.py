@@ -153,13 +153,11 @@ class TestRuns:
     def test_each_check_equals_its_one_run_value(self, n_max, run_states, monkeypatch):
         space = build_two_mode(n_max)
         monkeypatch.setattr(twomode, "RUN_STATES", run_states)
-        assert casimir_interior_residual(n_max) == whole_run(
-            twomode._casimir_identities, space)["casimir_interior"]
-        assert sector_match_residual(n_max) == whole_run(
-            twomode._sector_match_identities, space)["sector_match"]
+        assert casimir_interior_residual(n_max) == whole_run(twomode._casimir_identities, space)
+        assert sector_match_residual(n_max) == whole_run(twomode._sector_match_identities, space)
         assert dissipative_residuals(n_max, self.PARAMS) == whole_run(
             twomode._dissipative_run, space, self.PARAMS)
-        assert l2_relation_check(n_max) == tuple(whole_run(twomode._l2_identities, space).values())
+        assert l2_relation_check(n_max) == whole_run(twomode._l2_identities, space)
 
     def test_each_table_drops_the_occupations_before_its_first_identity(self, monkeypatch):
         # at each identity a table yields, no run's n_A is alive: one run's
@@ -188,7 +186,7 @@ class TestRuns:
 class TestCasimir:
     def test_two_forms_agree_on_interior(self):
         for n_max in (2, 6, 12):
-            assert casimir_interior_residual(n_max) < 1e-12
+            assert casimir_interior_residual(n_max)["casimir_interior"] < 1e-12
 
     def test_casimir_returns_ladder_form(self):
         space = build_two_mode(4)
@@ -255,7 +253,7 @@ class TestSectors:
         direct = build_su11_rep(abs(j) + 0.5, rep.dim)
         for name in ("L3", "Lplus", "Lminus"):
             assert np.max(np.abs(dense(getattr(rep, name)) - dense(getattr(direct, name)))) < 1e-12
-        assert sector_match_residual(10) < 1e-12
+        assert sector_match_residual(10)["sector_match"] < 1e-12
 
     def test_zero_sector_ladder_is_square_root_free(self):
         lminus = sector_operators(8, 0.0).Lminus
@@ -297,7 +295,7 @@ class TestSectorsAsSu11Reps:
         for j in TestSectors.sectors(8):
             rep = sector_operators(8, j)
             if rep.dim >= 2:
-                assert check_algebra_relations(rep, rep.dim - 1) <= 1e-12
+                assert check_algebra_relations(rep, rep.dim - 1)["relations_residual"] <= 1e-12
 
     def test_zero_sector_carries_the_zero_point_energy(self):
         # L3 on the j = 0 sector is the oscillator spectrum n + 1/2
@@ -367,9 +365,9 @@ class TestDissipativeHamiltonian:
 
 class TestRotationRelation:
     def test_two_mode_commutator_residuals(self):
-        res1, res2 = l2_relation_check(8)
-        assert res1 < 1e-12
-        assert res2 < 1e-12
+        residuals = l2_relation_check(8)
+        assert residuals["l2_commutator"] < 1e-12
+        assert residuals["l2_double_commutator"] < 1e-12
 
     def test_full_space_double_commutator_contaminated(self):
         # the cutoff's top states break the double commutator, so the check
@@ -513,7 +511,8 @@ def test_raising_wrappers_refuse_a_nan_residual(monkeypatch):
     from ladderlab import twomode
 
     space = build_two_mode(3)
-    monkeypatch.setattr(twomode, "casimir_interior_residual", lambda *args: math.nan)
+    monkeypatch.setattr(twomode, "casimir_interior_residual",
+                        lambda *args: {"casimir_interior": math.nan})
     with pytest.raises(ValueError, match="Casimir"):
         casimir(space)
     # a nan after a finite residual: max(0.0, nan) would be 0.0

@@ -4,7 +4,15 @@ import math
 
 import pytest
 
-from ladderlab import DissipativeParams, EvolutionParams, build_su2_rep, simulate_torus
+from ladderlab import (
+    DissipativeParams,
+    EvolutionParams,
+    build_su2_rep,
+    build_su11_rep,
+    check_algebra_relations,
+    dissipative_residuals,
+    simulate_torus,
+)
 from ladderlab.algebra import Su11, relations_in_float_range
 from ladderlab.contraction import deformed_identities_in_float_range, deformed_identity_residuals
 from ladderlab.orbits import CircleDynamics
@@ -61,15 +69,20 @@ def test_torus_rates_start_angles_and_step(value):
 
 # Each of these once came back from the library although the CLI refused it:
 # omega = 2 pi/((2l + 1) tau) underflowed to 0 and the deformed commutator read
-# 1.5, a third angle was dropped, and the ratios raised ZeroDivisionError or
-# OverflowError.
+# 1.5, a third angle was dropped, the ratios and an infinite N raised
+# ZeroDivisionError or OverflowError, and the relations and the dissipative
+# table read nan.
 @pytest.mark.parametrize("call, match", [
-    (lambda: deformed_identity_residuals(build_su2_rep(0.5), 1e308), "omega"),
+    (lambda: deformed_identity_residuals(build_su2_rep(0.5), 1e308), "float range"),
     (lambda: simulate_torus(1.0, 2.0, steps=2, phi0=(0.0, 0.5, 9.0)), "two angles, got 3"),
     (lambda: CircleDynamics.rational(1.0, 1, 0), "den must be nonzero"),
     (lambda: CircleDynamics.rational(1.0, 10**400, 10**400 + 1), "float range"),
     (lambda: CircleDynamics.rational(1.0, 10**308, 1, 1.7e308), "float range"),
-], ids=["identities-omega", "torus-phi0", "ratio-den-0", "ratio-huge", "ratio-offset"])
+    (lambda: check_algebra_relations(build_su11_rep(1e300, 3), 2), "float range"),
+    (lambda: dissipative_residuals(3, DissipativeParams(1e308, 1e308)), "float range"),
+    (lambda: EvolutionParams(math.inf, 1.0), "integer"),
+], ids=["identities-omega", "torus-phi0", "ratio-den-0", "ratio-huge", "ratio-offset",
+        "su11-relations", "dissipative", "evolution-n-inf"])
 def test_the_library_refuses_what_the_cli_refuses(call, match):
     with pytest.raises(ValueError, match=match):
         call()
