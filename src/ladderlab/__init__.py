@@ -9,6 +9,7 @@ realization with its Casimir sectors and dissipative Hamiltonian.
 """
 
 import importlib
+import math
 
 # Each public name and the submodule that defines it.  A name is imported from
 # its submodule on first use (PEP 562), so `import ladderlab` loads no numpy.
@@ -30,6 +31,27 @@ __version__ = "0.1.0"
 
 # The names the README documents; everything else lives in its module.
 __all__ = sorted(_SUBMODULES)
+
+
+def checked_count(value, name: str, floor: int, refusal: str | None = None,
+                  ceiling: float = math.inf) -> int:
+    """`value` as an int, if it is finite, integer-valued and in floor .. ceiling.
+
+    The one rule for every count the library reads: states, levels, sites,
+    touches, steps and the two-mode cutoff.  Finite is finite as a float,
+    so an int past the float range is refused too.  Anything else raises
+    ValueError naming `name`; `refusal` is the text for an integer out of
+    range, by default "<name> must be >= <floor>".
+    """
+    try:
+        whole = math.isfinite(value) and value == int(value)
+    except OverflowError:  # an int past the float range
+        whole = False
+    if not whole:
+        raise ValueError(f"{name} must be a finite integer, got {value!r}")
+    if not floor <= value <= ceiling:
+        raise ValueError(refusal or f"{name} must be >= {floor}")
+    return int(value)
 
 
 def __getattr__(name: str):

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import checked_count
 from .operators import Bands, Envelope, Identity, OperatorMatrix, evaluate, in_float_range
 
 
@@ -141,9 +142,7 @@ def build_su11_rep(k: float, dim: int) -> LadderRep:
     is truncation-contaminated.
     """
     kind = Su11(k)
-    dim = int(dim)
-    if dim < 2:
-        raise ValueError("dim must be at least 2")
+    dim = checked_count(dim, "dim", 2, "dim must be at least 2")
     diagonal, raising = discrete_series_elements(kind.k, np.arange(dim, dtype=float))
     return _ladder_rep(kind, diagonal, raising[:-1])
 
@@ -155,9 +154,7 @@ def build_h1_rep(dim: int) -> LadderRep:
     of the mode frequency is the L3 matrix itself.  [a, a†] = 1 holds exactly
     on the interior span |0> .. |dim-2>.
     """
-    dim = int(dim)
-    if dim < 2:
-        raise ValueError("dim must be at least 2")
+    dim = checked_count(dim, "dim", 2, "dim must be at least 2")
     n = np.arange(dim - 1, dtype=float)
     return _ladder_rep(Heisenberg(), np.arange(dim, dtype=float) + 0.5, np.sqrt(n + 1.0))
 
@@ -175,14 +172,13 @@ def check_algebra_relations(rep: LadderRep, interior: int) -> dict[str, float]:
     excises the truncation-contaminated top row of the su(1,1)/h(1)
     matrices.  An su(1,1) rep is first run through `relations_in_float_range`.
     """
-    if not 1 <= int(interior) <= rep.dim:
-        raise ValueError(f"interior must be in 1..{rep.dim}")
+    interior = checked_count(interior, "interior", 1, f"interior must be in 1..{rep.dim}", rep.dim)
     if isinstance(rep.kind, Su11):
         relations_in_float_range(rep.kind, rep.dim)
     # only the h(1) relation reads the identity
     one = Bands.identity(rep.dim) if isinstance(rep.kind, Heisenberg) else None
     return evaluate(_relations(rep.kind, rep.L3.bands, rep.Lplus.bands, rep.Lminus.bands, one,
-                               np.arange(rep.dim) < int(interior)))
+                               np.arange(rep.dim) < interior))
 
 
 def relations_in_float_range(kind: Su2 | Su11, dim: int) -> None:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import checked_count
 from .algebra import (
     LadderRep,
     Su2,
@@ -89,9 +90,7 @@ def run_contraction_study(family: str, params, interior: int) -> ContractionRepo
         raise ValueError("empty sweep")
     if not all(a < b for a, b in zip(params, params[1:])):
         raise ValueError("params must be strictly ascending")
-    interior = int(interior)
-    if interior < 2:
-        raise ValueError("interior must be at least 2")
+    interior = checked_count(interior, "interior", 2, "interior must be at least 2")
 
     rows = []
     for p in params:

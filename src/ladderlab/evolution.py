@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import checked_count
 from .operators import Bands, OperatorMatrix
 
 
@@ -28,12 +29,10 @@ class EvolutionParams:
     tau: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.n_states) and int(self.n_states) == self.n_states
-                and self.n_states >= 2):
-            raise ValueError("n_states must be an integer >= 2")
+        n_states = checked_count(self.n_states, "n_states", 2, "n_states must be an integer >= 2")
         if not (math.isfinite(self.tau) and self.tau > 0):
             raise ValueError("tau must be positive and finite")
-        object.__setattr__(self, "n_states", int(self.n_states))
+        object.__setattr__(self, "n_states", n_states)
         object.__setattr__(self, "tau", float(self.tau))
         # the energies run up to N omega = 2 pi / tau; a zero omega divides them in omega units
         omega = self.omega

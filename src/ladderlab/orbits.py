@@ -20,6 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import checked_count
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -171,9 +173,7 @@ def touch_points(d: CircleDynamics, count: int) -> OrbitTrace:
     evaluates to at t_j = j pi / alpha.  No array of times is formed: the
     trace holds `count` and the step pi / alpha.
     """
-    count = int(count)
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    count = checked_count(count, "count", 1)
     if d.q is not None:
         num, den = d.q.numerator, d.q.denominator
         if max(count * (den - num), 2 * den) >= 2**63:
@@ -200,9 +200,7 @@ def thooft_system(n_sites: int, alpha: float = 1.0) -> CircleDynamics:
     Its touch points visit the N equally spaced angles 2 pi j / N exactly once
     per period of N steps.
     """
-    n_sites = int(n_sites)
-    if n_sites < 3:
-        raise ValueError("n_sites must be >= 3")
+    n_sites = checked_count(n_sites, "n_sites", 3)
     return CircleDynamics.rational(alpha, n_sites - 2, n_sites)
 
 
@@ -219,9 +217,7 @@ def simulate_torus(
     `_rotations`.  Negative rates step the map backwards, which is how the
     inverse map is realized.
     """
-    steps = int(steps)
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    steps = checked_count(steps, "steps", 1)
     if len(phi0) != 2:
         raise ValueError(f"phi0 needs two angles, got {len(phi0)}")
     if not all(math.isfinite(v) for v in (alpha1, alpha2, *phi0)):

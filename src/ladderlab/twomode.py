@@ -39,6 +39,7 @@ from math import isfinite
 
 import numpy as np
 
+from . import checked_count
 from .algebra import LadderRep, Su11, _cartesian, discrete_series_elements
 from .operators import Bands, Envelope, Identity, OperatorMatrix, evaluate, in_float_range
 
@@ -96,8 +97,7 @@ def _sweep(n_max: int, table, *args):
     the occupations and drops them before its first identity, so one run's
     operators and masks are all that is held.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    n_max = checked_count(n_max, "n_max", 1)
     step = max(1, RUN_STATES // (n_max + 1))  # a sector holds at most n_max + 1 states
     for first in range(-n_max, n_max + 1, step):
         n_a, n_b = _occupations(n_max, first, min(first + step, n_max + 1))

@@ -127,62 +127,73 @@ def _json_safe(value):
 
 def _float64(values: np.ndarray) -> np.ndarray:
     """A float array as float64, the type orjson spells as `repr`; any other array as it is."""
-    import numpy as np
-
-    return values.astype(np.float64, copy=False) if values.dtype.kind == "f" else values
+    return values.astype("float64", copy=False) if values.dtype.kind == "f" else values
 
 
-def _numeric_cells(values: np.ndarray, plain: bool = False) -> list[str]:
-    """The `repr` of each element of a float or integer array, in one `orjson.dumps` call.
+def _numeric_cells(values: np.ndarray, fmt: str, plain: bool = False) -> list[str]:
+    """The cells of a float or integer array as `fmt` writes them, in one `orjson.dumps` call.
 
     orjson writes the shortest round-trip digits of a float64 (Ryu), the
     same digits as `repr`, and spells them as `repr` does wherever `repr`
-    uses fixed notation: 1e-4 <= |x| < 1e16, and zero.  The few cells
-    outside that range (exponents, nan, inf, which orjson writes as
-    `null`) are taken from `repr`, unless the caller passes `plain` for an
-    array it knows has none.  Floats go through float64 first, since
-    orjson prints a float32 with float32's own shortest digits.
+    uses fixed notation (`_fixed_notation`).  An array the caller knows is
+    `plain`, with no other float, is dumped as it is, floats as float64
+    first, since orjson prints a float32 with float32's own shortest digits.
+    Any other array is dumped as its `_spelled` list, and the quotes orjson
+    puts around each spelled float are deleted.
     """
     import numpy as np
     import orjson  # on first use: a CLI start that only parses pays nothing
 
-    values = _float64(values)
-    if not values.dtype.isnative:
-        # orjson reads the array's memory in native byte order
-        values = values.astype(values.dtype.newbyteorder("="))
     if not len(values):
         return []
-    text = orjson.dumps(np.ascontiguousarray(values), option=orjson.OPT_SERIALIZE_NUMPY)
-    cells = text[1:-1].decode("ascii").split(",")
-    if values.dtype.kind == "f" and not plain:
-        for i in np.flatnonzero(~_fixed_notation(values)).tolist():
-            cells[i] = repr(float(values[i]))
-    return cells
+    if plain:
+        values = _float64(values)
+        if not values.dtype.isnative:
+            # orjson reads the array's memory in native byte order
+            values = values.astype(values.dtype.newbyteorder("="))
+        text = orjson.dumps(np.ascontiguousarray(values), option=orjson.OPT_SERIALIZE_NUMPY)
+    else:
+        text = orjson.dumps(_spelled(values, fmt)).replace(b'"', b"")
+    return text[1:-1].decode("ascii").split(",")
 
 
 def _fixed_notation(values: np.ndarray) -> np.ndarray:
-    """Where orjson spells a float64 as `repr` does: 1e-4 <= |x| < 1e16, and zero."""
-    import numpy as np
-
-    magnitude = np.abs(values)
+    """Where orjson spells a float as `repr` does, read as float64: 1e-4 <= |x| < 1e16, and zero."""
+    magnitude = abs(_float64(values))
     return ((magnitude >= 1e-4) & (magnitude < 1e16)) | (values == 0)
 
 
-def _cells(values, fmt: str) -> list[str]:
-    """The formatted cells of a column slice, a numpy array or a sequence.
+def _spelled(values: np.ndarray, fmt: str) -> list:
+    """`values.tolist()`, with each float orjson would not write as `fmt` does spelled as a string.
 
-    A float or integer array is formatted whole by `_numeric_cells`.  Any
-    other slice, and in JSON a float array with nan or inf, is formatted a
-    cell at a time: by `_fmt` for CSV, and for JSON as `json.dumps` writes
-    it after `_json_safe`, which writes NaN as null.  No long column is such
-    a slice: the longest list a command builds has nine cells.
+    Such a float is one outside `_fixed_notation`: an exponent, nan or inf.
+    Its string is its `repr` for CSV (`1e-07`, `nan`, `inf`), and for JSON
+    what `json.dumps` writes after `_json_safe` (`1e-07`, `null`,
+    `Infinity`, `-Infinity`).  This is the one place the writer spells a
+    float of an array or `Arange` itself.
     """
     import numpy as np
 
-    if isinstance(values, np.ndarray):
-        kind = values.dtype.kind
-        if kind in "iu" or (kind == "f" and (fmt == "csv" or np.isfinite(values).all())):
-            return _numeric_cells(values)
+    cells = values.tolist()
+    if values.dtype.kind == "f":
+        spell = repr if fmt == "csv" else lambda value: json.dumps(_json_safe(value))
+        for i in np.flatnonzero(~_fixed_notation(values)).tolist():
+            cells[i] = spell(cells[i])
+    return cells
+
+
+def _cells(values, fmt: str) -> list[str]:
+    """The formatted cells of a column slice or period, a numpy array or a sequence.
+
+    An integer or float array is formatted whole by `_numeric_cells`.  Any
+    other slice is formatted a cell at a time: by `_fmt` for CSV, and for
+    JSON as `json.dumps` writes it after `_json_safe`, which writes NaN as
+    null.  No long column is such a slice: the longest list a command
+    builds has nine cells.
+    """
+    if _numeric_column(values):
+        return _numeric_cells(values, fmt)
+    if hasattr(values, "tolist"):
         values = values.tolist()
     if fmt == "csv":
         return list(map(_fmt, values))
@@ -219,51 +230,41 @@ def _numeric_column(column) -> bool:
     return isinstance(values, (np.ndarray, Arange)) and values.dtype.kind in "iuf"
 
 
-def _number_lists(column):
-    """For a numeric column, a function (start, stop, spell) -> its cells start .. stop - 1.
+def _number_lists(column, length: int):
+    """For a numeric column, a function (start, stop) -> its cells start .. stop - 1, in a list.
 
-    The cells are Python ints and floats, in a list; with `spell`, each
-    float that orjson does not spell as `repr` (`_fixed_notation`) is its
-    `repr` string instead.  A `Periodic` column becomes one list here,
-    spelled, and each block slices it: only a block with `spell` set holds
-    such a cell.
+    The cells are Python ints and floats, each float orjson does not spell
+    as `repr` given as its `_spelled` string instead.  A `Periodic`
+    column's period is spelled once, here, and each block slices it; an
+    array's blocks that hold such a float are found once, here
+    (`_non_plain_blocks`), and only those are spelled.
     """
-    import numpy as np
-
     if isinstance(column, Periodic):
-        period = _spelled(_float64(column.values))
-        return lambda start, stop, spell: _periodic_slice(period, start, stop)
-    return lambda start, stop, spell: (_spelled if spell else np.ndarray.tolist)(
-        _float64(column[start:stop]))
+        period = _spelled(column.values, "csv")
+        return lambda start, stop: _periodic_slice(period, start, stop)
+    non_plain = _non_plain_blocks(column, length)
 
+    def cells(start: int, stop: int) -> list:
+        values = column[start:stop]
+        return _spelled(values, "csv") if non_plain[start // WRITE_BLOCK_ROWS] else values.tolist()
 
-def _spelled(values: np.ndarray) -> list:
-    """`values.tolist()`, with the `repr` string of each float orjson would not spell as `repr`."""
-    import numpy as np
-
-    cells = values.tolist()
-    if values.dtype.kind == "f":
-        for i in np.flatnonzero(~_fixed_notation(values)).tolist():
-            cells[i] = repr(cells[i])
     return cells
 
 
-def _non_plain_blocks(columns, length: int) -> bytes:
-    """One flag per block of a row group: 1 if a float cell is one orjson does not spell as `repr`.
+def _non_plain_blocks(column, length: int) -> bytes:
+    """One flag per block of an array or `Arange` column: 1 if it holds a float that is not plain.
 
     A block is a run of WRITE_BLOCK_ROWS rows, numbered from 0; the spelling
-    rule is `_fixed_notation`.  Each array or `Arange` column is checked
-    PLAIN_SCAN_ROWS rows at a time.
+    rule is `_fixed_notation`, outside which a float is not plain: orjson
+    does not spell it as `repr`.  A float column is checked PLAIN_SCAN_ROWS
+    rows at a time; an integer column has no such cell.
     """
     import numpy as np
 
     blocks = np.zeros(-(-length // WRITE_BLOCK_ROWS), dtype=bool)
-    for column in columns:
-        if column.dtype.kind != "f":
-            continue
+    if column.dtype.kind == "f":
         for start in range(0, length, PLAIN_SCAN_ROWS):
-            values = _float64(column[start:min(start + PLAIN_SCAN_ROWS, length)])
-            rows = np.flatnonzero(~_fixed_notation(values))
+            rows = np.flatnonzero(~_fixed_notation(column[start:start + PLAIN_SCAN_ROWS]))
             blocks[(rows + start) // WRITE_BLOCK_ROWS] = True
     return blocks.tobytes()
 
@@ -279,17 +280,16 @@ def _row_dumper(group: tuple):
     because no cell holds a comma: cells are numbers or spelled `repr`s
     (`nan`, `inf`, `1e-07`).  A float cell that is not plain (an exponent,
     nan or inf) is dumped as its `repr` string, and the quotes orjson puts
-    around it are deleted, which no other cell holds: a `Periodic` column's
-    period is spelled once, and the array blocks that hold such a cell are
-    found once, here (`_non_plain_blocks`).  The middle columns must be
-    numeric (`_numeric_column`); the first and the last may instead be a
-    label repeated throughout (`_folded_text`).  A group with such a label
-    then has one `replace` of every line break, which no cell holds, by the
-    row break: the end of one row, a comma and the trailing label before
-    the line break, and the start of the next, the leading label and a
-    comma.  The text before the first row and after the last is sliced
-    off, so the block goes to the file with no further copy.  `_row_dumper`
-    returns None for a group of any other shape.
+    around it are deleted, which no other cell holds: each column spells
+    only its own blocks that hold such a cell (`_number_lists`).  The
+    middle columns must be numeric (`_numeric_column`); the first and the
+    last may instead be a label repeated throughout (`_folded_text`).  A
+    group with such a label then has one `replace` of every line break,
+    which no cell holds, by the row break: the end of one row, a comma and
+    the trailing label before the line break, and the start of the next,
+    the leading label and a comma.  The text before the first row and after
+    the last is sliced off, so the block goes to the file with no further
+    copy.  `_row_dumper` returns None for a group of any other shape.
     """
     lead = _folded_text(group[0]) if group else None
     trail = _folded_text(group[-1]) if len(group) > 1 else None
@@ -299,18 +299,15 @@ def _row_dumper(group: tuple):
     import numpy as np
     import orjson
 
-    non_plain = _non_plain_blocks([c for c in middle if not isinstance(c, Periodic)],
-                                  len(group[0]))
-    numbers = [_number_lists(column) for column in middle]
+    numbers = [_number_lists(column, len(group[0])) for column in middle]
     width = len(middle)
     prefix = b"" if lead is None else lead.encode() + b","
     end = b"\n" if trail is None else b"," + trail.encode() + b"\n"
 
     def dump(start: int, stop: int) -> memoryview:
-        spell = non_plain[start // WRITE_BLOCK_ROWS]
         flat = [0] * ((stop - start) * width)
         for k, cells in enumerate(numbers):
-            flat[k::width] = cells(start, stop, spell)
+            flat[k::width] = cells(start, stop)
         text = orjson.dumps(flat)
         del flat  # freed before the quotes are deleted and the row breaks put in
         text = bytearray(text.replace(b'"', b""))
@@ -356,18 +353,13 @@ def _array_cells(column, fmt: str, length: int):
 
     The cells are those of `_cells`.  The blocks of a float array with a
     cell that is not plain are found once (`_non_plain_blocks`), and every
-    other block of an integer or float array is formatted with no check.
+    other block of an integer or float array is dumped as it is.
     """
     if not _numeric_column(column):
         return lambda start, stop: _cells(column[start:stop], fmt)
-    non_plain = _non_plain_blocks([column], length)
-
-    def cells(start: int, stop: int) -> list[str]:
-        if non_plain[start // WRITE_BLOCK_ROWS]:
-            return _cells(column[start:stop], fmt)
-        return _numeric_cells(column[start:stop], plain=True)
-
-    return cells
+    non_plain = _non_plain_blocks(column, length)
+    return lambda start, stop: _numeric_cells(column[start:stop], fmt,
+                                              not non_plain[start // WRITE_BLOCK_ROWS])
 
 
 def _column_path(group: tuple, pieces: list[str], fmt: str, length: int):
@@ -427,10 +419,11 @@ def write_output(path: str, fmt: str, command: str, parameters: dict,
     Each row group is written WRITE_BLOCK_ROWS rows at a time, and each
     block's bytes are written before the next block is formatted.  What is
     fixed for a whole group is planned once, before its first block: a CSV
-    group of numbers gets its row dump (`_row_dumper`), with the blocks that
-    are not plain found in one scan, and any other group its column path
-    (`_column_path`), built on first use, with its periodic texts joined
-    once.  The file is written as bytes: UTF-8 text, lines ended by LF on
+    group of numbers gets its row dump (`_row_dumper`), and any other group
+    its column path (`_column_path`), built on first use, with its periodic
+    texts joined once.  On both, each numeric column finds its blocks that
+    are not plain once (`_non_plain_blocks`), and only those are spelled
+    (`_spelled`).  The file is written as bytes: UTF-8 text, lines ended by LF on
     every platform.  The bytes are those of formatting every cell with
     `_fmt` (CSV) or of `json.dumps(payload, indent=2)` over row objects
     (JSON).  Groups whose columns differ in number or length raise

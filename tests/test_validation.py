@@ -7,11 +7,16 @@ import pytest
 from ladderlab import (
     DissipativeParams,
     EvolutionParams,
+    build_h1_rep,
     build_su2_rep,
     build_su11_rep,
+    casimir_interior_residual,
     check_algebra_relations,
     dissipative_residuals,
+    run_contraction_study,
     simulate_torus,
+    thooft_system,
+    touch_points,
 )
 from ladderlab.algebra import Su11, relations_in_float_range
 from ladderlab.contraction import deformed_identities_in_float_range, deformed_identity_residuals
@@ -100,3 +105,54 @@ def test_float_range_guard_raises_only_past_its_edge(guard, outside, inside):
     with pytest.raises(ValueError, match="beyond the float range"):
         guard(*outside)
     assert guard(*inside) is None
+
+
+# Every count the library reads is finite, integer-valued and at least its
+# floor, refused with ValueError naming the argument: each of these was once
+# truncated (3.7 states built 3, and N = 7.5 gave q = 5/7), or raised
+# OverflowError or numpy's "cannot convert float NaN to integer".
+@pytest.mark.parametrize("call, name", [
+    (lambda: build_h1_rep(3.7), "dim"),
+    (lambda: build_su11_rep(1.5, 4.9), "dim"),
+    (lambda: build_h1_rep(math.inf), "dim"),
+    (lambda: thooft_system(7.5), "n_sites"),
+    (lambda: check_algebra_relations(build_h1_rep(3), 2.5), "interior"),
+    (lambda: run_contraction_study("su2", [5, 10], 2.5), "interior"),
+    (lambda: touch_points(thooft_system(7), math.inf), "count"),
+    (lambda: touch_points(thooft_system(7), math.nan), "count"),
+    (lambda: touch_points(thooft_system(7), 2.5), "count"),
+    (lambda: simulate_torus(1.0, 2.0, 4.5), "steps"),
+    (lambda: EvolutionParams(10**400, 1.0), "n_states"),
+    (lambda: EvolutionParams(8.5, 1.0), "n_states"),
+    (lambda: casimir_interior_residual(2.5), "n_max"),
+], ids=["h1-dim", "su11-dim", "h1-dim-inf", "thooft-n", "relations-interior",
+        "contraction-interior", "touch-count-inf", "touch-count-nan", "touch-count",
+        "torus-steps", "evolution-n-huge", "evolution-n", "casimir-n-max"])
+def test_a_count_must_be_a_finite_integer(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be a finite integer, got "):
+        call()
+
+
+# an integer below its floor keeps the text the corpus pins
+@pytest.mark.parametrize("call, text", [
+    (lambda: build_h1_rep(1), "dim must be at least 2"),
+    (lambda: build_su11_rep(1.5, 1.0), "dim must be at least 2"),
+    (lambda: thooft_system(2), "n_sites must be >= 3"),
+    (lambda: check_algebra_relations(build_h1_rep(2), 3), "interior must be in 1..2"),
+    (lambda: check_algebra_relations(build_h1_rep(2), 0), "interior must be in 1..2"),
+    (lambda: run_contraction_study("su2", [5, 10], 1), "interior must be at least 2"),
+    (lambda: touch_points(thooft_system(7), 0), "count must be >= 1"),
+    (lambda: simulate_torus(1.0, 2.0, 0), "steps must be >= 1"),
+    (lambda: EvolutionParams(1, 1.0), "n_states must be an integer >= 2"),
+    (lambda: casimir_interior_residual(0), "n_max must be >= 1"),
+], ids=["h1-dim", "su11-dim", "thooft-n", "relations-interior-high", "relations-interior-low",
+        "contraction-interior", "touch-count", "torus-steps", "evolution-n", "casimir-n-max"])
+def test_an_integer_below_its_floor_keeps_its_text(call, text):
+    with pytest.raises(ValueError, match=f"^{text}$"):
+        call()
+
+
+def test_a_whole_float_count_is_read_as_its_integer():
+    assert build_h1_rep(3.0).dim == 3
+    assert EvolutionParams(8.0, 1.0).n_states == 8
+    assert touch_points(thooft_system(7.0), 7.0).count == 7

@@ -590,13 +590,13 @@ def _joined_blocks(monkeypatch) -> list[int]:
 
 
 def _spelled_rows(monkeypatch) -> list[int]:
-    """The length of each column slice or period whose cells the row dump spells."""
+    """The length of each column slice or period whose cells `writer._spelled` spells."""
     counts = []
     spelled = writer._spelled
 
-    def counting(values):
+    def counting(values, fmt):
         counts.append(len(values))
-        return spelled(values)
+        return spelled(values, fmt)
 
     monkeypatch.setattr(writer, "_spelled", counting)
     return counts
@@ -617,7 +617,31 @@ def test_one_non_plain_cell_sends_only_its_block_to_the_column_path(special, col
     result = CommandResult(("i", "x", "y"), [(np.arange(ROWS), x, y)])
     assert_same_bytes(tmp_path, "csv", result)
     assert joined == []
-    assert spelled == [WRITE_BLOCK_ROWS] * 3  # the second block alone, each of its columns
+    assert spelled == [WRITE_BLOCK_ROWS]  # the second block of that column alone
+
+
+def test_a_column_spells_only_its_own_non_plain_block(tmp_path, monkeypatch):
+    # a lone nan, inf, -inf, 1e-07 and 1e16 in block 2 of a three-block float
+    # column, beside a plain float column: the row dump (CSV) and the column
+    # path (JSON) each hand `_spelled` that column's block 2 and nothing else
+    rows = 3 * WRITE_BLOCK_ROWS
+    plain = np.linspace(0.5, 6.0, rows)
+    special = np.linspace(-6.0, -0.5, rows)
+    special[2 * WRITE_BLOCK_ROWS + 40 * np.arange(5)] = [math.nan, math.inf, -math.inf, 1e-7,
+                                                         1e16]
+    seen, spelled = [], writer._spelled
+
+    def recording(values, fmt):
+        seen.append(np.array(values))
+        return spelled(values, fmt)
+
+    monkeypatch.setattr(writer, "_spelled", recording)
+    result = CommandResult(("plain", "special"), [(plain, special)])
+    for fmt in ("csv", "json"):
+        seen.clear()
+        assert_same_bytes(tmp_path, fmt, result)
+        assert len(seen) == 1
+        np.testing.assert_array_equal(seen[0], special[2 * WRITE_BLOCK_ROWS:])
 
 
 def test_signed_zeros_and_integer_extremes(tmp_path, monkeypatch):
@@ -657,7 +681,8 @@ def test_constant_labels_first_and_last_fold_into_row_breaks(first, last, tmp_pa
     result = CommandResult(tuple("abcde"[:len(group)]), [group, group])
     assert_same_bytes(tmp_path, "csv", result)
     assert joined == []
-    assert spelled == [WRITE_BLOCK_ROWS] * 6  # the second block of each group, each middle column
+    # the second block of each group, in the two columns that hold a nan or a 1e-7
+    assert spelled == [WRITE_BLOCK_ROWS] * 4
 
 
 @pytest.mark.parametrize("size", [508, 509, 510, 4096])
@@ -778,10 +803,11 @@ def test_json_never_takes_the_row_dump(argv, tmp_path, monkeypatch, capsys):
 
 
 # Before a group's first block, `write_output` plans what is fixed for the
-# whole group: the blocks that are not plain, found by one scan of
-# PLAIN_SCAN_ROWS rows at a time (`writer._non_plain_blocks`), and, on the
-# column path, each run of fixed text and `Periodic` columns joined into one
-# periodic text.  These tests hold the plan to the row-at-a-time writer.
+# whole group: each numeric column's blocks that are not plain, found by one
+# scan of that column PLAIN_SCAN_ROWS rows at a time
+# (`writer._non_plain_blocks`), and, on the column path, each run of fixed
+# text and `Periodic` columns joined into one periodic text.  These tests
+# hold the plan to the row-at-a-time writer.
 
 def _both_formats(tmp_path, result):
     for fmt in ("csv", "json"):
@@ -869,7 +895,7 @@ def test_a_non_plain_cell_at_a_scan_edge_sends_only_its_block(row, block_rows, s
     group = (Periodic(("touch",), SCAN_ROWS), np.arange(SCAN_ROWS), x)
     assert_same_bytes(tmp_path, "csv", CommandResult(("a", "b", "c"), [group]))
     assert joined == []
-    assert spelled == [block_rows] * 2  # the numbers of that block alone
+    assert spelled == [block_rows]  # that block of that column alone
 
 
 def test_a_non_plain_cell_in_a_period_over_many_scan_steps(tmp_path, monkeypatch):
