@@ -41,7 +41,8 @@ def checked_count(value, name: str, floor: int, refusal: str | None = None,
     touches, steps and the two-mode cutoff.  Finite is finite as a float,
     so an int past the float range is refused too.  Anything else raises
     ValueError naming `name`; `refusal` is the text for an integer out of
-    range, by default "<name> must be >= <floor>".
+    range, by default "<name> must be >= <floor>", or "<name> must be <=
+    <ceiling>" above the ceiling.
     """
     try:
         whole = math.isfinite(value) and value == int(value)
@@ -50,7 +51,8 @@ def checked_count(value, name: str, floor: int, refusal: str | None = None,
     if not whole:
         raise ValueError(f"{name} must be a finite integer, got {value!r}")
     if not floor <= value <= ceiling:
-        raise ValueError(refusal or f"{name} must be >= {floor}")
+        raise ValueError(refusal or (f"{name} must be >= {floor}" if value < floor
+                                     else f"{name} must be <= {ceiling}"))
     return int(value)
 
 

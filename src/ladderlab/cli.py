@@ -262,10 +262,8 @@ def cmd_contract(args) -> CommandResult:
 
 
 def cmd_evolve(args) -> CommandResult:
-    import numpy as np
-
     from .evolution import EvolutionParams, geometric_phase_check, spectrum_via_dft
-    from .writer import CommandResult
+    from .writer import Arange, CommandResult
 
     params = _flagged(f"--N {args.N} / --tau {args.tau!r}", EvolutionParams, args.N, args.tau)
     energies = spectrum_via_dft(params)
@@ -273,7 +271,7 @@ def cmd_evolve(args) -> CommandResult:
     scale = params.omega if args.units == "omega" else 1.0
     return CommandResult(
         columns=("n", "energy"),
-        groups=[(np.arange(len(energies)), energies / scale)],
+        groups=[(Arange(0, len(energies)), energies / scale)],
         checks={
             "omega": params.omega,
             "phase_re": phase.real,

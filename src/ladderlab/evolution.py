@@ -1,13 +1,14 @@
 """Discrete-time cyclic evolution operator and its spectrum.
 
 One time step of the N-state cyclic system is the permutation |v> -> |v+1 mod N>
-multiplied by the phase e^{-i pi/N}, inserted by hand.  The permutation is
-diagonalized by the discrete Fourier transform; the phase shifts every
-eigenphase by half a level spacing, which is exactly the zero-point term: the
-energies come out as (n + 1/2) omega with omega = 2 pi / (N tau).  With that
-phase the N-th power of the step operator is -1 times the identity (the
-permutation alone has order N), a period-wide phase invisible in the level
-spacing itself.
+multiplied by the phase e^{-i pi/N}, inserted by hand.  That step operator is
+a circulant, so it is held as what a circulant is, its first column.  The
+permutation is diagonalized by the discrete Fourier transform; the phase
+shifts every eigenphase by half a level spacing, which is exactly the
+zero-point term: the energies come out as (n + 1/2) omega with
+omega = 2 pi / (N tau).  With that phase the N-th power of the step operator
+is -1 times the identity (the permutation alone has order N), a period-wide
+phase invisible in the level spacing itself.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import checked_count
-from .operators import Bands, OperatorMatrix
 
 
 @dataclass(frozen=True)
@@ -45,46 +45,23 @@ class EvolutionParams:
         return 2.0 * math.pi / (self.n_states * self.tau)
 
 
-def build_evolution_operator(p: EvolutionParams) -> OperatorMatrix:
-    """U = e^{-i pi/N} P with P the one-step cyclic shift; unitary.
+def build_evolution_operator(p: EvolutionParams) -> np.ndarray:
+    """U = e^{-i pi/N} P with P the one-step cyclic shift, as its first column; unitary.
 
-    Entry convention: U[(v+1) mod N, v] carries the phase, i.e. phases below the
-    diagonal plus the top-right corner: two diagonals, at offsets -1 and N - 1.
+    Entry convention: U[(v+1) mod N, v] carries the phase for every v, so U
+    is the circulant whose first column holds e^{-i pi/N} at row 1 and zeros
+    elsewhere: N complex entries, circulant by construction.
     """
-    n = p.n_states
-    phase = np.exp(-1j * math.pi / n)
-    below = np.full(n, phase)
-    below[0] = 0.0
-    corner = np.zeros(n, dtype=complex)
-    corner[0] = phase
-    return OperatorMatrix("U", Bands(n, {-1: below, n - 1: corner}))
+    column = np.zeros(p.n_states, dtype=complex)
+    column[1] = np.exp(-1j * math.pi / p.n_states)
+    return column
 
 
-def _circulant_column(bands: Bands) -> np.ndarray:
-    """The first column of `bands`, once the matrix is checked to be exactly circulant.
-
-    Offset o lies on cyclic diagonal (-o) mod N.  One stored diagonal at a
-    time, each nonzero entry must equal the first-column entry of its cyclic
-    diagonal, and there must be N stored nonzeros per nonzero of the column;
-    a nan equals nothing, so it fails.
-    """
-    n = bands.dim
-    # the first-column entry M[r, 0] sits at row r of offset -r
-    column = np.zeros(n, dtype=complex)
-    for offset, values in bands.diagonals.items():
-        if -n < offset <= 0:
-            column[-offset] = values[-offset]
-    stored = 0
-    for offset, values in bands.diagonals.items():
-        count = np.count_nonzero(values)
-        entry = column[-offset % n]
-        # entries equal to a nonzero `entry` are a subset of the nonzeros,
-        # so equal counts mean every nonzero equals it
-        if count and (entry == 0 or np.count_nonzero(values == entry) != count):
-            raise ValueError("the step operator is not circulant")
-        stored += count
-    if stored != n * np.count_nonzero(column):
-        raise ValueError("the step operator is not circulant")
+def _finite_column(p: EvolutionParams) -> np.ndarray:
+    """U's first column, refused if an entry is not finite (construction bug)."""
+    column = build_evolution_operator(p)
+    if not np.isfinite(column).all():
+        raise ValueError("the step operator has a non-finite entry")
     return column
 
 
@@ -93,16 +70,18 @@ def spectrum_via_dft(p: EvolutionParams) -> np.ndarray:
 
     The DFT diagonalizes exactly the circulant matrices, with the FFT of the
     first column as eigenvalues (Gray, "Toeplitz and Circulant Matrices: A
-    Review", sec. 3).  So U is checked to be circulant, exactly, one stored
-    diagonal at a time (`_circulant_column`).  Eigenphases are unwrapped
-    with arg taken in (-2 pi, 0] via n = round((-arg * N/pi - 1)/2), and the
-    levels must be 0 .. N-1 once sorted; any collision signals a
-    construction bug.  Returns the energies, those sorted levels times
-    omega: an ascending float64 array.  U, its first column and the
-    eigenvalues are each dropped after their last use.
+    Review", sec. 3).  U is held as that column, so it is circulant by
+    construction; a non-finite entry is refused before the FFT
+    (`_finite_column`).  Eigenphases are unwrapped with arg taken in
+    (-2 pi, 0] via n = round((-arg * N/pi - 1)/2), and the levels must be
+    0 .. N-1 once sorted; any collision signals a construction bug.
+    Returns the energies, those sorted levels times omega: an ascending
+    float64 array.  The column is dropped once its FFT is formed, and the
+    eigenvalues once their arguments are, so at most two N-length complex
+    arrays are held at a time.
     """
     n = p.n_states
-    args = np.angle(np.fft.fft(_circulant_column(build_evolution_operator(p).bands)))
+    args = np.angle(np.fft.fft(_finite_column(p)))
     args = np.where(args > 0, args - 2.0 * math.pi, args)
     levels = np.sort(np.rint((-args * n / math.pi - 1.0) / 2.0).astype(int))
     if not np.array_equal(levels, np.arange(n)):
@@ -120,16 +99,16 @@ def _entry_product(a: complex, b: complex) -> complex:
 def geometric_phase_check(p: EvolutionParams) -> complex:
     """Scalar phi with U^N = phi * 1; the phase factor makes phi = -1.
 
-    U is read as a circulant (`_circulant_column`) whose first column must
-    hold exactly one nonzero entry c.  Then U = c P^s is a phased cyclic
-    shift, and U^N = c^N P^(sN) = c^N * 1 exactly, since P^N = 1.  c^N comes
-    from binary squaring of c, in the multiplication order of
+    U's first column (`_finite_column`, which refuses a non-finite entry)
+    must hold exactly one nonzero entry c.  Then U = c P^s is a phased
+    cyclic shift, and U^N = c^N P^(sN) = c^N * 1 exactly, since P^N = 1.
+    c^N comes from binary squaring of c, in the multiplication order of
     `numpy.linalg.matrix_power`, each product rounded as the band product
-    rounds the entries of a power of U, so phi has the bits of the diagonal
-    of U^N formed as a matrix.  Raises if U is not a phased cyclic shift
-    (construction bug).
+    (`operators.Bands`) rounds the entries of a power of U, so phi has the
+    bits of the diagonal of U^N formed as a matrix.  Raises if U is not a
+    phased cyclic shift (construction bug).
     """
-    column = _circulant_column(build_evolution_operator(p).bands)
+    column = _finite_column(p)
     entries = column[np.flatnonzero(column)]
     if len(entries) != 1:
         raise ValueError("the step operator is not a phased cyclic shift")

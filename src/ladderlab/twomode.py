@@ -61,6 +61,15 @@ class DissipativeParams:
             raise ValueError("Gamma must be positive")
 
 
+def _cutoff(n_max) -> int:
+    """The cutoff n_max by `checked_count`, in 1 .. 2^53.
+
+    The occupations are floats, and the integers a float holds exactly end
+    at 2^53; the int64 sector and state indices hold far more.
+    """
+    return checked_count(n_max, "n_max", 1, ceiling=2**53)
+
+
 def _occupations(n_max: int, first: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
     """(n_A, n_B), as floats, of each state of the sectors 2j = first .. stop - 1 of cutoff n_max.
 
@@ -97,7 +106,7 @@ def _sweep(n_max: int, table, *args):
     the occupations and drops them before its first identity, so one run's
     operators and masks are all that is held.
     """
-    n_max = checked_count(n_max, "n_max", 1)
+    n_max = _cutoff(n_max)
     step = max(1, RUN_STATES // (n_max + 1))  # a sector holds at most n_max + 1 states
     for first in range(-n_max, n_max + 1, step):
         n_a, n_b = _occupations(n_max, first, min(first + step, n_max + 1))
@@ -140,6 +149,7 @@ def sector_operators(n_max: int, j: float) -> LadderRep:
     Built from that sector's occupations alone, so its n_max + 1 - |2j|
     states cost nothing of the rest of the space.
     """
+    n_max = _cutoff(n_max)
     shift = 2 * j
     if not (float(shift).is_integer() and abs(shift) <= n_max):
         raise ValueError(f"no sector with j = {j} at n_max {n_max} "

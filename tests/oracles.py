@@ -18,7 +18,10 @@ object-integer touch angles check the closed orbits, the dense ladders of
 the whole su(2) irrep check the contraction sweep, which builds only its
 leading levels, and `dense_cartesian` forms L1 and L2 from the dense L+-;
 `scalar_power` is the phase chain that the band powers of the step operator
-form entry by entry; `Bounded` runs an identity table over `Bands` and their
+form entry by entry, `evolution_bands` is that operator in the band form the
+library once held, and `circulant_column` the exact scan that read its first
+column back, which `band_spectrum` and `band_phase` follow to the energies
+and the phase; `Bounded` runs an identity table over `Bands` and their
 `Envelope`s at once, checking each operator the table forms against its
 bound; the raising wrappers and small helpers give tests dense and gated
 forms of the library's residuals; `rows` reads a writer result row by row,
@@ -36,6 +39,7 @@ from scipy.linalg import expm
 
 from ladderlab import twomode
 from ladderlab.algebra import LadderRep, Su11, build_su2_rep
+from ladderlab.evolution import EvolutionParams
 from ladderlab.operators import Bands, Envelope, OperatorMatrix, evaluate, max_entry
 from ladderlab.twomode import DissipativeParams
 from ladderlab.writer import Arange, CommandResult, Periodic
@@ -180,6 +184,66 @@ def scalar_power(c: complex, n: int) -> complex:
         if bit:
             power = square if power is None else times(power, square)
     return power
+
+
+def evolution_bands(p: EvolutionParams) -> OperatorMatrix:
+    """The step operator U = e^{-i pi/N} P in band form, as the library once stored it.
+
+    U[(v+1) mod N, v] carries the phase: phases below the diagonal plus the
+    top-right corner, two diagonals, at offsets -1 and N - 1.
+    """
+    n = p.n_states
+    phase = np.exp(-1j * pi / n)
+    below = np.full(n, phase)
+    below[0] = 0.0
+    corner = np.zeros(n, dtype=complex)
+    corner[0] = phase
+    return OperatorMatrix("U", Bands(n, {-1: below, n - 1: corner}))
+
+
+def circulant_column(bands: Bands) -> np.ndarray:
+    """The first column of `bands`, once the matrix is checked to be exactly circulant.
+
+    Offset o lies on cyclic diagonal (-o) mod N.  One stored diagonal at a
+    time, each nonzero entry must equal the first-column entry of its cyclic
+    diagonal, and there must be N stored nonzeros per nonzero of the column;
+    a nan equals nothing, so it fails.
+    """
+    n = bands.dim
+    # the first-column entry M[r, 0] sits at row r of offset -r
+    column = np.zeros(n, dtype=complex)
+    for offset, values in bands.diagonals.items():
+        if -n < offset <= 0:
+            column[-offset] = values[-offset]
+    stored = 0
+    for offset, values in bands.diagonals.items():
+        count = np.count_nonzero(values)
+        entry = column[-offset % n]
+        # entries equal to a nonzero `entry` are a subset of the nonzeros,
+        # so equal counts mean every nonzero equals it
+        if count and (entry == 0 or np.count_nonzero(values == entry) != count):
+            raise ValueError("the step operator is not circulant")
+        stored += count
+    if stored != n * np.count_nonzero(column):
+        raise ValueError("the step operator is not circulant")
+    return column
+
+
+def band_spectrum(p: EvolutionParams) -> np.ndarray:
+    """`spectrum_via_dft` on the band form: the column scanned out of `evolution_bands`."""
+    n = p.n_states
+    args = np.angle(np.fft.fft(circulant_column(evolution_bands(p).bands)))
+    args = np.where(args > 0, args - 2.0 * pi, args)
+    levels = np.sort(np.rint((-args * n / pi - 1.0) / 2.0).astype(int))
+    assert np.array_equal(levels, np.arange(n)), "colliding levels"
+    return (levels + 0.5) * p.omega
+
+
+def band_phase(p: EvolutionParams) -> complex:
+    """`geometric_phase_check` on the band form: the scanned column's one entry to the N-th."""
+    column = circulant_column(evolution_bands(p).bands)
+    (entry,) = column[np.flatnonzero(column)]
+    return scalar_power(complex(entry), p.n_states)
 
 
 

@@ -30,7 +30,8 @@ from ladderlab import (
 from ladderlab.contraction import _deviations, deformed_identity_residuals
 from ladderlab.orbits import CircleDynamics
 from ladderlab.twomode import DissipativeParams
-from oracles import anticommutator, build_two_mode, dense, from_dense, matrix_exponential
+from oracles import (anticommutator, build_two_mode, dense, evolution_bands, from_dense,
+                     matrix_exponential)
 
 TWO_PI = 2.0 * math.pi
 GOLDEN_ROTATION = math.pi * (math.sqrt(5.0) - 1.0)
@@ -221,16 +222,14 @@ def test_criterion_8_oracle_equivalence():
 
     # evolution at N=2: U = e^{-i pi/2} (0 1; 1 0), U^2 = -1
     u = np.exp(-1j * math.pi / 2) * np.array([[0.0, 1.0], [1.0, 0.0]])
-    from ladderlab.evolution import build_evolution_operator
-
     checks.append(
-        np.max(np.abs(dense(build_evolution_operator(EvolutionParams(2, 1.0))) - u)) < 1e-15
+        np.max(np.abs(dense(evolution_bands(EvolutionParams(2, 1.0))) - u)) < 1e-15
         and np.max(np.abs(u @ u + np.eye(2))) < 1e-15
     )
 
     # DFT spectrum vs dense eigensolver at N=12
     p = EvolutionParams(12, 0.7)
-    lam = np.linalg.eigvals(dense(build_evolution_operator(p)))
+    lam = np.linalg.eigvals(dense(evolution_bands(p)))
     args = np.angle(lam)
     args = np.where(args > 0, args - TWO_PI, args)
     want = np.sort((np.rint((-args * 12 / math.pi - 1) / 2) + 0.5) * p.omega)

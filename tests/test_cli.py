@@ -995,7 +995,8 @@ class TestStartup:
                                                     "ladderlab.operators"]),
         (["contract", "--hp", "--dim", "4"], ["orjson", "ladderlab.algebra",
                                               "ladderlab.contraction", "ladderlab.operators"]),
-        (["evolve", "--N", "8"], ["orjson", "ladderlab.evolution", "ladderlab.operators"]),
+        # the step operator is a plain numpy column, so no operator module is loaded
+        (["evolve", "--N", "8"], ["orjson", "ladderlab.evolution"]),
         (["orbit", "--thooft-N", "7", "--curve-samples", "3"], ["orjson", "ladderlab.orbits"]),
         (["orbit", "--torus", "--ratio", "golden", "--steps", "10"],
          ["orjson", "ladderlab.orbits"]),
@@ -1110,9 +1111,9 @@ class TestReach:
 
     `schwinger` at nmax 800 has dim 641 601, 6.6 TB per dense complex matrix,
     and at nmax 3161 10^7 states, of which a check holds one run of whole
-    sectors at a time; `evolve` at N = 2^18 and 2^20 holds a few O(N) vectors
-    at a time; and the su(2) contraction sweep builds only the levels it
-    tabulates of each irrep.
+    sectors at a time; `evolve` at N = 2^18 and 2^20 holds at most two
+    N-length complex vectors at a time; and the su(2) contraction sweep
+    builds only the levels it tabulates of each irrep.
     """
 
     # tracemalloc peaks measured at 9.5 MB for --check all and --check
@@ -1122,19 +1123,21 @@ class TestReach:
     # 0.4 and 1.6 GB), 0.14 MB for the sector
     # dump at nmax 800 and 0.46 MB at nmax 3161 (31 MB at nmax 800 when the
     # sector was sliced out of the whole space, 103 MB when it was picked out
-    # of the flat order by index lists), 15.3 MB for evolve at N = 2^18 and
-    # 60.1 MB at N = 2^20 (23.4 and 92.6 MB when U^N was formed by band
-    # products, 42.2 MB at 2^18 when U was also held through the squarings)
-    # and 0.02 MB for the su(2) sweep (530 MB with each irrep built whole),
-    # on x86-64 with numpy 2.4, each after the warm-up of `_traced`; each
-    # bound leaves headroom
-    PEAK_BOUND = 250e6
-    HAMILTONIAN_PEAK_BOUND = 150e6
+    # of the flat order by index lists), 8.4 MB for evolve at N = 2^18 and
+    # 33.6 MB at N = 2^20, 32 B per state, the input and output of numpy's
+    # FFT (15.0 and 59.8 MB, 57 B per state, when U was held as two band
+    # diagonals and scanned for its first column; 23.4 and 92.6 MB when U^N
+    # was formed by band products) and 0.02 MB for the su(2) sweep (530 MB
+    # with each irrep built whole), on x86-64 (AMD EPYC) with Python 3.11 and
+    # numpy 2.4, each after the warm-up of `_traced`.  Every schwinger check
+    # holds one run of whole sectors, under RUN_PEAK_BOUND, about twice its
+    # peak; each evolve bound leaves about 20% headroom, below the 57 B per
+    # state of the scan
     RUN_PEAK_BOUND = 20e6
     DUMP_PEAK_BOUND = 1e6
     DUMP_3161_PEAK_BOUND = 1e6
-    EVOLVE_PEAK_BOUND = 20e6
-    EVOLVE_2_20_PEAK_BOUND = 80e6
+    EVOLVE_PEAK_BOUND = 10e6
+    EVOLVE_2_20_PEAK_BOUND = 40e6
     SU2_SWEEP_PEAK_BOUND = 1e6
 
     @staticmethod
@@ -1167,14 +1170,14 @@ class TestReach:
         (_, checks, header, rows), peak = self._run("all", tmp_path, capsys)
         assert header == ["check", "residual"] and len(rows) == 9
         assert float(checks["sector_match"]) < 1e-12
-        assert peak < self.PEAK_BOUND, f"tracemalloc peak {peak / 1e6:.1f} MB"
+        assert peak < self.RUN_PEAK_BOUND, f"tracemalloc peak {peak / 1e6:.1f} MB"
 
     def test_hamiltonian_check_nmax_800(self, tmp_path, capsys):
         # the dissipative residuals set the peak of --check all
         (_, _, _, rows), peak = self._run("hamiltonian", tmp_path, capsys)
         assert [r["check"] for r in rows] == [
             "h0_vs_casimir", "hi_vs_l2", "h0_hermiticity", "hi_hermiticity", "h0_hi_commutator"]
-        assert peak < self.HAMILTONIAN_PEAK_BOUND, f"tracemalloc peak {peak / 1e6:.1f} MB"
+        assert peak < self.RUN_PEAK_BOUND, f"tracemalloc peak {peak / 1e6:.1f} MB"
 
     def test_schwinger_nmax_1600(self, tmp_path, capsys):
         (_, checks, _, rows), peak = self._run("all", tmp_path, capsys, nmax="1600")

@@ -1,14 +1,12 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from ladderlab import EvolutionParams, geometric_phase_check, spectrum_via_dft
 from ladderlab import evolution
 from ladderlab.evolution import build_evolution_operator
-from oracles import bands_from_entries, csr, dense, from_dense, scalar_power
+from oracles import band_phase, band_spectrum, dense, evolution_bands, scalar_power
 
 
 def _cyclic_permutation(n: int) -> np.ndarray:
@@ -21,7 +19,7 @@ def _cyclic_permutation(n: int) -> np.ndarray:
 
 def dense_eigensolver_energies(params: EvolutionParams) -> np.ndarray:
     """Oracle: dense eigendecomposition of U, phases unwrapped to energies."""
-    u = dense(build_evolution_operator(params))
+    u = dense(evolution_bands(params))
     lam = np.linalg.eigvals(u)
     args = np.angle(lam)
     args = np.where(args > 0, args - 2.0 * math.pi, args)
@@ -46,13 +44,13 @@ class TestParams:
 
 class TestOperator:
     def test_two_state_explicit(self):
-        u = dense(build_evolution_operator(EvolutionParams(2, 1.0)))
+        u = dense(evolution_bands(EvolutionParams(2, 1.0)))
         phase = np.exp(-1j * math.pi / 2)
         assert np.max(np.abs(u - phase * np.array([[0, 1], [1, 0]]))) < 1e-15
         assert np.max(np.abs(u @ u + np.eye(2))) < 1e-15  # U^2 = -1
 
     def test_entry_convention(self):
-        u = dense(build_evolution_operator(EvolutionParams(5, 1.0)))
+        u = dense(evolution_bands(EvolutionParams(5, 1.0)))
         phase = np.exp(-1j * math.pi / 5)
         for col in range(5):
             assert abs(u[(col + 1) % 5, col] - phase) < 1e-15
@@ -60,11 +58,11 @@ class TestOperator:
 
     def test_unitary_for_all_sizes(self):
         for n in range(2, 65):
-            u = dense(build_evolution_operator(EvolutionParams(n, 0.3)))
+            u = dense(evolution_bands(EvolutionParams(n, 0.3)))
             assert np.max(np.abs(u @ u.conj().T - np.eye(n))) < 1e-13
 
     def test_seventh_power_is_minus_identity(self):
-        u = dense(build_evolution_operator(EvolutionParams(7, 1.0)))
+        u = dense(evolution_bands(EvolutionParams(7, 1.0)))
         assert np.max(np.abs(np.linalg.matrix_power(u, 7) + np.eye(7))) < 1e-12
 
 
@@ -100,120 +98,81 @@ class TestSpectrum:
         assert abs(values[-1] - (9 - 0.5) * p.omega) < 1e-12
 
 
-# both read U's first column once U is checked to be exactly circulant
-CIRCULANT_READERS = (spectrum_via_dft, geometric_phase_check)
+class TestColumn:
+    """U is held as its first column, with the bits of the band form's first column."""
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 16])
+    def test_first_column_of_the_band_form(self, n):
+        p = EvolutionParams(n, 0.8)
+        column = build_evolution_operator(p)
+        assert column.dtype == complex and column.shape == (n,)
+        assert np.array_equal(column, dense(evolution_bands(p))[:, 0])
+        assert np.flatnonzero(column).tolist() == [1]
+
+    @pytest.mark.parametrize("n", [*range(2, 65), 2**20, 2**22])
+    def test_energies_and_phase_match_the_band_path(self, n):
+        p = EvolutionParams(n, 1.0)
+        assert np.array_equal(spectrum_via_dft(p), band_spectrum(p))
+        phi, want = geometric_phase_check(p), band_phase(p)
+        assert (repr(phi.real), repr(phi.imag)) == (repr(want.real), repr(want.imag))
 
 
 class TestSpectrumRejectsDefects:
-    """A step operator that is not circulant, or whose levels collide, is refused.
+    """A step operator with a non-finite entry, or whose levels collide, is refused.
 
-    The operators that are not circulant are refused by the phase check too.
+    Each case patches the column builder.  The non-finite entries are
+    refused by the phase check too.
     """
 
     @staticmethod
-    def use_operator(monkeypatch, make):
+    def use_column(monkeypatch, make):
         build = evolution.build_evolution_operator
-        monkeypatch.setattr(evolution, "build_evolution_operator",
-                            lambda p: from_dense("U", make(csr(build(p))).toarray()))
+        monkeypatch.setattr(evolution, "build_evolution_operator", lambda p: make(build(p)))
 
-    @pytest.mark.parametrize("entry", [0, 1, 5])
-    def test_perturbed_entry(self, monkeypatch, entry):
-        # entry 1 sits in the first column, the others off it
-        def perturb(u):
-            u = u.copy()
-            u.data[entry] += 1e-3
-            return u
+    @staticmethod
+    def times_u(column):
+        # U times a vector is the phased one-step shift: (U c)[v] = e^{-i pi/N} c[v - 1]
+        return np.roll(column, 1) * column[1]
 
-        self.use_operator(monkeypatch, perturb)
-        for reader in CIRCULANT_READERS:
-            with pytest.raises(ValueError, match="the step operator is not circulant"):
+    @pytest.mark.parametrize("row,value", [(1, np.nan), (0, np.nan), (5, np.nan),
+                                           (1, complex(0.0, np.inf))])
+    def test_non_finite_entry(self, monkeypatch, row, value):
+        # row 1 holds the phase, the other rows a zero; a nan reaching the FFT
+        # would read as colliding levels, and one reaching the squaring as phi
+        def with_value(column):
+            column[row] = value
+            return column
+
+        self.use_column(monkeypatch, with_value)
+        for reader in (spectrum_via_dft, geometric_phase_check):
+            with pytest.raises(ValueError, match="the step operator has a non-finite entry"):
                 reader(EvolutionParams(6, 1.0))
 
-    @pytest.mark.parametrize("row,col", [(1, 0), (3, 2), (0, 5)])
-    def test_nan_entry(self, monkeypatch, row, col):
-        # (1, 0) is the first-column entry; OperatorMatrix refuses a nan, so the
-        # band store is handed over bare
-        def with_nan(p):
-            m = dense(build_evolution_operator(p)).copy()
-            m[row, col] = np.nan
-            rows, cols = np.nonzero(m)
-            return SimpleNamespace(bands=bands_from_entries(6, rows, cols, m[rows, cols]))
-
-        monkeypatch.setattr(evolution, "build_evolution_operator", with_nan)
-        for reader in CIRCULANT_READERS:
-            with pytest.raises(ValueError, match="the step operator is not circulant"):
-                reader(EvolutionParams(6, 1.0))
-
-    @pytest.mark.parametrize("row,col", [(3, 0), (0, 3), (2, 4)])
-    def test_entry_on_a_new_cyclic_diagonal(self, monkeypatch, row, col):
-        # (3, 0) adds a first-column entry, so the column asks for six more
-        # entries; the others sit on cyclic diagonals 3 and 4, which the column
-        # leaves empty
-        def extra(u):
-            u = u.tolil()
-            u[row, col] = u[1, 0]
-            return u.tocsr()
-
-        self.use_operator(monkeypatch, extra)
-        for reader in CIRCULANT_READERS:
-            with pytest.raises(ValueError, match="the step operator is not circulant"):
-                reader(EvolutionParams(6, 1.0))
-
-    @pytest.mark.parametrize("row", [0, 1, 3])
-    def test_swapped_values_on_a_cyclic_diagonal(self, monkeypatch, row):
-        # U + 2 U^2 is circulant with two cyclic diagonals of distinct values;
-        # exchanging the two entries of one row leaves the count of entries on
-        # every diagonal and the set of all values as they were, but puts a
-        # foreign value on cyclic diagonals 1 and 2
-        def swap(u):
-            u = (u + 2.0 * (u @ u)).tolil()
-            one, two = (row + 5) % 6, (row + 4) % 6
-            u[row, one], u[row, two] = u[row, two], u[row, one]
-            return u.tocsr()
-
-        self.use_operator(monkeypatch, swap)
-        for reader in CIRCULANT_READERS:
-            with pytest.raises(ValueError, match="the step operator is not circulant"):
-                reader(EvolutionParams(6, 1.0))
-
-    def test_unswapped_circulant_passes(self, monkeypatch):
-        # the control for the swap: U + 2 U^2 itself passes the circulant check,
-        # and its eigenphases happen to unwrap to six distinct levels; its first
-        # column holds two entries, so it is no phased shift and has no scalar
-        # N-th power
-        self.use_operator(monkeypatch, lambda u: (u + 2.0 * (u @ u)).tocsr())
+    def test_two_entry_column_has_levels_but_no_scalar_power(self, monkeypatch):
+        # U + 2 U^2: its eigenphases happen to unwrap to six distinct levels;
+        # its first column holds two entries, so it is no phased shift and has
+        # no scalar N-th power
+        self.use_column(monkeypatch, lambda c: c + 2.0 * self.times_u(c))
         assert len(spectrum_via_dft(EvolutionParams(6, 1.0))) == 6
         with pytest.raises(ValueError, match="not a phased cyclic shift"):
             geometric_phase_check(EvolutionParams(6, 1.0))
 
-    @pytest.mark.parametrize("entry", [0, 1, 5])
-    def test_missing_entry(self, monkeypatch, entry):
-        def drop(u):
-            coo = u.tocoo()
-            keep = np.arange(coo.nnz) != entry
-            return sparse.csr_array((coo.data[keep], (coo.row[keep], coo.col[keep])),
-                                    shape=u.shape)
-
-        self.use_operator(monkeypatch, drop)
-        for reader in CIRCULANT_READERS:
-            with pytest.raises(ValueError, match="the step operator is not circulant"):
-                reader(EvolutionParams(6, 1.0))
-
     @pytest.mark.parametrize("n", [2, 6, 16])
     def test_two_step_shift_collides(self, monkeypatch, n):
         # U^2 is circulant, but m and m + N/2 share an eigenvalue at even N
-        self.use_operator(monkeypatch, lambda u: u @ u)
+        self.use_column(monkeypatch, self.times_u)
         with pytest.raises(ValueError, match="colliding levels"):
             spectrum_via_dft(EvolutionParams(n, 1.0))
 
     @pytest.mark.parametrize("n", [2, 6, 7, 16])
     def test_two_step_shift_has_a_scalar_power(self, monkeypatch, n):
         # U^2 = c P^2 is a phased shift, so (U^2)^N is c^N times the identity
-        self.use_operator(monkeypatch, lambda u: u @ u)
+        self.use_column(monkeypatch, self.times_u)
         p = EvolutionParams(n, 1.0)
-        entry = complex(dense(evolution.build_evolution_operator(p))[2 % n, 0])
+        column = evolution.build_evolution_operator(p)
+        assert np.flatnonzero(column).tolist() == [2 % n]
         phi = geometric_phase_check(p)
-        want = scalar_power(entry, n)
+        want = scalar_power(complex(column[2 % n]), n)
         assert (repr(phi.real), repr(phi.imag)) == (repr(want.real), repr(want.imag))
         assert abs(phi - 1.0) < 1e-12  # (U^2)^N = (-1)^2
 

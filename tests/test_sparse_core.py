@@ -37,7 +37,6 @@ from ladderlab import (
 from ladderlab import twomode
 from ladderlab.cli import ELEMENT_COLUMNS, _element_groups
 from ladderlab.contraction import _deviations, deformed_identity_residuals
-from ladderlab.evolution import build_evolution_operator
 from ladderlab.operators import Bands, OperatorMatrix
 from ladderlab.writer import CommandResult
 import oracles
@@ -47,6 +46,7 @@ from oracles import (
     csr,
     dense,
     dense_two_mode,
+    evolution_bands,
     from_dense,
     in_sector_order,
     interior_indices,
@@ -204,7 +204,7 @@ class TestBuildersMatchDense:
 
     @pytest.mark.parametrize("n", [2, 3, 7, 16])
     def test_evolution_operator(self, n):
-        u = build_evolution_operator(EvolutionParams(n, 0.8))
+        u = evolution_bands(EvolutionParams(n, 0.8))
         assert csr(u).nnz == n
         assert_bitwise(u, dense_cyclic(n))
 
@@ -255,7 +255,7 @@ class TestSingleBandProductsBitwise:
     def test_cyclic_power_is_the_band_power_entry(self, n):
         # U^N formed as a matrix, by band products in `numpy.linalg.matrix_power`
         # order, is phi times the identity with phi's bits in every entry
-        square = build_evolution_operator(EvolutionParams(n, 1.0)).bands
+        square = evolution_bands(EvolutionParams(n, 1.0)).bands
         power = None
         remaining = n
         while remaining > 0:

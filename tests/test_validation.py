@@ -13,7 +13,9 @@ from ladderlab import (
     casimir_interior_residual,
     check_algebra_relations,
     dissipative_residuals,
+    l2_relation_check,
     run_contraction_study,
+    sector_operators,
     simulate_torus,
     thooft_system,
     touch_points,
@@ -125,9 +127,10 @@ def test_float_range_guard_raises_only_past_its_edge(guard, outside, inside):
     (lambda: EvolutionParams(10**400, 1.0), "n_states"),
     (lambda: EvolutionParams(8.5, 1.0), "n_states"),
     (lambda: casimir_interior_residual(2.5), "n_max"),
+    (lambda: sector_operators(2.5, 0), "n_max"),
 ], ids=["h1-dim", "su11-dim", "h1-dim-inf", "thooft-n", "relations-interior",
         "contraction-interior", "touch-count-inf", "touch-count-nan", "touch-count",
-        "torus-steps", "evolution-n-huge", "evolution-n", "casimir-n-max"])
+        "torus-steps", "evolution-n-huge", "evolution-n", "casimir-n-max", "sector-n-max"])
 def test_a_count_must_be_a_finite_integer(call, name):
     with pytest.raises(ValueError, match=f"^{name} must be a finite integer, got "):
         call()
@@ -150,6 +153,24 @@ def test_a_count_must_be_a_finite_integer(call, name):
 def test_an_integer_below_its_floor_keeps_its_text(call, text):
     with pytest.raises(ValueError, match=f"^{text}$"):
         call()
+
+
+# The two-mode cutoff ends at 2^53, where the float occupations stop being
+# exact integers: past it, these once raised numpy's TypeError or OverflowError.
+@pytest.mark.parametrize("call", [
+    lambda: casimir_interior_residual(10**30),
+    lambda: sector_operators(10**30, 0),
+    lambda: l2_relation_check(10**30),
+    lambda: sector_operators(2**53 + 1, 0),
+], ids=["casimir", "sector", "l2", "sector-past-the-edge"])
+def test_a_cutoff_above_its_ceiling_is_refused(call):
+    with pytest.raises(ValueError, match=f"^n_max must be <= {2**53}$"):
+        call()
+
+
+def test_the_cutoff_ceiling_itself_is_read():
+    # the sector j = n_max/2 holds the one state |n_max, 0>
+    assert sector_operators(2**53, 2**52).dim == 1
 
 
 def test_a_whole_float_count_is_read_as_its_integer():
