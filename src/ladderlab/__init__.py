@@ -33,16 +33,21 @@ __version__ = "0.1.0"
 __all__ = sorted(_SUBMODULES)
 
 
+# The ceiling of a count the library holds as floats (levels, occupations):
+# a float holds every integer up to 2^53 exactly, and not every one past it.
+EXACT_INTEGER_CEILING = 2**53
+
+
 def checked_count(value, name: str, floor: int, refusal: str | None = None,
-                  ceiling: float = math.inf) -> int:
+                  ceiling: float = math.inf, above: str | None = None) -> int:
     """`value` as an int, if it is finite, integer-valued and in floor .. ceiling.
 
     The one rule for every count the library reads: states, levels, sites,
     touches, steps and the two-mode cutoff.  Finite is finite as a float,
     so an int past the float range is refused too.  Anything else raises
-    ValueError naming `name`; `refusal` is the text for an integer out of
-    range, by default "<name> must be >= <floor>", or "<name> must be <=
-    <ceiling>" above the ceiling.
+    ValueError naming `name`; `refusal` is the text for an integer below
+    the floor, by default "<name> must be >= <floor>", and `above` the text
+    for one above the ceiling, by default "<name> must be <= <ceiling>".
     """
     try:
         whole = math.isfinite(value) and value == int(value)
@@ -50,9 +55,10 @@ def checked_count(value, name: str, floor: int, refusal: str | None = None,
         whole = False
     if not whole:
         raise ValueError(f"{name} must be a finite integer, got {value!r}")
-    if not floor <= value <= ceiling:
-        raise ValueError(refusal or (f"{name} must be >= {floor}" if value < floor
-                                     else f"{name} must be <= {ceiling}"))
+    if value < floor:
+        raise ValueError(refusal or f"{name} must be >= {floor}")
+    if value > ceiling:
+        raise ValueError(above or f"{name} must be <= {ceiling}")
     return int(value)
 
 

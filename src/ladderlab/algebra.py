@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import checked_count
+from . import EXACT_INTEGER_CEILING, checked_count
 from .operators import Bands, Envelope, Identity, OperatorMatrix, evaluate, in_float_range
 
 
@@ -111,9 +111,12 @@ def build_su2_rep(l: float) -> LadderRep:
 
     <n+1|L+|n> = sqrt((2l - n)(n + 1)) and <n|L3|n> = n - l, so the L3
     eigenvalues run through m = -l .. l and the top state is annihilated
-    by L+.  All three defining relations hold exactly.
+    by L+.  All three defining relations hold exactly.  The 2l + 1 levels
+    are floats, so at most 2^53 of them are built.
     """
-    return _leading_su2(l, su2_dim(l))
+    dim = checked_count(su2_dim(l), "l", 1, ceiling=EXACT_INTEGER_CEILING,
+                        above=f"2l + 1 must be <= {EXACT_INTEGER_CEILING}, got l = {l!r}")
+    return _leading_su2(l, dim)
 
 
 def _leading_su2(l: float, levels: int) -> LadderRep:
@@ -139,10 +142,11 @@ def build_su11_rep(k: float, dim: int) -> LadderRep:
     <n+1|L+|n> = sqrt((n + 2k)(n + 1)) and <n|L3|n> = n + k.  At k = 1/2 the
     ladder elements are the integers n + 1 (no square roots).  The defining
     relations hold exactly on the interior span |0> .. |dim-2>; the top row
-    is truncation-contaminated.
+    is truncation-contaminated.  The levels are floats, so `dim` is at most
+    2^53.
     """
     kind = Su11(k)
-    dim = checked_count(dim, "dim", 2, "dim must be at least 2")
+    dim = checked_count(dim, "dim", 2, "dim must be at least 2", EXACT_INTEGER_CEILING)
     diagonal, raising = discrete_series_elements(kind.k, np.arange(dim, dtype=float))
     return _ladder_rep(kind, diagonal, raising[:-1])
 
@@ -152,9 +156,10 @@ def build_h1_rep(dim: int) -> LadderRep:
 
     The L3 slot stores N + 1/2 = diag(n + 1/2), so the Hamiltonian in units
     of the mode frequency is the L3 matrix itself.  [a, a†] = 1 holds exactly
-    on the interior span |0> .. |dim-2>.
+    on the interior span |0> .. |dim-2>.  The levels are floats, so `dim`
+    is at most 2^53.
     """
-    dim = checked_count(dim, "dim", 2, "dim must be at least 2")
+    dim = checked_count(dim, "dim", 2, "dim must be at least 2", EXACT_INTEGER_CEILING)
     n = np.arange(dim - 1, dtype=float)
     return _ladder_rep(Heisenberg(), np.arange(dim, dtype=float) + 0.5, np.sqrt(n + 1.0))
 
@@ -172,7 +177,8 @@ def check_algebra_relations(rep: LadderRep, interior: int) -> dict[str, float]:
     excises the truncation-contaminated top row of the su(1,1)/h(1)
     matrices.  An su(1,1) rep is first run through `relations_in_float_range`.
     """
-    interior = checked_count(interior, "interior", 1, f"interior must be in 1..{rep.dim}", rep.dim)
+    span = f"interior must be in 1..{rep.dim}"
+    interior = checked_count(interior, "interior", 1, span, rep.dim, span)
     if isinstance(rep.kind, Su11):
         relations_in_float_range(rep.kind, rep.dim)
     # only the h(1) relation reads the identity
@@ -199,13 +205,13 @@ def _relations(kind: AlgebraKind, l3, lp, lm, one, keep=None) -> list[Identity]:
     [a, a†] = 1; the two [L3, L±] = ±L± relations hold for every kind.
     """
     if isinstance(kind, Heisenberg):
-        closing = Identity("relations_residual", lambda: lm @ lp - lp @ lm - one, keep)
+        closing = Identity("relations_residual", lambda: lm.commutator(lp) - one, keep)
     else:
         sign = 2.0 if isinstance(kind, Su2) else -2.0
-        closing = Identity("relations_residual", lambda: lp @ lm - lm @ lp - sign * l3, keep)
+        closing = Identity("relations_residual", lambda: lp.commutator(lm) - sign * l3, keep)
     return [
-        Identity("relations_residual", lambda: l3 @ lp - lp @ l3 - lp, keep),
-        Identity("relations_residual", lambda: l3 @ lm - lm @ l3 + lm, keep),
+        Identity("relations_residual", lambda: l3.commutator(lp) - lp, keep),
+        Identity("relations_residual", lambda: l3.commutator(lm) + lm, keep),
         closing,
     ]
 

@@ -69,7 +69,7 @@ def _deviations(rep: LadderRep) -> np.ndarray:
     diagonal and column n of [a, a†] - 1 holds only its diagonal entry n.
     """
     a, adag = (op.bands for op in scaled_ladders(rep))
-    defect = (a @ adag - adag @ a - Bands.identity(rep.dim)).diagonal()
+    defect = (a.commutator(adag) - Bands.identity(rep.dim)).diagonal()
     return np.sqrt(np.abs(defect) ** 2)  # the column's 2-norm, formed as np.linalg.norm does
 
 
@@ -223,7 +223,8 @@ def _deformed_identities(l: float, tau: float, scales, l3, lp, lm, one) -> list[
     omega = scales[2]
     x, p, h = _deformed_operators(l, scales, l3, lp, lm, one)
     return [
-        Identity("deformed_commutator", lambda: x @ p - p @ x - 1j * (one - (tau / math.pi) * h)),
+        Identity("deformed_commutator",
+                 lambda: x.commutator(p) - 1j * (one - (tau / math.pi) * h)),
         Identity("hamiltonian_decomposition", lambda: h - (
             0.5 * omega**2 * (x @ x)
             + 0.5 * (p @ p)

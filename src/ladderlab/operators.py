@@ -14,6 +14,9 @@ Each entry of a product is the sum of its terms in ascending order of the
 inner index, as in a row-major sparse product, and scalar division multiplies
 by the reciprocal, as scipy's sparse arrays do; so the values match
 compressed sparse row (CSR) arithmetic entry for entry.
+A commutator, `Bands.commutator`, holds its two products and no third
+set of vectors: it writes the difference over the first product's
+diagonals and drops each diagonal of the second once it is subtracted.
 The band store is the only form an operator takes here: no function of the
 module accepts or returns a dense matrix.  Every gated identity is an
 `Identity` record, and `evaluate` reduces each to its max-entry residual.
@@ -75,9 +78,10 @@ class Bands:
 
     Each `values` is a float or complex vector of length `dim`, zero where
     i + offset falls outside 0 .. dim-1; an absent offset is an all-zero
-    diagonal.  Arithmetic (`@` with a Bands, `+`, `-`, and `*` or `/` by a
-    scalar) returns a new Bands and may share vectors with its inputs, so
-    treat every Bands as read-only.
+    diagonal.  Arithmetic (`@` with a Bands, `+`, `-`, `commutator`, and `*`
+    or `/` by a scalar) returns a new Bands and may share vectors with its
+    inputs, so treat every Bands as read-only.  `commutator` writes only
+    over the vectors of the product it forms itself.
     """
 
     __slots__ = ("dim", "diagonals")
@@ -131,6 +135,17 @@ class Bands:
             merged[offset] = op(merged[offset] if offset in merged else 0.0, values)
         return Bands(self.dim, merged)
 
+    def commutator(self, other: "Bands") -> "Bands":
+        """[self, other] = self @ other - other @ self, formed over the first product.
+
+        Both products are formed, then `_subtract_into` writes the second
+        off the first, diagonal by diagonal, and drops each diagonal of the
+        second once it is used.  So the commutator holds the two products
+        and no third set of vectors, and every entry is the same subtraction
+        as in self @ other - other @ self, bit for bit.
+        """
+        return _subtract_into(self @ other, other @ self)
+
     def __add__(self, other: "Bands") -> "Bands":
         return self._merge(other, np.add)
 
@@ -163,6 +178,30 @@ class Bands:
         # within a row the columns ascend with the offsets, which are already sorted
         order = np.argsort(rows, kind="stable")
         return rows[order], cols[order], values[order]
+
+
+def _subtract_into(first: Bands, second: Bands) -> Bands:
+    """first - second, written over the diagonals of `first`; `second` is emptied.
+
+    Both must be Bands no one else reads, such as fresh products.  Each
+    diagonal of `second` is taken out of it, subtracted from the diagonal of
+    `first` at its offset in place, and dropped.  Where `first` has no
+    diagonal at that offset, or its dtype cannot hold the difference, the
+    difference is a new vector, np.subtract(0.0 or first's, second's), as
+    `-` forms it; so every entry and its dtype are those of first - second.
+    The two products of `Bands.commutator` share their dtype and their
+    offsets (the pair (p, q) has rows where (q, p) has them), so there
+    every diagonal is written in place.
+    """
+    diagonals = first.diagonals
+    for offset in list(second.diagonals):
+        values = second.diagonals.pop(offset)
+        target = diagonals.get(offset)
+        if target is not None and np.result_type(target, values) == target.dtype:
+            np.subtract(target, values, out=target)
+        else:
+            diagonals[offset] = np.subtract(0.0 if target is None else target, values)
+    return first
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,8 +295,9 @@ class Envelope(dict):
     """A bound on the entries of an operator, by diagonal: {offset: bound on |entry|}.
 
     The arithmetic of `Bands`, over bounds: `@` adds a[p] b[q] into offset
-    p + q, `+` and `-` add the two bounds, a scalar multiplies each bound by
-    its absolute value, and `adjoint` mirrors the offsets.  Each result
+    p + q, `+` and `-` add the two bounds, `commutator` forms both products
+    and adds them, a scalar multiplies each bound by its absolute value, and
+    `adjoint` mirrors the offsets.  Each result
     bounds every entry, and every partial sum of an entry, that the same
     operation forms over operators within the operands' bounds.  The bounds
     are Python floats, which overflow to inf without a warning.
@@ -269,6 +309,10 @@ class Envelope(dict):
             for q, b in other.items():
                 product[p + q] = product.get(p + q, 0.0) + a * b
         return product
+
+    def commutator(self, other: "Envelope") -> "Envelope":
+        """The bound of [A, B] = A B - B A: the arithmetic of `Bands.commutator`."""
+        return self @ other - other @ self
 
     def __add__(self, other: "Envelope") -> "Envelope":
         return Envelope({offset: self.get(offset, 0.0) + other.get(offset, 0.0)

@@ -39,7 +39,7 @@ from math import isfinite
 
 import numpy as np
 
-from . import checked_count
+from . import EXACT_INTEGER_CEILING, checked_count
 from .algebra import LadderRep, Su11, _cartesian, discrete_series_elements
 from .operators import Bands, Envelope, Identity, OperatorMatrix, evaluate, in_float_range
 
@@ -67,7 +67,7 @@ def _cutoff(n_max) -> int:
     The occupations are floats, and the integers a float holds exactly end
     at 2^53; the int64 sector and state indices hold far more.
     """
-    return checked_count(n_max, "n_max", 1, ceiling=2**53)
+    return checked_count(n_max, "n_max", 1, ceiling=EXACT_INTEGER_CEILING)
 
 
 def _occupations(n_max: int, first: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
@@ -243,17 +243,19 @@ def _dissipative_identities(p: DissipativeParams, lp, lm, modes, casimir, upper=
     Casimir root, over `Bands` with the masks j >= 0 (`upper`) and interior
     (`keep`), or over `Envelope`s, which need no mask.  H0 = Omega (A†A - B†B)
     and HI = i Gamma (L+ - L-).  The H0·HI commutator's products are the
-    largest operators formed here, so the occupation operators are dropped
-    once h0_vs_casimir, their last reader, is yielded; L2 lives only within
-    hi_vs_l2.
+    largest operators formed here, so each operator is dropped once the
+    identity that reads it last is yielded: A†A - B†B, the Casimir root and
+    the j >= 0 mask after h0_vs_casimir, and L+ and L- after hi_vs_l2, in
+    whose residual alone L2 lives.
     """
     h0, hi = p.Omega * modes, 1j * p.Gamma * (lp - lm)
     yield Identity("h0_vs_casimir", lambda: h0 - 2.0 * p.Omega * casimir, upper)
     del modes, casimir, upper
     yield Identity("hi_vs_l2", lambda: hi - (-2.0 * p.Gamma) * _cartesian(lp, lm)[1], keep)
+    del lp, lm
     yield Identity("h0_hermiticity", lambda: h0 - h0.adjoint())
     yield Identity("hi_hermiticity", lambda: hi - hi.adjoint())
-    yield Identity("h0_hi_commutator", lambda: h0 @ hi - hi @ h0, keep)
+    yield Identity("h0_hi_commutator", lambda: h0.commutator(hi), keep)
 
 
 def l2_relation_check(n_max: int) -> dict[str, float]:
@@ -272,11 +274,16 @@ def l2_relation_check(n_max: int) -> dict[str, float]:
 
 
 def _l2_identities(n_max, n_a, n_b, l3, lp, lm):
-    """The two identities of `l2_relation_check`, yielded one at a time; L2 is dropped between."""
+    """The two identities of `l2_relation_check`, yielded one at a time.
+
+    l2_commutator forms L1 and L2 from L+ and L- within its residual, L2 last,
+    so neither is held past it; L2 has no other reader.  L1 is then formed
+    again for l2_double_commutator, and L+ and L- are dropped.
+    """
     keep = _interior_mask(n_a, n_b, n_max)
-    l1, l2 = _cartesian(lp, lm)
-    del n_a, n_b, lp, lm
-    first = l1 @ l3 - l3 @ l1
-    yield Identity("l2_commutator", lambda: first + 1j * l2, keep)
-    del l2
-    yield Identity("l2_double_commutator", lambda: l1 @ first - first @ l1 + l3, keep)
+    del n_a, n_b
+    yield Identity("l2_commutator", lambda: (
+        _cartesian(lp, lm)[0].commutator(l3) + 1j * _cartesian(lp, lm)[1]), keep)
+    l1 = _cartesian(lp, lm)[0]
+    del lp, lm
+    yield Identity("l2_double_commutator", lambda: l1.commutator(l1.commutator(l3)) + l3, keep)

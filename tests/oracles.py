@@ -275,6 +275,10 @@ class Bounded:
         return Bounded(self.bands @ other.bands, self.envelope @ other.envelope,
                        magnitude[0] @ magnitude[1])
 
+    def commutator(self, other: "Bounded") -> "Bounded":
+        # by `@` both ways, so each product and its partial sums are checked
+        return self @ other - other @ self
+
     def __add__(self, other: "Bounded") -> "Bounded":
         return Bounded(self.bands + other.bands, self.envelope + other.envelope)
 

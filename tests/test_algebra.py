@@ -229,3 +229,23 @@ def test_envelopes_bound_every_operator_the_relations_form(kind, twice, dim, exp
     envelopes = algebra._ladder_envelopes(rep.kind, rep.dim)
     for identity in algebra._relations(rep.kind, *map(Bounded, operators, envelopes)):
         identity.residual()
+
+
+def test_a_table_over_bounded_operators_checks_both_products_of_each_commutator(monkeypatch):
+    # `commutator` over Bounded forms each product by `@`, which checks its partial sums
+    products = []
+    matmul = Bounded.__matmul__
+
+    def recorded(self, other):
+        products.append((self, other))
+        return matmul(self, other)
+
+    monkeypatch.setattr(Bounded, "__matmul__", recorded)
+    rep = build_su2_rep(2)
+    operators = (rep.L3.bands, rep.Lplus.bands, rep.Lminus.bands, Bands.identity(rep.dim))
+    for identity in algebra._relations(
+            rep.kind, *map(Bounded, operators, algebra._ladder_envelopes(rep.kind))):
+        del products[:]
+        identity.residual()
+        (a, b), (c, d) = products
+        assert (c, d) == (b, a)

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from ladderlab.operators import Bands, OperatorMatrix, max_entry
+from ladderlab.operators import Bands, Envelope, OperatorMatrix, _subtract_into, max_entry
 import oracles
 from oracles import csr, dense, from_dense
 
@@ -27,11 +27,12 @@ values_ = st.floats(-8.0, 8.0, allow_nan=False, allow_infinity=False, width=64)
 
 
 @st.composite
-def band_operators(draw, dim=None):
-    """A `Bands` with random offsets; each diagonal is random or all zero."""
+def band_operators(draw, dim=None, offsets=None):
+    """A `Bands` with random (or the given) offsets; each diagonal is random or all zero."""
     dim = draw(st.integers(1, 12)) if dim is None else dim
     is_complex = draw(st.booleans())
-    offsets = draw(st.lists(st.integers(-(dim - 1), dim - 1), unique=True, max_size=5))
+    if offsets is None:
+        offsets = draw(st.lists(st.integers(-(dim - 1), dim - 1), unique=True, max_size=5))
     diagonals = {}
     for offset in offsets:
         values = np.array(draw(st.lists(values_, min_size=dim, max_size=dim)))
@@ -171,3 +172,67 @@ def test_a_nan_entry_is_the_max_entry_unless_masked_out(first):
     assert np.isnan(max_entry(a, np.array([True, True, True, False])))
     assert max_entry(a, np.array([True, False, True, True])) == 3.0  # row 1 left out
     assert max_entry(a, np.array([True, True, False, True])) == 2.0  # column 2 left out
+
+
+@st.composite
+def commutator_pairs(draw):
+    """Two float, complex or mixed `Bands` of dimension 1 to 9 on shared or disjoint offsets."""
+    dim = draw(st.integers(1, 9))
+    offsets = draw(st.lists(st.integers(-(dim - 1), dim - 1), unique=True, max_size=6))
+    if draw(st.booleans()):
+        first, second = offsets, offsets
+    else:
+        cut = draw(st.integers(0, len(offsets)))
+        first, second = offsets[:cut], offsets[cut:]
+    return draw(band_operators(dim, first)), draw(band_operators(dim, second))
+
+
+def assert_same_bits(got: Bands, want: Bands) -> None:
+    """The same offsets in the same order, dtypes, values and signs of zero."""
+    assert list(got.diagonals) == list(want.diagonals)
+    for offset, values in want.diagonals.items():
+        other = got.diagonals[offset]
+        assert other.dtype == values.dtype
+        assert np.array_equal(other, values)
+        for part in (np.real, np.imag):
+            assert np.array_equal(np.signbit(part(other)), np.signbit(part(values)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=commutator_pairs())
+def test_commutator_matches_both_products_and_their_difference(pair):
+    a, b = pair
+    before = [{offset: values.copy() for offset, values in x.diagonals.items()} for x in pair]
+    assert_same_bits(a.commutator(b), a @ b - b @ a)
+    # the two products share their offsets and dtype, so each diagonal is written in place
+    ab, ba = (a @ b).diagonals, (b @ a).diagonals
+    assert sorted(ab) == sorted(ba)
+    assert all(ab[offset].dtype == ba[offset].dtype for offset in ab)
+    # it writes over its own first product, never over an operand
+    for x, copies in zip(pair, before):
+        assert list(x.diagonals) == list(copies)
+        assert all(np.array_equal(x.diagonals[offset], values, equal_nan=True)
+                   for offset, values in copies.items())
+
+
+def test_subtract_into_writes_over_a_fitting_diagonal_and_forms_the_others():
+    # offset 0 fits (complex minus float), offset 1 is absent from the first
+    # and offset -1 is real in the first and complex in the second
+    first = Bands(3, {0: np.array([1 + 2j, -0.0, 3j]), -1: np.array([0.0, 2.0, -1.0])})
+    second = Bands(3, {0: np.array([0.0, 0.0, 1.0]), 1: np.array([1j, -0.0, 0.0]),
+                       -1: np.array([0.0, 1j, 0.0])})
+    want = Bands(3, {k: v.copy() for k, v in first.diagonals.items()}) - Bands(
+        3, {k: v.copy() for k, v in second.diagonals.items()})
+    written = first.diagonals[0]
+    got = _subtract_into(first, second)
+    assert got is first and got.diagonals[0] is written
+    assert second.diagonals == {}
+    assert_same_bits(got, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=st.dictionaries(st.integers(-3, 3), st.floats(0.0, 1e300), max_size=4),
+       b=st.dictionaries(st.integers(-3, 3), st.floats(0.0, 1e300), max_size=4))
+def test_envelope_commutator_is_the_envelope_arithmetic(a, b):
+    a, b = Envelope(a), Envelope(b)
+    assert a.commutator(b) == a @ b - b @ a == a @ b + b @ a

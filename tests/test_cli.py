@@ -1116,11 +1116,13 @@ class TestReach:
     builds only the levels it tabulates of each irrep.
     """
 
-    # tracemalloc peaks measured at 9.5 MB for --check all and --check
-    # hamiltonian at nmax 800 (103 MB with the whole space built, 124 MB on the
-    # flat basis order), 9.7 MB for --check all at nmax 1600 and 7.6 MB for
-    # --check sectors at nmax 3161 (the whole space built would take about
-    # 0.4 and 1.6 GB), 0.14 MB for the sector
+    # tracemalloc peaks measured at 7.7 MB for --check all and --check
+    # hamiltonian at nmax 800 (9.5 MB when each commutator held both products
+    # and their difference, 103 MB with the whole space built, 124 MB on the
+    # flat basis order), 7.2 MB for --check all at nmax 400 and 7.9 MB at
+    # nmax 1600 (9.0 and 9.7 MB before), 7.6 MB for --check sectors at nmax
+    # 3161 (the whole space built would take about 0.4 and 1.6 GB), 20.9 MB
+    # for contract --identities at l = 5e4 (23.2 MB before), 0.14 MB for the sector
     # dump at nmax 800 and 0.46 MB at nmax 3161 (31 MB at nmax 800 when the
     # sector was sliced out of the whole space, 103 MB when it was picked out
     # of the flat order by index lists), 8.4 MB for evolve at N = 2^18 and
@@ -1131,9 +1133,13 @@ class TestReach:
     # with each irrep built whole), on x86-64 (AMD EPYC) with Python 3.11 and
     # numpy 2.4, each after the warm-up of `_traced`.  Every schwinger check
     # holds one run of whole sectors, under RUN_PEAK_BOUND, about twice its
-    # peak; each evolve bound leaves about 20% headroom, below the 57 B per
-    # state of the scan
+    # peak, so its peak at nmax 1600 is within RUN_GROWTH_BOUND of that at
+    # nmax 400; each evolve bound leaves about 20% headroom, below the 57 B per
+    # state of the scan, and the contract --identities bound 10%, below the
+    # 23.2 MB of the two products and their difference
     RUN_PEAK_BOUND = 20e6
+    RUN_GROWTH_BOUND = 1.25
+    IDENTITIES_PEAK_BOUND = 23e6
     DUMP_PEAK_BOUND = 1e6
     DUMP_3161_PEAK_BOUND = 1e6
     EVOLVE_PEAK_BOUND = 10e6
@@ -1183,6 +1189,10 @@ class TestReach:
         (_, checks, _, rows), peak = self._run("all", tmp_path, capsys, nmax="1600")
         assert len(rows) == 9 and float(checks["sector_match"]) < 1e-12
         assert peak < self.RUN_PEAK_BOUND, f"tracemalloc peak {peak / 1e6:.1f} MB"
+        # 16 times the states of nmax 400, in runs of the same size
+        _, smaller = self._run("all", tmp_path, capsys, nmax="400")
+        assert peak < self.RUN_GROWTH_BOUND * smaller, (
+            f"tracemalloc peaks {smaller / 1e6:.1f} and {peak / 1e6:.1f} MB")
 
     def test_sector_check_nmax_3161(self, tmp_path, capsys):
         # the largest cutoff --nmax takes: 10^7 states, 80 MB per diagonal of the whole space
@@ -1208,6 +1218,18 @@ class TestReach:
     def test_sector_dump_nmax_3161(self, tmp_path, capsys):
         # the whole space at this cutoff holds 10^7 states, 80 MB per diagonal
         self._dump("3161", "0", 3162, self.DUMP_3161_PEAK_BOUND, tmp_path, capsys)
+
+    def test_contract_identities_l_5e4(self, tmp_path, capsys):
+        # 100 001 states; each commutator holds its two products and no third set
+        code, out, peak = self._traced(["contract", "--identities", "--l", "5e4"],
+                                       ["contract", "--identities", "--l", "2"], tmp_path, capsys)
+        # exit 3: the fixed 1e-12 gate again (ROADMAP open item 1)
+        assert code in (0, 3)
+        _, _, header, rows = read_csv(out)
+        assert header == ["l", "tau", "identity", "residual"]
+        assert [r["identity"] for r in rows] == ["deformed_commutator",
+                                                 "hamiltonian_decomposition"]
+        assert peak < self.IDENTITIES_PEAK_BOUND, f"tracemalloc peak {peak / 1e6:.1f} MB"
 
     def _evolve(self, n, bound, tmp_path, capsys):
         # --tolerance 1e-6: at these N the rounding of the phase passes the fixed

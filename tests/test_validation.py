@@ -168,6 +168,20 @@ def test_a_cutoff_above_its_ceiling_is_refused(call):
         call()
 
 
+# The builders' levels are floats too: past 2^53 states these once raised
+# numpy's "Maximum allowed size exceeded", which names no argument.
+@pytest.mark.parametrize("call, text", [
+    (lambda: build_su2_rep(1e30), f"2l \\+ 1 must be <= {2**53}, got l = 1e\\+30"),
+    (lambda: build_su2_rep(2**52), f"2l \\+ 1 must be <= {2**53}, got l = {2**52}"),
+    (lambda: build_su11_rep(1.5, 10**30), f"dim must be <= {2**53}"),
+    (lambda: build_h1_rep(10**30), f"dim must be <= {2**53}"),
+    (lambda: build_h1_rep(2**53 + 1), f"dim must be <= {2**53}"),
+], ids=["su2", "su2-past-the-edge", "su11", "h1", "h1-past-the-edge"])
+def test_a_builder_size_above_its_ceiling_is_refused(call, text):
+    with pytest.raises(ValueError, match=f"^{text}$"):
+        call()
+
+
 def test_the_cutoff_ceiling_itself_is_read():
     # the sector j = n_max/2 holds the one state |n_max, 0>
     assert sector_operators(2**53, 2**52).dim == 1
