@@ -38,6 +38,17 @@ __all__ = sorted(_SUBMODULES)
 EXACT_INTEGER_CEILING = 2**53
 
 
+def finite(value) -> bool:
+    """Whether `value` is finite as a float, so an int past the float range is not.
+
+    The one finiteness rule for every real parameter the library reads.
+    """
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        return False
+
+
 def checked_count(value, name: str, floor: int, refusal: str | None = None,
                   ceiling: float = math.inf, above: str | None = None) -> int:
     """`value` as an int, if it is finite, integer-valued and in floor .. ceiling.
@@ -49,11 +60,7 @@ def checked_count(value, name: str, floor: int, refusal: str | None = None,
     the floor, by default "<name> must be >= <floor>", and `above` the text
     for one above the ceiling, by default "<name> must be <= <ceiling>".
     """
-    try:
-        whole = math.isfinite(value) and value == int(value)
-    except OverflowError:  # an int past the float range
-        whole = False
-    if not whole:
+    if not (finite(value) and value == int(value)):
         raise ValueError(f"{name} must be a finite integer, got {value!r}")
     if value < floor:
         raise ValueError(refusal or f"{name} must be >= {floor}")

@@ -20,17 +20,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import EXACT_INTEGER_CEILING, checked_count
+from . import EXACT_INTEGER_CEILING, checked_count, finite
 from .operators import Bands, Envelope, Identity, OperatorMatrix, evaluate, in_float_range
 
 
 def _validate_half_integer(value: float, minimum: float, name: str) -> float:
-    value = float(value)
-    doubled = 2.0 * value
     shown = "1/2" if minimum == 0.5 else str(minimum)
+    doubled = 2.0 * value if finite(value) else math.inf
     if not math.isfinite(doubled):
         raise ValueError(f"{name} must be a half-integer >= {shown} with 2{name} finite, "
                          f"got {value!r}")
+    value = float(value)
     if doubled != round(doubled) or value < minimum:
         raise ValueError(f"{name} must be a half-integer >= {shown}")
     return value
@@ -191,8 +191,10 @@ def relations_in_float_range(kind: Su2 | Su11, dim: int) -> None:
     """Raise unless the relation checks of the `kind` ladders on `dim` states stay in float range.
 
     Their table runs over `_ladder_envelopes`, at a cost that does not grow
-    with `dim`, before anything is built.
+    with `dim`, before anything is built; `dim` is read as `build_su11_rep`
+    reads it.
     """
+    dim = checked_count(dim, "dim", 2, "dim must be at least 2", EXACT_INTEGER_CEILING)
     if not in_float_range(_relations(kind, *_ladder_envelopes(kind, dim))):
         label = f"l = {kind.l!r}" if isinstance(kind, Su2) else f"k = {kind.k!r}"
         raise ValueError(f"{label} at dim {dim} puts the relation checks beyond the float range")

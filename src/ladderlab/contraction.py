@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import checked_count
+from . import EXACT_INTEGER_CEILING, checked_count, finite
 from .algebra import (
     LadderRep,
     Su2,
@@ -55,7 +55,7 @@ def scaled_ladders(rep: LadderRep) -> tuple[OperatorMatrix, OperatorMatrix]:
     elif isinstance(rep.kind, Su11):
         scale = math.sqrt(2.0 * rep.kind.k)
     else:
-        raise ValueError("oscillator ladders are already canonical; nothing to scale")
+        raise ValueError("rep is an oscillator ladder, already canonical; nothing to scale")
     return (
         OperatorMatrix("a", rep.Lminus.bands / scale),
         OperatorMatrix("adag", rep.Lplus.bands / scale),
@@ -85,12 +85,16 @@ def run_contraction_study(family: str, params, interior: int) -> ContractionRepo
     """
     if family not in ("su2", "su11"):
         raise ValueError("family must be 'su2' or 'su11'")
+    if not all(finite(p) for p in params):
+        raise ValueError("params must be finite")
     params = tuple(float(p) for p in params)
     if not params:
-        raise ValueError("empty sweep")
+        raise ValueError("params must not be empty")
     if not all(a < b for a, b in zip(params, params[1:])):
         raise ValueError("params must be strictly ascending")
-    interior = checked_count(interior, "interior", 2, "interior must be at least 2")
+    # each label is built on interior + 1 float levels
+    interior = checked_count(interior, "interior", 2, "interior must be at least 2",
+                             EXACT_INTEGER_CEILING - 1)
 
     rows = []
     for p in params:
@@ -133,7 +137,7 @@ def holstein_primakoff(rep: LadderRep) -> tuple[OperatorMatrix, OperatorMatrix]:
     with no limit taken.
     """
     if not (isinstance(rep.kind, Su11) and rep.kind.k == 0.5):
-        raise ValueError("mapping requires the k = 1/2 discrete series")
+        raise ValueError("rep must be the k = 1/2 discrete series")
     if rep.dim < 2:
         raise ValueError("dim must be at least 2")
     shifted = rep.L3.bands.diagonal().real + 0.5
@@ -187,7 +191,7 @@ def deformed_identities_in_float_range(l: float, tau: float) -> None:
     that does not grow with l, before anything is built.
     """
     kind = Su2(l)
-    if not (math.isfinite(tau) and tau > 0):
+    if not (finite(tau) and tau > 0):
         raise ValueError("tau must be positive and finite")
     scales = _scales(kind.l, tau)
     if not (scales[2] > 0 and in_float_range(_deformed_identities(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import checked_count
+from . import checked_count, finite
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,7 @@ class EvolutionParams:
 
     def __post_init__(self) -> None:
         n_states = checked_count(self.n_states, "n_states", 2, "n_states must be an integer >= 2")
-        if not (math.isfinite(self.tau) and self.tau > 0):
+        if not (finite(self.tau) and self.tau > 0):
             raise ValueError("tau must be positive and finite")
         object.__setattr__(self, "n_states", n_states)
         object.__setattr__(self, "tau", float(self.tau))

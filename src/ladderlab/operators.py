@@ -138,13 +138,19 @@ class Bands:
     def commutator(self, other: "Bands") -> "Bands":
         """[self, other] = self @ other - other @ self, formed over the first product.
 
-        Both products are formed, then `_subtract_into` writes the second
-        off the first, diagonal by diagonal, and drops each diagonal of the
-        second once it is used.  So the commutator holds the two products
-        and no third set of vectors, and every entry is the same subtraction
-        as in self @ other - other @ self, bit for bit.
+        Both products are formed, then each diagonal of the second is
+        subtracted in place from the first's at its offset and dropped.  The
+        two products share their offsets (the pair of offsets (p, q) has
+        rows where (q, p) has them) and their dtype (that of all four
+        factors), so the commutator holds the two products and no third set
+        of vectors, and every entry is the same subtraction as in
+        self @ other - other @ self, bit for bit.
         """
-        return _subtract_into(self @ other, other @ self)
+        product, second = self @ other, (other @ self).diagonals
+        while second:
+            offset, values = second.popitem()
+            np.subtract(product.diagonals[offset], values, out=product.diagonals[offset])
+        return product
 
     def __add__(self, other: "Bands") -> "Bands":
         return self._merge(other, np.add)
@@ -178,30 +184,6 @@ class Bands:
         # within a row the columns ascend with the offsets, which are already sorted
         order = np.argsort(rows, kind="stable")
         return rows[order], cols[order], values[order]
-
-
-def _subtract_into(first: Bands, second: Bands) -> Bands:
-    """first - second, written over the diagonals of `first`; `second` is emptied.
-
-    Both must be Bands no one else reads, such as fresh products.  Each
-    diagonal of `second` is taken out of it, subtracted from the diagonal of
-    `first` at its offset in place, and dropped.  Where `first` has no
-    diagonal at that offset, or its dtype cannot hold the difference, the
-    difference is a new vector, np.subtract(0.0 or first's, second's), as
-    `-` forms it; so every entry and its dtype are those of first - second.
-    The two products of `Bands.commutator` share their dtype and their
-    offsets (the pair (p, q) has rows where (q, p) has them), so there
-    every diagonal is written in place.
-    """
-    diagonals = first.diagonals
-    for offset in list(second.diagonals):
-        values = second.diagonals.pop(offset)
-        target = diagonals.get(offset)
-        if target is not None and np.result_type(target, values) == target.dtype:
-            np.subtract(target, values, out=target)
-        else:
-            diagonals[offset] = np.subtract(0.0 if target is None else target, values)
-    return first
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,12 +15,13 @@ pairs, since floating point cannot decide the distinction.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from . import checked_count
+from . import checked_count, finite
 
 TWO_PI = 2.0 * math.pi
 
@@ -38,7 +39,7 @@ class CircleDynamics:
     q: Fraction | None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+        if not (finite(self.alpha) and finite(self.beta)):
             raise ValueError("alpha and beta must be finite")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
@@ -51,9 +52,12 @@ class CircleDynamics:
     def rational(cls, alpha: float, num: int, den: int, offset: float = 0.0) -> "CircleDynamics":
         """beta = alpha (num/den + offset), tagged with the exact ratio num/den at offset 0.
 
-        A nonzero offset declares the ratio irrational (q None).  den must be
-        nonzero, and the ratio, and alpha times it, within the float range.
+        A nonzero offset declares the ratio irrational (q None).  num and den
+        must be integers, den nonzero, and the ratio, and alpha times it,
+        within the float range.
         """
+        if not all(isinstance(v, numbers.Integral) for v in (num, den)):
+            raise ValueError(f"num and den must be integers, got {num!r} and {den!r}")
         if den == 0:
             raise ValueError("den must be nonzero")
         try:
@@ -63,10 +67,6 @@ class CircleDynamics:
         if math.isinf(beta):
             raise ValueError("the ratio, or alpha times it, is beyond the float range")
         return cls(float(alpha), beta, Fraction(num, den) if offset == 0.0 else None)
-
-    @classmethod
-    def irrational(cls, alpha: float, beta: float) -> "CircleDynamics":
-        return cls(alpha=float(alpha), beta=float(beta), q=None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,12 +168,16 @@ def touch_points(d: CircleDynamics, count: int) -> OrbitTrace:
     angles and points are computed for j = 1 .. min(count, period_steps) only,
     since theta_j depends on j through the periodic residue
     j (den - num) mod 2 den.  Irrational dynamics take the closed form of
-    `_rotations`, within 2 u 2 pi of the exact angle at every j.  The emitted
-    points are (cos theta_j, sin theta_j), which is what the continuous curve
-    evaluates to at t_j = j pi / alpha.  No array of times is formed: the
-    trace holds `count` and the step pi / alpha.
+    `_rotations`, within 2 u 2 pi of the exact angle at every j, so count is
+    at most `MAX_ROTATIONS`.  The emitted points are (cos theta_j, sin theta_j),
+    which is what the continuous curve evaluates to at t_j = j pi / alpha.
+    No array of times is formed: the trace holds `count` and the step
+    pi / alpha, and the last time count pi / alpha must be finite.
     """
-    count = checked_count(count, "count", 1)
+    count = checked_count(count, "count", 1, ceiling=MAX_ROTATIONS if d.q is None else math.inf)
+    if not math.isfinite(count * (math.pi / d.alpha)):
+        raise ValueError(f"alpha = {d.alpha!r} and count = {count}: the touch times j pi/alpha "
+                         "are beyond the float range")
     if d.q is not None:
         num, den = d.q.numerator, d.q.denominator
         if max(count * (den - num), 2 * den) >= 2**63:
@@ -217,11 +221,11 @@ def simulate_torus(
     `_rotations`.  Negative rates step the map backwards, which is how the
     inverse map is realized.
     """
-    steps = checked_count(steps, "steps", 1)
+    steps = checked_count(steps, "steps", 1, ceiling=MAX_ROTATIONS)
     if len(phi0) != 2:
         raise ValueError(f"phi0 needs two angles, got {len(phi0)}")
-    if not all(math.isfinite(v) for v in (alpha1, alpha2, *phi0)):
-        raise ValueError("rotation rates and start angles must be finite")
+    if not all(finite(v) for v in (alpha1, alpha2, *phi0)):
+        raise ValueError("alpha1, alpha2 and phi0 must be finite")
     angles = np.empty((2, steps)).T  # each coordinate contiguous
     _rotations(phi0[0], alpha1, steps, out=angles[:, 0])
     _rotations(phi0[1], alpha2, steps, out=angles[:, 1])
@@ -241,6 +245,13 @@ def density_metrics(angles: np.ndarray) -> tuple[float, float]:
 
     For an irrational rotation the gap shrinks without bound as steps grow
     (three-distance theorem); for a rational rotation it stalls at the orbit
-    spacing.  A single visited point reports the full circle, 2 pi.
+    spacing.  A single visited point reports the full circle, 2 pi.  Angles
+    that are not a (steps, 2) array of at least one row, each in [0, 2 pi],
+    are refused.
     """
+    angles = np.asarray(angles, dtype=float)
+    # a nan makes min or max nan, which no comparison passes
+    if not (angles.ndim == 2 and angles.shape[1] == 2 and len(angles)
+            and 0.0 <= angles.min() and angles.max() <= TWO_PI):
+        raise ValueError("angles must be a (steps, 2) array of angles in [0, 2 pi]")
     return tuple(float(np.max(circular_gaps(column))) for column in angles.T)

@@ -24,22 +24,22 @@ HI = i Gamma (A†B† - AB) = -2 Gamma L2, formed from the occupations and the
 ladders; the single-mode operators A, B are not constant-offset diagonals in
 this order and are not built.
 
-Truncation lives at the per-mode cutoff n_max: an "interior" of size b means
-the states with both occupations below b, which is where every identity holds
-exactly.  The finite conjugation e^{(pi/2) L1} L3 e^{-(pi/2) L1} is non-unitary
-and truncation-dominated, so the library does not form it (the tests' oracles
-hold it as a diagnostic); the infinitesimal relations [L1, L3] = -i L2 and
-[L1, [L1, L3]] = -L3, which integrate to it, are the checked form.
+Truncation lives at the per-mode cutoff n_max: the "interior" is the states
+with both occupations below n_max, which is where every identity holds
+exactly; `_sweep` masks it once per run.  The finite conjugation
+e^{(pi/2) L1} L3 e^{-(pi/2) L1} is non-unitary and truncation-dominated, so
+the library does not form it (the tests' oracles hold it as a diagnostic);
+the infinitesimal relations [L1, L3] = -i L2 and [L1, [L1, L3]] = -L3, which
+integrate to it, are the checked form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite
 
 import numpy as np
 
-from . import EXACT_INTEGER_CEILING, checked_count
+from . import EXACT_INTEGER_CEILING, checked_count, finite
 from .algebra import LadderRep, Su11, _cartesian, discrete_series_elements
 from .operators import Bands, Envelope, Identity, OperatorMatrix, evaluate, in_float_range
 
@@ -55,7 +55,7 @@ class DissipativeParams:
     Gamma: float
 
     def __post_init__(self) -> None:
-        if not (isfinite(self.Omega) and isfinite(self.Gamma)):
+        if not (finite(self.Omega) and finite(self.Gamma)):
             raise ValueError("Omega and Gamma must be finite")
         if self.Gamma <= 0:
             raise ValueError("Gamma must be positive")
@@ -99,25 +99,23 @@ def _ladders(n_a: np.ndarray, n_b: np.ndarray) -> tuple[Bands, Bands, Bands]:
 
 
 def _sweep(n_max: int, table, *args):
-    """The identities of `table(*args, n_max, n_A, n_B, L3, L+, L-)` over each run of whole sectors.
+    """The identities of `table(*args, n_A, n_B, keep, L3, L+, L-)` over each run of whole sectors.
 
     The runs tile the basis in order, each of as many whole sectors as
-    `RUN_STATES` holds, and at least one.  A table derives what it needs of
-    the occupations and drops them before its first identity, so one run's
-    operators and masks are all that is held.
+    `RUN_STATES` holds, and at least one.  `keep` masks the run's interior,
+    the states with both occupations below n_max, formed once per run.  A
+    table derives what it needs of the occupations and drops them before
+    its first identity, so one run's operators and masks are all that is
+    held.
     """
     n_max = _cutoff(n_max)
     step = max(1, RUN_STATES // (n_max + 1))  # a sector holds at most n_max + 1 states
     for first in range(-n_max, n_max + 1, step):
         n_a, n_b = _occupations(n_max, first, min(first + step, n_max + 1))
-        identities = table(*args, n_max, n_a, n_b, *_ladders(n_a, n_b))
-        del n_a, n_b
+        keep = (n_a < n_max) & (n_b < n_max)
+        identities = table(*args, n_a, n_b, keep, *_ladders(n_a, n_b))
+        del n_a, n_b, keep
         yield from identities
-
-
-def _interior_mask(n_a: np.ndarray, n_b: np.ndarray, bound: int) -> np.ndarray:
-    """The basis states with both occupations below `bound`, as a mask."""
-    return (n_a < bound) & (n_b < bound)
 
 
 def casimir_interior_residual(n_max: int) -> dict[str, float]:
@@ -130,9 +128,9 @@ def casimir_interior_residual(n_max: int) -> dict[str, float]:
     return evaluate(_sweep(n_max, _casimir_identities))
 
 
-def _casimir_identities(n_max, n_a, n_b, l3, lp, lm):
-    """The identity of `casimir_interior_residual`, read on the states below n_max."""
-    mode_form, keep = Bands.diag(0.25 * (n_a - n_b) ** 2), _interior_mask(n_a, n_b, n_max)
+def _casimir_identities(n_a, n_b, keep, l3, lp, lm):
+    """The identity of `casimir_interior_residual`, read on the interior `keep`."""
+    mode_form = Bands.diag(0.25 * (n_a - n_b) ** 2)
     del n_a, n_b
     yield Identity("casimir_interior", lambda: (
         0.25 * Bands.identity(l3.dim) + l3 @ l3 - 0.5 * (lp @ lm + lm @ lp) - mode_form), keep)
@@ -151,7 +149,7 @@ def sector_operators(n_max: int, j: float) -> LadderRep:
     """
     n_max = _cutoff(n_max)
     shift = 2 * j
-    if not (float(shift).is_integer() and abs(shift) <= n_max):
+    if not (finite(shift) and float(shift).is_integer() and abs(shift) <= n_max):
         raise ValueError(f"no sector with j = {j} at n_max {n_max} "
                          "(2j must be an integer with |2j| <= n_max)")
     n_a, n_b = _occupations(n_max, int(shift), int(shift) + 1)
@@ -174,14 +172,14 @@ def sector_match_residual(n_max: int) -> dict[str, float]:
     return evaluate(_sweep(n_max, _sector_match_identities))
 
 
-def _sector_match_identities(n_max, n_a, n_b, l3, lp, lm):
+def _sector_match_identities(n_a, n_b, keep, l3, lp, lm):
     """The three identities of `sector_match_residual`, one per ladder."""
     weight = np.abs((n_a - n_b) / 2.0) + 0.5
     level = np.minimum(n_a, n_b)
     diagonal, raising = discrete_series_elements(weight, level)
     raising_into = discrete_series_elements(weight, level - 1.0)[1]
-    lowering = np.where(_interior_mask(n_a, n_b, n_max), raising, 0.0)
-    del n_a, n_b, weight, level, raising
+    lowering = np.where(keep, raising, 0.0)
+    del n_a, n_b, keep, weight, level, raising
     yield Identity("sector_match", lambda: l3 - Bands(l3.dim, {0: diagonal}))
     yield Identity("sector_match", lambda: lp - Bands(lp.dim, {-1: raising_into}))
     yield Identity("sector_match", lambda: lm - Bands(lm.dim, {1: lowering}))
@@ -199,32 +197,31 @@ def dissipative_residuals(n_max: int, p: DissipativeParams) -> dict[str, float]:
     return evaluate(_sweep(n_max, _dissipative_run, p))
 
 
-def _dissipative_run(p: DissipativeParams, n_max, n_a, n_b, l3, lp, lm):
-    """`_dissipative_identities` over the ladders and the mode operators of one run."""
-    return _dissipative_identities(p, lp, lm, *_mode_operators(n_max, n_a, n_b))
+def _dissipative_run(p: DissipativeParams, n_a, n_b, keep, l3, lp, lm):
+    """`_dissipative_identities` over one run's ladders, mode operators and interior."""
+    return _dissipative_identities(p, lp, lm, *_mode_operators(n_a, n_b), keep)
 
 
 def dissipative_in_float_range(n_max: int, p: DissipativeParams) -> None:
     """Raise unless the dissipative checks at cutoff n_max stay in the float range.
 
     Their table runs over `_mode_envelopes`, at a cost that does not grow
-    with n_max, before anything is built.
+    with n_max, before anything is built; n_max is read as `_sweep` reads it.
     """
+    n_max = _cutoff(n_max)
     if not in_float_range(_dissipative_identities(p, *_mode_envelopes(n_max))):
         raise ValueError(f"Omega = {p.Omega!r} and Gamma = {p.Gamma!r} put the dissipative "
                          f"checks at n_max {n_max} beyond the float range")
 
 
-def _mode_operators(n_max: int, n_a: np.ndarray,
-                    n_b: np.ndarray) -> tuple[Bands, Bands, np.ndarray, np.ndarray]:
-    """What the dissipative table reads besides the ladders, from the occupations.
+def _mode_operators(n_a: np.ndarray, n_b: np.ndarray) -> tuple[Bands, Bands, np.ndarray]:
+    """What the dissipative table reads besides the ladders and the interior, from the occupations.
 
     A†A - B†B from sqrt(n_A)^2 - sqrt(n_B)^2, the Casimir root, and the
-    masks of j >= 0 and of the interior.
+    mask of j >= 0.
     """
     root_a, root_b = np.sqrt(n_a), np.sqrt(n_b)
-    return (Bands.diag(root_a * root_a - root_b * root_b), _casimir_root(n_a, n_b), n_a >= n_b,
-            _interior_mask(n_a, n_b, n_max))
+    return Bands.diag(root_a * root_a - root_b * root_b), _casimir_root(n_a, n_b), n_a >= n_b
 
 
 def _mode_envelopes(n_max: int) -> tuple[Envelope, ...]:
@@ -273,14 +270,13 @@ def l2_relation_check(n_max: int) -> dict[str, float]:
     return evaluate(_sweep(n_max, _l2_identities))
 
 
-def _l2_identities(n_max, n_a, n_b, l3, lp, lm):
+def _l2_identities(n_a, n_b, keep, l3, lp, lm):
     """The two identities of `l2_relation_check`, yielded one at a time.
 
     l2_commutator forms L1 and L2 from L+ and L- within its residual, L2 last,
     so neither is held past it; L2 has no other reader.  L1 is then formed
     again for l2_double_commutator, and L+ and L- are dropped.
     """
-    keep = _interior_mask(n_a, n_b, n_max)
     del n_a, n_b
     yield Identity("l2_commutator", lambda: (
         _cartesian(lp, lm)[0].commutator(l3) + 1j * _cartesian(lp, lm)[1]), keep)

@@ -105,6 +105,11 @@ class TwoModeSpace:
     def dim(self) -> int:
         return len(self.n_a)
 
+    @property
+    def interior(self) -> np.ndarray:
+        """The mask of the states with both occupations below n_max."""
+        return (self.n_a < self.n_max) & (self.n_b < self.n_max)
+
     def index(self, n_a: int, n_b: int) -> int:
         found = np.flatnonzero((self.n_a == n_a) & (self.n_b == n_b))
         if len(found) != 1:
@@ -129,7 +134,7 @@ def whole_run(table, space: TwoModeSpace, *args) -> dict[str, float]:
 
     A space whose operators a test has changed is read as it is, not rebuilt.
     """
-    return evaluate(table(*args, space.n_max, space.n_a, space.n_b, space.L3.bands,
+    return evaluate(table(*args, space.n_a, space.n_b, space.interior, space.L3.bands,
                           space.Lplus.bands, space.Lminus.bands))
 
 
@@ -411,7 +416,7 @@ def dissipative_hamiltonian(
     worst = float(np.max(list(residuals.values())))  # a nan stays nan
     if not worst <= tol:
         raise ValueError(f"dissipative Hamiltonian identities breached: {worst:.3e}")
-    h0 = p.Omega * twomode._mode_operators(space.n_max, space.n_a, space.n_b)[0]
+    h0 = p.Omega * twomode._mode_operators(space.n_a, space.n_b)[0]
     hi = 1j * p.Gamma * (space.Lplus.bands - space.Lminus.bands)
     return OperatorMatrix("H0", h0), OperatorMatrix("HI", hi)
 

@@ -162,7 +162,7 @@ def test_criterion_7_orbits():
     closure_ok = trace.period_steps == 7 and len(trace.angles) == 7
 
     # irrational two-circle ratio: no touch angle revisited over 1e4 steps
-    irr = CircleDynamics.irrational(1.0, 5.0 / 3.0 + math.pi / 40.0)
+    irr = CircleDynamics(1.0, 5.0 / 3.0 + math.pi / 40.0, None)
     angles = np.sort(touch_points(irr, 10**4).angles)
     min_gap = float(
         min(np.min(np.diff(angles)), angles[0] + TWO_PI - angles[-1])

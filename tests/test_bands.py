@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from ladderlab.operators import Bands, Envelope, OperatorMatrix, _subtract_into, max_entry
+from ladderlab.operators import Bands, Envelope, OperatorMatrix, max_entry
 import oracles
 from oracles import csr, dense, from_dense
 
@@ -213,21 +213,6 @@ def test_commutator_matches_both_products_and_their_difference(pair):
         assert list(x.diagonals) == list(copies)
         assert all(np.array_equal(x.diagonals[offset], values, equal_nan=True)
                    for offset, values in copies.items())
-
-
-def test_subtract_into_writes_over_a_fitting_diagonal_and_forms_the_others():
-    # offset 0 fits (complex minus float), offset 1 is absent from the first
-    # and offset -1 is real in the first and complex in the second
-    first = Bands(3, {0: np.array([1 + 2j, -0.0, 3j]), -1: np.array([0.0, 2.0, -1.0])})
-    second = Bands(3, {0: np.array([0.0, 0.0, 1.0]), 1: np.array([1j, -0.0, 0.0]),
-                       -1: np.array([0.0, 1j, 0.0])})
-    want = Bands(3, {k: v.copy() for k, v in first.diagonals.items()}) - Bands(
-        3, {k: v.copy() for k, v in second.diagonals.items()})
-    written = first.diagonals[0]
-    got = _subtract_into(first, second)
-    assert got is first and got.diagonals[0] is written
-    assert second.diagonals == {}
-    assert_same_bits(got, want)
 
 
 @settings(max_examples=100, deadline=None)

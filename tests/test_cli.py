@@ -1136,9 +1136,34 @@ class TestReach:
     # peak, so its peak at nmax 1600 is within RUN_GROWTH_BOUND of that at
     # nmax 400; each evolve bound leaves about 20% headroom, below the 57 B per
     # state of the scan, and the contract --identities bound 10%, below the
-    # 23.2 MB of the two products and their difference
+    # 23.2 MB of the two products and their difference.
+    #
+    # Memory laws, each read at two sizes a factor of 4 apart, so a change of
+    # law (a quadratic build, a whole-space build, a trace of every touch
+    # where one period is enough) fails where one bound at one size would
+    # pass it.  Peaks measured on x86-64 (Intel Xeon, 2 cores) with CPython
+    # 3.11.7 and numpy 2.4.6, after the warm-up of `_traced`, at the 15 625 and
+    # 62 500 steps or touches of ORBIT_SIZES: orbit --torus --ratio golden 0.63
+    # and 2.50 MB, 40.2 and 40.0 B per step (the angles, their sorted column
+    # and its gaps); --two-circle --q-num 3 --q-den 7 --q-irr-add 0.01 0.75 and
+    # 3.00 MB, 48.2 and 48.1 B per touch; --thooft-N 0.88 and 3.50 MB, 56.1 and
+    # 56.0 B per touch; and the closed --two-circle --q-num 5 --q-den 13, whose
+    # trace holds one period, 0.103 MB at both.  At 250 000 the rates are the
+    # same, 40.0, 48.0 and 56.0 B, and the closed orbit 0.105 MB; the smaller
+    # pair keeps these tests near 2 s, as tracemalloc slows the row writing
+    # about ninefold.  The su(2) sweep peaks at 0.013 MB for both --params
+    # 50,1e5,1e6,4e6 and 200,4e5,4e6,1.6e7, and schwinger --sector 0 --dump
+    # at 178 B per state at nmax 790 (0.141 MB) and 146 B per state at nmax
+    # 3160 (0.460 MB).  Each per-size bound leaves about 20% headroom over the
+    # larger of its two rates, and a peak that should not grow with size is
+    # held to RUN_GROWTH_BOUND of its peak at the smaller size.
     RUN_PEAK_BOUND = 20e6
     RUN_GROWTH_BOUND = 1.25
+    ORBIT_SIZES = (15_625, 62_500)
+    TORUS_BYTES_PER_STEP = 48
+    IRRATIONAL_BYTES_PER_TOUCH = 58
+    THOOFT_BYTES_PER_TOUCH = 68
+    DUMP_BYTES_PER_STATE = 215
     IDENTITIES_PEAK_BOUND = 23e6
     DUMP_PEAK_BOUND = 1e6
     DUMP_3161_PEAK_BOUND = 1e6
@@ -1212,6 +1237,16 @@ class TestReach:
         assert header == list(cli.ELEMENT_COLUMNS) and len(rows) == size + 2 * (size - 1)
         assert peak < bound, f"tracemalloc peak {peak / 1e6:.2f} MB"
 
+    def test_sector_dump_bytes_per_state(self, tmp_path, capsys):
+        # sector 0 holds nmax + 1 states: 791 and 3161, 4 times as many
+        for nmax in (790, 3160):
+            code, _, peak = self._traced(
+                ["schwinger", "--nmax", str(nmax), "--sector", "0", "--dump"],
+                ["schwinger", "--nmax", "2", "--sector", "0", "--dump"], tmp_path, capsys)
+            assert code == 0
+            assert peak < self.DUMP_BYTES_PER_STATE * (nmax + 1), (
+                f"{peak / (nmax + 1):.0f} B per state at nmax {nmax}")
+
     def test_sector_dump_nmax_800(self, tmp_path, capsys):
         self._dump("800", "3", 795, self.DUMP_PEAK_BOUND, tmp_path, capsys)
 
@@ -1258,3 +1293,35 @@ class TestReach:
         assert len(rows) == 4 * 4
         assert abs(float(checks["fitted_slope"]) + 1.0) < 1e-6
         assert peak < self.SU2_SWEEP_PEAK_BOUND, f"tracemalloc peak {peak / 1e6:.1f} MB"
+        # every label 4 times larger: the sweep builds only the levels it tabulates
+        code, _, larger = self._traced(
+            ["contract", "--family", "su2", "--params", "200,4e5,4e6,1.6e7"],
+            ["contract", "--family", "su2", "--params", "5,10,20"], tmp_path, capsys)
+        assert code == 0
+        assert larger < self.RUN_GROWTH_BOUND * peak, (
+            f"tracemalloc peaks {peak / 1e6:.3f} and {larger / 1e6:.3f} MB")
+
+    def _orbit_peaks(self, argv, tmp_path, capsys):
+        """The tracemalloc peak of `argv` plus --steps or --thooft-N at each of ORBIT_SIZES."""
+        peaks = []
+        for size in self.ORBIT_SIZES:
+            code, _, peak = self._traced([*argv, str(size)], [*argv, "10"], tmp_path, capsys)
+            assert code == 0
+            peaks.append(peak)
+        return peaks
+
+    @pytest.mark.parametrize("argv, bound", [
+        (["orbit", "--torus", "--ratio", "golden", "--steps"], TORUS_BYTES_PER_STEP),
+        (["orbit", "--two-circle", "--q-num", "3", "--q-den", "7", "--q-irr-add", "0.01",
+          "--steps"], IRRATIONAL_BYTES_PER_TOUCH),
+        (["orbit", "--thooft-N"], THOOFT_BYTES_PER_TOUCH),
+    ], ids=["torus", "two-circle-irrational", "thooft"])
+    def test_orbit_bytes_per_touch(self, argv, bound, tmp_path, capsys):
+        for size, peak in zip(self.ORBIT_SIZES, self._orbit_peaks(argv, tmp_path, capsys)):
+            assert peak < bound * size, f"{peak / size:.1f} B per touch at {size}"
+
+    def test_closed_orbit_holds_one_period(self, tmp_path, capsys):
+        smaller, larger = self._orbit_peaks(
+            ["orbit", "--two-circle", "--q-num", "5", "--q-den", "13", "--steps"], tmp_path, capsys)
+        assert larger < self.RUN_GROWTH_BOUND * smaller, (
+            f"tracemalloc peaks {smaller / 1e6:.3f} and {larger / 1e6:.3f} MB")

@@ -34,9 +34,9 @@ class TestCircleDynamics:
 
     def test_positive_frequencies(self):
         with pytest.raises(ValueError):
-            CircleDynamics.irrational(-1.0, 2.0)
+            CircleDynamics(-1.0, 2.0, None)
         with pytest.raises(ValueError):
-            CircleDynamics.irrational(1.0, 0.0)
+            CircleDynamics(1.0, 0.0, None)
 
 
 class TestContinuousPosition:
@@ -58,7 +58,7 @@ class TestContinuousPosition:
 
 class TestTouchPoints:
     def test_radius_invariant(self):
-        d = CircleDynamics.irrational(1.3, 1.3 * (5 / 3 + math.pi / 40))
+        d = CircleDynamics(1.3, 1.3 * (5 / 3 + math.pi / 40), None)
         trace = touch_points(d, 500)
         radii = trace.points[:, 0] ** 2 + trace.points[:, 1] ** 2
         assert np.max(np.abs(radii - 1.0)) < 1e-12
@@ -96,7 +96,7 @@ class TestTouchPoints:
 
     def test_irrational_never_closes(self):
         # exhaustive scan: no touch angle returns to 0 within 1e-9 over 1e4 steps
-        d = CircleDynamics.irrational(1.0, 5 / 3 + math.pi / 40)
+        d = CircleDynamics(1.0, 5 / 3 + math.pi / 40, None)
         trace = touch_points(d, 10**4)
         distance_to_zero = np.minimum(trace.angles, TWO_PI - trace.angles)
         assert trace.period_steps is None
@@ -133,7 +133,7 @@ class TestTouchPoints:
         assert np.array_equal(times, np.arange(1, count + 1) * (math.pi / 2.0))
 
     def test_irrational_orbit_stores_every_touch(self):
-        trace = touch_points(CircleDynamics.irrational(1.0, 5 / 13 + 0.01), 300)
+        trace = touch_points(CircleDynamics(1.0, 5 / 13 + 0.01, None), 300)
         assert trace.angles.shape == (300,) and trace.points.shape == (300, 2)
 
     def test_closed_orbit_reach(self):
@@ -342,7 +342,7 @@ class TestRotationLoop:
         2.0 + 1e-12,  # a step just below -pi
     ])
     def test_touch_angles_match_itemwise_loop(self, beta):
-        d = CircleDynamics.irrational(1.0, beta)
+        d = CircleDynamics(1.0, beta, None)
         trace = touch_points(d, 5000)
         delta = (1.0 - d.beta / d.alpha) * math.pi
         assert_within_loop_drift(trace.angles, itemwise_touch_angles(d, 5000), delta)
@@ -402,7 +402,7 @@ class TestRotationOracle:
         angles = simulate_torus(0.31 * 2.0, -1.7 * 2.0, 300, (0.2, 5.1))
         assert worst_error(angles[:, 0], 0.2, 0.31 * 2.0, range(1, 301)) <= 2
         assert worst_error(angles[:, 1], 5.1, -1.7 * 2.0, range(1, 301)) <= 2
-        d = CircleDynamics.irrational(1.0, 3 / 7 + 0.01)
+        d = CircleDynamics(1.0, 3 / 7 + 0.01, None)
         delta = (1.0 - d.beta / d.alpha) * math.pi
         assert worst_error(touch_points(d, 300).angles, 0.0, delta, range(1, 301)) <= 2
 
@@ -438,4 +438,4 @@ def test_overflowing_rotation_rate_is_rejected():
     with pytest.raises(ValueError, match="finite"):
         simulate_torus(1e200 * 1e200, 1.0, 3)
     with pytest.raises(ValueError, match="finite"):
-        touch_points(CircleDynamics.irrational(1e-300, 1e8), 3)
+        touch_points(CircleDynamics(1e-300, 1e8, None), 3)

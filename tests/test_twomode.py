@@ -371,9 +371,9 @@ class TestRotationRelation:
 
     def test_full_space_double_commutator_contaminated(self):
         # the cutoff's top states break the double commutator, so the check
-        # reads only the interior; the bound n_max + 1 reads every state
+        # reads only the interior; no mask reads every state
         space = build_two_mode(20)
-        full = evaluate(twomode._l2_identities(21, space.n_a, space.n_b, space.L3.bands,
+        full = evaluate(twomode._l2_identities(space.n_a, space.n_b, None, space.L3.bands,
                                                space.Lplus.bands, space.Lminus.bands))
         assert full["l2_double_commutator"] > 1.0
 
@@ -527,8 +527,8 @@ def test_raising_wrappers_refuse_a_nan_residual(monkeypatch):
        exponent=st.floats(-100.0, 150.0))
 def test_envelopes_bound_every_operator_the_dissipative_table_forms(n_max, omega, exponent):
     space, p = build_two_mode(n_max), DissipativeParams(omega, 10.0**exponent)
-    *operators, upper, keep = twomode._mode_operators(n_max, space.n_a, space.n_b)
+    *operators, upper = twomode._mode_operators(space.n_a, space.n_b)
     bounded = map(Bounded, (space.Lplus.bands, space.Lminus.bands, *operators),
                   twomode._mode_envelopes(n_max))
-    for identity in twomode._dissipative_identities(p, *bounded, upper, keep):
+    for identity in twomode._dissipative_identities(p, *bounded, upper, space.interior):
         identity.residual()

@@ -1,7 +1,9 @@
 """Parameter dataclasses and orbit builders reject non-finite input."""
 
 import math
+import re
 
+import numpy as np
 import pytest
 
 from ladderlab import (
@@ -12,9 +14,12 @@ from ladderlab import (
     build_su11_rep,
     casimir_interior_residual,
     check_algebra_relations,
+    density_metrics,
     dissipative_residuals,
+    holstein_primakoff,
     l2_relation_check,
     run_contraction_study,
+    scaled_ladders,
     sector_operators,
     simulate_torus,
     thooft_system,
@@ -60,9 +65,9 @@ def test_dissipative_omega_and_gamma(value):
 @pytest.mark.parametrize("value", NON_FINITE)
 def test_circle_frequencies(value):
     with pytest.raises(ValueError, match="finite"):
-        CircleDynamics.irrational(value, 1.0)
+        CircleDynamics(value, 1.0, None)
     with pytest.raises(ValueError, match="finite"):
-        CircleDynamics.irrational(1.0, value)
+        CircleDynamics(1.0, value, None)
 
 
 @pytest.mark.parametrize("value", NON_FINITE)
@@ -191,3 +196,73 @@ def test_a_whole_float_count_is_read_as_its_integer():
     assert build_h1_rep(3.0).dim == 3
     assert EvolutionParams(8.0, 1.0).n_states == 8
     assert touch_points(thooft_system(7.0), 7.0).count == 7
+
+
+# Found by the property test over the public surface (`test_surface.py`): an
+# int past the float range once raised OverflowError ("int too large to convert
+# to float") wherever a real parameter is read.  Each is now not finite, as
+# `checked_count` reads it, and refused with its site's own text.
+HUGE = 10**400
+
+
+@pytest.mark.parametrize("call, text", [
+    (lambda: EvolutionParams(4, HUGE), "tau must be positive and finite"),
+    (lambda: DissipativeParams(HUGE, 1.0), "Omega and Gamma must be finite"),
+    (lambda: simulate_torus(HUGE, 2.0, 3), "alpha1, alpha2 and phi0 must be finite"),
+    (lambda: simulate_torus(1.0, 2.0, 3, phi0=(HUGE, 0.0)),
+     "alpha1, alpha2 and phi0 must be finite"),
+    (lambda: build_su2_rep(HUGE), f"l must be a half-integer >= 1/2 with 2l finite, got {HUGE}"),
+    (lambda: build_su11_rep(HUGE, 4),
+     f"k must be a half-integer >= 1/2 with 2k finite, got {HUGE}"),
+    (lambda: run_contraction_study("su11", [0.5, HUGE], 3), "params must be finite"),
+    (lambda: sector_operators(4, HUGE), f"no sector with j = {HUGE} at n_max 4"),
+    (lambda: deformed_identity_residuals(build_su2_rep(1.5), HUGE),
+     "tau must be positive and finite"),
+    (lambda: relations_in_float_range(Su11(3.0), HUGE), "dim must be a finite integer"),
+    (lambda: dissipative_in_float_range(HUGE, DissipativeParams(1.0, 1.0)),
+     "n_max must be a finite integer"),
+], ids=["evolution-tau", "dissipative-omega", "torus-rate", "torus-phi0", "su2-l", "su11-k",
+        "contraction-params", "sector-j", "identities-tau", "relations-dim", "dissipative-n-max"])
+def test_an_int_past_the_float_range_is_not_finite(call, text):
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}"):
+        call()
+
+
+# density_metrics once raised numpy's AxisError on a vector, a RuntimeWarning
+# on infinite angles, and returned (nan, nan) on nan ones
+@pytest.mark.parametrize("angles", [
+    np.full((3, 2), np.inf), np.full((3, 2), np.nan), np.zeros(3), np.zeros((0, 2)),
+    np.zeros((2, 3)), np.array([[1e308, -1e308], [0.0, 1.0]]),
+], ids=["inf", "nan", "vector", "no-steps", "three-columns", "off-the-circle"])
+def test_density_metrics_refuses_what_are_not_torus_angles(angles):
+    with pytest.raises(ValueError, match=r"^angles must be a \(steps, 2\) array"):
+        density_metrics(angles)
+
+
+# Each of these once raised TypeError or a numpy error, warned, returned a
+# non-finite float, or refused in words that named none of its arguments.
+@pytest.mark.parametrize("call, text", [
+    (lambda: CircleDynamics.rational(1.0, 0.5, 7), "num and den must be integers, got 0.5 and 7"),
+    (lambda: CircleDynamics.rational(1.0, 3, 7.0), "num and den must be integers, got 3 and 7.0"),
+    (lambda: simulate_torus(1.0, 2.0, 1e308), "steps must be <= 10000000"),
+    (lambda: simulate_torus(1.0, 2.0, 2**53 + 1), "steps must be <= 10000000"),
+    (lambda: simulate_torus(math.nan, 2.0, 3), "alpha1, alpha2 and phi0 must be finite"),
+    (lambda: touch_points(CircleDynamics(1.0, 0.3, None), 1e30), "count must be <= 10000000"),
+    (lambda: touch_points(CircleDynamics.rational(5e-324, 5, 7), 2),
+     "alpha = 5e-324 and count = 2: the touch times j pi/alpha are beyond the float range"),
+    (lambda: relations_in_float_range(Su11(1.0), 0.5), "dim must be a finite integer, got 0.5"),
+    (lambda: run_contraction_study("su11", [1000.0], 1e30), f"interior must be <= {2**53 - 1}"),
+    (lambda: run_contraction_study("su2", [], 3), "params must not be empty"),
+    (lambda: holstein_primakoff(build_h1_rep(3)), "rep must be the k = 1/2 discrete series"),
+    (lambda: scaled_ladders(build_h1_rep(3)), "rep is an oscillator ladder"),
+], ids=["ratio-num", "ratio-den", "torus-steps-huge", "torus-steps-past-the-edge",
+        "torus-rate-named", "touch-count", "touch-times", "relations-dim-sqrt",
+        "contraction-interior-huge", "contraction-empty", "hp-kind", "scale-oscillator"])
+def test_a_refusal_names_its_argument(call, text):
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}"):
+        call()
+
+
+def test_a_rational_count_past_the_rotation_ceiling_is_read():
+    # a closed orbit holds one period, so its count has no rotation ceiling
+    assert touch_points(thooft_system(7), 10**8).count == 10**8
