@@ -24,15 +24,15 @@ from . import EXACT_INTEGER_CEILING, checked_count, finite
 from .operators import Bands, Envelope, Identity, OperatorMatrix, evaluate, in_float_range
 
 
-def _validate_half_integer(value: float, minimum: float, name: str) -> float:
-    shown = "1/2" if minimum == 0.5 else str(minimum)
+def _validate_half_integer(value: float, name: str) -> float:
+    """`value` as a float, if it is a half-integer >= 1/2 whose double is finite."""
     doubled = 2.0 * value if finite(value) else math.inf
     if not math.isfinite(doubled):
-        raise ValueError(f"{name} must be a half-integer >= {shown} with 2{name} finite, "
+        raise ValueError(f"{name} must be a half-integer >= 1/2 with 2{name} finite, "
                          f"got {value!r}")
     value = float(value)
-    if doubled != round(doubled) or value < minimum:
-        raise ValueError(f"{name} must be a half-integer >= {shown}")
+    if doubled != round(doubled) or value < 0.5:
+        raise ValueError(f"{name} must be a half-integer >= 1/2")
     return value
 
 
@@ -43,7 +43,7 @@ class Su2:
     l: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "l", _validate_half_integer(self.l, 0.5, "l"))
+        object.__setattr__(self, "l", _validate_half_integer(self.l, "l"))
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ class Su11:
     k: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "k", _validate_half_integer(self.k, 0.5, "k"))
+        object.__setattr__(self, "k", _validate_half_integer(self.k, "k"))
 
 
 @dataclass(frozen=True)

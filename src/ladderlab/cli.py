@@ -361,10 +361,12 @@ def cmd_orbit(args) -> CommandResult:
     from .orbits import (
         CircleDynamics,
         circular_gaps,
+        continuous_position,
         density_metrics,
         simulate_torus,
         thooft_system,
         touch_points,
+        touch_time_step,
     )
     from .writer import Arange, CommandResult
 
@@ -381,10 +383,7 @@ def cmd_orbit(args) -> CommandResult:
             checks={"max_gap_1": gap1, "max_gap_2": gap2},
         )
 
-    last_time = count * (math.pi / args.alpha)
-    if not math.isfinite(last_time):
-        raise ValueError(f"--alpha {args.alpha!r} / {flag} {count}: the touch times "
-                         "j pi/alpha are beyond the float range")
+    step = _flagged(f"--alpha {args.alpha!r} / {flag} {count}", touch_time_step, args.alpha, count)
     if args.thooft_n is not None:
         dynamics = thooft_system(args.thooft_n, alpha=args.alpha)
         trace = touch_points(dynamics, args.thooft_n)
@@ -393,10 +392,10 @@ def cmd_orbit(args) -> CommandResult:
         flags = "--q-num / --q-den" if offset == 0.0 else "--q-num / --q-den / --q-irr-add"
         dynamics = _flagged(flags, CircleDynamics.rational, args.alpha, args.q_num, args.q_den,
                             offset)
-        # the curve runs to the last touch time; a 't Hooft system has beta < alpha
-        if args.curve_samples > 0 and not math.isfinite(abs(dynamics.beta) * last_time):
-            raise ValueError("--alpha / --q-num / --q-den / --q-irr-add / --steps: the curve "
-                             "phase beta t is beyond the float range")
+        # the curve runs to the last touch time; a 't Hooft system, and any rational
+        # ratio, has beta < alpha, so only an irrational one can reach past the range
+        if args.curve_samples > 0:
+            _flagged(f"--alpha / {flags} / --steps", continuous_position, dynamics, count * step)
         # a rational q beyond the int64 angles, or an irrational touch angle
         # step (1 - beta/alpha) pi beyond the float range
         flags = ("--q-num / --q-den / --steps" if dynamics.q is not None

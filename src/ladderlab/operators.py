@@ -113,7 +113,9 @@ class Bands:
         (AB)[i, i + p + q] collects A[i, i + p] B[i + p, i + p + q] over the
         pairs of offsets (p, q), on the rows where both factors exist; each
         entry starts at zero and adds its terms in ascending p, the order of
-        the inner index.
+        the inner index.  Every pair forms its diagonal, also one with no
+        such rows, so the offsets of A B are the sums p + q, as in
+        `Envelope.__matmul__`.
         """
         self._require_dim(other)
         dtype = np.result_type(float, *self.diagonals.values(), *other.diagonals.values())
@@ -121,8 +123,6 @@ class Bands:
         for p, a in sorted(self.diagonals.items()):
             for q, b in other.diagonals.items():
                 rows = _rows(self.dim, p, p + q)
-                if rows.start == rows.stop:
-                    continue
                 if p + q not in product:
                     product[p + q] = np.zeros(self.dim, dtype=dtype)
                 product[p + q][rows] += _times(a[rows], _at(b, rows, p))
@@ -140,10 +140,11 @@ class Bands:
 
         Both products are formed, then each diagonal of the second is
         subtracted in place from the first's at its offset and dropped.  The
-        two products share their offsets (the pair of offsets (p, q) has
-        rows where (q, p) has them) and their dtype (that of all four
-        factors), so the commutator holds the two products and no third set
-        of vectors, and every entry is the same subtraction as in
+        two products share their offsets, since every pair of offsets forms
+        its diagonal whether or not it has rows, so (p, q) and (q, p) both
+        form p + q; and they share their dtype, that of all four factors.  So
+        the commutator holds the two products and no third set of vectors,
+        and every entry is the same subtraction as in
         self @ other - other @ self, bit for bit.
         """
         product, second = self @ other, (other @ self).diagonals
@@ -188,33 +189,31 @@ class Bands:
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """A labeled complex square matrix held as its nonzero diagonals.
+    """A labeled complex square matrix held as its diagonals.
 
-    `bands` must be a `Bands`; it is stored without its all-zero diagonals,
-    and values keep a float dtype when they are real.  Entries must be
-    finite.
+    `bands` must be a `Bands` of dimension at least 1, and is held as it is
+    given, all-zero diagonals included (`Bands.nonzero` leaves zero entries
+    out); values keep a float dtype when they are real.  Every entry must
+    be finite, the modulus of a complex one too, so `max_entry` of the
+    bands is finite.
     """
 
     label: str
     bands: Bands
 
     def __post_init__(self) -> None:
-        source = self.bands
-        if not isinstance(source, Bands):
+        bands = self.bands
+        if not isinstance(bands, Bands):
             raise ValueError(f"{self.label!r}: a square matrix is given as a Bands, "
-                             f"not a {type(source).__name__}")
-        dim, diagonals = source.dim, source.diagonals
-        if any(values.shape != (dim,) for values in diagonals.values()):
-            raise ValueError(f"{self.label!r}: every diagonal needs {dim} values")
-        if dim < 1:
+                             f"not a {type(bands).__name__}")
+        if any(values.shape != (bands.dim,) for values in bands.diagonals.values()):
+            raise ValueError(f"{self.label!r}: every diagonal needs {bands.dim} values")
+        if bands.dim < 1:
             raise ValueError(f"{self.label!r}: dimension must be at least 1")
-        kept = {}
-        for offset, values in diagonals.items():
-            if not np.all(np.isfinite(values)):
-                raise ValueError(f"{self.label!r}: entries must be finite")
-            if values.any():
-                kept[offset] = values
-        object.__setattr__(self, "bands", Bands(dim, kept))
+        # the modulus of a complex entry can overflow where both its parts are finite
+        if not all(np.isfinite(np.abs(values) if values.dtype.kind == "c" else values).all()
+                   for values in bands.diagonals.values()):
+            raise ValueError(f"{self.label!r}: entries must be finite")
 
     @property
     def dim(self) -> int:

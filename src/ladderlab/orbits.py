@@ -91,9 +91,15 @@ class OrbitTrace:
 def continuous_position(d: CircleDynamics, t):
     """Underlying continuous curve (cos(at) cos(bt), -cos(at) sin(bt)).
 
-    Accepts a scalar or an array of times.
+    Accepts a scalar or an array of times.  The curve phases alpha t and
+    beta t must be in the float range at every time, the one statement of
+    that rule: a time that is not finite, or one at which a phase
+    overflows, is refused.
     """
     t = np.asarray(t, dtype=float)
+    for name, rate in (("alpha", d.alpha), ("beta", d.beta)):
+        if not math.isfinite(rate * float(np.max(np.abs(t), initial=0.0))):
+            raise ValueError(f"the curve phase {name} t is beyond the float range")
     envelope = np.cos(d.alpha * t)
     return envelope * np.cos(d.beta * t), -envelope * np.sin(d.beta * t)
 
@@ -106,15 +112,18 @@ def _split(value: float) -> tuple[float, float]:
 
 
 TWO_PI_HI, TWO_PI_LO = _split(TWO_PI)
-# Largest count of `_rotations`: it keeps |j lo - k TWO_PI_LO| below 1.2, which
-# the error bound needs (any count below 1.49e7 would do).
+# Largest count of `_rotations`, to which its callers `touch_points` and
+# `simulate_torus` hold their counts: it keeps |j lo - k TWO_PI_LO| below 1.2,
+# which the error bound needs (any count below 1.49e7 would do).
 MAX_ROTATIONS = 10**7
 
 
 def _rotations(angle: float, step: float, count: int, out: np.ndarray | None = None) -> np.ndarray:
     """The angles (angle + j step) mod 2 pi for j = 1 .. count, into `out` if given.
 
-    A closed form, so no error builds up along the orbit.  With
+    `count` must be at most `MAX_ROTATIONS`, which each caller's
+    `checked_count` has already held it to.  A closed form, so no error
+    builds up along the orbit.  With
     a = fmod(angle, 2 pi), hi + lo = fmod(step, 2 pi) and
     TWO_PI_HI + TWO_PI_LO = TWO_PI (`_split`), and k = floor((j hi + a) / 2 pi),
 
@@ -136,8 +145,6 @@ def _rotations(angle: float, step: float, count: int, out: np.ndarray | None = N
     """
     if not (math.isfinite(angle) and math.isfinite(step)):
         raise ValueError(f"rotation step and start angle must be finite, got {step!r} and {angle!r}")
-    if count > MAX_ROTATIONS:
-        raise ValueError(f"at most {MAX_ROTATIONS} rotations, got {count}")
     start = math.fmod(angle, TWO_PI)
     hi, lo = _split(math.fmod(step, TWO_PI))
     if out is None:
@@ -159,6 +166,16 @@ def _rotations(angle: float, step: float, count: int, out: np.ndarray | None = N
     return np.subtract(x, k, out=out)
 
 
+def touch_time_step(alpha: float, count: int) -> float:
+    """pi/alpha, the time between touches, if the last touch time count pi/alpha is finite.
+
+    The one statement of that rule, for a positive `alpha` and a checked `count`.
+    """
+    if not math.isfinite(count * (math.pi / alpha)):
+        raise ValueError("the touch times j pi/alpha are beyond the float range")
+    return math.pi / alpha
+
+
 def touch_points(d: CircleDynamics, count: int) -> OrbitTrace:
     """The first `count` touches of the unit circle, j = 1 .. count.
 
@@ -172,12 +189,11 @@ def touch_points(d: CircleDynamics, count: int) -> OrbitTrace:
     at most `MAX_ROTATIONS`.  The emitted points are (cos theta_j, sin theta_j),
     which is what the continuous curve evaluates to at t_j = j pi / alpha.
     No array of times is formed: the trace holds `count` and the step
-    pi / alpha, and the last time count pi / alpha must be finite.
+    pi / alpha, and the last time count pi / alpha must be finite
+    (`touch_time_step`).
     """
     count = checked_count(count, "count", 1, ceiling=MAX_ROTATIONS if d.q is None else math.inf)
-    if not math.isfinite(count * (math.pi / d.alpha)):
-        raise ValueError(f"alpha = {d.alpha!r} and count = {count}: the touch times j pi/alpha "
-                         "are beyond the float range")
+    time_step = touch_time_step(d.alpha, count)
     if d.q is not None:
         num, den = d.q.numerator, d.q.denominator
         if max(count * (den - num), 2 * den) >= 2**63:
@@ -195,7 +211,7 @@ def touch_points(d: CircleDynamics, count: int) -> OrbitTrace:
         period = None
     points = np.column_stack([np.cos(angles), np.sin(angles)])
     return OrbitTrace(points=points, angles=angles, period_steps=period, count=count,
-                      time_step=math.pi / d.alpha)
+                      time_step=time_step)
 
 
 def thooft_system(n_sites: int, alpha: float = 1.0) -> CircleDynamics:

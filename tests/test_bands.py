@@ -114,8 +114,8 @@ def test_views(a):
     assert np.array_equal(rows, want_rows)
     assert np.array_equal(cols, want_cols)
     assert np.array_equal(values.astype(complex), m[want_rows, want_cols])
-    # all-zero diagonals are dropped on construction
-    assert all(values.any() for values in op.bands.diagonals.values())
+    # the Bands it is given is held as it is, all-zero diagonals included
+    assert op.bands is a
 
 
 @settings(max_examples=100, deadline=None)
@@ -213,6 +213,25 @@ def test_commutator_matches_both_products_and_their_difference(pair):
         assert list(x.diagonals) == list(copies)
         assert all(np.array_equal(x.diagonals[offset], values, equal_nan=True)
                    for offset, values in copies.items())
+
+
+# L+ and L- of a one-state two-mode sector are all-zero diagonals at +-1, past
+# the matrix, and at dim 2 the pair of offsets (1, 1) has no rows: every pair
+# forms its diagonal all the same, so a product holds each sum of offsets
+@pytest.mark.parametrize("a", [
+    Bands(1, {-1: np.zeros(1), 1: np.zeros(1)}),
+    Bands(2, {0: np.array([1.0, -3.0]), 1: np.array([2.0, 0.0])}),
+], ids=["one-state-ladders", "dim-2-raising"])
+def test_a_pair_of_offsets_with_no_rows_forms_its_diagonal(a):
+    b = a.adjoint()
+    for x, y in ((a, a), (a, b), (b, a)):
+        dx, dy = dense(x), dense(y)
+        product = x @ y
+        assert sorted(product.diagonals) == sorted({p + q for p in x.diagonals
+                                                    for q in y.diagonals})
+        assert np.array_equal(dense(product), dense_product(dx, dy))
+        assert np.array_equal(dense(x.commutator(y)),
+                              dense_product(dx, dy) - dense_product(dy, dx))
 
 
 @settings(max_examples=100, deadline=None)

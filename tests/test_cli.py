@@ -1134,8 +1134,7 @@ class TestReach:
     # numpy 2.4, each after the warm-up of `_traced`.  Every schwinger check
     # holds one run of whole sectors, under RUN_PEAK_BOUND, about twice its
     # peak, so its peak at nmax 1600 is within RUN_GROWTH_BOUND of that at
-    # nmax 400; each evolve bound leaves about 20% headroom, below the 57 B per
-    # state of the scan, and the contract --identities bound 10%, below the
+    # nmax 400; the contract --identities bound leaves 10% headroom, below the
     # 23.2 MB of the two products and their difference.
     #
     # Memory laws, each read at two sizes a factor of 4 apart, so a change of
@@ -1154,9 +1153,11 @@ class TestReach:
     # about ninefold.  The su(2) sweep peaks at 0.013 MB for both --params
     # 50,1e5,1e6,4e6 and 200,4e5,4e6,1.6e7, and schwinger --sector 0 --dump
     # at 178 B per state at nmax 790 (0.141 MB) and 146 B per state at nmax
-    # 3160 (0.460 MB).  Each per-size bound leaves about 20% headroom over the
-    # larger of its two rates, and a peak that should not grow with size is
-    # held to RUN_GROWTH_BOUND of its peak at the smaller size.
+    # 3160 (0.460 MB); evolve at N = 2^18 and 2^20, 8.39 and 33.56 MB, 32.0 B
+    # per state at both (below the 57 B per state of the scan).  Each
+    # per-size bound leaves about 20% headroom over the larger of its two
+    # rates, and a peak that should not grow with size is held to
+    # RUN_GROWTH_BOUND of its peak at the smaller size.
     RUN_PEAK_BOUND = 20e6
     RUN_GROWTH_BOUND = 1.25
     ORBIT_SIZES = (15_625, 62_500)
@@ -1167,8 +1168,7 @@ class TestReach:
     IDENTITIES_PEAK_BOUND = 23e6
     DUMP_PEAK_BOUND = 1e6
     DUMP_3161_PEAK_BOUND = 1e6
-    EVOLVE_PEAK_BOUND = 10e6
-    EVOLVE_2_20_PEAK_BOUND = 40e6
+    EVOLVE_BYTES_PER_STATE = 38
     SU2_SWEEP_PEAK_BOUND = 1e6
 
     @staticmethod
@@ -1266,7 +1266,7 @@ class TestReach:
                                                  "hamiltonian_decomposition"]
         assert peak < self.IDENTITIES_PEAK_BOUND, f"tracemalloc peak {peak / 1e6:.1f} MB"
 
-    def _evolve(self, n, bound, tmp_path, capsys):
+    def _evolve(self, n, tmp_path, capsys):
         # --tolerance 1e-6: at these N the rounding of the phase passes the fixed
         # 1e-12 default, a false breach (ROADMAP open item 1)
         code, out, peak = self._traced(["evolve", "--N", str(n), "--tolerance", "1e-6"],
@@ -1276,13 +1276,13 @@ class TestReach:
         assert header == ["n", "energy"] and len(rows) == n
         omega = float(checks["omega"])
         assert [float(rows[i]["energy"]) for i in (0, n - 1)] == [0.5 * omega, (n - 0.5) * omega]
-        assert peak < bound, f"tracemalloc peak {peak / 1e6:.1f} MB"
+        assert peak < self.EVOLVE_BYTES_PER_STATE * n, f"{peak / n:.1f} B per state at N = {n}"
 
     def test_evolve_n_2_18(self, tmp_path, capsys):
-        self._evolve(2**18, self.EVOLVE_PEAK_BOUND, tmp_path, capsys)
+        self._evolve(2**18, tmp_path, capsys)
 
     def test_evolve_n_2_20(self, tmp_path, capsys):
-        self._evolve(2**20, self.EVOLVE_2_20_PEAK_BOUND, tmp_path, capsys)
+        self._evolve(2**20, tmp_path, capsys)
 
     def test_su2_sweep_to_l_4e6(self, tmp_path, capsys):
         code, out, peak = self._traced(

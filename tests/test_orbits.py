@@ -419,10 +419,6 @@ class TestRotationOracle:
         with pytest.raises(ValueError, match="finite"):
             orbits._rotations(angle, step, 3)
 
-    def test_count_limit(self):
-        with pytest.raises(ValueError, match=f"at most {orbits.MAX_ROTATIONS} rotations"):
-            orbits._rotations(0.0, 1.0, orbits.MAX_ROTATIONS + 1)
-
     def test_split_halves_are_exact_and_short(self):
         for value in (TWO_PI, GOLDEN, -2.5, 1e-9, math.nextafter(math.pi, 0.0)):
             hi, lo = orbits._split(value)

@@ -1,14 +1,16 @@
 """Every public call returns finite values, or refuses with a ValueError naming an argument.
 
-One property over the names of `ladderlab.__all__` and the three float-range
-guards: a call returns, or raises `ValueError` whose text names one of its
-arguments (or a field of one); it never raises anything else, such as
-`TypeError`, `OverflowError` or a numpy error, and never warns; and every
-float it returns is finite, except a nan its docstring states.
+One property over the names of `ladderlab.__all__`, the three float-range
+guards, the ratio builder and the continuous orbit curve: a call returns,
+or raises `ValueError` whose text names one of its arguments (or a field
+of one); it never raises anything else, such as `TypeError`,
+`OverflowError` or a numpy error, and never warns; and every float it
+returns is finite, except a nan its docstring states.
 
 Numbers come from one pool: typical values, the boundaries, signed zeros,
 subnormals, +-1e308, nan, +-inf, integers past the float range and
-non-integer floats.  Reps, dynamics, parameters, operators and masks are
+non-integer floats; an operator's entries are real, or complex with both
+parts from the pool.  Reps, dynamics, parameters, operators and masks are
 built by the library's own builders at small sizes.  A size is drawn from
 the pool less its valid sizes above 4, so every size is small or one the
 library must refuse before it allocates anything.
@@ -29,7 +31,7 @@ import ladderlab
 from ladderlab.algebra import Su2, Su11, relations_in_float_range
 from ladderlab.contraction import deformed_identities_in_float_range
 from ladderlab.operators import Bands
-from ladderlab.orbits import CircleDynamics
+from ladderlab.orbits import CircleDynamics, continuous_position
 from ladderlab.twomode import dissipative_in_float_range
 
 POOL = (0, 1, 2, 3, 7, -1, 0.5, 1.5, 2.5, 0.3, -2.5, math.pi, 1e3,
@@ -76,10 +78,17 @@ def dissipation(pick):
     return built(pick, ladderlab.DissipativeParams, POOL, POOL)
 
 
+def diagonal(pick):
+    """A diagonal of one to three entries, real or complex, each part from FLOATS."""
+    count = pick((1, 2, 3))
+    if pick((True, False)):
+        return Bands.diag([pick(FLOATS) for _ in range(count)])
+    return Bands.diag([complex(pick(FLOATS), pick(FLOATS)) for _ in range(count)])
+
+
 def operator(pick):
-    values = [pick(FLOATS) for _ in range(pick((1, 2, 3)))]
     try:
-        return ladderlab.OperatorMatrix("M", Bands.diag(values))
+        return ladderlab.OperatorMatrix("M", diagonal(pick))
     except ValueError:
         reject()
 
@@ -98,6 +107,13 @@ def angles(pick):
         return ladderlab.simulate_torus(pick(FINITE_FLOATS), pick(FINITE_FLOATS), pick((1, 2, 3)))
     shape = pick(((3, 2), (1, 2), (0, 2), (3,), (2, 3), (1, 2, 2)))
     return np.array([pick(FLOATS) for _ in range(math.prod(shape))]).reshape(shape)
+
+
+def times(pick):
+    """One time, or a list of zero to three."""
+    if pick((True, False)):
+        return pick(FLOATS)
+    return [pick(FLOATS) for _ in range(pick((0, 1, 2, 3)))]
 
 
 def bands_and_mask(pick):
@@ -120,8 +136,7 @@ CALLS = {
     ladderlab.EvolutionParams: lambda pick: (pick(POOL), pick(POOL)),
     ladderlab.spectrum_via_dft: lambda pick: (evolution(pick),),
     ladderlab.geometric_phase_check: lambda pick: (evolution(pick),),
-    ladderlab.OperatorMatrix: lambda pick: (
-        "M", Bands.diag([pick(FLOATS) for _ in range(pick((1, 2, 3)))])),
+    ladderlab.OperatorMatrix: lambda pick: ("M", diagonal(pick)),
     ladderlab.Identity: lambda pick: ("residual", lambda: Bands.identity(2), mask(pick, 2)),
     ladderlab.evaluate: lambda pick: ([identity(pick) for _ in range(pick((0, 1, 2)))],),
     ladderlab.max_entry: bands_and_mask,
@@ -130,6 +145,7 @@ CALLS = {
         pick(POOL), pick(POOL), pick(SIZES), tuple(pick(POOL) for _ in range(pick((0, 2, 3))))),
     ladderlab.thooft_system: lambda pick: (pick(POOL), pick(POOL)),
     ladderlab.touch_points: lambda pick: (dynamics(pick), pick(SIZES)),
+    continuous_position: lambda pick: (dynamics(pick), times(pick)),
     ladderlab.DissipativeParams: lambda pick: (pick(POOL), pick(POOL)),
     ladderlab.casimir_interior_residual: lambda pick: (pick(SIZES),),
     ladderlab.sector_match_residual: lambda pick: (pick(SIZES),),

@@ -9,6 +9,7 @@ import pytest
 from ladderlab import (
     DissipativeParams,
     EvolutionParams,
+    OperatorMatrix,
     build_h1_rep,
     build_su2_rep,
     build_su11_rep,
@@ -27,7 +28,8 @@ from ladderlab import (
 )
 from ladderlab.algebra import Su11, relations_in_float_range
 from ladderlab.contraction import deformed_identities_in_float_range, deformed_identity_residuals
-from ladderlab.orbits import CircleDynamics
+from ladderlab.operators import Bands
+from ladderlab.orbits import CircleDynamics, continuous_position
 from ladderlab.twomode import dissipative_in_float_range
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
@@ -249,14 +251,27 @@ def test_density_metrics_refuses_what_are_not_torus_angles(angles):
     (lambda: simulate_torus(math.nan, 2.0, 3), "alpha1, alpha2 and phi0 must be finite"),
     (lambda: touch_points(CircleDynamics(1.0, 0.3, None), 1e30), "count must be <= 10000000"),
     (lambda: touch_points(CircleDynamics.rational(5e-324, 5, 7), 2),
-     "alpha = 5e-324 and count = 2: the touch times j pi/alpha are beyond the float range"),
+     "the touch times j pi/alpha are beyond the float range"),
+    (lambda: continuous_position(CircleDynamics.rational(1.0, 1, 1, 1e307),
+                                 np.linspace(0, 10 * np.pi, 3)),
+     "the curve phase beta t is beyond the float range"),
+    (lambda: continuous_position(CircleDynamics(1e308, 0.5, None), 10.0),
+     "the curve phase alpha t is beyond the float range"),
+    (lambda: continuous_position(CircleDynamics(1.0, 0.5, None), [0.0, np.nan]),
+     "the curve phase alpha t is beyond the float range"),
+    (lambda: OperatorMatrix("M", Bands.diag(np.array([1.7e308 + 1.7e308j]))),
+     "'M': entries must be finite"),
+    (lambda: deformed_identity_residuals(build_su2_rep(3), 1e-300),
+     "l = 3.0 at tau 1e-300 puts the identity checks beyond the float range"),
     (lambda: relations_in_float_range(Su11(1.0), 0.5), "dim must be a finite integer, got 0.5"),
     (lambda: run_contraction_study("su11", [1000.0], 1e30), f"interior must be <= {2**53 - 1}"),
     (lambda: run_contraction_study("su2", [], 3), "params must not be empty"),
     (lambda: holstein_primakoff(build_h1_rep(3)), "rep must be the k = 1/2 discrete series"),
     (lambda: scaled_ladders(build_h1_rep(3)), "rep is an oscillator ladder"),
 ], ids=["ratio-num", "ratio-den", "torus-steps-huge", "torus-steps-past-the-edge",
-        "torus-rate-named", "touch-count", "touch-times", "relations-dim-sqrt",
+        "torus-rate-named", "touch-count", "touch-times", "curve-phase-beta",
+        "curve-phase-alpha", "curve-time-nan", "complex-modulus", "identities-tiny-tau",
+        "relations-dim-sqrt",
         "contraction-interior-huge", "contraction-empty", "hp-kind", "scale-oscillator"])
 def test_a_refusal_names_its_argument(call, text):
     with pytest.raises(ValueError, match=f"^{re.escape(text)}"):
