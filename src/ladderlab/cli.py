@@ -10,9 +10,10 @@ byte-identical files.  Exit codes: 0 success, 2 invalid configuration,
 
 The module imports only the standard library.  Each command imports the
 library names it calls, and the writer (`ladderlab.writer`), when it runs;
-the writer imports numpy and orjson where it uses them.  So a start that
-stops at the parse or at a refusal before the command loads neither numpy,
-the writer nor any other module of the package.
+the writer imports numpy, which the library has loaded by then, and orjson
+on its first numeric cell.  So a start that stops at the parse or at a
+refusal before the command loads neither numpy, the writer nor any other
+module of the package.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ TOOL = "ladderlab"
 GOLDEN_ROTATION = math.pi * (math.sqrt(5.0) - 1.0)  # 2*pi*(sqrt(5)-1)/2
 # Largest row count of an output or an operator, checked at parse time before
 # any array is allocated: --steps, --thooft-N, --curve-samples, evolve --N and
-# each --dim directly, and the dimension 2l + 1 of --l and (nmax + 1)^2 of --nmax.
+# each --dim directly, and the dimension 2l + 1 of --l and (nmax + 1)^2 of --nmax;
+# and the len(params) * (n + 1) rows of a contract --family sweep, before it runs.
 MAX_ROWS = 10**7
 ELEMENT_COLUMNS = ("operator", "row", "col", "re", "im")
 
@@ -247,6 +249,10 @@ def cmd_contract(args) -> CommandResult:
         )
 
     params = _finite_list("--params", args.params)
+    rows = len(params) * (args.n + 1)
+    if rows > MAX_ROWS:
+        raise ValueError(f"--params / --n: the sweep writes {len(params)} x {args.n + 1} = "
+                         f"{rows} rows, at most {MAX_ROWS}")
     report = _flagged("--params / --n", run_contraction_study, args.family, params, args.n + 1)
     sweep, levels = len(report.params), report.interior
     return CommandResult(

@@ -4,7 +4,8 @@ A `CommandResult` holds a command's columns as row groups, and
 `write_output` writes its manifest, its checks and its rows, a block of
 rows at a time.  The CLI imports this module when a command runs, so a
 start that stops at the parse or at a refusal before the command loads
-none of it; numpy and orjson are imported where they are used.
+none of it.  By then the command has loaded numpy through the library;
+orjson is imported on the first numeric cell.
 """
 
 from __future__ import annotations
@@ -15,13 +16,11 @@ import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+
+import numpy as np
 
 from . import __version__
 from .cli import TOOL
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # Rows per block in `write_output`: the writer holds one block of formatted
 # text beyond the result's columns, so its memory does not grow with the row count.
@@ -61,8 +60,6 @@ class Arange:
     """
 
     def __init__(self, first: int, length: int, scale: float | None = None) -> None:
-        import numpy as np
-
         self.first, self.length, self.scale = first, length, scale
         self.dtype = np.dtype(int if scale is None else float)
 
@@ -70,8 +67,6 @@ class Arange:
         return self.length
 
     def __getitem__(self, key: slice) -> np.ndarray:
-        import numpy as np
-
         start, stop, step = key.indices(self.length)
         if self.scale is None:
             return np.arange(self.first + start, self.first + stop, step)
@@ -92,8 +87,10 @@ def _group_length(group: tuple, width: int) -> int:
 class CommandResult:
     """Named columns, stored as row groups written one after the other.
 
-    Each group holds one column per name, all of one length; a column is a
-    numpy array, a sequence of Python values, a `Periodic` or an `Arange`.
+    Each group holds one column per name, all of one length.  A column is a
+    native 1-D float64 or int64 array, an `Arange`, a `Periodic` of one
+    label, one float or a float64 period, or a list of a few str or float
+    cells: the writer formats no other shape.
     `gated` holds the values `main` holds to `--tolerance`.
     """
 
@@ -125,32 +122,19 @@ def _json_safe(value):
     return value
 
 
-def _float64(values: np.ndarray) -> np.ndarray:
-    """A float array as float64, the type orjson spells as `repr`; any other array as it is."""
-    return values.astype("float64", copy=False) if values.dtype.kind == "f" else values
-
-
 def _numeric_cells(values: np.ndarray, fmt: str, plain: bool = False) -> list[str]:
-    """The cells of a float or integer array as `fmt` writes them, in one `orjson.dumps` call.
+    """The cells of a non-empty native float64 or int64 array as `fmt` writes them, in one dump.
 
     orjson writes the shortest round-trip digits of a float64 (Ryu), the
     same digits as `repr`, and spells them as `repr` does wherever `repr`
     uses fixed notation (`_fixed_notation`).  An array the caller knows is
-    `plain`, with no other float, is dumped as it is, floats as float64
-    first, since orjson prints a float32 with float32's own shortest digits.
-    Any other array is dumped as its `_spelled` list, and the quotes orjson
-    puts around each spelled float are deleted.
+    `plain`, with no other float, is dumped as it is.  Any other array is
+    dumped as its `_spelled` list, and the quotes orjson puts around each
+    spelled float are deleted.
     """
-    import numpy as np
     import orjson  # on first use: a CLI start that only parses pays nothing
 
-    if not len(values):
-        return []
     if plain:
-        values = _float64(values)
-        if not values.dtype.isnative:
-            # orjson reads the array's memory in native byte order
-            values = values.astype(values.dtype.newbyteorder("="))
         text = orjson.dumps(np.ascontiguousarray(values), option=orjson.OPT_SERIALIZE_NUMPY)
     else:
         text = orjson.dumps(_spelled(values, fmt)).replace(b'"', b"")
@@ -158,8 +142,8 @@ def _numeric_cells(values: np.ndarray, fmt: str, plain: bool = False) -> list[st
 
 
 def _fixed_notation(values: np.ndarray) -> np.ndarray:
-    """Where orjson spells a float as `repr` does, read as float64: 1e-4 <= |x| < 1e16, and zero."""
-    magnitude = abs(_float64(values))
+    """Where orjson spells a float as `repr` does: 1e-4 <= |x| < 1e16, and zero."""
+    magnitude = abs(values)
     return ((magnitude >= 1e-4) & (magnitude < 1e16)) | (values == 0)
 
 
@@ -172,8 +156,6 @@ def _spelled(values: np.ndarray, fmt: str) -> list:
     `Infinity`, `-Infinity`).  This is the one place the writer spells a
     float of an array or `Arange` itself.
     """
-    import numpy as np
-
     cells = values.tolist()
     if values.dtype.kind == "f":
         spell = repr if fmt == "csv" else lambda value: json.dumps(_json_safe(value))
@@ -185,16 +167,14 @@ def _spelled(values: np.ndarray, fmt: str) -> list:
 def _cells(values, fmt: str) -> list[str]:
     """The formatted cells of a column slice or period, a numpy array or a sequence.
 
-    An integer or float array is formatted whole by `_numeric_cells`.  Any
-    other slice is formatted a cell at a time: by `_fmt` for CSV, and for
+    An integer or float array is formatted whole by `_numeric_cells`.  A
+    sequence is formatted a cell at a time: by `_fmt` for CSV, and for
     JSON as `json.dumps` writes it after `_json_safe`, which writes NaN as
-    null.  No long column is such a slice: the longest list a command
+    null.  No long column is such a sequence: the longest list a command
     builds has nine cells.
     """
     if _numeric_column(values):
         return _numeric_cells(values, fmt)
-    if hasattr(values, "tolist"):
-        values = values.tolist()
     if fmt == "csv":
         return list(map(_fmt, values))
     return [json.dumps(_json_safe(value)) for value in values]
@@ -224,8 +204,6 @@ def _folded_text(column) -> str | None:
 
 def _numeric_column(column) -> bool:
     """Whether a column is an integer or float array or `Arange`, or a `Periodic` run of one."""
-    import numpy as np
-
     values = column.values if isinstance(column, Periodic) else column
     return isinstance(values, (np.ndarray, Arange)) and values.dtype.kind in "iuf"
 
@@ -259,8 +237,6 @@ def _non_plain_blocks(column, length: int) -> bytes:
     does not spell it as `repr`.  A float column is checked PLAIN_SCAN_ROWS
     rows at a time; an integer column has no such cell.
     """
-    import numpy as np
-
     blocks = np.zeros(-(-length // WRITE_BLOCK_ROWS), dtype=bool)
     if column.dtype.kind == "f":
         for start in range(0, length, PLAIN_SCAN_ROWS):
@@ -296,7 +272,6 @@ def _row_dumper(group: tuple):
     middle = group[lead is not None:len(group) - (trail is not None)]
     if not middle or not all(map(_numeric_column, middle)):
         return None
-    import numpy as np
     import orjson
 
     numbers = [_number_lists(column, len(group[0])) for column in middle]
@@ -371,7 +346,9 @@ def _column_path(group: tuple, pieces: list[str], fmt: str, length: int):
     over that period, or over the group if that is shorter.  Any other
     column ends the run.  Each block then slices those texts, formats the
     other columns' cells (`_array_cells`), and joins the row from both with
-    `_join_rows`.
+    `_join_rows`.  Every group a command builds has a column that is an
+    array, a list or a `Periodic` of more than one value, so every row has
+    cells of its own to join.
     """
     texts: list = []  # in row order: a text for every row, or a function (start, stop) -> texts
     run: list[list[str]] = [[pieces[0]]]  # the current run, each part one period of its texts
@@ -406,9 +383,6 @@ def _column_path(group: tuple, pieces: list[str], fmt: str, length: int):
         else:
             slots.append(text)
             joined_pieces.append("")
-    if not slots:  # every run has period 1: each row is the same text
-        row, joined_pieces = joined_pieces[0], ["", ""]
-        slots.append(lambda start, stop: [row] * (stop - start))
     return lambda start, stop: _join_rows(joined_pieces, [cells(start, stop) for cells in slots])
 
 

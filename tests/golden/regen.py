@@ -331,6 +331,9 @@ REFUSALS = [
     ["orbit", "--torus", "--rot1", "1"],
     ["orbit", "--torus", "--rot2", "2"],
     ["orbit", "--two-circle", "--alpha", "1e-308", "--steps", "10000000"],
+    # a sweep of len(params) * (n + 1) rows just past MAX_ROWS
+    ["contract", "--family", "su2", "--params", "5,10", "--n", "5000000"],
+    ["contract", "--family", "su11", "--params", "5", "--n", "10000000"],
 ]
 
 

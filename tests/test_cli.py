@@ -167,6 +167,30 @@ class TestContract:
                           capsys)
         assert "--params" in err and "finite" in err
 
+    # each count is within its own cap, but the sweep writes len(params) * (n + 1) rows
+    @pytest.mark.parametrize("argv", [
+        ["contract", "--family", "su2", "--params", "5,10", "--n", "5000000"],
+        ["contract", "--family", "su11", "--params", "5", "--n", "10000000"],
+    ])
+    def test_sweep_past_max_rows_exits_2(self, argv, tmp_path, capsys, monkeypatch):
+        for builder in ("algebra.build_su2_rep", "algebra.build_su11_rep",
+                        "contraction.run_contraction_study"):
+            monkeypatch.setattr(f"ladderlab.{builder}", refuse_build)
+        err = run_refused(argv, tmp_path, capsys)
+        assert err.startswith("ladderlab: --params / --n: ")
+        assert err.endswith(f" rows, at most {cli.MAX_ROWS}\n")
+
+    def test_sweep_of_max_rows_reaches_the_study(self, tmp_path, capsys, monkeypatch):
+        def reached(family, params, interior):
+            assert len(params) * interior == cli.MAX_ROWS
+            raise ValueError("reached")
+
+        monkeypatch.setattr("ladderlab.contraction.run_contraction_study", reached)
+        code, out, captured = run_cli(["contract", "--family", "su2", "--params", "5,10",
+                                       "--n", "4999999"], tmp_path, capsys)
+        assert code == 2 and not out.exists()
+        assert captured.err == "ladderlab: --params / --n: reached\n"
+
 
 class TestEvolve:
     def test_n7(self, tmp_path, capsys):
