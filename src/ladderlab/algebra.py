@@ -164,9 +164,14 @@ def build_h1_rep(dim: int) -> LadderRep:
     return _ladder_rep(Heisenberg(), np.arange(dim, dtype=float) + 0.5, np.sqrt(n + 1.0))
 
 
-def _cartesian(lp, lm):
-    """L1 = (L+ + L-)/2 and L2 = (L+ - L-)/(2i), over `Bands` or `Envelope`s."""
-    return (lp + lm) / 2.0, (lp - lm) / 2.0j
+def _l1(lp, lm):
+    """L1 = (L+ + L-)/2, over `Bands` or `Envelope`s."""
+    return (lp + lm) / 2.0
+
+
+def _l2(lp, lm):
+    """L2 = (L+ - L-)/(2i), over `Bands` or `Envelope`s; over real `Bands`, flagged imaginary."""
+    return (lp - lm) / 2.0j
 
 
 def check_algebra_relations(rep: LadderRep, interior: int) -> dict[str, float]:

@@ -22,7 +22,8 @@ from .algebra import (
     LadderRep,
     Su2,
     Su11,
-    _cartesian,
+    _l1,
+    _l2,
     _ladder_envelopes,
     _leading_su2,
     build_su11_rep,
@@ -210,8 +211,7 @@ def _deformed_operators(l: float, scales, l3, lp, lm, one) -> tuple:
     m = -l .. l onto n + 1/2, the cyclic-evolution energy ladder.
     """
     alpha, beta, omega = scales
-    l1, l2 = _cartesian(lp, lm)
-    return alpha * l1, beta * l2, omega * (l3 + (l + 0.5) * one)
+    return alpha * _l1(lp, lm), beta * _l2(lp, lm), omega * (l3 + (l + 0.5) * one)
 
 
 def _deformed_identities(l: float, tau: float, scales, l3, lp, lm, one) -> list[Identity]:

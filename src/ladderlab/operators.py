@@ -14,9 +14,29 @@ Each entry of a product is the sum of its terms in ascending order of the
 inner index, as in a row-major sparse product, and scalar division multiplies
 by the reciprocal, as scipy's sparse arrays do; so the values match
 compressed sparse row (CSR) arithmetic entry for entry.
-A commutator, `Bands.commutator`, holds its two products and no third
-set of vectors: it writes the difference over the first product's
-diagonals and drops each diagonal of the second once it is subtracted.
+A commutator, `Bands.commutator`, and an anticommutator,
+`Bands.anticommutator`, hold their first product and one diagonal of the
+second: each forms the second product one offset at a time, combines it
+into the first product's diagonal in place and drops it before the next.
+
+Every complex operator the lab forms is i times a real one (the two-mode
+L2 and HI, the deformed p and [x, p]), so a `Bands` may hold i M as the
+real diagonals of M with its `imaginary` flag set, 8 B per entry where
+complex values take 16.  The arithmetic keeps the flag where the complex
+values would be i times real ones: a product of two flagged operators is
+their real product negated in place, with the flag off; a sum or
+difference of two flagged operators stays flagged; a scalar with zero
+real part flips the flag and scales by its imaginary part; `adjoint`
+negates.  Each flagged entry is then the one real operation that the
+complex path performs on its nonzero part, whose other part is exactly
+zero, and round-to-nearest is symmetric under negation; so every nonzero
+part is the same bits as in complex values, and only the sign of a zero
+part can differ, which |entry| never reads.  `max_entry` reads |values|
+as they are stored; `nonzero` and `diagonal` give complex values; and a
+flagged operator beside an unflagged one in a sum, or beside complex
+values in a product, or scaled by a complex number with a nonzero real
+part, is taken in complex values first: the complex path, unchanged.
+
 The band store is the only form an operator takes here: no function of the
 module accepts or returns a dense matrix.  Every gated identity is an
 `Identity` record, and `evaluate` reduces each to its max-entry residual.
@@ -73,22 +93,33 @@ def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return product
 
 
+def _i_times(values: np.ndarray) -> np.ndarray:
+    """i times a real vector, as complex values with real part +0."""
+    product = np.zeros(len(values), dtype=complex)
+    product.imag = values
+    return product
+
+
 class Bands:
     """A square matrix as its diagonals: {offset: values}, values[i] = M[i, i + offset].
 
     Each `values` is a float or complex vector of length `dim`, zero where
     i + offset falls outside 0 .. dim-1; an absent offset is an all-zero
-    diagonal.  Arithmetic (`@` with a Bands, `+`, `-`, `commutator`, and `*`
-    or `/` by a scalar) returns a new Bands and may share vectors with its
-    inputs, so treat every Bands as read-only.  `commutator` writes only
-    over the vectors of the product it forms itself.
+    diagonal.  With `imaginary` set, the values are real and the matrix is
+    i times them; the constructor leaves it off, and only the arithmetic
+    sets it (see the module docstring).  Arithmetic (`@` with a Bands,
+    `+`, `-`, `commutator`, `anticommutator`, and `*` or `/` by a scalar)
+    returns a new Bands and may share vectors with its inputs, so treat
+    every Bands as read-only.  `commutator` and `anticommutator` write only
+    over the vectors of the product they form themselves.
     """
 
-    __slots__ = ("dim", "diagonals")
+    __slots__ = ("dim", "diagonals", "imaginary")
 
     def __init__(self, dim: int, diagonals: dict[int, np.ndarray]) -> None:
         self.dim = dim
         self.diagonals = diagonals
+        self.imaginary = False
 
     @classmethod
     def diag(cls, values) -> "Bands":
@@ -99,13 +130,45 @@ class Bands:
     def identity(cls, dim: int) -> "Bands":
         return cls(dim, {0: np.ones(dim)})
 
+    def _phased(self, imaginary: bool) -> "Bands":
+        """This Bands, just formed by the arithmetic, with its flag set to `imaginary`."""
+        self.imaginary = imaginary
+        return self
+
+    def _real(self) -> bool:
+        return all(values.dtype.kind != "c" for values in self.diagonals.values())
+
+    def _complex(self) -> "Bands":
+        """The same matrix with its flag off: i times each real vector, as complex values."""
+        if not self.imaginary:
+            return self
+        return Bands(self.dim, {offset: _i_times(values)
+                                for offset, values in self.diagonals.items()})
+
     def diagonal(self) -> np.ndarray:
         """The main diagonal, M[i, i]."""
-        return self.diagonals.get(0, np.zeros(self.dim))
+        return self._complex().diagonals.get(0, np.zeros(self.dim))
 
     def _require_dim(self, other: "Bands") -> None:
         if other.dim != self.dim:
             raise ValueError(f"dimension mismatch: {self.dim} and {other.dim}")
+
+    def _factors(self, other: "Bands") -> tuple["Bands", "Bands", np.dtype]:
+        """self and other as their product takes them, and the dtype of that product.
+
+        Real-stored factors are taken as stored; a flagged factor beside
+        complex values is taken in complex values.
+        """
+        self._require_dim(other)
+        a, b = self, other
+        if (a.imaginary or b.imaginary) and not (a._real() and b._real()):
+            a, b = a._complex(), b._complex()
+        return a, b, np.result_type(float, *a.diagonals.values(), *b.diagonals.values())
+
+    def _add_term(self, values: np.ndarray, other: "Bands", p: int, offset: int) -> None:
+        """Add the term of self's offset p to `values`, the diagonal `offset` of self @ other."""
+        rows = _rows(self.dim, p, offset)
+        values[rows] += _times(self.diagonals[p][rows], _at(other.diagonals[offset - p], rows, p))
 
     def __matmul__(self, other: "Bands") -> "Bands":
         """Matrix product with another Bands of the same dimension.
@@ -115,43 +178,62 @@ class Bands:
         entry starts at zero and adds its terms in ascending p, the order of
         the inner index.  Every pair forms its diagonal, also one with no
         such rows, so the offsets of A B are the sums p + q, as in
-        `Envelope.__matmul__`.
+        `Envelope.__matmul__`.  The product of two flagged factors, i v
+        times i w, is the product of v and w negated in place.
         """
-        self._require_dim(other)
-        dtype = np.result_type(float, *self.diagonals.values(), *other.diagonals.values())
+        a, b, dtype = self._factors(other)
         product = {}
-        for p, a in sorted(self.diagonals.items()):
-            for q, b in other.diagonals.items():
-                rows = _rows(self.dim, p, p + q)
+        for p in sorted(a.diagonals):
+            for q in b.diagonals:
                 if p + q not in product:
-                    product[p + q] = np.zeros(self.dim, dtype=dtype)
-                product[p + q][rows] += _times(a[rows], _at(b, rows, p))
-        return Bands(self.dim, product)
+                    product[p + q] = np.zeros(a.dim, dtype=dtype)
+                a._add_term(product[p + q], b, p, p + q)
+        if a.imaginary and b.imaginary:
+            for values in product.values():
+                np.negative(values, out=values)
+        return Bands(a.dim, product)._phased(a.imaginary != b.imaginary)
+
+    def _with_reversed(self, other: "Bands", op) -> "Bands":
+        """op(self @ other, other @ self), formed over the first product.
+
+        The second product is formed one offset at a time, with the terms of
+        `__matmul__` in the same order, and each is combined in place into
+        the first's diagonal and dropped before the next.  The two products
+        share their offsets, since every pair of offsets forms its diagonal
+        whether or not it has rows, so (p, q) and (q, p) both form p + q;
+        and they share their dtype and flag.  So the result holds the first
+        product and one diagonal of the second, and every entry is the one
+        operation of op(self @ other, other @ self), bit for bit.
+        """
+        product = self @ other
+        b, a, dtype = other._factors(self)
+        firsts = sorted(b.diagonals)
+        for offset, values in product.diagonals.items():
+            second = np.zeros(a.dim, dtype=dtype)
+            for q in firsts:
+                if offset - q in a.diagonals:
+                    b._add_term(second, a, q, offset)
+            if a.imaginary and b.imaginary:
+                np.negative(second, out=second)
+            op(values, second, out=values)
+        return product
+
+    def commutator(self, other: "Bands") -> "Bands":
+        """[self, other] = self @ other - other @ self (`_with_reversed`)."""
+        return self._with_reversed(other, np.subtract)
+
+    def anticommutator(self, other: "Bands") -> "Bands":
+        """self @ other + other @ self (`_with_reversed`)."""
+        return self._with_reversed(other, np.add)
 
     def _merge(self, other: "Bands", op) -> "Bands":
         self._require_dim(other)
-        merged = dict(self.diagonals)
-        for offset, values in other.diagonals.items():
+        a, b = (self, other) if self.imaginary == other.imaginary else (
+            self._complex(), other._complex())
+        merged = dict(a.diagonals)
+        for offset, values in b.diagonals.items():
             merged[offset] = op(merged[offset] if offset in merged else 0.0, values)
-        return Bands(self.dim, merged)
-
-    def commutator(self, other: "Bands") -> "Bands":
-        """[self, other] = self @ other - other @ self, formed over the first product.
-
-        Both products are formed, then each diagonal of the second is
-        subtracted in place from the first's at its offset and dropped.  The
-        two products share their offsets, since every pair of offsets forms
-        its diagonal whether or not it has rows, so (p, q) and (q, p) both
-        form p + q; and they share their dtype, that of all four factors.  So
-        the commutator holds the two products and no third set of vectors,
-        and every entry is the same subtraction as in
-        self @ other - other @ self, bit for bit.
-        """
-        product, second = self @ other, (other @ self).diagonals
-        while second:
-            offset, values = second.popitem()
-            np.subtract(product.diagonals[offset], values, out=product.diagonals[offset])
-        return product
+        return Bands(self.dim, merged)._phased(a.imaginary)
 
     def __add__(self, other: "Bands") -> "Bands":
         return self._merge(other, np.add)
@@ -160,8 +242,14 @@ class Bands:
         return self._merge(other, np.subtract)
 
     def __mul__(self, scalar) -> "Bands":
+        bands, imaginary = self, self.imaginary
+        if isinstance(scalar, (complex, np.complexfloating)) and scalar.real == 0 and self._real():
+            # i b times w is i (b w), and i b times i w is -(b w): one real product each
+            scalar, imaginary = -scalar.imag if imaginary else scalar.imag, not imaginary
+        elif imaginary and np.iscomplexobj(scalar):
+            bands, imaginary = self._complex(), False
         return Bands(self.dim, {offset: values * scalar
-                                for offset, values in self.diagonals.items()})
+                                for offset, values in bands.diagonals.items()})._phased(imaginary)
 
     __rmul__ = __mul__
 
@@ -170,16 +258,21 @@ class Bands:
         return self * (1 / scalar)
 
     def adjoint(self) -> "Bands":
-        """Conjugate transpose: M†[i, i - o] = conj(M[i - o, i])."""
-        return Bands(self.dim, {-offset: np.conj(_shift(values, -offset))
-                                for offset, values in self.diagonals.items()})
+        """Conjugate transpose: M†[i, i - o] = conj(M[i - o, i]), so i w gives -i w."""
+        conj = np.negative if self.imaginary else np.conj
+        mirrored = {}
+        for offset, values in self.diagonals.items():
+            shifted = _shift(values, -offset)
+            mirrored[-offset] = conj(shifted, out=shifted)
+        return Bands(self.dim, mirrored)._phased(self.imaginary)
 
     def nonzero(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rows, cols, values) of the nonzero entries, in the row-major order of `np.nonzero`."""
-        offsets = sorted(self.diagonals)
-        rows = [np.flatnonzero(self.diagonals[offset]) for offset in offsets]
+        diagonals = self._complex().diagonals
+        offsets = sorted(diagonals)
+        rows = [np.flatnonzero(diagonals[offset]) for offset in offsets]
         cols = [r + offset for r, offset in zip(rows, offsets)]
-        values = [self.diagonals[offset][r] for r, offset in zip(rows, offsets)]
+        values = [diagonals[offset][r] for r, offset in zip(rows, offsets)]
         empty = [np.zeros(0, dtype=np.int64)]
         rows, cols, values = (np.concatenate(part or empty) for part in (rows, cols, values))
         # within a row the columns ascend with the offsets, which are already sorted
@@ -225,8 +318,9 @@ def max_entry(bands: Bands, keep=None) -> float:
 
     With `keep`, a boolean vector over the basis, only the entries whose row
     and column are both kept count: the residual restricted to that
-    interior.  A nan among the counted entries gives nan, so no tolerance
-    gate can pass it.
+    interior.  The values are read as stored, also where the bands are
+    flagged imaginary, since |i w| = |w|.  A nan among the counted entries
+    gives nan, so no tolerance gate can pass it.
     """
     peak = 0.0
     for offset, values in bands.diagonals.items():

@@ -21,8 +21,9 @@ largest value of each name, so each result is the value over the whole
 (n_max + 1)^2 space, bit for bit, which is never built.  On top of this
 sits the dissipative Hamiltonian H0 = Omega (A†A - B†B),
 HI = i Gamma (A†B† - AB) = -2 Gamma L2, formed from the occupations and the
-ladders; the single-mode operators A, B are not constant-offset diagonals in
-this order and are not built.
+ladders; HI and L2 are i times real operators, held as their real diagonals
+(`Bands.imaginary`).  The single-mode operators A, B are not constant-offset
+diagonals in this order and are not built.
 
 Truncation lives at the per-mode cutoff n_max: the "interior" is the states
 with both occupations below n_max, which is where every identity holds
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import EXACT_INTEGER_CEILING, checked_count, finite
-from .algebra import LadderRep, Su11, _cartesian, discrete_series_elements
+from .algebra import LadderRep, Su11, _l1, _l2, discrete_series_elements
 from .operators import Bands, Envelope, Identity, OperatorMatrix, evaluate, in_float_range
 
 # The most states a run of whole sectors holds, unless one sector alone holds more.
@@ -133,7 +134,7 @@ def _casimir_identities(n_a, n_b, keep, l3, lp, lm):
     mode_form = Bands.diag(0.25 * (n_a - n_b) ** 2)
     del n_a, n_b
     yield Identity("casimir_interior", lambda: (
-        0.25 * Bands.identity(l3.dim) + l3 @ l3 - 0.5 * (lp @ lm + lm @ lp) - mode_form), keep)
+        0.25 * Bands.identity(l3.dim) + l3 @ l3 - 0.5 * lp.anticommutator(lm) - mode_form), keep)
 
 
 def _casimir_root(n_a: np.ndarray, n_b: np.ndarray) -> Bands:
@@ -176,10 +177,12 @@ def _sector_match_identities(n_a, n_b, keep, l3, lp, lm):
     """The three identities of `sector_match_residual`, one per ladder."""
     weight = np.abs((n_a - n_b) / 2.0) + 0.5
     level = np.minimum(n_a, n_b)
+    del n_a, n_b
     diagonal, raising = discrete_series_elements(weight, level)
-    raising_into = discrete_series_elements(weight, level - 1.0)[1]
+    level -= 1.0
+    raising_into = discrete_series_elements(weight, level)[1]
     lowering = np.where(keep, raising, 0.0)
-    del n_a, n_b, keep, weight, level, raising
+    del keep, weight, level, raising
     yield Identity("sector_match", lambda: l3 - Bands(l3.dim, {0: diagonal}))
     yield Identity("sector_match", lambda: lp - Bands(lp.dim, {-1: raising_into}))
     yield Identity("sector_match", lambda: lm - Bands(lm.dim, {1: lowering}))
@@ -248,7 +251,7 @@ def _dissipative_identities(p: DissipativeParams, lp, lm, modes, casimir, upper=
     h0, hi = p.Omega * modes, 1j * p.Gamma * (lp - lm)
     yield Identity("h0_vs_casimir", lambda: h0 - 2.0 * p.Omega * casimir, upper)
     del modes, casimir, upper
-    yield Identity("hi_vs_l2", lambda: hi - (-2.0 * p.Gamma) * _cartesian(lp, lm)[1], keep)
+    yield Identity("hi_vs_l2", lambda: hi - (-2.0 * p.Gamma) * _l2(lp, lm), keep)
     del lp, lm
     yield Identity("h0_hermiticity", lambda: h0 - h0.adjoint())
     yield Identity("hi_hermiticity", lambda: hi - hi.adjoint())
@@ -279,7 +282,7 @@ def _l2_identities(n_a, n_b, keep, l3, lp, lm):
     """
     del n_a, n_b
     yield Identity("l2_commutator", lambda: (
-        _cartesian(lp, lm)[0].commutator(l3) + 1j * _cartesian(lp, lm)[1]), keep)
-    l1 = _cartesian(lp, lm)[0]
+        _l1(lp, lm).commutator(l3) + 1j * _l2(lp, lm)), keep)
+    l1 = _l1(lp, lm)
     del lp, lm
     yield Identity("l2_double_commutator", lambda: l1.commutator(l1.commutator(l3)) + l3, keep)

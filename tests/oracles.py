@@ -2,7 +2,8 @@
 
 The library keeps every operator as its diagonals (`operators.Bands`); dense
 matrices live here alone.  `dense` is the tests' one dense view of an
-operator, and `from_dense` and `bands_from_entries` build one from a dense
+operator, `diagonals` their one reader of its stored values as the matrix
+holds them (i times the values of a `Bands` flagged imaginary), and `from_dense` and `bands_from_entries` build one from a dense
 array or from its entries.  The library never holds the whole two-mode
 space; `build_two_mode` builds it here as one run of every sector, from the
 library's own occupations and ladders, so that the runs the checks sweep
@@ -45,6 +46,16 @@ from ladderlab.twomode import DissipativeParams
 from ladderlab.writer import Arange, CommandResult, Periodic
 
 
+def diagonals(bands: Bands) -> dict[int, np.ndarray]:
+    """{offset: values} of the matrix a `Bands` holds: i times its values where it is flagged.
+
+    The tests' one reader of stored values whose meaning the `imaginary`
+    flag changes; a reader of magnitudes, offsets or finiteness alone may
+    read `Bands.diagonals` as stored.
+    """
+    return bands._complex().diagonals
+
+
 def dense(x: OperatorMatrix | Bands) -> np.ndarray:
     """Read-only dense complex copy of an operator or a `Bands`, for small sizes.
 
@@ -54,7 +65,7 @@ def dense(x: OperatorMatrix | Bands) -> np.ndarray:
     bands = x.bands if isinstance(x, OperatorMatrix) else x
     m = np.zeros((bands.dim, bands.dim), dtype=complex)
     rows = np.arange(bands.dim)
-    for offset, values in bands.diagonals.items():
+    for offset, values in diagonals(bands).items():
         inside = (rows + offset >= 0) & (rows + offset < bands.dim)
         m[rows[inside], rows[inside] + offset] = values[inside]
     m.setflags(write=False)
@@ -217,11 +228,11 @@ def circulant_column(bands: Bands) -> np.ndarray:
     n = bands.dim
     # the first-column entry M[r, 0] sits at row r of offset -r
     column = np.zeros(n, dtype=complex)
-    for offset, values in bands.diagonals.items():
+    for offset, values in diagonals(bands).items():
         if -n < offset <= 0:
             column[-offset] = values[-offset]
     stored = 0
-    for offset, values in bands.diagonals.items():
+    for offset, values in diagonals(bands).items():
         count = np.count_nonzero(values)
         entry = column[-offset % n]
         # entries equal to a nonzero `entry` are a subset of the nonzeros,
@@ -333,7 +344,7 @@ def block(bands: Bands, states: range) -> Bands:
     rows = np.arange(size)
     return Bands(size, {offset: np.where((rows + offset >= 0) & (rows + offset < size),
                                          values[states.start:states.stop], 0.0)
-                        for offset, values in bands.diagonals.items()})
+                        for offset, values in diagonals(bands).items()})
 
 
 def space_sector(space: TwoModeSpace, j: float) -> LadderRep:
@@ -495,7 +506,7 @@ def rotation_block_residual(rep: LadderRep, interior: int) -> float:
     is real.
     """
     levels = rep.L3.bands.diagonal()
-    raising = rep.Lplus.bands.diagonals.get(-1, np.zeros(rep.dim))[1:]
+    raising = diagonals(rep.Lplus.bands).get(-1, np.zeros(rep.dim))[1:]
     if np.any(np.imag(levels)) or np.any(np.imag(raising)):
         raise ValueError("the rotation block needs real L3 and L+ elements")
     levels, raising = np.real(levels), np.real(raising)

@@ -12,15 +12,15 @@ from ladderlab import (
     check_algebra_relations,
 )
 from ladderlab import algebra
-from ladderlab.algebra import Heisenberg, Su2, Su11, _cartesian
+from ladderlab.algebra import Heisenberg, Su2, Su11, _l1, _l2
 from ladderlab.operators import Bands, OperatorMatrix
 from oracles import Bounded, dense, dense_cartesian, hermiticity_residual
 
 
 def cartesian(rep) -> tuple[OperatorMatrix, OperatorMatrix]:
     """L1 and L2 of `rep`, as the library forms them."""
-    l1, l2 = _cartesian(rep.Lplus.bands, rep.Lminus.bands)
-    return OperatorMatrix("L1", l1), OperatorMatrix("L2", l2)
+    lp, lm = rep.Lplus.bands, rep.Lminus.bands
+    return OperatorMatrix("L1", _l1(lp, lm)), OperatorMatrix("L2", _l2(lp, lm))
 
 
 # Pauli-matrix oracle written in the |n> ordering (n=0 is m=-1/2, so the

@@ -8,7 +8,10 @@ nonzero term is then compared bit for bit, and an entry that sums two or
 more terms is held to a few ulps of sum |a||b| (Higham, "Accuracy and
 Stability of Numerical Algorithms", 2nd ed., sec. 3.5).  Sums, scalar
 multiples, masked maxima, restrictions, the dense view and the oracles' CSR
-view involve no reordered rounding and are compared bit for bit.
+view involve no reordered rounding and are compared bit for bit.  Real
+operators flagged `imaginary` (i times their values) are compared with the
+same matrices in complex values through every operation: each entry equal,
+and each max entry bit for bit.
 """
 
 import numpy as np
@@ -27,10 +30,13 @@ values_ = st.floats(-8.0, 8.0, allow_nan=False, allow_infinity=False, width=64)
 
 
 @st.composite
-def band_operators(draw, dim=None, offsets=None):
-    """A `Bands` with random (or the given) offsets; each diagonal is random or all zero."""
+def band_operators(draw, dim=None, offsets=None, real=False):
+    """A `Bands` with random (or the given) offsets; each diagonal is random or all zero.
+
+    Its values are real, or with `real` false also complex.
+    """
     dim = draw(st.integers(1, 12)) if dim is None else dim
-    is_complex = draw(st.booleans())
+    is_complex = not real and draw(st.booleans())
     if offsets is None:
         offsets = draw(st.lists(st.integers(-(dim - 1), dim - 1), unique=True, max_size=5))
     diagonals = {}
@@ -175,8 +181,11 @@ def test_a_nan_entry_is_the_max_entry_unless_masked_out(first):
 
 
 @st.composite
-def commutator_pairs(draw):
-    """Two float, complex or mixed `Bands` of dimension 1 to 9 on shared or disjoint offsets."""
+def commutator_pairs(draw, real=False):
+    """Two `Bands` of dimension 1 to 9 on shared or disjoint offsets.
+
+    Each is float or complex, or with `real` float alone.
+    """
     dim = draw(st.integers(1, 9))
     offsets = draw(st.lists(st.integers(-(dim - 1), dim - 1), unique=True, max_size=6))
     if draw(st.booleans()):
@@ -184,7 +193,7 @@ def commutator_pairs(draw):
     else:
         cut = draw(st.integers(0, len(offsets)))
         first, second = offsets[:cut], offsets[cut:]
-    return draw(band_operators(dim, first)), draw(band_operators(dim, second))
+    return draw(band_operators(dim, first, real)), draw(band_operators(dim, second, real))
 
 
 def assert_same_bits(got: Bands, want: Bands) -> None:
@@ -204,11 +213,12 @@ def test_commutator_matches_both_products_and_their_difference(pair):
     a, b = pair
     before = [{offset: values.copy() for offset, values in x.diagonals.items()} for x in pair]
     assert_same_bits(a.commutator(b), a @ b - b @ a)
+    assert_same_bits(a.anticommutator(b), a @ b + b @ a)
     # the two products share their offsets and dtype, so each diagonal is written in place
     ab, ba = (a @ b).diagonals, (b @ a).diagonals
     assert sorted(ab) == sorted(ba)
     assert all(ab[offset].dtype == ba[offset].dtype for offset in ab)
-    # it writes over its own first product, never over an operand
+    # each writes over its own first product, never over an operand
     for x, copies in zip(pair, before):
         assert list(x.diagonals) == list(copies)
         assert all(np.array_equal(x.diagonals[offset], values, equal_nan=True)
@@ -240,3 +250,54 @@ def test_a_pair_of_offsets_with_no_rows_forms_its_diagonal(a):
 def test_envelope_commutator_is_the_envelope_arithmetic(a, b):
     a, b = Envelope(a), Envelope(b)
     assert a.commutator(b) == a @ b - b @ a == a @ b + b @ a
+
+
+def _flagged(bands: Bands, imaginary: bool) -> Bands:
+    bands.imaginary = imaginary
+    return bands
+
+
+def _complex_path(bands: Bands) -> Bands:
+    """The same matrix with no flag, in complex values where it is flagged."""
+    return Bands(bands.dim, oracles.diagonals(bands))
+
+
+def assert_same_matrix(got: Bands, want: Bands, keep: np.ndarray) -> None:
+    """The same offsets and entries, read through the flag, and the same max entries."""
+    assert got.dim == want.dim
+    got_values, want_values = oracles.diagonals(got), oracles.diagonals(want)
+    assert got_values.keys() == want_values.keys()
+    assert all(np.array_equal(got_values[offset], values)
+               for offset, values in want_values.items())
+    for mask in (None, keep):
+        assert np.float64(max_entry(got, mask)).tobytes() == (
+            np.float64(max_entry(want, mask)).tobytes())
+
+
+# scalars whose reciprocal and products stay normal floats
+scalars = st.floats(0.125, 8.0) | st.floats(-8.0, -0.125)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(pair=commutator_pairs(real=True), flags=st.tuples(st.booleans(), st.booleans()),
+       real=scalars, imaginary=scalars, data=st.data())
+def test_imaginary_flag_is_the_complex_path(pair, flags, real, imaginary, data):
+    # real Bands, each i times its values or not, against the same matrices
+    # in complex values: every entry equal (a zero part may differ in sign,
+    # which == and |entry| do not read) and every max entry the same bits
+    a, b = (_flagged(x, flag) for x, flag in zip(pair, flags))
+    ca, cb = _complex_path(a), _complex_path(b)
+    keep = np.array(data.draw(st.lists(st.booleans(), min_size=a.dim, max_size=a.dim)))
+    for operation in (lambda x, y: x @ y, lambda x, y: x + y, lambda x, y: x - y,
+                      lambda x, y: x.commutator(y), lambda x, y: x.anticommutator(y)):
+        assert_same_matrix(operation(a, b), operation(ca, cb), keep)
+    assert_same_matrix(a.adjoint(), ca.adjoint(), keep)
+    for scalar in (real, complex(0.0, imaginary), complex(-0.0, imaginary),
+                   complex(real, imaginary), np.complex128(complex(0.0, imaginary))):
+        assert_same_matrix(scalar * a, scalar * ca, keep)
+        assert_same_matrix(a * scalar, ca * scalar, keep)
+        assert_same_matrix(a / scalar, ca / scalar, keep)
+    # real values stay real through products, imaginary scalars and sums of like flags
+    same_flag = (a - b,) if a.imaginary == b.imaginary else ()
+    assert all(values.dtype == float for x in (a @ b, a.commutator(b), 2j * a, *same_flag)
+               for values in x.diagonals.values())
