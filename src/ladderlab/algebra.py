@@ -132,8 +132,16 @@ def _leading_su2(l: float, levels: int) -> LadderRep:
 
 
 def discrete_series_elements(k, n) -> tuple[np.ndarray, np.ndarray]:
-    """(<n|L3|n>, <n+1|L+|n>) of the weight-k discrete series; broadcasts over k and n."""
-    return n + k, np.sqrt((n + 2.0 * k) * (n + 1.0))
+    """(<n|L3|n>, <n+1|L+|n>) of the weight-k discrete series; broadcasts over k and n.
+
+    The product under the root is formed in place, and dropped before n + k
+    is formed, so at most two vectors of the result's length are new at once.
+    """
+    product = n + 2.0 * k
+    product *= n + 1.0
+    raising = np.sqrt(product)
+    del product
+    return n + k, raising
 
 
 def build_su11_rep(k: float, dim: int) -> LadderRep:

@@ -222,7 +222,11 @@ def _deformed_identities(l: float, tau: float, scales, l3, lp, lm, one) -> list[
     H = (1/2) omega^2 x^2 + (1/2) p^2 + (tau/2pi)(omega^2/4 + H^2) are both
     exact on the irrep: the quadratic terms reduce through the Casimir
     L1^2 + L2^2 = l(l+1) - L3^2, and the correction term vanishes in the
-    contraction limit on states of bounded energy.
+    contraction limit on states of bounded energy.  Each product of the
+    Hamiltonian identity is scaled in place and summed into the first
+    (`Bands._scaled`, `Bands._plus`), the terms in the order they are
+    written, so it holds two products at a time, not each with its scaled
+    copy and each sum beside both its operands.
     """
     omega = scales[2]
     x, p, h = _deformed_operators(l, scales, l3, lp, lm, one)
@@ -230,8 +234,8 @@ def _deformed_identities(l: float, tau: float, scales, l3, lp, lm, one) -> list[
         Identity("deformed_commutator",
                  lambda: x.commutator(p) - 1j * (one - (tau / math.pi) * h)),
         Identity("hamiltonian_decomposition", lambda: h - (
-            0.5 * omega**2 * (x @ x)
-            + 0.5 * (p @ p)
-            + (tau / (2.0 * math.pi)) * (omega**2 / 4.0 * one + h @ h)
+            (x @ x)._scaled(0.5 * omega**2)
+            ._plus((p @ p)._scaled(0.5))
+            ._plus((omega**2 / 4.0 * one)._plus(h @ h)._scaled(tau / (2.0 * math.pi)))
         )),
     ]

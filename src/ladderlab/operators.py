@@ -111,7 +111,8 @@ class Bands:
     `+`, `-`, `commutator`, `anticommutator`, and `*` or `/` by a scalar)
     returns a new Bands and may share vectors with its inputs, so treat
     every Bands as read-only.  `commutator` and `anticommutator` write only
-    over the vectors of the product they form themselves.
+    over the vectors of the product they form themselves, and the private
+    `_scaled` and `_plus` over a Bands that the arithmetic has just formed.
     """
 
     __slots__ = ("dim", "diagonals", "imaginary")
@@ -123,8 +124,12 @@ class Bands:
 
     @classmethod
     def diag(cls, values) -> "Bands":
+        """diag(values), holding `values` itself where its dtype is already float or complex.
+
+        Like the arithmetic, it shares its input, which is then read-only.
+        """
         values = np.asarray(values)
-        return cls(len(values), {0: values.astype(np.result_type(values, float))})
+        return cls(len(values), {0: values.astype(np.result_type(values, float), copy=False)})
 
     @classmethod
     def identity(cls, dim: int) -> "Bands":
@@ -257,6 +262,27 @@ class Bands:
         # by the reciprocal, as sparse scalar division does, so digits match CSR
         return self * (1 / scalar)
 
+    def _scaled(self, scalar: float) -> "Bands":
+        """self * scalar by a real scalar, written over self's own vectors.
+
+        Only for a Bands that nothing else holds, such as a product just
+        formed; each entry is the one multiply of `__mul__`.
+        """
+        for values in self.diagonals.values():
+            np.multiply(values, scalar, out=values)
+        return self
+
+    def _plus(self, other: "Bands") -> "Bands":
+        """self + other, written over self's own vectors.
+
+        Only for a Bands that nothing else holds, beside one of its flag
+        whose offsets it holds, in its dtype; each entry is the one add of
+        `__add__`.
+        """
+        for offset, values in other.diagonals.items():
+            np.add(self.diagonals[offset], values, out=self.diagonals[offset])
+        return self
+
     def adjoint(self) -> "Bands":
         """Conjugate transpose: M†[i, i - o] = conj(M[i - o, i]), so i w gives -i w."""
         conj = np.negative if self.imaginary else np.conj
@@ -354,15 +380,17 @@ def evaluate(identities: Iterable[Identity]) -> dict[str, float]:
 
     Each identity is read on its own mask, and identities that share a name
     give the largest of their values.  They are taken one at a time, and
-    each residual is dropped once it is reduced, so a table given as a
-    generator can drop an operator after yielding the last identity that
-    reads it.  A nan in any counted entry gives its name nan, so no
+    each residual, and the identity with it, is dropped once it is reduced,
+    so a table given as a generator can drop an operator after yielding the
+    last identity that reads it, and no identity holds what it reads while
+    the next is formed.  A nan in any counted entry gives its name nan, so no
     tolerance gate can pass it.
     """
     values: dict[str, float] = {}
     for identity in identities:
         peak = max_entry(identity.residual(), identity.mask)
         values[identity.name] = float(np.maximum(values.get(identity.name, 0.0), peak))
+        del identity
     return values
 
 
@@ -370,10 +398,10 @@ class Envelope(dict):
     """A bound on the entries of an operator, by diagonal: {offset: bound on |entry|}.
 
     The arithmetic of `Bands`, over bounds: `@` adds a[p] b[q] into offset
-    p + q, `+` and `-` add the two bounds, `commutator` forms both products
-    and adds them, a scalar multiplies each bound by its absolute value, and
-    `adjoint` mirrors the offsets.  Each result
-    bounds every entry, and every partial sum of an entry, that the same
+    p + q, `+` and `-` (and `_plus`) add the two bounds, `commutator` forms
+    both products and adds them, a scalar (and `_scaled`) multiplies each
+    bound by its absolute value, and `adjoint` mirrors the offsets.  Each
+    result bounds every entry, and every partial sum of an entry, that the same
     operation forms over operators within the operands' bounds.  The bounds
     are Python floats, which overflow to inf without a warning.
     """
@@ -405,6 +433,10 @@ class Envelope(dict):
 
     def adjoint(self) -> "Envelope":
         return Envelope({-offset: bound for offset, bound in self.items()})
+
+    # the in-place steps of `Bands` form new bounds here
+    _scaled = __mul__
+    _plus = __add__
 
 
 def in_float_range(identities: Iterable[Identity]) -> bool:

@@ -18,7 +18,9 @@ n_max alone: `_sweep` runs its identity table over successive runs of whole
 sectors of at most `RUN_STATES` states (one sector, if it alone holds
 more).  No entry crosses a sector boundary, and `evaluate` keeps the
 largest value of each name, so each result is the value over the whole
-(n_max + 1)^2 space, bit for bit, which is never built.  On top of this
+(n_max + 1)^2 space, bit for bit, which is never built.  Each run's
+set-up (occupations, ladders, mask and a table's own vectors) is formed in
+place, so it stays below the peak of that run's residuals.  On top of this
 sits the dissipative Hamiltonian H0 = Omega (A†A - B†B),
 HI = i Gamma (A†B† - AB) = -2 Gamma L2, formed from the occupations and the
 ladders; HI and L2 are i times real operators, held as their real diagonals
@@ -42,7 +44,7 @@ import numpy as np
 
 from . import EXACT_INTEGER_CEILING, checked_count, finite
 from .algebra import LadderRep, Su11, _l1, _l2, discrete_series_elements
-from .operators import Bands, Envelope, Identity, OperatorMatrix, evaluate, in_float_range
+from .operators import Bands, Envelope, Identity, OperatorMatrix, _shift, evaluate, in_float_range
 
 # The most states a run of whole sectors holds, unless one sector alone holds more.
 RUN_STATES = 65536
@@ -81,8 +83,12 @@ def _occupations(n_max: int, first: int, stop: int) -> tuple[np.ndarray, np.ndar
     sizes = n_max + 1 - np.abs(shifts)
     # the index n_A = 0 would have in each sector, counted from the first state of the range
     origins = np.cumsum(sizes) - sizes - np.maximum(shifts, 0)
-    n_a = np.arange(sizes.sum(), dtype=float) - np.repeat(origins, sizes)
-    return n_a, n_a - np.repeat(shifts, sizes)
+    n_a = np.arange(sizes.sum(), dtype=float)
+    n_a -= np.repeat(origins, sizes)
+    # each state's shift, as the float the subtraction would convert it to
+    n_b = np.repeat(shifts.astype(float), sizes)
+    np.subtract(n_a, n_b, out=n_b)
+    return n_a, n_b
 
 
 def _ladders(n_a: np.ndarray, n_b: np.ndarray) -> tuple[Bands, Bands, Bands]:
@@ -91,12 +97,24 @@ def _ladders(n_a: np.ndarray, n_b: np.ndarray) -> tuple[Bands, Bands, Bands]:
     Each entry is the one product the mode operators would form:
     <n_A, n_B|L+|n_A - 1, n_B - 1> = sqrt(n_A) sqrt(n_B), which is zero at a
     sector's first state (n_A or n_B = 0), so no entry crosses a sector
-    boundary, and <n_A, n_B|L3|n_A, n_B> from sqrt(n_A)^2 + sqrt(n_B)^2.
+    boundary, and <n_A, n_B|L3|n_A, n_B> = (sqrt(n_A)^2 + sqrt(n_B)^2 + 1)/2,
+    formed in place in the sqrt(n_A) vector.
     """
     root_a, root_b = np.sqrt(n_a), np.sqrt(n_b)
     # the raising element into each state is stored in that state's row
     lplus = Bands(len(root_a), {-1: root_a * root_b})
-    return 0.5 * Bands.diag(root_a * root_a + root_b * root_b + 1.0), lplus, lplus.adjoint()
+    l3 = _squares(root_a, root_b, np.add)
+    del root_b
+    l3 += 1.0
+    l3 *= 0.5
+    return Bands.diag(l3), lplus, lplus.adjoint()
+
+
+def _squares(root_a: np.ndarray, root_b: np.ndarray, op) -> np.ndarray:
+    """op(root_a^2, root_b^2), formed over both vectors and returned in root_a's."""
+    np.multiply(root_a, root_a, out=root_a)
+    np.multiply(root_b, root_b, out=root_b)
+    return op(root_a, root_b, out=root_a)
 
 
 def _sweep(n_max: int, table, *args):
@@ -107,7 +125,8 @@ def _sweep(n_max: int, table, *args):
     the states with both occupations below n_max, formed once per run.  A
     table derives what it needs of the occupations and drops them before
     its first identity, so one run's operators and masks are all that is
-    held.
+    held.  The occupations, the ladders and each table's vectors are formed
+    in place, so a run's set-up stays below the peak of its residuals.
     """
     n_max = _cutoff(n_max)
     step = max(1, RUN_STATES // (n_max + 1))  # a sector holds at most n_max + 1 states
@@ -131,15 +150,21 @@ def casimir_interior_residual(n_max: int) -> dict[str, float]:
 
 def _casimir_identities(n_a, n_b, keep, l3, lp, lm):
     """The identity of `casimir_interior_residual`, read on the interior `keep`."""
-    mode_form = Bands.diag(0.25 * (n_a - n_b) ** 2)
+    mode_form = n_a - n_b
     del n_a, n_b
+    np.square(mode_form, out=mode_form)
+    mode_form *= 0.25
+    mode_form = Bands.diag(mode_form)
     yield Identity("casimir_interior", lambda: (
         0.25 * Bands.identity(l3.dim) + l3 @ l3 - 0.5 * lp.anticommutator(lm) - mode_form), keep)
 
 
 def _casimir_root(n_a: np.ndarray, n_b: np.ndarray) -> Bands:
-    """diag(|j|) = diag(|n_A - n_B|/2), from the occupations."""
-    return Bands.diag(np.abs(n_a - n_b) / 2.0)
+    """diag(|j|) = diag(|n_A - n_B|/2), from the occupations, formed in one vector."""
+    root = n_a - n_b
+    np.abs(root, out=root)
+    root /= 2.0
+    return Bands.diag(root)
 
 
 def sector_operators(n_max: int, j: float) -> LadderRep:
@@ -175,14 +200,22 @@ def sector_match_residual(n_max: int) -> dict[str, float]:
 
 def _sector_match_identities(n_a, n_b, keep, l3, lp, lm):
     """The three identities of `sector_match_residual`, one per ladder."""
-    weight = np.abs((n_a - n_b) / 2.0) + 0.5
     level = np.minimum(n_a, n_b)
+    weight = n_a - n_b
     del n_a, n_b
+    weight /= 2.0
+    np.abs(weight, out=weight)
+    weight += 0.5
     diagonal, raising = discrete_series_elements(weight, level)
-    level -= 1.0
-    raising_into = discrete_series_elements(weight, level)[1]
-    lowering = np.where(keep, raising, 0.0)
-    del keep, weight, level, raising
+    del weight
+    # the element into level n is the one out of level n - 1 of the same sector, the
+    # state before; nothing comes into a sector's first state, at level 0
+    raising_into = _shift(raising, -1)
+    raising_into[level == 0.0] = 0.0
+    # nothing goes out of a sector's top state, the one outside the interior
+    lowering = raising
+    lowering[~keep] = 0.0
+    del level, keep, raising
     yield Identity("sector_match", lambda: l3 - Bands(l3.dim, {0: diagonal}))
     yield Identity("sector_match", lambda: lp - Bands(lp.dim, {-1: raising_into}))
     yield Identity("sector_match", lambda: lm - Bands(lm.dim, {1: lowering}))
@@ -223,8 +256,8 @@ def _mode_operators(n_a: np.ndarray, n_b: np.ndarray) -> tuple[Bands, Bands, np.
     A†A - B†B from sqrt(n_A)^2 - sqrt(n_B)^2, the Casimir root, and the
     mask of j >= 0.
     """
-    root_a, root_b = np.sqrt(n_a), np.sqrt(n_b)
-    return Bands.diag(root_a * root_a - root_b * root_b), _casimir_root(n_a, n_b), n_a >= n_b
+    modes = Bands.diag(_squares(np.sqrt(n_a), np.sqrt(n_b), np.subtract))
+    return modes, _casimir_root(n_a, n_b), n_a >= n_b
 
 
 def _mode_envelopes(n_max: int) -> tuple[Envelope, ...]:

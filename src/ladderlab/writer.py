@@ -386,6 +386,13 @@ def _column_path(group: tuple, pieces: list[str], fmt: str, length: int):
     return lambda start, stop: _join_rows(joined_pieces, [cells(start, stop) for cells in slots])
 
 
+def _write_all(handle, data) -> None:
+    """Write all of `data` to the unbuffered file `handle`, which may take part of each write."""
+    data = memoryview(data)
+    while data:
+        data = data[handle.write(data):]
+
+
 def write_output(path: str, fmt: str, command: str, parameters: dict,
                  tolerance: float, result: CommandResult) -> None:
     """Write the manifest, the checks and the rows of `result` to `path`.
@@ -398,8 +405,10 @@ def write_output(path: str, fmt: str, command: str, parameters: dict,
     texts joined once.  On both, each numeric column finds its blocks that
     are not plain once (`_non_plain_blocks`), and only those are spelled
     (`_spelled`).  The file is written as bytes: UTF-8 text, lines ended by LF on
-    every platform.  The bytes are those of formatting every cell with
-    `_fmt` (CSV) or of `json.dumps(payload, indent=2)` over row objects
+    every platform.  Every write is already a whole block, so the file is
+    opened unbuffered, with no buffer of its own, and `_write_all` writes
+    each block to its last byte.  The bytes are those of formatting every
+    cell with `_fmt` (CSV) or of `json.dumps(payload, indent=2)` over row objects
     (JSON).  Groups whose columns differ in number or length raise
     ValueError before the file is opened.
     """
@@ -430,8 +439,8 @@ def write_output(path: str, fmt: str, command: str, parameters: dict,
         head, tail = (text[:-3], "\n  ]\n}\n") if sum(lengths) else (text + "\n", "")
         pieces, separator = _json_row_pieces(result.columns), ","
     skip = len(separator)  # cut from the first row written
-    with open(path, "wb") as handle:
-        handle.write(head.encode())
+    with open(path, "wb", buffering=0) as handle:
+        _write_all(handle, head.encode())
         for group, length in zip(result.groups, lengths):
             dump = _row_dumper(group) if fmt == "csv" else None
             join = None
@@ -443,6 +452,6 @@ def write_output(path: str, fmt: str, command: str, parameters: dict,
                     join = join or _column_path(group, pieces, fmt, length)
                     data = memoryview(join(start, stop).encode())[skip:]
                 skip = 0
-                handle.write(data)
+                _write_all(handle, data)
                 del data  # not held while the next block is formatted
-        handle.write(tail.encode())
+        _write_all(handle, tail.encode())

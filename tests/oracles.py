@@ -31,6 +31,7 @@ nowhere in the package.
 """
 
 import itertools
+import tracemalloc
 from dataclasses import dataclass
 from math import ceil, log2, pi, sqrt
 
@@ -147,6 +148,42 @@ def whole_run(table, space: TwoModeSpace, *args) -> dict[str, float]:
     """
     return evaluate(table(*args, space.n_a, space.n_b, space.interior, space.L3.bands,
                           space.Lplus.bands, space.Lminus.bands))
+
+
+def identity_peaks(table, n_max: int, *args) -> list[tuple[int, list[int]]]:
+    """(set-up peak, [peak of each residual]) of each run of `twomode._sweep(n_max, table, *args)`.
+
+    Peaks are of all the memory tracemalloc traces, so each counts what the
+    run holds beside what the step forms.  A run's set-up spans its
+    occupations, ladders and interior mask and the table up to its first
+    identity; each residual spans the table's step to that identity, the
+    residual and its reduction by `max_entry`, as `evaluate` takes them.
+    Each identity is dropped once reduced, so the next run's set-up starts
+    once this run's generator has finished.
+    """
+    runs, occupations = [], twomode._occupations
+
+    def started(*run):
+        runs.append((0, []))
+        tracemalloc.reset_peak()
+        return occupations(*run)
+
+    sweep = twomode._sweep(n_max, table, *args)
+    twomode._occupations = started
+    tracemalloc.start()
+    try:
+        for identity in sweep:
+            if not runs[-1][1]:
+                runs[-1] = (tracemalloc.get_traced_memory()[1], [])
+                tracemalloc.reset_peak()
+            max_entry(identity.residual(), identity.mask)
+            runs[-1][1].append(tracemalloc.get_traced_memory()[1])
+            del identity
+            tracemalloc.reset_peak()
+    finally:
+        tracemalloc.stop()
+        twomode._occupations = occupations
+    return runs
 
 
 def dense_two_mode(n_max: int) -> dict[str, np.ndarray]:
@@ -311,6 +348,11 @@ class Bounded:
 
     def adjoint(self) -> "Bounded":
         return Bounded(self.bands.adjoint(), self.envelope.adjoint())
+
+    # the in-place steps of `Bands`, checked as new results
+    _scaled = __mul__
+    _plus = __add__
+
 
 def csr(op: OperatorMatrix) -> sparse.csr_array:
     """Complex `scipy.sparse.csr_array` of an operator, in canonical form.

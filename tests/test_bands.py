@@ -225,6 +225,15 @@ def test_commutator_matches_both_products_and_their_difference(pair):
                    for offset, values in copies.items())
 
 
+@settings(max_examples=150, deadline=None)
+@given(pair=commutator_pairs(), scalar=values_)
+def test_in_place_scale_and_sum_are_the_arithmetic(pair, scalar):
+    # the steps of the deformed Hamiltonian identity, over a product just formed
+    a, b = pair
+    assert_same_bits((a @ b)._scaled(scalar), (a @ b) * scalar)
+    assert_same_bits((a @ b)._plus(b @ a), a @ b + b @ a)
+
+
 # L+ and L- of a one-state two-mode sector are all-zero diagonals at +-1, past
 # the matrix, and at dim 2 the pair of offsets (1, 1) has no rows: every pair
 # forms its diagonal all the same, so a product holds each sum of offsets

@@ -1140,16 +1140,22 @@ class TestReach:
     builds only the levels it tabulates of each irrep.
     """
 
-    # tracemalloc peaks measured at 6.5 MB for --check all and --check
-    # hamiltonian at nmax 800 (7.7 MB while L2, HI, p and [x, p] were held in
-    # complex values and each commutator held both its products whole, 9.5
-    # MB when it held their difference too, 103 MB with the whole space
-    # built, 124 MB on the flat basis order), 5.8 MB for --check all at nmax
-    # 400 and 6.7 MB at nmax 1600 (7.2 and 7.9 MB, and 9.0 and 9.7 MB,
-    # before), 0.095 MB at nmax 30 (0.143 MB before), 6.1 MB for --check
-    # sectors at nmax 3161 (7.6 MB before; the whole space built would take
-    # about 0.4 and 1.6 GB), 14.4 MB for contract --identities at l = 5e4
-    # (20.9 and 23.2 MB before), 0.14 MB for the sector
+    # tracemalloc peaks measured at 5.05 MB for --check all and --check l2
+    # at nmax 800 and 5.00 MB for --check hamiltonian, the double commutator
+    # of L2 setting the peak of --check all (6.5 MB for all and hamiltonian
+    # while each run's set-up formed its occupations, ladders and mode
+    # operators through temporaries and `evaluate` held the last identity of
+    # one run through the next run's set-up, 7.7 MB while L2, HI, p and
+    # [x, p] were held in complex values and each commutator held both its
+    # products whole, 9.5 MB when it held their difference too, 103 MB with
+    # the whole space built, 124 MB on the flat basis order), 4.76 MB for
+    # --check all at nmax 400 and 5.20 MB at nmax 1600 (5.8 and 6.7 MB, 7.2
+    # and 7.9 MB, and 9.0 and 9.7 MB, before), 0.084 MB at nmax 30 (0.090
+    # and 0.143 MB before), 4.04 MB for --check sectors at nmax 3161 (6.1 and
+    # 7.6 MB before; the whole space built would take about 0.4 and 1.6 GB),
+    # 12.8 MB for contract --identities at l = 5e4 (14.4, 20.9 and 23.2 MB
+    # before, while the Hamiltonian identity held each product beside its
+    # scaled copy and each sum beside both its operands), 0.14 MB for the sector
     # dump at nmax 800 and 0.46 MB at nmax 3161 (31 MB at nmax 800 when the
     # sector was sliced out of the whole space, 103 MB when it was picked out
     # of the flat order by index lists), 8.4 MB for evolve at N = 2^18 and
@@ -1162,8 +1168,10 @@ class TestReach:
     # holds one run of whole sectors, under RUN_PEAK_BOUND, about twice its
     # peak, so its peak at nmax 1600 is within RUN_GROWTH_BOUND of that at
     # nmax 400; the contract --identities bound and the nmax 30 bound, the
-    # largest two-mode op of the benchmark, leave about 20% and 15% headroom,
-    # below the peaks of complex storage.
+    # largest two-mode op of the benchmark, each leave about 20% headroom,
+    # below the peaks before.  The dissipative table, whose set-up forms the
+    # mode operators besides the ladders, peaks within HAMILTONIAN_L2_BOUND
+    # of the L2 relations at nmax 800.
     #
     # Memory laws, each read at two sizes a factor of 4 apart, so a change of
     # law (a quadratic build, a whole-space build, a trace of every touch
@@ -1193,8 +1201,9 @@ class TestReach:
     IRRATIONAL_BYTES_PER_TOUCH = 58
     THOOFT_BYTES_PER_TOUCH = 68
     DUMP_BYTES_PER_STATE = 215
-    IDENTITIES_PEAK_BOUND = 17.5e6
-    SMALL_RUN_PEAK_BOUND = 110e3
+    IDENTITIES_PEAK_BOUND = 15.4e6
+    SMALL_RUN_PEAK_BOUND = 101e3
+    HAMILTONIAN_L2_BOUND = 1.15
     DUMP_PEAK_BOUND = 1e6
     DUMP_3161_PEAK_BOUND = 1e6
     EVOLVE_BYTES_PER_STATE = 38
@@ -1238,6 +1247,10 @@ class TestReach:
         assert [r["check"] for r in rows] == [
             "h0_vs_casimir", "hi_vs_l2", "h0_hermiticity", "hi_hermiticity", "h0_hi_commutator"]
         assert peak < self.RUN_PEAK_BOUND, f"tracemalloc peak {peak / 1e6:.1f} MB"
+        # its set-up forms the mode operators in place, beside the ladders
+        _, l2 = self._run("l2", tmp_path, capsys)
+        assert peak < self.HAMILTONIAN_L2_BOUND * l2, (
+            f"tracemalloc peaks {peak / 1e6:.2f} and {l2 / 1e6:.2f} MB")
 
     def test_schwinger_nmax_30(self, tmp_path, capsys):
         # 961 states in one run: L2, HI and their products held as real diagonals

@@ -182,6 +182,22 @@ class TestRuns:
             check(4)
         assert seen and set(seen) == {0}
 
+    @pytest.mark.parametrize("table, args", [
+        (twomode._casimir_identities, ()),
+        (twomode._sector_match_identities, ()),
+        (twomode._dissipative_run, (PARAMS,)),
+        (twomode._l2_identities, ()),
+    ], ids=["casimir", "sector_match", "dissipative", "l2"])
+    def test_no_run_sets_up_above_its_residuals(self, table, args):
+        # each run's occupations, ladders and table vectors are formed in place,
+        # so no run holds more before its first identity than while forming one;
+        # at nmax 200 the second run holds a thirteenth of the states of the first
+        oracles.identity_peaks(table, 2, *args)  # the first use of each path, untraced
+        runs = oracles.identity_peaks(table, 200, *args)
+        assert len(runs) == 2
+        for setup, residuals in runs:
+            assert setup <= max(residuals), (setup, residuals)
+
 
 class TestCasimir:
     def test_two_forms_agree_on_interior(self):

@@ -7,6 +7,7 @@ and every file the column writer produces must equal its output byte for
 byte.
 """
 
+import io
 import json
 import math
 import os
@@ -974,3 +975,35 @@ def test_json_writer_memory_is_one_block(tmp_path):
     assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
     assert new < 200_000
     assert 30 * new < old
+
+
+@pytest.mark.parametrize("argv", [
+    ["rep", "--algebra", "su2", "--l", "60"],
+    ["orbit", "--two-circle", "--q-num", "5", "--q-den", "13", "--steps", "3000",
+     "--format", "json"],
+], ids=["csv-rep", "json-two-circle"])
+def test_a_file_that_takes_part_of_each_write_gets_every_byte(argv, tmp_path, monkeypatch,
+                                                               capsys):
+    # the writer opens its file unbuffered, so the OS may take part of a block
+    # at a time; here each write takes at most 1000 bytes
+    taken = []
+
+    class ShortWrites(io.FileIO):
+        def write(self, data):
+            taken.append(min(len(data), 1000))
+            return super().write(memoryview(data)[:1000])
+
+    def short_open(path, mode, buffering):
+        assert (mode, buffering) == ("wb", 0)
+        return ShortWrites(path, "wb")
+
+    # the same path for both, since the manifest names it
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    whole = out.read_bytes()
+    out.unlink()
+    monkeypatch.setattr(writer, "open", short_open, raising=False)
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == whole
+    assert sum(taken) == len(whole) and taken.count(1000) > len(whole) // 2000
